@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .inversion import MAX_ORDER  # noqa: F401  (re-exported context)
-from .logistic import iterate_norm_bound
+from .logistic import iterate_norm_bound, sigmoid
 from .pwl import _square_pwl, build_pwl
 from .transformer import (
     AttentionHead,
@@ -565,13 +564,8 @@ def read_logistic_iterate(h, layout):
     return np.ascontiguousarray(h[layout.rows_of("iterate"), 0])
 
 
-def _sigmoid(t):
-    t = np.clip(t, -40.0, 40.0)
-    return 1.0 / (1.0 + np.exp(-t))
-
-
 def _sigmoid_derivative(t):
-    s = _sigmoid(t)
+    s = sigmoid(t)
     return s * (1.0 - s)
 
 
@@ -757,11 +751,11 @@ def build_logreg_newton_step(problem, budget):
     # margins again, then label-gated probabilities
     fb = FfnBuilder(dim, ones_row)
     p_pos = build_pwl(
-        lambda t: _sigmoid(-t), -SIGMOID_RANGE, SIGMOID_RANGE,
+        lambda t: sigmoid(-t), -SIGMOID_RANGE, SIGMOID_RANGE,
         budget.u3_pieces,
     )
     p_neg = build_pwl(
-        _sigmoid, -SIGMOID_RANGE, SIGMOID_RANGE, budget.u3_pieces
+        sigmoid, -SIGMOID_RANGE, SIGMOID_RANGE, budget.u3_pieces
     )
     fb.add_pwl(p_pos, {acc_row: 1.0}, acc_row, gate=(label_row, 1.0))
     fb.add_pwl(p_neg, {acc_row: 1.0}, acc_row, gate=(label_row, -1.0))
@@ -906,36 +900,37 @@ def build_logreg_newton_step(problem, budget):
     return layers, _logistic_layout(d, n)
 
 
-def logistic_step_forward(layers, layout, h, check=True):
+def logistic_step_forward(layers, layout, h):
     """Run one constructed step, verifying the cleanup range.
 
     The final layer's ffn cancels the accumulator row exactly only
-    while its entries stay inside (-10, 10); *check* asserts that
-    before applying it.
+    while its entries stay inside (-10, 10); a larger entry raises
+    ``BudgetError`` with bound ``"cleanup_range"`` before it is applied.
     """
     h = layout.validate_prompt(h)
     acc_row = layout.block("accumulator").start
     last = len(layers) - 1
     for i, layer in enumerate(layers):
         h = attention_forward(layer, h)
-        if check and i == last:
+        if i == last:
             reach = float(np.max(np.abs(h[acc_row])))
             if reach >= CLEANUP_RANGE:
-                raise RuntimeError(
+                raise BudgetError(
                     f"accumulator magnitude {reach:.3g} exceeds the exact "
-                    f"cleanup range {CLEANUP_RANGE}"
+                    f"cleanup range {CLEANUP_RANGE}",
+                    bound="cleanup_range",
                 )
         if layer.has_ffn:
             h = ffn_forward(layer, h)
     return h
 
 
-def run_constructed_newton(problem, x0, budget, n_steps, check=True):
+def run_constructed_newton(problem, x0, budget, n_steps):
     """Apply the constructed step *n_steps* times; returns the iterates."""
     layers, layout = build_logreg_newton_step(problem, budget)
     h = make_logistic_prompt(problem, np.asarray(x0, dtype=np.float64))
     xs = [read_logistic_iterate(h, layout)]
     for _ in range(n_steps):
-        h = logistic_step_forward(layers, layout, h, check=check)
+        h = logistic_step_forward(layers, layout, h)
         xs.append(read_logistic_iterate(h, layout))
     return xs

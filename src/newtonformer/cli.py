@@ -3,9 +3,11 @@
 Five subcommands: ``invert``, ``linreg``, ``logreg`` run the CSV
 experiment harness, ``budget`` prints a width/depth allocation, and
 ``scan-decrease`` evaluates the constant-decrease certificate grid.
-Every knob can come from a flat key=value config file via ``--config``;
-an explicit CLI flag wins over the file.  Exit codes: 0 on success, 2
-on budget or convergence failure, 1 on usage errors.
+Each experiment subcommand takes one flag per field its runner reads,
+with the defaults of ``harness.TASK_DEFAULTS``.  ``--config`` reads the
+same keys from a flat key=value file; an explicit flag wins over the
+file.  Exit codes: 0 on success, 2 on budget or convergence failure, 1
+on usage errors.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import sys
 from .builders import width_depth_budget
 from .errors import BudgetError, ConvergenceError, ScanAnomalyError
 from .harness import (
+    TASK_DEFAULTS,
     ExperimentConfig,
     run_invert_experiment,
     run_linreg_experiment,
@@ -22,42 +25,6 @@ from .harness import (
 from .logistic import scan_constant_decrease
 
 __all__ = ["main"]
-
-_TASK_DEFAULTS = {
-    "invert": dict(
-        d=8, n=8, kappa=16.0, noise_std=0.0, mu=0.1, eps=1e-10,
-        orders="2,3", t_max=60, seed=0, out_dir=".", batch=1,
-    ),
-    "linreg": dict(
-        d=10, n=50, kappa=100.0, noise_std=0.0, mu=0.0, eps=1e-10,
-        orders="2,3", t_max=30, seed=0, out_dir=".", batch=16,
-    ),
-    "logreg": dict(
-        d=5, n=26, kappa=10.0, noise_std=0.0, mu=0.1, eps=1e-2,
-        orders="2", t_max=15, seed=0, out_dir=".", batch=1,
-    ),
-}
-
-_BUDGET_DEFAULTS = dict(
-    eps=1e-2, mu=0.1, kappa_f=None, d=5, piece_ceiling=5_000_000
-)
-
-_FIELD_TYPES = {
-    "task": str,
-    "d": int,
-    "n": int,
-    "kappa": float,
-    "noise_std": float,
-    "mu": float,
-    "eps": float,
-    "orders": str,
-    "t_max": int,
-    "seed": int,
-    "out_dir": str,
-    "batch": int,
-    "kappa_f": float,
-    "piece_ceiling": int,
-}
 
 _RUNNERS = {
     "invert": run_invert_experiment,
@@ -73,117 +40,113 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def read_config(self, path, command):
+        """Set the key=value pairs of *path* as this parser's defaults.
+
+        The values stay strings, so the next parse converts each with
+        its flag's own type, and a flag given explicitly still wins.
+        """
+        flags = {action.dest for action in self._actions
+                 if action.option_strings} - {"help", "config"}
+        values = {}
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ValueError(f"{path}:{lineno}: expected key=value")
+                key, value = key.strip().replace("-", "_"), value.strip()
+                if key == "task":
+                    if value != command:
+                        raise ValueError(
+                            f"{path}:{lineno}: config task {value!r} "
+                            f"conflicts with subcommand {command!r}"
+                        )
+                elif key in flags:
+                    values[key] = value
+                else:
+                    raise ValueError(
+                        f"{path}:{lineno}: config key {key!r} does not "
+                        f"apply to {command!r}"
+                    )
+        self.set_defaults(**values)
+
 
 def _parse_orders(text):
-    tokens = [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    if not tokens:
-        raise ValueError(f"orders must be a comma-separated list, got {text!r}")
-    return tuple(int(tok) for tok in tokens)
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"orders must be comma-separated integers, got {text!r}"
+        ) from None
 
 
-def _load_config(path):
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key = key.strip().replace("-", "_")
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
-    return values
-
-
-def _add_experiment_flags(sub):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--kappa", type=float)
-    sub.add_argument("--noise-std", dest="noise_std", type=float)
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--eps", type=float)
-    sub.add_argument("--orders", help="comma-separated iteration orders")
-    sub.add_argument("--t-max", dest="t_max", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--batch", type=int)
+def _add_flag(sub, name, default=argparse.SUPPRESS, **kwargs):
+    sub.add_argument("--" + name.replace("_", "-"), dest=name,
+                     default=default, **kwargs)
 
 
 def _build_parser():
+    """The top-level parser and the subcommand parsers by name.
+
+    Flags without a default are left out of the parsed namespace, so
+    only the values a user set reach the library, which fills in the
+    rest.
+    """
     parser = _Parser(prog="newtonformer", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
-    for task in _RUNNERS:
+    for task, defaults in TASK_DEFAULTS.items():
         sub = subs.add_parser(task, help=f"run the {task} experiment")
-        _add_experiment_flags(sub)
+        _add_flag(sub, "config", help="flat key=value config file")
+        for name, default in defaults.items():
+            if isinstance(default, tuple):
+                kind, shown = _parse_orders, ",".join(map(str, default))
+            else:
+                kind, shown = type(default), default
+            _add_flag(sub, name, type=kind, help=f"default {shown}")
+    # The budget defaults to the logreg experiment's eps and mu; the
+    # other knobs keep width_depth_budget's own defaults.
     budget = subs.add_parser("budget", help="print a width/depth budget")
-    budget.add_argument("--config", help="flat key=value config file")
-    budget.add_argument("--eps", type=float)
-    budget.add_argument("--mu", type=float)
-    budget.add_argument("--kappa-f", dest="kappa_f", type=float)
-    budget.add_argument("--d", type=int)
-    budget.add_argument("--piece-ceiling", dest="piece_ceiling", type=int)
+    _add_flag(budget, "config", help="flat key=value config file")
+    for name in ("eps", "mu"):
+        default = TASK_DEFAULTS["logreg"][name]
+        _add_flag(budget, name, default, type=float, help=f"default {default}")
+    _add_flag(budget, "kappa_f", type=float)
+    _add_flag(budget, "d", type=int)
+    _add_flag(budget, "piece_ceiling", type=int)
     scan = subs.add_parser("scan-decrease",
                            help="grid-certify the constant decrease")
-    scan.add_argument("--grid-x", dest="grid_x", type=int, default=500)
-    scan.add_argument("--grid-c", dest="grid_c", type=int, default=500)
-    return parser
+    _add_flag(scan, "grid_x", type=int)
+    _add_flag(scan, "grid_c", type=int)
+    return parser, subs.choices
 
 
-def _merge(defaults, args):
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, raw in _load_config(config_path).items():
-            if key not in merged and key != "task":
-                raise ValueError(
-                    f"config key {key!r} does not apply to this subcommand"
-                )
-            if key == "task":
-                if raw != args.command:
-                    raise ValueError(
-                        f"config task {raw!r} conflicts with "
-                        f"subcommand {args.command!r}"
-                    )
-                continue
-            merged[key] = _FIELD_TYPES[key](raw)
-    for key in merged:
-        override = getattr(args, key, None)
-        if override is not None:
-            merged[key] = override
-    return merged
-
-
-def _dispatch(args):
-    if args.command in _RUNNERS:
-        merged = _merge(_TASK_DEFAULTS[args.command], args)
-        merged["orders"] = _parse_orders(merged["orders"])
-        cfg = ExperimentConfig(task=args.command, **merged)
-        for path in _RUNNERS[args.command](cfg):
+def _dispatch(flags):
+    command = flags.pop("command")
+    flags.pop("config", None)
+    if command in _RUNNERS:
+        for path in _RUNNERS[command](ExperimentConfig(task=command, **flags)):
             print(f"wrote {path}")
         return 0
-    if args.command == "budget":
-        merged = _merge(_BUDGET_DEFAULTS, args)
-        report = width_depth_budget(
-            merged["eps"], merged["mu"], merged["kappa_f"], merged["d"],
-            piece_ceiling=merged["piece_ceiling"],
-        )
-        print(report.to_text())
+    if command == "budget":
+        print(width_depth_budget(**flags).to_text())
         return 0
-    maximum = scan_constant_decrease(args.grid_x, args.grid_c)
+    maximum = scan_constant_decrease(**flags)
     print(f"max_decrease_bound {maximum:.17g}")
     return 0 if maximum <= -0.01 else 2
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        if "config" in args:
+            subparsers[args.command].read_config(args.config, args.command)
+            args = parser.parse_args(argv)
+        return _dispatch(vars(args))
     except (BudgetError, ConvergenceError, ScanAnomalyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

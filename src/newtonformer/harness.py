@@ -7,7 +7,7 @@ Re-running with the same config yields byte-identical files.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,54 +17,76 @@ from .linalg import spectral_norm_est, solve_spd
 from .transformer import model_forward
 
 __all__ = [
+    "TASK_DEFAULTS",
     "ExperimentConfig",
     "run_invert_experiment",
     "run_linreg_experiment",
     "run_logreg_experiment",
 ]
 
-_TASKS = ("invert", "linreg", "logreg")
+# Each task's defaults, listing only the fields its runner reads.  The
+# CLI builds each experiment subcommand's flags from this table.
+TASK_DEFAULTS = {
+    "invert": dict(d=8, kappa=16.0, eps=1e-10, orders=(2, 3), t_max=60,
+                   seed=0, out_dir="."),
+    "linreg": dict(d=10, n=50, kappa=100.0, noise_std=0.0, mu=0.0,
+                   orders=(2, 3), t_max=30, seed=0, out_dir=".", batch=16),
+    "logreg": dict(d=5, n=26, kappa=10.0, mu=0.1, eps=1e-2, t_max=15,
+                   seed=0, out_dir="."),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated bundle of experiment knobs shared by all subcommands."""
+    """Validated bundle of experiment knobs.
+
+    A field left unset takes its task's default from ``TASK_DEFAULTS``;
+    a field the task's runner does not read stays None.
+    """
 
     task: str
-    d: int = 8
-    n: int = 50
-    kappa: float = 100.0
-    noise_std: float = 0.0
-    mu: float = 0.1
-    eps: float = 1e-2
-    orders: tuple = (2, 3)
-    t_max: int = 20
-    seed: int = 0
-    out_dir: str = "."
-    batch: int = 16
+    d: int | None = None
+    n: int | None = None
+    kappa: float | None = None
+    noise_std: float | None = None
+    mu: float | None = None
+    eps: float | None = None
+    orders: tuple | None = None
+    t_max: int | None = None
+    seed: int | None = None
+    out_dir: str | None = None
+    batch: int | None = None
 
     def __post_init__(self):
-        if self.task not in _TASKS:
-            raise ValueError(f"task must be one of {_TASKS}, got {self.task!r}")
+        if self.task not in TASK_DEFAULTS:
+            raise ValueError(
+                f"task must be one of {tuple(TASK_DEFAULTS)}, got {self.task!r}"
+            )
+        for key, value in TASK_DEFAULTS[self.task].items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.kappa < 1.0:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if self.noise_std < 0.0:
+        if self.noise_std is not None and self.noise_std < 0.0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not self.eps > 0.0:
+        if self.eps is not None and not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        if self.batch < 1:
+        if self.batch is not None and self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        orders = tuple(int(o) for o in self.orders)
-        if not orders:
-            raise ValueError("orders must be nonempty")
-        for o in orders:
-            if not 2 <= o <= MAX_ORDER:
-                raise ValueError(f"orders must lie in [2, {MAX_ORDER}], got {o}")
-        object.__setattr__(self, "orders", orders)
+        if self.orders is not None:
+            orders = tuple(int(o) for o in self.orders)
+            if not orders:
+                raise ValueError("orders must be nonempty")
+            for o in orders:
+                if not 2 <= o <= MAX_ORDER:
+                    raise ValueError(
+                        f"orders must lie in [2, {MAX_ORDER}], got {o}"
+                    )
+            object.__setattr__(self, "orders", orders)
         if self.task in ("linreg", "logreg"):
             if self.n < self.d:
                 raise ValueError(f"need n >= d, got n={self.n}, d={self.d}")
@@ -120,13 +142,9 @@ def run_linreg_experiment(cfg):
         raise ValueError(f"config task is {cfg.task!r}, expected 'linreg'")
     prompts = []
     for item in range(cfg.batch):
-        item_cfg = ExperimentConfig(
-            task="linreg", d=cfg.d, n=cfg.n, kappa=cfg.kappa,
-            noise_std=cfg.noise_std, mu=cfg.mu, eps=cfg.eps,
-            orders=cfg.orders, t_max=cfg.t_max,
-            seed=cfg.seed + item, out_dir=cfg.out_dir, batch=1,
+        a, y, a_test, w_star = datagen.gen_linreg_data(
+            replace(cfg, seed=cfg.seed + item)
         )
-        a, y, a_test, w_star = datagen.gen_linreg_data(item_cfg)
         gram = a.T @ a + cfg.mu * np.eye(cfg.d)
         alpha = 2.0 * builders.INIT_SAFETY / spectral_norm_est(gram) ** 2
         prompts.append({

@@ -12,8 +12,6 @@ from .errors import DefinitenessError, ShapeMismatchError, SymmetryError
 
 __all__ = [
     "as_matrix",
-    "matmul",
-    "frobenius_norm",
     "spectral_norm_est",
     "solve_spd",
     "save_matrix_csv",
@@ -41,22 +39,6 @@ def _check_result_finite(a, op):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{op} produced non-finite entries")
     return a
-
-
-def matmul(a, b):
-    """Matrix product a @ b with shape and finiteness checks."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"inner dimensions differ: {a.shape} vs {b.shape}"
-        )
-    return _check_result_finite(a @ b, "matmul")
-
-
-def frobenius_norm(a):
-    """Frobenius norm of a matrix."""
-    return float(np.linalg.norm(as_matrix(a)))
 
 
 def _splitmix64(state):

@@ -43,6 +43,12 @@ EXP_CLAMP = 40.0
 QUADRATIC_PHASE_THRESHOLD = 1.0 / 6.0
 
 
+def sigmoid(t):
+    """1 / (1 + exp(-t)) with t clamped to +-EXP_CLAMP, where the
+    logistic function already saturates to double precision."""
+    return 1.0 / (1.0 + np.exp(-np.clip(t, -EXP_CLAMP, EXP_CLAMP)))
+
+
 @dataclass(frozen=True)
 class LogisticProblem:
     """A dataset (features, labels) with ridge weight mu.
@@ -103,8 +109,7 @@ def margin_probabilities(problem, x):
     saturates to double precision.
     """
     x = _check_point(problem, x)
-    z = problem.labels * (problem.features @ x)
-    return 1.0 / (1.0 + np.exp(np.clip(z, -EXP_CLAMP, EXP_CLAMP)))
+    return sigmoid(-problem.labels * (problem.features @ x))
 
 
 def loss_grad_hess(problem, x):
@@ -120,7 +125,7 @@ def loss_grad_hess(problem, x):
     n = problem.n_samples
     z = y * (a @ x)
     f = float(np.mean(np.logaddexp(0.0, -z)) + 0.5 * mu * (x @ x))
-    p = 1.0 / (1.0 + np.exp(np.clip(z, -EXP_CLAMP, EXP_CLAMP)))
+    p = sigmoid(-z)
     grad = -(a.T @ (y * p)) / n + mu * x
     weights = p * (1.0 - p)
     hess = (a.T * (weights / n)) @ a + mu * np.eye(problem.dim)

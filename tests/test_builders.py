@@ -420,6 +420,22 @@ class TestLogregNewtonStack:
             build_logreg_newton_step(problem, tampered)
         assert info.value.bound == "depth"
 
+    def test_cleanup_range_guard(self, logreg_stack):
+        problem, _, layers, layout = logreg_stack
+        penultimate = layers[-2]
+        louder = TransformerLayer(
+            heads=tuple(
+                AttentionHead(100.0 * head.w_v, head.w_k, head.w_q)
+                for head in penultimate.heads
+            ),
+            ffn=penultimate.ffn,
+        )
+        tampered = [*layers[:-2], louder, layers[-1]]
+        h = make_logistic_prompt(problem, np.zeros(5))
+        with pytest.raises(BudgetError) as info:
+            logistic_step_forward(tampered, layout, h)
+        assert info.value.bound == "cleanup_range"
+
     def test_prompt_shape_and_readout(self, logreg_stack):
         problem, _, _, layout = logreg_stack
         x = np.arange(5.0)

@@ -280,6 +280,14 @@ class TestLogregRunner:
             assert all(int(r["layers_per_step"]) == 35 for r in rows)
 
 
+# Flags an experiment runner does not read; its subcommand rejects them.
+_UNREAD_FLAGS = [
+    ("invert", "n"), ("invert", "noise_std"), ("invert", "mu"),
+    ("invert", "batch"), ("linreg", "eps"), ("logreg", "orders"),
+    ("logreg", "noise_std"), ("logreg", "batch"),
+]
+
+
 class TestCli:
     def test_invert_roundtrip(self, tmp_path, capsys):
         argv = ["invert", "--d", "5", "--kappa", "8", "--eps", "1e-8",
@@ -369,3 +377,58 @@ class TestCli:
         config.write_text("flux_capacitance = 11\n")
         assert main(["invert", "--config", str(config)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
+    def test_flag_the_runner_ignores_is_usage_error(self, command, flag):
+        with pytest.raises(SystemExit) as info:
+            main([command, f"--{flag.replace('_', '-')}", "1"])
+        assert info.value.code == 1
+
+    @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
+    def test_config_key_the_runner_ignores_rejected(self, command, flag,
+                                                    tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag} = 1\n")
+        assert main([command, "--config", str(config)]) == 1
+        assert "does not apply" in capsys.readouterr().err
+
+    def test_bad_config_value_is_usage_error(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("d = many\n")
+        with pytest.raises(SystemExit) as info:
+            main(["invert", "--config", str(config)])
+        assert info.value.code == 1
+
+    @pytest.mark.parametrize("task, runner, overrides", [
+        ("invert", run_invert_experiment, dict(d=5, t_max=40)),
+        ("linreg", run_linreg_experiment, dict(t_max=3, batch=2)),
+        ("logreg", run_logreg_experiment, dict(t_max=2)),
+    ])
+    def test_config_defaults_match_cli(self, task, runner, overrides,
+                                       tmp_path, capsys):
+        argv = [task, "--out-dir", str(tmp_path / "cli")]
+        for key, value in overrides.items():
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        cfg = ExperimentConfig(task=task, out_dir=str(tmp_path / "lib"),
+                               **overrides)
+        name = f"{task}.csv"
+        runner(cfg)
+        assert ((tmp_path / "cli" / name).read_bytes()
+                == (tmp_path / "lib" / name).read_bytes())
+
+    def test_budget_config_file(self, tmp_path, capsys):
+        config = tmp_path / "budget.cfg"
+        config.write_text("task = budget\neps = 5e-3\nd = 3\n")
+
+        def budget(*argv):
+            assert main(["budget", *argv]) == 0
+            return capsys.readouterr().out
+
+        assert (budget("--config", str(config))
+                == budget("--eps", "5e-3", "--d", "3"))
+        assert (budget("--config", str(config), "--d", "4")
+                == budget("--eps", "5e-3", "--d", "4"))
+        assert budget("--eps", "5e-3", "--d", "4") != budget("--eps", "5e-3",
+                                                             "--d", "3")

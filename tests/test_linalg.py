@@ -9,9 +9,7 @@ from newtonformer.errors import (
 )
 from newtonformer.linalg import (
     as_matrix,
-    frobenius_norm,
     load_matrix_csv,
-    matmul,
     save_matrix_csv,
     solve_spd,
     spectral_norm_est,
@@ -36,48 +34,6 @@ class TestAsMatrix:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             as_matrix([[np.inf, 0.0]])
-
-
-class TestMatmul:
-    def test_identity_is_neutral(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_example(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(out, [[2.0, 1.0], [4.0, 3.0]])
-
-    def test_zero_annihilates(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(matmul(np.zeros((4, 4)), a), np.zeros((4, 4)))
-
-    def test_inner_dimension_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            dims = rng.integers(1, 17, size=4)
-            a = rng.uniform(-1.0, 1.0, (dims[0], dims[1]))
-            b = rng.uniform(-1.0, 1.0, (dims[1], dims[2]))
-            c = rng.uniform(-1.0, 1.0, (dims[2], dims[3]))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = max(frobenius_norm(left), 1.0)
-            assert frobenius_norm(left - right) <= 1e-10 * scale
-
-
-class TestFrobeniusNorm:
-    def test_known_value(self):
-        assert frobenius_norm([[3.0, 4.0]]) == pytest.approx(5.0)
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((6, 3))
-        assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a))
 
 
 class TestSpectralNormEst:
@@ -105,7 +61,7 @@ class TestSpectralNormEst:
             est = spectral_norm_est(a, iters=30)
             true = np.linalg.svd(a, compute_uv=False).max()
             assert est <= true * (1.0 + 1e-12)
-            assert est <= frobenius_norm(a) * (1.0 + 1e-12)
+            assert est <= np.linalg.norm(a) * (1.0 + 1e-12)
 
     def test_nondecreasing_in_iters(self):
         rng = np.random.default_rng(5)
@@ -133,7 +89,7 @@ class TestSolveSpd:
         rng = np.random.default_rng(8)
         a = make_covariance(6, 50.0, rng)
         x = solve_spd(a, np.eye(6))
-        assert frobenius_norm(a @ x - np.eye(6)) <= 1e-10
+        assert np.linalg.norm(a @ x - np.eye(6)) <= 1e-10
 
     def test_symmetry_enforced(self):
         a = np.array([[2.0, 1.0], [0.0, 2.0]])
