@@ -6,8 +6,8 @@ Every builder returns immutable layers for the linear-attention
 forward pass plus a :class:`~.transformer.PromptLayout` describing the
 prompt rows it expects.  Heads are assembled from sparse block triples
 so the selector structure stays auditable; feed-forward blocks are
-compiled from scalar piecewise-linear approximators by
-:class:`FfnBuilder`.
+assembled from exact ReLU neurons and scalar piecewise-linear gadgets
+by :class:`FfnBuilder`.
 """
 
 import json
@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import BudgetError
 from .logistic import iterate_norm_bound, sigmoid
-from .pwl import _square_pwl, build_pwl
+from .pwl import PwlGadget, _square_pwl, build_pwl
 from .transformer import (
     AttentionHead,
+    Ffn,
     PromptLayout,
     RowBlock,
     TransformerLayer,
@@ -173,20 +174,13 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
     )
 
 
-def _merge_coeffs(*dicts):
-    out = {}
-    for d in dicts:
-        for row, coeff in d.items():
-            out[row] = out.get(row, 0.0) + coeff
-    return out
-
-
 class FfnBuilder:
-    """Accumulates ReLU neurons into one position-wise (w1, w2) pair.
+    """Accumulates ReLU neurons and PWL gadgets into one :class:`Ffn`.
 
     Each neuron reads an affine combination of prompt rows (biases go
     through the ones row) and adds a weighted ReLU output to a single
-    destination row.
+    destination row.  A PWL gadget is recorded whole and counts as the
+    ``pieces + 2`` neurons of its ReLU form.
     """
 
     def __init__(self, dim, ones_row=None):
@@ -194,12 +188,13 @@ class FfnBuilder:
         self.ones_row = ones_row
         self._args = []
         self._outs = []
+        self._gadgets = []
 
     @property
     def width(self):
-        return len(self._args)
+        return len(self._args) + sum(g.width for g in self._gadgets)
 
-    def add_neuron(self, coeffs, bias, out_row, weight):
+    def _row(self, coeffs, bias):
         arg = np.zeros(self.dim)
         for row, coeff in coeffs.items():
             arg[row] += coeff
@@ -207,7 +202,10 @@ class FfnBuilder:
             if self.ones_row is None:
                 raise ValueError("a bias needs a ones row in the prompt")
             arg[self.ones_row] += bias
-        self._args.append(arg)
+        return arg
+
+    def add_neuron(self, coeffs, bias, out_row, weight):
+        self._args.append(self._row(coeffs, bias))
         self._outs.append((out_row, float(weight)))
 
     def add_identity(self, src_row, out_row, weight=1.0):
@@ -216,45 +214,28 @@ class FfnBuilder:
         self.add_neuron({src_row: -1.0}, 0.0, out_row, -weight)
 
     def add_pwl(self, approx, coeffs, out_row, scale=1.0, gate=None):
-        """Compile a clamped PwlApprox of the affine argument *coeffs*.
+        """Add a clamped PwlApprox of the affine argument *coeffs*.
 
-        With ``gate=(label_row, sign)`` every neuron is shifted dead
-        unless that row holds exactly ``sign`` (labels are +-1), and
-        the constant term is routed through an exact 0/1 ReLU of the
-        label, so two gated copies realize a per-column branch on the
-        label value.
+        With ``gate=(label_row, sign)`` the argument is shifted past the
+        knots unless that row holds exactly ``sign`` (labels are +-1),
+        and the constant term is routed through an exact 0/1 ReLU of
+        the label, so two gated copies realize a per-column branch on
+        the label value.
         """
         if not approx.clamp_outside:
             raise ValueError("only clamped approximators compile to ReLU form")
-        knots, values = approx.knots, approx.values
-        slopes = np.diff(values) / np.diff(knots)
-        gate_coeffs = {}
-        gate_bias = 0.0
         if gate is None:
-            self.add_neuron({}, 1.0, out_row, scale * values[0])
+            const = self._row({}, 1.0)
+            arg = self._row(coeffs, 0.0)
         else:
             gate_row, gate_sign = gate
             if gate_sign not in (-1.0, 1.0, -1, 1):
                 raise ValueError("gate sign must be -1 or +1")
-            gate_coeffs = {gate_row: GATE_SHIFT * gate_sign}
-            gate_bias = -GATE_SHIFT
-            self.add_neuron(
-                {gate_row: 0.5 * gate_sign}, 0.5, out_row, scale * values[0]
-            )
-        prev_slope = 0.0
-        for j, slope in enumerate(slopes):
-            self.add_neuron(
-                _merge_coeffs(coeffs, gate_coeffs),
-                -knots[j] + gate_bias,
-                out_row,
-                scale * (slope - prev_slope),
-            )
-            prev_slope = slope
-        self.add_neuron(
-            _merge_coeffs(coeffs, gate_coeffs),
-            -knots[-1] + gate_bias,
-            out_row,
-            -scale * slopes[-1],
+            const = self._row({gate_row: 0.5 * gate_sign}, 0.5)
+            arg = self._row(coeffs, -GATE_SHIFT)
+            arg[gate_row] += GATE_SHIFT * gate_sign
+        self._gadgets.append(
+            PwlGadget(approx, arg, const, float(scale), out_row, self.width)
         )
 
     def add_signed_copy(self, src_row, label_row, out_row, scale=1.0):
@@ -285,13 +266,13 @@ class FfnBuilder:
         self.add_pwl(sq_dif, {x_row: 1.0, y_row: -1.0}, out_row, -0.25 * scale)
 
     def build(self):
-        if not self._args:
+        if not self.width:
             raise ValueError("no neurons added")
-        w1 = np.vstack(self._args)
+        w1 = np.array(self._args).reshape(-1, self.dim)
         w2 = np.zeros((self.dim, len(self._args)))
         for idx, (row, weight) in enumerate(self._outs):
             w2[row, idx] += weight
-        return w1, w2
+        return Ffn(w1, w2, self._gadgets, self.ones_row)
 
 
 def _head(dim, v_entries, k_entries, q_entries):
@@ -822,7 +803,7 @@ def build_logreg_newton_step(problem, budget):
     fb = FfnBuilder(dim, ones_row)
     two_sqrt_mu = 2.0 * math.sqrt(mu)
     step_size = build_pwl(
-        lambda z: two_sqrt_mu / (two_sqrt_mu + math.sqrt(z)),
+        lambda z: two_sqrt_mu / (two_sqrt_mu + np.sqrt(z)),
         0.0, budget.z_max, budget.eps4_pieces,
     )
     fb.add_pwl(step_size, {acc_row: 1.0}, acc_row)

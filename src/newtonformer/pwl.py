@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "PwlApprox",
+    "PwlGadget",
     "build_pwl",
     "eval_pwl",
     "signed_copy",
@@ -73,6 +74,8 @@ class PwlApprox:
 def build_pwl(f, lo, hi, pieces, clamp_outside=True):
     """Interpolate scalar function *f* on *pieces* uniform segments.
 
+    *f* is called once on the whole knot array, so it must be a numpy
+    elementwise function; a scalar result broadcasts to every knot.
     The sup-norm error of the interpolant is at most
     ``L * (hi - lo) / pieces`` for L-Lipschitz f (and order
     ``(hi - lo)**2 / pieces**2`` for twice-differentiable f).
@@ -82,10 +85,54 @@ def build_pwl(f, lo, hi, pieces, clamp_outside=True):
     if pieces < 1:
         raise ValueError(f"pieces must be >= 1, got {pieces}")
     knots = np.linspace(lo, hi, pieces + 1)
-    values = np.asarray([f(k) for k in knots], dtype=np.float64)
+    values = np.broadcast_to(f(knots), knots.shape).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("target function is non-finite at a knot")
     return PwlApprox(knots, values, clamp_outside)
+
+
+@dataclass(frozen=True)
+class PwlGadget:
+    """A clamped :class:`PwlApprox` of one affine argument, as compiled
+    into a feed-forward block: ``scale * approx(arg . h)`` is added to
+    the stream's ``out_row``.
+
+    ``arg`` holds the argument's coefficients over the stream rows, a
+    label gate's shift and bias folded in through the gate and ones
+    rows.  ``const`` is the input row of the neuron that carries
+    ``values[0]``: the ones row, or a 0/1 ReLU of a gate's label.  In
+    ReLU form the gadget is ``pieces + 2`` neurons starting at neuron
+    ``start`` of its block.
+    """
+
+    approx: PwlApprox
+    arg: np.ndarray
+    const: np.ndarray
+    scale: float
+    out_row: int
+    start: int
+
+    @property
+    def width(self):
+        return self.approx.pieces + 2
+
+    def to_dense(self, ones_row):
+        """Input rows (width, dim) and output weights (width,) of the
+        ReLU form: the constant neuron, then one neuron per knot whose
+        weight is the slope change there.  Knot offsets go through
+        *ones_row*, so the sum equals the gadget where that row is 1.
+        """
+        knots, values = self.approx.knots, self.approx.values
+        slopes = np.diff(values) / np.diff(knots)
+        rows = np.empty((self.width, self.arg.size))
+        rows[0] = self.const
+        rows[1:] = self.arg
+        rows[1:, ones_row] -= knots
+        weights = np.empty(self.width)
+        weights[0] = self.scale * values[0]
+        weights[1:-1] = self.scale * np.diff(slopes, prepend=0.0)
+        weights[-1] = -self.scale * slopes[-1]
+        return rows, weights
 
 
 def eval_pwl(p, x):

@@ -3,6 +3,9 @@
 Layers use attention without softmax: each head contributes
 (W_V H) (W_K H).T (W_Q H) additively to the residual stream, and an
 optional position-wise feed-forward block adds W_2 relu(W_1 H).
+Feed-forward blocks keep their piecewise-linear gadgets whole and
+evaluate them by interpolation; the dense (W_1, W_2) pair is derived
+from them on demand.
 Prompts are matrices with one column per token and a fixed row layout
 described by ``PromptLayout``.
 """
@@ -13,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, load_matrix_csv, save_matrix_csv
+from .pwl import eval_pwl
 
 __all__ = [
     "SEMANTICS",
     "RowBlock",
     "PromptLayout",
     "AttentionHead",
+    "Ffn",
     "TransformerLayer",
     "assemble_blocks",
     "attention_forward",
@@ -150,13 +155,81 @@ class AttentionHead:
         return self.w_v.shape[0]
 
 
+class Ffn:
+    """A position-wise ReLU block: exact neurons plus PWL gadgets.
+
+    ``w1`` (k, dim) and ``w2`` (dim, k) hold the neurons stored one by
+    one.  Each :class:`~.pwl.PwlGadget` in ``gadgets`` stands for
+    ``pieces + 2`` neurons and is evaluated by interpolation, which
+    needs the prompt's ``ones_row`` to hold exactly 1.  Biases go
+    through that ones row rather than being stored separately.
+
+    The dense pair over all ``width`` neurons, in the order they were
+    added, is the paper's object: :meth:`to_dense` derives it once and
+    caches it, and ``w1, w2 = ffn`` unpacks it.
+    """
+
+    def __init__(self, w1, w2, gadgets=(), ones_row=None):
+        w1 = as_matrix(w1, "ffn w1")
+        w2 = as_matrix(w2, "ffn w2")
+        if w2.shape[1] != w1.shape[0]:
+            raise ValueError(
+                f"ffn hidden sizes disagree: w1 has {w1.shape[0]} "
+                f"rows, w2 has {w2.shape[1]} columns"
+            )
+        if w1.shape[1] != w2.shape[0]:
+            raise ValueError(
+                f"ffn shapes {w1.shape}, {w2.shape} disagree on the "
+                f"model dimension"
+            )
+        self.w1, self.w2 = w1, w2
+        self.gadgets = tuple(gadgets)
+        self.ones_row = ones_row
+        if self.gadgets and ones_row is None:
+            raise ValueError("ffn gadgets need a ones row")
+        self._gadget_rows = np.array(
+            [g.arg for g in self.gadgets] + [g.const for g in self.gadgets]
+        ).reshape(-1, self.dim)
+        self._dense = None
+
+    @property
+    def dim(self):
+        return self.w1.shape[1]
+
+    @property
+    def width(self):
+        return self.w1.shape[0] + sum(g.width for g in self.gadgets)
+
+    def to_dense(self):
+        """The (w1, w2) pair of every neuron, gadgets expanded in place."""
+        if self._dense is None:
+            if not self.gadgets:
+                self._dense = (self.w1, self.w2)
+            else:
+                w1 = np.empty((self.width, self.dim))
+                w2 = np.zeros((self.dim, self.width))
+                exact = np.ones(self.width, dtype=bool)
+                for g in self.gadgets:
+                    cols = slice(g.start, g.start + g.width)
+                    exact[cols] = False
+                    w1[cols], weights = g.to_dense(self.ones_row)
+                    w2[g.out_row, cols] += weights
+                w1[exact] = self.w1
+                w2[:, exact] = self.w2
+                self._dense = (w1, w2)
+        return self._dense
+
+    def __iter__(self):
+        return iter(self.to_dense())
+
+
 @dataclass(frozen=True)
 class TransformerLayer:
     """One block: parallel attention heads plus an optional ffn.
 
-    ``ffn`` is None or a pair (w1, w2) with w1 of shape (hidden, dim)
-    and w2 of shape (dim, hidden); biases are encoded through the
-    prompt's ones row rather than stored separately.
+    ``ffn`` is None, an :class:`Ffn`, or a dense pair (w1, w2) with w1
+    of shape (hidden, dim) and w2 of shape (dim, hidden), which becomes
+    an :class:`Ffn` without gadgets.
     """
 
     heads: tuple
@@ -172,20 +245,13 @@ class TransformerLayer:
                 raise ValueError("heads disagree on model dimension")
         object.__setattr__(self, "heads", heads)
         if self.ffn is not None:
-            w1, w2 = self.ffn
-            w1 = as_matrix(w1, "ffn w1")
-            w2 = as_matrix(w2, "ffn w2")
-            if w1.shape[1] != dim or w2.shape[0] != dim:
+            ffn = self.ffn if isinstance(self.ffn, Ffn) else Ffn(*self.ffn)
+            if ffn.dim != dim:
                 raise ValueError(
-                    f"ffn shapes {w1.shape}, {w2.shape} do not match "
-                    f"model dimension {dim}"
+                    f"ffn dimension {ffn.dim} does not match model "
+                    f"dimension {dim}"
                 )
-            if w2.shape[1] != w1.shape[0]:
-                raise ValueError(
-                    f"ffn hidden sizes disagree: w1 has {w1.shape[0]} "
-                    f"rows, w2 has {w2.shape[1]} columns"
-                )
-            object.__setattr__(self, "ffn", (w1, w2))
+            object.__setattr__(self, "ffn", ffn)
 
     @property
     def dim(self):
@@ -250,14 +316,35 @@ def attention_forward(layer, h):
 def ffn_forward(layer, h):
     """Residual feed-forward update: h + w2 relu(w1 h).
 
-    A layer without an ffn passes h through unchanged; callers can
-    consult ``layer.has_ffn`` to distinguish the no-op case.
+    The exact neurons run as that product.  Each PWL gadget's argument
+    comes from one shared matmul; the gadget is evaluated by
+    interpolation and added to its output row, which equals its ReLU
+    neurons wherever the ones row holds 1.  Any other ones-row value
+    raises ``ValueError``.  A layer without an ffn passes h through
+    unchanged; callers can consult ``layer.has_ffn`` to distinguish the
+    no-op case.
     """
     h = _check_stream(h, layer.dim)
-    if layer.ffn is None:
+    ffn = layer.ffn
+    if ffn is None:
         return h.copy()
-    w1, w2 = layer.ffn
-    return h + w2 @ np.maximum(w1 @ h, 0.0)
+    out = h + ffn.w2 @ np.maximum(ffn.w1 @ h, 0.0)
+    if ffn.gadgets:
+        bad = np.flatnonzero(h[ffn.ones_row] != 1.0)
+        if bad.size:
+            col = int(bad[0])
+            raise ValueError(
+                f"ffn gadgets need ones row {ffn.ones_row} to hold 1.0; "
+                f"column {col} holds {float(h[ffn.ones_row, col])!r}"
+            )
+        pre = ffn._gadget_rows @ h
+        n = len(ffn.gadgets)
+        for g, arg, const in zip(ffn.gadgets, pre[:n], pre[n:]):
+            v0 = g.approx.values[0]
+            out[g.out_row] += g.scale * (
+                eval_pwl(g.approx, arg) + v0 * (np.maximum(const, 0.0) - 1.0)
+            )
+    return out
 
 
 def model_forward(layers, h):

@@ -30,6 +30,7 @@ from newtonformer.logistic import (
     damped_step,
     iterate_norm_bound,
     optimum,
+    sigmoid,
 )
 from newtonformer.pwl import build_pwl, eval_pwl, pwl_product, signed_copy
 from newtonformer.transformer import (
@@ -391,6 +392,29 @@ class TestLogregNewtonStack:
         x1 = read_logistic_iterate(out, layout)
         fresh = make_logistic_prompt(problem, x1)
         assert np.linalg.norm(out - fresh) <= 1e-10
+
+    def test_tables_match_per_knot_evaluation(self, logreg_stack):
+        # build_pwl evaluates each target once on the whole knot array;
+        # every table must equal the value at each knot taken alone
+        problem, _, layers, _ = logreg_stack
+        root = 2.0 * math.sqrt(problem.mu)
+
+        def sigmoid_derivative(t):
+            s = sigmoid(t)
+            return s * (1.0 - s)
+
+        targets = [
+            [sigmoid_derivative],
+            [lambda t: t * t] * (2 * problem.dim),
+            [lambda t: sigmoid(-t), sigmoid],
+            [lambda z: root / (root + math.sqrt(z))],
+        ]
+        gadget_layers = [layer for layer in layers
+                         if layer.has_ffn and layer.ffn.gadgets]
+        for layer, fns in zip(gadget_layers, targets, strict=True):
+            for gadget, f in zip(layer.ffn.gadgets, fns, strict=True):
+                per_knot = np.array([f(k) for k in gadget.approx.knots])
+                assert np.array_equal(gadget.approx.values, per_knot)
 
     def test_multiple_seeds_single_step(self):
         budget = width_depth_budget(1e-2, 0.1, d=5)

@@ -1,0 +1,214 @@
+"""Feed-forward blocks that hold PWL gadgets whole.
+
+The dense ReLU pair is derived from the gadgets, so these tests check
+the derived pair by hand, check that widths are counted without it, and
+check that the interpolating forward pass agrees with the dense one on
+the logistic stack over random streams.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import sparse
+
+from newtonformer.builders import (
+    FfnBuilder,
+    build_logreg_newton_step,
+    logistic_step_forward,
+    make_logistic_prompt,
+    read_logistic_iterate,
+    run_constructed_newton,
+    width_depth_budget,
+)
+from newtonformer.logistic import LogisticProblem
+from newtonformer.pwl import PwlApprox, PwlGadget
+from newtonformer.transformer import (
+    AttentionHead,
+    Ffn,
+    TransformerLayer,
+    ffn_forward,
+)
+
+# knots 0..3 with slopes 2, 1, -0.5
+THREE_PIECES = PwlApprox(np.arange(4.0), np.array([1.0, 3.0, 4.0, 3.5]))
+
+
+def logreg_problem(seed, n=26, d=5, mu=0.1):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d))
+    a /= np.max(np.linalg.norm(a, axis=1))
+    labels = np.sign(a @ rng.standard_normal(d))
+    labels[labels == 0.0] = 1.0
+    return LogisticProblem(a, labels, mu)
+
+
+def with_ffn(dim, ffn):
+    z = np.zeros((dim, dim))
+    return TransformerLayer(heads=(AttentionHead(z, z, z),), ffn=ffn)
+
+
+def dense_copy(layer):
+    ffn = None if layer.ffn is None else tuple(layer.ffn)
+    return TransformerLayer(heads=layer.heads, ffn=ffn)
+
+
+def extended_dense(layer):
+    """The layer's dense pair as sparse extended-precision matrices.
+
+    Far outside a table's knot span the float64 dense product itself
+    rounds by more than 1e-12: on the 4000-piece step-size table at an
+    argument of 18 it is 1.35e-12 off, its first knot neuron alone
+    contributing -729.  Evaluated in long double (64-bit significand on
+    x86-64) the dense network is accurate to ~1e-15 there.
+    """
+    return tuple(sparse.csr_matrix(w.astype(np.longdouble))
+                 for w in layer.ffn)
+
+
+@pytest.fixture
+def no_dense_view(monkeypatch):
+    def refuse(self, ones_row):
+        raise AssertionError("dense view materialized")
+
+    monkeypatch.setattr(PwlGadget, "to_dense", refuse)
+
+
+class TestDenseView:
+    def test_ungated_three_piece_gadget(self):
+        # rows: 0 argument, 1 ones, 2 output
+        fb = FfnBuilder(3, ones_row=1)
+        fb.add_pwl(THREE_PIECES, {0: 1.0}, 2, scale=2.0)
+        w1, w2 = fb.build()
+        np.testing.assert_array_equal(w1, [
+            [0.0, 1.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [1.0, -1.0, 0.0],
+            [1.0, -2.0, 0.0],
+            [1.0, -3.0, 0.0],
+        ])
+        expected_w2 = np.zeros((3, 5))
+        expected_w2[2] = [2.0, 4.0, -2.0, -3.0, 1.0]
+        np.testing.assert_array_equal(w2, expected_w2)
+
+    def test_gated_gadget_keeps_neuron_order(self):
+        # rows: 0 argument, 1 label, 2 ones, 3 output
+        fb = FfnBuilder(4, ones_row=2)
+        fb.add_identity(0, 3, weight=0.5)
+        fb.add_pwl(THREE_PIECES, {0: 1.0}, 3, gate=(1, -1.0))
+        fb.add_neuron({1: 1.0}, 0.0, 0, -1.0)
+        w1, w2 = fb.build()
+        np.testing.assert_array_equal(w1, [
+            [1.0, 0.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0, 0.0],
+            [0.0, -0.5, 0.5, 0.0],
+            [1.0, -20.0, -20.0, 0.0],
+            [1.0, -20.0, -21.0, 0.0],
+            [1.0, -20.0, -22.0, 0.0],
+            [1.0, -20.0, -23.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+        ])
+        expected_w2 = np.zeros((4, 8))
+        expected_w2[3] = [0.5, -0.5, 1.0, 2.0, -1.0, -1.5, 0.5, 0.0]
+        expected_w2[0, 7] = -1.0
+        np.testing.assert_array_equal(w2, expected_w2)
+
+    def test_view_is_cached(self):
+        fb = FfnBuilder(3, ones_row=1)
+        fb.add_pwl(THREE_PIECES, {0: 1.0}, 2)
+        ffn = fb.build()
+        first, second = tuple(ffn), tuple(ffn)
+        assert first[0] is second[0] and first[1] is second[1]
+
+    def test_dense_pair_is_ffn_without_gadgets(self):
+        rng = np.random.default_rng(0)
+        w1, w2 = rng.standard_normal((5, 3)), rng.standard_normal((3, 5))
+        layer = with_ffn(3, (w1, w2))
+        assert isinstance(layer.ffn, Ffn) and layer.ffn.gadgets == ()
+        assert layer.ffn.width == 5
+        u1, u2 = layer.ffn
+        np.testing.assert_array_equal(u1, w1)
+        np.testing.assert_array_equal(u2, w2)
+
+
+class TestWidth:
+    def test_gadget_counts_pieces_plus_two(self, no_dense_view):
+        fb = FfnBuilder(4, ones_row=2)
+        fb.add_identity(0, 3)
+        assert fb.width == 2
+        fb.add_pwl(THREE_PIECES, {0: 1.0}, 3)
+        fb.add_pwl(THREE_PIECES, {0: 1.0}, 3, gate=(1, 1.0))
+        assert fb.width == 12
+        assert fb.build().width == 12
+
+    def test_product_layer_at_fine_eps(self, no_dense_view):
+        budget = width_depth_budget(5e-3, 0.1, d=5)
+        layers, _ = build_logreg_newton_step(logreg_problem(0), budget)
+        assert layers[1].ffn.width == 320_032
+
+
+class TestOnesRow:
+    def test_broken_ones_row_is_named(self):
+        fb = FfnBuilder(3, ones_row=1)
+        fb.add_pwl(THREE_PIECES, {0: 1.0}, 2)
+        layer = with_ffn(3, fb.build())
+        h = np.vstack([np.linspace(0.0, 3.0, 4), np.ones(4), np.zeros(4)])
+        h[1, 2] = 0.5
+        with pytest.raises(ValueError, match="ones row 1.*column 2"):
+            ffn_forward(layer, h)
+
+    def test_gadget_free_ffn_ignores_ones_row(self):
+        fb = FfnBuilder(3, ones_row=1)
+        fb.add_identity(0, 2)
+        layer = with_ffn(3, fb.build())
+        h = np.vstack([np.arange(4.0), np.zeros(4), np.zeros(4)])
+        np.testing.assert_array_equal(ffn_forward(layer, h)[2], h[0])
+
+
+@pytest.fixture(scope="module")
+def stack():
+    problem = logreg_problem(0)
+    budget = width_depth_budget(1e-2, 0.1, d=5)
+    layers, layout = build_logreg_newton_step(problem, budget)
+    ffn_layers = [(layer, extended_dense(layer))
+                  for layer in layers if layer.has_ffn]
+    return problem, budget, layers, layout, ffn_layers
+
+
+@st.composite
+def streams(draw, layout):
+    n_cols = draw(st.integers(1, 8))
+    h = draw(arrays(np.float64, (layout.n_rows, n_cols),
+                    elements=st.floats(-45.0, 45.0)))
+    labels = draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                           min_size=n_cols, max_size=n_cols))
+    h[layout.block("labels").start] = labels
+    h[layout.block("ones").start] = 1.0
+    return h
+
+
+class TestDenseParity:
+    # derandomized so every run draws the same 100 streams
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_structured_matches_dense_forward(self, stack, data):
+        _, _, _, layout, ffn_layers = stack
+        h = data.draw(streams(layout))
+        wide = h.astype(np.longdouble)
+        for layer, (w1, w2) in ffn_layers:
+            want = wide + w2 @ np.maximum(w1 @ wide, 0.0)
+            got = ffn_forward(layer, h)
+            assert np.all(np.abs(got - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_constructed_newton_matches_dense_stack(self, stack):
+        problem, budget, layers, layout, _ = stack
+        x0 = np.full(5, 0.3)
+        xs = run_constructed_newton(problem, x0, budget, 3)
+        dense = [dense_copy(layer) for layer in layers]
+        h = make_logistic_prompt(problem, x0)
+        for x in xs[1:]:
+            h = logistic_step_forward(dense, layout, h)
+            np.testing.assert_allclose(x, read_logistic_iterate(h, layout),
+                                       rtol=0, atol=1e-12)
