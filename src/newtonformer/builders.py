@@ -3,11 +3,13 @@ matrix inversion, in-context least squares, and one damped Newton step
 on the regularized logistic loss.
 
 Every builder returns immutable layers for the linear-attention
-forward pass plus a :class:`~.transformer.PromptLayout` describing the
-prompt rows it expects.  Heads are assembled from sparse block triples
-so the selector structure stays auditable; feed-forward blocks are
-assembled from exact ReLU neurons and scalar piecewise-linear gadgets
-by :class:`FfnBuilder`.
+forward pass plus the :class:`~.transformer.PromptLayout` of the prompt
+rows it expects.  Each stack declares its row bands once, in its layout
+function; the builder, the prompt maker and the reader take every row
+from that layout, and the layers' dimension is its ``n_rows``.  Heads
+are assembled from sparse block triples so the selector structure
+stays auditable; feed-forward blocks are assembled from exact ReLU
+neurons and scalar piecewise-linear gadgets by :class:`FfnBuilder`.
 """
 
 import json
@@ -23,11 +25,9 @@ from .transformer import (
     AttentionHead,
     Ffn,
     PromptLayout,
-    RowBlock,
     TransformerLayer,
     assemble_blocks,
-    attention_forward,
-    ffn_forward,
+    model_forward,
 )
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "width_depth_budget",
     "FfnBuilder",
     "build_inversion_block",
-    "inversion_layout",
     "make_inversion_prompt",
     "read_inversion_iterate",
     "build_linreg_transformer",
@@ -44,7 +43,6 @@ __all__ = [
     "build_logreg_newton_step",
     "make_logistic_prompt",
     "read_logistic_iterate",
-    "logistic_step_forward",
     "run_constructed_newton",
 ]
 
@@ -76,26 +74,6 @@ class BudgetReport:
     z_max: float
     norm_bound: float
 
-    @property
-    def k(self):
-        return self.widths["k"]
-
-    @property
-    def u1_pieces(self):
-        return self.widths["u1_pieces"]
-
-    @property
-    def u2_pieces(self):
-        return self.widths["u2_pieces"]
-
-    @property
-    def u3_pieces(self):
-        return self.widths["u3_pieces"]
-
-    @property
-    def eps4_pieces(self):
-        return self.widths["eps4_pieces"]
-
     def to_text(self):
         payload = {
             "target_eps": self.target_eps,
@@ -122,7 +100,9 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
     defaults to (1+mu)/mu, the global Hessian spectral bound ratio.
 
     Any piece count above *piece_ceiling* raises ``BudgetError`` naming
-    the overflowing family.
+    the overflowing family.  The inversion count needs its inner ratio
+    above 1, i.e. eps < (1+mu)^1.5/mu; a larger eps raises
+    ``ValueError``.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -156,6 +136,11 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
             )
 
     inner = (1.0 + mu) ** 3 / (eps**2 * mu**2)
+    if not inner > 1.0:
+        raise ValueError(
+            f"eps={eps} is too large for mu={mu}: the inversion count "
+            f"needs eps < (1+mu)^1.5/mu = {(1.0 + mu) ** 1.5 / mu:.6g}"
+        )
     k = max(
         1,
         math.ceil(2.0 * math.log2(kappa_f) + math.log2(math.log2(inner))),
@@ -287,16 +272,9 @@ def _head(dim, v_entries, k_entries, q_entries):
 # matrix inversion block
 
 
-def inversion_layout(d):
+def _inversion_layout(d):
     return PromptLayout(
-        n_rows=4 * d,
-        n_cols=d,
-        blocks=(
-            RowBlock("iterate", 0, d, "iterate"),
-            RowBlock("data", d, 2 * d, "data_matrix"),
-            RowBlock("work", 2 * d, 3 * d, "scratch"),
-            RowBlock("identity", 3 * d, 4 * d, "identity_pad"),
-        ),
+        (("iterate", d), ("data", d), ("work", d), ("identity", d))
     )
 
 
@@ -307,11 +285,16 @@ def make_inversion_prompt(a, x0):
     d = a.shape[0]
     if a.shape != (d, d) or x0.shape != (d, d):
         raise ValueError("a and x0 must be square with matching shape")
-    return np.vstack([x0, a.T, np.zeros((d, d)), np.eye(d)])
+    layout = _inversion_layout(d)
+    h = np.zeros((layout.n_rows, d))
+    h[layout.rows_of("iterate")] = x0
+    h[layout.rows_of("data")] = a.T
+    h[layout.rows_of("identity")] = np.eye(d)
+    return h
 
 
-def read_inversion_iterate(h, d):
-    return np.ascontiguousarray(h[:d, :])
+def read_inversion_iterate(h, layout):
+    return np.ascontiguousarray(h[layout.rows_of("iterate")])
 
 
 def build_inversion_block(d):
@@ -324,12 +307,12 @@ def build_inversion_block(d):
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    dim = 4 * d
+    layout = _inversion_layout(d)
+    dim = layout.n_rows
     eye = np.eye(d)
-    x_blk = slice(0, d)
-    a_blk = slice(d, 2 * d)
-    w_blk = slice(2 * d, 3 * d)
-    i_blk = slice(3 * d, 4 * d)
+    x_blk, a_blk, w_blk, i_blk = map(
+        layout.rows_of, ("iterate", "data", "work", "identity")
+    )
 
     layer1 = TransformerLayer(
         heads=(
@@ -357,26 +340,24 @@ def build_inversion_block(d):
             ),
         ),
     )
-    return [layer1, layer2]
+    return [layer1, layer2], layout
 
 
 # ---------------------------------------------------------------------------
 # in-context least squares
 
 
-def _linreg_layout(d, n):
+def _linreg_layout(d):
     return PromptLayout(
-        n_rows=4 * d + 3,
-        n_cols=n,
-        blocks=(
-            RowBlock("x_slot", 0, d, "iterate"),
-            RowBlock("b_slot", d, 2 * d, "scratch"),
-            RowBlock("identity", 2 * d, 3 * d, "identity_pad"),
-            RowBlock("data", 3 * d, 4 * d, "data_matrix"),
-            RowBlock("test_point", 4 * d, 4 * d + 1, "constant"),
-            RowBlock("labels", 4 * d + 1, 4 * d + 2, "labels"),
-            RowBlock("output", 4 * d + 2, 4 * d + 3, "scratch"),
-        ),
+        (
+            ("x_slot", d),
+            ("b_slot", d),
+            ("identity", d),
+            ("data", d),
+            ("test_point", 1),
+            ("labels", 1),
+            ("output", 1),
+        )
     )
 
 
@@ -390,17 +371,18 @@ def make_linreg_prompt(a, y, a_test):
         raise ValueError(f"need n >= d, got n={n}, d={d}")
     if y.shape != (n,) or a_test.shape != (d,):
         raise ValueError("y must be length n and a_test length d")
-    h = np.zeros((4 * d + 3, n))
-    for blk in range(3):
-        h[blk * d:(blk + 1) * d, :d] = np.eye(d)
-    h[3 * d:4 * d, :] = a.T
-    h[4 * d, :d] = a_test
-    h[4 * d + 1, :] = y
+    layout = _linreg_layout(d)
+    h = np.zeros((layout.n_rows, n))
+    for pad in ("x_slot", "b_slot", "identity"):
+        h[layout.rows_of(pad), :d] = np.eye(d)
+    h[layout.rows_of("data")] = a.T
+    h[layout.rows_of("test_point"), :d] = a_test
+    h[layout.rows_of("labels")] = y
     return h
 
 
 def read_linreg_prediction(h, layout):
-    return float(h[layout.block("output").start, 0])
+    return float(h[layout.rows_of("output").start, 0])
 
 
 def build_linreg_transformer(d, n, t_steps, alpha, ridge_mu=0.0):
@@ -420,15 +402,16 @@ def build_linreg_transformer(d, n, t_steps, alpha, ridge_mu=0.0):
         raise ValueError(f"alpha must be positive, got {alpha}")
     if ridge_mu < 0.0:
         raise ValueError(f"ridge_mu must be >= 0, got {ridge_mu}")
-    dim = 4 * d + 3
+    layout = _linreg_layout(d)
+    dim = layout.n_rows
     eye = np.eye(d)
-    x_slot = slice(0, d)
-    b_slot = slice(d, 2 * d)
-    ident = slice(2 * d, 3 * d)
-    data = slice(3 * d, 4 * d)
-    test_row = 4 * d
-    label_row = 4 * d + 1
-    out_row = 4 * d + 2
+    x_slot, b_slot, ident, data = map(
+        layout.rows_of, ("x_slot", "b_slot", "identity", "data")
+    )
+    test_row, label_row, out_row = (
+        layout.rows_of(name).start
+        for name in ("test_point", "labels", "output")
+    )
 
     init = TransformerLayer(
         heads=(
@@ -483,7 +466,7 @@ def build_linreg_transformer(d, n, t_steps, alpha, ridge_mu=0.0):
                 dim,
                 v_entries=[(out_row, out_row, 1.0)],
                 k_entries=[(0, test_row, 1.0)],
-                q_entries=[(0, 2 * d, 1.0)],
+                q_entries=[(0, ident.start, 1.0)],
             ),
             _head(
                 dim,
@@ -495,29 +478,27 @@ def build_linreg_transformer(d, n, t_steps, alpha, ridge_mu=0.0):
     )
 
     layers = [init] + [newton] * t_steps + [contract, readout]
-    return layers, _linreg_layout(d, n)
+    return layers, layout
 
 
 # ---------------------------------------------------------------------------
 # one damped Newton step on the logistic loss
 
 
-def _logistic_layout(d, n):
+def _logistic_layout(d):
     return PromptLayout(
-        n_rows=6 * d + 4,
-        n_cols=n,
-        blocks=(
-            RowBlock("x_slot", 0, d, "scratch"),
-            RowBlock("b_slot", d, 2 * d, "scratch"),
-            RowBlock("identity", 2 * d, 3 * d, "identity_pad"),
-            RowBlock("work", 3 * d, 4 * d, "scratch"),
-            RowBlock("data", 4 * d, 5 * d, "data_matrix"),
-            RowBlock("labels", 5 * d, 5 * d + 1, "labels"),
-            RowBlock("iterate", 5 * d + 1, 6 * d + 1, "iterate"),
-            RowBlock("mean_picker", 6 * d + 1, 6 * d + 2, "constant"),
-            RowBlock("accumulator", 6 * d + 2, 6 * d + 3, "scratch"),
-            RowBlock("ones", 6 * d + 3, 6 * d + 4, "ones"),
-        ),
+        (
+            ("x_slot", d),
+            ("b_slot", d),
+            ("identity", d),
+            ("work", d),
+            ("data", d),
+            ("labels", 1),
+            ("iterate", d),
+            ("mean_picker", 1),
+            ("accumulator", 1),
+            ("ones", 1),
+        )
     )
 
 
@@ -530,14 +511,15 @@ def make_logistic_prompt(problem, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
         raise ValueError(f"x must have shape ({d},), got {x.shape}")
-    h = np.zeros((6 * d + 4, n))
-    for blk in range(3):
-        h[blk * d:(blk + 1) * d, :d] = np.eye(d)
-    h[4 * d:5 * d, :] = problem.features.T
-    h[5 * d, :] = problem.labels
-    h[5 * d + 1:6 * d + 1, :] = x[:, None]
-    h[6 * d + 1, 0] = 1.0 / n
-    h[6 * d + 3, :] = 1.0
+    layout = _logistic_layout(d)
+    h = np.zeros((layout.n_rows, n))
+    for pad in ("x_slot", "b_slot", "identity"):
+        h[layout.rows_of(pad), :d] = np.eye(d)
+    h[layout.rows_of("data")] = problem.features.T
+    h[layout.rows_of("labels")] = problem.labels
+    h[layout.rows_of("iterate")] = x[:, None]
+    h[layout.rows_of("mean_picker"), 0] = 1.0 / n
+    h[layout.rows_of("ones")] = 1.0
     return h
 
 
@@ -564,10 +546,11 @@ def build_logreg_newton_step(problem, budget):
     d, n = problem.dim, problem.n_samples
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
-    if budget.depth != 11 + 2 * budget.k:
+    k = budget.widths["k"]
+    if budget.depth != 11 + 2 * k:
         raise BudgetError(
             f"inconsistent budget: depth {budget.depth} != 11 + 2k "
-            f"with k={budget.k}",
+            f"with k={k}",
             bound="depth",
         )
     if budget.d != d:
@@ -581,19 +564,18 @@ def build_logreg_newton_step(problem, budget):
         )
 
     mu = problem.mu
-    dim = 6 * d + 4
+    layout = _logistic_layout(d)
+    dim = layout.n_rows
     eye = np.eye(d)
-    x_slot = slice(0, d)
-    b_slot = slice(d, 2 * d)
-    ident = slice(2 * d, 3 * d)
-    work = slice(3 * d, 4 * d)
-    data = slice(4 * d, 5 * d)
-    label_row = 5 * d
-    iterate = slice(5 * d + 1, 6 * d + 1)
-    picker_row = 6 * d + 1
-    acc_row = 6 * d + 2
-    ones_row = 6 * d + 3
-    e1_row = 2 * d  # first identity row holds e1^T
+    x_slot, b_slot, ident, work, data, iterate = map(
+        layout.rows_of,
+        ("x_slot", "b_slot", "identity", "work", "data", "iterate"),
+    )
+    label_row, picker_row, acc_row, ones_row = (
+        layout.rows_of(name).start
+        for name in ("labels", "mean_picker", "accumulator", "ones")
+    )
+    e1_row = ident.start  # first identity row holds e1^T
 
     # eigenvalues of the Hessian lie in [mu, 1+mu], so this alpha is
     # inside (0, 2/sigma_max^2) for every iterate
@@ -630,7 +612,8 @@ def build_logreg_newton_step(problem, budget):
     # margins, then per-sample curvature weights
     fb = FfnBuilder(dim, ones_row)
     sig_deriv = build_pwl(
-        _sigmoid_derivative, -SIGMOID_RANGE, SIGMOID_RANGE, budget.u1_pieces
+        _sigmoid_derivative, -SIGMOID_RANGE, SIGMOID_RANGE,
+        budget.widths["u1_pieces"],
     )
     fb.add_pwl(sig_deriv, {acc_row: 1.0}, acc_row)
     fb.add_identity(acc_row, acc_row, -1.0)
@@ -642,11 +625,11 @@ def build_logreg_newton_step(problem, budget):
     fb = FfnBuilder(dim, ones_row)
     for j in range(d):
         fb.add_product(
-            acc_row, 4 * d + j, j,
+            acc_row, data.start + j, x_slot.start + j,
             range_x=(0.0, 0.25), range_y=(-1.0, 1.0),
-            pieces=budget.u2_pieces,
+            pieces=budget.widths["u2_pieces"],
         )
-        fb.add_identity(2 * d + j, j, -1.0)
+        fb.add_identity(ident.start + j, x_slot.start + j, -1.0)
     fb.add_identity(acc_row, acc_row, -1.0)
     layers.append(
         TransformerLayer(heads=rescale_accumulator(), ffn=fb.build())
@@ -727,16 +710,16 @@ def build_logreg_newton_step(problem, budget):
             ),
         ),
     )
-    layers.extend([inv_first, inv_second] * budget.k)
+    layers.extend([inv_first, inv_second] * k)
 
     # margins again, then label-gated probabilities
     fb = FfnBuilder(dim, ones_row)
     p_pos = build_pwl(
         lambda t: sigmoid(-t), -SIGMOID_RANGE, SIGMOID_RANGE,
-        budget.u3_pieces,
+        budget.widths["u3_pieces"],
     )
     p_neg = build_pwl(
-        sigmoid, -SIGMOID_RANGE, SIGMOID_RANGE, budget.u3_pieces
+        sigmoid, -SIGMOID_RANGE, SIGMOID_RANGE, budget.widths["u3_pieces"]
     )
     fb.add_pwl(p_pos, {acc_row: 1.0}, acc_row, gate=(label_row, 1.0))
     fb.add_pwl(p_neg, {acc_row: 1.0}, acc_row, gate=(label_row, -1.0))
@@ -804,7 +787,7 @@ def build_logreg_newton_step(problem, budget):
     two_sqrt_mu = 2.0 * math.sqrt(mu)
     step_size = build_pwl(
         lambda z: two_sqrt_mu / (two_sqrt_mu + np.sqrt(z)),
-        0.0, budget.z_max, budget.eps4_pieces,
+        0.0, budget.z_max, budget.widths["eps4_pieces"],
     )
     fb.add_pwl(step_size, {acc_row: 1.0}, acc_row)
     fb.add_identity(acc_row, acc_row, -1.0)
@@ -878,40 +861,31 @@ def build_logreg_newton_step(problem, budget):
     )
 
     assert len(layers) == budget.depth
-    return layers, _logistic_layout(d, n)
-
-
-def logistic_step_forward(layers, layout, h):
-    """Run one constructed step, verifying the cleanup range.
-
-    The final layer's ffn cancels the accumulator row exactly only
-    while its entries stay inside (-10, 10); a larger entry raises
-    ``BudgetError`` with bound ``"cleanup_range"`` before it is applied.
-    """
-    h = layout.validate_prompt(h)
-    acc_row = layout.block("accumulator").start
-    last = len(layers) - 1
-    for i, layer in enumerate(layers):
-        h = attention_forward(layer, h)
-        if i == last:
-            reach = float(np.max(np.abs(h[acc_row])))
-            if reach >= CLEANUP_RANGE:
-                raise BudgetError(
-                    f"accumulator magnitude {reach:.3g} exceeds the exact "
-                    f"cleanup range {CLEANUP_RANGE}",
-                    bound="cleanup_range",
-                )
-        if layer.has_ffn:
-            h = ffn_forward(layer, h)
-    return h
+    return layers, layout
 
 
 def run_constructed_newton(problem, x0, budget, n_steps):
-    """Apply the constructed step *n_steps* times; returns the iterates."""
+    """Apply the constructed step *n_steps* times; returns the iterates.
+
+    The last layer's ffn cancels the accumulator row exactly only while
+    its entries stay inside (-10, 10).  That layer's attention leaves
+    the row as it is, so each step checks it before the last layer and
+    raises ``BudgetError`` with bound ``"cleanup_range"`` on a larger
+    entry.
+    """
     layers, layout = build_logreg_newton_step(problem, budget)
+    acc_row = layout.rows_of("accumulator").start
     h = make_logistic_prompt(problem, np.asarray(x0, dtype=np.float64))
     xs = [read_logistic_iterate(h, layout)]
     for _ in range(n_steps):
-        h = logistic_step_forward(layers, layout, h)
+        h = model_forward(layers[:-1], h)
+        reach = float(np.max(np.abs(h[acc_row])))
+        if reach >= CLEANUP_RANGE:
+            raise BudgetError(
+                f"accumulator magnitude {reach:.3g} exceeds the exact "
+                f"cleanup range {CLEANUP_RANGE}",
+                bound="cleanup_range",
+            )
+        h = model_forward(layers[-1:], h)
         xs.append(read_logistic_iterate(h, layout))
     return xs

@@ -6,8 +6,9 @@ optional position-wise feed-forward block adds W_2 relu(W_1 H).
 Feed-forward blocks keep their piecewise-linear gadgets whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
-Prompts are matrices with one column per token and a fixed row layout
-described by ``PromptLayout``.
+Prompts are matrices with one column per token.  Their rows follow a
+``PromptLayout``: named bands declared once, in order, from which each
+band's rows and the model dimension are derived.
 """
 
 import os
@@ -19,8 +20,6 @@ from .linalg import as_matrix, load_matrix_csv, save_matrix_csv
 from .pwl import eval_pwl
 
 __all__ = [
-    "SEMANTICS",
-    "RowBlock",
     "PromptLayout",
     "AttentionHead",
     "Ffn",
@@ -33,96 +32,29 @@ __all__ = [
     "load_model",
 ]
 
-SEMANTICS = frozenset(
-    {
-        "identity_pad",
-        "data_matrix",
-        "labels",
-        "iterate",
-        "scratch",
-        "ones",
-        "constant",
-    }
-)
-
-
-@dataclass(frozen=True)
-class RowBlock:
-    """A contiguous, named band of prompt rows with a semantic tag."""
-
-    name: str
-    start: int
-    stop: int
-    semantic: str
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.stop:
-            raise ValueError(
-                f"block {self.name!r}: need 0 <= start < stop, "
-                f"got [{self.start}, {self.stop})"
-            )
-        if self.semantic not in SEMANTICS:
-            raise ValueError(
-                f"block {self.name!r}: unknown semantic {self.semantic!r}"
-            )
-
-    @property
-    def rows(self):
-        return slice(self.start, self.stop)
-
-    @property
-    def size(self):
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
 class PromptLayout:
-    """Row layout of a prompt matrix.
+    """Row layout of a prompt matrix: named bands of rows, in order.
 
-    Named blocks must be disjoint and together cover every row.
+    *bands* is a sequence of ``(name, size)`` pairs.  Each band starts
+    where the one before it stops, so together they tile rows
+    ``0 .. n_rows``; ``rows_of(name)`` gives a band's rows as a slice.
+    Duplicate names and sizes below 1 raise ``ValueError``.
     """
 
-    n_rows: int
-    n_cols: int
-    blocks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        seen = set()
-        occupied = np.zeros(self.n_rows, dtype=bool)
-        for block in self.blocks:
-            if block.name in seen:
-                raise ValueError(f"duplicate block name {block.name!r}")
-            seen.add(block.name)
-            if block.stop > self.n_rows:
-                raise ValueError(
-                    f"block {block.name!r} ends at row {block.stop}, "
-                    f"layout has {self.n_rows} rows"
-                )
-            if occupied[block.rows].any():
-                raise ValueError(f"block {block.name!r} overlaps another")
-            occupied[block.rows] = True
-        if not occupied.all():
-            gap = int(np.argmin(occupied))
-            raise ValueError(f"row {gap} is not covered by any block")
-
-    def block(self, name):
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise KeyError(f"no block named {name!r}")
+    def __init__(self, bands):
+        self._rows = {}
+        start = 0
+        for name, size in bands:
+            if name in self._rows:
+                raise ValueError(f"duplicate band name {name!r}")
+            if size < 1:
+                raise ValueError(f"band {name!r} needs size >= 1, got {size}")
+            self._rows[name] = slice(start, start + size)
+            start += size
+        self.n_rows = start
 
     def rows_of(self, name):
-        return self.block(name).rows
-
-    def validate_prompt(self, h):
-        h = as_matrix(h, "prompt")
-        if h.shape != (self.n_rows, self.n_cols):
-            raise ValueError(
-                f"prompt shape {h.shape} does not match layout "
-                f"({self.n_rows}, {self.n_cols})"
-            )
-        return h
+        return self._rows[name]
 
 
 @dataclass(frozen=True)
@@ -283,29 +215,12 @@ def _check_stream(h, dim):
     return h
 
 
-def _as_heads(layer):
-    if isinstance(layer, TransformerLayer):
-        return layer.heads
-    if isinstance(layer, AttentionHead):
-        return (layer,)
-    heads = tuple(layer)
-    if not heads:
-        raise ValueError("need at least one head")
-    return heads
-
-
 def attention_forward(layer, h):
-    """Residual attention update: h + sum of head contributions.
-
-    Accepts a layer (its ffn, if any, is NOT applied here) or a bare
-    head sequence.
-    """
-    heads = _as_heads(layer)
-    h = _check_stream(h, heads[0].dim)
+    """Residual attention update: h + the sum of the layer's head
+    contributions.  The layer's ffn, if any, is NOT applied here."""
+    h = _check_stream(h, layer.dim)
     out = h.copy()
-    for head in heads:
-        if head.dim != h.shape[0]:
-            raise ValueError("head dimension does not match h")
+    for head in layer.heads:
         value = head.w_v @ h
         key = head.w_k @ h
         query = head.w_q @ h

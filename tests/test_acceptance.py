@@ -63,9 +63,9 @@ def test_01_inversion_block_matches_direct_step():
             d = (2, 4, 8)[trial % 3]
             a = rng.standard_normal((d, d))
             x = rng.standard_normal((d, d)) / d
-            layers = build_inversion_block(d)
+            layers, layout = build_inversion_block(d)
             h = model_forward(layers, make_inversion_prompt(a, x))
-            got = read_inversion_iterate(h, d)
+            got = read_inversion_iterate(h, layout)
             want = newton_step(x, a)
             worst = max(worst, np.linalg.norm(got - want)
                         / max(np.linalg.norm(want), 1e-300))
@@ -241,7 +241,7 @@ def test_08_constructed_logistic_step():
             worst = max(worst, float(np.linalg.norm(xs[1] - oracle)))
         elapsed = time.perf_counter() - t0
         ok = (worst <= 1e-2
-              and budget.depth == 11 + 2 * budget.k
+              and budget.depth == 11 + 2 * budget.widths["k"]
               and elapsed < 60.0)
     finally:
         _report(8, "network-step-tracks-damped-newton", ok)

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from newtonformer import builders
 from newtonformer.builders import (
     BudgetReport,
     FfnBuilder,
     build_inversion_block,
     build_linreg_transformer,
     build_logreg_newton_step,
-    inversion_layout,
-    logistic_step_forward,
     make_inversion_prompt,
     make_linreg_prompt,
     make_logistic_prompt,
@@ -55,11 +54,9 @@ class TestWidthDepthBudget:
     def test_reference_allocation(self):
         report = width_depth_budget(1e-2, 0.1)
         assert report.kappa_f == pytest.approx(11.0)
-        assert report.u1_pieces == 2000
-        assert report.u2_pieces == 2000
-        assert report.u3_pieces == 2000
-        assert report.eps4_pieces == 4000
-        assert report.k == 12
+        assert report.widths == {"u1_pieces": 2000, "u2_pieces": 2000,
+                                 "u3_pieces": 2000, "eps4_pieces": 4000,
+                                 "k": 12}
         assert report.depth == 35
 
     def test_inversion_count_formula(self):
@@ -70,17 +67,30 @@ class TestWidthDepthBudget:
             expected = max(1, math.ceil(
                 2.0 * math.log2(kappa_f) + math.log2(math.log2(inner))
             ))
-            assert report.k == expected
-            assert report.depth == 11 + 2 * report.k
+            assert report.widths["k"] == expected
+            assert report.depth == 11 + 2 * expected
 
     def test_halving_eps_at_least_quadruples_u2(self):
         base = width_depth_budget(1e-2, 0.1)
         finer = width_depth_budget(5e-3, 0.1)
-        assert finer.u2_pieces >= 4 * base.u2_pieces
+        assert finer.widths["u2_pieces"] >= 4 * base.widths["u2_pieces"]
 
     def test_minimal_corner_still_inverts(self):
         report = width_depth_budget(0.5, 1.0, kappa_f=1.0)
-        assert report.k >= 1
+        assert report.widths["k"] >= 1
+
+    def test_largest_accepted_eps_keeps_one_inversion(self):
+        # (1+mu)^1.5/mu is 2.83 at mu=1
+        assert width_depth_budget(2.5, 1.0).widths["k"] == 1
+
+    @pytest.mark.parametrize("eps, mu, bound", [(20.0, 0.1, "11.5369"),
+                                                (3.0, 1.0, "2.82843")])
+    def test_eps_past_inversion_domain_named(self, eps, mu, bound):
+        with pytest.raises(ValueError) as info:
+            width_depth_budget(eps, mu)
+        message = str(info.value)
+        assert f"eps={eps}" in message and f"mu={mu}" in message
+        assert bound in message
 
     def test_monotone_in_eps_and_kappa(self):
         eps_grid = (1e-1, 3e-2, 1e-2, 5e-3)
@@ -88,8 +98,8 @@ class TestWidthDepthBudget:
         for coarse, fine in zip(reports, reports[1:]):
             for key in ("u1_pieces", "u2_pieces", "u3_pieces", "eps4_pieces"):
                 assert fine.widths[key] >= coarse.widths[key]
-            assert fine.k >= coarse.k
-        ks = [width_depth_budget(1e-2, 0.1, kappa_f=kf).k
+            assert fine.widths["k"] >= coarse.widths["k"]
+        ks = [width_depth_budget(1e-2, 0.1, kappa_f=kf).widths["k"]
               for kf in (1.0, 4.0, 11.0, 100.0)]
         assert ks == sorted(ks)
 
@@ -226,10 +236,10 @@ class TestFfnBuilder:
 
 class TestInversionBlock:
     def test_identity_example(self):
-        block = build_inversion_block(2)
+        block, layout = build_inversion_block(2)
         h = make_inversion_prompt(np.eye(2), 0.5 * np.eye(2))
         out = model_forward(block, h)
-        np.testing.assert_allclose(read_inversion_iterate(out, 2),
+        np.testing.assert_allclose(read_inversion_iterate(out, layout),
                                    0.75 * np.eye(2), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(out[2:], h[2:])
 
@@ -239,10 +249,11 @@ class TestInversionBlock:
             rng = np.random.default_rng(1000 * d + seed)
             a = rng.standard_normal((d, d))
             x = 0.1 * rng.standard_normal((d, d))
-            out = model_forward(build_inversion_block(d),
-                                make_inversion_prompt(a, x))
+            block, layout = build_inversion_block(d)
+            out = model_forward(block, make_inversion_prompt(a, x))
             expected = newton_step(x, a)
-            err = np.linalg.norm(read_inversion_iterate(out, d) - expected)
+            err = np.linalg.norm(read_inversion_iterate(out, layout)
+                                 - expected)
             assert err <= 1e-12 * max(np.linalg.norm(expected), 1.0)
 
     def test_chaining_two_blocks(self):
@@ -250,26 +261,40 @@ class TestInversionBlock:
         a = make_covariance(4, 8.0, rng)
         alpha = 2.0 * 0.9 / spectral_norm_est(a) ** 2
         x0 = alpha * a.T
-        block = build_inversion_block(4)
+        block, layout = build_inversion_block(4)
         out = model_forward(block + block, make_inversion_prompt(a, x0))
         expected = newton_step(newton_step(x0, a), a)
-        np.testing.assert_allclose(read_inversion_iterate(out, 4), expected,
+        np.testing.assert_allclose(read_inversion_iterate(out, layout),
+                                   expected,
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(out[4:8], a.T)
         np.testing.assert_array_equal(out[8:12], np.zeros((4, 4)))
         np.testing.assert_array_equal(out[12:16], np.eye(4))
 
     def test_block_is_attention_only(self):
-        block = build_inversion_block(3)
+        block, _ = build_inversion_block(3)
         assert len(block) == 2
         assert [len(layer.heads) for layer in block] == [1, 2]
         assert all(not layer.has_ffn for layer in block)
 
     def test_layout_shape(self):
-        layout = inversion_layout(3)
+        block, layout = build_inversion_block(3)
         assert layout.n_rows == 12
-        assert layout.n_cols == 3
         assert layout.rows_of("iterate") == slice(0, 3)
+        assert [layer.dim for layer in block] == [12, 12]
+
+    def test_prompt_rows(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((3, 3))
+        x0 = rng.standard_normal((3, 3))
+        h = make_inversion_prompt(a, x0)
+        assert h.shape == (12, 3)
+        np.testing.assert_array_equal(h[0:3], x0)
+        np.testing.assert_array_equal(h[3:6], a.T)
+        np.testing.assert_array_equal(h[6:9], np.zeros((3, 3)))
+        np.testing.assert_array_equal(h[9:12], np.eye(3))
+        _, layout = build_inversion_block(3)
+        np.testing.assert_array_equal(read_inversion_iterate(h, layout), x0)
 
     def test_prompt_validation(self):
         with pytest.raises(ValueError):
@@ -331,10 +356,29 @@ class TestLinregTransformer:
 
     def test_depth_and_head_budget(self):
         for t in (0, 1, 7):
-            layers, _ = build_linreg_transformer(3, 8, t, alpha=0.1)
+            layers, layout = build_linreg_transformer(3, 8, t, alpha=0.1)
             assert len(layers) == 3 + t
+            assert all(layer.dim == layout.n_rows == 15 for layer in layers)
             assert max(len(layer.heads) for layer in layers) <= 3
             assert all(not layer.has_ffn for layer in layers)
+
+    def test_prompt_rows_and_readout(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((8, 3))
+        y = rng.standard_normal(8)
+        a_test = rng.standard_normal(3)
+        h = make_linreg_prompt(a, y, a_test)
+        assert h.shape == (15, 8)
+        pad = np.zeros((3, 8))
+        pad[:, :3] = np.eye(3)
+        np.testing.assert_array_equal(h[0:9], np.vstack([pad] * 3))
+        np.testing.assert_array_equal(h[9:12], a.T)
+        np.testing.assert_array_equal(h[12], np.r_[a_test, np.zeros(5)])
+        np.testing.assert_array_equal(h[13], y)
+        np.testing.assert_array_equal(h[14], np.zeros(8))
+        _, layout = build_linreg_transformer(3, 8, 1, alpha=0.1)
+        h[14, 0] = 2.5
+        assert read_linreg_prediction(h, layout) == 2.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -358,9 +402,10 @@ def logreg_stack():
 class TestLogregNewtonStack:
     def test_depth_matches_budget(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
-        assert len(layers) == budget.depth == 11 + 2 * budget.k
+        assert len(layers) == budget.depth == 11 + 2 * budget.widths["k"]
         assert max(len(layer.heads) for layer in layers) <= 3
         assert layout.n_rows == 6 * problem.dim + 4
+        assert all(layer.dim == layout.n_rows for layer in layers)
 
     def test_single_step_tracks_damped_newton(self, logreg_stack):
         problem, budget, _, _ = logreg_stack
@@ -388,7 +433,7 @@ class TestLogregNewtonStack:
     def test_bookkeeping_restored_after_step(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
         h = make_logistic_prompt(problem, np.zeros(5))
-        out = logistic_step_forward(layers, layout, h)
+        out = model_forward(layers, h)
         x1 = read_logistic_iterate(out, layout)
         fresh = make_logistic_prompt(problem, x1)
         assert np.linalg.norm(out - fresh) <= 1e-10
@@ -444,8 +489,17 @@ class TestLogregNewtonStack:
             build_logreg_newton_step(problem, tampered)
         assert info.value.bound == "depth"
 
-    def test_cleanup_range_guard(self, logreg_stack):
-        problem, _, layers, layout = logreg_stack
+    def test_last_attention_leaves_accumulator(self, logreg_stack):
+        # run_constructed_newton checks the cleanup range before the last
+        # layer; the check reads the row the cleanup ffn reads only while
+        # that layer's heads write nothing into the accumulator
+        _, _, layers, layout = logreg_stack
+        acc_row = layout.rows_of("accumulator").start
+        for head in layers[-1].heads:
+            assert not head.w_v[acc_row].any()
+
+    def test_cleanup_range_guard(self, logreg_stack, monkeypatch):
+        problem, budget, layers, layout = logreg_stack
         penultimate = layers[-2]
         louder = TransformerLayer(
             heads=tuple(
@@ -455,9 +509,10 @@ class TestLogregNewtonStack:
             ffn=penultimate.ffn,
         )
         tampered = [*layers[:-2], louder, layers[-1]]
-        h = make_logistic_prompt(problem, np.zeros(5))
+        monkeypatch.setattr(builders, "build_logreg_newton_step",
+                            lambda problem, budget: (tampered, layout))
         with pytest.raises(BudgetError) as info:
-            logistic_step_forward(tampered, layout, h)
+            run_constructed_newton(problem, np.zeros(5), budget, 1)
         assert info.value.bound == "cleanup_range"
 
     def test_prompt_shape_and_readout(self, logreg_stack):

@@ -16,7 +16,6 @@ from scipy import sparse
 from newtonformer.builders import (
     FfnBuilder,
     build_logreg_newton_step,
-    logistic_step_forward,
     make_logistic_prompt,
     read_logistic_iterate,
     run_constructed_newton,
@@ -29,6 +28,7 @@ from newtonformer.transformer import (
     Ffn,
     TransformerLayer,
     ffn_forward,
+    model_forward,
 )
 
 # knots 0..3 with slopes 2, 1, -0.5
@@ -183,8 +183,8 @@ def streams(draw, layout):
                     elements=st.floats(-45.0, 45.0)))
     labels = draw(st.lists(st.sampled_from([-1.0, 1.0]),
                            min_size=n_cols, max_size=n_cols))
-    h[layout.block("labels").start] = labels
-    h[layout.block("ones").start] = 1.0
+    h[layout.rows_of("labels").start] = labels
+    h[layout.rows_of("ones").start] = 1.0
     return h
 
 
@@ -209,6 +209,6 @@ class TestDenseParity:
         dense = [dense_copy(layer) for layer in layers]
         h = make_logistic_prompt(problem, x0)
         for x in xs[1:]:
-            h = logistic_step_forward(dense, layout, h)
+            h = model_forward(dense, h)
             np.testing.assert_allclose(x, read_logistic_iterate(h, layout),
                                        rtol=0, atol=1e-12)

@@ -309,6 +309,17 @@ class TestCli:
         assert main(["budget", "--eps", "1e-6"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--eps", "20", "--mu", "0.1"],
+        ["budget", "--eps", "3", "--mu", "1"],
+        ["logreg", "--eps", "20"],
+    ])
+    def test_eps_past_inversion_domain_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "is too large for mu=" in err
+        assert "domain" not in err
+
     def test_scan_decrease_certifies(self, capsys):
         assert main(["scan-decrease"]) == 0
         out = capsys.readouterr().out

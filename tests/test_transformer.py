@@ -5,7 +5,6 @@ from newtonformer.pwl import signed_copy
 from newtonformer.transformer import (
     AttentionHead,
     PromptLayout,
-    RowBlock,
     TransformerLayer,
     assemble_blocks,
     attention_forward,
@@ -24,41 +23,24 @@ def random_head(rng, dim):
     )
 
 
-class TestRowBlocks:
-    def test_block_validation(self):
-        with pytest.raises(ValueError):
-            RowBlock("a", 3, 3, "scratch")
-        with pytest.raises(ValueError):
-            RowBlock("a", 0, 2, "mystery")
-
-    def test_layout_requires_full_cover(self):
-        blocks = (RowBlock("a", 0, 2, "scratch"),)
-        with pytest.raises(ValueError):
-            PromptLayout(n_rows=3, n_cols=4, blocks=blocks)
-
-    def test_layout_rejects_overlap(self):
-        blocks = (
-            RowBlock("a", 0, 2, "scratch"),
-            RowBlock("b", 1, 3, "scratch"),
-        )
-        with pytest.raises(ValueError):
-            PromptLayout(n_rows=3, n_cols=4, blocks=blocks)
-
-    def test_lookup_and_prompt_validation(self):
-        layout = PromptLayout(
-            n_rows=3,
-            n_cols=2,
-            blocks=(
-                RowBlock("top", 0, 2, "data_matrix"),
-                RowBlock("ones", 2, 3, "ones"),
-            ),
-        )
+class TestPromptLayout:
+    def test_bands_tile_rows_in_order(self):
+        layout = PromptLayout((("top", 2), ("ones", 1), ("rest", 3)))
+        assert layout.n_rows == 6
         assert layout.rows_of("top") == slice(0, 2)
+        assert layout.rows_of("ones") == slice(2, 3)
+        assert layout.rows_of("rest") == slice(3, 6)
         with pytest.raises(KeyError):
-            layout.block("missing")
-        with pytest.raises(ValueError):
-            layout.validate_prompt(np.zeros((3, 5)))
-        layout.validate_prompt(np.zeros((3, 2)))
+            layout.rows_of("missing")
+
+    def test_rejects_duplicate_names(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            PromptLayout((("a", 2), ("b", 1), ("a", 1)))
+
+    def test_rejects_sizes_below_one(self):
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="size"):
+                PromptLayout((("a", 2), ("b", size)))
 
 
 class TestAssembleBlocks:
@@ -82,7 +64,8 @@ class TestAttentionForward:
         rng = np.random.default_rng(0)
         h = rng.standard_normal((4, 6))
         head = AttentionHead(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
-        np.testing.assert_array_equal(attention_forward((head,), h), h)
+        layer = TransformerLayer(heads=(head,))
+        np.testing.assert_array_equal(attention_forward(layer, h), h)
 
     def test_matches_explicit_formula(self):
         rng = np.random.default_rng(1)
@@ -93,7 +76,8 @@ class TestAttentionForward:
             expected = expected + (head.w_v @ h) @ (
                 (head.w_k @ h).T @ (head.w_q @ h)
             )
-        np.testing.assert_allclose(attention_forward(heads, h), expected,
+        layer = TransformerLayer(heads=tuple(heads))
+        np.testing.assert_allclose(attention_forward(layer, h), expected,
                                    rtol=1e-13, atol=1e-13)
 
     def test_appended_zero_columns_stay_zero(self):
@@ -118,9 +102,11 @@ class TestAttentionForward:
                                    rtol=1e-12, atol=1e-13)
 
     def test_dimension_mismatch(self):
-        head = AttentionHead(np.eye(3), np.eye(3), np.eye(3))
+        layer = TransformerLayer(
+            heads=(AttentionHead(np.eye(3), np.eye(3), np.eye(3)),)
+        )
         with pytest.raises(ValueError):
-            attention_forward((head,), np.zeros((4, 2)))
+            attention_forward(layer, np.zeros((4, 2)))
 
 
 class TestFfnForward:
