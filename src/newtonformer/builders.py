@@ -99,10 +99,10 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
     + log2 log2((1+mu)^3/(eps^2 mu^2))), floored at 1.  *kappa_f*
     defaults to (1+mu)/mu, the global Hessian spectral bound ratio.
 
-    Any piece count above *piece_ceiling* raises ``BudgetError`` naming
-    the overflowing family.  The inversion count needs its inner ratio
-    above 1, i.e. eps < (1+mu)^1.5/mu; a larger eps raises
-    ``ValueError``.
+    Any piece count above *piece_ceiling*, or too large for a float,
+    raises ``BudgetError`` naming the overflowing family.  The
+    inversion count needs its inner ratio above 1, i.e.
+    eps < (1+mu)^1.5/mu; a larger eps raises ``ValueError``.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -121,19 +121,25 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
     re = _REF_EPS / eps
     rm = _REF_MU / mu
 
-    widths = {
-        "u1_pieces": math.ceil(2000.0 * re**2 * rm**5 * ratio**4),
-        "u2_pieces": math.ceil(2000.0 * re**4 * rm**10 * ratio**8 * d / _REF_D),
-        "u3_pieces": math.ceil(2000.0 * re**2 * rm**4 * ratio**3),
-        "eps4_pieces": math.ceil(4000.0 * re * rm * ratio),
+    laws = {
+        "u1_pieces": lambda: 2000.0 * re**2 * rm**5 * ratio**4,
+        "u2_pieces": lambda: 2000.0 * re**4 * rm**10 * ratio**8 * d / _REF_D,
+        "u3_pieces": lambda: 2000.0 * re**2 * rm**4 * ratio**3,
+        "eps4_pieces": lambda: 4000.0 * re * rm * ratio,
     }
-    for name, pieces in widths.items():
+    widths = {}
+    for name, law in laws.items():
+        try:
+            pieces = math.ceil(law())
+        except OverflowError:  # past every float, so past any ceiling
+            pieces = math.inf
         if pieces > piece_ceiling:
             raise BudgetError(
                 f"{name} = {pieces} exceeds the ceiling {piece_ceiling} "
                 f"at eps={eps}, mu={mu}, d={d}",
                 bound=name,
             )
+        widths[name] = pieces
 
     inner = (1.0 + mu) ** 3 / (eps**2 * mu**2)
     if not inner > 1.0:

@@ -137,6 +137,13 @@ def run_linreg_experiment(cfg):
 
     The squared error is measured against the clean target
     a_test . w_star, so the closed-form row is the attainable floor.
+
+    Each prompt's stack is built once, and its depth-t predictions
+    share one advancing Newton prefix: the stream after the init layer
+    and t Newton layers advances by one more Newton layer for depth
+    t+1, and the contract and readout layers run on it for each depth's
+    prediction.  Every layer sees the input it would see in the full
+    depth-t stack, so the rows equal a rebuild-and-replay exactly.
     """
     if cfg.task != "linreg":
         raise ValueError(f"config task is {cfg.task!r}, expected 'linreg'")
@@ -168,18 +175,24 @@ def run_linreg_experiment(cfg):
         order: [item["alpha"] * item["gram"] for item in prompts]
         for order in cfg.orders
     }
+    # tf_preds[t - 1] holds the depth-t predictions; one prompt's stack
+    # is alive at a time.
+    tf_preds = [[] for _ in range(cfg.t_max)]
+    for item in prompts:
+        (init, newton, *output), layout = builders.build_linreg_transformer(
+            cfg.d, cfg.n, 1, item["alpha"], ridge_mu=cfg.mu
+        )
+        h = model_forward(
+            [init],
+            builders.make_linreg_prompt(item["a"], item["y"], item["a_test"]),
+        )
+        for preds in tf_preds:
+            h = model_forward([newton], h)
+            preds.append(builders.read_linreg_prediction(
+                model_forward(output, h), layout
+            ))
     for t in range(1, cfg.t_max + 1):
-        tf_preds = []
-        for item in prompts:
-            layers, layout = builders.build_linreg_transformer(
-                cfg.d, cfg.n, t, item["alpha"], ridge_mu=cfg.mu
-            )
-            h = model_forward(
-                layers,
-                builders.make_linreg_prompt(item["a"], item["y"], item["a_test"]),
-            )
-            tf_preds.append(builders.read_linreg_prediction(h, layout))
-        rows.append(("constructed", 2, t, mse(tf_preds)))
+        rows.append(("constructed", 2, t, mse(tf_preds[t - 1])))
         for order in cfg.orders:
             preds = []
             for idx, item in enumerate(prompts):

@@ -30,13 +30,13 @@ def as_matrix(obj, name="matrix"):
     a = np.ascontiguousarray(obj, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
 def _check_result_finite(a, op):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{op} produced non-finite entries")
     return a
 

@@ -111,6 +111,18 @@ class TestWidthDepthBudget:
             width_depth_budget(1.4e-3, 0.1)
         assert info.value.bound == "u2_pieces"
 
+    @pytest.mark.parametrize("eps, mu", [(1e-200, 0.1), (1e-2, 1e-200),
+                                         (5e-324, 0.1)])
+    def test_float_overflow_is_over_any_ceiling(self, eps, mu):
+        for ceiling in (5_000_000, 10**400):
+            with pytest.raises(BudgetError) as info:
+                width_depth_budget(eps, mu, piece_ceiling=ceiling)
+            assert info.value.bound == "u1_pieces"
+            assert str(info.value) == (
+                f"u1_pieces = inf exceeds the ceiling {ceiling} "
+                f"at eps={eps}, mu={mu}, d=5"
+            )
+
     def test_z_max_covers_trajectory_decrements(self):
         report = width_depth_budget(1e-2, 0.1)
         c = iterate_norm_bound(0.1)

@@ -1,9 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from newtonformer import builders, transformer
+from newtonformer.builders import make_linreg_prompt, read_linreg_prediction
 from newtonformer.cli import main
 from newtonformer.datagen import gen_linreg_data, gen_logreg_data, make_covariance
 from newtonformer.harness import (
@@ -12,6 +15,8 @@ from newtonformer.harness import (
     run_linreg_experiment,
     run_logreg_experiment,
 )
+from newtonformer.linalg import spectral_norm_est
+from newtonformer.transformer import model_forward
 
 
 def read_rows(path):
@@ -238,6 +243,62 @@ class TestLinregRunner:
         assert ls[0] <= np.asarray(linreg_table["constructed"])[0]
 
 
+def replayed_constructed_mse(cfg):
+    """The constructed rows as a full rebuild and replay per depth."""
+    prompts = []
+    for item in range(cfg.batch):
+        a, y, a_test, w_star = gen_linreg_data(replace(cfg, seed=cfg.seed + item))
+        gram = a.T @ a + cfg.mu * np.eye(cfg.d)
+        alpha = 2.0 * builders.INIT_SAFETY / spectral_norm_est(gram) ** 2
+        prompts.append((make_linreg_prompt(a, y, a_test), alpha,
+                        float(a_test @ w_star)))
+    mses = []
+    for t in range(1, cfg.t_max + 1):
+        errs = []
+        for prompt, alpha, target in prompts:
+            layers, layout = builders.build_linreg_transformer(
+                cfg.d, cfg.n, t, alpha, ridge_mu=cfg.mu
+            )
+            pred = read_linreg_prediction(model_forward(layers, prompt), layout)
+            errs.append((pred - target) ** 2)
+        mses.append(float(np.mean(errs)))
+    return mses
+
+
+def small_linreg_cfg(out_dir, mu):
+    return ExperimentConfig(task="linreg", d=3, n=8, mu=mu, t_max=6,
+                            batch=3, seed=2, out_dir=str(out_dir))
+
+
+class TestLinregLinearInDepth:
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_constructed_rows_equal_replay(self, tmp_path, mu):
+        cfg = small_linreg_cfg(tmp_path, mu)
+        rows = read_rows(run_linreg_experiment(cfg)[0])
+        ours = [float(r["mse"]) for r in rows if r["method"] == "constructed"]
+        assert ours == replayed_constructed_mse(cfg)
+
+    def test_one_build_and_one_newton_prefix_per_prompt(self, tmp_path,
+                                                        monkeypatch):
+        counts = {"attention": 0, "build": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(transformer, "attention_forward",
+                            counting("attention", transformer.attention_forward))
+        monkeypatch.setattr(builders, "build_linreg_transformer",
+                            counting("build", builders.build_linreg_transformer))
+        cfg = small_linreg_cfg(tmp_path, 0.0)
+        run_linreg_experiment(cfg)
+        assert counts == {"attention": cfg.batch * (1 + 3 * cfg.t_max),
+                          "build": cfg.batch}
+
+
 @pytest.fixture(scope="module")
 def logreg_table(tmp_path_factory):
     out = tmp_path_factory.mktemp("logreg")
@@ -308,6 +369,23 @@ class TestCli:
     def test_budget_overflow_exits_two(self, capsys):
         assert main(["budget", "--eps", "1e-6"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--eps", "1e-200"],
+        ["budget", "--mu", "1e-200"],
+        ["logreg", "--eps", "1e-200"],
+    ])
+    def test_float_overflowing_budget_exits_two(self, argv, tmp_path,
+                                                monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a stack past its budget")
+
+        monkeypatch.setattr(builders, "build_logreg_newton_step", no_build)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: u1_pieces = inf exceeds the ceiling ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["budget", "--eps", "20", "--mu", "0.1"],
