@@ -110,7 +110,7 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
         raise ValueError(f"mu must be positive, got {mu}")
     if kappa_f is None:
         kappa_f = (1.0 + mu) / mu
-    if kappa_f < 1.0:
+    if not kappa_f >= 1.0:
         raise ValueError(f"kappa_f must be >= 1, got {kappa_f}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -213,8 +213,6 @@ class FfnBuilder:
         the label, so two gated copies realize a per-column branch on
         the label value.
         """
-        if not approx.clamp_outside:
-            raise ValueError("only clamped approximators compile to ReLU form")
         if gate is None:
             const = self._row({}, 1.0)
             arg = self._row(coeffs, 0.0)
@@ -406,7 +404,7 @@ def build_linreg_transformer(d, n, t_steps, alpha, ridge_mu=0.0):
         raise ValueError(f"t_steps must be >= 0, got {t_steps}")
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if ridge_mu < 0.0:
+    if not ridge_mu >= 0.0:
         raise ValueError(f"ridge_mu must be >= 0, got {ridge_mu}")
     layout = _linreg_layout(d)
     dim = layout.n_rows

@@ -21,7 +21,7 @@ def make_covariance(d, kappa, rng):
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if d == 1 and kappa != 1.0:
         raise ValueError("a 1x1 covariance cannot have kappa > 1")

@@ -67,9 +67,9 @@ class ExperimentConfig:
                 object.__setattr__(self, key, value)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.kappa < 1.0:
+        if not self.kappa >= 1.0:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if self.noise_std is not None and self.noise_std < 0.0:
+        if self.noise_std is not None and not self.noise_std >= 0.0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.eps is not None and not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
@@ -92,7 +92,7 @@ class ExperimentConfig:
                 raise ValueError(f"need n >= d, got n={self.n}, d={self.d}")
             if self.task == "logreg" and not self.mu > 0.0:
                 raise ValueError(f"logreg needs mu > 0, got {self.mu}")
-            if self.task == "linreg" and self.mu < 0.0:
+            if self.task == "linreg" and not self.mu >= 0.0:
                 raise ValueError(f"ridge mu must be >= 0, got {self.mu}")
 
 
@@ -228,10 +228,8 @@ def run_logreg_experiment(cfg):
     source = logistic.bounded_error_source(cfg.eps, cfg.d, cfg.seed + 1)
     inexact = [x0]
     for step in range(cfg.t_max):
-        state = logistic.damped_step(
-            problem, inexact[-1], injected_error=source(step)
-        )
-        inexact.append(state.x)
+        x = logistic.damped_step(problem, inexact[-1]).x
+        inexact.append(x + source(step))
     constructed = builders.run_constructed_newton(
         problem, x0, budget, cfg.t_max
     )

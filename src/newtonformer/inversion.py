@@ -80,7 +80,7 @@ def predicted_steps(kappa, eps, order=2):
     trivially easy inputs (kappa near 1, loose eps) cannot push the
     envelope below the slack.
     """
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -112,13 +112,6 @@ class InverseRun:
     def steps(self):
         """Number of update steps taken (excludes the start iterate)."""
         return len(self.iterates) - 1
-
-    def save_csv(self, path):
-        """Write the residual history as CSV with a header row."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("step,residual_frobenius\n")
-            for t, r in enumerate(self.residuals):
-                fh.write(f"{t},{r:.17g}\n")
 
 
 def run_inverse(a, order=2, tol=1e-10, max_iters=100, safety=0.9):

@@ -102,16 +102,6 @@ def _check_point(problem, x):
     return x
 
 
-def margin_probabilities(problem, x):
-    """P(mislabel) per sample: p_i = 1 / (1 + exp(y_i x.a_i)).
-
-    The exponent is clamped to +-40, where the logistic term already
-    saturates to double precision.
-    """
-    x = _check_point(problem, x)
-    return sigmoid(-problem.labels * (problem.features @ x))
-
-
 def loss_grad_hess(problem, x):
     """Objective value, gradient, and Hessian at *x*.
 
@@ -134,9 +124,7 @@ def loss_grad_hess(problem, x):
 
 def newton_decrement(problem, x):
     """Newton decrement sqrt(g.T H^-1 g) of the raw objective at *x*."""
-    _, grad, hess = loss_grad_hess(problem, x)
-    direction = solve_spd(hess, grad[:, None])[:, 0]
-    return float(np.sqrt(max(grad @ direction, 0.0)))
+    return damped_step(problem, x).decrement
 
 
 def scaled_decrement(problem, x):
@@ -149,45 +137,39 @@ def scaled_decrement(problem, x):
 
 @dataclass(frozen=True)
 class NewtonState:
-    """Result of one damped step: the next iterate plus step diagnostics.
+    """Result of one damped step: the next iterate plus what was
+    computed at the point the step left from.
 
-    ``decrement`` and ``step_size`` were computed at the point the step
-    left from; with no injected error,
-    ``step_size == 2 sqrt(mu) / (2 sqrt(mu) + decrement)``.
+    ``f`` is the objective there and ``decrement`` its raw Newton
+    decrement; ``step_size == 2 sqrt(mu) / (2 sqrt(mu) + decrement)``.
     """
 
     x: np.ndarray
+    f: float
     decrement: float
     step_size: float
-    injected_error_norm: float
 
 
-def damped_step(problem, x, injected_error=None):
-    """One damped Newton step from *x*, optionally perturbed.
+def damped_step(problem, x):
+    """One exact damped Newton step from *x*.
 
-    The update is x - step_size * H^-1 g + injected_error with
+    The update is x - step_size * H^-1 g with
     step_size = 2 sqrt(mu) / (2 sqrt(mu) + lambda), the damping that
-    guarantees progress for the self-concordant scaling.
+    guarantees progress for the self-concordant scaling.  This is the
+    library's one Newton step: it evaluates the Hessian once and solves
+    with it once.  An inexact step adds its error to the returned ``x``.
     """
     x = _check_point(problem, x)
-    _, grad, hess = loss_grad_hess(problem, x)
+    f, grad, hess = loss_grad_hess(problem, x)
     direction = solve_spd(hess, grad[:, None])[:, 0]
     lam = float(np.sqrt(max(grad @ direction, 0.0)))
     two_sqrt_mu = 2.0 * np.sqrt(problem.mu)
     step_size = two_sqrt_mu / (two_sqrt_mu + lam)
-    x_next = x - step_size * direction
-    err_norm = 0.0
-    if injected_error is not None:
-        injected_error = np.ascontiguousarray(injected_error, dtype=np.float64)
-        if injected_error.shape != x.shape:
-            raise ValueError(f"injected_error must have shape {x.shape}")
-        err_norm = float(np.linalg.norm(injected_error))
-        x_next = x_next + injected_error
     return NewtonState(
-        x=x_next,
+        x=x - step_size * direction,
+        f=f,
         decrement=lam,
         step_size=step_size,
-        injected_error_norm=err_norm,
     )
 
 
@@ -214,20 +196,6 @@ class IterateTrace:
     @property
     def steps(self):
         return len(self.iterates) - 1
-
-    def save_csv(self, path):
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(
-                "step,f,g,lambda_g,step_size,"
-                "injected_error_norm,g_suboptimality\n"
-            )
-            for t in range(len(self.iterates)):
-                fh.write(
-                    f"{t},{self.f[t]:.17g},{self.g[t]:.17g},"
-                    f"{self.lambda_g[t]:.17g},{self.step_size[t]:.17g},"
-                    f"{self.injected_error_norm[t]:.17g},"
-                    f"{self.g_suboptimality[t]:.17g}\n"
-                )
 
 
 def bounded_error_source(eps, dim, seed=0):
@@ -294,12 +262,11 @@ def run_inexact_newton(
         trace.g_suboptimality.append(g - g_star)
 
     for step in range(max_iters + 1):
-        f, _, _ = loss_grad_hess(problem, x)
-        lam_g = scaled_decrement(problem, x)
-        g = f / (4.0 * mu)
+        state = damped_step(problem, x)
+        lam_g = state.decrement / (2.0 * np.sqrt(mu))
+        g = state.f / (4.0 * mu)
         if lam_g <= threshold or step == max_iters:
-            state = damped_step(problem, x)  # step-size diagnostic only
-            record(f, g, lam_g, state.step_size, 0.0)
+            record(state.f, g, lam_g, state.step_size, 0.0)
             if lam_g <= threshold:
                 trace.converged = True
                 return trace
@@ -309,30 +276,40 @@ def run_inexact_newton(
                 trace=trace,
             )
         error = None if error_source is None else error_source(step)
-        if error is not None and np.linalg.norm(error) > eps * (1 + 1e-12):
-            raise ValueError(
-                f"error_source produced a vector of norm "
-                f"{np.linalg.norm(error):.3e} > eps {eps:.3e} at step {step}"
-            )
-        state = damped_step(problem, x, error)
-        record(f, g, lam_g, state.step_size, state.injected_error_norm)
-        x = state.x
+        err_norm = 0.0
+        if error is not None:
+            error = np.ascontiguousarray(error, dtype=np.float64)
+            if error.shape != x.shape:
+                raise ValueError(
+                    f"error_source produced shape {error.shape}, expected "
+                    f"{x.shape}, at step {step}"
+                )
+            err_norm = float(np.linalg.norm(error))
+            if err_norm > eps * (1 + 1e-12):
+                raise ValueError(
+                    f"error_source produced a vector of norm "
+                    f"{err_norm:.3e} > eps {eps:.3e} at step {step}"
+                )
+        record(state.f, g, lam_g, state.step_size, err_norm)
+        x = state.x if error is None else state.x + error
     raise AssertionError("unreachable")
 
 
 def optimum(problem, tol=1e-12, max_iters=500):
     """High-precision minimizer via exact damped Newton.
 
-    Runs until the scaled decrement is at most *tol* and returns
-    ``(x_star, g_star)`` with g the scaled objective f/(4 mu).
+    Runs until the scaled decrement is at most *tol*, or for at most
+    *max_iters* steps, and returns ``(x_star, g_star)`` with g the
+    scaled objective f/(4 mu).
     """
     x = np.zeros(problem.dim)
-    for _ in range(max_iters):
-        if scaled_decrement(problem, x) <= tol:
-            break
-        x = damped_step(problem, x).x
-    f, _, _ = loss_grad_hess(problem, x)
-    return x, f / (4.0 * problem.mu)
+    for step in range(max_iters + 1):
+        state = damped_step(problem, x)
+        if (state.decrement / (2.0 * np.sqrt(problem.mu)) <= tol
+                or step == max_iters):
+            return x, state.f / (4.0 * problem.mu)
+        x = state.x
+    raise AssertionError("unreachable")
 
 
 def omega(t):

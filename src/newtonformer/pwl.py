@@ -26,14 +26,12 @@ __all__ = [
 class PwlApprox:
     """A piecewise-linear function on [knots[0], knots[-1]].
 
-    Outside the knot range the function clamps to the endpoint values
-    when ``clamp_outside`` is true and extends the end segments linearly
-    otherwise.
+    Outside the knot range the function clamps to the endpoint values,
+    as its ReLU form in a feed-forward block does.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    clamp_outside: bool = True
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=np.float64)
@@ -61,18 +59,10 @@ class PwlApprox:
     def pieces(self):
         return self.knots.size - 1
 
-    def __call__(self, x):
-        return eval_pwl(self, x)
 
-    def save_csv(self, path):
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("knot,value\n")
-            for k, v in zip(self.knots, self.values):
-                fh.write(f"{k:.17g},{v:.17g}\n")
-
-
-def build_pwl(f, lo, hi, pieces, clamp_outside=True):
-    """Interpolate scalar function *f* on *pieces* uniform segments.
+def build_pwl(f, lo, hi, pieces):
+    """Interpolate scalar function *f* on *pieces* uniform segments,
+    clamped to the end values outside [lo, hi].
 
     *f* is called once on the whole knot array, so it must be a numpy
     elementwise function; a scalar result broadcasts to every knot.
@@ -88,7 +78,7 @@ def build_pwl(f, lo, hi, pieces, clamp_outside=True):
     values = np.broadcast_to(f(knots), knots.shape).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("target function is non-finite at a knot")
-    return PwlApprox(knots, values, clamp_outside)
+    return PwlApprox(knots, values)
 
 
 @dataclass(frozen=True)
@@ -138,17 +128,11 @@ class PwlGadget:
 def eval_pwl(p, x):
     """Evaluate a :class:`PwlApprox` at scalar or array *x*.
 
-    Exactly reproduces the stored value at each knot.  Scalars come
-    back as float, arrays elementwise.
+    Exactly reproduces the stored value at each knot and clamps to the
+    end values outside the knot range.  Scalars come back as float,
+    arrays elementwise.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.interp(arr, p.knots, p.values)
-    if not p.clamp_outside:
-        k, v = p.knots, p.values
-        lo_slope = (v[1] - v[0]) / (k[1] - k[0])
-        hi_slope = (v[-1] - v[-2]) / (k[-1] - k[-2])
-        out = np.where(arr < k[0], v[0] + lo_slope * (arr - k[0]), out)
-        out = np.where(arr > k[-1], v[-1] + hi_slope * (arr - k[-1]), out)
+    out = np.interp(np.asarray(x, dtype=np.float64), p.knots, p.values)
     if np.ndim(x) == 0:
         return float(out)
     return out

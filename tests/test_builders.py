@@ -144,6 +144,8 @@ class TestWidthDepthBudget:
             width_depth_budget(1e-2, 0.0)
         with pytest.raises(ValueError):
             width_depth_budget(1e-2, 0.1, kappa_f=0.5)
+        with pytest.raises(ValueError, match="got nan"):
+            width_depth_budget(1e-2, 0.1, kappa_f=float("nan"))
         with pytest.raises(ValueError):
             width_depth_budget(1e-2, 0.1, d=0)
 
@@ -238,12 +240,6 @@ class TestFfnBuilder:
     def test_empty_builder_rejected(self):
         with pytest.raises(ValueError):
             FfnBuilder(2).build()
-
-    def test_unclamped_approx_rejected(self):
-        approx = build_pwl(np.sin, 0.0, 1.0, 4, clamp_outside=False)
-        fb = FfnBuilder(2, ones_row=1)
-        with pytest.raises(ValueError):
-            fb.add_pwl(approx, {0: 1.0}, 1)
 
 
 class TestInversionBlock:
@@ -399,6 +395,8 @@ class TestLinregTransformer:
             build_linreg_transformer(3, 8, -1, alpha=0.1)
         with pytest.raises(ValueError):
             build_linreg_transformer(3, 8, 1, alpha=0.0)
+        with pytest.raises(ValueError, match="got nan"):
+            build_linreg_transformer(3, 8, 1, alpha=0.1, ridge_mu=float("nan"))
         with pytest.raises(ValueError):
             make_linreg_prompt(np.ones((8, 3)), np.ones(7), np.ones(3))
 

@@ -55,6 +55,8 @@ class TestMakeCovariance:
             make_covariance(0, 2.0, rng)
         with pytest.raises(ValueError):
             make_covariance(3, 0.5, rng)
+        with pytest.raises(ValueError, match="got nan"):
+            make_covariance(3, float("nan"), rng)
         with pytest.raises(ValueError):
             make_covariance(1, 2.0, rng)
 
@@ -151,6 +153,10 @@ class TestExperimentConfig:
             ExperimentConfig(task="logreg", mu=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(task="invert", batch=0)
+        for task, field in (("invert", "kappa"), ("linreg", "noise_std"),
+                            ("linreg", "mu")):
+            with pytest.raises(ValueError, match="got nan"):
+                ExperimentConfig(task=task, **{field: float("nan")})
 
     def test_orders_coerced_to_int_tuple(self):
         cfg = ExperimentConfig(task="invert", orders=[2.0, 3.0])
@@ -397,6 +403,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "is too large for mu=" in err
         assert "domain" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--kappa", "nan"],
+        ["linreg", "--kappa", "nan"],
+        ["logreg", "--kappa", "nan"],
+        ["linreg", "--mu", "nan"],
+        ["linreg", "--noise-std", "nan"],
+        ["budget", "--kappa-f", "nan"],
+    ])
+    def test_nan_range_argument_exits_one(self, argv, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(" got nan\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_scan_decrease_certifies(self, capsys):
         assert main(["scan-decrease"]) == 0

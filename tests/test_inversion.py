@@ -81,6 +81,8 @@ class TestPredictedSteps:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             predicted_steps(0.5, 1e-10)
+        with pytest.raises(ValueError, match="got nan"):
+            predicted_steps(float("nan"), 1e-10)
         with pytest.raises(ValueError):
             predicted_steps(10.0, 0.0)
         with pytest.raises(ValueError):
@@ -145,17 +147,6 @@ class TestRunInverse:
             run_inverse(np.eye(2), tol=0.0)
         with pytest.raises(ShapeMismatchError):
             run_inverse(np.ones((2, 3)))
-
-    def test_save_csv_format(self, tmp_path):
-        run = run_inverse(np.eye(2), tol=1e-10)
-        path = tmp_path / "run.csv"
-        run.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,residual_frobenius"
-        assert len(lines) == len(run.residuals) + 1
-        step, residual = lines[1].split(",")
-        assert step == "0"
-        assert float(residual) == run.residuals[0]
 
 
 class TestFittedOrder:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from newtonformer import logistic
 from newtonformer.errors import ConvergenceError, ScanAnomalyError
+from newtonformer.linalg import solve_spd
 from newtonformer.logistic import (
     QUADRATIC_PHASE_THRESHOLD,
     IterateTrace,
@@ -11,7 +13,6 @@ from newtonformer.logistic import (
     decrease_bound,
     iterate_norm_bound,
     loss_grad_hess,
-    margin_probabilities,
     newton_decrement,
     omega,
     omega_star,
@@ -20,6 +21,7 @@ from newtonformer.logistic import (
     run_inexact_newton,
     scaled_decrement,
     scan_constant_decrease,
+    sigmoid,
     suboptimality_bound,
 )
 
@@ -113,8 +115,7 @@ class TestLossGradHess:
         assert np.all(np.isfinite(hess))
 
     def test_probabilities_clamped(self):
-        p = make_problem(7)
-        probs = margin_probabilities(p, 1e9 * np.ones(5))
+        probs = sigmoid(np.array([-1e9, 1e9]))
         assert np.all(np.isfinite(probs))
         # exponent clipping keeps probabilities in (0, 1]; the upper end
         # rounds to exactly 1.0 in float64 because e^-40 vanishes next to 1
@@ -173,7 +174,7 @@ class TestDampedStep:
         assert state.step_size == pytest.approx(
             root / (root + state.decrement), rel=1e-14
         )
-        assert state.injected_error_norm == 0.0
+        assert state.f == loss_grad_hess(p, np.zeros(5))[0]
 
     def test_fixed_point_at_minimizer(self):
         p = make_problem(11)
@@ -206,18 +207,25 @@ class TestDampedStep:
                 assert g - g_next >= 0.01
                 g = g_next
 
+    # An inexact step is an exact damped step plus the error that
+    # run_inexact_newton draws from its error source.
     def test_injected_error_recorded(self):
         p = make_problem(12)
-        err = np.full(5, 0.1)
-        state = damped_step(p, np.zeros(5), injected_error=err)
-        assert state.injected_error_norm == pytest.approx(np.linalg.norm(err))
+        err = np.full(5, 1e-4)
+        trace = run_inexact_newton(p, np.zeros(5), eps=1e-3,
+                                   error_source=lambda step: err)
+        assert trace.injected_error_norm[0] == pytest.approx(
+            np.linalg.norm(err)
+        )
         clean = damped_step(p, np.zeros(5))
-        np.testing.assert_allclose(state.x - err, clean.x, atol=1e-15)
+        np.testing.assert_allclose(trace.iterates[1] - err, clean.x,
+                                   atol=1e-15)
 
     def test_rejects_wrong_error_shape(self):
         p = make_problem(13)
-        with pytest.raises(ValueError):
-            damped_step(p, np.zeros(5), injected_error=np.ones(4))
+        with pytest.raises(ValueError, match="shape"):
+            run_inexact_newton(p, np.zeros(5), eps=1e-6,
+                               error_source=lambda step: np.zeros(4))
 
 
 class TestRunInexactNewton:
@@ -284,19 +292,127 @@ class TestRunInexactNewton:
         with pytest.raises(ValueError):
             run_inexact_newton(p, np.zeros(5), eps=0.0)
 
-    def test_trace_csv(self, tmp_path):
+    def test_none_from_source_is_an_exact_step(self):
         p = make_problem(17)
-        trace = run_inexact_newton(p, np.zeros(5), eps=1e-8)
-        path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == (
-            "step,f,g,lambda_g,step_size,injected_error_norm,g_suboptimality"
-        )
-        assert len(lines) == len(trace.iterates) + 1
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == trace.f[0]
+        exact = run_inexact_newton(p, np.zeros(5), eps=1e-8)
+        nones = run_inexact_newton(p, np.zeros(5), eps=1e-8,
+                                   error_source=lambda step: None)
+        assert nones.f == exact.f
+        assert nones.injected_error_norm == [0.0] * len(exact.f)
+
+
+def _reference_decrement(p, x):
+    _, grad, hess = loss_grad_hess(p, x)
+    direction = solve_spd(hess, grad[:, None])[:, 0]
+    lam = float(np.sqrt(max(grad @ direction, 0.0)))
+    return lam / (2.0 * np.sqrt(p.mu))
+
+
+def _reference_step(p, x):
+    _, grad, hess = loss_grad_hess(p, x)
+    direction = solve_spd(hess, grad[:, None])[:, 0]
+    lam = float(np.sqrt(max(grad @ direction, 0.0)))
+    two_sqrt_mu = 2.0 * np.sqrt(p.mu)
+    step_size = two_sqrt_mu / (two_sqrt_mu + lam)
+    return step_size, x - step_size * direction
+
+
+def _reference_optimum(p, tol=1e-12, max_iters=500):
+    """(x_star, g_star, steps) from the scaled decrement, then a step."""
+    x = np.zeros(p.dim)
+    steps = 0
+    for _ in range(max_iters):
+        if _reference_decrement(p, x) <= tol:
+            break
+        x = _reference_step(p, x)[1]
+        steps += 1
+    return x, loss_grad_hess(p, x)[0] / (4.0 * p.mu), steps
+
+
+def _reference_run(p, eps, source, g_star):
+    """IterateTrace columns of a converging run: the scaled decrement,
+    then the step, then ``+ error``."""
+    cols = {name: [] for name in ("iterates", "f", "g", "lambda_g",
+                                  "step_size", "injected_error_norm",
+                                  "g_suboptimality")}
+    x = np.zeros(p.dim)
+    for step in range(100):
+        f = loss_grad_hess(p, x)[0]
+        lam_g = _reference_decrement(p, x)
+        step_size, x_next = _reference_step(p, x)
+        error = None
+        if lam_g > np.sqrt(eps) and source is not None:
+            error = source(step)
+        row = (x, f, f / (4.0 * p.mu), lam_g, step_size,
+               0.0 if error is None else float(np.linalg.norm(error)),
+               f / (4.0 * p.mu) - g_star)
+        for col, value in zip(cols.values(), row):
+            col.append(value)
+        if lam_g <= np.sqrt(eps):
+            return cols
+        x = x_next if error is None else x_next + error
+    raise AssertionError("reference run did not converge")
+
+
+def _source(eps, dim, seed):
+    return None if eps is None else bounded_error_source(eps, dim, seed)
+
+
+_REFERENCE_PROBLEMS = [(20, 26, 5, 0.1), (21, 26, 5, 0.5), (22, 40, 3, 0.05),
+                       (23, 12, 8, 0.2), (24, 30, 2, 1.0), (25, 60, 6, 0.1)]
+
+
+class TestOneStepPerIterate:
+    # The reference loops above evaluate the scaled decrement, then the
+    # step, then add the error, each with its own loss_grad_hess and
+    # solve_spd calls; one damped_step per iterate must match them bit
+    # for bit.
+    @pytest.mark.parametrize("seed,n,d,mu", _REFERENCE_PROBLEMS)
+    def test_equals_reference_formulas(self, seed, n, d, mu):
+        p = make_problem(seed, n=n, d=d, mu=mu)
+        x_ref, g_ref, _ = _reference_optimum(p)
+        x_star, g_star = optimum(p)
+        assert np.array_equal(x_star, x_ref) and g_star == g_ref
+        for eps, err_eps in ((1e-10, None), (1e-6, 1e-6), (1e-3, 1e-3)):
+            trace = run_inexact_newton(p, np.zeros(d), eps=eps,
+                                       error_source=_source(err_eps, d, seed),
+                                       reference=(x_star, g_star))
+            expected = _reference_run(p, eps, _source(err_eps, d, seed),
+                                      g_star)
+            assert trace.converged
+            for name, column in expected.items():
+                if name == "iterates":
+                    assert len(trace.iterates) == len(column)
+                    for got, want in zip(trace.iterates, column):
+                        assert np.array_equal(got, want)
+                else:
+                    assert getattr(trace, name) == column, name
+
+    def test_one_hessian_and_one_solve_per_iterate(self, monkeypatch):
+        calls = {"loss_grad_hess": 0, "solve_spd": 0}
+
+        def counted(name):
+            fn = getattr(logistic, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(logistic, name, wrapper)
+
+        p = make_problem(26)
+        _, _, steps = _reference_optimum(p)
+        reference = optimum(p)
+        counted("loss_grad_hess")
+        counted("solve_spd")
+        optimum(p)
+        assert calls == {"loss_grad_hess": steps + 1, "solve_spd": steps + 1}
+        calls.update(loss_grad_hess=0, solve_spd=0)
+        trace = run_inexact_newton(p, np.zeros(5), eps=1e-6,
+                                   error_source=bounded_error_source(1e-6, 5),
+                                   reference=reference)
+        iterates = len(trace.iterates)
+        assert calls == {"loss_grad_hess": iterates, "solve_spd": iterates}
 
 
 class TestErrorSource:

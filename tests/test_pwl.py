@@ -30,17 +30,6 @@ class TestPwlApprox:
         assert p.hi == 3.0
         assert p.pieces == 10
 
-    def test_save_csv(self, tmp_path):
-        p = build_pwl(np.cos, 0.0, 1.0, 4)
-        path = tmp_path / "p.csv"
-        p.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "knot,value"
-        assert len(lines) == 6
-        knot, value = map(float, lines[1].split(","))
-        assert knot == p.knots[0]
-        assert value == p.values[0]
-
 
 class TestBuildPwl:
     def test_linear_target_is_exact(self):
@@ -120,11 +109,6 @@ class TestEvalPwl:
         p = build_pwl(np.sin, 0.0, 1.0, 4)
         assert eval_pwl(p, -7.0) == p.values[0]
         assert eval_pwl(p, 42.0) == p.values[-1]
-
-    def test_linear_extension_when_not_clamped(self):
-        p = build_pwl(lambda t: 2.0 * t, 0.0, 1.0, 4, clamp_outside=False)
-        assert eval_pwl(p, -3.0) == pytest.approx(-6.0, abs=1e-12)
-        assert eval_pwl(p, 5.0) == pytest.approx(10.0, abs=1e-12)
 
     def test_scalar_in_scalar_out(self):
         p = build_pwl(np.sin, 0.0, 1.0, 4)
