@@ -106,12 +106,12 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     if kappa_f is None:
         kappa_f = (1.0 + mu) / mu
-    if not kappa_f >= 1.0:
-        raise ValueError(f"kappa_f must be >= 1, got {kappa_f}")
+    if not 1.0 <= kappa_f < math.inf:
+        raise ValueError(f"kappa_f must be finite and >= 1, got {kappa_f}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
 
@@ -404,8 +404,8 @@ def build_linreg_transformer(d, n, t_steps, alpha, ridge_mu=0.0):
         raise ValueError(f"t_steps must be >= 0, got {t_steps}")
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if not ridge_mu >= 0.0:
-        raise ValueError(f"ridge_mu must be >= 0, got {ridge_mu}")
+    if not 0.0 <= ridge_mu < math.inf:
+        raise ValueError(f"ridge_mu must be finite and >= 0, got {ridge_mu}")
     layout = _linreg_layout(d)
     dim = layout.n_rows
     eye = np.eye(d)

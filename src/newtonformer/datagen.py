@@ -21,8 +21,8 @@ def make_covariance(d, kappa, rng):
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if not kappa >= 1.0:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     if d == 1 and kappa != 1.0:
         raise ValueError("a 1x1 covariance cannot have kappa > 1")
     lam_max = rng.uniform(1.0, 100.0)

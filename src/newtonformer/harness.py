@@ -67,10 +67,12 @@ class ExperimentConfig:
                 object.__setattr__(self, key, value)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if not self.kappa >= 1.0:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if self.noise_std is not None and not self.noise_std >= 0.0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 1.0 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
+        if self.noise_std is not None and not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(
+                f"noise_std must be finite and >= 0, got {self.noise_std}"
+            )
         if self.eps is not None and not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.t_max < 1:
@@ -90,10 +92,14 @@ class ExperimentConfig:
         if self.task in ("linreg", "logreg"):
             if self.n < self.d:
                 raise ValueError(f"need n >= d, got n={self.n}, d={self.d}")
-            if self.task == "logreg" and not self.mu > 0.0:
-                raise ValueError(f"logreg needs mu > 0, got {self.mu}")
-            if self.task == "linreg" and not self.mu >= 0.0:
-                raise ValueError(f"ridge mu must be >= 0, got {self.mu}")
+            if self.task == "logreg" and not 0.0 < self.mu < np.inf:
+                raise ValueError(
+                    f"logreg mu must be finite and > 0, got {self.mu}"
+                )
+            if self.task == "linreg" and not 0.0 <= self.mu < np.inf:
+                raise ValueError(
+                    f"ridge mu must be finite and >= 0, got {self.mu}"
+                )
 
 
 def _write_csv(path, header, rows):

@@ -1,12 +1,11 @@
 """Dense matrix utilities used everywhere else in the package.
 
 Matrices are plain 2-D float64 numpy arrays in row-major (C) order,
-validated at the public entry points.  numpy/scipy supply the raw
+validated at the public entry points.  numpy supplies the raw
 arithmetic; the estimators and the CSV wire format are defined here.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DefinitenessError, ShapeMismatchError, SymmetryError
 
@@ -90,10 +89,16 @@ def spectral_norm_est(a, iters=200, seed=0):
 def solve_spd(a, b, sym_tol=1e-12):
     """Solve ``a x = b`` for symmetric positive definite *a*.
 
-    Uses a Cholesky factorization.  Raises ``SymmetryError`` when *a*
-    deviates from symmetry by more than *sym_tol* relative to its
-    largest entry, and ``DefinitenessError`` when the factorization
-    fails.
+    Factors ``a = L L^T`` by Cholesky and solves ``L y = b``, then
+    ``L^T x = y``.  Raises ``SymmetryError`` when *a* deviates from
+    symmetry by more than *sym_tol* relative to its largest entry, and
+    ``DefinitenessError`` when the factorization fails.
+
+    For a d x d matrix with condition number kappa, each column of the
+    result has forward error ``||x - x*|| <= 4 d kappa u ||x*||`` and
+    normwise backward error ``||b - a x|| <= 4 d u ||a|| ||x||`` (2-norms,
+    u = 2**-53); a test checks both against an extended-precision
+    reference.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -107,10 +112,11 @@ def solve_spd(a, b, sym_tol=1e-12):
     if scale > 0 and np.max(np.abs(a - a.T)) > sym_tol * scale:
         raise SymmetryError("matrix is not symmetric")
     try:
-        factor = cho_factor(a, lower=True, check_finite=False)
+        low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
-    return _check_result_finite(cho_solve(factor, b, check_finite=False), "solve_spd")
+        raise DefinitenessError("matrix is not positive definite") from exc
+    x = np.linalg.solve(low.T, np.linalg.solve(low, b))
+    return _check_result_finite(x, "solve_spd")
 
 
 def save_matrix_csv(a, path):

@@ -146,6 +146,10 @@ class TestWidthDepthBudget:
             width_depth_budget(1e-2, 0.1, kappa_f=0.5)
         with pytest.raises(ValueError, match="got nan"):
             width_depth_budget(1e-2, 0.1, kappa_f=float("nan"))
+        with pytest.raises(ValueError, match="kappa_f must be finite"):
+            width_depth_budget(1e-2, 0.1, kappa_f=float("inf"))
+        with pytest.raises(ValueError, match="mu must be finite"):
+            width_depth_budget(1e-2, float("inf"))
         with pytest.raises(ValueError):
             width_depth_budget(1e-2, 0.1, d=0)
 
@@ -397,6 +401,8 @@ class TestLinregTransformer:
             build_linreg_transformer(3, 8, 1, alpha=0.0)
         with pytest.raises(ValueError, match="got nan"):
             build_linreg_transformer(3, 8, 1, alpha=0.1, ridge_mu=float("nan"))
+        with pytest.raises(ValueError, match="ridge_mu must be finite"):
+            build_linreg_transformer(3, 8, 1, alpha=0.1, ridge_mu=float("inf"))
         with pytest.raises(ValueError):
             make_linreg_prompt(np.ones((8, 3)), np.ones(7), np.ones(3))
 

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,20 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_cli_call_loads_no_scipy(tmp_path):
+    """The package runs on numpy alone: importing the CLI and making a
+    call loads no scipy module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from newtonformer import cli\n"
+        f"assert cli.main(['logreg', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"

@@ -57,6 +57,8 @@ class TestMakeCovariance:
             make_covariance(3, 0.5, rng)
         with pytest.raises(ValueError, match="got nan"):
             make_covariance(3, float("nan"), rng)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            make_covariance(3, float("inf"), rng)
         with pytest.raises(ValueError):
             make_covariance(1, 2.0, rng)
 
@@ -154,9 +156,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(task="invert", batch=0)
         for task, field in (("invert", "kappa"), ("linreg", "noise_std"),
-                            ("linreg", "mu")):
-            with pytest.raises(ValueError, match="got nan"):
-                ExperimentConfig(task=task, **{field: float("nan")})
+                            ("linreg", "mu"), ("logreg", "mu")):
+            for value in ("nan", "inf"):
+                with pytest.raises(ValueError, match=f"finite.* got {value}"):
+                    ExperimentConfig(task=task, **{field: float(value)})
 
     def test_orders_coerced_to_int_tuple(self):
         cfg = ExperimentConfig(task="invert", orders=[2.0, 3.0])
@@ -418,6 +421,25 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(" got nan\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, name", [
+        (["budget", "--kappa-f", "inf"], "kappa_f"),
+        (["budget", "--mu", "inf"], "mu"),
+        (["logreg", "--mu", "inf"], "mu"),
+        (["linreg", "--mu", "inf"], "mu"),
+        (["linreg", "--noise-std", "inf"], "noise_std"),
+        (["linreg", "--kappa", "inf"], "kappa"),
+        (["invert", "--kappa", "inf"], "kappa"),
+    ])
+    def test_infinite_range_argument_exits_one(self, argv, name, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{name} must be finite" in err
+        assert err.endswith(" got inf\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_scan_decrease_certifies(self, capsys):
