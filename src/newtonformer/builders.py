@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .logistic import iterate_norm_bound, sigmoid
+from .inversion import initial_scale
+from .logistic import damping, iterate_norm_bound, sigmoid
 from .pwl import PwlGadget, _square_pwl, build_pwl
 from .transformer import (
     AttentionHead,
@@ -46,7 +47,6 @@ __all__ = [
     "run_constructed_newton",
 ]
 
-INIT_SAFETY = 0.9
 SIGMOID_RANGE = 10.0
 GATE_SHIFT = 20.0
 CLEANUP_RANGE = 10.0
@@ -283,7 +283,7 @@ def _inversion_layout(d):
 
 
 def make_inversion_prompt(a, x0):
-    """Stack (X0; A^T; 0; I) for the two-layer inversion block."""
+    """Stack (X0; A; 0; I) for the two-layer inversion block."""
     a = np.asarray(a, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     d = a.shape[0]
@@ -292,7 +292,7 @@ def make_inversion_prompt(a, x0):
     layout = _inversion_layout(d)
     h = np.zeros((layout.n_rows, d))
     h[layout.rows_of("iterate")] = x0
-    h[layout.rows_of("data")] = a.T
+    h[layout.rows_of("data")] = a
     h[layout.rows_of("identity")] = np.eye(d)
     return h
 
@@ -301,50 +301,64 @@ def read_inversion_iterate(h, layout):
     return np.ascontiguousarray(h[layout.rows_of("iterate")])
 
 
+def _inverse_iteration(dim, x_rows, m_rows, work_rows, ident_rows):
+    """The two layers that take X to X(2I - MX) on d-row bands.
+
+    The first writes MX into the work band; the second forms
+    X(2I - MX) in the X band and clears the work band.  They need I_d
+    in the leading columns of the identity band, zeros elsewhere in it,
+    and a zero work band; they leave those bands and M as they found
+    them, so the pair can be chained.
+    """
+    eye = np.eye(x_rows.stop - x_rows.start)
+    first = TransformerLayer(
+        heads=(
+            _head(
+                dim,
+                v_entries=[(work_rows, m_rows, eye)],
+                k_entries=[(x_rows, ident_rows, eye)],
+                q_entries=[(x_rows, x_rows, eye)],
+            ),
+        ),
+    )
+    second = TransformerLayer(
+        heads=(
+            _head(
+                dim,
+                v_entries=[(x_rows, x_rows, eye)],
+                k_entries=[(x_rows, ident_rows, eye)],
+                q_entries=[(x_rows, work_rows, -eye)],
+            ),
+            _head(
+                dim,
+                v_entries=[
+                    (x_rows, x_rows, eye), (work_rows, work_rows, -eye),
+                ],
+                k_entries=[(x_rows, ident_rows, eye)],
+                q_entries=[(x_rows, ident_rows, eye)],
+            ),
+        ),
+    )
+    return [first, second]
+
+
 def build_inversion_block(d):
     """Two attention-only layers advancing X by one inverse iteration.
 
-    On a prompt (X; A^T; 0; I) the pair writes AX into the work block
+    On a prompt (X; A; 0; I) the pair writes AX into the work block
     and then forms X(2I - AX) in the top block while clearing the work
     block, so the output prompt has the same shape and bookkeeping as
-    the input and the block can be chained.
+    the input and the block can be chained.  The logistic stack chains
+    the same two layers to invert its Hessian.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     layout = _inversion_layout(d)
-    dim = layout.n_rows
-    eye = np.eye(d)
-    x_blk, a_blk, w_blk, i_blk = map(
-        layout.rows_of, ("iterate", "data", "work", "identity")
+    layers = _inverse_iteration(
+        layout.n_rows,
+        *map(layout.rows_of, ("iterate", "data", "work", "identity")),
     )
-
-    layer1 = TransformerLayer(
-        heads=(
-            _head(
-                dim,
-                v_entries=[(w_blk, i_blk, eye)],
-                k_entries=[(x_blk, a_blk, eye)],
-                q_entries=[(x_blk, x_blk, eye)],
-            ),
-        ),
-    )
-    layer2 = TransformerLayer(
-        heads=(
-            _head(
-                dim,
-                v_entries=[(x_blk, x_blk, eye)],
-                k_entries=[(x_blk, i_blk, eye)],
-                q_entries=[(x_blk, w_blk, -eye)],
-            ),
-            _head(
-                dim,
-                v_entries=[(x_blk, x_blk, eye), (w_blk, w_blk, -eye)],
-                k_entries=[(x_blk, i_blk, eye)],
-                q_entries=[(x_blk, i_blk, eye)],
-            ),
-        ),
-    )
-    return [layer1, layer2], layout
+    return layers, layout
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +556,11 @@ def build_logreg_newton_step(problem, budget):
     The stack (depth 11 + 2k) computes margins, the per-sample Hessian
     weights through a PWL sigmoid-derivative, the scaled data rows via
     quarter-square products, assembles B = (1/n) A^T D A + mu I next to
-    alpha*B^T, runs k two-layer inverse iterations, recomputes margins
-    into label-gated PWL probabilities, assembles the gradient, forms
-    the decrement and the damped step size, updates the iterate block,
-    and restores every bookkeeping block so the stack can be chained.
+    alpha*B^T, runs k inverse iterations (the two layers of the
+    inversion block, on B), recomputes margins into label-gated PWL
+    probabilities, assembles the gradient, forms the decrement and the
+    damped step size, updates the iterate block, and restores every
+    bookkeeping block so the stack can be chained.
     """
     d, n = problem.dim, problem.n_samples
     if n < d:
@@ -583,7 +598,7 @@ def build_logreg_newton_step(problem, budget):
 
     # eigenvalues of the Hessian lie in [mu, 1+mu], so this alpha is
     # inside (0, 2/sigma_max^2) for every iterate
-    alpha = 2.0 * INIT_SAFETY / (1.0 + mu) ** 2
+    alpha = initial_scale(1.0 + mu)
 
     def margins_to_accumulator():
         # accumulator += (A x)^T, broadcast from the iterate block
@@ -688,33 +703,7 @@ def build_logreg_newton_step(problem, budget):
     )
 
     # k inverse iterations, two layers each
-    inv_first = TransformerLayer(
-        heads=(
-            _head(
-                dim,
-                v_entries=[(work, b_slot, eye)],
-                k_entries=[(x_slot, ident, eye)],
-                q_entries=[(x_slot, x_slot, eye)],
-            ),
-        ),
-    )
-    inv_second = TransformerLayer(
-        heads=(
-            _head(
-                dim,
-                v_entries=[(x_slot, x_slot, eye)],
-                k_entries=[(x_slot, ident, eye)],
-                q_entries=[(x_slot, work, -eye)],
-            ),
-            _head(
-                dim,
-                v_entries=[(x_slot, x_slot, eye), (work, work, -eye)],
-                k_entries=[(x_slot, ident, eye)],
-                q_entries=[(x_slot, ident, eye)],
-            ),
-        ),
-    )
-    layers.extend([inv_first, inv_second] * k)
+    layers.extend(_inverse_iteration(dim, x_slot, b_slot, work, ident) * k)
 
     # margins again, then label-gated probabilities
     fb = FfnBuilder(dim, ones_row)
@@ -788,9 +777,8 @@ def build_logreg_newton_step(problem, budget):
 
     # squared decrement, then the damped step size via PWL
     fb = FfnBuilder(dim, ones_row)
-    two_sqrt_mu = 2.0 * math.sqrt(mu)
     step_size = build_pwl(
-        lambda z: two_sqrt_mu / (two_sqrt_mu + np.sqrt(z)),
+        lambda z: damping(mu, np.sqrt(z)),
         0.0, budget.z_max, budget.widths["eps4_pieces"],
     )
     fb.add_pwl(step_size, {acc_row: 1.0}, acc_row)

@@ -40,7 +40,13 @@ def make_covariance(d, kappa, rng):
 
 def _draw_rows(cfg, rng):
     sigma = make_covariance(cfg.d, cfg.kappa, rng)
-    chol = np.linalg.cholesky(sigma)
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"kappa={cfg.kappa:g} is too large: the covariance is not "
+            f"positive definite in float64"
+        ) from exc
     a = rng.standard_normal((cfg.n, cfg.d)) @ chol.T
     return a, chol
 

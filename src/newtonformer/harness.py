@@ -159,7 +159,7 @@ def run_linreg_experiment(cfg):
             replace(cfg, seed=cfg.seed + item)
         )
         gram = a.T @ a + cfg.mu * np.eye(cfg.d)
-        alpha = 2.0 * builders.INIT_SAFETY / spectral_norm_est(gram) ** 2
+        alpha = inversion.initial_scale(spectral_norm_est(gram))
         prompts.append({
             "a": a, "y": y, "a_test": a_test,
             "target": float(a_test @ w_star),

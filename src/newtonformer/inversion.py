@@ -17,12 +17,17 @@ __all__ = [
     "newton_step",
     "hyperpower_step",
     "predicted_steps",
+    "initial_scale",
     "run_inverse",
     "InverseRun",
     "fitted_order",
 ]
 
 MAX_ORDER = 8
+INIT_SAFETY = 0.9
+FIT_LO = 1e-12
+FIT_HI = 0.5
+FIT_MAX_PAIRS = 3
 
 
 def _check_square_pair(x, a):
@@ -92,6 +97,18 @@ def predicted_steps(kappa, eps, order=2):
     return warmup + sharpen + 2
 
 
+def initial_scale(sigma):
+    """Start scale ``alpha = 2 * INIT_SAFETY / sigma**2`` for ``alpha * A^T``.
+
+    The iteration from ``alpha * A^T`` converges for alpha in
+    ``(0, 2 / sigma_max**2)``, which this alpha meets whenever
+    ``sigma**2 > INIT_SAFETY * sigma_max**2``: for any upper bound on
+    the spectral norm, and for a power-iteration estimate within about
+    5% of it.
+    """
+    return 2.0 * INIT_SAFETY / sigma**2
+
+
 @dataclass
 class InverseRun:
     """Record of one inversion run.
@@ -114,14 +131,12 @@ class InverseRun:
         return len(self.iterates) - 1
 
 
-def run_inverse(a, order=2, tol=1e-10, max_iters=100, safety=0.9):
+def run_inverse(a, order=2, tol=1e-10, max_iters=100):
     """Iterate the hyperpower update on *a* until the residual meets *tol*.
 
     The start iterate is ``alpha * a.T`` with
-    ``alpha = 2 * safety / sigma_hat**2``, where ``sigma_hat`` is the
-    power-iteration estimate of the spectral norm.  Because the
-    estimate is a lower bound, any ``safety`` below 1 keeps alpha
-    inside the convergent range ``(0, 2 / sigma_max**2)``.
+    ``alpha = initial_scale(sigma_hat)``, where ``sigma_hat`` is the
+    power-iteration estimate of the spectral norm.
 
     Raises ``ConvergenceError`` (with the partial run attached) if the
     residual is still above *tol* after *max_iters* steps.
@@ -129,14 +144,12 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100, safety=0.9):
     a = as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"a must be square, got {a.shape}")
-    if not 0.0 < safety < 1.0:
-        raise ValueError(f"safety must be in (0, 1), got {safety}")
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     sigma = spectral_norm_est(a)
     if sigma == 0.0:
         raise ValueError("cannot invert the zero matrix")
-    alpha = 2.0 * safety / sigma**2
+    alpha = initial_scale(sigma)
     d = a.shape[0]
     eye = np.eye(d)
     x = alpha * a.T
@@ -160,21 +173,22 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100, safety=0.9):
     )
 
 
-def fitted_order(residuals, lo=1e-12, hi=0.5, max_pairs=3):
+def fitted_order(residuals):
     """Empirical convergence order from a residual history.
 
     Fits the slope of ``log r_{t+1}`` against ``log r_t`` over the last
-    *max_pairs* consecutive pairs with ``r_t <= hi`` (past warm-up) and
-    ``r_{t+1} >= lo`` (above the floating-point floor).  Under the
-    residual law ``r_{t+1} = r_t**q`` the slope is exactly q.
+    ``FIT_MAX_PAIRS`` consecutive pairs with ``r_t <= FIT_HI`` (past
+    warm-up) and ``r_{t+1} >= FIT_LO`` (above the floating-point
+    floor).  Under the residual law ``r_{t+1} = r_t**q`` the slope is
+    exactly q.
 
     Requires at least two usable pairs.
     """
     r = np.asarray(residuals, dtype=np.float64)
     if r.ndim != 1 or r.size < 3:
         raise ValueError("need a residual history of length >= 3")
-    mask = (r[:-1] <= hi) & (r[1:] >= lo) & (r[:-1] > r[1:])
-    idx = np.nonzero(mask)[0][-max_pairs:]
+    mask = (r[:-1] <= FIT_HI) & (r[1:] >= FIT_LO) & (r[:-1] > r[1:])
+    idx = np.nonzero(mask)[0][-FIT_MAX_PAIRS:]
     if idx.size < 2:
         raise ValueError("fewer than two residual pairs in the fit window")
     lx = np.log(r[idx])

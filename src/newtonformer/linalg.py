@@ -2,7 +2,7 @@
 
 Matrices are plain 2-D float64 numpy arrays in row-major (C) order,
 validated at the public entry points.  numpy supplies the raw
-arithmetic; the estimators and the CSV wire format are defined here.
+arithmetic; the estimators and the SPD solver are defined here.
 """
 
 import numpy as np
@@ -13,11 +13,11 @@ __all__ = [
     "as_matrix",
     "spectral_norm_est",
     "solve_spd",
-    "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
+POWER_SEED = 0
+SYM_TOL = 1e-12
 
 
 def as_matrix(obj, name="matrix"):
@@ -58,11 +58,11 @@ def _start_vector(n, seed):
     return v
 
 
-def spectral_norm_est(a, iters=200, seed=0):
+def spectral_norm_est(a, iters=200):
     """Estimate the largest singular value of *a* by power iteration.
 
     Runs *iters* applications of ``a.T @ a`` to a start vector derived
-    deterministically from *seed* and returns the Rayleigh-quotient
+    deterministically from ``POWER_SEED`` and returns the Rayleigh-quotient
     estimate ``||a v||`` for the final unit vector ``v``.  The estimate
     never exceeds the true spectral norm and is nondecreasing in
     *iters*.  A zero matrix returns 0.0.
@@ -72,26 +72,26 @@ def spectral_norm_est(a, iters=200, seed=0):
         raise ValueError("iters must be >= 1")
     if not np.any(a):
         return 0.0
-    v = _start_vector(a.shape[1], seed)
+    v = _start_vector(a.shape[1], POWER_SEED)
     v /= np.linalg.norm(v)
     for _ in range(iters):
         w = a.T @ (a @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             # start vector fell in the null space; nudge deterministically
-            v = _start_vector(a.shape[1], seed + 1)
+            v = _start_vector(a.shape[1], POWER_SEED + 1)
             v /= np.linalg.norm(v)
             continue
         v = w / nw
     return float(np.linalg.norm(a @ v))
 
 
-def solve_spd(a, b, sym_tol=1e-12):
+def solve_spd(a, b):
     """Solve ``a x = b`` for symmetric positive definite *a*.
 
     Factors ``a = L L^T`` by Cholesky and solves ``L y = b``, then
     ``L^T x = y``.  Raises ``SymmetryError`` when *a* deviates from
-    symmetry by more than *sym_tol* relative to its largest entry, and
+    symmetry by more than ``SYM_TOL`` relative to its largest entry, and
     ``DefinitenessError`` when the factorization fails.
 
     For a d x d matrix with condition number kappa, each column of the
@@ -109,7 +109,7 @@ def solve_spd(a, b, sym_tol=1e-12):
             f"a is {a.shape} but b has {b.shape[0]} rows"
         )
     scale = np.max(np.abs(a))
-    if scale > 0 and np.max(np.abs(a - a.T)) > sym_tol * scale:
+    if scale > 0 and np.max(np.abs(a - a.T)) > SYM_TOL * scale:
         raise SymmetryError("matrix is not symmetric")
     try:
         low = np.linalg.cholesky(a)
@@ -117,32 +117,3 @@ def solve_spd(a, b, sym_tol=1e-12):
         raise DefinitenessError("matrix is not positive definite") from exc
     x = np.linalg.solve(low.T, np.linalg.solve(low, b))
     return _check_result_finite(x, "solve_spd")
-
-
-def save_matrix_csv(a, path):
-    """Write a matrix as CSV, one row per line, 17 significant digits.
-
-    17 significant decimal digits round-trip every IEEE double exactly,
-    and the format is locale-independent.
-    """
-    a = as_matrix(a)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in a:
-            fh.write(",".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
-
-
-def load_matrix_csv(path):
-    """Read a matrix written by ``save_matrix_csv``."""
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"{path} contains no rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ShapeMismatchError(f"{path} has ragged rows")
-    return as_matrix(rows, str(path))

@@ -25,6 +25,7 @@ __all__ = [
     "newton_decrement",
     "scaled_decrement",
     "NewtonState",
+    "damping",
     "damped_step",
     "IterateTrace",
     "run_inexact_newton",
@@ -41,6 +42,8 @@ __all__ = [
 
 EXP_CLAMP = 40.0
 QUADRATIC_PHASE_THRESHOLD = 1.0 / 6.0
+OPTIMUM_TOL = 1e-12
+OPTIMUM_MAX_ITERS = 500
 
 
 def sigmoid(t):
@@ -141,7 +144,7 @@ class NewtonState:
     computed at the point the step left from.
 
     ``f`` is the objective there and ``decrement`` its raw Newton
-    decrement; ``step_size == 2 sqrt(mu) / (2 sqrt(mu) + decrement)``.
+    decrement; ``step_size == damping(mu, decrement)``.
     """
 
     x: np.ndarray
@@ -150,21 +153,31 @@ class NewtonState:
     step_size: float
 
 
+def damping(mu, decrement):
+    """Damped Newton step size 2 sqrt(mu) / (2 sqrt(mu) + decrement).
+
+    This is the damping that guarantees progress for the
+    self-concordant scaling f/(4 mu); it works elementwise on an array
+    of decrements.
+    """
+    two_sqrt_mu = 2.0 * np.sqrt(mu)
+    return two_sqrt_mu / (two_sqrt_mu + decrement)
+
+
 def damped_step(problem, x):
     """One exact damped Newton step from *x*.
 
     The update is x - step_size * H^-1 g with
-    step_size = 2 sqrt(mu) / (2 sqrt(mu) + lambda), the damping that
-    guarantees progress for the self-concordant scaling.  This is the
-    library's one Newton step: it evaluates the Hessian once and solves
-    with it once.  An inexact step adds its error to the returned ``x``.
+    step_size = damping(mu, lambda) for the decrement lambda.  This is
+    the library's one Newton step: it evaluates the Hessian once and
+    solves with it once.  An inexact step adds its error to the
+    returned ``x``.
     """
     x = _check_point(problem, x)
     f, grad, hess = loss_grad_hess(problem, x)
     direction = solve_spd(hess, grad[:, None])[:, 0]
     lam = float(np.sqrt(max(grad @ direction, 0.0)))
-    two_sqrt_mu = 2.0 * np.sqrt(problem.mu)
-    step_size = two_sqrt_mu / (two_sqrt_mu + lam)
+    step_size = damping(problem.mu, lam)
     return NewtonState(
         x=x - step_size * direction,
         f=f,
@@ -295,18 +308,18 @@ def run_inexact_newton(
     raise AssertionError("unreachable")
 
 
-def optimum(problem, tol=1e-12, max_iters=500):
+def optimum(problem):
     """High-precision minimizer via exact damped Newton.
 
-    Runs until the scaled decrement is at most *tol*, or for at most
-    *max_iters* steps, and returns ``(x_star, g_star)`` with g the
-    scaled objective f/(4 mu).
+    Runs until the scaled decrement is at most ``OPTIMUM_TOL``, or for
+    at most ``OPTIMUM_MAX_ITERS`` steps, and returns ``(x_star, g_star)``
+    with g the scaled objective f/(4 mu).
     """
     x = np.zeros(problem.dim)
-    for step in range(max_iters + 1):
+    for step in range(OPTIMUM_MAX_ITERS + 1):
         state = damped_step(problem, x)
-        if (state.decrement / (2.0 * np.sqrt(problem.mu)) <= tol
-                or step == max_iters):
+        if (state.decrement / (2.0 * np.sqrt(problem.mu)) <= OPTIMUM_TOL
+                or step == OPTIMUM_MAX_ITERS):
             return x, state.f / (4.0 * problem.mu)
         x = state.x
     raise AssertionError("unreachable")

@@ -11,12 +11,11 @@ Prompts are matrices with one column per token.  Their rows follow a
 band's rows and the model dimension are derived.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, load_matrix_csv, save_matrix_csv
+from .linalg import as_matrix
 from .pwl import eval_pwl
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "attention_forward",
     "ffn_forward",
     "model_forward",
-    "save_model",
-    "load_model",
 ]
 
 class PromptLayout:
@@ -276,83 +273,3 @@ def model_forward(layers, h):
         if layer.has_ffn:
             h = ffn_forward(layer, h)
     return h
-
-
-def save_model(layers, directory):
-    """Write layers to *directory*: one CSV per weight matrix plus a
-    plain-text manifest with one line per layer and per head.  Values
-    round-trip exactly."""
-    layers = tuple(layers)
-    os.makedirs(directory, exist_ok=True)
-    lines = []
-    for i, layer in enumerate(layers):
-        if layer.has_ffn:
-            w1, w2 = layer.ffn
-            f1, f2 = f"layer{i}_ffn_w1.csv", f"layer{i}_ffn_w2.csv"
-            save_matrix_csv(w1, os.path.join(directory, f1))
-            save_matrix_csv(w2, os.path.join(directory, f2))
-            lines.append(
-                f"layer {i} heads={len(layer.heads)} "
-                f"ffn_width={w1.shape[0]} w1={f1} w2={f2}"
-            )
-        else:
-            lines.append(f"layer {i} heads={len(layer.heads)} ffn_width=0")
-        for j, head in enumerate(layer.heads):
-            files = {}
-            for tag, w in (("v", head.w_v), ("k", head.w_k), ("q", head.w_q)):
-                files[tag] = f"layer{i}_head{j}_{tag}.csv"
-                save_matrix_csv(w, os.path.join(directory, files[tag]))
-            lines.append(
-                f"head {i} {j} v={files['v']} k={files['k']} q={files['q']}"
-            )
-    with open(
-        os.path.join(directory, "model.txt"), "w", encoding="ascii",
-        newline="\n",
-    ) as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
-def load_model(directory):
-    """Inverse of ``save_model``; returns a tuple of layers."""
-    with open(
-        os.path.join(directory, "model.txt"), "r", encoding="ascii"
-    ) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    ffns = {}
-    head_files = {}
-    n_heads = {}
-    for line in lines:
-        parts = line.split()
-        kv = dict(p.split("=", 1) for p in parts if "=" in p)
-        if parts[0] == "layer":
-            i = int(parts[1])
-            n_heads[i] = int(kv["heads"])
-            if int(kv["ffn_width"]) > 0:
-                ffns[i] = (kv["w1"], kv["w2"])
-        elif parts[0] == "head":
-            head_files[(int(parts[1]), int(parts[2]))] = (
-                kv["v"], kv["k"], kv["q"],
-            )
-        else:
-            raise ValueError(f"unrecognized manifest line: {line!r}")
-    layers = []
-    for i in sorted(n_heads):
-        heads = []
-        for j in range(n_heads[i]):
-            fv, fk, fq = head_files[(i, j)]
-            heads.append(
-                AttentionHead(
-                    w_v=load_matrix_csv(os.path.join(directory, fv)),
-                    w_k=load_matrix_csv(os.path.join(directory, fk)),
-                    w_q=load_matrix_csv(os.path.join(directory, fq)),
-                )
-            )
-        ffn = None
-        if i in ffns:
-            f1, f2 = ffns[i]
-            ffn = (
-                load_matrix_csv(os.path.join(directory, f1)),
-                load_matrix_csv(os.path.join(directory, f2)),
-            )
-        layers.append(TransformerLayer(heads=tuple(heads), ffn=ffn))
-    return tuple(layers)

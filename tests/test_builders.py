@@ -279,7 +279,7 @@ class TestInversionBlock:
         np.testing.assert_allclose(read_inversion_iterate(out, layout),
                                    expected,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(out[4:8], a.T)
+        np.testing.assert_array_equal(out[4:8], a)
         np.testing.assert_array_equal(out[8:12], np.zeros((4, 4)))
         np.testing.assert_array_equal(out[12:16], np.eye(4))
 
@@ -302,7 +302,7 @@ class TestInversionBlock:
         h = make_inversion_prompt(a, x0)
         assert h.shape == (12, 3)
         np.testing.assert_array_equal(h[0:3], x0)
-        np.testing.assert_array_equal(h[3:6], a.T)
+        np.testing.assert_array_equal(h[3:6], a)
         np.testing.assert_array_equal(h[6:9], np.zeros((3, 3)))
         np.testing.assert_array_equal(h[9:12], np.eye(3))
         _, layout = build_inversion_block(3)
@@ -453,6 +453,35 @@ class TestLogregNewtonStack:
         x1 = read_logistic_iterate(out, layout)
         fresh = make_logistic_prompt(problem, x1)
         assert np.linalg.norm(out - fresh) <= 1e-10
+
+    def test_inverse_iterations_are_newton_steps(self, logreg_stack):
+        # layers 4 .. 4 + 2k follow margins, rescale, Hessian assembly
+        # and transpose; each pair maps X in x_slot to X(2I - MX) for
+        # the M in b_slot
+        problem, budget, layers, layout = logreg_stack
+        d, k = problem.dim, budget.widths["k"]
+        x_slot, b_slot, work = map(layout.rows_of,
+                                   ("x_slot", "b_slot", "work"))
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((d, d))
+        x = 1.8 / np.linalg.norm(m, 2) ** 2 * m.T
+        h = make_logistic_prompt(problem, np.zeros(d))
+        h[x_slot, :d] = x
+        h[b_slot, :d] = m
+        for i in range(k):
+            pair = layers[4 + 2 * i:6 + 2 * i]
+            assert [len(layer.heads) for layer in pair] == [1, 2]
+            assert not any(layer.has_ffn for layer in pair)
+            out = model_forward(pair, h)
+            expected = newton_step(h[x_slot, :d], m)
+            err = np.linalg.norm(out[x_slot, :d] - expected)
+            assert err <= 1e-12 * np.linalg.norm(expected)
+            np.testing.assert_array_equal(out[x_slot, d:], 0.0)
+            np.testing.assert_array_equal(out[work], 0.0)
+            rest = np.ones(layout.n_rows, dtype=bool)
+            rest[x_slot] = False
+            np.testing.assert_array_equal(out[rest], h[rest])
+            h = out
 
     def test_tables_match_per_knot_evaluation(self, logreg_stack):
         # build_pwl evaluates each target once on the whole knot array;

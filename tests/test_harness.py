@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from newtonformer import builders, transformer
+from newtonformer import builders, inversion, transformer
 from newtonformer.builders import make_linreg_prompt, read_linreg_prediction
 from newtonformer.cli import main
 from newtonformer.datagen import gen_linreg_data, gen_logreg_data, make_covariance
@@ -258,7 +258,7 @@ def replayed_constructed_mse(cfg):
     for item in range(cfg.batch):
         a, y, a_test, w_star = gen_linreg_data(replace(cfg, seed=cfg.seed + item))
         gram = a.T @ a + cfg.mu * np.eye(cfg.d)
-        alpha = 2.0 * builders.INIT_SAFETY / spectral_norm_est(gram) ** 2
+        alpha = inversion.initial_scale(spectral_norm_est(gram))
         prompts.append((make_linreg_prompt(a, y, a_test), alpha,
                         float(a_test @ w_star)))
     mses = []
@@ -440,6 +440,16 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{name} must be finite" in err
         assert err.endswith(" got inf\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_covariance_not_definite_in_float64_exits_one(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["linreg", "--kappa", "1e16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "kappa=1e+16" in err
+        assert "not positive definite in float64" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_scan_decrease_certifies(self, capsys):

@@ -142,8 +142,6 @@ class TestRunInverse:
         with pytest.raises(ValueError):
             run_inverse(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            run_inverse(np.eye(2), safety=1.0)
-        with pytest.raises(ValueError):
             run_inverse(np.eye(2), tol=0.0)
         with pytest.raises(ShapeMismatchError):
             run_inverse(np.ones((2, 3)))

@@ -9,8 +9,6 @@ from newtonformer.errors import (
 )
 from newtonformer.linalg import (
     as_matrix,
-    load_matrix_csv,
-    save_matrix_csv,
     solve_spd,
     spectral_norm_est,
 )
@@ -153,24 +151,3 @@ class TestSolveSpd:
                 backward = np.linalg.norm(residual[:, col].astype(float))
                 x_norm = np.linalg.norm(x[:, col])
                 assert backward <= 4 * d * u * a_norm * x_norm
-
-
-class TestCsvRoundTrip:
-    def test_exact_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((5, 3)) * np.exp(rng.uniform(-20, 20, (5, 3)))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(a, path)
-        np.testing.assert_array_equal(load_matrix_csv(path), a)
-
-    def test_ragged_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(ShapeMismatchError):
-            load_matrix_csv(path)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            load_matrix_csv(path)

@@ -10,8 +10,6 @@ from newtonformer.transformer import (
     attention_forward,
     ffn_forward,
     model_forward,
-    load_model,
-    save_model,
 )
 
 
@@ -212,29 +210,3 @@ class TestModelForward:
         layer = TransformerLayer(heads=(random_head(rng, 3),))
         np.testing.assert_array_equal(model_forward([layer], h),
                                       model_forward([layer], h))
-
-
-class TestSerialization:
-    def test_roundtrip_preserves_forward_pass(self, tmp_path):
-        rng = np.random.default_rng(9)
-        layers = (
-            TransformerLayer(
-                heads=tuple(random_head(rng, 4) for _ in range(2)),
-                ffn=(rng.standard_normal((5, 4)), rng.standard_normal((4, 5))),
-            ),
-            TransformerLayer(heads=(random_head(rng, 4),)),
-        )
-        save_model(layers, tmp_path / "model")
-        loaded = load_model(tmp_path / "model")
-        assert len(loaded) == 2
-        assert loaded[0].has_ffn and not loaded[1].has_ffn
-        h = rng.standard_normal((4, 6))
-        np.testing.assert_array_equal(model_forward(loaded, h),
-                                      model_forward(layers, h))
-
-    def test_manifest_is_plain_text(self, tmp_path):
-        rng = np.random.default_rng(10)
-        layers = (TransformerLayer(heads=(random_head(rng, 2),)),)
-        save_model(layers, tmp_path / "m")
-        manifest = (tmp_path / "m" / "model.txt").read_text()
-        assert manifest.startswith("layer 0 heads=1")
