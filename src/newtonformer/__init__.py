@@ -5,148 +5,29 @@ Newton-Schulz and its higher-order family, damped Newton on the
 regularized logistic loss), mechanical weight constructions that
 realize them as linear-attention layers with ReLU feed-forward blocks,
 and a reproducible experiment harness.
+
+Each library module's ``__all__`` is the one declaration of its public
+names; the package re-exports all of them.  ``cli`` stays out, so that
+``import newtonformer`` does not load argparse.
 """
 
-from .builders import (
-    BudgetReport,
-    FfnBuilder,
-    build_inversion_block,
-    build_linreg_transformer,
-    build_logreg_newton_step,
-    make_inversion_prompt,
-    make_linreg_prompt,
-    make_logistic_prompt,
-    read_inversion_iterate,
-    read_linreg_prediction,
-    read_logistic_iterate,
-    run_constructed_newton,
-    width_depth_budget,
-)
-from .datagen import gen_linreg_data, gen_logreg_data, make_covariance
-from .errors import (
-    BudgetError,
-    ConvergenceError,
-    DefinitenessError,
-    ScanAnomalyError,
-    ShapeMismatchError,
-    SymmetryError,
-)
-from .harness import (
-    ExperimentConfig,
-    run_invert_experiment,
-    run_linreg_experiment,
-    run_logreg_experiment,
-)
-from .inversion import (
-    MAX_ORDER,
-    InverseRun,
-    fitted_order,
-    hyperpower_step,
-    newton_step,
-    predicted_steps,
-    run_inverse,
-)
-from .linalg import (
-    as_matrix,
-    solve_spd,
-    spectral_norm_est,
-)
-from .logistic import (
-    IterateTrace,
-    LogisticProblem,
-    NewtonState,
-    bounded_error_source,
-    damped_step,
-    decrease_bound,
-    iterate_norm_bound,
-    loss_grad_hess,
-    newton_decrement,
-    omega,
-    omega_star,
-    optimum,
-    quadratic_phase_epsilon,
-    run_inexact_newton,
-    scaled_decrement,
-    scan_constant_decrease,
-    suboptimality_bound,
-)
-from .pwl import PwlApprox, build_pwl, eval_pwl, pwl_product, signed_copy
-from .transformer import (
-    AttentionHead,
-    PromptLayout,
-    TransformerLayer,
-    assemble_blocks,
-    attention_forward,
-    ffn_forward,
-    model_forward,
-)
+from . import (builders, datagen, errors, harness, inversion, linalg,
+               logistic, pwl, transformer)
+from .builders import *
+from .datagen import *
+from .errors import *
+from .harness import *
+from .inversion import *
+from .linalg import *
+from .logistic import *
+from .pwl import *
+from .transformer import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionHead",
-    "BudgetError",
-    "BudgetReport",
-    "ConvergenceError",
-    "DefinitenessError",
-    "ExperimentConfig",
-    "FfnBuilder",
-    "InverseRun",
-    "IterateTrace",
-    "LogisticProblem",
-    "MAX_ORDER",
-    "NewtonState",
-    "PromptLayout",
-    "PwlApprox",
-    "ScanAnomalyError",
-    "ShapeMismatchError",
-    "SymmetryError",
-    "TransformerLayer",
-    "as_matrix",
-    "assemble_blocks",
-    "attention_forward",
-    "bounded_error_source",
-    "build_inversion_block",
-    "build_linreg_transformer",
-    "build_logreg_newton_step",
-    "build_pwl",
-    "damped_step",
-    "decrease_bound",
-    "eval_pwl",
-    "ffn_forward",
-    "fitted_order",
-    "gen_linreg_data",
-    "gen_logreg_data",
-    "hyperpower_step",
-    "iterate_norm_bound",
-    "loss_grad_hess",
-    "make_covariance",
-    "make_inversion_prompt",
-    "make_linreg_prompt",
-    "make_logistic_prompt",
-    "model_forward",
-    "newton_decrement",
-    "newton_step",
-    "omega",
-    "omega_star",
-    "optimum",
-    "predicted_steps",
-    "pwl_product",
-    "quadratic_phase_epsilon",
-    "read_inversion_iterate",
-    "read_linreg_prediction",
-    "read_logistic_iterate",
-    "run_constructed_newton",
-    "run_inexact_newton",
-    "run_invert_experiment",
-    "run_inverse",
-    "run_linreg_experiment",
-    "run_logreg_experiment",
-    "scaled_decrement",
-    "scan_constant_decrease",
-    "signed_copy",
-    "solve_spd",
-    "spectral_norm_est",
-    "suboptimality_bound",
-    "width_depth_budget",
+    name
+    for module in (builders, datagen, errors, harness, inversion, linalg,
+                   logistic, pwl, transformer)
+    for name in module.__all__
 ]

@@ -14,14 +14,14 @@ neurons and scalar piecewise-linear gadgets by :class:`FfnBuilder`.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import BudgetError
 from .inversion import initial_scale
 from .logistic import damping, iterate_norm_bound, sigmoid
-from .pwl import PwlGadget, _square_pwl, build_pwl
+from .pwl import PwlGadget, _square_tables, build_pwl
 from .transformer import (
     AttentionHead,
     Ffn,
@@ -62,30 +62,25 @@ class BudgetReport:
 
     ``widths`` maps each scalar approximator to its piece count
     (u1_pieces, u2_pieces, u3_pieces, eps4_pieces) plus the inversion
-    step count ``k``; depth is always 11 + 2 k.
+    step count ``k``; ``depth`` is derived from it as 11 + 2 k.
     """
 
     target_eps: float
     mu: float
     kappa_f: float
     d: int
-    depth: int
     widths: dict
     z_max: float
     norm_bound: float
 
+    @property
+    def depth(self):
+        return 11 + 2 * self.widths["k"]
+
     def to_text(self):
-        payload = {
-            "target_eps": self.target_eps,
-            "mu": self.mu,
-            "kappa_f": self.kappa_f,
-            "d": self.d,
-            "depth": self.depth,
-            "widths": self.widths,
-            "z_max": self.z_max,
-            "norm_bound": self.norm_bound,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(
+            {**asdict(self), "depth": self.depth}, indent=2, sort_keys=True
+        )
 
 
 def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
@@ -158,7 +153,6 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
         mu=float(mu),
         kappa_f=float(kappa_f),
         d=int(d),
-        depth=11 + 2 * k,
         widths=widths,
         z_max=float(((1.0 + mu * c_here) / (2.0 * math.sqrt(mu))) ** 2),
         norm_bound=float(c_here),
@@ -240,17 +234,14 @@ class FfnBuilder:
                 weight * scale,
             )
 
-    def add_product(self, x_row, y_row, out_row, range_x, range_y, pieces,
-                    scale=1.0):
+    def add_product(self, x_row, y_row, out_row, tables, scale=1.0):
         """Add scale * x * y via the quarter-square decomposition.
 
-        Shares knot tables with :func:`~.pwl.pwl_product`, so the
-        compiled gadget computes the same approximation.
+        *tables* is the ``(sq_sum, sq_dif)`` pair of PWL squares that
+        :func:`~.pwl.pwl_product` builds for the factors' ranges, so
+        the compiled gadget computes the same approximation.
         """
-        xlo, xhi = map(float, range_x)
-        ylo, yhi = map(float, range_y)
-        sq_sum = _square_pwl(xlo + ylo, xhi + yhi, pieces)
-        sq_dif = _square_pwl(xlo - yhi, xhi - ylo, pieces)
+        sq_sum, sq_dif = tables
         self.add_pwl(sq_sum, {x_row: 1.0, y_row: 1.0}, out_row, 0.25 * scale)
         self.add_pwl(sq_dif, {x_row: 1.0, y_row: -1.0}, out_row, -0.25 * scale)
 
@@ -565,13 +556,6 @@ def build_logreg_newton_step(problem, budget):
     d, n = problem.dim, problem.n_samples
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
-    k = budget.widths["k"]
-    if budget.depth != 11 + 2 * k:
-        raise BudgetError(
-            f"inconsistent budget: depth {budget.depth} != 11 + 2k "
-            f"with k={k}",
-            bound="depth",
-        )
     if budget.d != d:
         raise BudgetError(
             f"budget built for d={budget.d}, problem has d={d}", bound="d"
@@ -642,12 +626,13 @@ def build_logreg_newton_step(problem, budget):
 
     # weight-scaled data rows replace the top identity block
     fb = FfnBuilder(dim, ones_row)
+    # weights lie in [0, 1/4] and features in [-1, 1]; x + y and x - y
+    # share one range, so all d products share one square table
+    squares = _square_tables(
+        (0.0, 0.25), (-1.0, 1.0), budget.widths["u2_pieces"]
+    )
     for j in range(d):
-        fb.add_product(
-            acc_row, data.start + j, x_slot.start + j,
-            range_x=(0.0, 0.25), range_y=(-1.0, 1.0),
-            pieces=budget.widths["u2_pieces"],
-        )
+        fb.add_product(acc_row, data.start + j, x_slot.start + j, squares)
         fb.add_identity(ident.start + j, x_slot.start + j, -1.0)
     fb.add_identity(acc_row, acc_row, -1.0)
     layers.append(
@@ -703,6 +688,7 @@ def build_logreg_newton_step(problem, budget):
     )
 
     # k inverse iterations, two layers each
+    k = budget.widths["k"]
     layers.extend(_inverse_iteration(dim, x_slot, b_slot, work, ident) * k)
 
     # margins again, then label-gated probabilities

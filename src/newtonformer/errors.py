@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ShapeMismatchError",
+    "SymmetryError",
+    "DefinitenessError",
+    "ConvergenceError",
+    "BudgetError",
+    "ScanAnomalyError",
+]
+
 
 class ShapeMismatchError(ValueError):
     """Operands have incompatible shapes."""

@@ -102,12 +102,16 @@ class ExperimentConfig:
                 )
 
 
-def _write_csv(path, header, rows):
+def _write_csv(out_dir, name, header, rows):
+    """Write *rows* under *header* to out_dir/name; returns ``[path]``,
+    the runners' list of files written."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
+    return [path]
 
 
 def _fmt(value):
@@ -131,9 +135,9 @@ def run_invert_experiment(cfg):
         )
         for step, residual in enumerate(run.residuals):
             rows.append((order, step, residual))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "invert.csv")
-    return [_write_csv(path, "order,step,residual_frobenius", rows)]
+    return _write_csv(
+        cfg.out_dir, "invert.csv", "order,step,residual_frobenius", rows
+    )
 
 
 def run_linreg_experiment(cfg):
@@ -209,9 +213,9 @@ def run_linreg_experiment(cfg):
                 preds.append(float(item["a_test"] @ x @ item["aty"]))
             rows.append((f"newton_order_{order}", order, t, mse(preds)))
         rows.append(("least_squares", 0, t, mse(ls_preds)))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "linreg.csv")
-    return [_write_csv(path, "method,order,steps,mse", rows)]
+    return _write_csv(
+        cfg.out_dir, "linreg.csv", "method,order,steps,mse", rows
+    )
 
 
 def run_logreg_experiment(cfg):
@@ -250,7 +254,7 @@ def run_logreg_experiment(cfg):
             f_val, _, _ = logistic.loss_grad_hess(problem, x)
             g_sub = f_val / (4.0 * cfg.mu) - g_star
             rows.append((method, step, budget.depth, f_val, g_sub))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "logreg.csv")
-    header = "method,step,layers_per_step,f,g_suboptimality"
-    return [_write_csv(path, header, rows)]
+    return _write_csv(
+        cfg.out_dir, "logreg.csv",
+        "method,step,layers_per_step,f,g_suboptimality", rows,
+    )

@@ -14,6 +14,7 @@ from .errors import ConvergenceError, ShapeMismatchError
 from .linalg import as_matrix, spectral_norm_est
 
 __all__ = [
+    "MAX_ORDER",
     "newton_step",
     "hyperpower_step",
     "predicted_steps",
@@ -144,7 +145,7 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100):
     a = as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"a must be square, got {a.shape}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     sigma = spectral_norm_est(a)
     if sigma == 0.0:

@@ -217,8 +217,8 @@ def bounded_error_source(eps, dim, seed=0):
     Draws an isotropic direction per step from a dedicated generator,
     so a run with the same seed replays identical errors.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     rng = np.random.default_rng(seed)
 
     def source(_step):
@@ -327,7 +327,7 @@ def optimum(problem):
 
 def omega(t):
     """omega(t) = t - log(1 + t), the self-concordant decrease function."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"omega requires t >= 0, got {t}")
     return float(t - np.log1p(t))
 
@@ -355,8 +355,8 @@ def quadratic_phase_epsilon(eps, mu):
     lambda_g(x_{t+1}) <= 3 lambda_g(x_t)**2 + eps' holds for
     eps' = 3 eps (1 + mu) / (8 mu) + eps sqrt(1 + mu) / (2 sqrt(mu)).
     """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     return float(
@@ -390,9 +390,18 @@ def decrease_bound(x, c, c_prime):
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    delta = np.sqrt(x**2 / (1.0 + x) ** 2 - 2.0 * c / (1.0 + x) + c_prime)
-    h = -(x**2) / (1.0 + x) + c + (-delta - np.log1p(-delta))
+    h = _decrease(x, c, np.sqrt(_radicand(x, c, c_prime)))
     return float(h) if h.ndim == 0 else h
+
+
+def _radicand(x, c, c_prime):
+    """delta**2 of :func:`decrease_bound`."""
+    return x**2 / (1.0 + x) ** 2 - 2.0 * c / (1.0 + x) + c_prime
+
+
+def _decrease(x, c, delta):
+    """h of :func:`decrease_bound` at a given delta."""
+    return -(x**2) / (1.0 + x) + c + (-delta - np.log1p(-delta))
 
 
 def scan_constant_decrease(
@@ -415,7 +424,7 @@ def scan_constant_decrease(
     """
     if grid_x < 100 or grid_c < 100:
         raise ValueError("grid must be at least 100x100")
-    xs = np.linspace(1.0 / 6.0, 1.0, grid_x)
+    xs = np.linspace(QUADRATIC_PHASE_THRESHOLD, 1.0, grid_x)
     cs = np.linspace(-0.06, 0.06, grid_c)
     x, c = np.meshgrid(xs, cs, indexing="ij")
     best = -np.inf
@@ -425,7 +434,7 @@ def scan_constant_decrease(
         feasible = np.abs(c) <= x * np.sqrt(c_prime) + 1e-15
         if not np.any(feasible):
             continue
-        radicand = x**2 / (1.0 + x) ** 2 - 2.0 * c / (1.0 + x) + c_prime
+        radicand = _radicand(x, c, c_prime)
         bad = feasible & (radicand < -1e-15)
         if np.any(bad):
             i = tuple(np.argwhere(bad)[0])
@@ -441,7 +450,6 @@ def scan_constant_decrease(
                 "delta >= 1 at a realizable grid point",
                 location=(float(x[i]), float(c[i]), c_prime),
             )
-        h = -(x**2) / (1.0 + x) + c + (-delta - np.log1p(-delta))
-        h = np.where(feasible, h, -np.inf)
+        h = np.where(feasible, _decrease(x, c, delta), -np.inf)
         best = max(best, float(h.max()))
     return best

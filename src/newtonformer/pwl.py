@@ -8,7 +8,6 @@ approximator built from two squared-argument interpolants.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -158,9 +157,20 @@ def signed_copy(x, y):
     )
 
 
-@lru_cache(maxsize=256)
-def _square_pwl(lo, hi, pieces):
-    return build_pwl(lambda t: t * t, lo, hi, pieces)
+def _square_tables(range_x, range_y, pieces):
+    """PWL squares ``(sq_sum, sq_dif)`` of x + y and x - y over the
+    ranges those take for x in *range_x* and y in *range_y*.
+
+    When the two ranges coincide, one table serves as both.
+    """
+    xlo, xhi = map(float, range_x)
+    ylo, yhi = map(float, range_y)
+    sum_range = (xlo + ylo, xhi + yhi)
+    dif_range = (xlo - yhi, xhi - ylo)
+    sq_sum = build_pwl(lambda t: t * t, *sum_range, pieces)
+    if dif_range == sum_range:
+        return sq_sum, sq_sum
+    return sq_sum, build_pwl(lambda t: t * t, *dif_range, pieces)
 
 
 def pwl_product(x, y, range_x, range_y, pieces):
@@ -177,8 +187,5 @@ def pwl_product(x, y, range_x, range_y, pieces):
         raise ValueError(f"x={x} outside range [{xlo}, {xhi}]")
     if not (ylo <= y <= yhi):
         raise ValueError(f"y={y} outside range [{ylo}, {yhi}]")
-    sum_lo, sum_hi = xlo + ylo, xhi + yhi
-    dif_lo, dif_hi = xlo - yhi, xhi - ylo
-    sq_sum = _square_pwl(sum_lo, sum_hi, pieces)
-    sq_dif = _square_pwl(dif_lo, dif_hi, pieces)
+    sq_sum, sq_dif = _square_tables(range_x, range_y, pieces)
     return 0.25 * (eval_pwl(sq_sum, x + y) - eval_pwl(sq_dif, x - y))

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,13 @@ from newtonformer.logistic import (
     optimum,
     sigmoid,
 )
-from newtonformer.pwl import build_pwl, eval_pwl, pwl_product, signed_copy
+from newtonformer.pwl import (
+    _square_tables,
+    build_pwl,
+    eval_pwl,
+    pwl_product,
+    signed_copy,
+)
 from newtonformer.transformer import (
     AttentionHead,
     TransformerLayer,
@@ -137,6 +145,17 @@ class TestWidthDepthBudget:
         assert payload["widths"]["k"] == 12
         assert payload["target_eps"] == 1e-2
 
+    def test_depth_is_derived_from_k(self):
+        report = width_depth_budget(1e-2, 0.1)
+        fewer = BudgetReport(
+            target_eps=report.target_eps, mu=report.mu,
+            kappa_f=report.kappa_f, d=report.d,
+            widths={**report.widths, "k": 3}, z_max=report.z_max,
+            norm_bound=report.norm_bound,
+        )
+        assert fewer.depth == 17
+        assert json.loads(fewer.to_text())["depth"] == 17
+
     def test_validation(self):
         with pytest.raises(ValueError):
             width_depth_budget(0.0, 0.1)
@@ -227,7 +246,8 @@ class TestFfnBuilder:
     def test_product_matches_quarter_square(self):
         rng = np.random.default_rng(2)
         fb = FfnBuilder(4, ones_row=3)
-        fb.add_product(0, 1, 2, (-1.0, 1.0), (-1.0, 1.0), 200)
+        squares = _square_tables((-1.0, 1.0), (-1.0, 1.0), 200)
+        fb.add_product(0, 1, 2, squares)
         xs = rng.uniform(-1.0, 1.0, 32)
         ys = rng.uniform(-1.0, 1.0, 32)
         h = np.vstack([xs, ys, np.zeros(32), np.ones(32)])
@@ -514,6 +534,20 @@ class TestLogregNewtonStack:
             exact = damped_step(problem, np.zeros(5)).x
             assert np.linalg.norm(xs[1] - exact) <= 1e-2
 
+    def test_products_share_one_square_table(self):
+        # the d quarter-square products read one table, owned by the
+        # stack: nothing outside it keeps the table alive
+        layers, _ = build_logreg_newton_step(
+            make_logreg_problem(0), width_depth_budget(1e-2, 0.1, d=5)
+        )
+        gadgets = layers[1].ffn.gadgets
+        assert len(gadgets) == 2 * 5
+        assert len({id(g.approx) for g in gadgets}) == 1
+        table = weakref.ref(gadgets[0].approx)
+        del layers, gadgets
+        gc.collect()
+        assert table() is None
+
     def test_budget_mismatch_rejected(self, logreg_stack):
         problem, budget, _, _ = logreg_stack
         wrong_d = width_depth_budget(1e-2, 0.1, d=4)
@@ -524,15 +558,6 @@ class TestLogregNewtonStack:
         with pytest.raises(BudgetError) as info:
             build_logreg_newton_step(problem, wrong_mu)
         assert info.value.bound == "mu"
-        tampered = BudgetReport(
-            target_eps=budget.target_eps, mu=budget.mu,
-            kappa_f=budget.kappa_f, d=budget.d, depth=budget.depth + 1,
-            widths=budget.widths, z_max=budget.z_max,
-            norm_bound=budget.norm_bound,
-        )
-        with pytest.raises(BudgetError) as info:
-            build_logreg_newton_step(problem, tampered)
-        assert info.value.bound == "depth"
 
     def test_last_attention_leaves_accumulator(self, logreg_stack):
         # run_constructed_newton checks the cleanup range before the last

@@ -26,6 +26,22 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def test_package_reexports_each_library_module():
+    """Each library module's ``__all__`` is the one declaration of its
+    public names: the package exports exactly those, each once, as the
+    same objects.  ``cli`` stays out of the package namespace."""
+    library = [m for m in _MODULES if m != "cli"]
+    owner = {}
+    for module in library:
+        mod = importlib.import_module(f"newtonformer.{module}")
+        for name in mod.__all__:
+            assert name not in owner, (name, owner.get(name), module)
+            owner[name] = module
+            assert getattr(newtonformer, name) is getattr(mod, name), name
+    assert sorted(newtonformer.__all__) == sorted(owner)
+    assert len(set(newtonformer.__all__)) == len(newtonformer.__all__)
+
+
 def test_cli_call_loads_no_scipy(tmp_path):
     """The package runs on numpy alone: importing the CLI and making a
     call loads no scipy module."""

@@ -146,6 +146,10 @@ class TestRunInverse:
         with pytest.raises(ShapeMismatchError):
             run_inverse(np.ones((2, 3)))
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError, match="got nan"):
+            run_inverse(np.eye(2), tol=float("nan"))
+
 
 class TestFittedOrder:
     def test_exact_quadratic_sequence(self):

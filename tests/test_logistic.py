@@ -433,6 +433,10 @@ class TestErrorSource:
         with pytest.raises(ValueError):
             bounded_error_source(-1.0, 3)
 
+    def test_rejects_nan_eps(self):
+        with pytest.raises(ValueError, match="got nan"):
+            bounded_error_source(float("nan"), 3)
+
 
 class TestDecreaseFunctions:
     def test_omega_star_values(self):
@@ -452,6 +456,14 @@ class TestDecreaseFunctions:
             omega_star(-0.1)
         with pytest.raises(ValueError):
             suboptimality_bound(1.5)
+
+    def test_omega_rejects_nan(self):
+        with pytest.raises(ValueError, match="got nan"):
+            omega(float("nan"))
+
+    def test_quadratic_phase_epsilon_rejects_nan(self):
+        with pytest.raises(ValueError, match="got nan"):
+            quadratic_phase_epsilon(float("nan"), 0.1)
 
     def test_suboptimality_bound_quadratic_cap(self):
         grid = np.linspace(0.0, QUADRATIC_PHASE_THRESHOLD, 2000)
