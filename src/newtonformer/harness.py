@@ -73,8 +73,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"noise_std must be finite and >= 0, got {self.noise_std}"
             )
-        if self.eps is not None and not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if self.eps is not None and not 0.0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         if self.batch is not None and self.batch < 1:

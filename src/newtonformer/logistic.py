@@ -217,8 +217,8 @@ def bounded_error_source(eps, dim, seed=0):
     Draws an isotropic direction per step from a dedicated generator,
     so a run with the same seed replays identical errors.
     """
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     rng = np.random.default_rng(seed)
 
     def source(_step):
@@ -256,8 +256,8 @@ def run_inexact_newton(
     attached.
     """
     x = _check_point(problem, x0)
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     if reference is None:
         reference = optimum(problem)
     g_star = reference[1]
@@ -355,8 +355,8 @@ def quadratic_phase_epsilon(eps, mu):
     lambda_g(x_{t+1}) <= 3 lambda_g(x_t)**2 + eps' holds for
     eps' = 3 eps (1 + mu) / (8 mu) + eps sqrt(1 + mu) / (2 sqrt(mu)).
     """
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     return float(

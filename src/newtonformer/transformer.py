@@ -3,6 +3,12 @@
 Layers use attention without softmax: each head contributes
 (W_V H) (W_K H).T (W_Q H) additively to the residual stream, and an
 optional position-wise feed-forward block adds W_2 relu(W_1 H).
+The constructed heads are block selectors, so each head also keeps a
+compacted form: the rows where W_V is nonzero, and the rows where
+W_K and W_Q are both nonzero.  The forward pass multiplies only those
+rows and, with no softmax in between, groups the product as
+((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows| matrix in
+place of the n x n score matrix.
 Feed-forward blocks keep their piecewise-linear gadgets whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
@@ -56,7 +62,11 @@ class PromptLayout:
 
 @dataclass(frozen=True)
 class AttentionHead:
-    """Value / key / query projections of one linear-attention head."""
+    """Value / key / query projections of one linear-attention head.
+
+    The dense projections are read-only, and the compacted form that
+    :func:`attention_forward` multiplies is derived from them once.
+    """
 
     w_v: np.ndarray
     w_k: np.ndarray
@@ -65,7 +75,8 @@ class AttentionHead:
     def __post_init__(self):
         dim = None
         for field_name in ("w_v", "w_k", "w_q"):
-            m = as_matrix(getattr(self, field_name), field_name)
+            given = getattr(self, field_name)
+            m = as_matrix(given, field_name)
             if m.shape[0] != m.shape[1]:
                 raise ValueError(
                     f"{field_name} must be square, got {m.shape}"
@@ -77,11 +88,37 @@ class AttentionHead:
                     f"{field_name} is {m.shape[0]}x{m.shape[0]}, other "
                     f"projections are {dim}x{dim}"
                 )
+            if np.may_share_memory(m, given):
+                m = m.copy()
+            m.flags.writeable = False
             object.__setattr__(self, field_name, m)
+        object.__setattr__(self, "_compact", self._compacted())
+
+    def _compacted(self):
+        """(value rows, W_V, W_K, W_Q) restricted to the rows that can
+        contribute, or None for a head that adds nothing.
+
+        A key/query row that is zero in either W_K or W_Q adds nothing
+        to (W_K H).T (W_Q H).  Rows are a slice when contiguous.
+        """
+        v_rows = np.flatnonzero(self.w_v.any(axis=1))
+        kq_rows = np.flatnonzero(self.w_k.any(axis=1) & self.w_q.any(axis=1))
+        if not v_rows.size or not kq_rows.size:
+            return None
+        v_rows, kq_rows = _as_index(v_rows), _as_index(kq_rows)
+        return (v_rows, self.w_v[v_rows], self.w_k[kq_rows],
+                self.w_q[kq_rows])
 
     @property
     def dim(self):
         return self.w_v.shape[0]
+
+
+def _as_index(rows):
+    """Sorted row indices as a slice when they are contiguous."""
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 class Ffn:
@@ -214,14 +251,23 @@ def _check_stream(h, dim):
 
 def attention_forward(layer, h):
     """Residual attention update: h + the sum of the layer's head
-    contributions.  The layer's ffn, if any, is NOT applied here."""
+    contributions.  The layer's ffn, if any, is NOT applied here.
+
+    Each head adds ((W_V' h) (W_K' h).T) (W_Q' h) to its value rows,
+    where W_V' holds W_V's nonzero rows and W_K', W_Q' the rows
+    nonzero in both W_K and W_Q.  Without a softmax this equals the
+    dense (W_V h) ((W_K h).T (W_Q h)) up to rounding, and forms no
+    n x n score matrix.  Each element lies within
+    4 (dim + n) u sum_heads (|W_V| |h|) (|W_K| |h|).T (|W_Q| |h|) + u |r|
+    of the exact dense result r, with u = 2**-53.
+    """
     h = _check_stream(h, layer.dim)
     out = h.copy()
     for head in layer.heads:
-        value = head.w_v @ h
-        key = head.w_k @ h
-        query = head.w_q @ h
-        out += value @ (key.T @ query)
+        if head._compact is None:
+            continue
+        rows, w_v, w_k, w_q = head._compact
+        out[rows] += ((w_v @ h) @ (w_k @ h).T) @ (w_q @ h)
     return out
 
 

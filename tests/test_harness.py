@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_attention import dense_attention_forward
 
 from newtonformer import builders, inversion, transformer
 from newtonformer.builders import make_linreg_prompt, read_linreg_prediction
@@ -156,7 +157,8 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(task="invert", batch=0)
         for task, field in (("invert", "kappa"), ("linreg", "noise_std"),
-                            ("linreg", "mu"), ("logreg", "mu")):
+                            ("linreg", "mu"), ("logreg", "mu"),
+                            ("invert", "eps"), ("logreg", "eps")):
             for value in ("nan", "inf"):
                 with pytest.raises(ValueError, match=f"finite.* got {value}"):
                     ExperimentConfig(task=task, **{field: float(value)})
@@ -350,6 +352,75 @@ class TestLogregRunner:
             assert all(int(r["layers_per_step"]) == 35 for r in rows)
 
 
+def csv_lines(path):
+    with open(path, encoding="ascii", newline="") as fh:
+        return fh.read().splitlines()
+
+
+def shipped_and_dense_lines(runner, cfg, tmp_path, monkeypatch):
+    """The runner's CSV lines as shipped and with the dense attention
+    formula in place of ``transformer.attention_forward``, and how many
+    layers the dense formula ran."""
+    shipped = runner(replace(cfg, out_dir=str(tmp_path / "shipped")))[0]
+    calls = []
+
+    def dense(layer, h):
+        calls.append(layer)
+        return dense_attention_forward(layer, h)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transformer, "attention_forward", dense)
+        reference = runner(replace(cfg, out_dir=str(tmp_path / "dense")))[0]
+    return csv_lines(shipped), csv_lines(reference), len(calls)
+
+
+class TestCompactedAttentionTolerance:
+    """Compacted attention heads change only the constructed rows, and
+    only within the stated tolerance."""
+
+    @pytest.mark.parametrize("overrides", [{}, dict(mu=0.5, noise_std=0.1)])
+    def test_linreg_rows(self, overrides, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(task="linreg", **overrides)
+        ours, ref, calls = shipped_and_dense_lines(
+            run_linreg_experiment, cfg, tmp_path, monkeypatch)
+        assert calls == cfg.batch * (1 + 3 * cfg.t_max)
+        assert len(ours) == len(ref)
+        for line, ref_line in zip(ours, ref):
+            *key, mse = line.split(",")
+            *ref_key, ref_mse = ref_line.split(",")
+            if key[0] != "constructed":
+                assert line == ref_line
+                continue
+            assert key == ref_key
+            rms, ref_rms = np.sqrt(float(mse)), np.sqrt(float(ref_mse))
+            assert abs(rms - ref_rms) <= 1e-8 * ref_rms + 1e-11
+
+    def test_logreg_rows(self, tmp_path, monkeypatch):
+        ours, ref, calls = shipped_and_dense_lines(
+            run_logreg_experiment, ExperimentConfig(task="logreg"),
+            tmp_path, monkeypatch)
+        assert calls > 0
+        assert len(ours) == len(ref)
+        for line, ref_line in zip(ours, ref):
+            fields, ref_fields = line.split(","), ref_line.split(",")
+            if fields[0] != "constructed":
+                assert line == ref_line
+                continue
+            assert fields[:3] == ref_fields[:3]
+            # g_suboptimality is f / (4 mu) - g_star, which cancels as
+            # f converges, so both columns are held to 1e-12 relative
+            # above a floor of 1
+            for value, want in zip(fields[3:], ref_fields[3:]):
+                want = float(want)
+                assert abs(float(value) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_invert_csv_unchanged(self, tmp_path, monkeypatch):
+        ours, ref, _ = shipped_and_dense_lines(
+            run_invert_experiment, ExperimentConfig(task="invert"),
+            tmp_path, monkeypatch)
+        assert ours == ref
+
+
 # Flags an experiment runner does not read; its subcommand rejects them.
 _UNREAD_FLAGS = [
     ("invert", "n"), ("invert", "noise_std"), ("invert", "mu"),
@@ -409,6 +480,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["invert", "--kappa", "nan"],
+        ["invert", "--eps", "nan"],
         ["linreg", "--kappa", "nan"],
         ["logreg", "--kappa", "nan"],
         ["linreg", "--mu", "nan"],
@@ -431,6 +503,8 @@ class TestCli:
         (["linreg", "--noise-std", "inf"], "noise_std"),
         (["linreg", "--kappa", "inf"], "kappa"),
         (["invert", "--kappa", "inf"], "kappa"),
+        (["invert", "--eps", "inf"], "eps"),
+        (["logreg", "--eps", "inf"], "eps"),
     ])
     def test_infinite_range_argument_exits_one(self, argv, name, tmp_path,
                                                monkeypatch, capsys):

@@ -291,6 +291,8 @@ class TestRunInexactNewton:
         p = make_problem(16)
         with pytest.raises(ValueError):
             run_inexact_newton(p, np.zeros(5), eps=0.0)
+        with pytest.raises(ValueError, match="eps must be finite.* got inf"):
+            run_inexact_newton(p, np.zeros(5), eps=float("inf"))
 
     def test_none_from_source_is_an_exact_step(self):
         p = make_problem(17)
@@ -437,6 +439,10 @@ class TestErrorSource:
         with pytest.raises(ValueError, match="got nan"):
             bounded_error_source(float("nan"), 3)
 
+    def test_rejects_infinite_eps(self):
+        with pytest.raises(ValueError, match="eps must be finite.* got inf"):
+            bounded_error_source(float("inf"), 3)
+
 
 class TestDecreaseFunctions:
     def test_omega_star_values(self):
@@ -464,6 +470,10 @@ class TestDecreaseFunctions:
     def test_quadratic_phase_epsilon_rejects_nan(self):
         with pytest.raises(ValueError, match="got nan"):
             quadratic_phase_epsilon(float("nan"), 0.1)
+
+    def test_quadratic_phase_epsilon_rejects_infinite_eps(self):
+        with pytest.raises(ValueError, match="eps must be finite.* got inf"):
+            quadratic_phase_epsilon(float("inf"), 0.1)
 
     def test_suboptimality_bound_quadratic_cap(self):
         grid = np.linspace(0.0, QUADRATIC_PHASE_THRESHOLD, 2000)

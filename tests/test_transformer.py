@@ -1,6 +1,21 @@
 import numpy as np
 import pytest
+from dense_attention import attention_error_bound, dense_attention_forward
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from newtonformer import inversion
+from newtonformer.builders import (
+    build_inversion_block,
+    build_linreg_transformer,
+    build_logreg_newton_step,
+    make_inversion_prompt,
+    make_linreg_prompt,
+    make_logistic_prompt,
+    width_depth_budget,
+)
+from newtonformer.linalg import spectral_norm_est
+from newtonformer.logistic import LogisticProblem
 from newtonformer.pwl import signed_copy
 from newtonformer.transformer import (
     AttentionHead,
@@ -19,6 +34,38 @@ def random_head(rng, dim):
         w_k=0.3 * rng.standard_normal((dim, dim)),
         w_q=0.3 * rng.standard_normal((dim, dim)),
     )
+
+
+def assert_within_bound(layer, h):
+    """attention_forward(layer, h) lies within the stated bound of the
+    exact result; the dense formula in extended precision stands in for
+    exact."""
+    out = attention_forward(layer, h)
+    ref = dense_attention_forward(layer, h, np.longdouble)
+    assert np.all(np.abs(out - ref) <= attention_error_bound(layer, h, ref))
+
+
+def masked_head(rng, dim, v_rows, k_rows, q_rows):
+    def masked(rows):
+        w = np.zeros((dim, dim))
+        w[rows] = rng.standard_normal((dim, dim))[rows]
+        return w
+    return AttentionHead(masked(v_rows), masked(k_rows), masked(q_rows))
+
+
+def assert_every_head_within_bound(layers, h):
+    """Each head of *layers*, alone and with its layer's other heads,
+    on the stream that reaches its layer."""
+    for layer in layers:
+        for head in layer.heads:
+            assert_within_bound(TransformerLayer(heads=(head,)), h)
+        assert_within_bound(layer, h)
+        h = model_forward([layer], h)
+
+
+def spd(rng, d):
+    m = rng.standard_normal((d, d))
+    return m @ m.T + d * np.eye(d)
 
 
 class TestPromptLayout:
@@ -64,6 +111,7 @@ class TestAttentionForward:
         head = AttentionHead(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
         layer = TransformerLayer(heads=(head,))
         np.testing.assert_array_equal(attention_forward(layer, h), h)
+        assert_within_bound(layer, h)
 
     def test_matches_explicit_formula(self):
         rng = np.random.default_rng(1)
@@ -105,6 +153,97 @@ class TestAttentionForward:
         )
         with pytest.raises(ValueError):
             attention_forward(layer, np.zeros((4, 2)))
+
+
+class TestCompactedHeads:
+    def test_inversion_stack_heads(self):
+        rng = np.random.default_rng(10)
+        a = spd(rng, 4)
+        x0 = inversion.initial_scale(spectral_norm_est(a)) * a
+        layers, _ = build_inversion_block(4)
+        assert_every_head_within_bound(layers, make_inversion_prompt(a, x0))
+
+    def test_linreg_stack_heads(self):
+        rng = np.random.default_rng(11)
+        d, n = 4, 12
+        a = rng.standard_normal((n, d))
+        y = a @ rng.standard_normal(d)
+        gram = a.T @ a + 0.1 * np.eye(d)
+        alpha = inversion.initial_scale(spectral_norm_est(gram))
+        layers, _ = build_linreg_transformer(d, n, 3, alpha, ridge_mu=0.1)
+        h = make_linreg_prompt(a, y, rng.standard_normal(d))
+        assert_every_head_within_bound(layers, h)
+
+    def test_logistic_stack_heads(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((26, 5))
+        a /= np.max(np.linalg.norm(a, axis=1))
+        labels = np.where(a @ rng.standard_normal(5) < 0.0, -1.0, 1.0)
+        problem = LogisticProblem(a, labels, 0.1)
+        layers, _ = build_logreg_newton_step(
+            problem, width_depth_budget(1e-2, 0.1, d=5)
+        )
+        h = make_logistic_prompt(problem, np.full(5, 0.3))
+        assert_every_head_within_bound(layers, h)
+
+    def test_key_row_without_query_row_adds_nothing(self):
+        rng = np.random.default_rng(14)
+        w_k = np.zeros((6, 6))
+        w_k[[1, 4]] = rng.standard_normal((2, 6))
+        w_q = np.zeros((6, 6))
+        w_q[[1, 2]] = rng.standard_normal((2, 6))
+        head = AttentionHead(rng.standard_normal((6, 6)), w_k, w_q)
+        only_shared = w_k.copy()
+        only_shared[4] = 0.0
+        layer = TransformerLayer(heads=(head,))
+        h = rng.standard_normal((6, 5))
+        assert_within_bound(layer, h)
+        np.testing.assert_array_equal(
+            attention_forward(layer, h),
+            attention_forward(TransformerLayer(heads=(
+                AttentionHead(head.w_v, only_shared, w_q),)), h),
+        )
+
+    def test_non_contiguous_value_rows(self):
+        rng = np.random.default_rng(15)
+        head = masked_head(rng, 7, [0, 2, 5], [1, 2, 3], [1, 2, 3])
+        layer = TransformerLayer(heads=(head,))
+        h = rng.standard_normal((7, 4))
+        out = attention_forward(layer, h)
+        untouched = [1, 3, 4, 6]
+        np.testing.assert_array_equal(out[untouched], h[untouched])
+        assert_within_bound(layer, h)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_narrow_streams(self, n):
+        rng = np.random.default_rng(16 + n)
+        layer = TransformerLayer(heads=(
+            masked_head(rng, 8, [0, 1, 6], [2, 3, 7], [3, 7]),
+            random_head(rng, 8),
+        ))
+        assert_within_bound(layer, rng.standard_normal((8, n)))
+
+    # derandomized so every run draws the same 200 heads
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(dim=st.integers(1, 9), n=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_row_masks(self, dim, n, seed, data):
+        rows = st.lists(st.booleans(), min_size=dim, max_size=dim)
+        masks = [np.flatnonzero(data.draw(rows)) for _ in range(3)]
+        rng = np.random.default_rng(seed)
+        layer = TransformerLayer(heads=(masked_head(rng, dim, *masks),))
+        assert_within_bound(layer, rng.standard_normal((dim, n)))
+
+    def test_projections_are_read_only_copies(self):
+        caller = np.eye(3)
+        head = AttentionHead(caller, caller, caller)
+        with pytest.raises(ValueError, match="read-only"):
+            head.w_v[0, 0] = 2.0
+        caller[0, 0] = 2.0
+        assert head.w_v[0, 0] == 1.0 and head.w_q[0, 0] == 1.0
+        layer = TransformerLayer(heads=(head,))
+        h = np.ones((3, 2))
+        np.testing.assert_array_equal(attention_forward(layer, h), 7.0 * h)
 
 
 class TestFfnForward:
