@@ -148,12 +148,19 @@ def run_linreg_experiment(cfg):
     The squared error is measured against the clean target
     a_test . w_star, so the closed-form row is the attainable floor.
 
-    Each prompt's stack is built once, and its depth-t predictions
-    share one advancing Newton prefix: the stream after the init layer
-    and t Newton layers advances by one more Newton layer for depth
-    t+1, and the contract and readout layers run on it for each depth's
-    prediction.  Every layer sees the input it would see in the full
-    depth-t stack, so the rows equal a rebuild-and-replay exactly.
+    The prompts' Gram matrices form one ``(batch, d, d)`` stack: one
+    ``spectral_norm_est`` call gives every prompt's alpha, and each
+    depth advances each order's hyperpower oracles with one
+    ``hyperpower_step`` call on the stack.  Both are bit-identical to
+    per-prompt 2-D calls.
+
+    Each prompt's transformer is built once, and its depth-t
+    predictions share one advancing Newton prefix: the stream after the
+    init layer and t Newton layers advances by one more Newton layer
+    for depth t+1, and the contract and readout layers run on it for
+    each depth's prediction.  Every layer sees the input it would see
+    in the full depth-t stack, so the rows equal a rebuild-and-replay
+    exactly.
     """
     if cfg.task != "linreg":
         raise ValueError(f"config task is {cfg.task!r}, expected 'linreg'")
@@ -162,14 +169,14 @@ def run_linreg_experiment(cfg):
         a, y, a_test, w_star = datagen.gen_linreg_data(
             replace(cfg, seed=cfg.seed + item)
         )
-        gram = a.T @ a + cfg.mu * np.eye(cfg.d)
-        alpha = inversion.initial_scale(spectral_norm_est(gram))
         prompts.append({
             "a": a, "y": y, "a_test": a_test,
             "target": float(a_test @ w_star),
-            "gram": gram, "alpha": alpha,
             "aty": a.T @ y,
         })
+    grams = np.stack([item["a"].T @ item["a"] + cfg.mu * np.eye(cfg.d)
+                      for item in prompts])
+    alphas = inversion.initial_scale(spectral_norm_est(grams))
 
     def mse(preds):
         errs = [(p - item["target"]) ** 2
@@ -178,19 +185,16 @@ def run_linreg_experiment(cfg):
 
     rows = []
     ls_preds = [
-        float(item["a_test"] @ solve_spd(item["gram"], item["aty"][:, None])[:, 0])
-        for item in prompts
+        float(item["a_test"] @ solve_spd(gram, item["aty"][:, None])[:, 0])
+        for item, gram in zip(prompts, grams)
     ]
-    oracle_x = {
-        order: [item["alpha"] * item["gram"] for item in prompts]
-        for order in cfg.orders
-    }
+    oracle_x = {order: alphas[:, None, None] * grams for order in cfg.orders}
     # tf_preds[t - 1] holds the depth-t predictions; one prompt's stack
     # is alive at a time.
     tf_preds = [[] for _ in range(cfg.t_max)]
-    for item in prompts:
+    for item, alpha in zip(prompts, alphas.tolist()):
         (init, newton, *output), layout = builders.build_linreg_transformer(
-            cfg.d, cfg.n, 1, item["alpha"], ridge_mu=cfg.mu
+            cfg.d, cfg.n, 1, alpha, ridge_mu=cfg.mu
         )
         h = model_forward(
             [init],
@@ -204,13 +208,11 @@ def run_linreg_experiment(cfg):
     for t in range(1, cfg.t_max + 1):
         rows.append(("constructed", 2, t, mse(tf_preds[t - 1])))
         for order in cfg.orders:
-            preds = []
-            for idx, item in enumerate(prompts):
-                x = inversion.hyperpower_step(
-                    oracle_x[order][idx], item["gram"], order
-                )
-                oracle_x[order][idx] = x
-                preds.append(float(item["a_test"] @ x @ item["aty"]))
+            x = oracle_x[order] = inversion.hyperpower_step(
+                oracle_x[order], grams, order
+            )
+            preds = [float(item["a_test"] @ x_i @ item["aty"])
+                     for item, x_i in zip(prompts, x)]
             rows.append((f"newton_order_{order}", order, t, mse(preds)))
         rows.append(("least_squares", 0, t, mse(ls_preds)))
     return _write_csv(

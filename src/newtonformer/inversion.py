@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ShapeMismatchError
-from .linalg import as_matrix, spectral_norm_est
+from .linalg import as_matrix, as_stack, spectral_norm_est
 
 __all__ = [
     "MAX_ORDER",
@@ -32,22 +32,24 @@ FIT_MAX_PAIRS = 3
 
 
 def _check_square_pair(x, a):
-    x = as_matrix(x, "x")
-    a = as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
+    x = as_stack(x, "x")
+    a = as_stack(a, "a")
+    if a.shape[-1] != a.shape[-2]:
         raise ShapeMismatchError(f"a must be square, got {a.shape}")
-    if x.shape != (a.shape[1], a.shape[0]):
-        raise ShapeMismatchError(
-            f"x must have shape {(a.shape[1], a.shape[0])}, got {x.shape}"
-        )
+    if x.shape != a.shape:
+        raise ShapeMismatchError(f"x must have shape {a.shape}, got {x.shape}")
     return x, a
 
 
 def newton_step(x, a):
-    """One Newton-Schulz update X(2I - AX)."""
+    """One Newton-Schulz update X(2I - AX).
+
+    *x* and *a* are d x d matrices, or stacks ``(..., d, d)`` of one
+    shape that are updated matrix by matrix; each updated slice is
+    bit-identical to the update of that slice alone.
+    """
     x, a = _check_square_pair(x, a)
-    d = a.shape[0]
-    return x @ (2.0 * np.eye(d) - a @ x)
+    return x @ (2.0 * np.eye(a.shape[-1]) - a @ x)
 
 
 def hyperpower_step(x, a, order):
@@ -57,7 +59,9 @@ def hyperpower_step(x, a, order):
     by Horner evaluation.  Binomial coefficients are exact integers;
     orders above 8 are rejected so they stay exactly representable in
     float64 products.  Order 2 takes the identical code path as
-    :func:`newton_step`.
+    :func:`newton_step`.  Stacks ``(..., d, d)`` are updated as
+    :func:`newton_step` updates them: one call per stack, each slice
+    bit-identical to its own 2-D update.
     """
     if not isinstance(order, (int, np.integer)):
         raise ValueError("order must be an integer")
@@ -66,8 +70,7 @@ def hyperpower_step(x, a, order):
     if order == 2:
         return newton_step(x, a)
     x, a = _check_square_pair(x, a)
-    d = a.shape[0]
-    eye = np.eye(d)
+    eye = np.eye(a.shape[-1])
     m = a @ x
     # Horner from the highest power: coefficients (-1)^j C(order, j+1)
     poly = float((-1) ** (order - 1) * math.comb(order, order)) * eye

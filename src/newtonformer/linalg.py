@@ -1,9 +1,12 @@
 """Dense matrix utilities used everywhere else in the package.
 
 Matrices are plain 2-D float64 numpy arrays in row-major (C) order,
-validated at the public entry points.  numpy supplies the raw
-arithmetic; the estimators and the SPD solver are defined here.
+validated at the public entry points; a stack ``(..., m, n)`` holds
+several matrices of one shape.  numpy supplies the raw arithmetic; the
+estimators and the SPD solver are defined here.
 """
+
+import math
 
 import numpy as np
 
@@ -11,6 +14,7 @@ from .errors import DefinitenessError, ShapeMismatchError, SymmetryError
 
 __all__ = [
     "as_matrix",
+    "as_stack",
     "spectral_norm_est",
     "solve_spd",
 ]
@@ -31,6 +35,23 @@ def as_matrix(obj, name="matrix"):
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def as_stack(obj, name="stack"):
+    """Validate *obj* as a finite float64 matrix or stack of matrices
+    ``(..., m, n)`` and return it, C-contiguous.
+
+    Applies :func:`as_matrix`'s checks to the stack viewed as one
+    matrix of its rows; raises ``ShapeMismatchError`` for input with
+    fewer than two dimensions.
+    """
+    a = np.ascontiguousarray(obj, dtype=np.float64)
+    if a.ndim < 2:
+        raise ShapeMismatchError(
+            f"{name} must be at least 2-D, got shape {a.shape}"
+        )
+    as_matrix(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]), name)
     return a
 
 
@@ -58,6 +79,11 @@ def _start_vector(n, seed):
     return v
 
 
+def _unit_start_vector(n, seed):
+    v = _start_vector(n, seed)
+    return (v / np.linalg.norm(v))[:, None]
+
+
 def spectral_norm_est(a, iters=200):
     """Estimate the largest singular value of *a* by power iteration.
 
@@ -66,24 +92,38 @@ def spectral_norm_est(a, iters=200):
     estimate ``||a v||`` for the final unit vector ``v``.  The estimate
     never exceeds the true spectral norm and is nondecreasing in
     *iters*.  A zero matrix returns 0.0.
+
+    An m x n matrix gives a float.  A stack ``(..., m, n)`` gives an
+    array of shape ``...`` holding one estimate per matrix, each
+    bit-identical to the estimate for that matrix alone: the stack
+    shares only the matmul dispatch, and a slice whose iterate falls in
+    its null space is re-started alone.
     """
-    a = as_matrix(a)
+    a = as_stack(a)
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if not np.any(a):
-        return 0.0
-    v = _start_vector(a.shape[1], POWER_SEED)
-    v /= np.linalg.norm(v)
+    est = _power_iteration(a, iters) if np.any(a) else np.zeros(a.shape[:-2])
+    return float(est) if a.ndim == 2 else est
+
+
+def _power_iteration(a, iters):
+    at = a.mT
+    v = _unit_start_vector(a.shape[-1], POWER_SEED)
     for _ in range(iters):
-        w = a.T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # start vector fell in the null space; nudge deterministically
-            v = _start_vector(a.shape[1], POWER_SEED + 1)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-    return float(np.linalg.norm(a @ v))
+        w = at @ (a @ v)
+        # the norm as a dot product by matmul, which rounds as
+        # np.linalg.norm does on one vector; a sum along an axis does not
+        nw = np.sqrt(w.mT @ w)
+        dead = nw == 0.0
+        if dead.any():
+            # the iterate fell in a slice's null space (every step, for
+            # a zero slice); restart it from a second start vector
+            nudge = _unit_start_vector(a.shape[-1], POWER_SEED + 1)
+            v = np.where(dead, nudge, w / np.where(dead, 1.0, nw))
+        else:
+            v = w / nw
+    u = a @ v
+    return np.sqrt(u.mT @ u)[..., 0, 0]
 
 
 def solve_spd(a, b):

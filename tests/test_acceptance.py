@@ -20,6 +20,7 @@ from newtonformer import (
     damped_step,
     eval_pwl,
     fitted_order,
+    initial_scale,
     loss_grad_hess,
     make_inversion_prompt,
     make_linreg_prompt,
@@ -121,7 +122,7 @@ def test_04_linreg_transformer_end_to_end():
                                    noise_std=0.0, seed=seed)
             a, y, a_test, _ = gen_linreg_data(cfg)
             gram = a.T @ a
-            alpha = 2.0 * 0.9 / spectral_norm_est(gram) ** 2
+            alpha = initial_scale(spectral_norm_est(gram))
             t = predicted_steps(np.linalg.cond(gram), 1e-10, 2)
             layers, layout = build_linreg_transformer(10, 50, t, alpha)
             pred = read_linreg_prediction(

@@ -24,7 +24,7 @@ from newtonformer.builders import (
 )
 from newtonformer.datagen import make_covariance
 from newtonformer.errors import BudgetError
-from newtonformer.inversion import newton_step, predicted_steps
+from newtonformer.inversion import initial_scale, newton_step, predicted_steps
 from newtonformer.linalg import solve_spd, spectral_norm_est
 from newtonformer.logistic import (
     LogisticProblem,
@@ -291,7 +291,7 @@ class TestInversionBlock:
     def test_chaining_two_blocks(self):
         rng = np.random.default_rng(3)
         a = make_covariance(4, 8.0, rng)
-        alpha = 2.0 * 0.9 / spectral_norm_est(a) ** 2
+        alpha = initial_scale(spectral_norm_est(a))
         x0 = alpha * a.T
         block, layout = build_inversion_block(4)
         out = model_forward(block + block, make_inversion_prompt(a, x0))
@@ -350,7 +350,7 @@ class TestLinregTransformer:
             y = rng.standard_normal(16)
             a_test = rng.standard_normal(4)
             gram = a.T @ a
-            alpha = 2.0 * 0.9 / spectral_norm_est(gram) ** 2
+            alpha = initial_scale(spectral_norm_est(gram))
             kappa = np.linalg.cond(gram)
             t = predicted_steps(kappa, 1e-10, 2)
             layers, layout = build_linreg_transformer(4, 16, t, alpha)
@@ -378,7 +378,7 @@ class TestLinregTransformer:
         a_test = rng.standard_normal(3)
         mu = 0.5
         gram = a.T @ a + mu * np.eye(3)
-        alpha = 2.0 * 0.9 / spectral_norm_est(gram) ** 2
+        alpha = initial_scale(spectral_norm_est(gram))
         layers, layout = build_linreg_transformer(3, 12, 30, alpha,
                                                   ridge_mu=mu)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from dense_attention import dense_attention_forward
 
-from newtonformer import builders, inversion, transformer
+from newtonformer import builders, harness, inversion, transformer
 from newtonformer.builders import make_linreg_prompt, read_linreg_prediction
 from newtonformer.cli import main
 from newtonformer.datagen import gen_linreg_data, gen_logreg_data, make_covariance
@@ -254,31 +254,59 @@ class TestLinregRunner:
         assert ls[0] <= np.asarray(linreg_table["constructed"])[0]
 
 
-def replayed_constructed_mse(cfg):
-    """The constructed rows as a full rebuild and replay per depth."""
-    prompts = []
+def per_prompt_problems(cfg):
+    """Each prompt's data, Gram matrix and alpha, one 2-D call apiece."""
+    problems = []
     for item in range(cfg.batch):
         a, y, a_test, w_star = gen_linreg_data(replace(cfg, seed=cfg.seed + item))
         gram = a.T @ a + cfg.mu * np.eye(cfg.d)
         alpha = inversion.initial_scale(spectral_norm_est(gram))
-        prompts.append((make_linreg_prompt(a, y, a_test), alpha,
-                        float(a_test @ w_star)))
+        problems.append((a, y, a_test, gram, alpha, float(a_test @ w_star)))
+    return problems
+
+
+def replayed_constructed_mse(cfg):
+    """The constructed rows as a full rebuild and replay per depth."""
+    problems = per_prompt_problems(cfg)
     mses = []
     for t in range(1, cfg.t_max + 1):
         errs = []
-        for prompt, alpha, target in prompts:
+        for a, y, a_test, _, alpha, target in problems:
             layers, layout = builders.build_linreg_transformer(
                 cfg.d, cfg.n, t, alpha, ridge_mu=cfg.mu
             )
+            prompt = make_linreg_prompt(a, y, a_test)
             pred = read_linreg_prediction(model_forward(layers, prompt), layout)
             errs.append((pred - target) ** 2)
         mses.append(float(np.mean(errs)))
     return mses
 
 
+def per_prompt_oracle_mse(cfg, order):
+    """The newton_order_<order> rows with one 2-D hyperpower step per
+    prompt and depth."""
+    problems = per_prompt_problems(cfg)
+    xs = [alpha * gram for _, _, _, gram, alpha, _ in problems]
+    mses = []
+    for _ in range(cfg.t_max):
+        errs = []
+        for i, (a, y, a_test, gram, _, target) in enumerate(problems):
+            xs[i] = inversion.hyperpower_step(xs[i], gram, order)
+            errs.append((float(a_test @ xs[i] @ (a.T @ y)) - target) ** 2)
+        mses.append(float(np.mean(errs)))
+    return mses
+
+
 def small_linreg_cfg(out_dir, mu):
-    return ExperimentConfig(task="linreg", d=3, n=8, mu=mu, t_max=6,
-                            batch=3, seed=2, out_dir=str(out_dir))
+    return ExperimentConfig(task="linreg", d=3, n=8, mu=mu, orders=(2, 3, 8),
+                            t_max=6, batch=3, seed=2, out_dir=str(out_dir))
+
+
+def counting(counts, key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 class TestLinregLinearInDepth:
@@ -290,24 +318,41 @@ class TestLinregLinearInDepth:
         ours = [float(r["mse"]) for r in rows if r["method"] == "constructed"]
         assert ours == replayed_constructed_mse(cfg)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_oracle_rows_equal_per_prompt_steps(self, tmp_path, mu):
+        cfg = small_linreg_cfg(tmp_path, mu)
+        rows = read_rows(run_linreg_experiment(cfg)[0])
+        for order in cfg.orders:
+            ours = [float(r["mse"]) for r in rows
+                    if r["method"] == f"newton_order_{order}"]
+            assert ours == per_prompt_oracle_mse(cfg, order)
+
     def test_one_build_and_one_newton_prefix_per_prompt(self, tmp_path,
                                                         monkeypatch):
         counts = {"attention": 0, "build": 0}
-
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         monkeypatch.setattr(transformer, "attention_forward",
-                            counting("attention", transformer.attention_forward))
+                            counting(counts, "attention",
+                                     transformer.attention_forward))
         monkeypatch.setattr(builders, "build_linreg_transformer",
-                            counting("build", builders.build_linreg_transformer))
+                            counting(counts, "build",
+                                     builders.build_linreg_transformer))
         cfg = small_linreg_cfg(tmp_path, 0.0)
         run_linreg_experiment(cfg)
         assert counts == {"attention": cfg.batch * (1 + 3 * cfg.t_max),
                           "build": cfg.batch}
+
+    def test_one_alpha_call_and_one_oracle_step_per_depth_and_order(
+            self, tmp_path, monkeypatch):
+        counts = {"alpha": 0, "oracle": 0}
+        monkeypatch.setattr(harness, "spectral_norm_est",
+                            counting(counts, "alpha", spectral_norm_est))
+        monkeypatch.setattr(inversion, "hyperpower_step",
+                            counting(counts, "oracle",
+                                     inversion.hyperpower_step))
+        cfg = small_linreg_cfg(tmp_path, 0.0)
+        run_linreg_experiment(cfg)
+        assert counts == {"alpha": 1,
+                          "oracle": cfg.t_max * len(cfg.orders)}
 
 
 @pytest.fixture(scope="module")

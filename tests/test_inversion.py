@@ -10,6 +10,7 @@ from newtonformer.inversion import (
     InverseRun,
     fitted_order,
     hyperpower_step,
+    initial_scale,
     newton_step,
     predicted_steps,
     run_inverse,
@@ -51,7 +52,7 @@ class TestHyperpowerStep:
     def test_residual_power_law(self, order):
         rng = np.random.default_rng(2)
         a = make_covariance(4, 5.0, rng)
-        x = 0.9 * 2.0 / np.linalg.eigvalsh(a).max() ** 2 * a.T
+        x = initial_scale(np.linalg.eigvalsh(a).max()) * a.T
         eye = np.eye(4)
         before = eye - x @ a
         after = eye - hyperpower_step(x, a, order) @ a
@@ -62,6 +63,73 @@ class TestHyperpowerStep:
     def test_rejects_bad_order(self, order):
         with pytest.raises(ValueError):
             hyperpower_step(np.eye(2), np.eye(2), order)
+
+
+def _stack_pair(rng, shape):
+    """A stack of well-scaled start iterates and the matrices they invert."""
+    a = rng.standard_normal(shape)
+    x = 0.01 * a.swapaxes(-1, -2)
+    return x, a
+
+
+class TestStackedSteps:
+    @pytest.mark.parametrize("order", range(2, MAX_ORDER + 1))
+    def test_stack_equals_per_slice_steps(self, order):
+        rng = np.random.default_rng(10 + order)
+        for shape in ((1, 4, 4), (5, 7, 7), (2, 3, 5, 5)):
+            x, a = _stack_pair(rng, shape)
+            for _ in range(4):
+                got = hyperpower_step(x, a, order)
+                flat_x = x.reshape(-1, *shape[-2:])
+                flat_a = a.reshape(-1, *shape[-2:])
+                want = [hyperpower_step(xi, ai, order)
+                        for xi, ai in zip(flat_x, flat_a)]
+                assert np.array_equal(got, np.reshape(want, shape))
+                x = got
+
+    def test_newton_step_stack_equals_per_slice_steps(self):
+        x, a = _stack_pair(np.random.default_rng(9), (4, 6, 6))
+        want = [newton_step(xi, ai) for xi, ai in zip(x, a)]
+        assert np.array_equal(newton_step(x, a), want)
+
+    @pytest.mark.parametrize("step", [newton_step,
+                                      lambda x, a: hyperpower_step(x, a, 3)])
+    def test_shape_errors(self, step):
+        eye = np.eye(3)
+        stack = np.stack([eye, eye])
+        with pytest.raises(ShapeMismatchError, match="at least 2-D"):
+            step(np.ones(3), eye)
+        with pytest.raises(ShapeMismatchError, match="at least 2-D"):
+            step(eye, np.ones(3))
+        with pytest.raises(ShapeMismatchError, match="must be square"):
+            step(np.ones((2, 2, 3)), np.ones((2, 2, 3)))
+        with pytest.raises(ShapeMismatchError, match="x must have shape"):
+            step(np.stack([eye] * 3), stack)
+        with pytest.raises(ShapeMismatchError, match="x must have shape"):
+            step(eye, stack)
+        with pytest.raises(ShapeMismatchError, match="x must have shape"):
+            step(stack, eye)
+
+    @pytest.mark.parametrize("step", [newton_step,
+                                      lambda x, a: hyperpower_step(x, a, 3)])
+    def test_non_finite_entries_name_their_argument(self, step):
+        good = np.stack([np.eye(2)] * 2)
+        bad = good.copy()
+        bad[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="^x contains non-finite"):
+            step(bad, good)
+        with pytest.raises(ValueError, match="^a contains non-finite"):
+            step(good, bad)
+        with pytest.raises(ValueError, match="^x contains non-finite"):
+            step(bad[1], good[1])
+
+    def test_matrix_error_messages(self):
+        with pytest.raises(ShapeMismatchError) as info:
+            newton_step(np.ones((3, 2)), np.ones((2, 3)))
+        assert str(info.value) == "a must be square, got (2, 3)"
+        with pytest.raises(ShapeMismatchError) as info:
+            hyperpower_step(np.eye(2), np.eye(3), 4)
+        assert str(info.value) == "x must have shape (3, 3), got (2, 2)"
 
 
 class TestPredictedSteps:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from power_iteration import per_matrix_spectral_norm_est
 
+from newtonformer import linalg
 from newtonformer.datagen import make_covariance
 from newtonformer.errors import (
     DefinitenessError,
@@ -9,6 +11,7 @@ from newtonformer.errors import (
 )
 from newtonformer.linalg import (
     as_matrix,
+    as_stack,
     solve_spd,
     spectral_norm_est,
 )
@@ -71,6 +74,130 @@ class TestSpectralNormEst:
     def test_rejects_nonpositive_iters(self):
         with pytest.raises(ValueError):
             spectral_norm_est(np.eye(2), iters=0)
+
+
+class TestAsStack:
+    def test_matrix_and_stack_become_contiguous_float64(self):
+        for shape in ((2, 3), (4, 2, 3), (2, 1, 3, 3)):
+            m = as_stack(np.ones(shape, dtype=np.int32).transpose())
+            assert m.dtype == np.float64
+            assert m.flags["C_CONTIGUOUS"]
+            assert m.shape == shape[::-1]
+
+    def test_rejects_scalar_and_vector(self):
+        for obj in (1.0, np.ones(3)):
+            with pytest.raises(ShapeMismatchError, match="at least 2-D"):
+                as_stack(obj, "x")
+
+    def test_rejects_non_finite_slice(self):
+        s = np.ones((3, 2, 2))
+        s[2, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="^x contains non-finite"):
+            as_stack(s, "x")
+
+
+def _random_stack(rng):
+    """A (batch, m, n) stack, m != n, batch 1-5, entries spread over six
+    decades, holding a zero matrix one time in four."""
+    m = int(rng.integers(1, 41))
+    n = int(rng.choice([k for k in range(1, 41) if k != m]))
+    batch = int(rng.integers(1, 6))
+    a = rng.standard_normal((batch, m, n)) * 10.0 ** rng.uniform(-3, 3)
+    if rng.random() < 0.25:
+        a[rng.integers(batch)] = 0.0
+    return a
+
+
+def _null_space_start(monkeypatch):
+    """Make the first start vector e_n, which lies in the null space of
+    any matrix whose last column is zero; return the seeds drawn."""
+    real = linalg._start_vector
+    seeds = []
+
+    def start(n, seed):
+        seeds.append(seed)
+        if seed == linalg.POWER_SEED:
+            v = np.zeros(n)
+            v[-1] = 1.0
+            return v
+        return real(n, seed)
+
+    monkeypatch.setattr(linalg, "_start_vector", start)
+    return seeds
+
+
+class TestSpectralNormEstStack:
+    def test_stack_equals_per_matrix_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            a = _random_stack(rng)
+            iters = int(rng.integers(1, 61))
+            got = spectral_norm_est(a, iters=iters)
+            want = [per_matrix_spectral_norm_est(s, iters) for s in a]
+            assert got.shape == (a.shape[0],)
+            assert np.array_equal(got, want)
+
+    def test_matrix_equals_per_matrix_loop_and_is_a_float(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            a = _random_stack(rng)[0]
+            est = spectral_norm_est(a)
+            assert type(est) is float
+            assert est == per_matrix_spectral_norm_est(a)
+
+    def test_leading_dims_keep_their_shape(self):
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((2, 3, 5, 4))
+        got = spectral_norm_est(a, iters=40)
+        assert got.shape == (2, 3)
+        want = [[per_matrix_spectral_norm_est(s, 40) for s in row] for row in a]
+        assert np.array_equal(got, want)
+
+    def test_zero_slice_estimates_zero(self):
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((3, 4, 6))
+        a[1] = 0.0
+        got = spectral_norm_est(a)
+        assert got[1] == 0.0
+        assert np.array_equal(got, [per_matrix_spectral_norm_est(s) for s in a])
+        assert np.array_equal(spectral_norm_est(np.zeros((2, 3, 3))), [0.0, 0.0])
+
+    def test_null_space_start_is_nudged(self, monkeypatch):
+        seeds = _null_space_start(monkeypatch)
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((6, 5))
+        a[:, -1] = 0.0
+        est = spectral_norm_est(a, iters=300)
+        assert seeds == [linalg.POWER_SEED, linalg.POWER_SEED + 1]
+        assert type(est) is float
+        seeds.clear()
+        assert est == per_matrix_spectral_norm_est(a, 300)
+        assert seeds == [linalg.POWER_SEED, linalg.POWER_SEED + 1]
+        true = np.linalg.svd(a, compute_uv=False).max()
+        assert abs(est - true) <= 1e-9 * true
+
+    def test_only_the_null_space_slice_is_nudged(self, monkeypatch):
+        seeds = _null_space_start(monkeypatch)
+        rng = np.random.default_rng(26)
+        a = rng.standard_normal((4, 6, 5))
+        a[2, :, -1] = 0.0
+        got = spectral_norm_est(a, iters=50)
+        assert seeds == [linalg.POWER_SEED, linalg.POWER_SEED + 1]
+        want = []
+        for i, s in enumerate(a):
+            seeds.clear()
+            want.append(per_matrix_spectral_norm_est(s, 50))
+            nudged = linalg.POWER_SEED + 1 in seeds
+            assert nudged == (i == 2)
+        assert np.array_equal(got, want)
+
+    def test_rejects_vector_and_non_finite_slice(self):
+        with pytest.raises(ShapeMismatchError):
+            spectral_norm_est(np.ones(3))
+        a = np.ones((2, 3, 3))
+        a[1, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            spectral_norm_est(a)
 
 
 def _long_double_solve(a, b):
