@@ -136,7 +136,10 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
             )
         widths[name] = pieces
 
-    inner = (1.0 + mu) ** 3 / (eps**2 * mu**2)
+    try:
+        inner = (1.0 + mu) ** 3 / (eps**2 * mu**2)
+    except OverflowError:  # eps**2 past every float, so inner is below 1
+        inner = 0.0
     if not inner > 1.0:
         raise ValueError(
             f"eps={eps} is too large for mu={mu}: the inversion count "
@@ -221,8 +224,15 @@ class FfnBuilder:
             PwlGadget(approx, arg, const, float(scale), out_row, self.width)
         )
 
-    def add_signed_copy(self, src_row, label_row, out_row, scale=1.0):
-        """Add scale * x * y for a +-1 label row, exact to rounding."""
+    def add_signed_copy(self, src_row, label_row, out_row):
+        """Add x * y for a label row y in {-1, +1}, using four ReLUs.
+
+        The neurons sum to relu(x/2 + 2y) - relu(-x/2 + 2y)
+        + relu(-x/2 - 2y) - relu(x/2 - 2y), which equals x * y up to
+        one unit in the last place whenever |x| < 4.  The one-ulp slack
+        comes from aligning x/2 against the offset 2 before the
+        cancelling subtraction.
+        """
         for c_src, c_lab, weight in (
             (0.5, 2.0, 1.0),
             (-0.5, 2.0, -1.0),
@@ -230,20 +240,19 @@ class FfnBuilder:
             (0.5, -2.0, -1.0),
         ):
             self.add_neuron(
-                {src_row: c_src, label_row: c_lab}, 0.0, out_row,
-                weight * scale,
+                {src_row: c_src, label_row: c_lab}, 0.0, out_row, weight
             )
 
-    def add_product(self, x_row, y_row, out_row, tables, scale=1.0):
-        """Add scale * x * y via the quarter-square decomposition.
+    def add_product(self, x_row, y_row, out_row, tables):
+        """Add x * y via the quarter-square decomposition.
 
         *tables* is the ``(sq_sum, sq_dif)`` pair of PWL squares that
         :func:`~.pwl.pwl_product` builds for the factors' ranges, so
         the compiled gadget computes the same approximation.
         """
         sq_sum, sq_dif = tables
-        self.add_pwl(sq_sum, {x_row: 1.0, y_row: 1.0}, out_row, 0.25 * scale)
-        self.add_pwl(sq_dif, {x_row: 1.0, y_row: -1.0}, out_row, -0.25 * scale)
+        self.add_pwl(sq_sum, {x_row: 1.0, y_row: 1.0}, out_row, 0.25)
+        self.add_pwl(sq_dif, {x_row: 1.0, y_row: -1.0}, out_row, -0.25)
 
     def build(self):
         if not self.width:

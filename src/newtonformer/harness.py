@@ -1,9 +1,11 @@
 """Experiment runners emitting reproducible CSV summaries.
 
 Each runner consumes an :class:`ExperimentConfig`, generates data from
-its seed, compares the constructed transformers against closed-form or
-iterative oracles, and writes plain CSV so plotting stays external.
-Re-running with the same config yields byte-identical files.
+its seed, and writes plain CSV so plotting stays external.  The linreg
+and logreg runners compare their constructed transformers against
+closed-form or iterative oracles; the invert runner traces the
+Newton-Schulz oracle alone.  Re-running with the same config yields
+byte-identical files.
 """
 
 import os
@@ -67,6 +69,8 @@ class ExperimentConfig:
                 object.__setattr__(self, key, value)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1.0 <= self.kappa < np.inf:
             raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
         if self.noise_std is not None and not 0.0 <= self.noise_std < np.inf:
@@ -234,14 +238,13 @@ def run_logreg_experiment(cfg):
     x_star, g_star = logistic.optimum(problem)
 
     x0 = np.zeros(cfg.d)
-    exact = [x0]
-    for _ in range(cfg.t_max):
-        exact.append(logistic.damped_step(problem, exact[-1]).x)
     source = logistic.bounded_error_source(cfg.eps, cfg.d, cfg.seed + 1)
-    inexact = [x0]
+    exact, inexact = [x0], [x0]
     for step in range(cfg.t_max):
-        x = logistic.damped_step(problem, inexact[-1]).x
-        inexact.append(x + source(step))
+        exact.append(logistic.damped_step(problem, exact[-1]).x)
+        inexact.append(
+            logistic.damped_step(problem, inexact[-1]).x + source(step)
+        )
     constructed = builders.run_constructed_newton(
         problem, x0, budget, cfg.t_max
     )

@@ -22,7 +22,6 @@ from .linalg import solve_spd
 __all__ = [
     "LogisticProblem",
     "loss_grad_hess",
-    "newton_decrement",
     "scaled_decrement",
     "NewtonState",
     "damping",
@@ -125,17 +124,13 @@ def loss_grad_hess(problem, x):
     return f, grad, hess
 
 
-def newton_decrement(problem, x):
-    """Newton decrement sqrt(g.T H^-1 g) of the raw objective at *x*."""
-    return damped_step(problem, x).decrement
-
-
 def scaled_decrement(problem, x):
     """Newton decrement of the standard self-concordant scaling f/(4 mu).
 
-    Equals the raw decrement divided by 2 sqrt(mu).
+    Equals the raw decrement sqrt(g.T H^-1 g), which
+    :func:`damped_step` reports, divided by 2 sqrt(mu).
     """
-    return newton_decrement(problem, x) / (2.0 * np.sqrt(problem.mu))
+    return damped_step(problem, x).decrement / (2.0 * np.sqrt(problem.mu))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Piecewise-linear scalar approximators and exact ReLU product gadgets.
+"""Piecewise-linear scalar approximators and their feed-forward gadgets.
 
 These are the function-approximation primitives that the transformer
 weight builders compile into feed-forward ReLU layers: uniform-knot
-interpolants for smooth curves, a four-ReLU gadget that multiplies a
-bounded value by a +-1 label exactly, and a quarter-square product
+interpolants for smooth curves and a quarter-square product
 approximator built from two squared-argument interpolants.
 """
 
@@ -16,7 +15,6 @@ __all__ = [
     "PwlGadget",
     "build_pwl",
     "eval_pwl",
-    "signed_copy",
     "pwl_product",
 ]
 
@@ -45,14 +43,6 @@ class PwlApprox:
             raise ValueError("knots and values must be finite")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
-
-    @property
-    def lo(self):
-        return float(self.knots[0])
-
-    @property
-    def hi(self):
-        return float(self.knots[-1])
 
     @property
     def pieces(self):
@@ -135,26 +125,6 @@ def eval_pwl(p, x):
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def signed_copy(x, y):
-    """Multiply *x* by a label *y* in {-1.0, +1.0} using four ReLUs.
-
-    Evaluates relu(x/2 + 2y) - relu(-x/2 + 2y) + relu(-x/2 - 2y)
-    - relu(x/2 - 2y), which equals x*y up to one unit in the last
-    place whenever |x| < 4.  The one-ulp slack comes from aligning
-    x/2 against the offset 2 before the cancelling subtraction.
-    """
-    if y not in (-1.0, 1.0):
-        raise ValueError(f"y must be -1.0 or +1.0, got {y!r}")
-    h = 0.5 * x
-    off = 2.0 * y
-    return (
-        max(h + off, 0.0)
-        - max(-h + off, 0.0)
-        + max(-h - off, 0.0)
-        - max(h - off, 0.0)
-    )
 
 
 def _square_tables(range_x, range_y, pieces):

@@ -131,8 +131,8 @@ class Ffn:
     through that ones row rather than being stored separately.
 
     The dense pair over all ``width`` neurons, in the order they were
-    added, is the paper's object: :meth:`to_dense` derives it once and
-    caches it, and ``w1, w2 = ffn`` unpacks it.
+    added, is the paper's object: ``w1, w2 = ffn`` derives it on first
+    use, gadgets expanded in place, and caches it.
     """
 
     def __init__(self, w1, w2, gadgets=(), ones_row=None):
@@ -166,8 +166,8 @@ class Ffn:
     def width(self):
         return self.w1.shape[0] + sum(g.width for g in self.gadgets)
 
-    def to_dense(self):
-        """The (w1, w2) pair of every neuron, gadgets expanded in place."""
+    def __iter__(self):
+        """Yield the dense w1, then w2, over every neuron."""
         if self._dense is None:
             if not self.gadgets:
                 self._dense = (self.w1, self.w2)
@@ -183,23 +183,19 @@ class Ffn:
                 w1[exact] = self.w1
                 w2[:, exact] = self.w2
                 self._dense = (w1, w2)
-        return self._dense
-
-    def __iter__(self):
-        return iter(self.to_dense())
+        return iter(self._dense)
 
 
 @dataclass(frozen=True)
 class TransformerLayer:
     """One block: parallel attention heads plus an optional ffn.
 
-    ``ffn`` is None, an :class:`Ffn`, or a dense pair (w1, w2) with w1
-    of shape (hidden, dim) and w2 of shape (dim, hidden), which becomes
-    an :class:`Ffn` without gadgets.
+    ``ffn`` is None or an :class:`Ffn`; any other value raises
+    ``TypeError``.
     """
 
     heads: tuple
-    ffn: object = None
+    ffn: Ffn | None = None
 
     def __post_init__(self):
         heads = tuple(self.heads)
@@ -211,21 +207,20 @@ class TransformerLayer:
                 raise ValueError("heads disagree on model dimension")
         object.__setattr__(self, "heads", heads)
         if self.ffn is not None:
-            ffn = self.ffn if isinstance(self.ffn, Ffn) else Ffn(*self.ffn)
-            if ffn.dim != dim:
+            if not isinstance(self.ffn, Ffn):
+                raise TypeError(
+                    f"layer ffn must be None or an Ffn, got "
+                    f"{type(self.ffn).__name__}"
+                )
+            if self.ffn.dim != dim:
                 raise ValueError(
-                    f"ffn dimension {ffn.dim} does not match model "
+                    f"ffn dimension {self.ffn.dim} does not match model "
                     f"dimension {dim}"
                 )
-            object.__setattr__(self, "ffn", ffn)
 
     @property
     def dim(self):
         return self.heads[0].dim
-
-    @property
-    def has_ffn(self):
-        return self.ffn is not None
 
 
 def assemble_blocks(dim, entries):
@@ -279,8 +274,7 @@ def ffn_forward(layer, h):
     interpolation and added to its output row, which equals its ReLU
     neurons wherever the ones row holds 1.  Any other ones-row value
     raises ``ValueError``.  A layer without an ffn passes h through
-    unchanged; callers can consult ``layer.has_ffn`` to distinguish the
-    no-op case.
+    unchanged.
     """
     h = _check_stream(h, layer.dim)
     ffn = layer.ffn
@@ -308,14 +302,16 @@ def ffn_forward(layer, h):
 def model_forward(layers, h):
     """Run the stream through each layer: attention, then its ffn.
 
-    An empty layer list returns the prompt unchanged.
+    Each layer checks its input; the last layer's output is checked
+    here, so a stream that overflows raises ``ValueError`` instead of
+    coming back non-finite.  An empty layer list returns the prompt
+    unchanged.
     """
     layers = tuple(layers)
     if not layers:
         return as_matrix(h, "h").copy()
-    h = _check_stream(h, layers[0].dim)
     for layer in layers:
         h = attention_forward(layer, h)
-        if layer.has_ffn:
+        if layer.ffn is not None:
             h = ffn_forward(layer, h)
-    return h
+    return as_matrix(h, "model output")

@@ -38,7 +38,6 @@ from newtonformer.pwl import (
     build_pwl,
     eval_pwl,
     pwl_product,
-    signed_copy,
 )
 from newtonformer.transformer import (
     AttentionHead,
@@ -91,8 +90,10 @@ class TestWidthDepthBudget:
         # (1+mu)^1.5/mu is 2.83 at mu=1
         assert width_depth_budget(2.5, 1.0).widths["k"] == 1
 
+    # 1e200 squares past every float: the same error, not OverflowError
     @pytest.mark.parametrize("eps, mu, bound", [(20.0, 0.1, "11.5369"),
-                                                (3.0, 1.0, "2.82843")])
+                                                (3.0, 1.0, "2.82843"),
+                                                (1e200, 0.1, "11.5369")])
     def test_eps_past_inversion_domain_named(self, eps, mu, bound):
         with pytest.raises(ValueError) as info:
             width_depth_budget(eps, mu)
@@ -231,17 +232,17 @@ class TestFfnBuilder:
         expected = np.where(labels > 0, xs + 1.0, -xs)
         np.testing.assert_allclose(out[3], expected, rtol=0, atol=1e-12)
 
-    def test_signed_copy_matches_scalar_gadget(self):
+    def test_signed_copy_multiplies_by_label(self):
+        # rows: 0 the +-1 label, 1 receives x * y, 2 carries x
         rng = np.random.default_rng(1)
         fb = FfnBuilder(3)
-        fb.add_signed_copy(0, 1, 2, scale=2.0)
-        xs = rng.uniform(-1.0, 1.0, 64)
+        fb.add_signed_copy(2, 0, 1)
+        xs = np.sin(rng.uniform(-1.5, 1.5, 64))
         ys = np.where(rng.uniform(size=64) < 0.5, -1.0, 1.0)
-        h = np.vstack([xs, ys, np.zeros(64)])
+        h = np.vstack([ys, np.zeros(64), xs])
         out = apply_ffn(fb, h)
-        expected = 2.0 * np.array([signed_copy(float(x), float(y))
-                                   for x, y in zip(xs, ys)])
-        np.testing.assert_allclose(out[2], expected, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(out[[0, 2]], h[[0, 2]])
+        np.testing.assert_allclose(out[1], xs * ys, rtol=0, atol=5e-16)
 
     def test_product_matches_quarter_square(self):
         rng = np.random.default_rng(2)
@@ -307,7 +308,7 @@ class TestInversionBlock:
         block, _ = build_inversion_block(3)
         assert len(block) == 2
         assert [len(layer.heads) for layer in block] == [1, 2]
-        assert all(not layer.has_ffn for layer in block)
+        assert all(layer.ffn is None for layer in block)
 
     def test_layout_shape(self):
         block, layout = build_inversion_block(3)
@@ -392,7 +393,7 @@ class TestLinregTransformer:
             assert len(layers) == 3 + t
             assert all(layer.dim == layout.n_rows == 15 for layer in layers)
             assert max(len(layer.heads) for layer in layers) <= 3
-            assert all(not layer.has_ffn for layer in layers)
+            assert all(layer.ffn is None for layer in layers)
 
     def test_prompt_rows_and_readout(self):
         rng = np.random.default_rng(9)
@@ -491,7 +492,7 @@ class TestLogregNewtonStack:
         for i in range(k):
             pair = layers[4 + 2 * i:6 + 2 * i]
             assert [len(layer.heads) for layer in pair] == [1, 2]
-            assert not any(layer.has_ffn for layer in pair)
+            assert all(layer.ffn is None for layer in pair)
             out = model_forward(pair, h)
             expected = newton_step(h[x_slot, :d], m)
             err = np.linalg.norm(out[x_slot, :d] - expected)
@@ -520,7 +521,7 @@ class TestLogregNewtonStack:
             [lambda z: root / (root + math.sqrt(z))],
         ]
         gadget_layers = [layer for layer in layers
-                         if layer.has_ffn and layer.ffn.gadgets]
+                         if layer.ffn is not None and layer.ffn.gadgets]
         for layer, fns in zip(gadget_layers, targets, strict=True):
             for gadget, f in zip(layer.ffn.gadgets, fns, strict=True):
                 per_knot = np.array([f(k) for k in gadget.approx.knots])

@@ -50,7 +50,7 @@ def with_ffn(dim, ffn):
 
 
 def dense_copy(layer):
-    ffn = None if layer.ffn is None else tuple(layer.ffn)
+    ffn = None if layer.ffn is None else Ffn(*layer.ffn)
     return TransformerLayer(heads=layer.heads, ffn=ffn)
 
 
@@ -121,13 +121,14 @@ class TestDenseView:
         first, second = tuple(ffn), tuple(ffn)
         assert first[0] is second[0] and first[1] is second[1]
 
-    def test_dense_pair_is_ffn_without_gadgets(self):
+    def test_layer_rejects_dense_pair(self):
         rng = np.random.default_rng(0)
         w1, w2 = rng.standard_normal((5, 3)), rng.standard_normal((3, 5))
-        layer = with_ffn(3, (w1, w2))
-        assert isinstance(layer.ffn, Ffn) and layer.ffn.gadgets == ()
-        assert layer.ffn.width == 5
-        u1, u2 = layer.ffn
+        with pytest.raises(TypeError, match="None or an Ffn, got tuple"):
+            with_ffn(3, (w1, w2))
+        ffn = Ffn(w1, w2)
+        assert with_ffn(3, ffn).ffn is ffn and ffn.width == 5
+        u1, u2 = ffn
         np.testing.assert_array_equal(u1, w1)
         np.testing.assert_array_equal(u2, w2)
 
@@ -172,7 +173,7 @@ def stack():
     budget = width_depth_budget(1e-2, 0.1, d=5)
     layers, layout = build_logreg_newton_step(problem, budget)
     ffn_layers = [(layer, extended_dense(layer))
-                  for layer in layers if layer.has_ffn]
+                  for layer in layers if layer.ffn is not None]
     return problem, budget, layers, layout, ffn_layers
 
 

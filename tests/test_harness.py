@@ -156,6 +156,9 @@ class TestExperimentConfig:
             ExperimentConfig(task="logreg", mu=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(task="invert", batch=0)
+        for task in ("invert", "linreg", "logreg"):
+            with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+                ExperimentConfig(task=task, seed=-1)
         for task, field in (("invert", "kappa"), ("linreg", "noise_std"),
                             ("linreg", "mu"), ("logreg", "mu"),
                             ("invert", "eps"), ("logreg", "eps")):
@@ -516,12 +519,23 @@ class TestCli:
         ["budget", "--eps", "20", "--mu", "0.1"],
         ["budget", "--eps", "3", "--mu", "1"],
         ["logreg", "--eps", "20"],
+        ["budget", "--eps", "1e200"],
+        ["logreg", "--eps", "1e300"],
     ])
     def test_eps_past_inversion_domain_exits_one(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: eps=") and err.count("\n") == 1
         assert "is too large for mu=" in err
         assert "domain" not in err
+
+    @pytest.mark.parametrize("command", ["invert", "linreg", "logreg"])
+    def test_negative_seed_exits_one(self, command, tmp_path, monkeypatch,
+                                     capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["invert", "--kappa", "nan"],

@@ -13,7 +13,6 @@ from newtonformer.logistic import (
     decrease_bound,
     iterate_norm_bound,
     loss_grad_hess,
-    newton_decrement,
     omega,
     omega_star,
     optimum,
@@ -125,19 +124,19 @@ class TestLossGradHess:
 class TestNewtonDecrement:
     def test_one_dimensional_value(self):
         p = LogisticProblem(np.array([[1.0]]), np.array([1.0]), 1.0)
-        lam = newton_decrement(p, np.zeros(1))
+        lam = damped_step(p, np.zeros(1)).decrement
         assert lam == pytest.approx(0.5 / np.sqrt(1.25), rel=1e-12)
 
     def test_scaled_decrement_relation(self):
         p = make_problem(8)
         x = np.full(5, 0.2)
-        expected = newton_decrement(p, x) / (2.0 * np.sqrt(p.mu))
+        expected = damped_step(p, x).decrement / (2.0 * np.sqrt(p.mu))
         assert scaled_decrement(p, x) == pytest.approx(expected, rel=1e-14)
 
     def test_vanishes_at_minimizer(self):
         p = make_problem(9)
         x_star, _ = optimum(p)
-        assert newton_decrement(p, x_star) <= 1e-8
+        assert damped_step(p, x_star).decrement <= 1e-8
 
     def test_gradient_norm_bound(self):
         # ||grad f|| <= 1 + mu ||x|| and the Hessian floor mu bound the
@@ -146,7 +145,7 @@ class TestNewtonDecrement:
             p = make_problem(seed, n=15, d=3, mu=0.05 * (1 + seed % 4))
             rng = np.random.default_rng(200 + seed)
             x = rng.standard_normal(3) * rng.uniform(0.0, 10.0)
-            lam = newton_decrement(p, x)
+            lam = damped_step(p, x).decrement
             bound = (1.0 + p.mu * np.linalg.norm(x)) / np.sqrt(p.mu)
             assert lam <= bound * (1.0 + 1e-12)
 
@@ -161,9 +160,10 @@ class TestNewtonDecrement:
             )
             x = np.zeros(5)
             for _ in range(12):
-                assert newton_decrement(p, x) <= ceiling
+                state = damped_step(p, x)
+                assert state.decrement <= ceiling
                 assert np.linalg.norm(x) <= iterate_norm_bound(p.mu)
-                x = damped_step(p, x).x
+                x = state.x
 
 
 class TestDampedStep:

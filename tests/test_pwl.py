@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from newtonformer.builders import FfnBuilder
 from newtonformer.pwl import (
     PwlApprox,
     build_pwl,
     eval_pwl,
     pwl_product,
-    signed_copy,
+)
+from newtonformer.transformer import (
+    AttentionHead,
+    TransformerLayer,
+    ffn_forward,
 )
 
 
@@ -26,8 +31,6 @@ class TestPwlApprox:
 
     def test_properties(self):
         p = build_pwl(np.sin, -2.0, 3.0, 10)
-        assert p.lo == -2.0
-        assert p.hi == 3.0
         assert p.pieces == 10
 
 
@@ -117,26 +120,37 @@ class TestEvalPwl:
         assert out.shape == (2,)
 
 
+def signed_copy(xs, ys):
+    """x * y through the four ReLUs of ``FfnBuilder.add_signed_copy``."""
+    fb = FfnBuilder(3)
+    fb.add_signed_copy(0, 1, 2)
+    zero = np.zeros((3, 3))
+    layer = TransformerLayer(heads=(AttentionHead(zero, zero, zero),),
+                             ffn=fb.build())
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    ys = np.broadcast_to(ys, xs.shape)
+    return ffn_forward(layer, np.vstack([xs, ys, np.zeros_like(xs)]))[2]
+
+
 class TestSignedCopy:
     def test_positive_label(self):
-        assert signed_copy(0.3, 1.0) == pytest.approx(0.3, abs=5e-16)
+        assert signed_copy(0.3, 1.0)[0] == pytest.approx(0.3, abs=5e-16)
 
     def test_negative_label(self):
-        assert signed_copy(0.3, -1.0) == pytest.approx(-0.3, abs=5e-16)
+        assert signed_copy(0.3, -1.0)[0] == pytest.approx(-0.3, abs=5e-16)
 
     def test_near_one(self):
-        assert signed_copy(0.999, 1.0) == pytest.approx(0.999, abs=5e-16)
+        assert signed_copy(0.999, 1.0)[0] == pytest.approx(0.999, abs=5e-16)
 
     def test_sweep_floating_rounding(self):
+        # 5e-16 for |x| < 1, and one ulp of [2, 4) for |x| < 4.  Draws
+        # from uniform(-4, 4) lie on a 2**-50 grid, where x/2 + 2 rounds
+        # exactly; sin spreads x over every mantissa bit.
         rng = np.random.default_rng(0)
-        xs = rng.uniform(-1.0, 1.0, 10_000)
-        for x in xs:
-            y = 1.0 if x >= 0 else -1.0
-            assert abs(signed_copy(float(x), y) - x * y) <= 5e-16
-
-    def test_rejects_non_label(self):
-        with pytest.raises(ValueError):
-            signed_copy(0.3, 0.5)
+        for bound, tol in ((1.0, 5e-16), (4.0, 2.0**-51)):
+            xs = bound * np.sin(rng.uniform(-1.5, 1.5, 20_000))
+            ys = np.where(rng.uniform(size=xs.size) < 0.5, -1.0, 1.0)
+            assert np.max(np.abs(signed_copy(xs, ys) - xs * ys)) <= tol
 
 
 class TestPwlProduct:

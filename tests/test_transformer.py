@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from newtonformer import inversion
 from newtonformer.builders import (
+    FfnBuilder,
     build_inversion_block,
     build_linreg_transformer,
     build_logreg_newton_step,
@@ -16,9 +17,9 @@ from newtonformer.builders import (
 )
 from newtonformer.linalg import spectral_norm_est
 from newtonformer.logistic import LogisticProblem
-from newtonformer.pwl import signed_copy
 from newtonformer.transformer import (
     AttentionHead,
+    Ffn,
     PromptLayout,
     TransformerLayer,
     assemble_blocks,
@@ -253,7 +254,7 @@ class TestFfnForward:
         layer = TransformerLayer(
             heads=(AttentionHead(np.zeros((3, 3)), np.zeros((3, 3)),
                                  np.zeros((3, 3))),),
-            ffn=(rng.standard_normal((6, 3)), np.zeros((3, 6))),
+            ffn=Ffn(rng.standard_normal((6, 3)), np.zeros((3, 6))),
         )
         np.testing.assert_array_equal(ffn_forward(layer, h), h)
 
@@ -262,7 +263,7 @@ class TestFfnForward:
         layer = TransformerLayer(
             heads=(AttentionHead(np.zeros((2, 2)), np.zeros((2, 2)),
                                  np.zeros((2, 2))),),
-            ffn=(-np.ones((4, 2)), np.ones((2, 4))),
+            ffn=Ffn(-np.ones((4, 2)), np.ones((2, 4))),
         )
         np.testing.assert_array_equal(ffn_forward(layer, h), h)
 
@@ -275,40 +276,34 @@ class TestFfnForward:
         out = ffn_forward(layer, h)
         np.testing.assert_array_equal(out, h)
         assert out is not h
-        assert not layer.has_ffn
 
-    def test_signed_copy_gadget_matches_scalar_version(self):
+    def test_signed_copy_gadget_multiplies_by_label(self):
         # rows: 0 carries the value, 1 the +-1 label, 2 receives x * y
-        w1 = np.array([
-            [0.5, 2.0, 0.0],
-            [-0.5, 2.0, 0.0],
-            [-0.5, -2.0, 0.0],
-            [0.5, -2.0, 0.0],
-        ])
-        w2 = np.zeros((3, 4))
-        w2[2] = [1.0, -1.0, 1.0, -1.0]
+        fb = FfnBuilder(3)
+        fb.add_signed_copy(0, 1, 2)
         layer = TransformerLayer(
             heads=(AttentionHead(np.zeros((3, 3)), np.zeros((3, 3)),
                                  np.zeros((3, 3))),),
-            ffn=(w1, w2),
+            ffn=fb.build(),
         )
         rng = np.random.default_rng(5)
-        xs = rng.uniform(-1.0, 1.0, 50)
+        xs = np.sin(rng.uniform(-1.5, 1.5, 50))
         ys = np.where(rng.uniform(size=50) < 0.5, -1.0, 1.0)
         h = np.vstack([xs, ys, np.zeros(50)])
-        out = ffn_forward(layer, h)
-        expected = np.array([signed_copy(float(x), float(y))
-                             for x, y in zip(xs, ys)])
-        np.testing.assert_array_equal(out[2], expected)
+        out = model_forward([layer], h)
+        np.testing.assert_allclose(out[2], xs * ys, rtol=0, atol=5e-16)
 
     def test_ffn_shape_validation(self):
         head = AttentionHead(np.eye(2), np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            TransformerLayer(heads=(head,), ffn=(np.ones((3, 2)),
-                                                 np.ones((2, 4))))
+            TransformerLayer(heads=(head,), ffn=Ffn(np.ones((3, 2)),
+                                                    np.ones((2, 4))))
         with pytest.raises(ValueError):
-            TransformerLayer(heads=(head,), ffn=(np.ones((3, 5)),
-                                                 np.ones((2, 3))))
+            TransformerLayer(heads=(head,), ffn=Ffn(np.ones((3, 5)),
+                                                    np.ones((2, 3))))
+        with pytest.raises(ValueError, match="ffn dimension 3"):
+            TransformerLayer(heads=(head,), ffn=Ffn(np.ones((4, 3)),
+                                                    np.ones((3, 4))))
 
 
 class TestModelForward:
@@ -323,8 +318,8 @@ class TestModelForward:
         h = rng.standard_normal((4, 5))
         layers = []
         for _ in range(3):
-            ffn = (0.1 * rng.standard_normal((7, 4)),
-                   0.1 * rng.standard_normal((4, 7)))
+            ffn = Ffn(0.1 * rng.standard_normal((7, 4)),
+                      0.1 * rng.standard_normal((4, 7)))
             layers.append(TransformerLayer(
                 heads=tuple(random_head(rng, 4) for _ in range(2)),
                 ffn=ffn,
@@ -342,6 +337,14 @@ class TestModelForward:
         whole = model_forward(layers, h)
         split = model_forward(layers[2:], model_forward(layers[:2], h))
         np.testing.assert_array_equal(whole, split)
+
+    def test_overflowing_output_is_named(self):
+        # The last layer's output is checked, not only each layer's input.
+        first = build_inversion_block(2)[0][:1]
+        big = 1e200 * np.eye(2)
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="model output"):
+            model_forward(first, make_inversion_prompt(big, big))
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
