@@ -62,28 +62,39 @@ class BudgetReport:
 
     ``widths`` maps each scalar approximator to its piece count
     (u1_pieces, u2_pieces, u3_pieces, eps4_pieces) plus the inversion
-    step count ``k``; ``depth`` is derived from it as 11 + 2 k.
+    step count ``k``; ``depth`` = 11 + 2 k is derived from it, and
+    ``kappa_f``, ``norm_bound`` and ``z_max`` from mu alone.
     """
 
     target_eps: float
     mu: float
-    kappa_f: float
     d: int
     widths: dict
-    z_max: float
-    norm_bound: float
 
     @property
     def depth(self):
         return 11 + 2 * self.widths["k"]
 
+    @property
+    def kappa_f(self):
+        return (1.0 + self.mu) / self.mu
+
+    @property
+    def norm_bound(self):
+        return iterate_norm_bound(self.mu)
+
+    @property
+    def z_max(self):
+        mu, c = self.mu, self.norm_bound
+        return ((1.0 + mu * c) / (2.0 * math.sqrt(mu))) ** 2
+
     def to_text(self):
-        return json.dumps(
-            {**asdict(self), "depth": self.depth}, indent=2, sort_keys=True
-        )
+        derived = ("depth", "kappa_f", "norm_bound", "z_max")
+        payload = {**asdict(self), **{k: getattr(self, k) for k in derived}}
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
+def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
     """Allocate approximator widths and inversion steps for target *eps*.
 
     The per-approximator error families scale as 1/N (pieces), so the
@@ -91,8 +102,9 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
     calibrated so the end-to-end constructed step at
     (eps=1e-2, mu=0.1, d=5) lands well inside its tolerance; the
     inversion count is k = ceil(2 log2 kappa_f
-    + log2 log2((1+mu)^3/(eps^2 mu^2))), floored at 1.  *kappa_f*
-    defaults to (1+mu)/mu, the global Hessian spectral bound ratio.
+    + log2 log2((1+mu)^3/(eps^2 mu^2))), floored at 1, for the ratio
+    kappa_f = (1+mu)/mu that the stack's alpha = initial_scale(1+mu)
+    fixes (the Hessian's spectrum lies in [mu, 1+mu]).
 
     Any piece count above *piece_ceiling*, or too large for a float,
     raises ``BudgetError`` naming the overflowing family.  The
@@ -103,10 +115,6 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be finite and positive, got {mu}")
-    if kappa_f is None:
-        kappa_f = (1.0 + mu) / mu
-    if not 1.0 <= kappa_f < math.inf:
-        raise ValueError(f"kappa_f must be finite and >= 1, got {kappa_f}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
 
@@ -145,21 +153,10 @@ def width_depth_budget(eps, mu, kappa_f=None, d=5, piece_ceiling=5_000_000):
             f"eps={eps} is too large for mu={mu}: the inversion count "
             f"needs eps < (1+mu)^1.5/mu = {(1.0 + mu) ** 1.5 / mu:.6g}"
         )
-    k = max(
-        1,
-        math.ceil(2.0 * math.log2(kappa_f) + math.log2(math.log2(inner))),
-    )
-    widths["k"] = k
-
-    return BudgetReport(
-        target_eps=float(eps),
-        mu=float(mu),
-        kappa_f=float(kappa_f),
-        d=int(d),
-        widths=widths,
-        z_max=float(((1.0 + mu * c_here) / (2.0 * math.sqrt(mu))) ** 2),
-        norm_bound=float(c_here),
-    )
+    report = BudgetReport(float(eps), float(mu), int(d), widths)
+    inversions = 2.0 * math.log2(report.kappa_f) + math.log2(math.log2(inner))
+    widths["k"] = max(1, math.ceil(inversions))
+    return report
 
 
 class FfnBuilder:
@@ -192,14 +189,14 @@ class FfnBuilder:
             arg[self.ones_row] += bias
         return arg
 
-    def add_neuron(self, coeffs, bias, out_row, weight):
-        self._args.append(self._row(coeffs, bias))
+    def add_neuron(self, coeffs, out_row, weight):
+        self._args.append(self._row(coeffs, 0.0))
         self._outs.append((out_row, float(weight)))
 
     def add_identity(self, src_row, out_row, weight=1.0):
         """Add weight*x of the source row, exact for every input."""
-        self.add_neuron({src_row: 1.0}, 0.0, out_row, weight)
-        self.add_neuron({src_row: -1.0}, 0.0, out_row, -weight)
+        self.add_neuron({src_row: 1.0}, out_row, weight)
+        self.add_neuron({src_row: -1.0}, out_row, -weight)
 
     def add_pwl(self, approx, coeffs, out_row, scale=1.0, gate=None):
         """Add a clamped PwlApprox of the affine argument *coeffs*.
@@ -240,7 +237,7 @@ class FfnBuilder:
             (0.5, -2.0, -1.0),
         ):
             self.add_neuron(
-                {src_row: c_src, label_row: c_lab}, 0.0, out_row, weight
+                {src_row: c_src, label_row: c_lab}, out_row, weight
             )
 
     def add_product(self, x_row, y_row, out_row, tables):
@@ -403,17 +400,18 @@ def read_linreg_prediction(h, layout):
     return float(h[layout.rows_of("output").start, 0])
 
 
-def build_linreg_transformer(d, n, t_steps, alpha, ridge_mu=0.0):
+def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
     """Attention-only pipeline predicting a_test^T (A^T A)^-1 A^T y.
 
     One init layer forms (alpha*B; B) for B = A^T A + ridge_mu*I, each
     of *t_steps* layers advances X <- X(2I - BX) (one layer suffices
     because B is symmetric), and two output layers contract
     y^T A X_T against a_test into the output row's first column.
-    The caller supplies *alpha* in (0, 2/sigma_max(B)^2).
+    The caller supplies *alpha* in (0, 2/sigma_max(B)^2).  The weights
+    do not depend on n; :func:`make_linreg_prompt` checks n >= d.
     """
-    if d < 1 or n < d:
-        raise ValueError(f"need n >= d >= 1, got d={d}, n={n}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if t_steps < 0:
         raise ValueError(f"t_steps must be >= 0, got {t_steps}")
     if not alpha > 0.0:
@@ -820,8 +818,8 @@ def build_logreg_newton_step(problem, budget):
 
     # iterate update, block restore, accumulator cleanup
     fb = FfnBuilder(dim, ones_row)
-    fb.add_neuron({acc_row: -0.5, ones_row: 5.0}, 0.0, acc_row, 1.0)
-    fb.add_neuron({acc_row: 0.5, ones_row: 5.0}, 0.0, acc_row, -1.0)
+    fb.add_neuron({acc_row: -0.5, ones_row: 5.0}, acc_row, 1.0)
+    fb.add_neuron({acc_row: 0.5, ones_row: 5.0}, acc_row, -1.0)
     layers.append(
         TransformerLayer(
             heads=(

@@ -107,15 +107,14 @@ def _build_parser():
             else:
                 kind, shown = type(default), default
             _add_flag(sub, name, type=kind, help=f"default {shown}")
-    # The budget defaults to the logreg experiment's eps and mu; the
-    # other knobs keep width_depth_budget's own defaults.
+    # The budget defaults to the logreg experiment's eps, mu and d; the
+    # piece ceiling keeps width_depth_budget's own default.
     budget = subs.add_parser("budget", help="print a width/depth budget")
     _add_flag(budget, "config", help="flat key=value config file")
-    for name in ("eps", "mu"):
+    for name in ("eps", "mu", "d"):
         default = TASK_DEFAULTS["logreg"][name]
-        _add_flag(budget, name, default, type=float, help=f"default {default}")
-    _add_flag(budget, "kappa_f", type=float)
-    _add_flag(budget, "d", type=int)
+        _add_flag(budget, name, default, type=type(default),
+                  help=f"default {default}")
     _add_flag(budget, "piece_ceiling", type=int)
     scan = subs.add_parser("scan-decrease",
                            help="grid-certify the constant decrease")

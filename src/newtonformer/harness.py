@@ -198,7 +198,7 @@ def run_linreg_experiment(cfg):
     tf_preds = [[] for _ in range(cfg.t_max)]
     for item, alpha in zip(prompts, alphas.tolist()):
         (init, newton, *output), layout = builders.build_linreg_transformer(
-            cfg.d, cfg.n, 1, alpha, ridge_mu=cfg.mu
+            cfg.d, 1, alpha, ridge_mu=cfg.mu
         )
         h = model_forward(
             [init],
@@ -257,7 +257,7 @@ def run_logreg_experiment(cfg):
     ):
         for step, x in enumerate(xs):
             f_val, _, _ = logistic.loss_grad_hess(problem, x)
-            g_sub = f_val / (4.0 * cfg.mu) - g_star
+            g_sub = logistic.scaled_objective(cfg.mu, f_val) - g_star
             rows.append((method, step, budget.depth, f_val, g_sub))
     return _write_csv(
         cfg.out_dir, "logreg.csv",

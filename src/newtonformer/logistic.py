@@ -12,6 +12,7 @@ quadratic contraction of the decrement (up to a floor set by any
 injected step errors).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "LogisticProblem",
     "loss_grad_hess",
     "scaled_decrement",
+    "scaled_objective",
     "NewtonState",
     "damping",
     "damped_step",
@@ -40,6 +42,8 @@ __all__ = [
 ]
 
 EXP_CLAMP = 40.0
+# squared local norms of the injected error that the decrease scan covers
+C_PRIME_VALUES = (0.0, 5e-5, 1e-4)
 QUADRATIC_PHASE_THRESHOLD = 1.0 / 6.0
 OPTIMUM_TOL = 1e-12
 OPTIMUM_MAX_ITERS = 500
@@ -124,13 +128,16 @@ def loss_grad_hess(problem, x):
     return f, grad, hess
 
 
-def scaled_decrement(problem, x):
-    """Newton decrement of the standard self-concordant scaling f/(4 mu).
+def scaled_objective(mu, f):
+    """The standard self-concordant scaling f/(4 mu) of an objective f."""
+    return f / (4.0 * mu)
 
-    Equals the raw decrement sqrt(g.T H^-1 g), which
-    :func:`damped_step` reports, divided by 2 sqrt(mu).
-    """
-    return damped_step(problem, x).decrement / (2.0 * np.sqrt(problem.mu))
+
+def scaled_decrement(mu, decrement):
+    """Newton decrement of the scaling f/(4 mu): the raw decrement
+    sqrt(g.T H^-1 g), which :func:`damped_step` reports, divided by
+    2 sqrt(mu)."""
+    return decrement / (2.0 * np.sqrt(mu))
 
 
 @dataclass(frozen=True)
@@ -271,8 +278,8 @@ def run_inexact_newton(
 
     for step in range(max_iters + 1):
         state = damped_step(problem, x)
-        lam_g = state.decrement / (2.0 * np.sqrt(mu))
-        g = state.f / (4.0 * mu)
+        lam_g = scaled_decrement(mu, state.decrement)
+        g = scaled_objective(mu, state.f)
         if lam_g <= threshold or step == max_iters:
             record(state.f, g, lam_g, state.step_size, 0.0)
             if lam_g <= threshold:
@@ -313,9 +320,9 @@ def optimum(problem):
     x = np.zeros(problem.dim)
     for step in range(OPTIMUM_MAX_ITERS + 1):
         state = damped_step(problem, x)
-        if (state.decrement / (2.0 * np.sqrt(problem.mu)) <= OPTIMUM_TOL
+        if (scaled_decrement(problem.mu, state.decrement) <= OPTIMUM_TOL
                 or step == OPTIMUM_MAX_ITERS):
-            return x, state.f / (4.0 * problem.mu)
+            return x, scaled_objective(problem.mu, state.f)
         x = state.x
     raise AssertionError("unreachable")
 
@@ -365,11 +372,12 @@ def iterate_norm_bound(mu):
 
     The objective at 0 is log 2 and every step decreases it, so
     mu ||x||^2 / 2 <= f(x) <= log 2 along the trajectory; one unit of
-    slack absorbs bounded injected errors.
+    slack absorbs bounded injected errors.  Python floats make a mu too
+    small for the bound give inf, with no numpy overflow warning.
     """
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    return float(np.sqrt(2.0 * np.log(2.0) / mu) + 1.0)
+    return math.sqrt(2.0 * math.log(2.0) / mu) + 1.0
 
 
 def decrease_bound(x, c, c_prime):
@@ -399,16 +407,12 @@ def _decrease(x, c, delta):
     return -(x**2) / (1.0 + x) + c + (-delta - np.log1p(-delta))
 
 
-def scan_constant_decrease(
-    grid_x=500,
-    grid_c=500,
-    c_prime_values=(0.0, 5e-5, 1e-4),
-):
+def scan_constant_decrease(grid_x=500, grid_c=500):
     """Numerically verify the constant-decrease margin of damped steps.
 
     Evaluates ``decrease_bound`` over x in [1/6, 1] and c in
-    [-0.06, 0.06] on a grid_x-by-grid_c grid for each c_prime value,
-    restricted to combinations realizable by an actual error vector:
+    [-0.06, 0.06] on a grid_x-by-grid_c grid for each ``C_PRIME_VALUES``
+    entry, restricted to combinations realizable by an actual error vector:
     Cauchy-Schwarz forces |c| <= x * sqrt(c_prime), and unrealizable
     (x, c, c_prime) triples are skipped.  Returns the maximum of h over
     the realizable grid; a decrease guarantee of 0.01 per step needs
@@ -423,9 +427,7 @@ def scan_constant_decrease(
     cs = np.linspace(-0.06, 0.06, grid_c)
     x, c = np.meshgrid(xs, cs, indexing="ij")
     best = -np.inf
-    for c_prime in c_prime_values:
-        if not 0.0 <= c_prime <= 1e-4:
-            raise ValueError(f"c_prime must be in [0, 1e-4], got {c_prime}")
+    for c_prime in C_PRIME_VALUES:
         feasible = np.abs(c) <= x * np.sqrt(c_prime) + 1e-15
         if not np.any(feasible):
             continue

@@ -124,7 +124,7 @@ def test_04_linreg_transformer_end_to_end():
             gram = a.T @ a
             alpha = initial_scale(spectral_norm_est(gram))
             t = predicted_steps(np.linalg.cond(gram), 1e-10, 2)
-            layers, layout = build_linreg_transformer(10, 50, t, alpha)
+            layers, layout = build_linreg_transformer(10, t, alpha)
             pred = read_linreg_prediction(
                 model_forward(layers, make_linreg_prompt(a, y, a_test)),
                 layout)
@@ -193,11 +193,13 @@ def test_06_damped_newton_two_phases():
             problem = _logreg_problem(seed)
             x = np.zeros(5)
             for _ in range(15):
-                lam = scaled_decrement(problem, x)
+                lam = scaled_decrement(mu, damped_step(problem, x).decrement)
                 g0 = loss_grad_hess(problem, x)[0] / (4 * mu)
                 x_next = damped_step(problem, x).x
                 g1 = loss_grad_hess(problem, x_next)[0] / (4 * mu)
-                lam_next = scaled_decrement(problem, x_next)
+                lam_next = scaled_decrement(
+                    mu, damped_step(problem, x_next).decrement
+                )
                 if lam >= 1 / 6 and g0 - g1 < 0.01:
                     violations += 1
                 if lam < 1 / 6 and lam_next > 3 * lam * lam + 1e-12:

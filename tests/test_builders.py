@@ -59,7 +59,7 @@ def make_logreg_problem(seed, n=26, d=5, mu=0.1):
 
 class TestWidthDepthBudget:
     def test_reference_allocation(self):
-        report = width_depth_budget(1e-2, 0.1)
+        report = width_depth_budget(1e-2, 0.1, d=5)
         assert report.kappa_f == pytest.approx(11.0)
         assert report.widths == {"u1_pieces": 2000, "u2_pieces": 2000,
                                  "u3_pieces": 2000, "eps4_pieces": 4000,
@@ -67,9 +67,10 @@ class TestWidthDepthBudget:
         assert report.depth == 35
 
     def test_inversion_count_formula(self):
-        for eps, mu, kappa_f in ((1e-2, 0.1, 11.0), (1e-3, 0.2, 30.0),
-                                 (5e-2, 0.5, 3.0)):
-            report = width_depth_budget(eps, mu, kappa_f=kappa_f)
+        for eps, mu in ((1e-2, 0.1), (1e-3, 0.2), (5e-2, 0.5), (0.5, 3.0)):
+            report = width_depth_budget(eps, mu, d=5)
+            kappa_f = (1.0 + mu) / mu
+            assert report.kappa_f == kappa_f
             inner = (1.0 + mu) ** 3 / (eps**2 * mu**2)
             expected = max(1, math.ceil(
                 2.0 * math.log2(kappa_f) + math.log2(math.log2(inner))
@@ -78,17 +79,19 @@ class TestWidthDepthBudget:
             assert report.depth == 11 + 2 * expected
 
     def test_halving_eps_at_least_quadruples_u2(self):
-        base = width_depth_budget(1e-2, 0.1)
-        finer = width_depth_budget(5e-3, 0.1)
+        base = width_depth_budget(1e-2, 0.1, d=5)
+        finer = width_depth_budget(5e-3, 0.1, d=5)
         assert finer.widths["u2_pieces"] >= 4 * base.widths["u2_pieces"]
 
     def test_minimal_corner_still_inverts(self):
-        report = width_depth_budget(0.5, 1.0, kappa_f=1.0)
+        # kappa_f = (1+mu)/mu tends to 1 as mu grows
+        report = width_depth_budget(0.5, 1e6, d=5)
+        assert report.kappa_f == pytest.approx(1.0, abs=1e-5)
         assert report.widths["k"] >= 1
 
     def test_largest_accepted_eps_keeps_one_inversion(self):
         # (1+mu)^1.5/mu is 2.83 at mu=1
-        assert width_depth_budget(2.5, 1.0).widths["k"] == 1
+        assert width_depth_budget(2.5, 1.0, d=5).widths["k"] == 1
 
     # 1e200 squares past every float: the same error, not OverflowError
     @pytest.mark.parametrize("eps, mu, bound", [(20.0, 0.1, "11.5369"),
@@ -96,36 +99,41 @@ class TestWidthDepthBudget:
                                                 (1e200, 0.1, "11.5369")])
     def test_eps_past_inversion_domain_named(self, eps, mu, bound):
         with pytest.raises(ValueError) as info:
-            width_depth_budget(eps, mu)
+            width_depth_budget(eps, mu, d=5)
         message = str(info.value)
         assert f"eps={eps}" in message and f"mu={mu}" in message
         assert bound in message
 
     def test_monotone_in_eps_and_kappa(self):
         eps_grid = (1e-1, 3e-2, 1e-2, 5e-3)
-        reports = [width_depth_budget(e, 0.1) for e in eps_grid]
+        reports = [width_depth_budget(e, 0.1, d=5) for e in eps_grid]
         for coarse, fine in zip(reports, reports[1:]):
             for key in ("u1_pieces", "u2_pieces", "u3_pieces", "eps4_pieces"):
                 assert fine.widths[key] >= coarse.widths[key]
             assert fine.widths["k"] >= coarse.widths["k"]
-        ks = [width_depth_budget(1e-2, 0.1, kappa_f=kf).widths["k"]
-              for kf in (1.0, 4.0, 11.0, 100.0)]
-        assert ks == sorted(ks)
+        # kappa_f = (1+mu)/mu grows as mu shrinks, and k with it
+        reports = [width_depth_budget(1e-2, mu, d=5)
+                   for mu in (10.0, 1.0, 0.3, 0.1)]
+        kappas = [report.kappa_f for report in reports]
+        ks = [report.widths["k"] for report in reports]
+        assert kappas == sorted(kappas) and ks == sorted(ks)
+        assert ks[0] < ks[-1]
 
     def test_ceiling_names_offending_family(self):
         with pytest.raises(BudgetError) as info:
-            width_depth_budget(1e-2, 0.1, piece_ceiling=1000)
+            width_depth_budget(1e-2, 0.1, d=5, piece_ceiling=1000)
         assert info.value.bound == "u1_pieces"
         with pytest.raises(BudgetError) as info:
-            width_depth_budget(1.4e-3, 0.1)
+            width_depth_budget(1.4e-3, 0.1, d=5)
         assert info.value.bound == "u2_pieces"
 
+    # mu=1e-310 makes (1+mu)/mu and the iterate norm bound infinite
     @pytest.mark.parametrize("eps, mu", [(1e-200, 0.1), (1e-2, 1e-200),
-                                         (5e-324, 0.1)])
+                                         (5e-324, 0.1), (1e-2, 1e-310)])
     def test_float_overflow_is_over_any_ceiling(self, eps, mu):
         for ceiling in (5_000_000, 10**400):
             with pytest.raises(BudgetError) as info:
-                width_depth_budget(eps, mu, piece_ceiling=ceiling)
+                width_depth_budget(eps, mu, d=5, piece_ceiling=ceiling)
             assert info.value.bound == "u1_pieces"
             assert str(info.value) == (
                 f"u1_pieces = inf exceeds the ceiling {ceiling} "
@@ -133,43 +141,57 @@ class TestWidthDepthBudget:
             )
 
     def test_z_max_covers_trajectory_decrements(self):
-        report = width_depth_budget(1e-2, 0.1)
+        report = width_depth_budget(1e-2, 0.1, d=5)
         c = iterate_norm_bound(0.1)
         expected = ((1.0 + 0.1 * c) / (2.0 * math.sqrt(0.1))) ** 2
         assert report.z_max == pytest.approx(expected, rel=1e-14)
         assert report.norm_bound == pytest.approx(c, rel=1e-14)
 
     def test_to_text_is_json(self):
-        report = width_depth_budget(1e-2, 0.1)
+        report = width_depth_budget(1e-2, 0.1, d=5)
         payload = json.loads(report.to_text())
         assert payload["depth"] == 35
         assert payload["widths"]["k"] == 12
         assert payload["target_eps"] == 1e-2
 
     def test_depth_is_derived_from_k(self):
-        report = width_depth_budget(1e-2, 0.1)
+        report = width_depth_budget(1e-2, 0.1, d=5)
         fewer = BudgetReport(
-            target_eps=report.target_eps, mu=report.mu,
-            kappa_f=report.kappa_f, d=report.d,
-            widths={**report.widths, "k": 3}, z_max=report.z_max,
-            norm_bound=report.norm_bound,
+            target_eps=report.target_eps, mu=report.mu, d=report.d,
+            widths={**report.widths, "k": 3},
         )
         assert fewer.depth == 17
         assert json.loads(fewer.to_text())["depth"] == 17
 
+    @pytest.mark.parametrize("mu", [1e-3, 0.1, 0.37, 1.0, 50.0])
+    def test_derived_fields_follow_mu(self, mu):
+        report = BudgetReport(1e-2, mu, 5, {"k": 1})
+        c = math.sqrt(2.0 * math.log(2.0) / mu) + 1.0
+        assert report.kappa_f == (1.0 + mu) / mu
+        assert report.norm_bound == c
+        assert report.z_max == ((1.0 + mu * c) / (2.0 * math.sqrt(mu))) ** 2
+
+    @pytest.mark.parametrize("eps, mu, d", [(1e-2, 0.1, 5), (5e-3, 0.1, 7),
+                                            (3e-2, 0.4, 3)])
+    def test_hand_built_report_prints_same_text(self, eps, mu, d):
+        report = width_depth_budget(eps, mu, d=d)
+        by_hand = BudgetReport(eps, mu, d, dict(report.widths))
+        assert by_hand.to_text() == report.to_text()
+        payload = json.loads(by_hand.to_text())
+        assert set(payload) == {"d", "depth", "kappa_f", "mu", "norm_bound",
+                                "target_eps", "widths", "z_max"}
+        for name in ("kappa_f", "norm_bound", "z_max"):
+            assert payload[name] == getattr(report, name)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            width_depth_budget(0.0, 0.1)
+            width_depth_budget(0.0, 0.1, d=5)
         with pytest.raises(ValueError):
-            width_depth_budget(1e-2, 0.0)
-        with pytest.raises(ValueError):
-            width_depth_budget(1e-2, 0.1, kappa_f=0.5)
+            width_depth_budget(1e-2, 0.0, d=5)
         with pytest.raises(ValueError, match="got nan"):
-            width_depth_budget(1e-2, 0.1, kappa_f=float("nan"))
-        with pytest.raises(ValueError, match="kappa_f must be finite"):
-            width_depth_budget(1e-2, 0.1, kappa_f=float("inf"))
+            width_depth_budget(1e-2, float("nan"), d=5)
         with pytest.raises(ValueError, match="mu must be finite"):
-            width_depth_budget(1e-2, float("inf"))
+            width_depth_budget(1e-2, float("inf"), d=5)
         with pytest.raises(ValueError):
             width_depth_budget(1e-2, 0.1, d=0)
 
@@ -258,9 +280,10 @@ class TestFfnBuilder:
         np.testing.assert_allclose(out[2], expected, rtol=0, atol=1e-12)
 
     def test_bias_requires_ones_row(self):
+        # an ungated PWL routes its constant term through the ones row
         fb = FfnBuilder(2)
-        with pytest.raises(ValueError):
-            fb.add_neuron({0: 1.0}, 0.5, 1, 1.0)
+        with pytest.raises(ValueError, match="ones row"):
+            fb.add_pwl(build_pwl(np.abs, -1.0, 1.0, 4), {0: 1.0}, 1)
 
     def test_empty_builder_rejected(self):
         with pytest.raises(ValueError):
@@ -336,7 +359,7 @@ class TestInversionBlock:
 
 class TestLinregTransformer:
     def test_identity_design_recovers_label(self):
-        layers, layout = build_linreg_transformer(2, 2, 40, alpha=1.8)
+        layers, layout = build_linreg_transformer(2, 40, alpha=1.8)
         a = np.eye(2)
         h = model_forward(layers, make_linreg_prompt(a, np.array([1.0, 0.0]),
                                                      np.array([1.0, 0.0])))
@@ -354,7 +377,7 @@ class TestLinregTransformer:
             alpha = initial_scale(spectral_norm_est(gram))
             kappa = np.linalg.cond(gram)
             t = predicted_steps(kappa, 1e-10, 2)
-            layers, layout = build_linreg_transformer(4, 16, t, alpha)
+            layers, layout = build_linreg_transformer(4, t, alpha)
             h = model_forward(layers, make_linreg_prompt(a, y, a_test))
             pred = read_linreg_prediction(h, layout)
             oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
@@ -366,7 +389,7 @@ class TestLinregTransformer:
         y = rng.standard_normal(8)
         a_test = rng.standard_normal(3)
         alpha = 0.01
-        layers, layout = build_linreg_transformer(3, 8, 0, alpha)
+        layers, layout = build_linreg_transformer(3, 0, alpha)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         pred = read_linreg_prediction(h, layout)
         expected = float(a_test @ (alpha * (a.T @ a)) @ (a.T @ y))
@@ -380,7 +403,7 @@ class TestLinregTransformer:
         mu = 0.5
         gram = a.T @ a + mu * np.eye(3)
         alpha = initial_scale(spectral_norm_est(gram))
-        layers, layout = build_linreg_transformer(3, 12, 30, alpha,
+        layers, layout = build_linreg_transformer(3, 30, alpha,
                                                   ridge_mu=mu)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
@@ -389,7 +412,7 @@ class TestLinregTransformer:
 
     def test_depth_and_head_budget(self):
         for t in (0, 1, 7):
-            layers, layout = build_linreg_transformer(3, 8, t, alpha=0.1)
+            layers, layout = build_linreg_transformer(3, t, alpha=0.1)
             assert len(layers) == 3 + t
             assert all(layer.dim == layout.n_rows == 15 for layer in layers)
             assert max(len(layer.heads) for layer in layers) <= 3
@@ -409,23 +432,25 @@ class TestLinregTransformer:
         np.testing.assert_array_equal(h[12], np.r_[a_test, np.zeros(5)])
         np.testing.assert_array_equal(h[13], y)
         np.testing.assert_array_equal(h[14], np.zeros(8))
-        _, layout = build_linreg_transformer(3, 8, 1, alpha=0.1)
+        _, layout = build_linreg_transformer(3, 1, alpha=0.1)
         h[14, 0] = 2.5
         assert read_linreg_prediction(h, layout) == 2.5
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            build_linreg_transformer(0, 1, alpha=0.1)
         with pytest.raises(ValueError):
-            build_linreg_transformer(4, 3, 1, alpha=0.1)
+            build_linreg_transformer(3, -1, alpha=0.1)
         with pytest.raises(ValueError):
-            build_linreg_transformer(3, 8, -1, alpha=0.1)
-        with pytest.raises(ValueError):
-            build_linreg_transformer(3, 8, 1, alpha=0.0)
+            build_linreg_transformer(3, 1, alpha=0.0)
         with pytest.raises(ValueError, match="got nan"):
-            build_linreg_transformer(3, 8, 1, alpha=0.1, ridge_mu=float("nan"))
+            build_linreg_transformer(3, 1, alpha=0.1, ridge_mu=float("nan"))
         with pytest.raises(ValueError, match="ridge_mu must be finite"):
-            build_linreg_transformer(3, 8, 1, alpha=0.1, ridge_mu=float("inf"))
+            build_linreg_transformer(3, 1, alpha=0.1, ridge_mu=float("inf"))
         with pytest.raises(ValueError):
             make_linreg_prompt(np.ones((8, 3)), np.ones(7), np.ones(3))
+        with pytest.raises(ValueError, match="need n >= d, got n=3, d=4"):
+            make_linreg_prompt(np.ones((3, 4)), np.ones(3), np.ones(4))
 
 
 @pytest.fixture(scope="module")

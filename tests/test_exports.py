@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import newtonformer
+from newtonformer import cli
 
 # __main__ runs the CLI on import.
 _MODULES = sorted(
@@ -57,3 +59,24 @@ def test_cli_call_loads_no_scipy(tmp_path):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+def test_readme_cli_table_lists_each_flag():
+    """The README's CLI table names exactly the flags each subcommand's
+    parser defines (``-h`` and ``--config`` aside), so a flag added or
+    removed in the parser must be added or removed in the docs too."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    documented = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 2 and re.fullmatch(r"`[a-z-]+`", cells[0]):
+            documented[cells[0].strip("`")] = set(
+                re.findall(r"`(--[a-z-]+)`", cells[1])
+            )
+    _, subparsers = cli._build_parser()
+    defined = {
+        name: {opt for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--")} - {"--help", "--config"}
+        for name, sub in subparsers.items()
+    }
+    assert documented == defined

@@ -97,7 +97,7 @@ class TestDenseView:
         fb = FfnBuilder(4, ones_row=2)
         fb.add_identity(0, 3, weight=0.5)
         fb.add_pwl(THREE_PIECES, {0: 1.0}, 3, gate=(1, -1.0))
-        fb.add_neuron({1: 1.0}, 0.0, 0, -1.0)
+        fb.add_neuron({1: 1.0}, 0, -1.0)
         w1, w2 = fb.build()
         np.testing.assert_array_equal(w1, [
             [1.0, 0.0, 0.0, 0.0],

@@ -276,7 +276,7 @@ def replayed_constructed_mse(cfg):
         errs = []
         for a, y, a_test, _, alpha, target in problems:
             layers, layout = builders.build_linreg_transformer(
-                cfg.d, cfg.n, t, alpha, ridge_mu=cfg.mu
+                cfg.d, t, alpha, ridge_mu=cfg.mu
             )
             prompt = make_linreg_prompt(a, y, a_test)
             pred = read_linreg_prediction(model_forward(layers, prompt), layout)
@@ -474,6 +474,8 @@ _UNREAD_FLAGS = [
     ("invert", "n"), ("invert", "noise_std"), ("invert", "mu"),
     ("invert", "batch"), ("linreg", "eps"), ("logreg", "orders"),
     ("logreg", "noise_std"), ("logreg", "batch"),
+    # the budget derives kappa_f = (1+mu)/mu from mu
+    ("budget", "kappa_f"),
 ]
 
 
@@ -502,9 +504,11 @@ class TestCli:
         ["budget", "--eps", "1e-200"],
         ["budget", "--mu", "1e-200"],
         ["logreg", "--eps", "1e-200"],
+        ["budget", "--mu", "1e-310"],
+        ["logreg", "--mu", "1e-310"],
     ])
     def test_float_overflowing_budget_exits_two(self, argv, tmp_path,
-                                                monkeypatch, capsys):
+                                                monkeypatch, capsys, recwarn):
         def no_build(*args, **kwargs):
             raise AssertionError("built a stack past its budget")
 
@@ -513,6 +517,8 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: u1_pieces = inf exceeds the ceiling ")
+        assert err.count("\n") == 1
+        assert [w for w in recwarn if w.category is RuntimeWarning] == []
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
@@ -544,7 +550,6 @@ class TestCli:
         ["logreg", "--kappa", "nan"],
         ["linreg", "--mu", "nan"],
         ["linreg", "--noise-std", "nan"],
-        ["budget", "--kappa-f", "nan"],
     ])
     def test_nan_range_argument_exits_one(self, argv, tmp_path, monkeypatch,
                                           capsys):
@@ -555,7 +560,7 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, name", [
-        (["budget", "--kappa-f", "inf"], "kappa_f"),
+        (["logreg", "--kappa", "inf"], "kappa"),
         (["budget", "--mu", "inf"], "mu"),
         (["logreg", "--mu", "inf"], "mu"),
         (["linreg", "--mu", "inf"], "mu"),

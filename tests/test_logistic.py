@@ -19,6 +19,7 @@ from newtonformer.logistic import (
     quadratic_phase_epsilon,
     run_inexact_newton,
     scaled_decrement,
+    scaled_objective,
     scan_constant_decrease,
     sigmoid,
     suboptimality_bound,
@@ -130,8 +131,10 @@ class TestNewtonDecrement:
     def test_scaled_decrement_relation(self):
         p = make_problem(8)
         x = np.full(5, 0.2)
-        expected = damped_step(p, x).decrement / (2.0 * np.sqrt(p.mu))
-        assert scaled_decrement(p, x) == pytest.approx(expected, rel=1e-14)
+        state = damped_step(p, x)
+        lam_g = scaled_decrement(p.mu, state.decrement)
+        assert lam_g == state.decrement / (2.0 * np.sqrt(p.mu))
+        assert scaled_objective(p.mu, state.f) == state.f / (4.0 * p.mu)
 
     def test_vanishes_at_minimizer(self):
         p = make_problem(9)
@@ -199,7 +202,7 @@ class TestDampedStep:
             x = np.zeros(5)
             g = loss_grad_hess(p, x)[0] / (4.0 * p.mu)
             for _ in range(40):
-                lam_g = scaled_decrement(p, x)
+                lam_g = scaled_decrement(p.mu, damped_step(p, x).decrement)
                 if lam_g < QUADRATIC_PHASE_THRESHOLD:
                     break
                 x = damped_step(p, x).x
@@ -545,10 +548,6 @@ class TestConstantDecreaseScan:
     def test_scan_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             scan_constant_decrease(grid_x=50)
-
-    def test_scan_rejects_out_of_range_c_prime(self):
-        with pytest.raises(ValueError):
-            scan_constant_decrease(c_prime_values=(2e-4,))
 
     def test_anomaly_error_carries_location(self):
         err = ScanAnomalyError("bad", location=(0.5, 0.0, 1e-4))

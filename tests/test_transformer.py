@@ -171,7 +171,7 @@ class TestCompactedHeads:
         y = a @ rng.standard_normal(d)
         gram = a.T @ a + 0.1 * np.eye(d)
         alpha = inversion.initial_scale(spectral_norm_est(gram))
-        layers, _ = build_linreg_transformer(d, n, 3, alpha, ridge_mu=0.1)
+        layers, _ = build_linreg_transformer(d, 3, alpha, ridge_mu=0.1)
         h = make_linreg_prompt(a, y, rng.standard_normal(d))
         assert_every_head_within_bound(layers, h)
 
