@@ -107,16 +107,21 @@ def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
     fixes (the Hessian's spectrum lies in [mu, 1+mu]).
 
     Any piece count above *piece_ceiling*, or too large for a float,
-    raises ``BudgetError`` naming the overflowing family.  The
-    inversion count needs its inner ratio above 1, i.e.
-    eps < (1+mu)^1.5/mu; a larger eps raises ``ValueError``.
+    raises ``BudgetError`` naming the overflowing family.  A d that is
+    not an integer, or a *piece_ceiling* that is NaN or below 1, raises
+    ``ValueError``.  The inversion count needs its inner ratio above 1,
+    i.e. eps < (1+mu)^1.5/mu; a larger eps raises ``ValueError``.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be finite and positive, got {mu}")
-    if d < 1:
+    if not d >= 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if not float(d).is_integer():
+        raise ValueError(f"d must be an integer, got {d}")
+    if not piece_ceiling >= 1:
+        raise ValueError(f"piece_ceiling must be >= 1, got {piece_ceiling}")
 
     c_here = iterate_norm_bound(mu)
     c_ref = iterate_norm_bound(_REF_MU)
@@ -397,7 +402,10 @@ def make_linreg_prompt(a, y, a_test):
 
 
 def read_linreg_prediction(h, layout):
-    return float(h[layout.rows_of("output").start, 0])
+    """The prediction in the output row's first column: a float for one
+    stream, an array of shape ``...`` for a stack ``(..., dim, n)``."""
+    pred = h[..., layout.rows_of("output").start, 0]
+    return float(pred) if np.ndim(h) == 2 else pred
 
 
 def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
@@ -409,6 +417,9 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
     y^T A X_T against a_test into the output row's first column.
     The caller supplies *alpha* in (0, 2/sigma_max(B)^2).  The weights
     do not depend on n; :func:`make_linreg_prompt` checks n >= d.
+    Only the init layer reads alpha and ridge_mu: the Newton, contract
+    and readout layers depend on d alone, so stacks built for different
+    prompts share them.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")

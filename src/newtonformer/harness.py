@@ -155,16 +155,20 @@ def run_linreg_experiment(cfg):
     The prompts' Gram matrices form one ``(batch, d, d)`` stack: one
     ``spectral_norm_est`` call gives every prompt's alpha, and each
     depth advances each order's hyperpower oracles with one
-    ``hyperpower_step`` call on the stack.  Both are bit-identical to
-    per-prompt 2-D calls.
+    ``hyperpower_step`` call on the stack.
 
-    Each prompt's transformer is built once, and its depth-t
-    predictions share one advancing Newton prefix: the stream after the
-    init layer and t Newton layers advances by one more Newton layer
-    for depth t+1, and the contract and readout layers run on it for
-    each depth's prediction.  Every layer sees the input it would see
-    in the full depth-t stack, so the rows equal a rebuild-and-replay
-    exactly.
+    The constructed transformer runs on one ``(batch, dim, n)`` stack
+    of prompts.  Each prompt's transformer is built once, and its init
+    layer, the only layer that reads alpha and ridge mu, writes that
+    prompt's slice.  The Newton, contract and readout layers are the
+    same for every prompt, so one Newton call per depth advances the
+    whole stack, and the contract and readout layers run on it for
+    that depth's predictions: ``batch + 3 t_max`` attention calls in
+    all.  Every slice sees the input it would see alone in the full
+    depth-t stack.
+
+    Stacked calls are bit-identical to per-prompt 2-D calls, so the
+    rows equal a per-prompt rebuild-and-replay exactly.
     """
     if cfg.task != "linreg":
         raise ValueError(f"config task is {cfg.task!r}, expected 'linreg'")
@@ -193,24 +197,23 @@ def run_linreg_experiment(cfg):
         for item, gram in zip(prompts, grams)
     ]
     oracle_x = {order: alphas[:, None, None] * grams for order in cfg.orders}
-    # tf_preds[t - 1] holds the depth-t predictions; one prompt's stack
-    # is alive at a time.
-    tf_preds = [[] for _ in range(cfg.t_max)]
-    for item, alpha in zip(prompts, alphas.tolist()):
+    stream = None
+    for i, (item, alpha) in enumerate(zip(prompts, alphas.tolist())):
         (init, newton, *output), layout = builders.build_linreg_transformer(
             cfg.d, 1, alpha, ridge_mu=cfg.mu
         )
-        h = model_forward(
-            [init],
-            builders.make_linreg_prompt(item["a"], item["y"], item["a_test"]),
+        prompt = builders.make_linreg_prompt(
+            item["a"], item["y"], item["a_test"]
         )
-        for preds in tf_preds:
-            h = model_forward([newton], h)
-            preds.append(builders.read_linreg_prediction(
-                model_forward(output, h), layout
-            ))
+        if stream is None:
+            stream = np.empty((cfg.batch, *prompt.shape))
+        stream[i] = model_forward([init], prompt)
     for t in range(1, cfg.t_max + 1):
-        rows.append(("constructed", 2, t, mse(tf_preds[t - 1])))
+        stream = model_forward([newton], stream)
+        preds = builders.read_linreg_prediction(
+            model_forward(output, stream), layout
+        )
+        rows.append(("constructed", 2, t, mse(preds.tolist())))
         for order in cfg.orders:
             x = oracle_x[order] = inversion.hyperpower_step(
                 oracle_x[order], grams, order

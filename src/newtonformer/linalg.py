@@ -6,8 +6,6 @@ several matrices of one shape.  numpy supplies the raw arithmetic; the
 estimators and the SPD solver are defined here.
 """
 
-import math
-
 import numpy as np
 
 from .errors import DefinitenessError, ShapeMismatchError, SymmetryError
@@ -24,34 +22,30 @@ POWER_SEED = 0
 SYM_TOL = 1e-12
 
 
-def as_matrix(obj, name="matrix"):
-    """Validate *obj* as a finite 2-D float64 matrix and return it.
-
-    Accepts anything ``np.asarray`` does.  Raises ``ShapeMismatchError``
-    for non-2-D input and ``ValueError`` for NaN/Inf entries.
-    """
-    a = np.ascontiguousarray(obj, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 def as_stack(obj, name="stack"):
     """Validate *obj* as a finite float64 matrix or stack of matrices
     ``(..., m, n)`` and return it, C-contiguous.
 
-    Applies :func:`as_matrix`'s checks to the stack viewed as one
-    matrix of its rows; raises ``ShapeMismatchError`` for input with
-    fewer than two dimensions.
+    Accepts anything ``np.asarray`` does.  Raises ``ShapeMismatchError``
+    for input with fewer than two dimensions and ``ValueError`` for
+    NaN/Inf entries.
     """
     a = np.ascontiguousarray(obj, dtype=np.float64)
     if a.ndim < 2:
         raise ShapeMismatchError(
             f"{name} must be at least 2-D, got shape {a.shape}"
         )
-    as_matrix(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]), name)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def as_matrix(obj, name="matrix"):
+    """:func:`as_stack` for a single matrix: also raises
+    ``ShapeMismatchError`` for input with more than two dimensions."""
+    a = as_stack(obj, name)
+    if a.ndim != 2:
+        raise ShapeMismatchError(f"{name} must be 2-D, got shape {a.shape}")
     return a
 
 

@@ -15,13 +15,17 @@ from them on demand.
 Prompts are matrices with one column per token.  Their rows follow a
 ``PromptLayout``: named bands declared once, in order, from which each
 band's rows and the model dimension are derived.
+The forward functions take one stream ``(dim, n)`` or a stack of
+streams ``(..., dim, n)`` and run every slice through the same
+weights; each slice of the result is bit-identical to the call on that
+slice alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, as_stack
 from .pwl import eval_pwl
 
 __all__ = [
@@ -236,10 +240,10 @@ def assemble_blocks(dim, entries):
 
 
 def _check_stream(h, dim):
-    h = as_matrix(h, "h")
-    if h.shape[0] != dim:
+    h = as_stack(h, "h")
+    if h.shape[-2] != dim:
         raise ValueError(
-            f"h has {h.shape[0]} rows, model dimension is {dim}"
+            f"h has {h.shape[-2]} rows, model dimension is {dim}"
         )
     return h
 
@@ -255,6 +259,9 @@ def attention_forward(layer, h):
     n x n score matrix.  Each element lies within
     4 (dim + n) u sum_heads (|W_V| |h|) (|W_K| |h|).T (|W_Q| |h|) + u |r|
     of the exact dense result r, with u = 2**-53.
+
+    *h* is one stream ``(dim, n)`` or a stack ``(..., dim, n)``; the
+    stack shares only the matmul dispatch.
     """
     h = _check_stream(h, layer.dim)
     out = h.copy()
@@ -262,7 +269,7 @@ def attention_forward(layer, h):
         if head._compact is None:
             continue
         rows, w_v, w_k, w_q = head._compact
-        out[rows] += ((w_v @ h) @ (w_k @ h).T) @ (w_q @ h)
+        out[..., rows, :] += ((w_v @ h) @ (w_k @ h).mT) @ (w_q @ h)
     return out
 
 
@@ -273,7 +280,8 @@ def ffn_forward(layer, h):
     comes from one shared matmul; the gadget is evaluated by
     interpolation and added to its output row, which equals its ReLU
     neurons wherever the ones row holds 1.  Any other ones-row value
-    raises ``ValueError``.  A layer without an ffn passes h through
+    raises ``ValueError`` naming the first offending column (and, for a
+    stack, its slice).  A layer without an ffn passes h through
     unchanged.
     """
     h = _check_stream(h, layer.dim)
@@ -282,18 +290,21 @@ def ffn_forward(layer, h):
         return h.copy()
     out = h + ffn.w2 @ np.maximum(ffn.w1 @ h, 0.0)
     if ffn.gadgets:
-        bad = np.flatnonzero(h[ffn.ones_row] != 1.0)
-        if bad.size:
-            col = int(bad[0])
+        ones = h[..., ffn.ones_row, :]
+        bad = ones != 1.0
+        if bad.any():
+            first = tuple(np.argwhere(bad)[0].tolist())
+            where = f" of slice {first[:-1]}" if first[:-1] else ""
             raise ValueError(
                 f"ffn gadgets need ones row {ffn.ones_row} to hold 1.0; "
-                f"column {col} holds {float(h[ffn.ones_row, col])!r}"
+                f"column {first[-1]}{where} holds {float(ones[first])!r}"
             )
         pre = ffn._gadget_rows @ h
         n = len(ffn.gadgets)
-        for g, arg, const in zip(ffn.gadgets, pre[:n], pre[n:]):
+        for i, g in enumerate(ffn.gadgets):
+            arg, const = pre[..., i, :], pre[..., n + i, :]
             v0 = g.approx.values[0]
-            out[g.out_row] += g.scale * (
+            out[..., g.out_row, :] += g.scale * (
                 eval_pwl(g.approx, arg) + v0 * (np.maximum(const, 0.0) - 1.0)
             )
     return out
@@ -305,13 +316,14 @@ def model_forward(layers, h):
     Each layer checks its input; the last layer's output is checked
     here, so a stream that overflows raises ``ValueError`` instead of
     coming back non-finite.  An empty layer list returns the prompt
-    unchanged.
+    unchanged.  *h* may be a stack of streams, as for
+    :func:`attention_forward`.
     """
     layers = tuple(layers)
     if not layers:
-        return as_matrix(h, "h").copy()
+        return as_stack(h, "h").copy()
     for layer in layers:
         h = attention_forward(layer, h)
         if layer.ffn is not None:
             h = ffn_forward(layer, h)
-    return as_matrix(h, "model output")
+    return as_stack(h, "model output")

@@ -4,6 +4,7 @@
 touch and groups the product as ((W_V h) (W_K h).T) (W_Q h).  The
 tests compare it with the formula below, which multiplies the whole
 projections and forms the n x n score matrix (W_K h).T (W_Q h) first.
+Both take one stream ``(dim, n)`` or a stack ``(..., dim, n)``.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ def dense_attention_forward(layer, h, dtype=np.float64):
     for head in layer.heads:
         w_v, w_k, w_q = (head.w_v.astype(dtype), head.w_k.astype(dtype),
                          head.w_q.astype(dtype))
-        out += (w_v @ h) @ ((w_k @ h).T @ (w_q @ h))
+        out += (w_v @ h) @ ((w_k @ h).mT @ (w_q @ h))
     return out
 
 
@@ -26,11 +27,11 @@ def attention_error_bound(layer, h, ref):
     """Elementwise bound on |attention_forward(layer, h) - ref|:
     4 (dim + n) u sum_heads (|W_V| |h|) (|W_K| |h|).T (|W_Q| |h|)
     + u |ref|, with u = 2**-53 and *ref* the exact result."""
-    dim, n = h.shape
+    dim, n = h.shape[-2:]
     abs_h = np.abs(h)
-    reach = np.zeros((dim, n))
+    reach = np.zeros(h.shape)
     for head in layer.heads:
         reach += (np.abs(head.w_v) @ abs_h) @ (
-            (np.abs(head.w_k) @ abs_h).T @ (np.abs(head.w_q) @ abs_h)
+            (np.abs(head.w_k) @ abs_h).mT @ (np.abs(head.w_q) @ abs_h)
         )
     return 4 * (dim + n) * U * reach + U * np.abs(ref)

@@ -195,6 +195,23 @@ class TestWidthDepthBudget:
         with pytest.raises(ValueError):
             width_depth_budget(1e-2, 0.1, d=0)
 
+    @pytest.mark.parametrize("d", [5.5, 1.25, float("inf")])
+    def test_non_integer_d_rejected(self, d):
+        # a fractional d would size u2 with d while the report stores
+        # int(d)
+        with pytest.raises(ValueError, match="d must be an integer"):
+            width_depth_budget(1e-2, 0.1, d=d)
+
+    def test_integral_float_d_matches_int(self):
+        assert (width_depth_budget(1e-2, 0.1, d=5.0).to_text()
+                == width_depth_budget(1e-2, 0.1, d=5).to_text())
+
+    @pytest.mark.parametrize("ceiling", [float("nan"), 0, 0.5, -3])
+    def test_bad_piece_ceiling_rejected(self, ceiling):
+        # a NaN ceiling would accept every width, however large
+        with pytest.raises(ValueError, match="piece_ceiling must be >= 1"):
+            width_depth_budget(1e-5, 0.1, d=5, piece_ceiling=ceiling)
+
 
 def zero_head(dim):
     z = np.zeros((dim, dim))
@@ -435,6 +452,32 @@ class TestLinregTransformer:
         _, layout = build_linreg_transformer(3, 1, alpha=0.1)
         h[14, 0] = 2.5
         assert read_linreg_prediction(h, layout) == 2.5
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_only_init_layer_reads_alpha_and_ridge_mu(self, d):
+        """Only the init layer reads alpha and ridge_mu, so the Newton,
+        contract and readout layers of two prompts' stacks hold equal
+        weights and one copy can run a stack of prompts."""
+        first, _ = build_linreg_transformer(d, 1, alpha=0.3, ridge_mu=0.0)
+        second, _ = build_linreg_transformer(d, 1, alpha=1e-3, ridge_mu=2.5)
+        assert not np.array_equal(first[0].heads[0].w_v,
+                                  second[0].heads[0].w_v)
+        for ours, theirs in zip(first[1:], second[1:]):
+            assert len(ours.heads) == len(theirs.heads)
+            for a, b in zip(ours.heads, theirs.heads):
+                for name in ("w_v", "w_k", "w_q"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_stacked_readout_gives_one_prediction_per_slice(self):
+        _, layout = build_linreg_transformer(2, 1, alpha=0.1)
+        want = np.arange(6.0).reshape(2, 3)
+        h = np.zeros((2, 3, layout.n_rows, 4))
+        h[..., layout.rows_of("output").start, 0] = want
+        preds = read_linreg_prediction(h, layout)
+        assert preds.shape == (2, 3)
+        np.testing.assert_array_equal(preds, want)
+        assert type(read_linreg_prediction(h[1, 2], layout)) is float
+        assert read_linreg_prediction(h[1, 2], layout) == 5.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="d must be >= 1"):

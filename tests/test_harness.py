@@ -341,7 +341,9 @@ class TestLinregLinearInDepth:
                                      builders.build_linreg_transformer))
         cfg = small_linreg_cfg(tmp_path, 0.0)
         run_linreg_experiment(cfg)
-        assert counts == {"attention": cfg.batch * (1 + 3 * cfg.t_max),
+        # one init layer per prompt, then one Newton, contract and
+        # readout layer per depth on the whole prompt stack
+        assert counts == {"attention": cfg.batch + 3 * cfg.t_max,
                           "build": cfg.batch}
 
     def test_one_alpha_call_and_one_oracle_step_per_depth_and_order(
@@ -431,7 +433,7 @@ class TestCompactedAttentionTolerance:
         cfg = ExperimentConfig(task="linreg", **overrides)
         ours, ref, calls = shipped_and_dense_lines(
             run_linreg_experiment, cfg, tmp_path, monkeypatch)
-        assert calls == cfg.batch * (1 + 3 * cfg.t_max)
+        assert calls == cfg.batch + 3 * cfg.t_max
         assert len(ours) == len(ref)
         for line, ref_line in zip(ours, ref):
             *key, mse = line.split(",")
@@ -499,6 +501,12 @@ class TestCli:
     def test_budget_overflow_exits_two(self, capsys):
         assert main(["budget", "--eps", "1e-6"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ceiling", ["0", "-5"])
+    def test_piece_ceiling_below_one_exits_one(self, ceiling, capsys):
+        assert main(["budget", "--piece-ceiling", ceiling]) == 1
+        assert capsys.readouterr().err == (
+            f"error: piece_ceiling must be >= 1, got {ceiling}\n")
 
     @pytest.mark.parametrize("argv", [
         ["budget", "--eps", "1e-200"],

@@ -28,6 +28,10 @@ class TestAsMatrix:
         with pytest.raises(ShapeMismatchError):
             as_matrix(np.ones(3))
 
+    def test_rejects_stack(self):
+        with pytest.raises(ShapeMismatchError, match="^m must be 2-D"):
+            as_matrix(np.ones((2, 2, 2)), "m")
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             as_matrix([[1.0, np.nan]])

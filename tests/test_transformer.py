@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from dense_attention import attention_error_bound, dense_attention_forward
@@ -5,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newtonformer import inversion
+from newtonformer.errors import ShapeMismatchError
 from newtonformer.builders import (
     FfnBuilder,
     build_inversion_block,
@@ -352,3 +356,117 @@ class TestModelForward:
         layer = TransformerLayer(heads=(random_head(rng, 3),))
         np.testing.assert_array_equal(model_forward([layer], h),
                                       model_forward([layer], h))
+
+
+@pytest.fixture(scope="module")
+def constructions():
+    """Per construction, its layers and a maker of one random prompt
+    for them."""
+    rng = np.random.default_rng(20)
+    d, n = 3, 7
+
+    def inversion_prompt(rng):
+        a = spd(rng, d)
+        return make_inversion_prompt(
+            a, inversion.initial_scale(spectral_norm_est(a)) * a)
+
+    def linreg_prompt(rng):
+        return make_linreg_prompt(rng.standard_normal((n, d)),
+                                  rng.standard_normal(n),
+                                  rng.standard_normal(d))
+
+    a = rng.standard_normal((26, 5))
+    a /= np.max(np.linalg.norm(a, axis=1))
+    labels = np.where(a @ rng.standard_normal(5) < 0.0, -1.0, 1.0)
+    problem = LogisticProblem(a, labels, 0.1)
+
+    def logistic_prompt(rng):
+        return make_logistic_prompt(problem, rng.uniform(-1.0, 1.0, 5))
+
+    logistic_layers, _ = build_logreg_newton_step(
+        problem, width_depth_budget(1e-2, 0.1, d=5))
+    return {
+        "inversion": (build_inversion_block(d)[0], inversion_prompt),
+        "linreg": (build_linreg_transformer(d, 2, 0.02, ridge_mu=0.1)[0],
+                   linreg_prompt),
+        "logistic": (logistic_layers, logistic_prompt),
+    }
+
+
+def assert_slices_equal(fn, layers, h):
+    """fn(layers, h) on the stack equals fn on each slice alone, bit for
+    bit."""
+    got = fn(layers, h)
+    assert got.shape == h.shape
+    for idx in np.ndindex(h.shape[:-2]):
+        assert np.array_equal(got[idx], fn(layers, h[idx]))
+
+
+class TestStackedStreams:
+    """A stack of streams (..., dim, n) runs each slice as its own 2-D
+    call would."""
+
+    # derandomized so every run draws the same stacks
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(case=st.sampled_from(["inversion", "linreg", "logistic"]),
+           batch=st.one_of(st.tuples(st.integers(1, 4)), st.just((2, 3))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_per_slice_calls(self, constructions, case, batch,
+                                          seed):
+        layers, make_prompt = constructions[case]
+        rng = np.random.default_rng(seed)
+        prompts = [make_prompt(rng) for _ in range(math.prod(batch))]
+        h = np.reshape(prompts, batch + prompts[0].shape)
+        assert_slices_equal(model_forward, layers, h)
+        for layer in layers:
+            assert_slices_equal(attention_forward, layer, h)
+            assert_slices_equal(ffn_forward, layer, h)
+            h = model_forward([layer], h)
+
+    def test_stack_within_dense_bound(self, constructions):
+        layers, make_prompt = constructions["linreg"]
+        rng = np.random.default_rng(22)
+        h = np.stack([make_prompt(rng) for _ in range(4)]).reshape(
+            2, 2, layers[0].dim, -1)
+        assert_every_head_within_bound(layers, h)
+
+    def test_empty_model_copies_stack(self):
+        h = np.ones((2, 3, 2))
+        out = model_forward([], h)
+        np.testing.assert_array_equal(out, h)
+        assert out is not h
+
+    @pytest.mark.parametrize("fn", [attention_forward, ffn_forward,
+                                    lambda layer, h: model_forward([layer], h)])
+    def test_stream_errors(self, constructions, fn):
+        layers, make_prompt = constructions["linreg"]
+        layer = layers[0]
+        with pytest.raises(ShapeMismatchError, match="at least 2-D"):
+            fn(layer, np.ones(layer.dim))
+        h = np.stack([make_prompt(np.random.default_rng(k))
+                      for k in range(3)])
+        with pytest.raises(ValueError,
+                           match=f"h has {layer.dim + 1} rows, model "
+                                 f"dimension is {layer.dim}"):
+            fn(layer, np.ones((3, layer.dim + 1, 4)))
+        h[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="^h contains non-finite"):
+            fn(layer, h)
+
+    @pytest.mark.parametrize("slice_index", [(0,), (2,), (1, 0)])
+    def test_ones_row_violation_names_its_slice(self, constructions,
+                                                slice_index):
+        layers, make_prompt = constructions["logistic"]
+        layer = next(layer for layer in layers
+                     if layer.ffn is not None and layer.ffn.gadgets)
+        rng = np.random.default_rng(21)
+        batch = (3,) if len(slice_index) == 1 else (2, 2)
+        h = np.stack([make_prompt(rng) for _ in range(math.prod(batch))])
+        h = h.reshape(batch + h.shape[1:])
+        h[slice_index + (layer.ffn.ones_row, 4)] = 0.5
+        want = (f"ones row {layer.ffn.ones_row} to hold 1.0; column 4 of "
+                f"slice {slice_index} holds 0.5")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            ffn_forward(layer, h)
+        with pytest.raises(ValueError, match=r"column 4 holds 0\.5$"):
+            ffn_forward(layer, h[slice_index])
