@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .inversion import initial_scale
+from .inversion import spd_initial_scale
 from .logistic import damping, iterate_norm_bound, sigmoid
 from .pwl import PwlGadget, _square_tables, build_pwl
 from .transformer import (
@@ -62,7 +62,7 @@ class BudgetReport:
 
     ``widths`` maps each scalar approximator to its piece count
     (u1_pieces, u2_pieces, u3_pieces, eps4_pieces) plus the inversion
-    step count ``k``; ``depth`` = 11 + 2 k is derived from it, and
+    step count ``k``; ``depth`` = 10 + 2 k is derived from it, and
     ``kappa_f``, ``norm_bound`` and ``z_max`` from mu alone.
     """
 
@@ -73,7 +73,7 @@ class BudgetReport:
 
     @property
     def depth(self):
-        return 11 + 2 * self.widths["k"]
+        return 10 + 2 * self.widths["k"]
 
     @property
     def kappa_f(self):
@@ -97,14 +97,16 @@ class BudgetReport:
 def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
     """Allocate approximator widths and inversion steps for target *eps*.
 
-    The per-approximator error families scale as 1/N (pieces), so the
-    piece counts are reference-normalized power laws in eps and mu,
-    calibrated so the end-to-end constructed step at
-    (eps=1e-2, mu=0.1, d=5) lands well inside its tolerance; the
-    inversion count is k = ceil(2 log2 kappa_f
-    + log2 log2((1+mu)^3/(eps^2 mu^2))), floored at 1, for the ratio
-    kappa_f = (1+mu)/mu that the stack's alpha = initial_scale(1+mu)
-    fixes (the Hessian's spectrum lies in [mu, 1+mu]).
+    The four piece counts are power laws fitted at one reference point
+    (eps=1e-2, mu=0.1, d=5), where the constructed step lands well
+    inside its tolerance; they are not derived from each table's error
+    (ROADMAP item 2).  The stack seeds Newton-Schulz at alpha*I, alpha =
+    spd_initial_scale(1+mu), for a Hessian B with spectrum in
+    [mu, 1+mu], so I - alpha B has spectral radius r0 = max(1 - alpha mu,
+    alpha (1+mu) - 1).  Each step squares the residual I - X B, so
+    ||I - X_k B||_2 <= r0^(2^k), which meets 1/inner for inner =
+    (1+mu)^3/(eps^2 mu^2) at k = ceil(log2(ln(inner) / -ln r0)), floored
+    at 1.
 
     Any piece count above *piece_ceiling*, or too large for a float,
     raises ``BudgetError`` naming the overflowing family.  A d that is
@@ -158,10 +160,12 @@ def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
             f"eps={eps} is too large for mu={mu}: the inversion count "
             f"needs eps < (1+mu)^1.5/mu = {(1.0 + mu) ** 1.5 / mu:.6g}"
         )
-    report = BudgetReport(float(eps), float(mu), int(d), widths)
-    inversions = 2.0 * math.log2(report.kappa_f) + math.log2(math.log2(inner))
-    widths["k"] = max(1, math.ceil(inversions))
-    return report
+    alpha = spd_initial_scale(1.0 + mu)
+    low, high = alpha * mu, alpha * (1.0 + mu) - 1.0
+    # -ln r0; log1p keeps 1 - alpha*mu from rounding to 1 at tiny mu
+    rate = -math.log(high) if 1.0 - low <= high else -math.log1p(-low)
+    widths["k"] = max(1, math.ceil(math.log2(math.log(inner) / rate)))
+    return BudgetReport(float(eps), float(mu), int(d), widths)
 
 
 class FfnBuilder:
@@ -562,10 +566,10 @@ def _sigmoid_derivative(t):
 def build_logreg_newton_step(problem, budget):
     """Full stack computing one damped Newton step in-context.
 
-    The stack (depth 11 + 2k) computes margins, the per-sample Hessian
+    The stack (depth 10 + 2k) computes margins, the per-sample Hessian
     weights through a PWL sigmoid-derivative, the scaled data rows via
     quarter-square products, assembles B = (1/n) A^T D A + mu I next to
-    alpha*B^T, runs k inverse iterations (the two layers of the
+    the seed alpha*I, runs k inverse iterations (the two layers of the
     inversion block, on B), recomputes margins into label-gated PWL
     probabilities, assembles the gradient, forms the decrement and the
     damped step size, updates the iterate block, and restores every
@@ -599,8 +603,8 @@ def build_logreg_newton_step(problem, budget):
     e1_row = ident.start  # first identity row holds e1^T
 
     # eigenvalues of the Hessian lie in [mu, 1+mu], so this alpha is
-    # inside (0, 2/sigma_max^2) for every iterate
-    alpha = initial_scale(1.0 + mu)
+    # inside (0, 2/lambda_max) for every iterate
+    alpha = spd_initial_scale(1.0 + mu)
 
     def margins_to_accumulator():
         # accumulator += (A x)^T, broadcast from the iterate block
@@ -657,23 +661,15 @@ def build_logreg_newton_step(problem, budget):
         TransformerLayer(heads=rescale_accumulator(), ffn=fb.build())
     )
 
-    # Hessian assembly: x_slot <- alpha*B, b_slot <- B
+    # Hessian assembly: b_slot <- B; the scaled data in x_slot is
+    # cleared before the seed is written, so x_slot <- alpha*I exactly
     layers.append(
         TransformerLayer(
             heads=(
                 _head(
                     dim,
-                    v_entries=[(x_slot, data, alpha * eye), (b_slot, data, eye)],
+                    v_entries=[(b_slot, data, eye)],
                     k_entries=[(x_slot, x_slot, eye)],
-                    q_entries=[(x_slot, ident, eye)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[
-                        (x_slot, ident, alpha * mu * eye),
-                        (b_slot, ident, (mu - 1.0) * eye),
-                    ],
-                    k_entries=[(x_slot, ident, eye)],
                     q_entries=[(x_slot, ident, eye)],
                 ),
                 _head(
@@ -682,22 +678,12 @@ def build_logreg_newton_step(problem, budget):
                     k_entries=[(x_slot, ident, eye)],
                     q_entries=[(x_slot, x_slot, -eye)],
                 ),
-            ),
-        )
-    )
-    # transpose the inverse seed: x_slot <- alpha*B^T
-    layers.append(
-        TransformerLayer(
-            heads=(
                 _head(
                     dim,
-                    v_entries=[(x_slot, ident, eye)],
-                    k_entries=[(x_slot, x_slot, eye)],
-                    q_entries=[(x_slot, ident, eye)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[(x_slot, x_slot, -eye)],
+                    v_entries=[
+                        (x_slot, ident, alpha * eye),
+                        (b_slot, ident, (mu - 1.0) * eye),
+                    ],
                     k_entries=[(x_slot, ident, eye)],
                     q_entries=[(x_slot, ident, eye)],
                 ),

@@ -231,7 +231,7 @@ def run_logreg_experiment(cfg):
     """Loss traces for exact, error-injected, and constructed Newton.
 
     All three traces run exactly t_max steps from x0 = 0; the CSV
-    carries a layers_per_step column (the constructed depth 11 + 2k)
+    carries a layers_per_step column (the constructed depth 10 + 2k)
     so loss-versus-layers plots can be drawn externally.
     """
     if cfg.task != "logreg":

@@ -19,6 +19,7 @@ __all__ = [
     "hyperpower_step",
     "predicted_steps",
     "initial_scale",
+    "spd_initial_scale",
     "run_inverse",
     "InverseRun",
     "fitted_order",
@@ -108,9 +109,20 @@ def initial_scale(sigma):
     ``(0, 2 / sigma_max**2)``, which this alpha meets whenever
     ``sigma**2 > INIT_SAFETY * sigma_max**2``: for any upper bound on
     the spectral norm, and for a power-iteration estimate within about
-    5% of it.
+    5% of it.  Since ``X_0 A = alpha * A^T A``, this is
+    :func:`spd_initial_scale` for the SPD matrix ``A^T A``.
     """
-    return 2.0 * INIT_SAFETY / sigma**2
+    return spd_initial_scale(sigma**2)
+
+
+def spd_initial_scale(lam):
+    """Start scale ``alpha = 2 * INIT_SAFETY / lam`` for ``alpha * I``.
+
+    For SPD A the iteration from ``alpha * I`` converges for alpha in
+    ``(0, 2 / lambda_max)``, which this alpha meets for any upper bound
+    *lam* on the largest eigenvalue.
+    """
+    return 2.0 * INIT_SAFETY / lam
 
 
 @dataclass
@@ -158,23 +170,19 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100):
     eye = np.eye(d)
     x = alpha * a.T
     run = InverseRun(alpha=alpha, order=int(order))
-    run.iterates.append(x)
-    run.residuals.append(float(np.linalg.norm(eye - x @ a)))
-    for _ in range(max_iters):
+    while True:
+        run.iterates.append(x)
+        run.residuals.append(float(np.linalg.norm(eye - x @ a)))
         if run.residuals[-1] <= tol:
             run.converged = True
             return run
+        if run.steps >= max_iters:
+            raise ConvergenceError(
+                f"residual {run.residuals[-1]:.3e} above tol {tol:.3e} "
+                f"after {max_iters} steps",
+                trace=run,
+            )
         x = hyperpower_step(x, a, order)
-        run.iterates.append(x)
-        run.residuals.append(float(np.linalg.norm(eye - x @ a)))
-    if run.residuals[-1] <= tol:
-        run.converged = True
-        return run
-    raise ConvergenceError(
-        f"residual {run.residuals[-1]:.3e} above tol {tol:.3e} "
-        f"after {max_iters} steps",
-        trace=run,
-    )
 
 
 def fitted_order(residuals):

@@ -30,6 +30,7 @@ from newtonformer.logistic import (
     LogisticProblem,
     damped_step,
     iterate_norm_bound,
+    loss_grad_hess,
     optimum,
     sigmoid,
 )
@@ -63,8 +64,8 @@ class TestWidthDepthBudget:
         assert report.kappa_f == pytest.approx(11.0)
         assert report.widths == {"u1_pieces": 2000, "u2_pieces": 2000,
                                  "u3_pieces": 2000, "eps4_pieces": 4000,
-                                 "k": 12}
-        assert report.depth == 35
+                                 "k": 7}
+        assert report.depth == 24
 
     def test_inversion_count_formula(self):
         for eps, mu in ((1e-2, 0.1), (1e-3, 0.2), (5e-2, 0.5), (0.5, 3.0)):
@@ -72,22 +73,56 @@ class TestWidthDepthBudget:
             kappa_f = (1.0 + mu) / mu
             assert report.kappa_f == kappa_f
             inner = (1.0 + mu) ** 3 / (eps**2 * mu**2)
+            # I - alpha*B with alpha = 1.8/(1+mu) has spectral radius
+            # max(1 - 1.8/kappa_f, 0.8) over B's spectrum [mu, 1+mu]
+            r0 = max(1.0 - 1.8 / kappa_f, 0.8)
             expected = max(1, math.ceil(
-                2.0 * math.log2(kappa_f) + math.log2(math.log2(inner))
+                math.log2(math.log(inner) / -math.log(r0))
             ))
             assert report.widths["k"] == expected
-            assert report.depth == 11 + 2 * expected
+            assert report.depth == 10 + 2 * expected
 
     def test_halving_eps_at_least_quadruples_u2(self):
         base = width_depth_budget(1e-2, 0.1, d=5)
         finer = width_depth_budget(5e-3, 0.1, d=5)
         assert finer.widths["u2_pieces"] >= 4 * base.widths["u2_pieces"]
 
-    def test_minimal_corner_still_inverts(self):
-        # kappa_f = (1+mu)/mu tends to 1 as mu grows
-        report = width_depth_budget(0.5, 1e6, d=5)
-        assert report.kappa_f == pytest.approx(1.0, abs=1e-5)
-        assert report.widths["k"] >= 1
+    def test_k_inverts_the_stack_hessian(self):
+        # The stack's own inversion layers, run on its own B, meet the
+        # budget's target 1/inner at every grid point the budget accepts,
+        # out to the last, mu=1e6, where kappa_f -> 1.  eps >= 0.05 is
+        # left out: there the fitted tables are so coarse (u2_pieces = 4
+        # at mu=0.1) that b_slot is not the Hessian (ROADMAP item 2).
+        checked = 0
+        for mu in (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e6):
+            problems = [make_logreg_problem(seed, mu=mu) for seed in range(3)]
+            starts = [(p, x) for p in problems
+                      for x in (np.zeros(5), optimum(p)[0])]
+            for eps in (1e-2, 5e-3, 2e-3):
+                try:
+                    budget = width_depth_budget(eps, mu, d=5)
+                except BudgetError:
+                    continue
+                checked += 1
+                layers, layout = build_logreg_newton_step(problems[0], budget)
+                x_slot, b_slot = map(layout.rows_of, ("x_slot", "b_slot"))
+                h = np.stack([make_logistic_prompt(p, x) for p, x in starts])
+                h = model_forward(layers[:3 + 2 * budget.widths["k"]], h)
+                residual = np.eye(5) - h[:, x_slot, :5] @ h[:, b_slot, :5]
+                worst = np.linalg.norm(residual, 2, axis=(-2, -1)).max()
+                target = max(eps**2 * mu**2 / (1.0 + mu) ** 3, 1e-13)
+                assert worst <= target, (eps, mu, worst)
+        assert checked == 22
+        assert budget.kappa_f == pytest.approx(1.0, abs=1e-5)
+
+    def test_tiny_mu_keeps_a_finite_inversion_count(self):
+        # at mu=1e-17, 1 - alpha*mu rounds to 1; the count still follows
+        # -ln(1 - alpha*mu) ~ alpha*mu = 1.8e-17 instead of dividing by 0
+        report = width_depth_budget(1e-2, 1e-17, d=5, piece_ceiling=10**300)
+        inner = 1.0 / (1e-4 * 1e-34)
+        assert report.widths["k"] == math.ceil(
+            math.log2(math.log(inner) / 1.8e-17)
+        )
 
     def test_largest_accepted_eps_keeps_one_inversion(self):
         # (1+mu)^1.5/mu is 2.83 at mu=1
@@ -150,8 +185,8 @@ class TestWidthDepthBudget:
     def test_to_text_is_json(self):
         report = width_depth_budget(1e-2, 0.1, d=5)
         payload = json.loads(report.to_text())
-        assert payload["depth"] == 35
-        assert payload["widths"]["k"] == 12
+        assert payload["depth"] == 24
+        assert payload["widths"]["k"] == 7
         assert payload["target_eps"] == 1e-2
 
     def test_depth_is_derived_from_k(self):
@@ -160,8 +195,8 @@ class TestWidthDepthBudget:
             target_eps=report.target_eps, mu=report.mu, d=report.d,
             widths={**report.widths, "k": 3},
         )
-        assert fewer.depth == 17
-        assert json.loads(fewer.to_text())["depth"] == 17
+        assert fewer.depth == 16
+        assert json.loads(fewer.to_text())["depth"] == 16
 
     @pytest.mark.parametrize("mu", [1e-3, 0.1, 0.37, 1.0, 50.0])
     def test_derived_fields_follow_mu(self, mu):
@@ -507,7 +542,7 @@ def logreg_stack():
 class TestLogregNewtonStack:
     def test_depth_matches_budget(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
-        assert len(layers) == budget.depth == 11 + 2 * budget.widths["k"]
+        assert len(layers) == budget.depth == 10 + 2 * budget.widths["k"]
         assert max(len(layer.heads) for layer in layers) <= 3
         assert layout.n_rows == 6 * problem.dim + 4
         assert all(layer.dim == layout.n_rows for layer in layers)
@@ -544,9 +579,9 @@ class TestLogregNewtonStack:
         assert np.linalg.norm(out - fresh) <= 1e-10
 
     def test_inverse_iterations_are_newton_steps(self, logreg_stack):
-        # layers 4 .. 4 + 2k follow margins, rescale, Hessian assembly
-        # and transpose; each pair maps X in x_slot to X(2I - MX) for
-        # the M in b_slot
+        # layers 3 .. 3 + 2k follow margins, rescale and Hessian
+        # assembly; each pair maps X in x_slot to X(2I - MX) for the M
+        # in b_slot
         problem, budget, layers, layout = logreg_stack
         d, k = problem.dim, budget.widths["k"]
         x_slot, b_slot, work = map(layout.rows_of,
@@ -558,7 +593,7 @@ class TestLogregNewtonStack:
         h[x_slot, :d] = x
         h[b_slot, :d] = m
         for i in range(k):
-            pair = layers[4 + 2 * i:6 + 2 * i]
+            pair = layers[3 + 2 * i:5 + 2 * i]
             assert [len(layer.heads) for layer in pair] == [1, 2]
             assert all(layer.ffn is None for layer in pair)
             out = model_forward(pair, h)
@@ -571,6 +606,39 @@ class TestLogregNewtonStack:
             rest[x_slot] = False
             np.testing.assert_array_equal(out[rest], h[rest])
             h = out
+
+    def test_hessian_assembly_seeds_alpha_identity(self, logreg_stack):
+        # after margins, rescale and Hessian assembly, x_slot holds the
+        # Newton-Schulz seed alpha*I, alpha = 1.8/(1+mu), and b_slot B
+        _, _, layers, layout = logreg_stack
+        x_slot, b_slot = map(layout.rows_of, ("x_slot", "b_slot"))
+        for seed in range(5):
+            problem = make_logreg_problem(seed)
+            for x in (np.zeros(5), optimum(problem)[0]):
+                h = model_forward(
+                    layers[:3], make_logistic_prompt(problem, x)
+                )
+                np.testing.assert_array_equal(
+                    h[x_slot, :5], 1.8 / (1.0 + problem.mu) * np.eye(5)
+                )
+                np.testing.assert_array_equal(h[x_slot, 5:], 0.0)
+                _, _, hess = loss_grad_hess(problem, x)
+                assert np.abs(h[b_slot, :5] - hess).max() <= 1e-5
+
+    @pytest.mark.parametrize("eps, mu", [(1e-2, 0.1), (5e-3, 0.1),
+                                         (1e-2, 0.3)])
+    def test_budget_k_matches_more_inversions(self, eps, mu):
+        # the inversion count is what the budget truncates: three more
+        # Newton-Schulz steps move no constructed iterate by 1e-10
+        budget = width_depth_budget(eps, mu, d=5)
+        more = BudgetReport(eps, mu, 5,
+                            {**budget.widths, "k": budget.widths["k"] + 3})
+        for seed in range(5):
+            problem = make_logreg_problem(seed, mu=mu)
+            ours = run_constructed_newton(problem, np.zeros(5), budget, 15)
+            ref = run_constructed_newton(problem, np.zeros(5), more, 15)
+            for x, x_ref in zip(ours, ref, strict=True):
+                assert np.linalg.norm(x - x_ref) <= 1e-10
 
     def test_tables_match_per_knot_evaluation(self, logreg_stack):
         # build_pwl evaluates each target once on the whole knot array;
