@@ -62,7 +62,7 @@ class BudgetReport:
 
     ``widths`` maps each scalar approximator to its piece count
     (u1_pieces, u2_pieces, u3_pieces, eps4_pieces) plus the inversion
-    step count ``k``; ``depth`` = 10 + 2 k is derived from it, and
+    step count ``k``; ``depth`` = 10 + k is derived from it, and
     ``kappa_f``, ``norm_bound`` and ``z_max`` from mu alone.
     """
 
@@ -73,7 +73,7 @@ class BudgetReport:
 
     @property
     def depth(self):
-        return 10 + 2 * self.widths["k"]
+        return 10 + self.widths["k"]
 
     @property
     def kappa_f(self):
@@ -99,14 +99,14 @@ def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
 
     The four piece counts are power laws fitted at one reference point
     (eps=1e-2, mu=0.1, d=5), where the constructed step lands well
-    inside its tolerance; they are not derived from each table's error
-    (ROADMAP item 2).  The stack seeds Newton-Schulz at alpha*I, alpha =
-    spd_initial_scale(1+mu), for a Hessian B with spectrum in
-    [mu, 1+mu], so I - alpha B has spectral radius r0 = max(1 - alpha mu,
-    alpha (1+mu) - 1).  Each step squares the residual I - X B, so
-    ||I - X_k B||_2 <= r0^(2^k), which meets 1/inner for inner =
-    (1+mu)^3/(eps^2 mu^2) at k = ceil(log2(ln(inner) / -ln r0)), floored
-    at 1.
+    inside its tolerance; they are not derived from each table's error,
+    so away from that point they can miss eps.  The stack seeds
+    Newton-Schulz at alpha*I, alpha = spd_initial_scale(1+mu), for a
+    Hessian B with spectrum in [mu, 1+mu], so I - alpha B^T has spectral
+    radius r0 = max(1 - alpha mu, alpha (1+mu) - 1).  Each step squares
+    the residual I - X B^T, so ||I - X_k B^T||_2 <= r0^(2^k), which
+    meets 1/inner for inner = (1+mu)^3/(eps^2 mu^2) at
+    k = ceil(log2(ln(inner) / -ln r0)), floored at 1.
 
     Any piece count above *piece_ceiling*, or too large for a float,
     raises ``BudgetError`` naming the overflowing family.  A d that is
@@ -278,6 +278,31 @@ def _head(dim, v_entries, k_entries, q_entries):
     )
 
 
+def _newton_layer(dim, x_rows, m_rows, ident_rows):
+    """One layer taking X to X(2I - M^T X): Newton-Schulz for M^T.
+
+    Needs I_d in the leading columns of the identity band and zeros past
+    column d in it and in X; leaves every band but X as it found it.
+    """
+    eye = np.eye(x_rows.stop - x_rows.start)
+    return TransformerLayer(
+        heads=(
+            _head(
+                dim,
+                v_entries=[(x_rows, x_rows, -eye)],
+                k_entries=[(x_rows, m_rows, eye)],
+                q_entries=[(x_rows, x_rows, eye)],
+            ),
+            _head(
+                dim,
+                v_entries=[(x_rows, x_rows, eye)],
+                k_entries=[(x_rows, ident_rows, eye)],
+                q_entries=[(x_rows, ident_rows, eye)],
+            ),
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # matrix inversion block
 
@@ -307,22 +332,28 @@ def read_inversion_iterate(h, layout):
     return np.ascontiguousarray(h[layout.rows_of("iterate")])
 
 
-def _inverse_iteration(dim, x_rows, m_rows, work_rows, ident_rows):
-    """The two layers that take X to X(2I - MX) on d-row bands.
+def build_inversion_block(d):
+    """Two attention-only layers advancing X by one inverse iteration.
 
-    The first writes MX into the work band; the second forms
-    X(2I - MX) in the X band and clears the work band.  They need I_d
-    in the leading columns of the identity band, zeros elsewhere in it,
-    and a zero work band; they leave those bands and M as they found
-    them, so the pair can be chained.
+    On a prompt (X; A; 0; I) the first layer writes AX into the work
+    block and the second forms X(2I - AX) in the top block while
+    clearing the work block, so the block can be chained.  A need not be
+    symmetric, and one layer, X(2I - A^T X), would invert A^T instead.
     """
-    eye = np.eye(x_rows.stop - x_rows.start)
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    layout = _inversion_layout(d)
+    dim = layout.n_rows
+    x_rows, a_rows, work, ident = map(
+        layout.rows_of, ("iterate", "data", "work", "identity")
+    )
+    eye = np.eye(d)
     first = TransformerLayer(
         heads=(
             _head(
                 dim,
-                v_entries=[(work_rows, m_rows, eye)],
-                k_entries=[(x_rows, ident_rows, eye)],
+                v_entries=[(work, a_rows, eye)],
+                k_entries=[(x_rows, ident, eye)],
                 q_entries=[(x_rows, x_rows, eye)],
             ),
         ),
@@ -332,39 +363,18 @@ def _inverse_iteration(dim, x_rows, m_rows, work_rows, ident_rows):
             _head(
                 dim,
                 v_entries=[(x_rows, x_rows, eye)],
-                k_entries=[(x_rows, ident_rows, eye)],
-                q_entries=[(x_rows, work_rows, -eye)],
+                k_entries=[(x_rows, ident, eye)],
+                q_entries=[(x_rows, work, -eye)],
             ),
             _head(
                 dim,
-                v_entries=[
-                    (x_rows, x_rows, eye), (work_rows, work_rows, -eye),
-                ],
-                k_entries=[(x_rows, ident_rows, eye)],
-                q_entries=[(x_rows, ident_rows, eye)],
+                v_entries=[(x_rows, x_rows, eye), (work, work, -eye)],
+                k_entries=[(x_rows, ident, eye)],
+                q_entries=[(x_rows, ident, eye)],
             ),
         ),
     )
-    return [first, second]
-
-
-def build_inversion_block(d):
-    """Two attention-only layers advancing X by one inverse iteration.
-
-    On a prompt (X; A; 0; I) the pair writes AX into the work block
-    and then forms X(2I - AX) in the top block while clearing the work
-    block, so the output prompt has the same shape and bookkeeping as
-    the input and the block can be chained.  The logistic stack chains
-    the same two layers to invert its Hessian.
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    layout = _inversion_layout(d)
-    layers = _inverse_iteration(
-        layout.n_rows,
-        *map(layout.rows_of, ("iterate", "data", "work", "identity")),
-    )
-    return layers, layout
+    return [first, second], layout
 
 
 # ---------------------------------------------------------------------------
@@ -464,23 +474,6 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
         ),
     )
 
-    newton = TransformerLayer(
-        heads=(
-            _head(
-                dim,
-                v_entries=[(x_slot, x_slot, -eye)],
-                k_entries=[(x_slot, b_slot, eye)],
-                q_entries=[(x_slot, x_slot, eye)],
-            ),
-            _head(
-                dim,
-                v_entries=[(x_slot, x_slot, eye)],
-                k_entries=[(x_slot, ident, eye)],
-                q_entries=[(x_slot, ident, eye)],
-            ),
-        ),
-    )
-
     contract = TransformerLayer(
         heads=(
             _head(
@@ -508,6 +501,7 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
         ),
     )
 
+    newton = _newton_layer(dim, x_slot, b_slot, ident)
     layers = [init] + [newton] * t_steps + [contract, readout]
     return layers, layout
 
@@ -522,7 +516,6 @@ def _logistic_layout(d):
             ("x_slot", d),
             ("b_slot", d),
             ("identity", d),
-            ("work", d),
             ("data", d),
             ("labels", 1),
             ("iterate", d),
@@ -566,14 +559,18 @@ def _sigmoid_derivative(t):
 def build_logreg_newton_step(problem, budget):
     """Full stack computing one damped Newton step in-context.
 
-    The stack (depth 10 + 2k) computes margins, the per-sample Hessian
+    The stack (depth 10 + k) computes margins, the per-sample Hessian
     weights through a PWL sigmoid-derivative, the scaled data rows via
     quarter-square products, assembles B = (1/n) A^T D A + mu I next to
-    the seed alpha*I, runs k inverse iterations (the two layers of the
-    inversion block, on B), recomputes margins into label-gated PWL
+    the seed alpha*I, runs k Newton-Schulz layers (the one-layer step of
+    the least-squares stack), recomputes margins into label-gated PWL
     probabilities, assembles the gradient, forms the decrement and the
     damped step size, updates the iterate block, and restores every
     bookkeeping block so the stack can be chained.
+
+    Those layers converge to (B^T)^-1.  B differs from the symmetric
+    Hessian H only by its product tables' error, so |B - B^T| <=
+    2 max|B - H|: inverting B^T adds no error beyond what B carries.
     """
     d, n = problem.dim, problem.n_samples
     if n < d:
@@ -592,9 +589,8 @@ def build_logreg_newton_step(problem, budget):
     layout = _logistic_layout(d)
     dim = layout.n_rows
     eye = np.eye(d)
-    x_slot, b_slot, ident, work, data, iterate = map(
-        layout.rows_of,
-        ("x_slot", "b_slot", "identity", "work", "data", "iterate"),
+    x_slot, b_slot, ident, data, iterate = map(
+        layout.rows_of, ("x_slot", "b_slot", "identity", "data", "iterate")
     )
     label_row, picker_row, acc_row, ones_row = (
         layout.rows_of(name).start
@@ -691,9 +687,8 @@ def build_logreg_newton_step(problem, budget):
         )
     )
 
-    # k inverse iterations, two layers each
-    k = budget.widths["k"]
-    layers.extend(_inverse_iteration(dim, x_slot, b_slot, work, ident) * k)
+    # k Newton-Schulz iterations, one layer each
+    layers += [_newton_layer(dim, x_slot, b_slot, ident)] * budget.widths["k"]
 
     # margins again, then label-gated probabilities
     fb = FfnBuilder(dim, ones_row)
@@ -853,8 +848,10 @@ def run_constructed_newton(problem, x0, budget, n_steps):
     its entries stay inside (-10, 10).  That layer's attention leaves
     the row as it is, so each step checks it before the last layer and
     raises ``BudgetError`` with bound ``"cleanup_range"`` on a larger
-    entry.
+    entry.  A negative *n_steps* raises ``ValueError``.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     layers, layout = build_logreg_newton_step(problem, budget)
     acc_row = layout.rows_of("accumulator").start
     h = make_logistic_prompt(problem, np.asarray(x0, dtype=np.float64))

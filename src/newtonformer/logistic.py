@@ -85,8 +85,8 @@ class LogisticProblem:
             )
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         object.__setattr__(self, "features", a)
         object.__setattr__(self, "labels", y)
 

@@ -45,7 +45,7 @@ class PromptLayout:
     *bands* is a sequence of ``(name, size)`` pairs.  Each band starts
     where the one before it stops, so together they tile rows
     ``0 .. n_rows``; ``rows_of(name)`` gives a band's rows as a slice.
-    Duplicate names and sizes below 1 raise ``ValueError``.
+    Duplicate names and sizes that are not integers >= 1 raise ``ValueError``.
     """
 
     def __init__(self, bands):
@@ -54,8 +54,10 @@ class PromptLayout:
         for name, size in bands:
             if name in self._rows:
                 raise ValueError(f"duplicate band name {name!r}")
-            if size < 1:
-                raise ValueError(f"band {name!r} needs size >= 1, got {size}")
+            if not isinstance(size, (int, np.integer)) or size < 1:
+                raise ValueError(
+                    f"band {name!r} needs an integer size >= 1, got {size}"
+                )
             self._rows[name] = slice(start, start + size)
             start += size
         self.n_rows = start

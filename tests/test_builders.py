@@ -65,7 +65,7 @@ class TestWidthDepthBudget:
         assert report.widths == {"u1_pieces": 2000, "u2_pieces": 2000,
                                  "u3_pieces": 2000, "eps4_pieces": 4000,
                                  "k": 7}
-        assert report.depth == 24
+        assert report.depth == 17
 
     def test_inversion_count_formula(self):
         for eps, mu in ((1e-2, 0.1), (1e-3, 0.2), (5e-2, 0.5), (0.5, 3.0)):
@@ -80,7 +80,7 @@ class TestWidthDepthBudget:
                 math.log2(math.log(inner) / -math.log(r0))
             ))
             assert report.widths["k"] == expected
-            assert report.depth == 10 + 2 * expected
+            assert report.depth == 10 + expected
 
     def test_halving_eps_at_least_quadruples_u2(self):
         base = width_depth_budget(1e-2, 0.1, d=5)
@@ -90,9 +90,10 @@ class TestWidthDepthBudget:
     def test_k_inverts_the_stack_hessian(self):
         # The stack's own inversion layers, run on its own B, meet the
         # budget's target 1/inner at every grid point the budget accepts,
-        # out to the last, mu=1e6, where kappa_f -> 1.  eps >= 0.05 is
-        # left out: there the fitted tables are so coarse (u2_pieces = 4
-        # at mu=0.1) that b_slot is not the Hessian (ROADMAP item 2).
+        # out to the last, mu=1e6, where kappa_f -> 1.  The layers invert
+        # B^T, so the residual is taken against it.  eps >= 0.05 is left
+        # out: there the fitted power-law tables are so coarse
+        # (u2_pieces = 4 at mu=0.1) that b_slot is not the Hessian.
         checked = 0
         for mu in (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e6):
             problems = [make_logreg_problem(seed, mu=mu) for seed in range(3)]
@@ -107,8 +108,8 @@ class TestWidthDepthBudget:
                 layers, layout = build_logreg_newton_step(problems[0], budget)
                 x_slot, b_slot = map(layout.rows_of, ("x_slot", "b_slot"))
                 h = np.stack([make_logistic_prompt(p, x) for p, x in starts])
-                h = model_forward(layers[:3 + 2 * budget.widths["k"]], h)
-                residual = np.eye(5) - h[:, x_slot, :5] @ h[:, b_slot, :5]
+                h = model_forward(layers[:3 + budget.widths["k"]], h)
+                residual = np.eye(5) - h[:, x_slot, :5] @ h[:, b_slot, :5].mT
                 worst = np.linalg.norm(residual, 2, axis=(-2, -1)).max()
                 target = max(eps**2 * mu**2 / (1.0 + mu) ** 3, 1e-13)
                 assert worst <= target, (eps, mu, worst)
@@ -185,7 +186,7 @@ class TestWidthDepthBudget:
     def test_to_text_is_json(self):
         report = width_depth_budget(1e-2, 0.1, d=5)
         payload = json.loads(report.to_text())
-        assert payload["depth"] == 24
+        assert payload["depth"] == 17
         assert payload["widths"]["k"] == 7
         assert payload["target_eps"] == 1e-2
 
@@ -195,8 +196,8 @@ class TestWidthDepthBudget:
             target_eps=report.target_eps, mu=report.mu, d=report.d,
             widths={**report.widths, "k": 3},
         )
-        assert fewer.depth == 16
-        assert json.loads(fewer.to_text())["depth"] == 16
+        assert fewer.depth == 13
+        assert json.loads(fewer.to_text())["depth"] == 13
 
     @pytest.mark.parametrize("mu", [1e-3, 0.1, 0.37, 1.0, 50.0])
     def test_derived_fields_follow_mu(self, mu):
@@ -531,6 +532,16 @@ class TestLinregTransformer:
             make_linreg_prompt(np.ones((3, 4)), np.ones(3), np.ones(4))
 
 
+@pytest.mark.parametrize("build, band", [
+    (build_inversion_block, "iterate"),
+    (lambda d: build_linreg_transformer(d, 1, alpha=0.1), "x_slot"),
+])
+def test_non_integer_d_names_its_band(build, band):
+    message = f"band '{band}' needs an integer size >= 1, got 2.5"
+    with pytest.raises(ValueError, match=message):
+        build(2.5)
+
+
 @pytest.fixture(scope="module")
 def logreg_stack():
     problem = make_logreg_problem(0)
@@ -542,9 +553,9 @@ def logreg_stack():
 class TestLogregNewtonStack:
     def test_depth_matches_budget(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
-        assert len(layers) == budget.depth == 10 + 2 * budget.widths["k"]
+        assert len(layers) == budget.depth == 10 + budget.widths["k"]
         assert max(len(layer.heads) for layer in layers) <= 3
-        assert layout.n_rows == 6 * problem.dim + 4
+        assert layout.n_rows == 5 * problem.dim + 4
         assert all(layer.dim == layout.n_rows for layer in layers)
 
     def test_single_step_tracks_damped_newton(self, logreg_stack):
@@ -578,30 +589,37 @@ class TestLogregNewtonStack:
         fresh = make_logistic_prompt(problem, x1)
         assert np.linalg.norm(out - fresh) <= 1e-10
 
+    def test_step_count_must_not_be_negative(self, logreg_stack):
+        problem, budget, _, _ = logreg_stack
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -1"):
+            run_constructed_newton(problem, np.zeros(5), budget, -1)
+        xs = run_constructed_newton(problem, np.ones(5), budget, 0)
+        assert len(xs) == 1
+        np.testing.assert_array_equal(xs[0], np.ones(5))
+
     def test_inverse_iterations_are_newton_steps(self, logreg_stack):
-        # layers 3 .. 3 + 2k follow margins, rescale and Hessian
-        # assembly; each pair maps X in x_slot to X(2I - MX) for the M
-        # in b_slot
+        # layers 3 .. 3 + k follow margins, rescale and Hessian
+        # assembly; each maps X in x_slot to X(2I - M^T X), the
+        # Newton-Schulz step for M^T, for the M in b_slot
         problem, budget, layers, layout = logreg_stack
         d, k = problem.dim, budget.widths["k"]
-        x_slot, b_slot, work = map(layout.rows_of,
-                                   ("x_slot", "b_slot", "work"))
+        x_slot, b_slot = map(layout.rows_of, ("x_slot", "b_slot"))
         rng = np.random.default_rng(11)
         m = rng.standard_normal((d, d))
-        x = 1.8 / np.linalg.norm(m, 2) ** 2 * m.T
+        # a start off the line through m, where X M^T X and M X^T X
+        # differ; I - X M^T still contracts (spectral radius 0.98)
+        scale = np.linalg.norm(m, 2)
+        x = (1.8 * m + 0.1 * scale * rng.standard_normal((d, d))) / scale**2
         h = make_logistic_prompt(problem, np.zeros(d))
         h[x_slot, :d] = x
         h[b_slot, :d] = m
-        for i in range(k):
-            pair = layers[3 + 2 * i:5 + 2 * i]
-            assert [len(layer.heads) for layer in pair] == [1, 2]
-            assert all(layer.ffn is None for layer in pair)
-            out = model_forward(pair, h)
-            expected = newton_step(h[x_slot, :d], m)
+        for layer in layers[3:3 + k]:
+            assert len(layer.heads) == 2 and layer.ffn is None
+            out = model_forward([layer], h)
+            expected = newton_step(h[x_slot, :d], m.T)
             err = np.linalg.norm(out[x_slot, :d] - expected)
             assert err <= 1e-12 * np.linalg.norm(expected)
             np.testing.assert_array_equal(out[x_slot, d:], 0.0)
-            np.testing.assert_array_equal(out[work], 0.0)
             rest = np.ones(layout.n_rows, dtype=bool)
             rest[x_slot] = False
             np.testing.assert_array_equal(out[rest], h[rest])
@@ -726,12 +744,12 @@ class TestLogregNewtonStack:
         problem, _, _, layout = logreg_stack
         x = np.arange(5.0)
         h = make_logistic_prompt(problem, x)
-        assert h.shape == (34, 26)
+        assert h.shape == (29, 26)
         np.testing.assert_array_equal(read_logistic_iterate(h, layout), x)
-        np.testing.assert_array_equal(h[20:25], problem.features.T)
-        np.testing.assert_array_equal(h[25], problem.labels)
-        assert h[31, 0] == pytest.approx(1.0 / 26)
-        np.testing.assert_array_equal(h[33], np.ones(26))
+        np.testing.assert_array_equal(h[15:20], problem.features.T)
+        np.testing.assert_array_equal(h[20], problem.labels)
+        assert h[26, 0] == pytest.approx(1.0 / 26)
+        np.testing.assert_array_equal(h[28], np.ones(26))
 
     def test_requires_enough_samples(self):
         problem = make_logreg_problem(3, n=4, d=5)

@@ -399,7 +399,7 @@ class TestLogregRunner:
 
     def test_layers_per_step_column(self, logreg_table):
         for rows in logreg_table.values():
-            assert all(int(r["layers_per_step"]) == 24 for r in rows)
+            assert all(int(r["layers_per_step"]) == 17 for r in rows)
 
 
 def csv_lines(path):
@@ -495,7 +495,7 @@ class TestCli:
     def test_budget_prints_json(self, capsys):
         assert main(["budget", "--eps", "1e-2", "--mu", "0.1"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["depth"] == 24
+        assert payload["depth"] == 17
         assert payload["widths"]["u2_pieces"] == 2000
 
     def test_budget_overflow_exits_two(self, capsys):

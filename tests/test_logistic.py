@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,12 @@ class TestLogisticProblem:
             LogisticProblem(a, y, 0.0)
         with pytest.raises(ValueError):
             LogisticProblem(a, np.ones(2), 0.1)
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -1.0])
+    def test_mu_must_be_finite_and_positive(self, mu):
+        with pytest.raises(ValueError,
+                           match="mu must be finite and positive"):
+            LogisticProblem(0.5 * np.eye(2), np.ones(2), mu)
 
     def test_dimensions(self):
         p = make_problem(0)

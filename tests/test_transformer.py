@@ -92,6 +92,16 @@ class TestPromptLayout:
             with pytest.raises(ValueError, match="size"):
                 PromptLayout((("a", 2), ("b", size)))
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, float("nan"), "3"])
+    def test_rejects_non_integer_sizes(self, size):
+        with pytest.raises(ValueError,
+                           match="band 'b' needs an integer size >= 1, got"):
+            PromptLayout((("a", 2), ("b", size)))
+
+    def test_numpy_integer_size(self):
+        layout = PromptLayout((("a", np.int64(2)), ("b", 1)))
+        assert layout.rows_of("a") == slice(0, 2) and layout.n_rows == 3
+
 
 class TestAssembleBlocks:
     def test_scalar_broadcast_and_accumulation(self):
