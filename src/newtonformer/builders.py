@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 SIGMOID_RANGE = 10.0
-GATE_SHIFT = 20.0
 CLEANUP_RANGE = 10.0
 
 _REF_EPS = 1e-2
@@ -62,7 +61,7 @@ class BudgetReport:
 
     ``widths`` maps each scalar approximator to its piece count
     (u1_pieces, u2_pieces, u3_pieces, eps4_pieces) plus the inversion
-    step count ``k``; ``depth`` = 10 + k is derived from it, and
+    step count ``k``; ``depth`` = 9 + k is derived from it, and
     ``kappa_f``, ``norm_bound`` and ``z_max`` from mu alone.
     """
 
@@ -73,7 +72,7 @@ class BudgetReport:
 
     @property
     def depth(self):
-        return 10 + self.widths["k"]
+        return 9 + self.widths["k"]
 
     @property
     def kappa_f(self):
@@ -188,18 +187,14 @@ class FfnBuilder:
     def width(self):
         return len(self._args) + sum(g.width for g in self._gadgets)
 
-    def _row(self, coeffs, bias):
+    def _row(self, coeffs):
         arg = np.zeros(self.dim)
         for row, coeff in coeffs.items():
             arg[row] += coeff
-        if bias != 0.0:
-            if self.ones_row is None:
-                raise ValueError("a bias needs a ones row in the prompt")
-            arg[self.ones_row] += bias
         return arg
 
     def add_neuron(self, coeffs, out_row, weight):
-        self._args.append(self._row(coeffs, 0.0))
+        self._args.append(self._row(coeffs))
         self._outs.append((out_row, float(weight)))
 
     def add_identity(self, src_row, out_row, weight=1.0):
@@ -207,47 +202,18 @@ class FfnBuilder:
         self.add_neuron({src_row: 1.0}, out_row, weight)
         self.add_neuron({src_row: -1.0}, out_row, -weight)
 
-    def add_pwl(self, approx, coeffs, out_row, scale=1.0, gate=None):
-        """Add a clamped PwlApprox of the affine argument *coeffs*.
+    def add_pwl(self, approx, coeffs, out_row, scale=1.0):
+        """Add a clamped PwlApprox of the linear argument *coeffs*.
 
-        With ``gate=(label_row, sign)`` the argument is shifted past the
-        knots unless that row holds exactly ``sign`` (labels are +-1),
-        and the constant term is routed through an exact 0/1 ReLU of
-        the label, so two gated copies realize a per-column branch on
-        the label value.
+        Its constant neuron and knot offsets read the ones row, so a
+        builder without one raises ``ValueError``.
         """
-        if gate is None:
-            const = self._row({}, 1.0)
-            arg = self._row(coeffs, 0.0)
-        else:
-            gate_row, gate_sign = gate
-            if gate_sign not in (-1.0, 1.0, -1, 1):
-                raise ValueError("gate sign must be -1 or +1")
-            const = self._row({gate_row: 0.5 * gate_sign}, 0.5)
-            arg = self._row(coeffs, -GATE_SHIFT)
-            arg[gate_row] += GATE_SHIFT * gate_sign
+        if self.ones_row is None:
+            raise ValueError("a PWL gadget needs a ones row in the prompt")
         self._gadgets.append(
-            PwlGadget(approx, arg, const, float(scale), out_row, self.width)
+            PwlGadget(approx, self._row(coeffs), float(scale), out_row,
+                      self.width)
         )
-
-    def add_signed_copy(self, src_row, label_row, out_row):
-        """Add x * y for a label row y in {-1, +1}, using four ReLUs.
-
-        The neurons sum to relu(x/2 + 2y) - relu(-x/2 + 2y)
-        + relu(-x/2 - 2y) - relu(x/2 - 2y), which equals x * y up to
-        one unit in the last place whenever |x| < 4.  The one-ulp slack
-        comes from aligning x/2 against the offset 2 before the
-        cancelling subtraction.
-        """
-        for c_src, c_lab, weight in (
-            (0.5, 2.0, 1.0),
-            (-0.5, 2.0, -1.0),
-            (-0.5, -2.0, 1.0),
-            (0.5, -2.0, -1.0),
-        ):
-            self.add_neuron(
-                {src_row: c_src, label_row: c_lab}, out_row, weight
-            )
 
     def add_product(self, x_row, y_row, out_row, tables):
         """Add x * y via the quarter-square decomposition.
@@ -517,7 +483,6 @@ def _logistic_layout(d):
             ("b_slot", d),
             ("identity", d),
             ("data", d),
-            ("labels", 1),
             ("iterate", d),
             ("mean_picker", 1),
             ("accumulator", 1),
@@ -527,8 +492,14 @@ def _logistic_layout(d):
 
 
 def make_logistic_prompt(problem, x):
-    """Prompt carrying the dataset, the current iterate broadcast over
-    all columns, a first-column mean picker e1^T/n, and a ones row."""
+    """Prompt carrying the label-signed features (y_i a_i)^T in its data
+    band, the current iterate broadcast over all columns, a first-column
+    mean picker e1^T/n, and a ones row.
+
+    The loss reads example i only through y_i a_i, so the prompt has no
+    labels band; (y_i a_i)(y_i a_i)^T = a_i a_i^T leaves the Hessian as
+    it is.
+    """
     d, n = problem.dim, problem.n_samples
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
@@ -539,8 +510,7 @@ def make_logistic_prompt(problem, x):
     h = np.zeros((layout.n_rows, n))
     for pad in ("x_slot", "b_slot", "identity"):
         h[layout.rows_of(pad), :d] = np.eye(d)
-    h[layout.rows_of("data")] = problem.features.T
-    h[layout.rows_of("labels")] = problem.labels
+    h[layout.rows_of("data")] = (problem.features * problem.labels[:, None]).T
     h[layout.rows_of("iterate")] = x[:, None]
     h[layout.rows_of("mean_picker"), 0] = 1.0 / n
     h[layout.rows_of("ones")] = 1.0
@@ -559,14 +529,17 @@ def _sigmoid_derivative(t):
 def build_logreg_newton_step(problem, budget):
     """Full stack computing one damped Newton step in-context.
 
-    The stack (depth 10 + k) computes margins, the per-sample Hessian
-    weights through a PWL sigmoid-derivative, the scaled data rows via
-    quarter-square products, assembles B = (1/n) A^T D A + mu I next to
-    the seed alpha*I, runs k Newton-Schulz layers (the one-layer step of
-    the least-squares stack), recomputes margins into label-gated PWL
-    probabilities, assembles the gradient, forms the decrement and the
-    damped step size, updates the iterate block, and restores every
-    bookkeeping block so the stack can be chained.
+    The stack (depth 9 + k) reads the label-signed rows y_i a_i of
+    :func:`make_logistic_prompt`.  It computes the margins
+    z_i = y_i a_i . x, the per-sample Hessian weights through a PWL
+    sigmoid-derivative, the scaled data rows via quarter-square
+    products, assembles B = (1/n) A^T D A + mu I next to the seed
+    alpha*I, runs k Newton-Schulz layers (the one-layer step of the
+    least-squares stack), recomputes the margins into one PWL table of
+    sigma(-z_i), assembles the gradient with the mean picker's 1/n,
+    forms the decrement and the damped step size, updates the iterate
+    block, and restores every bookkeeping block so the stack can be
+    chained.
 
     Those layers converge to (B^T)^-1.  B differs from the symmetric
     Hessian H only by its product tables' error, so |B - B^T| <=
@@ -592,9 +565,9 @@ def build_logreg_newton_step(problem, budget):
     x_slot, b_slot, ident, data, iterate = map(
         layout.rows_of, ("x_slot", "b_slot", "identity", "data", "iterate")
     )
-    label_row, picker_row, acc_row, ones_row = (
+    picker_row, acc_row, ones_row = (
         layout.rows_of(name).start
-        for name in ("labels", "mean_picker", "accumulator", "ones")
+        for name in ("mean_picker", "accumulator", "ones")
     )
     e1_row = ident.start  # first identity row holds e1^T
 
@@ -603,29 +576,12 @@ def build_logreg_newton_step(problem, budget):
     alpha = spd_initial_scale(1.0 + mu)
 
     def margins_to_accumulator():
-        # accumulator += (A x)^T, broadcast from the iterate block
+        # accumulator += z^T, from the iterate broadcast in its block
         return _head(
             dim,
             v_entries=[(acc_row, e1_row, 1.0)],
             k_entries=[(x_slot, iterate, eye)],
             q_entries=[(x_slot, data, eye)],
-        )
-
-    def rescale_accumulator():
-        # accumulator: s -> s/n using the mean-picker row
-        return (
-            _head(
-                dim,
-                v_entries=[(acc_row, picker_row, 1.0)],
-                k_entries=[(0, e1_row, 1.0)],
-                q_entries=[(0, acc_row, 1.0)],
-            ),
-            _head(
-                dim,
-                v_entries=[(acc_row, e1_row, -1.0)],
-                k_entries=[(0, e1_row, 1.0)],
-                q_entries=[(0, acc_row, 1.0)],
-            ),
         )
 
     layers = []
@@ -642,7 +598,22 @@ def build_logreg_newton_step(problem, budget):
         TransformerLayer(heads=(margins_to_accumulator(),), ffn=fb.build())
     )
 
+    # accumulator: s -> s/n using the mean-picker row; then the
     # weight-scaled data rows replace the top identity block
+    rescale = (
+        _head(
+            dim,
+            v_entries=[(acc_row, picker_row, 1.0)],
+            k_entries=[(0, e1_row, 1.0)],
+            q_entries=[(0, acc_row, 1.0)],
+        ),
+        _head(
+            dim,
+            v_entries=[(acc_row, e1_row, -1.0)],
+            k_entries=[(0, e1_row, 1.0)],
+            q_entries=[(0, acc_row, 1.0)],
+        ),
+    )
     fb = FfnBuilder(dim, ones_row)
     # weights lie in [0, 1/4] and features in [-1, 1]; x + y and x - y
     # share one range, so all d products share one square table
@@ -653,9 +624,7 @@ def build_logreg_newton_step(problem, budget):
         fb.add_product(acc_row, data.start + j, x_slot.start + j, squares)
         fb.add_identity(ident.start + j, x_slot.start + j, -1.0)
     fb.add_identity(acc_row, acc_row, -1.0)
-    layers.append(
-        TransformerLayer(heads=rescale_accumulator(), ffn=fb.build())
-    )
+    layers.append(TransformerLayer(heads=rescale, ffn=fb.build()))
 
     # Hessian assembly: b_slot <- B; the scaled data in x_slot is
     # cleared before the seed is written, so x_slot <- alpha*I exactly
@@ -690,31 +659,20 @@ def build_logreg_newton_step(problem, budget):
     # k Newton-Schulz iterations, one layer each
     layers += [_newton_layer(dim, x_slot, b_slot, ident)] * budget.widths["k"]
 
-    # margins again, then label-gated probabilities
+    # margins again, then the probabilities sigma(-z)
     fb = FfnBuilder(dim, ones_row)
-    p_pos = build_pwl(
+    prob = build_pwl(
         lambda t: sigmoid(-t), -SIGMOID_RANGE, SIGMOID_RANGE,
         budget.widths["u3_pieces"],
     )
-    p_neg = build_pwl(
-        sigmoid, -SIGMOID_RANGE, SIGMOID_RANGE, budget.widths["u3_pieces"]
-    )
-    fb.add_pwl(p_pos, {acc_row: 1.0}, acc_row, gate=(label_row, 1.0))
-    fb.add_pwl(p_neg, {acc_row: 1.0}, acc_row, gate=(label_row, -1.0))
+    fb.add_pwl(prob, {acc_row: 1.0}, acc_row)
     fb.add_identity(acc_row, acc_row, -1.0)
     layers.append(
         TransformerLayer(heads=(margins_to_accumulator(),), ffn=fb.build())
     )
 
-    # rescale to p/n, then attach labels exactly
-    fb = FfnBuilder(dim, ones_row)
-    fb.add_signed_copy(acc_row, label_row, acc_row)
-    fb.add_identity(acc_row, acc_row, -1.0)
-    layers.append(
-        TransformerLayer(heads=rescale_accumulator(), ffn=fb.build())
-    )
-
-    # gradient assembly into b_slot's first column
+    # gradient assembly into b_slot's first column; the mean picker
+    # applies the 1/n
     layers.append(
         TransformerLayer(
             heads=(
@@ -722,7 +680,7 @@ def build_logreg_newton_step(problem, budget):
                     dim,
                     v_entries=[(b_slot, data, -eye)],
                     k_entries=[(0, acc_row, 1.0)],
-                    q_entries=[(0, e1_row, 1.0)],
+                    q_entries=[(0, picker_row, 1.0)],
                 ),
                 _head(
                     dim,

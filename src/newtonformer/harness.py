@@ -43,7 +43,9 @@ class ExperimentConfig:
     """Validated bundle of experiment knobs.
 
     A field left unset takes its task's default from ``TASK_DEFAULTS``;
-    a field the task's runner does not read stays None.
+    a field the task's runner does not read stays None.  The count
+    fields d, n, t_max, seed and batch must be integral; an integral
+    float is stored as an int.
     """
 
     task: str
@@ -67,6 +69,14 @@ class ExperimentConfig:
         for key, value in TASK_DEFAULTS[self.task].items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
+        for key in ("d", "n", "t_max", "seed", "batch"):
+            value = getattr(self, key)
+            if value is None:
+                continue
+            if not (isinstance(value, (int, np.integer))
+                    or float(value).is_integer()):
+                raise ValueError(f"{key} must be an integer, got {value}")
+            object.__setattr__(self, key, int(value))
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.seed < 0:
@@ -231,7 +241,7 @@ def run_logreg_experiment(cfg):
     """Loss traces for exact, error-injected, and constructed Newton.
 
     All three traces run exactly t_max steps from x0 = 0; the CSV
-    carries a layers_per_step column (the constructed depth 10 + k)
+    carries a layers_per_step column (the constructed depth 9 + k)
     so loss-versus-layers plots can be drawn externally.
     """
     if cfg.task != "logreg":

@@ -90,8 +90,8 @@ def predicted_steps(kappa, eps, order=2):
     trivially easy inputs (kappa near 1, loose eps) cannot push the
     envelope below the slack.
     """
-    if not kappa >= 1.0:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if order < 2:

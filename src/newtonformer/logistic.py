@@ -217,10 +217,13 @@ def bounded_error_source(eps, dim, seed=0):
     """Callable t -> error vector of norm exactly *eps*, seeded.
 
     Draws an isotropic direction per step from a dedicated generator,
-    so a run with the same seed replays identical errors.
+    so a run with the same seed replays identical errors.  *dim* must
+    be an integer >= 1.
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim}")
     rng = np.random.default_rng(seed)
 
     def source(_step):
@@ -331,6 +334,8 @@ def omega(t):
     """omega(t) = t - log(1 + t), the self-concordant decrease function."""
     if not t >= 0.0:
         raise ValueError(f"omega requires t >= 0, got {t}")
+    if t == math.inf:
+        raise ValueError(f"omega's t must be finite, got {t}")
     return float(t - np.log1p(t))
 
 
@@ -359,8 +364,8 @@ def quadratic_phase_epsilon(eps, mu):
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     return float(
         3.0 * eps * (1.0 + mu) / (8.0 * mu)
         + eps * np.sqrt(1.0 + mu) / (2.0 * np.sqrt(mu))
@@ -375,8 +380,8 @@ def iterate_norm_bound(mu):
     slack absorbs bounded injected errors.  Python floats make a mu too
     small for the bound give inf, with no numpy overflow warning.
     """
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     return math.sqrt(2.0 * math.log(2.0) / mu) + 1.0
 
 

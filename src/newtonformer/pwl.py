@@ -57,10 +57,16 @@ def build_pwl(f, lo, hi, pieces):
     elementwise function; a scalar result broadcasts to every knot.
     The sup-norm error of the interpolant is at most
     ``L * (hi - lo) / pieces`` for L-Lipschitz f (and order
-    ``(hi - lo)**2 / pieces**2`` for twice-differentiable f).
+    ``(hi - lo)**2 / pieces**2`` for twice-differentiable f).  A
+    non-finite *lo* or *hi*, or a *pieces* that is not an integer >= 1,
+    raises ``ValueError``.
     """
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"lo and hi must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not isinstance(pieces, (int, np.integer)):
+        raise ValueError(f"pieces must be an integer, got {pieces}")
     if pieces < 1:
         raise ValueError(f"pieces must be >= 1, got {pieces}")
     knots = np.linspace(lo, hi, pieces + 1)
@@ -76,17 +82,14 @@ class PwlGadget:
     into a feed-forward block: ``scale * approx(arg . h)`` is added to
     the stream's ``out_row``.
 
-    ``arg`` holds the argument's coefficients over the stream rows, a
-    label gate's shift and bias folded in through the gate and ones
-    rows.  ``const`` is the input row of the neuron that carries
-    ``values[0]``: the ones row, or a 0/1 ReLU of a gate's label.  In
+    ``arg`` holds the argument's coefficients over the stream rows.  In
     ReLU form the gadget is ``pieces + 2`` neurons starting at neuron
-    ``start`` of its block.
+    ``start`` of its block; the first reads the ones row and carries
+    ``values[0]``.
     """
 
     approx: PwlApprox
     arg: np.ndarray
-    const: np.ndarray
     scale: float
     out_row: int
     start: int
@@ -104,7 +107,8 @@ class PwlGadget:
         knots, values = self.approx.knots, self.approx.values
         slopes = np.diff(values) / np.diff(knots)
         rows = np.empty((self.width, self.arg.size))
-        rows[0] = self.const
+        rows[0] = 0.0
+        rows[0, ones_row] = 1.0
         rows[1:] = self.arg
         rows[1:, ones_row] -= knots
         weights = np.empty(self.width)

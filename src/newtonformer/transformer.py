@@ -160,7 +160,7 @@ class Ffn:
         if self.gadgets and ones_row is None:
             raise ValueError("ffn gadgets need a ones row")
         self._gadget_rows = np.array(
-            [g.arg for g in self.gadgets] + [g.const for g in self.gadgets]
+            [g.arg for g in self.gadgets]
         ).reshape(-1, self.dim)
         self._dense = None
 
@@ -302,12 +302,9 @@ def ffn_forward(layer, h):
                 f"column {first[-1]}{where} holds {float(ones[first])!r}"
             )
         pre = ffn._gadget_rows @ h
-        n = len(ffn.gadgets)
         for i, g in enumerate(ffn.gadgets):
-            arg, const = pre[..., i, :], pre[..., n + i, :]
-            v0 = g.approx.values[0]
-            out[..., g.out_row, :] += g.scale * (
-                eval_pwl(g.approx, arg) + v0 * (np.maximum(const, 0.0) - 1.0)
+            out[..., g.out_row, :] += g.scale * eval_pwl(
+                g.approx, pre[..., i, :]
             )
     return out
 

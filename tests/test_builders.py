@@ -65,7 +65,7 @@ class TestWidthDepthBudget:
         assert report.widths == {"u1_pieces": 2000, "u2_pieces": 2000,
                                  "u3_pieces": 2000, "eps4_pieces": 4000,
                                  "k": 7}
-        assert report.depth == 17
+        assert report.depth == 16
 
     def test_inversion_count_formula(self):
         for eps, mu in ((1e-2, 0.1), (1e-3, 0.2), (5e-2, 0.5), (0.5, 3.0)):
@@ -80,7 +80,7 @@ class TestWidthDepthBudget:
                 math.log2(math.log(inner) / -math.log(r0))
             ))
             assert report.widths["k"] == expected
-            assert report.depth == 10 + expected
+            assert report.depth == 9 + expected
 
     def test_halving_eps_at_least_quadruples_u2(self):
         base = width_depth_budget(1e-2, 0.1, d=5)
@@ -186,7 +186,7 @@ class TestWidthDepthBudget:
     def test_to_text_is_json(self):
         report = width_depth_budget(1e-2, 0.1, d=5)
         payload = json.loads(report.to_text())
-        assert payload["depth"] == 17
+        assert payload["depth"] == 16
         assert payload["widths"]["k"] == 7
         assert payload["target_eps"] == 1e-2
 
@@ -196,8 +196,8 @@ class TestWidthDepthBudget:
             target_eps=report.target_eps, mu=report.mu, d=report.d,
             widths={**report.widths, "k": 3},
         )
-        assert fewer.depth == 13
-        assert json.loads(fewer.to_text())["depth"] == 13
+        assert fewer.depth == 12
+        assert json.loads(fewer.to_text())["depth"] == 12
 
     @pytest.mark.parametrize("mu", [1e-3, 0.1, 0.37, 1.0, 50.0])
     def test_derived_fields_follow_mu(self, mu):
@@ -206,6 +206,11 @@ class TestWidthDepthBudget:
         assert report.kappa_f == (1.0 + mu) / mu
         assert report.norm_bound == c
         assert report.z_max == ((1.0 + mu * c) / (2.0 * math.sqrt(mu))) ** 2
+
+    def test_infinite_mu_has_no_norm_bound(self):
+        report = BudgetReport(1e-2, math.inf, 5, {"k": 1})
+        with pytest.raises(ValueError, match="mu must be finite"):
+            report.norm_bound
 
     @pytest.mark.parametrize("eps, mu, d", [(1e-2, 0.1, 5), (5e-3, 0.1, 7),
                                             (3e-2, 0.4, 3)])
@@ -279,45 +284,6 @@ class TestFfnBuilder:
         out = apply_ffn(fb, h)
         np.testing.assert_allclose(out[2], eval_pwl(approx, xs),
                                    rtol=0, atol=1e-12)
-
-    def test_gated_pwl_branches_on_label(self):
-        approx = build_pwl(np.cos, -1.0, 1.0, 20)
-        fb = FfnBuilder(4, ones_row=2)
-        fb.add_pwl(approx, {0: 1.0}, 3, gate=(1, 1.0))
-        xs = np.linspace(-1.0, 1.0, 101)
-        ones = np.ones_like(xs)
-        active = np.vstack([xs, ones, ones, np.zeros_like(xs)])
-        out = apply_ffn(fb, active)
-        np.testing.assert_allclose(out[3], eval_pwl(approx, xs),
-                                   rtol=0, atol=1e-12)
-        blocked = np.vstack([xs, -ones, ones, np.zeros_like(xs)])
-        out = apply_ffn(fb, blocked)
-        np.testing.assert_array_equal(out[3], np.zeros_like(xs))
-
-    def test_two_gates_realize_label_branch(self):
-        pos = build_pwl(lambda t: t + 1.0, -1.0, 1.0, 8)
-        neg = build_pwl(lambda t: -t, -1.0, 1.0, 8)
-        fb = FfnBuilder(4, ones_row=2)
-        fb.add_pwl(pos, {0: 1.0}, 3, gate=(1, 1.0))
-        fb.add_pwl(neg, {0: 1.0}, 3, gate=(1, -1.0))
-        xs = np.linspace(-1.0, 1.0, 51)
-        labels = np.where(np.arange(51) % 2 == 0, 1.0, -1.0)
-        h = np.vstack([xs, labels, np.ones_like(xs), np.zeros_like(xs)])
-        out = apply_ffn(fb, h)
-        expected = np.where(labels > 0, xs + 1.0, -xs)
-        np.testing.assert_allclose(out[3], expected, rtol=0, atol=1e-12)
-
-    def test_signed_copy_multiplies_by_label(self):
-        # rows: 0 the +-1 label, 1 receives x * y, 2 carries x
-        rng = np.random.default_rng(1)
-        fb = FfnBuilder(3)
-        fb.add_signed_copy(2, 0, 1)
-        xs = np.sin(rng.uniform(-1.5, 1.5, 64))
-        ys = np.where(rng.uniform(size=64) < 0.5, -1.0, 1.0)
-        h = np.vstack([ys, np.zeros(64), xs])
-        out = apply_ffn(fb, h)
-        np.testing.assert_array_equal(out[[0, 2]], h[[0, 2]])
-        np.testing.assert_allclose(out[1], xs * ys, rtol=0, atol=5e-16)
 
     def test_product_matches_quarter_square(self):
         rng = np.random.default_rng(2)
@@ -553,9 +519,9 @@ def logreg_stack():
 class TestLogregNewtonStack:
     def test_depth_matches_budget(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
-        assert len(layers) == budget.depth == 10 + budget.widths["k"]
+        assert len(layers) == budget.depth == 9 + budget.widths["k"]
         assert max(len(layer.heads) for layer in layers) <= 3
-        assert layout.n_rows == 5 * problem.dim + 4
+        assert layout.n_rows == 5 * problem.dim + 3
         assert all(layer.dim == layout.n_rows for layer in layers)
 
     def test_single_step_tracks_damped_newton(self, logreg_stack):
@@ -671,7 +637,7 @@ class TestLogregNewtonStack:
         targets = [
             [sigmoid_derivative],
             [lambda t: t * t] * (2 * problem.dim),
-            [lambda t: sigmoid(-t), sigmoid],
+            [lambda t: sigmoid(-t)],
             [lambda z: root / (root + math.sqrt(z))],
         ]
         gadget_layers = [layer for layer in layers
@@ -744,12 +710,31 @@ class TestLogregNewtonStack:
         problem, _, _, layout = logreg_stack
         x = np.arange(5.0)
         h = make_logistic_prompt(problem, x)
-        assert h.shape == (29, 26)
+        assert h.shape == (28, 26)
         np.testing.assert_array_equal(read_logistic_iterate(h, layout), x)
-        np.testing.assert_array_equal(h[15:20], problem.features.T)
-        np.testing.assert_array_equal(h[20], problem.labels)
-        assert h[26, 0] == pytest.approx(1.0 / 26)
-        np.testing.assert_array_equal(h[28], np.ones(26))
+        np.testing.assert_array_equal(
+            h[15:20], (problem.features * problem.labels[:, None]).T
+        )
+        assert h[25, 0] == pytest.approx(1.0 / 26)
+        np.testing.assert_array_equal(h[27], np.ones(26))
+
+    def test_reads_each_example_only_through_signed_features(
+        self, logreg_stack
+    ):
+        # the loss reads example i only through y_i a_i, so flipping
+        # (a_i, y_i) to (-a_i, -y_i) leaves the prompt and every
+        # constructed iterate bit-identical
+        problem, budget, _, _ = logreg_stack
+        flip = np.where(np.arange(problem.n_samples) % 3 == 0, -1.0, 1.0)
+        flipped = LogisticProblem(problem.features * flip[:, None],
+                                  problem.labels * flip, problem.mu)
+        x = np.linspace(-0.5, 0.5, 5)
+        assert np.array_equal(make_logistic_prompt(flipped, x),
+                              make_logistic_prompt(problem, x))
+        ours = run_constructed_newton(problem, np.zeros(5), budget, 4)
+        theirs = run_constructed_newton(flipped, np.zeros(5), budget, 4)
+        for x_ours, x_theirs in zip(ours, theirs, strict=True):
+            assert np.array_equal(x_ours, x_theirs)
 
     def test_requires_enough_samples(self):
         problem = make_logreg_problem(3, n=4, d=5)

@@ -93,20 +93,21 @@ class TestDenseView:
         np.testing.assert_array_equal(w2, expected_w2)
 
     def test_gated_gadget_keeps_neuron_order(self):
-        # rows: 0 argument, 1 label, 2 ones, 3 output
+        # a gadget between exact neurons keeps its place in the dense
+        # view; rows: 0 argument, 1 other input, 2 ones, 3 output
         fb = FfnBuilder(4, ones_row=2)
         fb.add_identity(0, 3, weight=0.5)
-        fb.add_pwl(THREE_PIECES, {0: 1.0}, 3, gate=(1, -1.0))
+        fb.add_pwl(THREE_PIECES, {0: 1.0}, 3)
         fb.add_neuron({1: 1.0}, 0, -1.0)
         w1, w2 = fb.build()
         np.testing.assert_array_equal(w1, [
             [1.0, 0.0, 0.0, 0.0],
             [-1.0, 0.0, 0.0, 0.0],
-            [0.0, -0.5, 0.5, 0.0],
-            [1.0, -20.0, -20.0, 0.0],
-            [1.0, -20.0, -21.0, 0.0],
-            [1.0, -20.0, -22.0, 0.0],
-            [1.0, -20.0, -23.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, -1.0, 0.0],
+            [1.0, 0.0, -2.0, 0.0],
+            [1.0, 0.0, -3.0, 0.0],
             [0.0, 1.0, 0.0, 0.0],
         ])
         expected_w2 = np.zeros((4, 8))
@@ -139,7 +140,7 @@ class TestWidth:
         fb.add_identity(0, 3)
         assert fb.width == 2
         fb.add_pwl(THREE_PIECES, {0: 1.0}, 3)
-        fb.add_pwl(THREE_PIECES, {0: 1.0}, 3, gate=(1, 1.0))
+        fb.add_pwl(THREE_PIECES, {1: 1.0}, 3, scale=-0.5)
         assert fb.width == 12
         assert fb.build().width == 12
 
@@ -182,9 +183,6 @@ def streams(draw, layout):
     n_cols = draw(st.integers(1, 8))
     h = draw(arrays(np.float64, (layout.n_rows, n_cols),
                     elements=st.floats(-45.0, 45.0)))
-    labels = draw(st.lists(st.sampled_from([-1.0, 1.0]),
-                           min_size=n_cols, max_size=n_cols))
-    h[layout.rows_of("labels").start] = labels
     h[layout.rows_of("ones").start] = 1.0
     return h
 

@@ -166,6 +166,15 @@ class TestExperimentConfig:
                 with pytest.raises(ValueError, match=f"finite.* got {value}"):
                     ExperimentConfig(task=task, **{field: float(value)})
 
+    @pytest.mark.parametrize("field", ["d", "n", "t_max", "seed", "batch"])
+    def test_rejects_non_integral_counts(self, field):
+        task = "linreg"  # the one task that reads all five
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer, got 50.5$"):
+            ExperimentConfig(task=task, **{field: 50.5})
+        cfg = ExperimentConfig(task=task, **{field: 50.0})
+        assert type(getattr(cfg, field)) is int
+
     def test_orders_coerced_to_int_tuple(self):
         cfg = ExperimentConfig(task="invert", orders=[2.0, 3.0])
         assert cfg.orders == (2, 3)
@@ -399,7 +408,7 @@ class TestLogregRunner:
 
     def test_layers_per_step_column(self, logreg_table):
         for rows in logreg_table.values():
-            assert all(int(r["layers_per_step"]) == 17 for r in rows)
+            assert all(int(r["layers_per_step"]) == 16 for r in rows)
 
 
 def csv_lines(path):
@@ -495,7 +504,7 @@ class TestCli:
     def test_budget_prints_json(self, capsys):
         assert main(["budget", "--eps", "1e-2", "--mu", "0.1"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["depth"] == 17
+        assert payload["depth"] == 16
         assert payload["widths"]["u2_pieces"] == 2000
 
     def test_budget_overflow_exits_two(self, capsys):

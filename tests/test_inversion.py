@@ -139,6 +139,10 @@ class TestPredictedSteps:
     def test_reference_point(self):
         assert predicted_steps(100.0, 1e-10, 2) == 22
 
+    def test_infinite_kappa_rejected(self):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            predicted_steps(math.inf, 1e-10)
+
     def test_higher_order_never_worse_above_kappa_four(self):
         for kappa in (4.0, 10.0, 100.0, 1e4):
             for eps in (1e-6, 1e-10, 1e-13):

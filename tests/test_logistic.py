@@ -454,6 +454,12 @@ class TestErrorSource:
         with pytest.raises(ValueError, match="eps must be finite.* got inf"):
             bounded_error_source(float("inf"), 3)
 
+    @pytest.mark.parametrize("dim", [0, 2.5])
+    def test_rejects_bad_dimension(self, dim):
+        with pytest.raises(ValueError,
+                           match=f"dim must be an integer >= 1, got {dim}"):
+            bounded_error_source(1e-3, dim)
+
 
 class TestDecreaseFunctions:
     def test_omega_star_values(self):
@@ -477,6 +483,19 @@ class TestDecreaseFunctions:
     def test_omega_rejects_nan(self):
         with pytest.raises(ValueError, match="got nan"):
             omega(float("nan"))
+
+    def test_omega_rejects_inf(self):
+        # inf - log1p(inf) would be nan
+        with pytest.raises(ValueError, match="t must be finite, got inf"):
+            omega(math.inf)
+
+    def test_infinite_mu_rejected(self):
+        # inf would give a norm bound of 1.0 and a nan slack
+        message = "mu must be finite and positive, got inf"
+        with pytest.raises(ValueError, match=message):
+            iterate_norm_bound(math.inf)
+        with pytest.raises(ValueError, match=message):
+            quadratic_phase_epsilon(1e-3, math.inf)
 
     def test_quadratic_phase_epsilon_rejects_nan(self):
         with pytest.raises(ValueError, match="got nan"):

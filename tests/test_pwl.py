@@ -1,17 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from newtonformer.builders import FfnBuilder
 from newtonformer.pwl import (
     PwlApprox,
     build_pwl,
     eval_pwl,
     pwl_product,
-)
-from newtonformer.transformer import (
-    AttentionHead,
-    TransformerLayer,
-    ffn_forward,
 )
 
 
@@ -96,6 +92,17 @@ class TestBuildPwl:
         with pytest.raises(ValueError):
             build_pwl(lambda t: float("nan"), 0.0, 1.0, 2)
 
+    def test_rejects_non_integer_pieces(self):
+        with pytest.raises(ValueError, match="pieces must be an integer"):
+            build_pwl(np.sin, 0.0, 1.0, 2.5)
+        assert build_pwl(np.sin, 0.0, 1.0, np.int64(3)).pieces == 3
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf),
+                                        (math.nan, 1.0)])
+    def test_rejects_non_finite_ends(self, lo, hi):
+        with pytest.raises(ValueError, match="lo and hi must be finite"):
+            build_pwl(np.sin, lo, hi, 3)
+
 
 class TestEvalPwl:
     def test_knot_values_exact(self):
@@ -118,39 +125,6 @@ class TestEvalPwl:
         assert isinstance(eval_pwl(p, 0.3), float)
         out = eval_pwl(p, np.array([0.1, 0.2]))
         assert out.shape == (2,)
-
-
-def signed_copy(xs, ys):
-    """x * y through the four ReLUs of ``FfnBuilder.add_signed_copy``."""
-    fb = FfnBuilder(3)
-    fb.add_signed_copy(0, 1, 2)
-    zero = np.zeros((3, 3))
-    layer = TransformerLayer(heads=(AttentionHead(zero, zero, zero),),
-                             ffn=fb.build())
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    ys = np.broadcast_to(ys, xs.shape)
-    return ffn_forward(layer, np.vstack([xs, ys, np.zeros_like(xs)]))[2]
-
-
-class TestSignedCopy:
-    def test_positive_label(self):
-        assert signed_copy(0.3, 1.0)[0] == pytest.approx(0.3, abs=5e-16)
-
-    def test_negative_label(self):
-        assert signed_copy(0.3, -1.0)[0] == pytest.approx(-0.3, abs=5e-16)
-
-    def test_near_one(self):
-        assert signed_copy(0.999, 1.0)[0] == pytest.approx(0.999, abs=5e-16)
-
-    def test_sweep_floating_rounding(self):
-        # 5e-16 for |x| < 1, and one ulp of [2, 4) for |x| < 4.  Draws
-        # from uniform(-4, 4) lie on a 2**-50 grid, where x/2 + 2 rounds
-        # exactly; sin spreads x over every mantissa bit.
-        rng = np.random.default_rng(0)
-        for bound, tol in ((1.0, 5e-16), (4.0, 2.0**-51)):
-            xs = bound * np.sin(rng.uniform(-1.5, 1.5, 20_000))
-            ys = np.where(rng.uniform(size=xs.size) < 0.5, -1.0, 1.0)
-            assert np.max(np.abs(signed_copy(xs, ys) - xs * ys)) <= tol
 
 
 class TestPwlProduct:

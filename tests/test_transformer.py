@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from newtonformer import inversion
 from newtonformer.errors import ShapeMismatchError
 from newtonformer.builders import (
-    FfnBuilder,
     build_inversion_block,
     build_linreg_transformer,
     build_logreg_newton_step,
@@ -290,22 +289,6 @@ class TestFfnForward:
         out = ffn_forward(layer, h)
         np.testing.assert_array_equal(out, h)
         assert out is not h
-
-    def test_signed_copy_gadget_multiplies_by_label(self):
-        # rows: 0 carries the value, 1 the +-1 label, 2 receives x * y
-        fb = FfnBuilder(3)
-        fb.add_signed_copy(0, 1, 2)
-        layer = TransformerLayer(
-            heads=(AttentionHead(np.zeros((3, 3)), np.zeros((3, 3)),
-                                 np.zeros((3, 3))),),
-            ffn=fb.build(),
-        )
-        rng = np.random.default_rng(5)
-        xs = np.sin(rng.uniform(-1.5, 1.5, 50))
-        ys = np.where(rng.uniform(size=50) < 0.5, -1.0, 1.0)
-        h = np.vstack([xs, ys, np.zeros(50)])
-        out = model_forward([layer], h)
-        np.testing.assert_allclose(out[2], xs * ys, rtol=0, atol=5e-16)
 
     def test_ffn_shape_validation(self):
         head = AttentionHead(np.eye(2), np.eye(2), np.eye(2))
