@@ -388,39 +388,20 @@ def read_linreg_prediction(h, layout):
     return float(pred) if np.ndim(h) == 2 else pred
 
 
-def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
-    """Attention-only pipeline predicting a_test^T (A^T A)^-1 A^T y.
-
-    One init layer forms (alpha*B; B) for B = A^T A + ridge_mu*I, each
-    of *t_steps* layers advances X <- X(2I - BX) (one layer suffices
-    because B is symmetric), and two output layers contract
-    y^T A X_T against a_test into the output row's first column.
-    The caller supplies *alpha* in (0, 2/sigma_max(B)^2).  The weights
-    do not depend on n; :func:`make_linreg_prompt` checks n >= d.
-    Only the init layer reads alpha and ridge_mu: the Newton, contract
-    and readout layers depend on d alone, so stacks built for different
-    prompts share them.
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if t_steps < 0:
-        raise ValueError(f"t_steps must be >= 0, got {t_steps}")
+def _linreg_init_layer(layout, alpha, ridge_mu):
+    """The least-squares stack's init layer, the one layer that reads
+    alpha and ridge_mu: it writes alpha*B into x_slot and B into
+    b_slot, for B = A^T A + ridge_mu*I."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not 0.0 <= ridge_mu < math.inf:
         raise ValueError(f"ridge_mu must be finite and >= 0, got {ridge_mu}")
-    layout = _linreg_layout(d)
     dim = layout.n_rows
-    eye = np.eye(d)
     x_slot, b_slot, ident, data = map(
         layout.rows_of, ("x_slot", "b_slot", "identity", "data")
     )
-    test_row, label_row, out_row = (
-        layout.rows_of(name).start
-        for name in ("test_point", "labels", "output")
-    )
-
-    init = TransformerLayer(
+    eye = np.eye(x_slot.stop - x_slot.start)
+    return TransformerLayer(
         heads=(
             _head(
                 dim,
@@ -438,6 +419,36 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
                 q_entries=[(x_slot, ident, eye)],
             ),
         ),
+    )
+
+
+def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
+    """Attention-only pipeline predicting a_test^T (A^T A)^-1 A^T y.
+
+    One init layer forms (alpha*B; B) for B = A^T A + ridge_mu*I, each
+    of *t_steps* layers advances X <- X(2I - BX) (one layer suffices
+    because B is symmetric), and two output layers contract
+    y^T A X_T against a_test into the output row's first column.
+    The caller supplies *alpha* in (0, 2/sigma_max(B)^2).  The weights
+    do not depend on n; :func:`make_linreg_prompt` checks n >= d.
+    Only the init layer reads alpha and ridge_mu: the Newton, contract
+    and readout layers depend on d alone, so stacks built for different
+    prompts share them.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if t_steps < 0:
+        raise ValueError(f"t_steps must be >= 0, got {t_steps}")
+    layout = _linreg_layout(d)
+    init = _linreg_init_layer(layout, alpha, ridge_mu)
+    dim = layout.n_rows
+    eye = np.eye(d)
+    x_slot, b_slot, ident, data = map(
+        layout.rows_of, ("x_slot", "b_slot", "identity", "data")
+    )
+    test_row, label_row, out_row = (
+        layout.rows_of(name).start
+        for name in ("test_point", "labels", "output")
     )
 
     contract = TransformerLayer(

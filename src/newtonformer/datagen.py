@@ -17,8 +17,12 @@ def make_covariance(d, kappa, rng):
     The largest eigenvalue is uniform on [1, 100], the smallest is
     pinned to lambda_max/kappa, interior eigenvalues are uniform in
     between, and the eigenbasis is a Haar-ish orthogonal factor from a
-    Gaussian QR decomposition.
+    Gaussian QR decomposition.  *d* must be integral; an integral
+    float is taken as an int.
     """
+    if not (isinstance(d, (int, np.integer)) or float(d).is_integer()):
+        raise ValueError(f"d must be an integer, got {d}")
+    d = int(d)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if not 1.0 <= kappa < np.inf:

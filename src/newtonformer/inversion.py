@@ -53,6 +53,13 @@ def newton_step(x, a):
     return x @ (2.0 * np.eye(a.shape[-1]) - a @ x)
 
 
+def _check_order(order):
+    if not isinstance(order, (int, np.integer)):
+        raise ValueError("order must be an integer")
+    if order < 2 or order > MAX_ORDER:
+        raise ValueError(f"order must be in [2, {MAX_ORDER}], got {order}")
+
+
 def hyperpower_step(x, a, order):
     """One hyperpower update of the given order.
 
@@ -64,10 +71,7 @@ def hyperpower_step(x, a, order):
     :func:`newton_step` updates them: one call per stack, each slice
     bit-identical to its own 2-D update.
     """
-    if not isinstance(order, (int, np.integer)):
-        raise ValueError("order must be an integer")
-    if order < 2 or order > MAX_ORDER:
-        raise ValueError(f"order must be in [2, {MAX_ORDER}], got {order}")
+    _check_order(order)
     if order == 2:
         return newton_step(x, a)
     x, a = _check_square_pair(x, a)
@@ -88,14 +92,14 @@ def predicted_steps(kappa, eps, order=2):
     high-accuracy phase ``log_order(log2(1/eps))`` more; a fixed slack
     of 2 absorbs rounding.  Each logarithmic term is clamped at zero so
     trivially easy inputs (kappa near 1, loose eps) cannot push the
-    envelope below the slack.
+    envelope below the slack.  *order* must be one that
+    :func:`hyperpower_step` runs: an integer in [2, MAX_ORDER].
     """
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    _check_order(order)
     log_ord = math.log(order)
     warmup = max(0, math.ceil(2.0 * math.log(kappa) / log_ord))
     sharpen = max(0, math.ceil(math.log(math.log2(1.0 / eps)) / log_ord))

@@ -55,7 +55,7 @@ def sigmoid(t):
     return 1.0 / (1.0 + np.exp(-np.clip(t, -EXP_CLAMP, EXP_CLAMP)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticProblem:
     """A dataset (features, labels) with ridge weight mu.
 
@@ -140,7 +140,7 @@ def scaled_decrement(mu, decrement):
     return decrement / (2.0 * np.sqrt(mu))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NewtonState:
     """Result of one damped step: the next iterate plus what was
     computed at the point the step left from.

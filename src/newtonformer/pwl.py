@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PwlApprox:
     """A piecewise-linear function on [knots[0], knots[-1]].
 
@@ -76,7 +76,7 @@ def build_pwl(f, lo, hi, pieces):
     return PwlApprox(knots, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PwlGadget:
     """A clamped :class:`PwlApprox` of one affine argument, as compiled
     into a feed-forward block: ``scale * approx(arg . h)`` is added to

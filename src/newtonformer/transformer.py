@@ -4,11 +4,13 @@ Layers use attention without softmax: each head contributes
 (W_V H) (W_K H).T (W_Q H) additively to the residual stream, and an
 optional position-wise feed-forward block adds W_2 relu(W_1 H).
 The constructed heads are block selectors, so each head also keeps a
-compacted form: the rows where W_V is nonzero, and the rows where
-W_K and W_Q are both nonzero.  The forward pass multiplies only those
-rows and, with no softmax in between, groups the product as
-((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows| matrix in
-place of the n x n score matrix.
+compacted form.  Its rows are the rows where W_V is nonzero, and the
+rows where W_K and W_Q are both nonzero.  Each of the three row-compacted
+projections keeps only the columns from its first to its last nonzero
+one, which pick the stream rows it reads.  The forward pass multiplies
+only those rows and columns and, with no softmax in between, groups the
+product as ((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows|
+matrix in place of the n x n score matrix.
 Feed-forward blocks keep their piecewise-linear gadgets whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
@@ -66,12 +68,15 @@ class PromptLayout:
         return self._rows[name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionHead:
     """Value / key / query projections of one linear-attention head.
 
     The dense projections are read-only, and the compacted form that
-    :func:`attention_forward` multiplies is derived from them once.
+    :func:`attention_forward` multiplies is derived from them once:
+    each projection restricted to the rows that can contribute and
+    then to the columns from its first to its last nonzero one.  Heads
+    compare and hash by identity.
     """
 
     w_v: np.ndarray
@@ -101,19 +106,25 @@ class AttentionHead:
         object.__setattr__(self, "_compact", self._compacted())
 
     def _compacted(self):
-        """(value rows, W_V, W_K, W_Q) restricted to the rows that can
-        contribute, or None for a head that adds nothing.
+        """(value rows, V columns, V block, K columns, K block,
+        Q columns, Q block) for the rows that can contribute, or None
+        for a head that adds nothing.
 
         A key/query row that is zero in either W_K or W_Q adds nothing
-        to (W_K H).T (W_Q H).  Rows are a slice when contiguous.
+        to (W_K H).T (W_Q H).  The blocks are W_V, W_K and W_Q
+        restricted to those rows, then to the columns from their first
+        to their last nonzero column.  Rows are a slice when contiguous;
+        columns are always a slice, so the stream rows a block reads
+        are a view.
         """
         v_rows = np.flatnonzero(self.w_v.any(axis=1))
         kq_rows = np.flatnonzero(self.w_k.any(axis=1) & self.w_q.any(axis=1))
         if not v_rows.size or not kq_rows.size:
             return None
         v_rows, kq_rows = _as_index(v_rows), _as_index(kq_rows)
-        return (v_rows, self.w_v[v_rows], self.w_k[kq_rows],
-                self.w_q[kq_rows])
+        return (v_rows, *_column_span(self.w_v[v_rows]),
+                *_column_span(self.w_k[kq_rows]),
+                *_column_span(self.w_q[kq_rows]))
 
     @property
     def dim(self):
@@ -125,6 +136,14 @@ def _as_index(rows):
     if rows[-1] - rows[0] + 1 == rows.size:
         return slice(int(rows[0]), int(rows[-1]) + 1)
     return rows
+
+
+def _column_span(w):
+    """(span, w[:, span]) for the slice from w's first to its last
+    nonzero column; every row of *w* has a nonzero entry."""
+    cols = np.flatnonzero(w.any(axis=0))
+    span = slice(int(cols[0]), int(cols[-1]) + 1)
+    return span, w[:, span]
 
 
 class Ffn:
@@ -254,11 +273,16 @@ def attention_forward(layer, h):
     """Residual attention update: h + the sum of the layer's head
     contributions.  The layer's ffn, if any, is NOT applied here.
 
-    Each head adds ((W_V' h) (W_K' h).T) (W_Q' h) to its value rows,
-    where W_V' holds W_V's nonzero rows and W_K', W_Q' the rows
-    nonzero in both W_K and W_Q.  Without a softmax this equals the
-    dense (W_V h) ((W_K h).T (W_Q h)) up to rounding, and forms no
-    n x n score matrix.  Each element lies within
+    Each head adds ((W_V' h_V) (W_K' h_K).T) (W_Q' h_Q) to its value
+    rows, where W_V' holds W_V's nonzero rows and W_K', W_Q' the rows
+    nonzero in both W_K and W_Q.  Each of the three keeps only the
+    columns from its first to its last nonzero one, and h_V, h_K, h_Q
+    are the stream rows those columns read, as views.  Without a
+    softmax this equals the dense (W_V h) ((W_K h).T (W_Q h)) up to
+    rounding, and forms no n x n score matrix.  Dropping zero columns
+    drops only zero terms from each sum, so a projection row with one
+    nonzero entry gives the same bits at full width.  Each element lies
+    within
     4 (dim + n) u sum_heads (|W_V| |h|) (|W_K| |h|).T (|W_Q| |h|) + u |r|
     of the exact dense result r, with u = 2**-53.
 
@@ -270,8 +294,10 @@ def attention_forward(layer, h):
     for head in layer.heads:
         if head._compact is None:
             continue
-        rows, w_v, w_k, w_q = head._compact
-        out[..., rows, :] += ((w_v @ h) @ (w_k @ h).mT) @ (w_q @ h)
+        rows, v_cols, w_v, k_cols, w_k, q_cols, w_q = head._compact
+        out[..., rows, :] += (
+            (w_v @ h[..., v_cols, :]) @ (w_k @ h[..., k_cols, :]).mT
+        ) @ (w_q @ h[..., q_cols, :])
     return out
 
 

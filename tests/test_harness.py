@@ -63,6 +63,15 @@ class TestMakeCovariance:
         with pytest.raises(ValueError):
             make_covariance(1, 2.0, rng)
 
+    def test_non_integer_d_is_named(self):
+        with pytest.raises(ValueError,
+                           match=r"^d must be an integer, got 2\.5$"):
+            make_covariance(2.5, 10.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(
+            make_covariance(3.0, 10.0, np.random.default_rng(0)),
+            make_covariance(3, 10.0, np.random.default_rng(0)),
+        )
+
 
 class TestGenLinreg:
     def cfg(self, **kw):
@@ -339,21 +348,36 @@ class TestLinregLinearInDepth:
                     if r["method"] == f"newton_order_{order}"]
             assert ours == per_prompt_oracle_mse(cfg, order)
 
+    def test_oracle_rows_square_errors_with_python_pow(self, tmp_path):
+        # here numpy's x * x and Python's ** (libm pow) disagree in the
+        # last bit of one error square, which moves the step-24 mse
+        cfg = ExperimentConfig(task="linreg", d=6, n=7, mu=0.5,
+                               noise_std=0.2, orders=(2,), t_max=24,
+                               batch=5, seed=11, out_dir=str(tmp_path))
+        rows = read_rows(run_linreg_experiment(cfg)[0])
+        ours = [float(r["mse"]) for r in rows
+                if r["method"] == "newton_order_2"]
+        assert ours == per_prompt_oracle_mse(cfg, 2)
+
     def test_one_build_and_one_newton_prefix_per_prompt(self, tmp_path,
                                                         monkeypatch):
-        counts = {"attention": 0, "build": 0}
+        counts = {"attention": 0, "build": 0, "init": 0}
         monkeypatch.setattr(transformer, "attention_forward",
                             counting(counts, "attention",
                                      transformer.attention_forward))
         monkeypatch.setattr(builders, "build_linreg_transformer",
                             counting(counts, "build",
                                      builders.build_linreg_transformer))
+        monkeypatch.setattr(builders, "_linreg_init_layer",
+                            counting(counts, "init",
+                                     builders._linreg_init_layer))
         cfg = small_linreg_cfg(tmp_path, 0.0)
         run_linreg_experiment(cfg)
-        # one init layer per prompt, then one Newton, contract and
-        # readout layer per depth on the whole prompt stack
+        # one build per run and one init layer per prompt, then one
+        # Newton, contract and readout layer per depth on the whole
+        # prompt stack
         assert counts == {"attention": cfg.batch + 3 * cfg.t_max,
-                          "build": cfg.batch}
+                          "build": 1, "init": cfg.batch}
 
     def test_one_alpha_call_and_one_oracle_step_per_depth_and_order(
             self, tmp_path, monkeypatch):

@@ -162,6 +162,14 @@ class TestPredictedSteps:
         with pytest.raises(ValueError):
             predicted_steps(10.0, 1e-10, order=1)
 
+    @pytest.mark.parametrize("order", [2.5, 2.0, 1, MAX_ORDER + 1])
+    def test_order_is_one_a_step_can_run(self, order):
+        with pytest.raises(ValueError) as step:
+            hyperpower_step(np.eye(2), np.eye(2), order)
+        with pytest.raises(ValueError) as predicted:
+            predicted_steps(10.0, 1e-10, order)
+        assert str(predicted.value) == str(step.value)
+
 
 class TestRunInverse:
     def test_identity_converges_fast(self):

@@ -19,7 +19,8 @@ from newtonformer.builders import (
     width_depth_budget,
 )
 from newtonformer.linalg import spectral_norm_est
-from newtonformer.logistic import LogisticProblem
+from newtonformer.logistic import LogisticProblem, NewtonState
+from newtonformer.pwl import PwlApprox, PwlGadget
 from newtonformer.transformer import (
     AttentionHead,
     Ffn,
@@ -49,12 +50,20 @@ def assert_within_bound(layer, h):
     assert np.all(np.abs(out - ref) <= attention_error_bound(layer, h, ref))
 
 
-def masked_head(rng, dim, v_rows, k_rows, q_rows):
-    def masked(rows):
+def masked_head(rng, dim, v_rows, k_rows, q_rows, cols=None):
+    """A head whose projections are random on the given rows; *cols*,
+    if given, are three column sets that zero every other column."""
+    every = np.arange(dim)
+    cols = cols or (every, every, every)
+
+    def masked(rows, keep):
         w = np.zeros((dim, dim))
-        w[rows] = rng.standard_normal((dim, dim))[rows]
+        w[np.ix_(rows, keep)] = rng.standard_normal((len(rows), len(keep)))
         return w
-    return AttentionHead(masked(v_rows), masked(k_rows), masked(q_rows))
+    return AttentionHead(*(masked(np.asarray(rows, dtype=int),
+                                  np.asarray(keep, dtype=int))
+                           for rows, keep in zip((v_rows, k_rows, q_rows),
+                                                 cols)))
 
 
 def assert_every_head_within_bound(layers, h):
@@ -70,6 +79,29 @@ def assert_every_head_within_bound(layers, h):
 def spd(rng, d):
     m = rng.standard_normal((d, d))
     return m @ m.T + d * np.eye(d)
+
+
+def _array_dataclasses():
+    knots = np.array([0.0, 1.0])
+    approx = PwlApprox(knots, knots)
+    return {
+        "AttentionHead": lambda: AttentionHead(np.eye(2), np.eye(2),
+                                               np.eye(2)),
+        "PwlApprox": lambda: PwlApprox(knots, knots),
+        "PwlGadget": lambda: PwlGadget(approx, np.ones(2), 1.0, 0, 0),
+        "LogisticProblem": lambda: LogisticProblem(np.eye(2), np.ones(2),
+                                                   0.1),
+        "NewtonState": lambda: NewtonState(np.zeros(2), 1.0, 0.5, 0.8),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_dataclasses()))
+def test_array_dataclasses_compare_and_hash_by_identity(name):
+    make = _array_dataclasses()[name]
+    first, twin = make(), make()
+    assert first == first and first != twin
+    assert hash(first) == hash(first)
+    assert len({first, twin, first}) == 2
 
 
 class TestPromptLayout:
@@ -248,6 +280,44 @@ class TestCompactedHeads:
         layer = TransformerLayer(heads=(masked_head(rng, dim, *masks),))
         assert_within_bound(layer, rng.standard_normal((dim, n)))
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_three_non_contiguous_column_sets(self, batch):
+        rng = np.random.default_rng(18)
+        cols = ([1, 5, 8], [0, 4, 7], [2, 3, 6, 8])
+        head = masked_head(rng, 9, [0, 3, 4], [2, 6], [2, 6], cols)
+        _, *blocks = head._compact
+        for span, block, want in zip(blocks[::2], blocks[1::2], cols):
+            assert span == slice(min(want), max(want) + 1)
+            assert block.shape[1] == span.stop - span.start
+        layer = TransformerLayer(heads=(head, random_head(rng, 9)))
+        h = rng.standard_normal(batch + (9, 5))
+        assert_within_bound(layer, h)
+        if batch:
+            assert_slices_equal(attention_forward, layer, h)
+
+    def test_linreg_newton_heads_read_d_columns(self):
+        d = 4
+        layers, _ = build_linreg_transformer(d, 1, 0.01)
+        newton = layers[1]
+        assert newton.dim > d
+        for head in newton.heads:
+            _, *blocks = head._compact
+            assert [block.shape for block in blocks[1::2]] == [(d, d)] * 3
+
+    # derandomized so every run draws the same 200 heads
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(dim=st.integers(1, 9), n=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_row_and_column_masks(self, dim, n, seed, data):
+        mask = st.lists(st.booleans(), min_size=dim, max_size=dim)
+        rows = [np.flatnonzero(data.draw(mask)) for _ in range(3)]
+        cols = [np.flatnonzero(data.draw(mask)) for _ in range(3)]
+        rng = np.random.default_rng(seed)
+        layer = TransformerLayer(heads=(masked_head(rng, dim, *rows, cols),))
+        assert_within_bound(layer, rng.standard_normal((dim, n)))
+        assert_slices_equal(attention_forward, layer,
+                            rng.standard_normal((2, dim, n)))
+
     def test_projections_are_read_only_copies(self):
         caller = np.eye(3)
         head = AttentionHead(caller, caller, caller)
@@ -393,6 +463,34 @@ def assert_slices_equal(fn, layers, h):
     assert got.shape == h.shape
     for idx in np.ndindex(h.shape[:-2]):
         assert np.array_equal(got[idx], fn(layers, h[idx]))
+
+
+def full_width_attention_forward(layer, h):
+    """attention_forward with row compaction only: each row-compacted
+    projection multiplies every stream row."""
+    out = h.copy()
+    for head in layer.heads:
+        v_rows = np.flatnonzero(head.w_v.any(axis=1))
+        kq_rows = np.flatnonzero(head.w_k.any(axis=1) & head.w_q.any(axis=1))
+        if v_rows.size and kq_rows.size:
+            out[..., v_rows, :] += (
+                (head.w_v[v_rows] @ h) @ (head.w_k[kq_rows] @ h).mT
+            ) @ (head.w_q[kq_rows] @ h)
+    return out
+
+
+@pytest.mark.parametrize("case", ["inversion", "linreg", "logistic"])
+def test_column_compaction_changes_no_bit_of_the_constructions(
+        constructions, case):
+    # every constructed projection row has one nonzero entry, or +-1
+    # entries whose products are exact, so zero columns add only zeros
+    layers, make_prompt = constructions[case]
+    rng = np.random.default_rng(23)
+    h = np.stack([make_prompt(rng) for _ in range(3)])
+    for layer in layers:
+        assert np.array_equal(attention_forward(layer, h),
+                              full_width_attention_forward(layer, h))
+        h = model_forward([layer], h)
 
 
 class TestStackedStreams:
