@@ -9,6 +9,7 @@ byte-identical files.
 """
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -98,11 +99,13 @@ class ExperimentConfig:
             orders = tuple(int(o) for o in self.orders)
             if not orders:
                 raise ValueError("orders must be nonempty")
-            for o in orders:
+            for i, o in enumerate(orders):
                 if not 2 <= o <= MAX_ORDER:
                     raise ValueError(
                         f"orders must lie in [2, {MAX_ORDER}], got {o}"
                     )
+                if o in orders[:i]:
+                    raise ValueError(f"orders must not repeat, got {o} twice")
             object.__setattr__(self, "orders", orders)
         if self.task in ("linreg", "logreg"):
             if self.n < self.d:
@@ -199,8 +202,18 @@ def run_linreg_experiment(cfg):
         # Python's ** squares through libm's pow, as the rows always
         # have; numpy's x * x differs from it in the last bit for
         # about one value in 1,200
-        errs = (preds - targets).tolist()
-        return float(np.mean([err ** 2 for err in errs]))
+        try:
+            with np.errstate(over="raise"):
+                errs = (preds - targets).tolist()
+                value = float(np.mean([err ** 2 for err in errs]))
+        except (OverflowError, FloatingPointError):
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(
+                "mse overflows float64: the squared prediction errors "
+                "exceed its range"
+            )
+        return value
 
     ls_mse = mse(np.array([
         float(a_test @ solve_spd(gram, aty[:, None])[:, 0])
@@ -244,34 +257,42 @@ def run_logreg_experiment(cfg):
 
     All three traces run exactly t_max steps from x0 = 0; the CSV
     carries a layers_per_step column (the constructed depth 9 + k)
-    so loss-versus-layers plots can be drawn externally.
+    so loss-versus-layers plots can be drawn externally.  An exact or
+    inexact row takes f from the ``NewtonState`` of the step that left
+    its iterate; only each trace's last iterate and the constructed
+    iterates are evaluated anew.
     """
     if cfg.task != "logreg":
         raise ValueError(f"config task is {cfg.task!r}, expected 'logreg'")
     problem, _ = datagen.gen_logreg_data(cfg)
     budget = builders.width_depth_budget(cfg.eps, cfg.mu, d=cfg.d)
-    x_star, g_star = logistic.optimum(problem)
+    _, g_star = logistic.optimum(problem)
+
+    def objective(x):
+        return logistic.loss_grad_hess(problem, x)[0]
 
     x0 = np.zeros(cfg.d)
     source = logistic.bounded_error_source(cfg.eps, cfg.d, cfg.seed + 1)
-    exact, inexact = [x0], [x0]
+    exact, inexact = x0, x0
+    f_exact, f_inexact = [], []
     for step in range(cfg.t_max):
-        exact.append(logistic.damped_step(problem, exact[-1]).x)
-        inexact.append(
-            logistic.damped_step(problem, inexact[-1]).x + source(step)
-        )
+        state = logistic.damped_step(problem, exact)
+        exact = state.x
+        f_exact.append(state.f)
+        state = logistic.damped_step(problem, inexact)
+        inexact = state.x + source(step)
+        f_inexact.append(state.f)
     constructed = builders.run_constructed_newton(
         problem, x0, budget, cfg.t_max
     )
 
     rows = []
-    for method, xs in (
-        ("exact_newton", exact),
-        ("inexact_newton", inexact),
-        ("constructed", constructed),
+    for method, fs in (
+        ("exact_newton", f_exact + [objective(exact)]),
+        ("inexact_newton", f_inexact + [objective(inexact)]),
+        ("constructed", [objective(x) for x in constructed]),
     ):
-        for step, x in enumerate(xs):
-            f_val, _, _ = logistic.loss_grad_hess(problem, x)
+        for step, f_val in enumerate(fs):
             g_sub = logistic.scaled_objective(cfg.mu, f_val) - g_star
             rows.append((method, step, budget.depth, f_val, g_sub))
     return _write_csv(

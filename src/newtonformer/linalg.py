@@ -91,7 +91,9 @@ def spectral_norm_est(a, iters=200):
     array of shape ``...`` holding one estimate per matrix, each
     bit-identical to the estimate for that matrix alone: the stack
     shares only the matmul dispatch, and a slice whose iterate falls in
-    its null space is re-started alone.
+    its null space is re-started alone.  Raises ``ValueError`` when the
+    iteration overflows float64, as it does once ``a.T @ a`` exceeds
+    its range.
     """
     a = as_stack(a)
     if iters < 1:
@@ -103,21 +105,31 @@ def spectral_norm_est(a, iters=200):
 def _power_iteration(a, iters):
     at = a.mT
     v = _unit_start_vector(a.shape[-1], POWER_SEED)
-    for _ in range(iters):
-        w = at @ (a @ v)
-        # the norm as a dot product by matmul, which rounds as
-        # np.linalg.norm does on one vector; a sum along an axis does not
-        nw = np.sqrt(w.mT @ w)
-        dead = nw == 0.0
-        if dead.any():
-            # the iterate fell in a slice's null space (every step, for
-            # a zero slice); restart it from a second start vector
-            nudge = _unit_start_vector(a.shape[-1], POWER_SEED + 1)
-            v = np.where(dead, nudge, w / np.where(dead, 1.0, nw))
-        else:
-            v = w / nw
-    u = a @ v
-    return np.sqrt(u.mT @ u)[..., 0, 0]
+    # an overflow leaves the estimate non-finite; it is checked once,
+    # after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            w = at @ (a @ v)
+            # the norm as a dot product by matmul, which rounds as
+            # np.linalg.norm does on one vector; a sum along an axis
+            # does not
+            nw = np.sqrt(w.mT @ w)
+            dead = nw == 0.0
+            if dead.any():
+                # the iterate fell in a slice's null space (every step,
+                # for a zero slice); restart it from a second start
+                # vector
+                nudge = _unit_start_vector(a.shape[-1], POWER_SEED + 1)
+                v = np.where(dead, nudge, w / np.where(dead, 1.0, nw))
+            else:
+                v = w / nw
+        u = a @ v
+        est = np.sqrt(u.mT @ u)[..., 0, 0]
+    if not np.isfinite(est).all():
+        raise ValueError(
+            "spectral_norm_est overflows float64: a.T @ a exceeds its range"
+        )
+    return est
 
 
 def solve_spd(a, b):

@@ -10,7 +10,10 @@ projections keeps only the columns from its first to its last nonzero
 one, which pick the stream rows it reads.  The forward pass multiplies
 only those rows and columns and, with no softmax in between, groups the
 product as ((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows|
-matrix in place of the n x n score matrix.
+matrix in place of the n x n score matrix.  A compacted block that
+equals c I is kept as the scalar c and applied as c times the stream
+rows it reads, or as those rows themselves for c = 1; skipping a
+product by I removes roundings only, so the stated error bound holds.
 Feed-forward blocks keep their piecewise-linear gadgets whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
@@ -20,7 +23,9 @@ band's rows and the model dimension are derived.
 The forward functions take one stream ``(dim, n)`` or a stack of
 streams ``(..., dim, n)`` and run every slice through the same
 weights; each slice of the result is bit-identical to the call on that
-slice alone.
+slice alone.  ``model_forward`` copies its input once and runs every
+layer in place on that one working stream, through the layer
+functions' ``out=`` keyword; called alone, they return a new array.
 """
 
 from dataclasses import dataclass
@@ -75,8 +80,9 @@ class AttentionHead:
     The dense projections are read-only, and the compacted form that
     :func:`attention_forward` multiplies is derived from them once:
     each projection restricted to the rows that can contribute and
-    then to the columns from its first to its last nonzero one.  Heads
-    compare and hash by identity.
+    then to the columns from its first to its last nonzero one, and
+    kept as the scalar c where that block equals c I.  Heads compare
+    and hash by identity.
     """
 
     w_v: np.ndarray
@@ -113,12 +119,12 @@ class AttentionHead:
         A key/query row that is zero in either W_K or W_Q adds nothing
         to (W_K H).T (W_Q H).  The blocks are W_V, W_K and W_Q
         restricted to those rows, then to the columns from their first
-        to their last nonzero column.  Rows are a slice when contiguous;
-        columns are always a slice, so the stream rows a block reads
-        are a view.
+        to their last nonzero column.  A block that equals c I is kept
+        as the float c.  Rows are a slice when contiguous; columns are
+        always a slice, so the stream rows a block reads are a view.
         """
-        v_rows = np.flatnonzero(self.w_v.any(axis=1))
-        kq_rows = np.flatnonzero(self.w_k.any(axis=1) & self.w_q.any(axis=1))
+        v_rows = self.w_v.any(axis=1).nonzero()[0]
+        kq_rows = (self.w_k.any(axis=1) & self.w_q.any(axis=1)).nonzero()[0]
         if not v_rows.size or not kq_rows.size:
             return None
         v_rows, kq_rows = _as_index(v_rows), _as_index(kq_rows)
@@ -139,11 +145,18 @@ def _as_index(rows):
 
 
 def _column_span(w):
-    """(span, w[:, span]) for the slice from w's first to its last
-    nonzero column; every row of *w* has a nonzero entry."""
-    cols = np.flatnonzero(w.any(axis=0))
+    """(span, block) for the slice from w's first to its last nonzero
+    column; every row of *w* has a nonzero entry.  The block is
+    w[:, span], or the float c when that block equals c I."""
+    cols = w.any(axis=0).nonzero()[0]
     span = slice(int(cols[0]), int(cols[-1]) + 1)
-    return span, w[:, span]
+    block = w[:, span]
+    k, c = block.shape[0], float(block[0, 0])
+    # k nonzeros, all of them c on the diagonal, leave none off it
+    if (k == block.shape[1] and c != 0.0 and np.count_nonzero(block) == k
+            and block.diagonal().tolist().count(c) == k):
+        return span, c
+    return span, block
 
 
 class Ffn:
@@ -269,7 +282,31 @@ def _check_stream(h, dim):
     return h
 
 
-def attention_forward(layer, h):
+def _target(h, out):
+    """The array a layer writes its result into: *out* holding h's
+    values, or a new copy of h when *out* is None."""
+    if out is None:
+        return h.copy()
+    if out is not h:
+        if (not isinstance(out, np.ndarray) or out.shape != h.shape
+                or out.dtype != h.dtype):
+            raise ValueError(
+                f"out must be a float64 array of shape {h.shape}"
+            )
+        out[...] = h
+    return out
+
+
+def _project(block, h, cols):
+    """block @ h[..., cols, :], where a float block c stands for c I:
+    the stream rows themselves (a view) for c = 1, else c times them."""
+    rows = h[..., cols, :]
+    if type(block) is float:
+        return rows if block == 1.0 else block * rows
+    return block @ rows
+
+
+def attention_forward(layer, h, *, out=None):
     """Residual attention update: h + the sum of the layer's head
     contributions.  The layer's ffn, if any, is NOT applied here.
 
@@ -277,31 +314,38 @@ def attention_forward(layer, h):
     rows, where W_V' holds W_V's nonzero rows and W_K', W_Q' the rows
     nonzero in both W_K and W_Q.  Each of the three keeps only the
     columns from its first to its last nonzero one, and h_V, h_K, h_Q
-    are the stream rows those columns read, as views.  Without a
-    softmax this equals the dense (W_V h) ((W_K h).T (W_Q h)) up to
-    rounding, and forms no n x n score matrix.  Dropping zero columns
-    drops only zero terms from each sum, so a projection row with one
-    nonzero entry gives the same bits at full width.  Each element lies
-    within
+    are the stream rows those columns read, as views.  A block equal
+    to c I is applied as c times its rows, or as the rows themselves
+    for c = 1.  Without a softmax this equals the dense
+    (W_V h) ((W_K h).T (W_Q h)) up to rounding, and forms no n x n
+    score matrix.  Dropping zero columns drops only zero terms from
+    each sum, and skipping a product by c I drops only those terms
+    too, so neither adds a rounding.  Each element lies within
     4 (dim + n) u sum_heads (|W_V| |h|) (|W_K| |h|).T (|W_Q| |h|) + u |r|
     of the exact dense result r, with u = 2**-53.
 
     *h* is one stream ``(dim, n)`` or a stack ``(..., dim, n)``; the
-    stack shares only the matmul dispatch.
+    stack shares only the matmul dispatch.  The result is a new array,
+    unless *out* is given: then it is written into *out*, which may be
+    *h* itself.  Every head reads the layer's input before any head
+    writes, so the bits do not depend on *out*.
     """
     h = _check_stream(h, layer.dim)
-    out = h.copy()
+    updates = []
     for head in layer.heads:
         if head._compact is None:
             continue
         rows, v_cols, w_v, k_cols, w_k, q_cols, w_q = head._compact
-        out[..., rows, :] += (
-            (w_v @ h[..., v_cols, :]) @ (w_k @ h[..., k_cols, :]).mT
-        ) @ (w_q @ h[..., q_cols, :])
+        updates.append((rows, (
+            _project(w_v, h, v_cols) @ _project(w_k, h, k_cols).mT
+        ) @ _project(w_q, h, q_cols)))
+    out = _target(h, out)
+    for rows, update in updates:
+        out[..., rows, :] += update
     return out
 
 
-def ffn_forward(layer, h):
+def ffn_forward(layer, h, *, out=None):
     """Residual feed-forward update: h + w2 relu(w1 h).
 
     The exact neurons run as that product.  Each PWL gadget's argument
@@ -310,13 +354,15 @@ def ffn_forward(layer, h):
     neurons wherever the ones row holds 1.  Any other ones-row value
     raises ``ValueError`` naming the first offending column (and, for a
     stack, its slice).  A layer without an ffn passes h through
-    unchanged.
+    unchanged.  The result is a new array unless *out* is given, as
+    for :func:`attention_forward`: the update and the gadget arguments
+    are computed from h before anything is written.
     """
     h = _check_stream(h, layer.dim)
     ffn = layer.ffn
     if ffn is None:
-        return h.copy()
-    out = h + ffn.w2 @ np.maximum(ffn.w1 @ h, 0.0)
+        return _target(h, out)
+    delta = ffn.w2 @ np.maximum(ffn.w1 @ h, 0.0)
     if ffn.gadgets:
         ones = h[..., ffn.ones_row, :]
         bad = ones != 1.0
@@ -328,27 +374,31 @@ def ffn_forward(layer, h):
                 f"column {first[-1]}{where} holds {float(ones[first])!r}"
             )
         pre = ffn._gadget_rows @ h
-        for i, g in enumerate(ffn.gadgets):
-            out[..., g.out_row, :] += g.scale * eval_pwl(
-                g.approx, pre[..., i, :]
-            )
+    out = _target(h, out)
+    out += delta
+    for i, g in enumerate(ffn.gadgets):
+        out[..., g.out_row, :] += g.scale * eval_pwl(
+            g.approx, pre[..., i, :]
+        )
     return out
 
 
 def model_forward(layers, h):
     """Run the stream through each layer: attention, then its ffn.
 
+    *h* is copied once, and every layer updates that one working
+    stream in place (through ``out=``); *h* itself is never written.
     Each layer checks its input; the last layer's output is checked
     here, so a stream that overflows raises ``ValueError`` instead of
-    coming back non-finite.  An empty layer list returns the prompt
-    unchanged.  *h* may be a stack of streams, as for
+    coming back non-finite.  An empty layer list returns a copy of the
+    prompt.  *h* may be a stack of streams, as for
     :func:`attention_forward`.
     """
     layers = tuple(layers)
-    if not layers:
-        return as_stack(h, "h").copy()
+    stream = np.array(h, dtype=np.float64, order="C")
     for layer in layers:
-        h = attention_forward(layer, h)
+        attention_forward(layer, stream, out=stream)
         if layer.ffn is not None:
-            h = ffn_forward(layer, h)
-    return as_stack(h, "model output")
+            ffn_forward(layer, stream, out=stream)
+    # with no layer, nothing has checked the prompt yet
+    return as_stack(stream, "model output" if layers else "h")

@@ -1,12 +1,13 @@
 import csv
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from dense_attention import dense_attention_forward
 
-from newtonformer import builders, harness, inversion, transformer
+from newtonformer import builders, harness, inversion, logistic, transformer
 from newtonformer.builders import make_linreg_prompt, read_linreg_prediction
 from newtonformer.cli import main
 from newtonformer.datagen import gen_linreg_data, gen_logreg_data, make_covariance
@@ -187,6 +188,15 @@ class TestExperimentConfig:
     def test_orders_coerced_to_int_tuple(self):
         cfg = ExperimentConfig(task="invert", orders=[2.0, 3.0])
         assert cfg.orders == (2, 3)
+
+    @pytest.mark.parametrize("task", ["invert", "linreg"])
+    def test_rejects_repeated_orders(self, task):
+        # a repeated order would advance the same oracle twice per step
+        with pytest.raises(ValueError,
+                           match="^orders must not repeat, got 2 twice$"):
+            ExperimentConfig(task=task, orders=(2, 3, 2))
+        with pytest.raises(ValueError, match="got 3 twice"):
+            ExperimentConfig(task=task, orders=(3.0, 3))
 
     def test_runner_rejects_mismatched_task(self):
         cfg = ExperimentConfig(task="invert")
@@ -434,6 +444,36 @@ class TestLogregRunner:
         for rows in logreg_table.values():
             assert all(int(r["layers_per_step"]) == 16 for r in rows)
 
+    def test_loss_is_evaluated_only_where_no_step_did(self, tmp_path,
+                                                      monkeypatch):
+        cfg = ExperimentConfig(task="logreg", t_max=6, out_dir=str(tmp_path))
+        loss_grad_hess = logistic.loss_grad_hess
+        callers = []
+
+        def counted(problem, x):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return loss_grad_hess(problem, x)
+
+        monkeypatch.setattr(logistic, "loss_grad_hess", counted)
+        rows = read_rows(run_logreg_experiment(cfg)[0])
+        # each trace's last iterate and every constructed iterate
+        assert callers.count("newtonformer.harness") == 2 + cfg.t_max + 1
+        # the rows hold f at each iterate, as a fresh evaluation gives it
+        problem, _ = gen_logreg_data(cfg)
+        source = logistic.bounded_error_source(cfg.eps, cfg.d, cfg.seed + 1)
+        exact = inexact = np.zeros(cfg.d)
+        want = {"exact_newton": [], "inexact_newton": []}
+        for step in range(cfg.t_max + 1):
+            want["exact_newton"].append(loss_grad_hess(problem, exact)[0])
+            want["inexact_newton"].append(loss_grad_hess(problem, inexact)[0])
+            if step < cfg.t_max:
+                exact = logistic.damped_step(problem, exact).x
+                inexact = (logistic.damped_step(problem, inexact).x
+                           + source(step))
+        for method, fs in want.items():
+            assert [float(r["f"]) for r in rows
+                    if r["method"] == method] == fs
+
 
 def csv_lines(path):
     with open(path, encoding="ascii", newline="") as fh:
@@ -447,9 +487,12 @@ def shipped_and_dense_lines(runner, cfg, tmp_path, monkeypatch):
     shipped = runner(replace(cfg, out_dir=str(tmp_path / "shipped")))[0]
     calls = []
 
-    def dense(layer, h):
+    def dense(layer, h, *, out=None):
         calls.append(layer)
-        return dense_attention_forward(layer, h)
+        if out is None:
+            return dense_attention_forward(layer, h)
+        out[...] = dense_attention_forward(layer, h)
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(transformer, "attention_forward", dense)
@@ -619,6 +662,35 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{name} must be finite" in err
         assert err.endswith(" got inf\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["invert", "linreg"])
+    def test_repeated_orders_exit_one(self, command, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--orders", "2,2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: orders must not repeat, got 2 twice\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("noise_std", ["1e300", "7e153"])
+    def test_mse_overflow_exits_one(self, noise_std, tmp_path, monkeypatch,
+                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["linreg", "--noise-std", noise_std]) == 1
+        assert capsys.readouterr().err == (
+            "error: mse overflows float64: the squared prediction errors "
+            "exceed its range\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_alpha_overflow_exits_one(self, tmp_path, monkeypatch, capsys):
+        # a numpy RuntimeWarning would fail this test: pytest turns it
+        # into an error
+        monkeypatch.chdir(tmp_path)
+        assert main(["linreg", "--mu", "1e300"]) == 1
+        assert capsys.readouterr().err == (
+            "error: spectral_norm_est overflows float64: a.T @ a exceeds "
+            "its range\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_covariance_not_definite_in_float64_exits_one(

@@ -79,6 +79,21 @@ class TestSpectralNormEst:
         with pytest.raises(ValueError):
             spectral_norm_est(np.eye(2), iters=0)
 
+    @pytest.mark.parametrize("a", [
+        1e300 * np.eye(3),
+        np.full((2, 4), 1e160),
+        np.stack([np.eye(3), 1e200 * np.eye(3)]),
+    ])
+    def test_overflow_is_named(self, a):
+        # pytest turns numpy's RuntimeWarning into an error, so this
+        # also checks that the overflow warns nothing
+        with pytest.raises(ValueError,
+                           match="^spectral_norm_est overflows float64"):
+            spectral_norm_est(a)
+
+    def test_entries_whose_square_fits_do_not_overflow(self):
+        assert spectral_norm_est(1e150 * np.eye(2)) == 1e150
+
 
 class TestAsStack:
     def test_matrix_and_stack_become_contiguous_float64(self):

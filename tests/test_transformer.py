@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from newtonformer import inversion
 from newtonformer.errors import ShapeMismatchError
 from newtonformer.builders import (
+    FfnBuilder,
     build_inversion_block,
     build_linreg_transformer,
     build_logreg_newton_step,
@@ -302,7 +304,10 @@ class TestCompactedHeads:
         assert newton.dim > d
         for head in newton.heads:
             _, *blocks = head._compact
-            assert [block.shape for block in blocks[1::2]] == [(d, d)] * 3
+            assert [span.stop - span.start
+                    for span in blocks[::2]] == [d] * 3
+            # each block is +-I, kept as a scalar: no projection matrix
+            assert [type(block) for block in blocks[1::2]] == [float] * 3
 
     # derandomized so every run draws the same 200 heads
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -561,3 +566,186 @@ class TestStackedStreams:
             ffn_forward(layer, h)
         with pytest.raises(ValueError, match=r"column 4 holds 0\.5$"):
             ffn_forward(layer, h[slice_index])
+
+
+def matrix_block_attention_forward(layer, h):
+    """attention_forward with every compacted block multiplied as a
+    matrix, blocks equal to c I included."""
+    out = h.copy()
+    for head in layer.heads:
+        v_rows = np.flatnonzero(head.w_v.any(axis=1))
+        kq_rows = np.flatnonzero(head.w_k.any(axis=1) & head.w_q.any(axis=1))
+        if not (v_rows.size and kq_rows.size):
+            continue
+
+        def read(w, rows):
+            w = w[rows]
+            cols = np.flatnonzero(w.any(axis=0))
+            span = slice(cols[0], cols[-1] + 1)
+            return w[:, span] @ h[..., span, :]
+        out[..., v_rows, :] += (
+            read(head.w_v, v_rows) @ read(head.w_k, kq_rows).mT
+        ) @ read(head.w_q, kq_rows)
+    return out
+
+
+def assert_out_matches_fresh(fn, layer, h):
+    """fn(layer, h, out=...) equals the fresh call bit for bit, whether
+    *out* is h itself or another array, and the fresh call leaves h
+    as it was."""
+    before = h.copy()
+    fresh = fn(layer, h)
+    assert fresh is not h and np.array_equal(h, before)
+    in_place = h.copy()
+    assert fn(layer, in_place, out=in_place) is in_place
+    other = np.full_like(h, np.nan)
+    assert fn(layer, h, out=other) is other
+    for got in (in_place, other):
+        assert got.tobytes() == fresh.tobytes()
+    assert h.tobytes() == before.tobytes()
+
+
+class TestOneWorkingStream:
+    """model_forward updates one private copy of its input in place;
+    the layer functions write through ``out=`` with the bits of a
+    fresh call."""
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("case", ["inversion", "linreg", "logistic"])
+    def test_model_forward_never_writes_its_input(self, constructions,
+                                                  case, batch):
+        layers, make_prompt = constructions[case]
+        rng = np.random.default_rng(24)
+        h = np.stack([make_prompt(rng) for _ in range(math.prod(batch))])
+        h = h.reshape(batch + h.shape[1:])
+        before = h.copy()
+        h.flags.writeable = False
+        out = model_forward(layers, h)
+        assert out.tobytes() == model_forward(layers, before).tobytes()
+        assert h.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, h)
+
+    @pytest.mark.parametrize("case", ["inversion", "linreg", "logistic"])
+    def test_out_equals_fresh_call_on_every_constructed_layer(
+            self, constructions, case):
+        layers, make_prompt = constructions[case]
+        rng = np.random.default_rng(25)
+        h = np.stack([make_prompt(rng) for _ in range(3)])
+        for layer in layers:
+            for stream in (h, h[1]):
+                assert_out_matches_fresh(attention_forward, layer, stream)
+                assert_out_matches_fresh(ffn_forward, layer, stream)
+            h = model_forward([layer], h)
+
+    def test_logistic_heads_read_rows_other_heads_write(self, constructions):
+        # the hazard that in-place writes must not disturb: a head that
+        # writes rows another head of its layer reads
+        layers, _ = constructions["logistic"]
+        hazards = 0
+        for layer in layers:
+            for writer in layer.heads:
+                written = writer.w_v.any(axis=1)
+                hazards += sum(
+                    bool((written & (reader.w_v.any(axis=0)
+                                     | reader.w_k.any(axis=0)
+                                     | reader.w_q.any(axis=0))).any())
+                    for reader in layer.heads if reader is not writer)
+        assert hazards > 0
+
+    def test_ffn_reads_its_input_before_writing(self):
+        # the exact neurons write the row gadget 1 reads, and gadget 1
+        # writes the rows that gadget 2 and the neurons read
+        approx = PwlApprox(np.linspace(-3.0, 3.0, 7),
+                           np.sin(np.linspace(-3.0, 3.0, 7)))
+        fb = FfnBuilder(4, ones_row=3)
+        fb.add_neuron({1: 0.7, 2: -0.4}, 0, 1.3)
+        fb.add_identity(1, 0, 0.5)
+        fb.add_pwl(approx, {0: 0.9}, 1, scale=2.0)
+        fb.add_pwl(approx, {1: -1.1, 2: 0.3}, 2)
+        fb.add_pwl(approx, {1: 0.6}, 1)
+        layer = TransformerLayer(heads=(AttentionHead(*np.zeros((3, 4, 4))),),
+                                 ffn=fb.build())
+        rng = np.random.default_rng(27)
+        h = rng.uniform(-2.0, 2.0, (2, 4, 6))
+        h[..., 3, :] = 1.0
+        w1, w2 = layer.ffn
+        for stream in (h, h[0]):
+            assert_out_matches_fresh(ffn_forward, layer, stream)
+            np.testing.assert_allclose(
+                ffn_forward(layer, stream),
+                stream + w2 @ np.maximum(w1 @ stream, 0.0),
+                rtol=1e-13, atol=1e-13)
+
+    def test_out_must_match_the_stream(self, constructions):
+        layers, make_prompt = constructions["linreg"]
+        h = make_prompt(np.random.default_rng(26))
+        for fn in (attention_forward, ffn_forward):
+            for out in (np.zeros(h.shape[:-1] + (h.shape[-1] + 1,)),
+                        np.zeros(h.shape, dtype=np.float32), h.tolist()):
+                with pytest.raises(ValueError, match="out must be a float64"):
+                    fn(layers[0], h, out=out)
+
+    # derandomized so every run draws the same 200 heads
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(dim=st.integers(1, 9), n=st.integers(1, 12),
+           c=st.sampled_from([1.0, -1.0, 0.37]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_identity_blocks_are_scalars(self, dim, n, c, seed, data):
+        rng = np.random.default_rng(seed)
+        k_v, k_kq = (data.draw(st.integers(1, dim)) for _ in range(2))
+        v_rows, kq_rows = (data.draw(st.integers(0, dim - k))
+                           for k in (k_v, k_kq))
+        scalars, weights = [], []
+        for row, k in ((v_rows, k_v), (kq_rows, k_kq), (kq_rows, k_kq)):
+            col = data.draw(st.integers(0, dim - k))
+            block = (c * np.eye(k) if data.draw(st.booleans())
+                     else rng.standard_normal((k, k)))
+            # a 1 x 1 block is c I for its one entry
+            is_scalar = k == 1 or np.array_equal(block, c * np.eye(k))
+            scalars.append(float(block[0, 0]) if is_scalar else None)
+            weights.append(np.zeros((dim, dim)))
+            weights[-1][row:row + k, col:col + k] = block
+        head = AttentionHead(*weights)
+        _, *blocks = head._compact
+        for block, scalar in zip(blocks[1::2], scalars):
+            if scalar is None:
+                assert isinstance(block, np.ndarray)
+            else:
+                assert type(block) is float and block == scalar
+        layer = TransformerLayer(heads=(head,))
+        h = rng.standard_normal((dim, n))
+        assert_within_bound(layer, h)
+        # skipping the product by c I changes no bit
+        assert (attention_forward(layer, h).tobytes()
+                == matrix_block_attention_forward(layer, h).tobytes())
+        assert_out_matches_fresh(attention_forward, layer, h)
+        stack = rng.standard_normal((2, dim, n))
+        assert_slices_equal(attention_forward, layer, stack)
+        assert_out_matches_fresh(attention_forward, layer, stack)
+
+    def test_identity_detection_needs_a_nonzero_diagonal(self):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for w in (swap, np.diag([1.0, 2.0]), np.array([[1.0, 1.0],
+                                                        [0.0, 1.0]])):
+            _, *blocks = AttentionHead(w, w, w)._compact
+            assert all(isinstance(b, np.ndarray) for b in blocks[1::2])
+
+    def test_linreg_forward_peaks_below_two_streams(self):
+        # the linreg_depth shape: d=10, n=50, 16 prompts
+        (init, *layers), _ = build_linreg_transformer(10, 1, 0.01)
+        rng = np.random.default_rng(28)
+        h = model_forward([init], np.stack([
+            make_linreg_prompt(rng.standard_normal((50, 10)),
+                               rng.standard_normal(50),
+                               rng.standard_normal(10))
+            for _ in range(16)]))
+        assert h.shape == (16, 43, 50)
+        model_forward(layers, h)  # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model_forward(layers, h)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * h.nbytes
