@@ -7,9 +7,10 @@ forward pass plus the :class:`~.transformer.PromptLayout` of the prompt
 rows it expects.  Each stack declares its row bands once, in its layout
 function; the builder, the prompt maker and the reader take every row
 from that layout, and the layers' dimension is its ``n_rows``.  Heads
-are assembled from sparse block triples so the selector structure
-stays auditable; feed-forward blocks are assembled from exact ReLU
-neurons and scalar piecewise-linear gadgets by :class:`FfnBuilder`.
+are written as band entries, each adding c I times one band of prompt
+rows to another, so the selector structure stays auditable;
+feed-forward blocks are assembled from exact ReLU neurons and scalar
+piecewise-linear gadgets by :class:`FfnBuilder`.
 """
 
 import json
@@ -27,7 +28,6 @@ from .transformer import (
     Ffn,
     PromptLayout,
     TransformerLayer,
-    assemble_blocks,
     model_forward,
 )
 
@@ -236,12 +236,10 @@ class FfnBuilder:
         return Ffn(w1, w2, self._gadgets, self.ones_row)
 
 
-def _head(dim, v_entries, k_entries, q_entries):
-    return AttentionHead(
-        w_v=assemble_blocks(dim, v_entries),
-        w_k=assemble_blocks(dim, k_entries),
-        w_q=assemble_blocks(dim, q_entries),
-    )
+def _nonzero(entries):
+    """The value entries whose scale is not zero; a zero scale adds
+    nothing, and a head holds only nonzero ones."""
+    return [entry for entry in entries if entry[2] != 0.0]
 
 
 def _newton_layer(dim, x_rows, m_rows, ident_rows):
@@ -250,21 +248,12 @@ def _newton_layer(dim, x_rows, m_rows, ident_rows):
     Needs I_d in the leading columns of the identity band and zeros past
     column d in it and in X; leaves every band but X as it found it.
     """
-    eye = np.eye(x_rows.stop - x_rows.start)
     return TransformerLayer(
         heads=(
-            _head(
-                dim,
-                v_entries=[(x_rows, x_rows, -eye)],
-                k_entries=[(x_rows, m_rows, eye)],
-                q_entries=[(x_rows, x_rows, eye)],
-            ),
-            _head(
-                dim,
-                v_entries=[(x_rows, x_rows, eye)],
-                k_entries=[(x_rows, ident_rows, eye)],
-                q_entries=[(x_rows, ident_rows, eye)],
-            ),
+            AttentionHead(dim, [(x_rows, x_rows, -1.0)],
+                          key=(m_rows, 1.0), query=(x_rows, 1.0)),
+            AttentionHead(dim, [(x_rows, x_rows, 1.0)],
+                          key=(ident_rows, 1.0), query=(ident_rows, 1.0)),
         ),
     )
 
@@ -313,31 +302,18 @@ def build_inversion_block(d):
     x_rows, a_rows, work, ident = map(
         layout.rows_of, ("iterate", "data", "work", "identity")
     )
-    eye = np.eye(d)
     first = TransformerLayer(
         heads=(
-            _head(
-                dim,
-                v_entries=[(work, a_rows, eye)],
-                k_entries=[(x_rows, ident, eye)],
-                q_entries=[(x_rows, x_rows, eye)],
-            ),
+            AttentionHead(dim, [(work, a_rows, 1.0)],
+                          key=(ident, 1.0), query=(x_rows, 1.0)),
         ),
     )
     second = TransformerLayer(
         heads=(
-            _head(
-                dim,
-                v_entries=[(x_rows, x_rows, eye)],
-                k_entries=[(x_rows, ident, eye)],
-                q_entries=[(x_rows, work, -eye)],
-            ),
-            _head(
-                dim,
-                v_entries=[(x_rows, x_rows, eye), (work, work, -eye)],
-                k_entries=[(x_rows, ident, eye)],
-                q_entries=[(x_rows, ident, eye)],
-            ),
+            AttentionHead(dim, [(x_rows, x_rows, 1.0)],
+                          key=(ident, 1.0), query=(work, -1.0)),
+            AttentionHead(dim, [(x_rows, x_rows, 1.0), (work, work, -1.0)],
+                          key=(ident, 1.0), query=(ident, 1.0)),
         ),
     )
     return [first, second], layout
@@ -392,32 +368,22 @@ def _linreg_init_layer(layout, alpha, ridge_mu):
     """The least-squares stack's init layer, the one layer that reads
     alpha and ridge_mu: it writes alpha*B into x_slot and B into
     b_slot, for B = A^T A + ridge_mu*I."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not 0.0 <= ridge_mu < math.inf:
         raise ValueError(f"ridge_mu must be finite and >= 0, got {ridge_mu}")
     dim = layout.n_rows
     x_slot, b_slot, ident, data = map(
         layout.rows_of, ("x_slot", "b_slot", "identity", "data")
     )
-    eye = np.eye(x_slot.stop - x_slot.start)
     return TransformerLayer(
         heads=(
-            _head(
-                dim,
-                v_entries=[(x_slot, data, alpha * eye), (b_slot, data, eye)],
-                k_entries=[(x_slot, data, eye)],
-                q_entries=[(x_slot, x_slot, eye)],
-            ),
-            _head(
-                dim,
-                v_entries=[
-                    (x_slot, ident, (alpha * ridge_mu - 1.0) * eye),
-                    (b_slot, ident, (ridge_mu - 1.0) * eye),
-                ],
-                k_entries=[(x_slot, ident, eye)],
-                q_entries=[(x_slot, ident, eye)],
-            ),
+            AttentionHead(dim, [(x_slot, data, alpha), (b_slot, data, 1.0)],
+                          key=(data, 1.0), query=(x_slot, 1.0)),
+            AttentionHead(dim, _nonzero([
+                (x_slot, ident, alpha * ridge_mu - 1.0),
+                (b_slot, ident, ridge_mu - 1.0),
+            ]), key=(ident, 1.0), query=(ident, 1.0)),
         ),
     )
 
@@ -433,16 +399,18 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
     do not depend on n; :func:`make_linreg_prompt` checks n >= d.
     Only the init layer reads alpha and ridge_mu: the Newton, contract
     and readout layers depend on d alone, so stacks built for different
-    prompts share them.
+    prompts share them.  A negative or non-integer *t_steps*, and an
+    *alpha* that is not finite and positive, raise ``ValueError``.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if t_steps < 0:
+    if not t_steps >= 0:
         raise ValueError(f"t_steps must be >= 0, got {t_steps}")
+    if not float(t_steps).is_integer():
+        raise ValueError(f"t_steps must be an integer, got {t_steps}")
     layout = _linreg_layout(d)
     init = _linreg_init_layer(layout, alpha, ridge_mu)
     dim = layout.n_rows
-    eye = np.eye(d)
     x_slot, b_slot, ident, data = map(
         layout.rows_of, ("x_slot", "b_slot", "identity", "data")
     )
@@ -453,33 +421,21 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
 
     contract = TransformerLayer(
         heads=(
-            _head(
-                dim,
-                v_entries=[(out_row, label_row, 1.0)],
-                k_entries=[(x_slot, data, eye)],
-                q_entries=[(x_slot, x_slot, eye)],
-            ),
+            AttentionHead(dim, [(out_row, label_row, 1.0)],
+                          key=(data, 1.0), query=(x_slot, 1.0)),
         ),
     )
     readout = TransformerLayer(
         heads=(
-            _head(
-                dim,
-                v_entries=[(out_row, out_row, 1.0)],
-                k_entries=[(0, test_row, 1.0)],
-                q_entries=[(0, ident.start, 1.0)],
-            ),
-            _head(
-                dim,
-                v_entries=[(out_row, out_row, -1.0)],
-                k_entries=[(x_slot, ident, eye)],
-                q_entries=[(x_slot, ident, eye)],
-            ),
+            AttentionHead(dim, [(out_row, out_row, 1.0)],
+                          key=(test_row, 1.0), query=(ident.start, 1.0)),
+            AttentionHead(dim, [(out_row, out_row, -1.0)],
+                          key=(ident, 1.0), query=(ident, 1.0)),
         ),
     )
 
     newton = _newton_layer(dim, x_slot, b_slot, ident)
-    layers = [init] + [newton] * t_steps + [contract, readout]
+    layers = [init] + [newton] * int(t_steps) + [contract, readout]
     return layers, layout
 
 
@@ -572,7 +528,6 @@ def build_logreg_newton_step(problem, budget):
     mu = problem.mu
     layout = _logistic_layout(d)
     dim = layout.n_rows
-    eye = np.eye(d)
     x_slot, b_slot, ident, data, iterate = map(
         layout.rows_of, ("x_slot", "b_slot", "identity", "data", "iterate")
     )
@@ -588,12 +543,8 @@ def build_logreg_newton_step(problem, budget):
 
     def margins_to_accumulator():
         # accumulator += z^T, from the iterate broadcast in its block
-        return _head(
-            dim,
-            v_entries=[(acc_row, e1_row, 1.0)],
-            k_entries=[(x_slot, iterate, eye)],
-            q_entries=[(x_slot, data, eye)],
-        )
+        return AttentionHead(dim, [(acc_row, e1_row, 1.0)],
+                             key=(iterate, 1.0), query=(data, 1.0))
 
     layers = []
 
@@ -612,18 +563,10 @@ def build_logreg_newton_step(problem, budget):
     # accumulator: s -> s/n using the mean-picker row; then the
     # weight-scaled data rows replace the top identity block
     rescale = (
-        _head(
-            dim,
-            v_entries=[(acc_row, picker_row, 1.0)],
-            k_entries=[(0, e1_row, 1.0)],
-            q_entries=[(0, acc_row, 1.0)],
-        ),
-        _head(
-            dim,
-            v_entries=[(acc_row, e1_row, -1.0)],
-            k_entries=[(0, e1_row, 1.0)],
-            q_entries=[(0, acc_row, 1.0)],
-        ),
+        AttentionHead(dim, [(acc_row, picker_row, 1.0)],
+                      key=(e1_row, 1.0), query=(acc_row, 1.0)),
+        AttentionHead(dim, [(acc_row, e1_row, -1.0)],
+                      key=(e1_row, 1.0), query=(acc_row, 1.0)),
     )
     fb = FfnBuilder(dim, ones_row)
     # weights lie in [0, 1/4] and features in [-1, 1]; x + y and x - y
@@ -642,27 +585,13 @@ def build_logreg_newton_step(problem, budget):
     layers.append(
         TransformerLayer(
             heads=(
-                _head(
-                    dim,
-                    v_entries=[(b_slot, data, eye)],
-                    k_entries=[(x_slot, x_slot, eye)],
-                    q_entries=[(x_slot, ident, eye)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[(x_slot, ident, eye)],
-                    k_entries=[(x_slot, ident, eye)],
-                    q_entries=[(x_slot, x_slot, -eye)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[
-                        (x_slot, ident, alpha * eye),
-                        (b_slot, ident, (mu - 1.0) * eye),
-                    ],
-                    k_entries=[(x_slot, ident, eye)],
-                    q_entries=[(x_slot, ident, eye)],
-                ),
+                AttentionHead(dim, [(b_slot, data, 1.0)],
+                              key=(x_slot, 1.0), query=(ident, 1.0)),
+                AttentionHead(dim, [(x_slot, ident, 1.0)],
+                              key=(ident, 1.0), query=(x_slot, -1.0)),
+                AttentionHead(dim, _nonzero([(x_slot, ident, alpha),
+                                             (b_slot, ident, mu - 1.0)]),
+                              key=(ident, 1.0), query=(ident, 1.0)),
             ),
         )
     )
@@ -687,24 +616,12 @@ def build_logreg_newton_step(problem, budget):
     layers.append(
         TransformerLayer(
             heads=(
-                _head(
-                    dim,
-                    v_entries=[(b_slot, data, -eye)],
-                    k_entries=[(0, acc_row, 1.0)],
-                    q_entries=[(0, picker_row, 1.0)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[(b_slot, b_slot, -eye)],
-                    k_entries=[(x_slot, ident, eye)],
-                    q_entries=[(x_slot, ident, eye)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[(b_slot, iterate, mu * eye)],
-                    k_entries=[(0, e1_row, 1.0)],
-                    q_entries=[(0, e1_row, 1.0)],
-                ),
+                AttentionHead(dim, [(b_slot, data, -1.0)],
+                              key=(acc_row, 1.0), query=(picker_row, 1.0)),
+                AttentionHead(dim, [(b_slot, b_slot, -1.0)],
+                              key=(ident, 1.0), query=(ident, 1.0)),
+                AttentionHead(dim, [(b_slot, iterate, mu)],
+                              key=(e1_row, 1.0), query=(e1_row, 1.0)),
             ),
         )
     )
@@ -713,18 +630,10 @@ def build_logreg_newton_step(problem, budget):
     layers.append(
         TransformerLayer(
             heads=(
-                _head(
-                    dim,
-                    v_entries=[(x_slot, x_slot, eye)],
-                    k_entries=[(x_slot, ident, eye)],
-                    q_entries=[(x_slot, b_slot, eye)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[(x_slot, x_slot, -eye)],
-                    k_entries=[(x_slot, ident, eye)],
-                    q_entries=[(x_slot, ident, eye)],
-                ),
+                AttentionHead(dim, [(x_slot, x_slot, 1.0)],
+                              key=(ident, 1.0), query=(b_slot, 1.0)),
+                AttentionHead(dim, [(x_slot, x_slot, -1.0)],
+                              key=(ident, 1.0), query=(ident, 1.0)),
             ),
         )
     )
@@ -740,18 +649,10 @@ def build_logreg_newton_step(problem, budget):
     layers.append(
         TransformerLayer(
             heads=(
-                _head(
-                    dim,
-                    v_entries=[(acc_row, e1_row, 1.0)],
-                    k_entries=[(x_slot, b_slot, eye)],
-                    q_entries=[(x_slot, x_slot, eye)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[(acc_row, e1_row, -1.0)],
-                    k_entries=[(0, ones_row, 1.0)],
-                    q_entries=[(0, acc_row, 1.0)],
-                ),
+                AttentionHead(dim, [(acc_row, e1_row, 1.0)],
+                              key=(b_slot, 1.0), query=(x_slot, 1.0)),
+                AttentionHead(dim, [(acc_row, e1_row, -1.0)],
+                              key=(ones_row, 1.0), query=(acc_row, 1.0)),
             ),
             ffn=fb.build(),
         )
@@ -761,46 +662,30 @@ def build_logreg_newton_step(problem, budget):
     layers.append(
         TransformerLayer(
             heads=(
-                _head(
-                    dim,
-                    v_entries=[(acc_row, acc_row, 1.0)],
-                    k_entries=[(x_slot, x_slot, eye)],
-                    q_entries=[(x_slot, ident, eye)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[(acc_row, acc_row, -1.0)],
-                    k_entries=[(x_slot, ident, eye)],
-                    q_entries=[(x_slot, ident, eye)],
-                ),
+                AttentionHead(dim, [(acc_row, acc_row, 1.0)],
+                              key=(x_slot, 1.0), query=(ident, 1.0)),
+                AttentionHead(dim, [(acc_row, acc_row, -1.0)],
+                              key=(ident, 1.0), query=(ident, 1.0)),
             ),
         )
     )
 
     # iterate update, block restore, accumulator cleanup
+    # relu(R/2 - a/2) - relu(R/2 + a/2) = -a exactly while |a| < R,
+    # for R = CLEANUP_RANGE, the range run_constructed_newton checks
+    offset = 0.5 * CLEANUP_RANGE
     fb = FfnBuilder(dim, ones_row)
-    fb.add_neuron({acc_row: -0.5, ones_row: 5.0}, acc_row, 1.0)
-    fb.add_neuron({acc_row: 0.5, ones_row: 5.0}, acc_row, -1.0)
+    fb.add_neuron({acc_row: -0.5, ones_row: offset}, acc_row, 1.0)
+    fb.add_neuron({acc_row: 0.5, ones_row: offset}, acc_row, -1.0)
     layers.append(
         TransformerLayer(
             heads=(
-                _head(
-                    dim,
-                    v_entries=[(iterate, ident, -eye)],
-                    k_entries=[(0, acc_row, 1.0)],
-                    q_entries=[(0, ones_row, 1.0)],
-                ),
-                _head(
-                    dim,
-                    v_entries=[
-                        (x_slot, x_slot, -eye),
-                        (x_slot, ident, eye),
-                        (b_slot, b_slot, -eye),
-                        (b_slot, ident, eye),
-                    ],
-                    k_entries=[(x_slot, ident, eye)],
-                    q_entries=[(x_slot, ident, eye)],
-                ),
+                AttentionHead(dim, [(iterate, ident, -1.0)],
+                              key=(acc_row, 1.0), query=(ones_row, 1.0)),
+                AttentionHead(dim, [
+                    (x_slot, x_slot, -1.0), (x_slot, ident, 1.0),
+                    (b_slot, b_slot, -1.0), (b_slot, ident, 1.0),
+                ], key=(ident, 1.0), query=(ident, 1.0)),
             ),
             ffn=fb.build(),
         )
@@ -814,18 +699,21 @@ def run_constructed_newton(problem, x0, budget, n_steps):
     """Apply the constructed step *n_steps* times; returns the iterates.
 
     The last layer's ffn cancels the accumulator row exactly only while
-    its entries stay inside (-10, 10).  That layer's attention leaves
-    the row as it is, so each step checks it before the last layer and
-    raises ``BudgetError`` with bound ``"cleanup_range"`` on a larger
-    entry.  A negative *n_steps* raises ``ValueError``.
+    its entries stay inside (-CLEANUP_RANGE, CLEANUP_RANGE).  That
+    layer's attention leaves the row as it is, so each step checks it
+    before the last layer and raises ``BudgetError`` with bound
+    ``"cleanup_range"`` on a larger entry.  A negative or non-integer
+    *n_steps* raises ``ValueError``.
     """
-    if n_steps < 0:
+    if not n_steps >= 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if not float(n_steps).is_integer():
+        raise ValueError(f"n_steps must be an integer, got {n_steps}")
     layers, layout = build_logreg_newton_step(problem, budget)
     acc_row = layout.rows_of("accumulator").start
     h = make_logistic_prompt(problem, np.asarray(x0, dtype=np.float64))
     xs = [read_logistic_iterate(h, layout)]
-    for _ in range(n_steps):
+    for _ in range(int(n_steps)):
         h = model_forward(layers[:-1], h)
         reach = float(np.max(np.abs(h[acc_row])))
         if reach >= CLEANUP_RANGE:

@@ -199,14 +199,13 @@ def run_linreg_experiment(cfg):
     alphas = inversion.initial_scale(spectral_norm_est(grams))
 
     def mse(preds):
-        # Python's ** squares through libm's pow, as the rows always
-        # have; numpy's x * x differs from it in the last bit for
-        # about one value in 1,200
+        # err * err is the correctly rounded square; Python's ** goes
+        # through libm's pow, which need not be
         try:
             with np.errstate(over="raise"):
-                errs = (preds - targets).tolist()
-                value = float(np.mean([err ** 2 for err in errs]))
-        except (OverflowError, FloatingPointError):
+                errs = preds - targets
+                value = float(np.mean(errs * errs))
+        except FloatingPointError:
             value = math.inf
         if not math.isfinite(value):
             raise ValueError(

@@ -3,17 +3,14 @@
 Layers use attention without softmax: each head contributes
 (W_V H) (W_K H).T (W_Q H) additively to the residual stream, and an
 optional position-wise feed-forward block adds W_2 relu(W_1 H).
-The constructed heads are block selectors, so each head also keeps a
-compacted form.  Its rows are the rows where W_V is nonzero, and the
-rows where W_K and W_Q are both nonzero.  Each of the three row-compacted
-projections keeps only the columns from its first to its last nonzero
-one, which pick the stream rows it reads.  The forward pass multiplies
-only those rows and columns and, with no softmax in between, groups the
-product as ((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows|
-matrix in place of the n x n score matrix.  A compacted block that
-equals c I is kept as the scalar c and applied as c times the stream
-rows it reads, or as those rows themselves for c = 1; skipping a
-product by I removes roundings only, so the stated error bound holds.
+The constructed heads are block selectors, and a head is held in
+that form: value entries that add c times one band of stream rows to
+another, and one band each for the key and the query, where a scale c
+stands for c I.  The forward pass reads those bands as views and, with
+no softmax in between, groups the product as
+((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows| matrix in
+place of the n x n score matrix.  The dense projections are derived
+from the bands on demand.
 Feed-forward blocks keep their piecewise-linear gadgets whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
@@ -28,7 +25,9 @@ layer in place on that one working stream, through the layer
 functions' ``out=`` keyword; called alone, they return a new array.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,88 +74,106 @@ class PromptLayout:
 
 @dataclass(frozen=True, eq=False)
 class AttentionHead:
-    """Value / key / query projections of one linear-attention head.
+    """One linear-attention head, held as the bands its builder writes.
 
-    The dense projections are read-only, and the compacted form that
-    :func:`attention_forward` multiplies is derived from them once:
-    each projection restricted to the rows that can contribute and
-    then to the columns from its first to its last nonzero one, and
-    kept as the scalar c where that block equals c I.  Heads compare
-    and hash by identity.
+    A band is a run of stream rows: a slice with step 1, or one row
+    index.  A scale c is a finite, nonzero float standing for c I on
+    its band.  *value* holds ``(out_rows, src_rows, c)`` entries, each
+    adding c times the stream rows *src_rows* to the rows *out_rows*;
+    entries on one out band sum, and distinct out bands must not
+    overlap.  *key* and *query* are one ``(src_rows, c)`` band each, of
+    one size: the head's inner dimension.  A head without value entries
+    adds nothing.  A band outside ``0 .. dim``, sizes that disagree and
+    a zero or non-finite scale raise ``ValueError`` naming the entry.
+
+    The dense projections ``w_v``, ``w_k`` and ``w_q`` are derived on
+    first use, read-only, with the key and query bands on the inner
+    rows ``0 .. size``.  Heads compare and hash by identity.
     """
 
-    w_v: np.ndarray
-    w_k: np.ndarray
-    w_q: np.ndarray
+    dim: int
+    value: tuple
+    key: tuple
+    query: tuple
 
     def __post_init__(self):
-        dim = None
-        for field_name in ("w_v", "w_k", "w_q"):
-            given = getattr(self, field_name)
-            m = as_matrix(given, field_name)
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(
-                    f"{field_name} must be square, got {m.shape}"
-                )
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise ValueError(
-                    f"{field_name} is {m.shape[0]}x{m.shape[0]}, other "
-                    f"projections are {dim}x{dim}"
-                )
-            if np.may_share_memory(m, given):
-                m = m.copy()
-            m.flags.writeable = False
-            object.__setattr__(self, field_name, m)
-        object.__setattr__(self, "_compact", self._compacted())
+        value, bands = [], {}
+        for i, (out, src, c) in enumerate(self.value):
+            out = _band(self.dim, f"value {i} out", out)
+            src = _band(self.dim, f"value {i} src", src)
+            _same_size(f"value {i} out and src", out, src)
+            c = _scale(f"value {i}", c)
+            value.append((out, src, c))
+            bands.setdefault((out.start, out.stop), []).append((src, c))
+        # V stacks the out bands in ascending row order; *at* is each
+        # band's rows within V
+        v_bands, at = [], 0
+        for (start, stop), terms in sorted(bands.items()):
+            if v_bands and start < v_bands[-1][0].stop:
+                raise ValueError(f"value out bands {v_bands[-1][0]} and "
+                                 f"{slice(start, stop)} overlap")
+            v_bands.append((slice(start, stop), slice(at, at + stop - start),
+                            tuple(terms)))
+            at += stop - start
+        key, query = ((_band(self.dim, name, rows), _scale(name, c))
+                      for name, (rows, c) in (("key", self.key),
+                                              ("query", self.query)))
+        _same_size("key and query", key[0], query[0])
+        for name, given in (("value", tuple(value)), ("key", key),
+                            ("query", query), ("_v_bands", tuple(v_bands))):
+            object.__setattr__(self, name, given)
 
-    def _compacted(self):
-        """(value rows, V columns, V block, K columns, K block,
-        Q columns, Q block) for the rows that can contribute, or None
-        for a head that adds nothing.
+    @cached_property
+    def w_v(self):
+        return _dense(self.dim, self.value)
 
-        A key/query row that is zero in either W_K or W_Q adds nothing
-        to (W_K H).T (W_Q H).  The blocks are W_V, W_K and W_Q
-        restricted to those rows, then to the columns from their first
-        to their last nonzero column.  A block that equals c I is kept
-        as the float c.  Rows are a slice when contiguous; columns are
-        always a slice, so the stream rows a block reads are a view.
-        """
-        v_rows = self.w_v.any(axis=1).nonzero()[0]
-        kq_rows = (self.w_k.any(axis=1) & self.w_q.any(axis=1)).nonzero()[0]
-        if not v_rows.size or not kq_rows.size:
-            return None
-        v_rows, kq_rows = _as_index(v_rows), _as_index(kq_rows)
-        return (v_rows, *_column_span(self.w_v[v_rows]),
-                *_column_span(self.w_k[kq_rows]),
-                *_column_span(self.w_q[kq_rows]))
+    @cached_property
+    def w_k(self):
+        return _dense(self.dim, [(slice(0, _size(self.key[0])), *self.key)])
 
-    @property
-    def dim(self):
-        return self.w_v.shape[0]
+    @cached_property
+    def w_q(self):
+        return _dense(self.dim,
+                      [(slice(0, _size(self.query[0])), *self.query)])
 
 
-def _as_index(rows):
-    """Sorted row indices as a slice when they are contiguous."""
-    if rows[-1] - rows[0] + 1 == rows.size:
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
+def _size(rows):
+    return rows.stop - rows.start
 
 
-def _column_span(w):
-    """(span, block) for the slice from w's first to its last nonzero
-    column; every row of *w* has a nonzero entry.  The block is
-    w[:, span], or the float c when that block equals c I."""
-    cols = w.any(axis=0).nonzero()[0]
-    span = slice(int(cols[0]), int(cols[-1]) + 1)
-    block = w[:, span]
-    k, c = block.shape[0], float(block[0, 0])
-    # k nonzeros, all of them c on the diagonal, leave none off it
-    if (k == block.shape[1] and c != 0.0 and np.count_nonzero(block) == k
-            and block.diagonal().tolist().count(c) == k):
-        return span, c
-    return span, block
+def _band(dim, name, rows):
+    """*rows* as a slice inside ``0 .. dim``; one index is a one-row
+    band."""
+    band = rows if isinstance(rows, slice) else slice(rows, rows + 1)
+    ends = (band.start, band.stop)
+    if (band.step not in (None, 1)
+            or not all(isinstance(i, (int, np.integer)) for i in ends)
+            or not 0 <= band.start < band.stop <= dim):
+        raise ValueError(f"{name} band {band} is not a run of rows inside "
+                         f"0 .. {dim}")
+    return slice(int(band.start), int(band.stop))
+
+
+def _same_size(name, a, b):
+    if _size(a) != _size(b):
+        raise ValueError(f"{name} bands hold {_size(a)} and {_size(b)} "
+                         f"rows; their sizes must agree")
+
+
+def _scale(name, c):
+    c = float(c)
+    if not (math.isfinite(c) and c != 0.0):
+        raise ValueError(f"{name} scale must be finite and nonzero, got {c}")
+    return c
+
+
+def _dense(dim, entries):
+    """The read-only dim x dim matrix holding c I on each entry's
+    (out rows, src rows) block."""
+    m = assemble_blocks(dim, [(out, src, c * np.eye(_size(out)))
+                              for out, src, c in entries])
+    m.flags.writeable = False
+    return m
 
 
 class Ffn:
@@ -283,65 +300,66 @@ def _check_stream(h, dim):
 
 
 def _target(h, out):
-    """The array a layer writes its result into: *out* holding h's
-    values, or a new copy of h when *out* is None."""
+    """The array a layer writes its result into: h itself when *out*
+    is h, or a new copy of h when *out* is None."""
     if out is None:
         return h.copy()
     if out is not h:
-        if (not isinstance(out, np.ndarray) or out.shape != h.shape
-                or out.dtype != h.dtype):
-            raise ValueError(
-                f"out must be a float64 array of shape {h.shape}"
-            )
-        out[...] = h
+        raise ValueError("out must be None or the stream h itself")
     return out
 
 
-def _project(block, h, cols):
-    """block @ h[..., cols, :], where a float block c stands for c I:
-    the stream rows themselves (a view) for c = 1, else c times them."""
-    rows = h[..., cols, :]
-    if type(block) is float:
-        return rows if block == 1.0 else block * rows
-    return block @ rows
+def _read(h, rows, c):
+    """c times the stream rows *rows*: the rows themselves, a view, for
+    c = 1."""
+    band = h[..., rows, :]
+    return band if c == 1.0 else c * band
+
+
+def _values(head, h):
+    """The head's V = W_V h on its out bands, stacked in ascending row
+    order; each band is the sum of its entries' c h[src] terms."""
+    bands = []
+    for _, _, terms in head._v_bands:
+        band = _read(h, *terms[0])
+        for src, c in terms[1:]:
+            band = band + _read(h, src, c)
+        bands.append(band)
+    return bands[0] if len(bands) == 1 else np.concatenate(bands, axis=-2)
 
 
 def attention_forward(layer, h, *, out=None):
     """Residual attention update: h + the sum of the layer's head
     contributions.  The layer's ffn, if any, is NOT applied here.
 
-    Each head adds ((W_V' h_V) (W_K' h_K).T) (W_Q' h_Q) to its value
-    rows, where W_V' holds W_V's nonzero rows and W_K', W_Q' the rows
-    nonzero in both W_K and W_Q.  Each of the three keeps only the
-    columns from its first to its last nonzero one, and h_V, h_K, h_Q
-    are the stream rows those columns read, as views.  A block equal
-    to c I is applied as c times its rows, or as the rows themselves
-    for c = 1.  Without a softmax this equals the dense
-    (W_V h) ((W_K h).T (W_Q h)) up to rounding, and forms no n x n
-    score matrix.  Dropping zero columns drops only zero terms from
-    each sum, and skipping a product by c I drops only those terms
-    too, so neither adds a rounding.  Each element lies within
+    Each head adds ((V K.T) Q) to its out bands.  V stacks the out
+    bands in ascending row order, each the sum of its entries'
+    c h[src rows] terms; K = c h[key rows] and Q = c h[query rows].  A
+    term with c = 1 is a view of the stream rows, with no product.
+    Without a softmax this equals the dense
+    (W_V h) ((W_K h).T (W_Q h)) up to rounding, forms no n x n score
+    matrix and leaves out only zero terms, so each element lies within
     4 (dim + n) u sum_heads (|W_V| |h|) (|W_K| |h|).T (|W_Q| |h|) + u |r|
-    of the exact dense result r, with u = 2**-53.
+    of the exact dense result r, with u = 2**-53.  V is one chain per
+    head: split by rows, (V K.T) Q changes bits on some BLAS builds.
 
     *h* is one stream ``(dim, n)`` or a stack ``(..., dim, n)``; the
     stack shares only the matmul dispatch.  The result is a new array,
-    unless *out* is given: then it is written into *out*, which may be
-    *h* itself.  Every head reads the layer's input before any head
-    writes, so the bits do not depend on *out*.
+    unless *out* is *h* itself: then *h* is updated in place.  Every
+    head reads the layer's input before any head writes, so the bits
+    do not depend on *out*.
     """
     h = _check_stream(h, layer.dim)
     updates = []
     for head in layer.heads:
-        if head._compact is None:
-            continue
-        rows, v_cols, w_v, k_cols, w_k, q_cols, w_q = head._compact
-        updates.append((rows, (
-            _project(w_v, h, v_cols) @ _project(w_k, h, k_cols).mT
-        ) @ _project(w_q, h, q_cols)))
+        if head._v_bands:
+            updates.append((head._v_bands, (
+                _values(head, h) @ _read(h, *head.key).mT
+            ) @ _read(h, *head.query)))
     out = _target(h, out)
-    for rows, update in updates:
-        out[..., rows, :] += update
+    for v_bands, update in updates:
+        for rows, at, _ in v_bands:
+            out[..., rows, :] += update[..., at, :]
     return out
 
 
@@ -354,8 +372,8 @@ def ffn_forward(layer, h, *, out=None):
     neurons wherever the ones row holds 1.  Any other ones-row value
     raises ``ValueError`` naming the first offending column (and, for a
     stack, its slice).  A layer without an ffn passes h through
-    unchanged.  The result is a new array unless *out* is given, as
-    for :func:`attention_forward`: the update and the gadget arguments
+    unchanged.  The result is a new array unless *out* is *h*, as for
+    :func:`attention_forward`: the update and the gadget arguments
     are computed from h before anything is written.
     """
     h = _check_stream(h, layer.dim)

@@ -1,10 +1,10 @@
-"""The dense attention formula, the reference for the compacted heads.
+"""The dense attention formula, the reference for the band heads.
 
-``attention_forward`` multiplies only the rows each head's projections
-touch and groups the product as ((W_V h) (W_K h).T) (W_Q h).  The
-tests compare it with the formula below, which multiplies the whole
-projections and forms the n x n score matrix (W_K h).T (W_Q h) first.
-Both take one stream ``(dim, n)`` or a stack ``(..., dim, n)``.
+``attention_forward`` reads only the stream rows each head's bands
+name and groups the product as ((W_V h) (W_K h).T) (W_Q h).  The
+tests compare it with the formula below, which multiplies the heads'
+dense projections and forms the n x n score matrix (W_K h).T (W_Q h)
+first.  Both take one stream ``(dim, n)`` or a stack ``(..., dim, n)``.
 """
 
 import numpy as np

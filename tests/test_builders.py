@@ -1,7 +1,9 @@
 import gc
 import json
 import math
+import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +26,12 @@ from newtonformer.builders import (
 )
 from newtonformer.datagen import make_covariance
 from newtonformer.errors import BudgetError
-from newtonformer.inversion import initial_scale, newton_step, predicted_steps
+from newtonformer.inversion import (
+    initial_scale,
+    newton_step,
+    predicted_steps,
+    spd_initial_scale,
+)
 from newtonformer.linalg import solve_spd, spectral_norm_est
 from newtonformer.logistic import (
     LogisticProblem,
@@ -254,13 +261,10 @@ class TestWidthDepthBudget:
             width_depth_budget(1e-5, 0.1, d=5, piece_ceiling=ceiling)
 
 
-def zero_head(dim):
-    z = np.zeros((dim, dim))
-    return AttentionHead(z, z, z)
-
-
 def apply_ffn(builder, h):
-    layer = TransformerLayer(heads=(zero_head(builder.dim),),
+    # a head without value entries adds nothing
+    silent = AttentionHead(builder.dim, (), key=(0, 1.0), query=(0, 1.0))
+    layer = TransformerLayer(heads=(silent,),
                              ffn=builder.build())
     return ffn_forward(layer, h)
 
@@ -424,6 +428,51 @@ class TestLinregTransformer:
         alpha = initial_scale(spectral_norm_est(gram))
         layers, layout = build_linreg_transformer(3, 30, alpha,
                                                   ridge_mu=mu)
+        h = model_forward(layers, make_linreg_prompt(a, y, a_test))
+        oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
+        assert read_linreg_prediction(h, layout) == pytest.approx(oracle,
+                                                                  abs=1e-9)
+
+    @pytest.mark.parametrize("t_steps, alpha, message", [
+        (2.5, 0.1, "t_steps must be an integer, got 2.5"),
+        (math.inf, 0.1, "t_steps must be an integer, got inf"),
+        (-1, 0.1, "t_steps must be >= 0, got -1"),
+        (2, math.inf, "alpha must be finite and positive, got inf"),
+        (2, math.nan, "alpha must be finite and positive, got nan"),
+        (2, 0.0, "alpha must be finite and positive, got 0.0"),
+    ])
+    def test_input_errors_are_named(self, t_steps, alpha, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_linreg_transformer(3, t_steps, alpha)
+
+    def test_integral_float_steps_build_that_many_layers(self):
+        layers, _ = build_linreg_transformer(3, 2.0, 0.1)
+        assert len(layers) == 5
+
+    @pytest.mark.parametrize("alpha, mu", [(0.05, 1.0), (0.5, 2.0),
+                                           (1.0, 1.0)])
+    def test_zero_init_scales_are_left_out(self, alpha, mu):
+        # alpha*mu - 1 or mu - 1 is zero: the init head holds no value
+        # entry for that band, and its dense view is zero there
+        (init, *_), layout = build_linreg_transformer(2, 1, alpha,
+                                                      ridge_mu=mu)
+        ident = layout.rows_of("identity")
+        head = init.heads[1]
+        scales = [alpha * mu - 1.0, mu - 1.0]
+        assert [c for _, _, c in head.value] == [c for c in scales if c]
+        for rows, c in zip(map(layout.rows_of, ("x_slot", "b_slot")),
+                           scales):
+            np.testing.assert_array_equal(head.w_v[rows, ident],
+                                          c * np.eye(2))
+
+    def test_unit_ridge_matches_closed_form(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((12, 3))
+        y = rng.standard_normal(12)
+        a_test = rng.standard_normal(3)
+        gram = a.T @ a + np.eye(3)
+        alpha = initial_scale(spectral_norm_est(gram))
+        layers, layout = build_linreg_transformer(3, 30, alpha, ridge_mu=1.0)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
         assert read_linreg_prediction(h, layout) == pytest.approx(oracle,
@@ -680,6 +729,43 @@ class TestLogregNewtonStack:
             build_logreg_newton_step(problem, wrong_mu)
         assert info.value.bound == "mu"
 
+    @pytest.mark.parametrize("n_steps", [2.5, math.inf])
+    def test_step_count_must_be_an_integer(self, logreg_stack, n_steps):
+        problem, budget, _, _ = logreg_stack
+        with pytest.raises(ValueError,
+                           match=f"^n_steps must be an integer, got "
+                                 f"{n_steps}$"):
+            run_constructed_newton(problem, np.zeros(5), budget, n_steps)
+        xs = run_constructed_newton(problem, np.zeros(5), budget, 1.0)
+        assert len(xs) == 2
+
+    def test_unit_mu_seed_head_leaves_b_slot_alone(self):
+        # mu - 1 = 0: the seed head writes only alpha' I into x_slot
+        problem = make_logreg_problem(0, mu=1.0)
+        budget = width_depth_budget(1e-2, 1.0, d=5)
+        layers, layout = build_logreg_newton_step(problem, budget)
+        seed = layers[2].heads[2]
+        x_slot, ident = layout.rows_of("x_slot"), layout.rows_of("identity")
+        assert seed.value == ((x_slot, ident, spd_initial_scale(2.0)),)
+        xs = run_constructed_newton(problem, np.zeros(5), budget, 3)
+        assert all(np.isfinite(x).all() for x in xs)
+
+    def test_cleanup_neurons_follow_the_checked_range(self, logreg_stack,
+                                                      monkeypatch):
+        problem, budget, layers, layout = logreg_stack
+        acc_row, ones_row = (layout.rows_of(name).start
+                             for name in ("accumulator", "ones"))
+
+        def cleanup(layers):
+            w1, w2 = layers[-1].ffn
+            return w1[:, [acc_row, ones_row]], w2[acc_row]
+        w1, w2 = cleanup(layers)
+        np.testing.assert_array_equal(w1, [[-0.5, 5.0], [0.5, 5.0]])
+        np.testing.assert_array_equal(w2, [1.0, -1.0])
+        monkeypatch.setattr(builders, "CLEANUP_RANGE", 24.0)
+        w1, _ = cleanup(build_logreg_newton_step(problem, budget)[0])
+        np.testing.assert_array_equal(w1, [[-0.5, 12.0], [0.5, 12.0]])
+
     def test_last_attention_leaves_accumulator(self, logreg_stack):
         # run_constructed_newton checks the cleanup range before the last
         # layer; the check reads the row the cleanup ffn reads only while
@@ -694,7 +780,8 @@ class TestLogregNewtonStack:
         penultimate = layers[-2]
         louder = TransformerLayer(
             heads=tuple(
-                AttentionHead(100.0 * head.w_v, head.w_k, head.w_q)
+                replace(head, value=[(out, src, 100.0 * c)
+                                     for out, src, c in head.value])
                 for head in penultimate.heads
             ),
             ffn=penultimate.ffn,

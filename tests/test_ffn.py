@@ -45,8 +45,9 @@ def logreg_problem(seed, n=26, d=5, mu=0.1):
 
 
 def with_ffn(dim, ffn):
-    z = np.zeros((dim, dim))
-    return TransformerLayer(heads=(AttentionHead(z, z, z),), ffn=ffn)
+    # a head without value entries adds nothing
+    silent = AttentionHead(dim, (), key=(0, 1.0), query=(0, 1.0))
+    return TransformerLayer(heads=(silent,), ffn=ffn)
 
 
 def dense_copy(layer):

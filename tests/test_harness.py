@@ -308,14 +308,14 @@ def replayed_constructed_mse(cfg):
             )
             prompt = make_linreg_prompt(a, y, a_test)
             pred = read_linreg_prediction(model_forward(layers, prompt), layout)
-            errs.append((pred - target) ** 2)
+            errs.append((pred - target) * (pred - target))
         mses.append(float(np.mean(errs)))
     return mses
 
 
 def per_prompt_oracle_mse(cfg, order):
     """The newton_order_<order> rows with one 2-D hyperpower step per
-    prompt and depth."""
+    prompt and depth, each error squared correctly rounded."""
     problems = per_prompt_problems(cfg)
     xs = [alpha * gram for _, _, _, gram, alpha, _ in problems]
     mses = []
@@ -323,7 +323,8 @@ def per_prompt_oracle_mse(cfg, order):
         errs = []
         for i, (a, y, a_test, gram, _, target) in enumerate(problems):
             xs[i] = inversion.hyperpower_step(xs[i], gram, order)
-            errs.append((float(a_test @ xs[i] @ (a.T @ y)) - target) ** 2)
+            err = float(a_test @ xs[i] @ (a.T @ y)) - target
+            errs.append(err * err)
         mses.append(float(np.mean(errs)))
     return mses
 
@@ -358,9 +359,10 @@ class TestLinregLinearInDepth:
                     if r["method"] == f"newton_order_{order}"]
             assert ours == per_prompt_oracle_mse(cfg, order)
 
-    def test_oracle_rows_square_errors_with_python_pow(self, tmp_path):
-        # here numpy's x * x and Python's ** (libm pow) disagree in the
-        # last bit of one error square, which moves the step-24 mse
+    def test_oracle_rows_square_errors_correctly_rounded(self, tmp_path):
+        # the rows square each error as err * err, correctly rounded;
+        # here glibc's pow, behind Python's **, is 1 ulp off in one error
+        # square, which would move the step-24 mse
         cfg = ExperimentConfig(task="linreg", d=6, n=7, mu=0.5,
                                noise_std=0.2, orders=(2,), t_max=24,
                                batch=5, seed=11, out_dir=str(tmp_path))
