@@ -359,9 +359,10 @@ def make_linreg_prompt(a, y, a_test):
 
 def read_linreg_prediction(h, layout):
     """The prediction in the output row's first column: a float for one
-    stream, an array of shape ``...`` for a stack ``(..., dim, n)``."""
+    stream, a new array of shape ``...`` for a stack ``(..., dim, n)``,
+    which keeps none of the stack alive."""
     pred = h[..., layout.rows_of("output").start, 0]
-    return float(pred) if np.ndim(h) == 2 else pred
+    return float(pred) if np.ndim(h) == 2 else pred.copy()
 
 
 def _linreg_init_layer(layout, alpha, ridge_mu):
@@ -372,6 +373,11 @@ def _linreg_init_layer(layout, alpha, ridge_mu):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not 0.0 <= ridge_mu < math.inf:
         raise ValueError(f"ridge_mu must be finite and >= 0, got {ridge_mu}")
+    if not float(alpha) * float(ridge_mu) < math.inf:
+        raise ValueError(
+            f"alpha * ridge_mu must be finite, got alpha={alpha} and "
+            f"ridge_mu={ridge_mu}"
+        )
     dim = layout.n_rows
     x_slot, b_slot, ident, data = map(
         layout.rows_of, ("x_slot", "b_slot", "identity", "data")
@@ -399,8 +405,9 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
     do not depend on n; :func:`make_linreg_prompt` checks n >= d.
     Only the init layer reads alpha and ridge_mu: the Newton, contract
     and readout layers depend on d alone, so stacks built for different
-    prompts share them.  A negative or non-integer *t_steps*, and an
-    *alpha* that is not finite and positive, raise ``ValueError``.
+    prompts share them.  A negative or non-integer *t_steps*, an
+    *alpha* that is not finite and positive, and an overflowing
+    alpha * ridge_mu raise ``ValueError``.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")

@@ -1,7 +1,10 @@
 """Synthetic problem generators with controlled condition number.
 
-All draws go through one ``numpy.random.Generator`` seeded from the
-experiment config, so every dataset is reproducible bit for bit.
+Every problem draws from its own ``numpy.random.Generator``, seeded from
+the experiment config, in a fixed order, so every dataset is
+reproducible bit for bit.  The generators share one stacked path: the
+QR, Cholesky and matrix products run once on the stack of problems, each
+slice bit-identical to the same product on that problem alone.
 """
 
 import numpy as np
@@ -9,6 +12,37 @@ import numpy as np
 from .logistic import LogisticProblem
 
 __all__ = ["make_covariance", "gen_linreg_data", "gen_logreg_data"]
+
+
+def _gaussian(rngs, shape):
+    """One standard normal draw of *shape* from each generator, stacked."""
+    return np.stack([rng.standard_normal(shape) for rng in rngs])
+
+
+def _covariances(d, kappa, rngs):
+    """One covariance per generator in *rngs*, as a ``(len(rngs), d, d)``
+    stack; see :func:`make_covariance`."""
+    if not (isinstance(d, (int, np.integer)) or float(d).is_integer()):
+        raise ValueError(f"d must be an integer, got {d}")
+    d = int(d)
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if not 1.0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
+    if d == 1 and kappa != 1.0:
+        raise ValueError("a 1x1 covariance cannot have kappa > 1")
+    eigs = np.empty((len(rngs), d))
+    for eig, rng in zip(eigs, rngs):
+        lam_max = rng.uniform(1.0, 100.0)
+        lam_min = lam_max / kappa
+        eig[0] = lam_max
+        if d > 1:
+            eig[d - 1] = lam_min
+            eig[1:d - 1] = rng.uniform(lam_min, lam_max, size=max(0, d - 2))
+    q, r = np.linalg.qr(_gaussian(rngs, (d, d)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    sigma = (q * eigs[:, None, :]) @ q.mT
+    return (sigma + sigma.mT) / 2.0
 
 
 def make_covariance(d, kappa, rng):
@@ -20,30 +54,13 @@ def make_covariance(d, kappa, rng):
     Gaussian QR decomposition.  *d* must be integral; an integral
     float is taken as an int.
     """
-    if not (isinstance(d, (int, np.integer)) or float(d).is_integer()):
-        raise ValueError(f"d must be an integer, got {d}")
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not 1.0 <= kappa < np.inf:
-        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
-    if d == 1 and kappa != 1.0:
-        raise ValueError("a 1x1 covariance cannot have kappa > 1")
-    lam_max = rng.uniform(1.0, 100.0)
-    lam_min = lam_max / kappa
-    eigs = np.empty(d)
-    eigs[0] = lam_max
-    if d > 1:
-        eigs[d - 1] = lam_min
-        eigs[1:d - 1] = rng.uniform(lam_min, lam_max, size=max(0, d - 2))
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    q = q * np.sign(np.diag(r))
-    sigma = (q * eigs) @ q.T
-    return (sigma + sigma.T) / 2.0
+    return _covariances(d, kappa, [rng])[0]
 
 
-def _draw_rows(cfg, rng):
-    sigma = make_covariance(cfg.d, cfg.kappa, rng)
+def _draw_rows(cfg, rngs):
+    """Each generator's (n, d) rows with the constructed covariance, and
+    the covariance's Cholesky factor, as stacks."""
+    sigma = _covariances(cfg.d, cfg.kappa, rngs)
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
@@ -51,33 +68,37 @@ def _draw_rows(cfg, rng):
             f"kappa={cfg.kappa:g} is too large: the covariance is not "
             f"positive definite in float64"
         ) from exc
-    a = rng.standard_normal((cfg.n, cfg.d)) @ chol.T
-    return a, chol
+    return _gaussian(rngs, (cfg.n, cfg.d)) @ chol.mT, chol
 
 
 def gen_linreg_data(cfg):
-    """Draw (A, y, a_test, w_star) for the least-squares task.
+    """Draw (A, y, a_test, w_star) for the run's ``cfg.batch`` prompts.
 
-    Rows of A and the query point are zero-mean Gaussian with the
-    constructed covariance; y = A w_star + noise_std * gaussian noise.
+    Prompt i draws from ``default_rng(cfg.seed + i)``.  Rows of A and
+    the query point are zero-mean Gaussian with the constructed
+    covariance; y = A w_star + noise_std * gaussian noise.  Each of the
+    four is a stack with the prompt index first: ``(batch, n, d)``,
+    ``(batch, n)``, ``(batch, d)`` and ``(batch, d)``.
     """
-    rng = np.random.default_rng(cfg.seed)
-    a, chol = _draw_rows(cfg, rng)
-    w_star = rng.standard_normal(cfg.d)
-    y = a @ w_star + cfg.noise_std * rng.standard_normal(cfg.n)
-    a_test = chol @ rng.standard_normal(cfg.d)
+    rngs = [np.random.default_rng(cfg.seed + i) for i in range(cfg.batch)]
+    a, chol = _draw_rows(cfg, rngs)
+    w_star = _gaussian(rngs, cfg.d)
+    y = ((a @ w_star[:, :, None])[:, :, 0]
+         + cfg.noise_std * _gaussian(rngs, cfg.n))
+    a_test = (chol @ _gaussian(rngs, (cfg.d, 1)))[:, :, 0]
     return a, y, a_test, w_star
 
 
 def gen_logreg_data(cfg):
     """Draw a LogisticProblem plus its separator w_star.
 
-    Rows are drawn as in :func:`gen_linreg_data`, then every row is
-    divided by the maximum row norm so the largest row has norm exactly
-    one; labels are sign(a_i . w_star) with exact ties sent to +1.
+    Rows are drawn as for one prompt of :func:`gen_linreg_data`, then
+    every row is divided by the maximum row norm so the largest row has
+    norm exactly one; labels are sign(a_i . w_star) with exact ties sent
+    to +1.
     """
     rng = np.random.default_rng(cfg.seed)
-    a, _ = _draw_rows(cfg, rng)
+    a = _draw_rows(cfg, [rng])[0][0]
     w_star = rng.standard_normal(cfg.d)
     scale = np.max(np.linalg.norm(a, axis=1))
     if scale > 0.0:

@@ -9,15 +9,14 @@ byte-identical files.
 """
 
 import itertools
-import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import builders, datagen, inversion, logistic
 from .inversion import MAX_ORDER
-from .linalg import spectral_norm_est, solve_spd
+from .linalg import solve_spd, spectral_norm
 from .transformer import model_forward
 
 __all__ = [
@@ -166,10 +165,11 @@ def run_linreg_experiment(cfg):
     The squared error is measured against the clean target
     a_test . w_star, so the closed-form row is the attainable floor.
 
-    The prompts' Gram matrices form one ``(batch, d, d)`` stack: one
-    ``spectral_norm_est`` call gives every prompt's alpha, and each
-    depth advances each order's hyperpower oracles with one
-    ``hyperpower_step`` call on the stack.
+    Every per-prompt step is one stacked call: ``gen_linreg_data``
+    draws the prompts, and on their ``(batch, d, d)`` stack of Gram
+    matrices ``spectral_norm`` gives every exact sigma_max and so every
+    alpha, ``solve_spd`` the closed-form predictions, and one
+    ``hyperpower_step`` per depth and order the oracles' iterates.
 
     The constructed transformer runs on one ``(batch, dim, n)`` stack
     of prompts.  Its Newton, contract and readout layers depend on d
@@ -183,41 +183,35 @@ def run_linreg_experiment(cfg):
     stack.  Each depth's oracle predictions are one stacked product
     a_test^T X A^T y over the prompts.
 
-    Stacked calls are bit-identical to per-prompt 2-D calls, so the
-    rows equal a per-prompt rebuild-and-replay exactly.
+    The mse values are means over one ``(rows, batch)`` prediction
+    array; the closed-form one is taken before the depth loop, so its
+    overflow stops the run before any layer runs.  Stacked calls are
+    bit-identical to per-prompt 2-D calls, so the rows equal a
+    per-prompt rebuild-and-replay exactly.
     """
     if cfg.task != "linreg":
         raise ValueError(f"config task is {cfg.task!r}, expected 'linreg'")
-    prompts = [datagen.gen_linreg_data(replace(cfg, seed=cfg.seed + item))
-               for item in range(cfg.batch)]
-    a_tests = np.stack([a_test for _, _, a_test, _ in prompts])
-    atys = np.stack([a.T @ y for a, y, _, _ in prompts])
-    targets = np.array([float(a_test @ w_star)
-                        for _, _, a_test, w_star in prompts])
-    grams = np.stack([a.T @ a + cfg.mu * np.eye(cfg.d)
-                      for a, _, _, _ in prompts])
-    alphas = inversion.initial_scale(spectral_norm_est(grams))
+    a, y, a_tests, w_star = datagen.gen_linreg_data(cfg)
+    atys = a.mT @ y[:, :, None]
+    targets = (a_tests[:, None, :] @ w_star[:, :, None])[:, 0, 0]
+    grams = a.mT @ a + cfg.mu * np.eye(cfg.d)
+    alphas = inversion.initial_scale(spectral_norm(grams))
 
     def mse(preds):
         # err * err is the correctly rounded square; Python's ** goes
-        # through libm's pow, which need not be
-        try:
-            with np.errstate(over="raise"):
-                errs = preds - targets
-                value = float(np.mean(errs * errs))
-        except FloatingPointError:
-            value = math.inf
-        if not math.isfinite(value):
+        # through libm's pow, which need not be.  An overflow leaves inf.
+        with np.errstate(over="ignore"):
+            errs = preds - targets
+            values = np.mean(errs * errs, axis=-1)
+        if not np.isfinite(values).all():
             raise ValueError(
                 "mse overflows float64: the squared prediction errors "
                 "exceed its range"
             )
-        return value
+        return values.tolist()
 
-    ls_mse = mse(np.array([
-        float(a_test @ solve_spd(gram, aty[:, None])[:, 0])
-        for a_test, gram, aty in zip(a_tests, grams, atys)
-    ]))
+    ls_preds = a_tests[:, None, :] @ solve_spd(grams, atys)
+    (ls_mse,) = mse(ls_preds[None, :, 0, 0])
     (init, newton, *output), layout = builders.build_linreg_transformer(
         cfg.d, 1, float(alphas[0]), ridge_mu=cfg.mu
     )
@@ -227,24 +221,29 @@ def run_linreg_experiment(cfg):
         for alpha in alphas[1:].tolist()
     ))
     stream = np.stack([
-        model_forward([layer], builders.make_linreg_prompt(a, y, a_test))
-        for layer, (a, y, a_test, _) in zip(inits, prompts)
+        model_forward([layer], builders.make_linreg_prompt(*prompt))
+        for layer, *prompt in zip(inits, a, y, a_tests)
     ])
     oracle_x = {order: alphas[:, None, None] * grams
                 for order in cfg.orders}
-    rows = []
-    for t in range(1, cfg.t_max + 1):
+    # per depth: the constructed row, then one row per order
+    preds = np.empty((cfg.t_max, 1 + len(cfg.orders), cfg.batch))
+    for t in range(cfg.t_max):
         stream = model_forward([newton], stream)
-        preds = builders.read_linreg_prediction(
+        preds[t, 0] = builders.read_linreg_prediction(
             model_forward(output, stream), layout
         )
-        rows.append(("constructed", 2, t, mse(preds)))
-        for order in cfg.orders:
+        for j, order in enumerate(cfg.orders, 1):
             x = oracle_x[order] = inversion.hyperpower_step(
                 oracle_x[order], grams, order
             )
-            preds = (a_tests[:, None, :] @ x @ atys[:, :, None])[:, 0, 0]
-            rows.append((f"newton_order_{order}", order, t, mse(preds)))
+            preds[t, j] = (a_tests[:, None, :] @ x @ atys)[:, 0, 0]
+    mses = iter(mse(preds.reshape(-1, cfg.batch)))
+    rows = []
+    for t in range(1, cfg.t_max + 1):
+        rows.append(("constructed", 2, t, next(mses)))
+        for order in cfg.orders:
+            rows.append((f"newton_order_{order}", order, t, next(mses)))
         rows.append(("least_squares", 0, t, ls_mse))
     return _write_csv(
         cfg.out_dir, "linreg.csv", "method,order,steps,mse", rows

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ShapeMismatchError
-from .linalg import as_matrix, as_stack, spectral_norm_est
+from .linalg import as_matrix, as_stack, spectral_norm
 
 __all__ = [
     "MAX_ORDER",
@@ -110,13 +110,28 @@ def initial_scale(sigma):
     """Start scale ``alpha = 2 * INIT_SAFETY / sigma**2`` for ``alpha * A^T``.
 
     The iteration from ``alpha * A^T`` converges for alpha in
-    ``(0, 2 / sigma_max**2)``, which this alpha meets whenever
-    ``sigma**2 > INIT_SAFETY * sigma_max**2``: for any upper bound on
-    the spectral norm, and for a power-iteration estimate within about
-    5% of it.  Since ``X_0 A = alpha * A^T A``, this is
-    :func:`spd_initial_scale` for the SPD matrix ``A^T A``.
+    ``(0, 2 / sigma_max**2)``, which this alpha meets for any upper
+    bound *sigma* on the spectral norm, the exact one included.  Since
+    ``X_0 A = alpha * A^T A``, this is :func:`spd_initial_scale` for the
+    SPD matrix ``A^T A``.  *sigma* may be an array.  Raises
+    ``ValueError`` for a sigma that is not positive or whose alpha
+    leaves float64's range, as when ``sigma**2`` overflows.
     """
-    return spd_initial_scale(sigma**2)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    bad = ~(sigma > 0.0)
+    if bad.any():
+        raise ValueError(
+            f"initial_scale needs a positive sigma, got {sigma[bad].flat[0]:g}"
+        )
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        alpha = spd_initial_scale(sigma * sigma)
+    bad = ~((alpha > 0.0) & (alpha < math.inf))
+    if bad.any():
+        raise ValueError(
+            f"initial_scale overflows float64: sigma**2 for "
+            f"sigma={sigma[bad].flat[0]:g} is outside its range"
+        )
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def spd_initial_scale(lam):
@@ -155,8 +170,8 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100):
     """Iterate the hyperpower update on *a* until the residual meets *tol*.
 
     The start iterate is ``alpha * a.T`` with
-    ``alpha = initial_scale(sigma_hat)``, where ``sigma_hat`` is the
-    power-iteration estimate of the spectral norm.
+    ``alpha = initial_scale(sigma)``, where ``sigma`` is the exact
+    spectral norm of *a* from :func:`~.linalg.spectral_norm`.
 
     Raises ``ConvergenceError`` (with the partial run attached) if the
     residual is still above *tol* after *max_iters* steps.
@@ -166,7 +181,7 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100):
         raise ShapeMismatchError(f"a must be square, got {a.shape}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sigma = spectral_norm_est(a)
+    sigma = spectral_norm(a)
     if sigma == 0.0:
         raise ValueError("cannot invert the zero matrix")
     alpha = initial_scale(sigma)

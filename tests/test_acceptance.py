@@ -38,7 +38,7 @@ from newtonformer import (
     scaled_decrement,
     scan_constant_decrease,
     solve_spd,
-    spectral_norm_est,
+    spectral_norm,
     width_depth_budget,
 )
 from newtonformer.datagen import gen_linreg_data, gen_logreg_data, make_covariance
@@ -119,12 +119,12 @@ def test_04_linreg_transformer_end_to_end():
     ok = False
     try:
         worst = 0.0
-        for seed in range(50):
-            cfg = ExperimentConfig(task="linreg", d=10, n=50, kappa=100.0,
-                                   noise_std=0.0, seed=seed)
-            a, y, a_test, _ = gen_linreg_data(cfg)
+        # seeds 0-49, one prompt apiece
+        cfg = ExperimentConfig(task="linreg", d=10, n=50, kappa=100.0,
+                               noise_std=0.0, seed=0, batch=50)
+        for a, y, a_test, _ in zip(*gen_linreg_data(cfg)):
             gram = a.T @ a
-            alpha = initial_scale(spectral_norm_est(gram))
+            alpha = initial_scale(spectral_norm(gram))
             t = predicted_steps(np.linalg.cond(gram), 1e-10, 2)
             layers, layout = build_linreg_transformer(10, t, alpha)
             pred = read_linreg_prediction(

@@ -32,7 +32,7 @@ from newtonformer.inversion import (
     predicted_steps,
     spd_initial_scale,
 )
-from newtonformer.linalg import solve_spd, spectral_norm_est
+from newtonformer.linalg import solve_spd, spectral_norm
 from newtonformer.logistic import (
     LogisticProblem,
     damped_step,
@@ -338,7 +338,7 @@ class TestInversionBlock:
     def test_chaining_two_blocks(self):
         rng = np.random.default_rng(3)
         a = make_covariance(4, 8.0, rng)
-        alpha = initial_scale(spectral_norm_est(a))
+        alpha = initial_scale(spectral_norm(a))
         x0 = alpha * a.T
         block, layout = build_inversion_block(4)
         out = model_forward(block + block, make_inversion_prompt(a, x0))
@@ -397,7 +397,7 @@ class TestLinregTransformer:
             y = rng.standard_normal(16)
             a_test = rng.standard_normal(4)
             gram = a.T @ a
-            alpha = initial_scale(spectral_norm_est(gram))
+            alpha = initial_scale(spectral_norm(gram))
             kappa = np.linalg.cond(gram)
             t = predicted_steps(kappa, 1e-10, 2)
             layers, layout = build_linreg_transformer(4, t, alpha)
@@ -425,7 +425,7 @@ class TestLinregTransformer:
         a_test = rng.standard_normal(3)
         mu = 0.5
         gram = a.T @ a + mu * np.eye(3)
-        alpha = initial_scale(spectral_norm_est(gram))
+        alpha = initial_scale(spectral_norm(gram))
         layers, layout = build_linreg_transformer(3, 30, alpha,
                                                   ridge_mu=mu)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
@@ -471,7 +471,7 @@ class TestLinregTransformer:
         y = rng.standard_normal(12)
         a_test = rng.standard_normal(3)
         gram = a.T @ a + np.eye(3)
-        alpha = initial_scale(spectral_norm_est(gram))
+        alpha = initial_scale(spectral_norm(gram))
         layers, layout = build_linreg_transformer(3, 30, alpha, ridge_mu=1.0)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
@@ -529,6 +529,29 @@ class TestLinregTransformer:
         np.testing.assert_array_equal(preds, want)
         assert type(read_linreg_prediction(h[1, 2], layout)) is float
         assert read_linreg_prediction(h[1, 2], layout) == 5.0
+
+    def test_stacked_readout_owns_its_data(self):
+        # a view would keep the whole output stack alive for as long as
+        # the predictions are held
+        _, layout = build_linreg_transformer(2, 1, alpha=0.1)
+        h = np.ones((3, layout.n_rows, 4))
+        preds = read_linreg_prediction(h, layout)
+        assert preds.base is None
+        assert not np.shares_memory(preds, h)
+        h[...] = 7.0
+        np.testing.assert_array_equal(preds, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("alpha, mu", [(10.0, 1e308), (1e300, 1e10)])
+    def test_overflowing_alpha_times_ridge_mu_is_named(self, alpha, mu):
+        # each factor is finite, but the init head's scale alpha*mu - 1
+        # is not
+        message = (f"alpha * ridge_mu must be finite, got alpha={alpha} "
+                   f"and ridge_mu={mu}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_linreg_transformer(3, 1, alpha, ridge_mu=mu)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_linreg_transformer(3, 1, np.float64(alpha),
+                                     ridge_mu=np.float64(mu))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="d must be >= 1"):

@@ -1,13 +1,18 @@
 import csv
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from dense_attention import dense_attention_forward
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from per_seed_draw import per_seed_linreg_data
 
-from newtonformer import builders, harness, inversion, logistic, transformer
+from newtonformer import (builders, datagen, harness, inversion, logistic,
+                          transformer)
 from newtonformer.builders import make_linreg_prompt, read_linreg_prediction
 from newtonformer.cli import main
 from newtonformer.datagen import gen_linreg_data, gen_logreg_data, make_covariance
@@ -17,7 +22,7 @@ from newtonformer.harness import (
     run_linreg_experiment,
     run_logreg_experiment,
 )
-from newtonformer.linalg import spectral_norm_est
+from newtonformer.linalg import spectral_norm
 from newtonformer.transformer import model_forward
 
 
@@ -76,27 +81,28 @@ class TestMakeCovariance:
 
 class TestGenLinreg:
     def cfg(self, **kw):
-        base = dict(task="linreg", d=6, n=30, kappa=50.0, seed=4)
+        base = dict(task="linreg", d=6, n=30, kappa=50.0, seed=4, batch=3)
         base.update(kw)
         return ExperimentConfig(**base)
 
     def test_shapes(self):
         a, y, a_test, w_star = gen_linreg_data(self.cfg())
-        assert a.shape == (30, 6)
-        assert y.shape == (30,)
-        assert a_test.shape == (6,)
-        assert w_star.shape == (6,)
+        assert a.shape == (3, 30, 6)
+        assert y.shape == (3, 30)
+        assert a_test.shape == (3, 6)
+        assert w_star.shape == (3, 6)
 
     def test_noise_free_labels_are_clean(self):
         a, y, _, w_star = gen_linreg_data(self.cfg(noise_std=0.0))
-        np.testing.assert_array_equal(y, a @ w_star)
+        for a_i, y_i, w_i in zip(a, y, w_star):
+            np.testing.assert_array_equal(y_i, a_i @ w_i)
 
     def test_noise_changes_labels_only(self):
         clean = gen_linreg_data(self.cfg(noise_std=0.0))
         noisy = gen_linreg_data(self.cfg(noise_std=0.3))
         np.testing.assert_array_equal(clean[0], noisy[0])
         np.testing.assert_array_equal(clean[3], noisy[3])
-        assert np.any(clean[1] != noisy[1])
+        assert np.all(np.any(clean[1] != noisy[1], axis=-1))
 
     def test_deterministic(self):
         first = gen_linreg_data(self.cfg())
@@ -105,11 +111,27 @@ class TestGenLinreg:
             np.testing.assert_array_equal(lhs, rhs)
 
     def test_row_covariance_conditioning(self):
-        cfg = self.cfg(n=4000, kappa=100.0, seed=11)
+        cfg = self.cfg(n=4000, kappa=100.0, seed=11, batch=1)
         a, _, _, _ = gen_linreg_data(cfg)
-        sample = (a.T @ a) / 4000
+        sample = (a[0].T @ a[0]) / 4000
         kappa = np.linalg.cond(sample)
         assert 10.0 <= kappa <= 1000.0
+
+    # derandomized so every run draws the same configs
+    @settings(derandomize=True, deadline=None)
+    @given(d=st.integers(1, 12), extra=st.integers(0, 20),
+           kappa=st.floats(1.0, 1e3), noisy=st.booleans(),
+           batch=st.integers(1, 20), seed=st.integers(0, 10**6))
+    def test_slices_equal_per_seed_draws(self, d, extra, kappa, noisy,
+                                         batch, seed):
+        cfg = self.cfg(d=d, n=d + extra, kappa=1.0 if d == 1 else kappa,
+                       noise_std=0.3 if noisy else 0.0, batch=batch,
+                       seed=seed)
+        stacks = gen_linreg_data(cfg)
+        for i in range(batch):
+            want = per_seed_linreg_data(cfg, seed + i)
+            for got, ref in zip(stacks, want):
+                assert np.array_equal(got[i], ref)
 
 
 class TestGenLogreg:
@@ -232,6 +254,11 @@ class TestInvertRunner:
         assert open(path, "rb").read() == first
 
 
+# The benchmark's linreg_depth call: the CLI defaults.
+LINREG_DEPTH = ExperimentConfig(task="linreg", d=10, n=50, kappa=100.0,
+                                t_max=30, batch=16)
+
+
 @pytest.fixture(scope="module")
 def linreg_table(tmp_path_factory):
     out = tmp_path_factory.mktemp("linreg")
@@ -269,6 +296,46 @@ class TestLinregRunner:
             assert max(rises, default=0) <= 5
             assert mse[-1] <= 1e-20
 
+    @pytest.mark.parametrize("seed", [0, 33, 101, 119])
+    def test_constructed_rows_within_bench_tolerance(self, seed, tmp_path):
+        # the benchmark's check on linreg_depth's config: the constructed
+        # rms error is within 1e-8 relative plus 1e-11 of the order-2
+        # oracle's
+        rows = read_rows(run_linreg_experiment(
+            replace(LINREG_DEPTH, seed=seed, out_dir=str(tmp_path)))[0])
+        mse = {}
+        for row in rows:
+            mse.setdefault(row["method"], []).append(float(row["mse"]))
+        ours = np.sqrt(mse["constructed"])
+        oracle = np.sqrt(mse["newton_order_2"])
+        assert len(ours) == LINREG_DEPTH.t_max
+        assert np.all(np.abs(ours - oracle) <= 1e-8 * oracle + 1e-11)
+
+    @pytest.mark.parametrize("seed", [0, 33, 119])
+    def test_rows_barely_move_with_sigma(self, seed, tmp_path, monkeypatch):
+        # alpha is the one input sigma_max feeds.  A sigma_max 7e-14
+        # relative below the exact one, the largest gap a 200-step power
+        # iteration left on these Gram matrices, moves every row above
+        # 1e-6 by at most 1e-9 relative (5.2e-10 on seed 33, the worst
+        # of seeds 0-59 and 100-119) and leaves the least-squares rows
+        # as they are
+        cfg = replace(LINREG_DEPTH, seed=seed)
+        exact = csv_lines(run_linreg_experiment(
+            replace(cfg, out_dir=str(tmp_path / "exact")))[0])
+        monkeypatch.setattr(harness, "spectral_norm",
+                            lambda a: spectral_norm(a) * (1.0 - 7e-14))
+        low = csv_lines(run_linreg_experiment(
+            replace(cfg, out_dir=str(tmp_path / "low")))[0])
+        assert len(low) == len(exact) and low[0] == exact[0]
+        for line, ref in zip(low[1:], exact[1:]):
+            *key, value = line.split(",")
+            *ref_key, want = ref.split(",")
+            assert key == ref_key
+            if key[0] == "least_squares":
+                assert value == want
+            elif float(want) > 1e-6:
+                assert abs(float(value) / float(want) - 1.0) <= 1e-9
+
     def test_higher_order_reaches_tolerance_sooner(self, linreg_table):
         floor = np.asarray(linreg_table["least_squares"])[-1]
         tol = 1e-8 * (1.0 + floor)
@@ -289,9 +356,9 @@ def per_prompt_problems(cfg):
     """Each prompt's data, Gram matrix and alpha, one 2-D call apiece."""
     problems = []
     for item in range(cfg.batch):
-        a, y, a_test, w_star = gen_linreg_data(replace(cfg, seed=cfg.seed + item))
+        a, y, a_test, w_star = per_seed_linreg_data(cfg, cfg.seed + item)
         gram = a.T @ a + cfg.mu * np.eye(cfg.d)
-        alpha = inversion.initial_scale(spectral_norm_est(gram))
+        alpha = inversion.initial_scale(spectral_norm(gram))
         problems.append((a, y, a_test, gram, alpha, float(a_test @ w_star)))
     return problems
 
@@ -391,11 +458,24 @@ class TestLinregLinearInDepth:
         assert counts == {"attention": cfg.batch + 3 * cfg.t_max,
                           "build": 1, "init": cfg.batch}
 
+    def test_peak_traced_memory_is_small(self, tmp_path):
+        # linreg_depth's call allocates under 1 MB at its peak; holding
+        # views of each depth's output stack would take about 9 MB
+        cfg = replace(LINREG_DEPTH, out_dir=str(tmp_path))
+        run_linreg_experiment(cfg)
+        tracemalloc.start()
+        try:
+            run_linreg_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_one_alpha_call_and_one_oracle_step_per_depth_and_order(
             self, tmp_path, monkeypatch):
         counts = {"alpha": 0, "oracle": 0}
-        monkeypatch.setattr(harness, "spectral_norm_est",
-                            counting(counts, "alpha", spectral_norm_est))
+        monkeypatch.setattr(harness, "spectral_norm",
+                            counting(counts, "alpha", spectral_norm))
         monkeypatch.setattr(inversion, "hyperpower_step",
                             counting(counts, "oracle",
                                      inversion.hyperpower_step))
@@ -691,8 +771,21 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["linreg", "--mu", "1e300"]) == 1
         assert capsys.readouterr().err == (
-            "error: spectral_norm_est overflows float64: a.T @ a exceeds "
-            "its range\n")
+            "error: initial_scale overflows float64: sigma**2 for "
+            "sigma=1e+300 is outside its range\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_invert_alpha_overflow_exits_one(self, tmp_path, monkeypatch,
+                                             capsys):
+        make_covariance = datagen.make_covariance
+        monkeypatch.setattr(datagen, "make_covariance",
+                            lambda *args: 1e200 * make_covariance(*args))
+        monkeypatch.chdir(tmp_path)
+        assert main(["invert"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial_scale overflows float64: "
+                              "sigma**2 for sigma=")
+        assert err.endswith(" is outside its range\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_covariance_not_definite_in_float64_exits_one(

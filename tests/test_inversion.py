@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from newtonformer.inversion import (
     newton_step,
     predicted_steps,
     run_inverse,
+    spd_initial_scale,
 )
 
 
@@ -171,6 +173,38 @@ class TestPredictedSteps:
         assert str(predicted.value) == str(step.value)
 
 
+class TestInitialScale:
+    def test_is_spd_initial_scale_of_the_square(self):
+        assert initial_scale(3.0) == spd_initial_scale(9.0)
+        assert type(initial_scale(3.0)) is float
+        sigma = np.array([[0.5, 3.0], [1e-3, 1e150]])
+        got = initial_scale(sigma)
+        assert got.shape == sigma.shape
+        assert np.array_equal(got, [[initial_scale(s) for s in row]
+                                    for row in sigma.tolist()])
+
+    @pytest.mark.parametrize("sigma, shown", [
+        (0.0, "0"), (-2.0, "-2"), (float("nan"), "nan"),
+        (np.array([1.0, -0.5]), "-0.5"),
+    ])
+    def test_non_positive_sigma_is_named(self, sigma, shown):
+        with pytest.raises(ValueError, match=(
+                f"^initial_scale needs a positive sigma, got {shown}$")):
+            initial_scale(sigma)
+
+    @pytest.mark.parametrize("sigma, shown", [
+        (1e155, "1e+155"), (float("inf"), "inf"), (1e-170, "1e-170"),
+        (np.array([2.0, 1e200]), "1e+200"),
+    ])
+    def test_out_of_range_square_is_named(self, sigma, shown):
+        # pytest turns numpy's RuntimeWarning into an error, so this
+        # also checks that nothing warns
+        with pytest.raises(ValueError, match=(
+                rf"^initial_scale overflows float64: sigma\*\*2 for "
+                rf"sigma={re.escape(shown)} is outside its range$")):
+            initial_scale(sigma)
+
+
 class TestRunInverse:
     def test_identity_converges_fast(self):
         run = run_inverse(np.eye(2), tol=1e-10)
@@ -225,6 +259,12 @@ class TestRunInverse:
             run_inverse(np.eye(2), tol=0.0)
         with pytest.raises(ShapeMismatchError):
             run_inverse(np.ones((2, 3)))
+
+    def test_sigma_whose_square_overflows_is_named(self):
+        with pytest.raises(ValueError, match=(
+                r"^initial_scale overflows float64: sigma\*\*2 for "
+                r"sigma=1e\+200 is outside its range$")):
+            run_inverse(1e200 * np.eye(3))
 
     def test_rejects_nan_tol(self):
         with pytest.raises(ValueError, match="got nan"):

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
-from power_iteration import per_matrix_spectral_norm_est
 
-from newtonformer import linalg
 from newtonformer.datagen import make_covariance
 from newtonformer.errors import (
     DefinitenessError,
     ShapeMismatchError,
     SymmetryError,
 )
+from newtonformer.inversion import initial_scale
 from newtonformer.linalg import (
     as_matrix,
     as_stack,
     solve_spd,
-    spectral_norm_est,
+    spectral_norm,
 )
 
 
@@ -42,42 +41,31 @@ class TestAsMatrix:
 
 
 class TestSpectralNormEst:
+    """``spectral_norm`` on single matrices."""
+
     def test_diagonal_gap(self):
-        est = spectral_norm_est(np.diag([3.0, 1.0]), iters=50)
-        assert abs(est - 3.0) <= 1e-9
+        assert spectral_norm(np.diag([3.0, 1.0])) == 3.0
 
     def test_identity_exact(self):
-        assert spectral_norm_est(np.eye(4)) == 1.0
+        assert spectral_norm(np.eye(4)) == 1.0
 
     def test_zero_matrix(self):
-        assert spectral_norm_est(np.zeros((3, 3))) == 0.0
+        assert spectral_norm(np.zeros((3, 3))) == 0.0
+        assert spectral_norm(np.zeros((2, 5))) == 0.0
 
     def test_random_spd_matches_eigh(self):
         rng = np.random.default_rng(3)
         sigma = make_covariance(8, 20.0, rng)
         true = np.linalg.eigvalsh(sigma).max()
-        est = spectral_norm_est(sigma, iters=500)
-        assert abs(est - true) <= 1e-6 * true
+        assert abs(spectral_norm(sigma) - true) <= 1e-14 * true
 
     def test_never_overestimates(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             a = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 9)))
-            est = spectral_norm_est(a, iters=30)
-            true = np.linalg.svd(a, compute_uv=False).max()
-            assert est <= true * (1.0 + 1e-12)
+            est = spectral_norm(a)
+            assert est == np.linalg.norm(a, 2)
             assert est <= np.linalg.norm(a) * (1.0 + 1e-12)
-
-    def test_nondecreasing_in_iters(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((7, 7))
-        estimates = [spectral_norm_est(a, iters=k) for k in (1, 3, 10, 50, 200)]
-        for lo, hi in zip(estimates, estimates[1:]):
-            assert hi >= lo - 1e-15
-
-    def test_rejects_nonpositive_iters(self):
-        with pytest.raises(ValueError):
-            spectral_norm_est(np.eye(2), iters=0)
 
     @pytest.mark.parametrize("a", [
         1e300 * np.eye(3),
@@ -85,14 +73,20 @@ class TestSpectralNormEst:
         np.stack([np.eye(3), 1e200 * np.eye(3)]),
     ])
     def test_overflow_is_named(self, a):
-        # pytest turns numpy's RuntimeWarning into an error, so this
-        # also checks that the overflow warns nothing
+        # sigma itself fits in float64 and is exact; the start scale's
+        # sigma**2 does not, and initial_scale names that.  pytest turns
+        # numpy's RuntimeWarning into an error, so this also checks that
+        # neither call warns.
+        sigma = spectral_norm(a)
+        assert np.array_equal(sigma, np.linalg.norm(a, 2, axis=(-2, -1)))
         with pytest.raises(ValueError,
-                           match="^spectral_norm_est overflows float64"):
-            spectral_norm_est(a)
+                           match=r"^initial_scale overflows float64: "
+                                 r"sigma\*\*2 for sigma=\S+ is outside"):
+            initial_scale(sigma)
 
     def test_entries_whose_square_fits_do_not_overflow(self):
-        assert spectral_norm_est(1e150 * np.eye(2)) == 1e150
+        assert spectral_norm(1e150 * np.eye(2)) == 1e150
+        assert initial_scale(spectral_norm(1e150 * np.eye(2))) == 1.8e-300
 
 
 class TestAsStack:
@@ -127,96 +121,50 @@ def _random_stack(rng):
     return a
 
 
-def _null_space_start(monkeypatch):
-    """Make the first start vector e_n, which lies in the null space of
-    any matrix whose last column is zero; return the seeds drawn."""
-    real = linalg._start_vector
-    seeds = []
-
-    def start(n, seed):
-        seeds.append(seed)
-        if seed == linalg.POWER_SEED:
-            v = np.zeros(n)
-            v[-1] = 1.0
-            return v
-        return real(n, seed)
-
-    monkeypatch.setattr(linalg, "_start_vector", start)
-    return seeds
-
-
 class TestSpectralNormEstStack:
+    """``spectral_norm`` on stacks: each slice's value is
+    ``np.linalg.norm(slice, 2)``, bit for bit."""
+
     def test_stack_equals_per_matrix_loop(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             a = _random_stack(rng)
-            iters = int(rng.integers(1, 61))
-            got = spectral_norm_est(a, iters=iters)
-            want = [per_matrix_spectral_norm_est(s, iters) for s in a]
+            got = spectral_norm(a)
             assert got.shape == (a.shape[0],)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, [np.linalg.norm(s, 2) for s in a])
 
     def test_matrix_equals_per_matrix_loop_and_is_a_float(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
             a = _random_stack(rng)[0]
-            est = spectral_norm_est(a)
+            est = spectral_norm(a)
             assert type(est) is float
-            assert est == per_matrix_spectral_norm_est(a)
+            assert est == np.linalg.norm(a, 2)
 
     def test_leading_dims_keep_their_shape(self):
         rng = np.random.default_rng(23)
         a = rng.standard_normal((2, 3, 5, 4))
-        got = spectral_norm_est(a, iters=40)
+        got = spectral_norm(a)
         assert got.shape == (2, 3)
-        want = [[per_matrix_spectral_norm_est(s, 40) for s in row] for row in a]
+        want = [[np.linalg.norm(s, 2) for s in row] for row in a]
         assert np.array_equal(got, want)
 
     def test_zero_slice_estimates_zero(self):
         rng = np.random.default_rng(24)
         a = rng.standard_normal((3, 4, 6))
         a[1] = 0.0
-        got = spectral_norm_est(a)
+        got = spectral_norm(a)
         assert got[1] == 0.0
-        assert np.array_equal(got, [per_matrix_spectral_norm_est(s) for s in a])
-        assert np.array_equal(spectral_norm_est(np.zeros((2, 3, 3))), [0.0, 0.0])
-
-    def test_null_space_start_is_nudged(self, monkeypatch):
-        seeds = _null_space_start(monkeypatch)
-        rng = np.random.default_rng(25)
-        a = rng.standard_normal((6, 5))
-        a[:, -1] = 0.0
-        est = spectral_norm_est(a, iters=300)
-        assert seeds == [linalg.POWER_SEED, linalg.POWER_SEED + 1]
-        assert type(est) is float
-        seeds.clear()
-        assert est == per_matrix_spectral_norm_est(a, 300)
-        assert seeds == [linalg.POWER_SEED, linalg.POWER_SEED + 1]
-        true = np.linalg.svd(a, compute_uv=False).max()
-        assert abs(est - true) <= 1e-9 * true
-
-    def test_only_the_null_space_slice_is_nudged(self, monkeypatch):
-        seeds = _null_space_start(monkeypatch)
-        rng = np.random.default_rng(26)
-        a = rng.standard_normal((4, 6, 5))
-        a[2, :, -1] = 0.0
-        got = spectral_norm_est(a, iters=50)
-        assert seeds == [linalg.POWER_SEED, linalg.POWER_SEED + 1]
-        want = []
-        for i, s in enumerate(a):
-            seeds.clear()
-            want.append(per_matrix_spectral_norm_est(s, 50))
-            nudged = linalg.POWER_SEED + 1 in seeds
-            assert nudged == (i == 2)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, [np.linalg.norm(s, 2) for s in a])
+        assert np.array_equal(spectral_norm(np.zeros((2, 3, 3))), [0.0, 0.0])
 
     def test_rejects_vector_and_non_finite_slice(self):
         with pytest.raises(ShapeMismatchError):
-            spectral_norm_est(np.ones(3))
+            spectral_norm(np.ones(3))
         a = np.ones((2, 3, 3))
         a[1, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            spectral_norm_est(a)
+        with pytest.raises(ValueError, match="^stack contains non-finite"):
+            spectral_norm(a)
 
 
 def _long_double_solve(a, b):
@@ -270,6 +218,37 @@ class TestSolveSpd:
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             solve_spd(np.eye(3), np.ones((2, 1)))
+
+    def test_stack_equals_per_slice_calls(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            d = int(rng.integers(1, 11))
+            batch = int(rng.integers(1, 7))
+            kappa = 1.0 if d == 1 else 10.0 ** rng.uniform(0.0, 6.0)
+            a = np.stack([make_covariance(d, kappa, rng) for _ in range(batch)])
+            b = rng.standard_normal((batch, d, int(rng.integers(1, 4))))
+            got = solve_spd(a, b)
+            assert got.shape == b.shape
+            for x, a_i, b_i in zip(got, a, b):
+                assert np.array_equal(x, solve_spd(a_i, b_i))
+
+    def test_stack_checks_every_slice(self):
+        a = np.stack([np.eye(2)] * 3)
+        a[1] = [[2.0, 1.0], [0.0, 2.0]]
+        with pytest.raises(SymmetryError, match="^matrix is not symmetric$"):
+            solve_spd(a, np.ones((3, 2, 1)))
+        a[1] = np.diag([1.0, -1.0])
+        with pytest.raises(DefinitenessError,
+                           match="^matrix is not positive definite$"):
+            solve_spd(a, np.ones((3, 2, 1)))
+
+    def test_stack_shapes_must_match(self):
+        with pytest.raises(ShapeMismatchError, match="^a is"):
+            solve_spd(np.stack([np.eye(2)] * 3), np.ones((2, 2, 1)))
+        with pytest.raises(ShapeMismatchError, match="^a is"):
+            solve_spd(np.stack([np.eye(2)] * 3), np.ones((2, 1)))
+        with pytest.raises(ShapeMismatchError, match="^a must be square"):
+            solve_spd(np.ones((3, 2, 3)), np.ones((3, 2, 1)))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
                         reason="long double is no wider than float64 here")

@@ -20,7 +20,7 @@ from newtonformer.builders import (
     make_logistic_prompt,
     width_depth_budget,
 )
-from newtonformer.linalg import spectral_norm_est
+from newtonformer.linalg import spectral_norm
 from newtonformer.logistic import LogisticProblem, NewtonState
 from newtonformer.pwl import PwlApprox, PwlGadget
 from newtonformer.transformer import (
@@ -225,7 +225,7 @@ class TestCompactedHeads:
     def test_inversion_stack_heads(self):
         rng = np.random.default_rng(10)
         a = spd(rng, 4)
-        x0 = inversion.initial_scale(spectral_norm_est(a)) * a
+        x0 = inversion.initial_scale(spectral_norm(a)) * a
         layers, _ = build_inversion_block(4)
         assert_every_head_within_bound(layers, make_inversion_prompt(a, x0))
 
@@ -235,7 +235,7 @@ class TestCompactedHeads:
         a = rng.standard_normal((n, d))
         y = a @ rng.standard_normal(d)
         gram = a.T @ a + 0.1 * np.eye(d)
-        alpha = inversion.initial_scale(spectral_norm_est(gram))
+        alpha = inversion.initial_scale(spectral_norm(gram))
         layers, _ = build_linreg_transformer(d, 3, alpha, ridge_mu=0.1)
         h = make_linreg_prompt(a, y, rng.standard_normal(d))
         assert_every_head_within_bound(layers, h)
@@ -499,7 +499,7 @@ def constructions():
     def inversion_prompt(rng):
         a = spd(rng, d)
         return make_inversion_prompt(
-            a, inversion.initial_scale(spectral_norm_est(a)) * a)
+            a, inversion.initial_scale(spectral_norm(a)) * a)
 
     def linreg_prompt(rng):
         return make_linreg_prompt(rng.standard_normal((n, d)),
