@@ -13,7 +13,6 @@ feed-forward blocks are assembled from exact ReLU neurons and scalar
 piecewise-linear gadgets by :class:`FfnBuilder`.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -88,6 +87,8 @@ class BudgetReport:
         return ((1.0 + mu * c) / (2.0 * math.sqrt(mu))) ** 2
 
     def to_text(self):
+        import json  # only the budget command prints; the runs need no json
+
         derived = ("depth", "kappa_f", "norm_bound", "z_max")
         payload = {**asdict(self), **{k: getattr(self, k) for k in derived}}
         return json.dumps(payload, indent=2, sort_keys=True)

@@ -78,13 +78,21 @@ def gen_linreg_data(cfg):
     the query point are zero-mean Gaussian with the constructed
     covariance; y = A w_star + noise_std * gaussian noise.  Each of the
     four is a stack with the prompt index first: ``(batch, n, d)``,
-    ``(batch, n)``, ``(batch, d)`` and ``(batch, d)``.
+    ``(batch, n)``, ``(batch, d)`` and ``(batch, d)``.  A noise_std
+    large enough to take y outside float64's range raises
+    ``ValueError``.
     """
     rngs = [np.random.default_rng(cfg.seed + i) for i in range(cfg.batch)]
     a, chol = _draw_rows(cfg, rngs)
     w_star = _gaussian(rngs, cfg.d)
-    y = ((a @ w_star[:, :, None])[:, :, 0]
-         + cfg.noise_std * _gaussian(rngs, cfg.n))
+    with np.errstate(over="ignore"):
+        y = ((a @ w_star[:, :, None])[:, :, 0]
+             + cfg.noise_std * _gaussian(rngs, cfg.n))
+    if not np.isfinite(y).all():
+        raise ValueError(
+            f"noise_std={cfg.noise_std:g} overflows float64: the labels "
+            "A w_star + noise_std * noise exceed its range"
+        )
     a_test = (chol @ _gaussian(rngs, (cfg.d, 1)))[:, :, 0]
     return a, y, a_test, w_star
 

@@ -255,40 +255,44 @@ def run_logreg_experiment(cfg):
 
     All three traces run exactly t_max steps from x0 = 0; the CSV
     carries a layers_per_step column (the constructed depth 9 + k)
-    so loss-versus-layers plots can be drawn externally.  An exact or
+    so loss-versus-layers plots can be drawn externally.  The exact and
+    inexact traces advance together as one ``(2, d)`` stack, one
+    :func:`~.logistic.damped_step` call per step, and an exact or
     inexact row takes f from the ``NewtonState`` of the step that left
-    its iterate; only each trace's last iterate and the constructed
-    iterates are evaluated anew.
+    its iterate.  g* is read from the first exact state that meets
+    :func:`~.logistic.optimum_reached`; only a t_max too short to reach
+    it runs the exact iteration on.  The two traces' last iterates and
+    the constructed iterates are evaluated in one
+    :func:`~.logistic.objective` call.
     """
     if cfg.task != "logreg":
         raise ValueError(f"config task is {cfg.task!r}, expected 'logreg'")
     problem, _ = datagen.gen_logreg_data(cfg)
     budget = builders.width_depth_budget(cfg.eps, cfg.mu, d=cfg.d)
-    _, g_star = logistic.optimum(problem)
-
-    def objective(x):
-        return logistic.loss_grad_hess(problem, x)[0]
-
-    x0 = np.zeros(cfg.d)
     source = logistic.bounded_error_source(cfg.eps, cfg.d, cfg.seed + 1)
-    exact, inexact = x0, x0
-    f_exact, f_inexact = [], []
+    x = np.zeros((2, cfg.d))  # the exact and the inexact iterate
+    f_steps, g_star = [], None
     for step in range(cfg.t_max):
-        state = logistic.damped_step(problem, exact)
-        exact = state.x
-        f_exact.append(state.f)
-        state = logistic.damped_step(problem, inexact)
-        inexact = state.x + source(step)
-        f_inexact.append(state.f)
+        state = logistic.damped_step(problem, x)
+        f_steps.append(state.f)
+        if g_star is None and logistic.optimum_reached(
+                cfg.mu, state.decrement[0], step):
+            g_star = logistic.scaled_objective(cfg.mu, state.f[0])
+        x = state.x
+        x[1] += source(step)
+    if g_star is None:
+        g_star = logistic.optimum(problem, x[0], cfg.t_max)[1]
     constructed = builders.run_constructed_newton(
-        problem, x0, budget, cfg.t_max
+        problem, np.zeros(cfg.d), budget, cfg.t_max
     )
+    f_last = logistic.objective(problem, np.vstack([x, *constructed]))
+    f_traces = np.vstack([*f_steps, f_last[:2]])
 
     rows = []
     for method, fs in (
-        ("exact_newton", f_exact + [objective(exact)]),
-        ("inexact_newton", f_inexact + [objective(inexact)]),
-        ("constructed", [objective(x) for x in constructed]),
+        ("exact_newton", f_traces[:, 0]),
+        ("inexact_newton", f_traces[:, 1]),
+        ("constructed", f_last[2:]),
     ):
         for step, f_val in enumerate(fs):
             g_sub = logistic.scaled_objective(cfg.mu, f_val) - g_star

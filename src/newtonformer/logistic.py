@@ -22,6 +22,7 @@ from .linalg import solve_spd
 
 __all__ = [
     "LogisticProblem",
+    "objective",
     "loss_grad_hess",
     "scaled_decrement",
     "scaled_objective",
@@ -30,6 +31,7 @@ __all__ = [
     "damped_step",
     "IterateTrace",
     "run_inexact_newton",
+    "optimum_reached",
     "optimum",
     "bounded_error_source",
     "omega",
@@ -101,30 +103,69 @@ class LogisticProblem:
 
 def _check_point(problem, x):
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x must have shape ({problem.dim},), got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != problem.dim:
+        raise ValueError(
+            f"x must have shape ({problem.dim},) or (k, {problem.dim}), "
+            f"got {x.shape}"
+        )
     if not np.all(np.isfinite(x)):
         raise ValueError("x contains non-finite entries")
     return x
+
+
+def _row_dot(u, v):
+    """u.v for each row of two ``(..., d)`` stacks, one matmul per row."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _scalar_for_a_point(x, value):
+    """*value* as a Python float when *x* is one point, else as is."""
+    return float(value) if x.ndim == 1 else value
+
+
+def _margins(problem, x):
+    """y_i x.a_i for every example, one row per point of *x*."""
+    return problem.labels * (problem.features @ x[..., None])[..., 0]
+
+
+def _objective(problem, x, z):
+    """f at the points *x*, whose margins *z* are given."""
+    return (np.mean(np.logaddexp(0.0, -z), axis=-1)
+            + 0.5 * problem.mu * _row_dot(x, x))
+
+
+def objective(problem, x):
+    """Objective value at *x*, a point ``(d,)`` or a stack ``(k, d)``.
+
+    A point gives a float, a stack an array of k values, each
+    bit-identical to the value for that point alone.
+    """
+    x = _check_point(problem, x)
+    return _scalar_for_a_point(x, _objective(problem, x, _margins(problem, x)))
 
 
 def loss_grad_hess(problem, x):
     """Objective value, gradient, and Hessian at *x*.
 
     The loss uses the stable log-sum form log(1 + exp(-z)) evaluated
-    via logaddexp.  The Hessian is
+    via logaddexp, spelled once in :func:`objective`.  The Hessian is
     (1/n) A.T diag(p (1 - p)) A + mu I, so its eigenvalues always lie
     in [mu, 1 + mu] for unit-bounded rows.
+
+    *x* is a point ``(d,)``, giving a float f, a ``(d,)`` gradient and a
+    ``(d, d)`` Hessian, or a stack ``(k, d)``, giving ``(k,)``,
+    ``(k, d)`` and ``(k, d, d)`` stacks whose slices are bit-identical
+    to the call on that point alone.
     """
     x = _check_point(problem, x)
     a, y, mu = problem.features, problem.labels, problem.mu
     n = problem.n_samples
-    z = y * (a @ x)
-    f = float(np.mean(np.logaddexp(0.0, -z)) + 0.5 * mu * (x @ x))
+    z = _margins(problem, x)
+    f = _scalar_for_a_point(x, _objective(problem, x, z))
     p = sigmoid(-z)
-    grad = -(a.T @ (y * p)) / n + mu * x
+    grad = -(a.T @ (y * p)[..., None])[..., 0] / n + mu * x
     weights = p * (1.0 - p)
-    hess = (a.T * (weights / n)) @ a + mu * np.eye(problem.dim)
+    hess = (a.T * (weights / n)[..., None, :]) @ a + mu * np.eye(problem.dim)
     return f, grad, hess
 
 
@@ -146,7 +187,9 @@ class NewtonState:
     computed at the point the step left from.
 
     ``f`` is the objective there and ``decrement`` its raw Newton
-    decrement; ``step_size == damping(mu, decrement)``.
+    decrement; ``step_size == damping(mu, decrement)``.  A step from a
+    point holds floats; a step from a ``(k, d)`` stack holds a
+    ``(k, d)`` ``x`` and arrays of k values, one per point.
     """
 
     x: np.ndarray
@@ -174,14 +217,20 @@ def damped_step(problem, x):
     the library's one Newton step: it evaluates the Hessian once and
     solves with it once.  An inexact step adds its error to the
     returned ``x``.
+
+    *x* may be a ``(k, d)`` stack of points, stepped together; each
+    slice of the result is bit-identical to the step from that point
+    alone.
     """
-    x = _check_point(problem, x)
     f, grad, hess = loss_grad_hess(problem, x)
-    direction = solve_spd(hess, grad[:, None])[:, 0]
-    lam = float(np.sqrt(max(grad @ direction, 0.0)))
+    x = np.asarray(x, dtype=np.float64)
+    direction = solve_spd(hess, grad[..., None])[..., 0]
+    lam = _scalar_for_a_point(
+        x, np.sqrt(np.maximum(_row_dot(grad, direction), 0.0))
+    )
     step_size = damping(problem.mu, lam)
     return NewtonState(
-        x=x - step_size * direction,
+        x=x - np.expand_dims(step_size, -1) * direction,
         f=f,
         decrement=lam,
         step_size=step_size,
@@ -261,6 +310,8 @@ def run_inexact_newton(
     attached.
     """
     x = _check_point(problem, x0)
+    if x.ndim != 1:
+        raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     if reference is None:
@@ -313,21 +364,33 @@ def run_inexact_newton(
     raise AssertionError("unreachable")
 
 
-def optimum(problem):
-    """High-precision minimizer via exact damped Newton.
+def optimum_reached(mu, decrement, step):
+    """Whether :func:`optimum` stops at iterate *step* of the exact run
+    from x = 0, whose raw decrement is *decrement*: the scaled decrement
+    is at most ``OPTIMUM_TOL``, or *step* has reached
+    ``OPTIMUM_MAX_ITERS``."""
+    return (scaled_decrement(mu, decrement) <= OPTIMUM_TOL
+            or step >= OPTIMUM_MAX_ITERS)
 
-    Runs until the scaled decrement is at most ``OPTIMUM_TOL``, or for
-    at most ``OPTIMUM_MAX_ITERS`` steps, and returns ``(x_star, g_star)``
-    with g the scaled objective f/(4 mu).
+
+def optimum(problem, x=None, step=0):
+    """High-precision minimizer via exact damped Newton from x = 0.
+
+    Steps until :func:`optimum_reached` holds and returns
+    ``(x_star, g_star)``: the iterate it holds at and the scaled
+    objective f/(4 mu) there.  A caller that has already taken exact
+    steps from 0 passes its iterate *x* and its index *step* to resume
+    the run there; x_star and g_star are then bit-identical to a run
+    from the start.
     """
-    x = np.zeros(problem.dim)
-    for step in range(OPTIMUM_MAX_ITERS + 1):
+    if x is None:
+        x = np.zeros(problem.dim)
+    while True:
         state = damped_step(problem, x)
-        if (scaled_decrement(problem.mu, state.decrement) <= OPTIMUM_TOL
-                or step == OPTIMUM_MAX_ITERS):
+        if optimum_reached(problem.mu, state.decrement, step):
             return x, scaled_objective(problem.mu, state.f)
         x = state.x
-    raise AssertionError("unreachable")
+        step += 1
 
 
 def omega(t):

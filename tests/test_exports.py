@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -44,21 +45,34 @@ def test_package_reexports_each_library_module():
     assert len(set(newtonformer.__all__)) == len(newtonformer.__all__)
 
 
-def test_cli_call_loads_no_scipy(tmp_path):
-    """The package runs on numpy alone: importing the CLI and making a
-    call loads no scipy module."""
+def _top_level_modules_after(calls, out_dir):
+    """Top-level names of the modules a fresh interpreter holds after
+    importing the CLI and making each call in *calls*."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys\n"
-        "from newtonformer import cli\n"
-        f"assert cli.main(['logreg', '--out-dir', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-    )
+    code = "import sys\nfrom newtonformer import cli\n" + "".join(
+        f"assert cli.main({[*argv, '--out-dir', str(out_dir)]!r}) == 0\n"
+        for argv in calls
+    ) + "print(sorted({m.split('.')[0] for m in sys.modules}))\n"
     env = dict(os.environ, PYTHONPATH=str(src))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[]"
+    return ast.literal_eval(res.stdout.splitlines()[-1])
+
+
+def test_cli_call_loads_no_scipy(tmp_path):
+    """The package runs on numpy alone: importing the CLI and making a
+    call loads no scipy module."""
+    loaded = _top_level_modules_after([["logreg"]], tmp_path)
+    assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+def test_cli_calls_load_no_json(tmp_path):
+    """Only the ``budget`` command prints json, so importing the package
+    and making a linreg and a logreg call loads no json module."""
+    calls = [["linreg", "--t-max", "2", "--batch", "2"],
+             ["logreg", "--t-max", "2"]]
+    assert "json" not in _top_level_modules_after(calls, tmp_path)
 
 
 def test_readme_cli_table_lists_each_flag():

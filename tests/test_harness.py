@@ -104,6 +104,14 @@ class TestGenLinreg:
         np.testing.assert_array_equal(clean[3], noisy[3])
         assert np.all(np.any(clean[1] != noisy[1], axis=-1))
 
+    def test_overflowing_noise_is_named(self):
+        # a numpy RuntimeWarning would fail this test: pytest turns it
+        # into an error
+        with pytest.raises(ValueError, match=(
+                r"^noise_std=1e\+308 overflows float64: the labels "
+                r"A w_star \+ noise_std \* noise exceed its range$")):
+            gen_linreg_data(self.cfg(noise_std=1e308))
+
     def test_deterministic(self):
         first = gen_linreg_data(self.cfg())
         second = gen_linreg_data(self.cfg())
@@ -532,14 +540,22 @@ class TestLogregRunner:
         loss_grad_hess = logistic.loss_grad_hess
         callers = []
 
-        def counted(problem, x):
-            callers.append(sys._getframe(1).f_globals["__name__"])
-            return loss_grad_hess(problem, x)
+        def counted(name):
+            fn = getattr(logistic, name)
 
-        monkeypatch.setattr(logistic, "loss_grad_hess", counted)
+            def wrapper(problem, x):
+                callers.append((name, sys._getframe(1).f_globals["__name__"]))
+                return fn(problem, x)
+
+            monkeypatch.setattr(logistic, name, wrapper)
+
+        counted("loss_grad_hess")
+        counted("objective")
         rows = read_rows(run_logreg_experiment(cfg)[0])
-        # each trace's last iterate and every constructed iterate
-        assert callers.count("newtonformer.harness") == 2 + cfg.t_max + 1
+        # each trace's last iterate and every constructed iterate go
+        # through one objective call; f is never read off a Hessian
+        assert callers.count(("objective", "newtonformer.harness")) == 1
+        assert ("loss_grad_hess", "newtonformer.harness") not in callers
         # the rows hold f at each iterate, as a fresh evaluation gives it
         problem, _ = gen_logreg_data(cfg)
         source = logistic.bounded_error_source(cfg.eps, cfg.d, cfg.seed + 1)
@@ -555,6 +571,41 @@ class TestLogregRunner:
         for method, fs in want.items():
             assert [float(r["f"]) for r in rows
                     if r["method"] == method] == fs
+
+    # t_max 1-3 stops the exact trace before optimum's criterion holds
+    @pytest.mark.parametrize("t_max", [1, 2, 3, None])
+    def test_g_star_is_optimums(self, t_max, tmp_path):
+        cfg = ExperimentConfig(task="logreg", t_max=t_max,
+                               out_dir=str(tmp_path))
+        _, g_star = logistic.optimum(gen_logreg_data(cfg)[0])
+        rows = read_rows(run_logreg_experiment(cfg)[0])
+        assert len(rows) == 3 * (cfg.t_max + 1)
+        for row in rows:
+            g = logistic.scaled_objective(cfg.mu, float(row["f"]))
+            assert float(row["g_suboptimality"]) == g - g_star
+
+    @pytest.mark.parametrize("t_max", [1, 2, 3, None])
+    def test_one_damped_step_per_step(self, t_max, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(task="logreg", t_max=t_max,
+                               out_dir=str(tmp_path))
+        problem, _ = gen_logreg_data(cfg)
+        step = logistic.damped_step
+        shapes = []
+
+        def counted(problem, x):
+            shapes.append(np.shape(x))
+            return step(problem, x)
+
+        monkeypatch.setattr(logistic, "damped_step", counted)
+        logistic.optimum(problem)
+        optimum_steps = len(shapes)
+        assert (optimum_steps > cfg.t_max) == (t_max is not None)
+        shapes.clear()
+        run_logreg_experiment(cfg)
+        # the exact and inexact traces step as one stack; the exact
+        # iteration goes on alone only until optimum's criterion holds
+        assert shapes == ([(2, cfg.d)] * cfg.t_max
+                          + [(cfg.d,)] * max(0, optimum_steps - cfg.t_max))
 
 
 def csv_lines(path):
@@ -763,6 +814,14 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: mse overflows float64: the squared prediction errors "
             "exceed its range\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_label_overflow_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["linreg", "--noise-std", "1e308"]) == 1
+        assert capsys.readouterr().err == (
+            "error: noise_std=1e+308 overflows float64: the labels "
+            "A w_star + noise_std * noise exceed its range\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_alpha_overflow_exits_one(self, tmp_path, monkeypatch, capsys):

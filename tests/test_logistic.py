@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonformer import logistic
 from newtonformer.errors import ConvergenceError, ScanAnomalyError
@@ -9,15 +11,19 @@ from newtonformer.linalg import solve_spd
 from newtonformer.logistic import (
     QUADRATIC_PHASE_THRESHOLD,
     IterateTrace,
+    OPTIMUM_MAX_ITERS,
+    OPTIMUM_TOL,
     LogisticProblem,
     bounded_error_source,
     damped_step,
     decrease_bound,
     iterate_norm_bound,
     loss_grad_hess,
+    objective,
     omega,
     omega_star,
     optimum,
+    optimum_reached,
     quadratic_phase_epsilon,
     run_inexact_newton,
     scaled_decrement,
@@ -237,6 +243,107 @@ class TestDampedStep:
         with pytest.raises(ValueError, match="shape"):
             run_inexact_newton(p, np.zeros(5), eps=1e-6,
                                error_source=lambda step: np.zeros(4))
+
+
+def _plain_oracles(p, x):
+    """f, gradient, Hessian, decrement and next iterate at one point,
+    written with 1-D products only."""
+    a, y, mu, n = p.features, p.labels, p.mu, p.n_samples
+    z = y * (a @ x)
+    f = float(np.mean(np.logaddexp(0.0, -z)) + 0.5 * mu * (x @ x))
+    prob = sigmoid(-z)
+    grad = -(a.T @ (y * prob)) / n + mu * x
+    hess = (a.T * (prob * (1.0 - prob) / n)) @ a + mu * np.eye(p.dim)
+    direction = solve_spd(hess, grad[:, None])[:, 0]
+    lam = float(np.sqrt(max(grad @ direction, 0.0)))
+    two_sqrt_mu = 2.0 * np.sqrt(mu)
+    step_size = two_sqrt_mu / (two_sqrt_mu + lam)
+    return f, grad, hess, lam, x - step_size * direction
+
+
+class TestStackedOracles:
+    """A ``(k, d)`` stack gives, slice by slice, the bits of the call on
+    each point alone, and a point call gives the bits of the plain 1-D
+    formulas, with Python floats for its scalars."""
+
+    # derandomized so every run draws the same problems
+    @settings(derandomize=True, deadline=None)
+    @given(d=st.integers(1, 8), extra=st.integers(0, 30),
+           k=st.integers(1, 6), mu=st.floats(0.01, 10.0),
+           scale=st.floats(0.0, 5.0), seed=st.integers(0, 10**6))
+    def test_slices_equal_point_calls(self, d, extra, k, mu, scale, seed):
+        p = make_problem(seed, n=d + extra, d=d, mu=mu)
+        xs = scale * np.random.default_rng(seed).standard_normal((k, d))
+        f, grad, hess = loss_grad_hess(p, xs)
+        values = objective(p, xs)
+        state = damped_step(p, xs)
+        for column in (f, values, state.f, state.decrement, state.step_size):
+            assert column.shape == (k,)
+        assert grad.shape == state.x.shape == (k, d)
+        assert hess.shape == (k, d, d)
+        for i, x in enumerate(xs):
+            f1, grad1, hess1 = loss_grad_hess(p, x)
+            one = damped_step(p, x)
+            assert type(f1) is type(one.f) is type(one.decrement) is float
+            assert type(objective(p, x)) is float
+            assert f[i] == values[i] == state.f[i] == f1
+            assert one.f == objective(p, x) == f1
+            assert np.array_equal(grad[i], grad1)
+            assert np.array_equal(hess[i], hess1)
+            assert state.decrement[i] == one.decrement
+            assert state.step_size[i] == one.step_size
+            assert np.array_equal(state.x[i], one.x)
+            f_ref, grad_ref, hess_ref, lam_ref, x_ref = _plain_oracles(p, x)
+            assert f1 == f_ref and one.decrement == lam_ref
+            assert np.array_equal(grad1, grad_ref)
+            assert np.array_equal(hess1, hess_ref)
+            assert np.array_equal(one.x, x_ref)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 3, 5), ()])
+    def test_wrong_shapes_rejected(self, shape):
+        p = make_problem(40)
+        for fn in (objective, loss_grad_hess, damped_step):
+            with pytest.raises(ValueError, match="x must have shape"):
+                fn(p, np.zeros(shape))
+
+    def test_inexact_runner_takes_one_start_point(self):
+        with pytest.raises(ValueError, match=r"x0 must have shape \(5,\)"):
+            run_inexact_newton(make_problem(40), np.zeros((2, 5)), eps=1e-6)
+
+    def test_non_finite_row_rejected(self):
+        p = make_problem(41)
+        xs = np.zeros((3, 5))
+        xs[2, 1] = np.nan
+        for fn in (objective, loss_grad_hess, damped_step):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(p, xs)
+
+    def test_damped_step_checks_the_point_once(self, monkeypatch):
+        check = logistic._check_point
+        calls = []
+        monkeypatch.setattr(logistic, "_check_point",
+                            lambda p, x: calls.append(x) or check(p, x))
+        damped_step(make_problem(42), np.zeros((2, 5)))
+        assert len(calls) == 1
+
+
+class TestOptimum:
+    def test_criterion(self):
+        mu = 0.1
+        tol = OPTIMUM_TOL * 2.0 * np.sqrt(mu)
+        assert optimum_reached(mu, tol / 2.0, 0)
+        assert not optimum_reached(mu, 1.0, OPTIMUM_MAX_ITERS - 1)
+        assert optimum_reached(mu, 1.0, OPTIMUM_MAX_ITERS)
+
+    def test_resumed_run_equals_run_from_zero(self):
+        p = make_problem(43)
+        x_star, g_star = optimum(p)
+        x = np.zeros(5)
+        for step in range(_reference_optimum(p)[2] + 1):
+            resumed = optimum(p, x, step)
+            assert np.array_equal(resumed[0], x_star)
+            assert resumed[1] == g_star
+            x = damped_step(p, x).x
 
 
 class TestRunInexactNewton:
