@@ -261,8 +261,8 @@ def run_logreg_experiment(cfg):
     inexact row takes f from the ``NewtonState`` of the step that left
     its iterate.  g* is read from the first exact state that meets
     :func:`~.logistic.optimum_reached`; only a t_max too short to reach
-    it runs the exact iteration on.  The two traces' last iterates and
-    the constructed iterates are evaluated in one
+    it calls :func:`~.logistic.optimum` as well.  The two traces' last
+    iterates and the constructed iterates are evaluated in one
     :func:`~.logistic.objective` call.
     """
     if cfg.task != "logreg":
@@ -281,7 +281,7 @@ def run_logreg_experiment(cfg):
         x = state.x
         x[1] += source(step)
     if g_star is None:
-        g_star = logistic.optimum(problem, x[0], cfg.t_max)[1]
+        g_star = logistic.optimum(problem)[1]
     constructed = builders.run_constructed_newton(
         problem, np.zeros(cfg.d), budget, cfg.t_max
     )

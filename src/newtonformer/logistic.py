@@ -373,24 +373,20 @@ def optimum_reached(mu, decrement, step):
             or step >= OPTIMUM_MAX_ITERS)
 
 
-def optimum(problem, x=None, step=0):
+def optimum(problem):
     """High-precision minimizer via exact damped Newton from x = 0.
 
     Steps until :func:`optimum_reached` holds and returns
     ``(x_star, g_star)``: the iterate it holds at and the scaled
-    objective f/(4 mu) there.  A caller that has already taken exact
-    steps from 0 passes its iterate *x* and its index *step* to resume
-    the run there; x_star and g_star are then bit-identical to a run
-    from the start.
+    objective f/(4 mu) there.
     """
-    if x is None:
-        x = np.zeros(problem.dim)
-    while True:
+    x = np.zeros(problem.dim)
+    for step in range(OPTIMUM_MAX_ITERS + 1):
         state = damped_step(problem, x)
         if optimum_reached(problem.mu, state.decrement, step):
             return x, scaled_objective(problem.mu, state.f)
         x = state.x
-        step += 1
+    raise AssertionError("unreachable")
 
 
 def omega(t):

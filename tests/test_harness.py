@@ -602,10 +602,11 @@ class TestLogregRunner:
         assert (optimum_steps > cfg.t_max) == (t_max is not None)
         shapes.clear()
         run_logreg_experiment(cfg)
-        # the exact and inexact traces step as one stack; the exact
-        # iteration goes on alone only until optimum's criterion holds
+        # the exact and inexact traces step as one stack; only a t_max
+        # too short to meet optimum's criterion runs optimum as well
+        short = optimum_steps > cfg.t_max
         assert shapes == ([(2, cfg.d)] * cfg.t_max
-                          + [(cfg.d,)] * max(0, optimum_steps - cfg.t_max))
+                          + [(cfg.d,)] * (optimum_steps if short else 0))
 
 
 def csv_lines(path):

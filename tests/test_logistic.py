@@ -335,16 +335,6 @@ class TestOptimum:
         assert not optimum_reached(mu, 1.0, OPTIMUM_MAX_ITERS - 1)
         assert optimum_reached(mu, 1.0, OPTIMUM_MAX_ITERS)
 
-    def test_resumed_run_equals_run_from_zero(self):
-        p = make_problem(43)
-        x_star, g_star = optimum(p)
-        x = np.zeros(5)
-        for step in range(_reference_optimum(p)[2] + 1):
-            resumed = optimum(p, x, step)
-            assert np.array_equal(resumed[0], x_star)
-            assert resumed[1] == g_star
-            x = damped_step(p, x).x
-
 
 class TestRunInexactNewton:
     def test_quadratic_phase_contraction_exact(self):
