@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 SIGMOID_RANGE = 10.0
-CLEANUP_RANGE = 10.0
 
 _REF_EPS = 1e-2
 _REF_MU = 0.1
@@ -513,8 +512,9 @@ def build_logreg_newton_step(problem, budget):
     least-squares stack), recomputes the margins into one PWL table of
     sigma(-z_i), assembles the gradient with the mean picker's 1/n,
     forms the decrement and the damped step size, updates the iterate
-    block, and restores every bookkeeping block so the stack can be
-    chained.
+    block, and restores every bookkeeping block exactly: after a step
+    the stream equals ``make_logistic_prompt(problem, x_next)`` bit for
+    bit, so the stack can be chained.
 
     Those layers converge to (B^T)^-1.  B differs from the symmetric
     Hessian H only by its product tables' error, so |B - B^T| <=
@@ -678,24 +678,23 @@ def build_logreg_newton_step(problem, budget):
         )
     )
 
-    # iterate update, block restore, accumulator cleanup
-    # relu(R/2 - a/2) - relu(R/2 + a/2) = -a exactly while |a| < R,
-    # for R = CLEANUP_RANGE, the range run_constructed_newton checks
-    offset = 0.5 * CLEANUP_RANGE
-    fb = FfnBuilder(dim, ones_row)
-    fb.add_neuron({acc_row: -0.5, ones_row: offset}, acc_row, 1.0)
-    fb.add_neuron({acc_row: 0.5, ones_row: offset}, acc_row, -1.0)
+    # iterate update and exact restore.  Updates land in head order, so
+    # x_slot and b_slot are cleared (x - x = 0) before I is written; the
+    # accumulator head adds exactly -acc
     layers.append(
         TransformerLayer(
             heads=(
                 AttentionHead(dim, [(iterate, ident, -1.0)],
                               key=(acc_row, 1.0), query=(ones_row, 1.0)),
-                AttentionHead(dim, [
-                    (x_slot, x_slot, -1.0), (x_slot, ident, 1.0),
-                    (b_slot, b_slot, -1.0), (b_slot, ident, 1.0),
-                ], key=(ident, 1.0), query=(ident, 1.0)),
+                AttentionHead(dim, [(acc_row, e1_row, -1.0)],
+                              key=(e1_row, 1.0), query=(acc_row, 1.0)),
+                AttentionHead(dim, [(x_slot, x_slot, -1.0),
+                                    (b_slot, b_slot, -1.0)],
+                              key=(ident, 1.0), query=(ident, 1.0)),
+                AttentionHead(dim, [(x_slot, ident, 1.0),
+                                    (b_slot, ident, 1.0)],
+                              key=(ident, 1.0), query=(ident, 1.0)),
             ),
-            ffn=fb.build(),
         )
     )
 
@@ -706,30 +705,18 @@ def build_logreg_newton_step(problem, budget):
 def run_constructed_newton(problem, x0, budget, n_steps):
     """Apply the constructed step *n_steps* times; returns the iterates.
 
-    The last layer's ffn cancels the accumulator row exactly only while
-    its entries stay inside (-CLEANUP_RANGE, CLEANUP_RANGE).  That
-    layer's attention leaves the row as it is, so each step checks it
-    before the last layer and raises ``BudgetError`` with bound
-    ``"cleanup_range"`` on a larger entry.  A negative or non-integer
-    *n_steps* raises ``ValueError``.
+    Each step is one forward pass of the whole stack, which leaves the
+    stream equal to the next iterate's prompt.  A negative or
+    non-integer *n_steps* raises ``ValueError``.
     """
     if not n_steps >= 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if not float(n_steps).is_integer():
         raise ValueError(f"n_steps must be an integer, got {n_steps}")
     layers, layout = build_logreg_newton_step(problem, budget)
-    acc_row = layout.rows_of("accumulator").start
     h = make_logistic_prompt(problem, np.asarray(x0, dtype=np.float64))
     xs = [read_logistic_iterate(h, layout)]
     for _ in range(int(n_steps)):
-        h = model_forward(layers[:-1], h)
-        reach = float(np.max(np.abs(h[acc_row])))
-        if reach >= CLEANUP_RANGE:
-            raise BudgetError(
-                f"accumulator magnitude {reach:.3g} exceeds the exact "
-                f"cleanup range {CLEANUP_RANGE}",
-                bound="cleanup_range",
-            )
-        h = model_forward(layers[-1:], h)
+        h = model_forward(layers, h)
         xs.append(read_logistic_iterate(h, layout))
     return xs
