@@ -59,8 +59,10 @@ class BudgetReport:
 
     ``widths`` maps each scalar approximator to its piece count
     (u1_pieces, u2_pieces, u3_pieces, eps4_pieces) plus the inversion
-    step count ``k``; ``depth`` = 9 + k is derived from it, and
-    ``kappa_f``, ``norm_bound`` and ``z_max`` from mu alone.
+    step count ``k``; ``depth`` = 7 + k, the layers of one constructed
+    step, is derived from it, and ``kappa_f``, ``norm_bound`` and
+    ``z_max`` from mu alone.  A step restores its stream exactly, so
+    t chained steps take t * depth layers.
     """
 
     target_eps: float
@@ -70,7 +72,7 @@ class BudgetReport:
 
     @property
     def depth(self):
-        return 9 + self.widths["k"]
+        return 7 + self.widths["k"]
 
     @property
     def kappa_f(self):
@@ -460,6 +462,7 @@ def _logistic_layout(d):
             ("iterate", d),
             ("mean_picker", 1),
             ("accumulator", 1),
+            ("prob", 1),
             ("ones", 1),
         )
     )
@@ -503,22 +506,27 @@ def _sigmoid_derivative(t):
 def build_logreg_newton_step(problem, budget):
     """Full stack computing one damped Newton step in-context.
 
-    The stack (depth 9 + k) reads the label-signed rows y_i a_i of
-    :func:`make_logistic_prompt`.  It computes the margins
-    z_i = y_i a_i . x, the per-sample Hessian weights through a PWL
-    sigmoid-derivative, the scaled data rows via quarter-square
-    products, assembles B = (1/n) A^T D A + mu I next to the seed
-    alpha*I, runs k Newton-Schulz layers (the one-layer step of the
-    least-squares stack), recomputes the margins into one PWL table of
-    sigma(-z_i), assembles the gradient with the mean picker's 1/n,
-    forms the decrement and the damped step size, updates the iterate
-    block, and restores every bookkeeping block exactly: after a step
-    the stream equals ``make_logistic_prompt(problem, x_next)`` bit for
-    bit, so the stack can be chained.
+    The stack (depth 7 + k) reads the label-signed rows y_i a_i of
+    :func:`make_logistic_prompt`.  Its first layer computes the margins
+    z_i = y_i a_i . x once and reads them through two PWL tables: the
+    per-sample Hessian weights sigma'(z_i) into the accumulator and the
+    probabilities sigma(-z_i) into the prob row.  The second scales
+    both rows by 1/n through the mean picker and forms the weight-scaled
+    data rows via quarter-square products.  The third assembles
+    B = (1/n) A^T D A + mu I next to the seed alpha*I and, beside them,
+    the gradient as a row of the accumulator.  k Newton-Schulz layers
+    (the one-layer step of the least-squares stack) follow, then the
+    direction, the decrement with the damped step size, the scaled
+    direction, and the iterate update, which restores every bookkeeping
+    block exactly: after a step the stream equals
+    ``make_logistic_prompt(problem, x_next)`` bit for bit, so the stack
+    can be chained.  A layer's head updates land in head order, so a
+    head that clears a band comes before the heads that write it.
 
-    Those layers converge to (B^T)^-1.  B differs from the symmetric
-    Hessian H only by its product tables' error, so |B - B^T| <=
-    2 max|B - H|: inverting B^T adds no error beyond what B carries.
+    The Newton-Schulz layers converge to (B^T)^-1.  B differs from the
+    symmetric Hessian H only by its product tables' error, so
+    |B - B^T| <= 2 max|B - H|: inverting B^T adds no error beyond what
+    B carries.
     """
     d, n = problem.dim, problem.n_samples
     if n < d:
@@ -539,9 +547,9 @@ def build_logreg_newton_step(problem, budget):
     x_slot, b_slot, ident, data, iterate = map(
         layout.rows_of, ("x_slot", "b_slot", "identity", "data", "iterate")
     )
-    picker_row, acc_row, ones_row = (
+    picker_row, acc_row, prob_row, ones_row = (
         layout.rows_of(name).start
-        for name in ("mean_picker", "accumulator", "ones")
+        for name in ("mean_picker", "accumulator", "prob", "ones")
     )
     e1_row = ident.start  # first identity row holds e1^T
 
@@ -549,33 +557,40 @@ def build_logreg_newton_step(problem, budget):
     # inside (0, 2/lambda_max) for every iterate
     alpha = spd_initial_scale(1.0 + mu)
 
-    def margins_to_accumulator():
-        # accumulator += z^T, from the iterate broadcast in its block
-        return AttentionHead(dim, [(acc_row, e1_row, 1.0)],
-                             key=(iterate, 1.0), query=(data, 1.0))
+    def clear(row):
+        # adds exactly -row: (-e1^T e1) times the row
+        return AttentionHead(dim, [(row, e1_row, -1.0)],
+                             key=(e1_row, 1.0), query=(row, 1.0))
+
+    def over_n(row):
+        # adds row/n: (picker^T e1) times the row
+        return AttentionHead(dim, [(row, picker_row, 1.0)],
+                             key=(e1_row, 1.0), query=(row, 1.0))
 
     layers = []
 
-    # margins, then per-sample curvature weights
+    # margins z^T into the accumulator, from the iterate broadcast in
+    # its block; the ffn reads them once, writing sigma'(z) over them
+    # and sigma(-z) into the prob row
     fb = FfnBuilder(dim, ones_row)
-    sig_deriv = build_pwl(
-        _sigmoid_derivative, -SIGMOID_RANGE, SIGMOID_RANGE,
-        budget.widths["u1_pieces"],
-    )
-    fb.add_pwl(sig_deriv, {acc_row: 1.0}, acc_row)
+    for fn, out_row, pieces in (
+        (_sigmoid_derivative, acc_row, "u1_pieces"),
+        (lambda t: sigmoid(-t), prob_row, "u3_pieces"),
+    ):
+        table = build_pwl(fn, -SIGMOID_RANGE, SIGMOID_RANGE,
+                          budget.widths[pieces])
+        fb.add_pwl(table, {acc_row: 1.0}, out_row)
     fb.add_identity(acc_row, acc_row, -1.0)
     layers.append(
-        TransformerLayer(heads=(margins_to_accumulator(),), ffn=fb.build())
+        TransformerLayer(
+            heads=(AttentionHead(dim, [(acc_row, e1_row, 1.0)],
+                                 key=(iterate, 1.0), query=(data, 1.0)),),
+            ffn=fb.build(),
+        )
     )
 
-    # accumulator: s -> s/n using the mean-picker row; then the
-    # weight-scaled data rows replace the top identity block
-    rescale = (
-        AttentionHead(dim, [(acc_row, picker_row, 1.0)],
-                      key=(e1_row, 1.0), query=(acc_row, 1.0)),
-        AttentionHead(dim, [(acc_row, e1_row, -1.0)],
-                      key=(e1_row, 1.0), query=(acc_row, 1.0)),
-    )
+    # both rows -> 1/n times themselves; then the weight-scaled data
+    # rows replace the top identity block and the accumulator clears
     fb = FfnBuilder(dim, ones_row)
     # weights lie in [0, 1/4] and features in [-1, 1]; x + y and x - y
     # share one range, so all d products share one square table
@@ -586,10 +601,18 @@ def build_logreg_newton_step(problem, budget):
         fb.add_product(acc_row, data.start + j, x_slot.start + j, squares)
         fb.add_identity(ident.start + j, x_slot.start + j, -1.0)
     fb.add_identity(acc_row, acc_row, -1.0)
-    layers.append(TransformerLayer(heads=rescale, ffn=fb.build()))
+    layers.append(
+        TransformerLayer(
+            heads=(clear(acc_row), clear(prob_row),
+                   over_n(acc_row), over_n(prob_row)),
+            ffn=fb.build(),
+        )
+    )
 
     # Hessian assembly: b_slot <- B; the scaled data in x_slot is
-    # cleared before the seed is written, so x_slot <- alpha*I exactly
+    # cleared before the seed is written, so x_slot <- alpha*I exactly.
+    # The accumulator takes the gradient row
+    # -(1/n) sum_i sigma(-z_i) y_i a_i^T + mu x^T, and prob clears
     layers.append(
         TransformerLayer(
             heads=(
@@ -600,6 +623,11 @@ def build_logreg_newton_step(problem, budget):
                 AttentionHead(dim, _nonzero([(x_slot, ident, alpha),
                                              (b_slot, ident, mu - 1.0)]),
                               key=(ident, 1.0), query=(ident, 1.0)),
+                AttentionHead(dim, [(acc_row, prob_row, -1.0)],
+                              key=(data, 1.0), query=(ident, 1.0)),
+                AttentionHead(dim, [(acc_row, e1_row, mu)],
+                              key=(iterate, 1.0), query=(ident, 1.0)),
+                clear(prob_row),
             ),
         )
     )
@@ -607,46 +635,20 @@ def build_logreg_newton_step(problem, budget):
     # k Newton-Schulz iterations, one layer each
     layers += [_newton_layer(dim, x_slot, b_slot, ident)] * budget.widths["k"]
 
-    # margins again, then the probabilities sigma(-z)
-    fb = FfnBuilder(dim, ones_row)
-    prob = build_pwl(
-        lambda t: sigmoid(-t), -SIGMOID_RANGE, SIGMOID_RANGE,
-        budget.widths["u3_pieces"],
-    )
-    fb.add_pwl(prob, {acc_row: 1.0}, acc_row)
-    fb.add_identity(acc_row, acc_row, -1.0)
-    layers.append(
-        TransformerLayer(heads=(margins_to_accumulator(),), ffn=fb.build())
-    )
-
-    # gradient assembly into b_slot's first column; the mean picker
-    # applies the 1/n
+    # Newton direction X g into x_slot's first column
     layers.append(
         TransformerLayer(
             heads=(
-                AttentionHead(dim, [(b_slot, data, -1.0)],
-                              key=(acc_row, 1.0), query=(picker_row, 1.0)),
-                AttentionHead(dim, [(b_slot, b_slot, -1.0)],
-                              key=(ident, 1.0), query=(ident, 1.0)),
-                AttentionHead(dim, [(b_slot, iterate, mu)],
-                              key=(e1_row, 1.0), query=(e1_row, 1.0)),
-            ),
-        )
-    )
-
-    # Newton direction into x_slot's first column
-    layers.append(
-        TransformerLayer(
-            heads=(
-                AttentionHead(dim, [(x_slot, x_slot, 1.0)],
-                              key=(ident, 1.0), query=(b_slot, 1.0)),
                 AttentionHead(dim, [(x_slot, x_slot, -1.0)],
                               key=(ident, 1.0), query=(ident, 1.0)),
+                AttentionHead(dim, [(x_slot, x_slot, 1.0)],
+                              key=(acc_row, 1.0), query=(e1_row, 1.0)),
             ),
         )
     )
 
-    # squared decrement, then the damped step size via PWL
+    # squared decrement g . X g over the gradient row, then the damped
+    # step size via PWL
     fb = FfnBuilder(dim, ones_row)
     step_size = build_pwl(
         lambda z: damping(mu, np.sqrt(z)),
@@ -657,10 +659,9 @@ def build_logreg_newton_step(problem, budget):
     layers.append(
         TransformerLayer(
             heads=(
-                AttentionHead(dim, [(acc_row, e1_row, 1.0)],
-                              key=(b_slot, 1.0), query=(x_slot, 1.0)),
-                AttentionHead(dim, [(acc_row, e1_row, -1.0)],
-                              key=(ones_row, 1.0), query=(acc_row, 1.0)),
+                clear(acc_row),
+                AttentionHead(dim, [(acc_row, acc_row, 1.0)],
+                              key=(ident, 1.0), query=(x_slot, 1.0)),
             ),
             ffn=fb.build(),
         )
@@ -670,24 +671,21 @@ def build_logreg_newton_step(problem, budget):
     layers.append(
         TransformerLayer(
             heads=(
+                clear(acc_row),
                 AttentionHead(dim, [(acc_row, acc_row, 1.0)],
                               key=(x_slot, 1.0), query=(ident, 1.0)),
-                AttentionHead(dim, [(acc_row, acc_row, -1.0)],
-                              key=(ident, 1.0), query=(ident, 1.0)),
             ),
         )
     )
 
-    # iterate update and exact restore.  Updates land in head order, so
-    # x_slot and b_slot are cleared (x - x = 0) before I is written; the
-    # accumulator head adds exactly -acc
+    # iterate update and exact restore: x_slot and b_slot are cleared
+    # (x - x = 0) before I is written
     layers.append(
         TransformerLayer(
             heads=(
                 AttentionHead(dim, [(iterate, ident, -1.0)],
                               key=(acc_row, 1.0), query=(ones_row, 1.0)),
-                AttentionHead(dim, [(acc_row, e1_row, -1.0)],
-                              key=(e1_row, 1.0), query=(acc_row, 1.0)),
+                clear(acc_row),
                 AttentionHead(dim, [(x_slot, x_slot, -1.0),
                                     (b_slot, b_slot, -1.0)],
                               key=(ident, 1.0), query=(ident, 1.0)),

@@ -72,7 +72,7 @@ class TestWidthDepthBudget:
         assert report.widths == {"u1_pieces": 2000, "u2_pieces": 2000,
                                  "u3_pieces": 2000, "eps4_pieces": 4000,
                                  "k": 7}
-        assert report.depth == 16
+        assert report.depth == 14
 
     def test_inversion_count_formula(self):
         for eps, mu in ((1e-2, 0.1), (1e-3, 0.2), (5e-2, 0.5), (0.5, 3.0)):
@@ -87,7 +87,7 @@ class TestWidthDepthBudget:
                 math.log2(math.log(inner) / -math.log(r0))
             ))
             assert report.widths["k"] == expected
-            assert report.depth == 9 + expected
+            assert report.depth == 7 + expected
 
     def test_halving_eps_at_least_quadruples_u2(self):
         base = width_depth_budget(1e-2, 0.1, d=5)
@@ -193,7 +193,7 @@ class TestWidthDepthBudget:
     def test_to_text_is_json(self):
         report = width_depth_budget(1e-2, 0.1, d=5)
         payload = json.loads(report.to_text())
-        assert payload["depth"] == 16
+        assert payload["depth"] == 14
         assert payload["widths"]["k"] == 7
         assert payload["target_eps"] == 1e-2
 
@@ -203,8 +203,8 @@ class TestWidthDepthBudget:
             target_eps=report.target_eps, mu=report.mu, d=report.d,
             widths={**report.widths, "k": 3},
         )
-        assert fewer.depth == 12
-        assert json.loads(fewer.to_text())["depth"] == 12
+        assert fewer.depth == 10
+        assert json.loads(fewer.to_text())["depth"] == 10
 
     @pytest.mark.parametrize("mu", [1e-3, 0.1, 0.37, 1.0, 50.0])
     def test_derived_fields_follow_mu(self, mu):
@@ -591,9 +591,9 @@ def logreg_stack():
 class TestLogregNewtonStack:
     def test_depth_matches_budget(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
-        assert len(layers) == budget.depth == 9 + budget.widths["k"]
-        assert max(len(layer.heads) for layer in layers) <= 4
-        assert layout.n_rows == 5 * problem.dim + 3
+        assert len(layers) == budget.depth == 7 + budget.widths["k"]
+        assert max(len(layer.heads) for layer in layers) <= 6
+        assert layout.n_rows == 5 * problem.dim + 4
         assert all(layer.dim == layout.n_rows for layer in layers)
 
     def test_single_step_tracks_damped_newton(self, logreg_stack):
@@ -729,9 +729,8 @@ class TestLogregNewtonStack:
             return s * (1.0 - s)
 
         targets = [
-            [sigmoid_derivative],
+            [sigmoid_derivative, lambda t: sigmoid(-t)],
             [lambda t: t * t] * (2 * problem.dim),
-            [lambda t: sigmoid(-t)],
             [lambda z: root / (root + math.sqrt(z))],
         ]
         gadget_layers = [layer for layer in layers
@@ -799,13 +798,14 @@ class TestLogregNewtonStack:
         problem, _, _, layout = logreg_stack
         x = np.arange(5.0)
         h = make_logistic_prompt(problem, x)
-        assert h.shape == (28, 26)
+        assert h.shape == (29, 26)
         np.testing.assert_array_equal(read_logistic_iterate(h, layout), x)
         np.testing.assert_array_equal(
             h[15:20], (problem.features * problem.labels[:, None]).T
         )
         assert h[25, 0] == pytest.approx(1.0 / 26)
-        np.testing.assert_array_equal(h[27], np.ones(26))
+        np.testing.assert_array_equal(h[27], np.zeros(26))
+        np.testing.assert_array_equal(h[28], np.ones(26))
 
     def test_reads_each_example_only_through_signed_features(
         self, logreg_stack

@@ -532,7 +532,7 @@ class TestLogregRunner:
 
     def test_layers_per_step_column(self, logreg_table):
         for rows in logreg_table.values():
-            assert all(int(r["layers_per_step"]) == 16 for r in rows)
+            assert all(int(r["layers_per_step"]) == 14 for r in rows)
 
     def test_loss_is_evaluated_only_where_no_step_did(self, tmp_path,
                                                       monkeypatch):
@@ -705,7 +705,7 @@ class TestCli:
     def test_budget_prints_json(self, capsys):
         assert main(["budget", "--eps", "1e-2", "--mu", "0.1"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["depth"] == 16
+        assert payload["depth"] == 14
         assert payload["widths"]["u2_pieces"] == 2000
 
     def test_budget_overflow_exits_two(self, capsys):
