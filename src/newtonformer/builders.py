@@ -475,7 +475,8 @@ def make_logistic_prompt(problem, x):
 
     The loss reads example i only through y_i a_i, so the prompt has no
     labels band; (y_i a_i)(y_i a_i)^T = a_i a_i^T leaves the Hessian as
-    it is.
+    it is.  An *x* of the wrong shape or with a NaN or infinite entry
+    raises ``ValueError`` naming it.
     """
     d, n = problem.dim, problem.n_samples
     if n < d:
@@ -483,6 +484,8 @@ def make_logistic_prompt(problem, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
         raise ValueError(f"x must have shape ({d},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x contains non-finite entries")
     layout = _logistic_layout(d)
     h = np.zeros((layout.n_rows, n))
     for pad in ("x_slot", "b_slot", "identity"):

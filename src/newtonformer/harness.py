@@ -185,14 +185,21 @@ def run_linreg_experiment(cfg):
 
     The mse values are means over one ``(rows, batch)`` prediction
     array; the closed-form one is taken before the depth loop, so its
-    overflow stops the run before any layer runs.  Stacked calls are
-    bit-identical to per-prompt 2-D calls, so the rows equal a
-    per-prompt rebuild-and-replay exactly.
+    overflow stops the run before any layer runs.  A noise_std whose
+    labels are finite but whose A^T y overflows raises ``ValueError``
+    naming it.  Stacked calls are bit-identical to per-prompt 2-D
+    calls, so the rows equal a per-prompt rebuild-and-replay exactly.
     """
     if cfg.task != "linreg":
         raise ValueError(f"config task is {cfg.task!r}, expected 'linreg'")
     a, y, a_tests, w_star = datagen.gen_linreg_data(cfg)
-    atys = a.mT @ y[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        atys = a.mT @ y[:, :, None]
+    if not np.isfinite(atys).all():
+        raise ValueError(
+            f"noise_std={cfg.noise_std:g} overflows float64: the labels "
+            "are finite, but A^T y exceeds its range"
+        )
     targets = (a_tests[:, None, :] @ w_star[:, :, None])[:, 0, 0]
     grams = a.mT @ a + cfg.mu * np.eye(cfg.d)
     alphas = inversion.initial_scale(spectral_norm(grams))

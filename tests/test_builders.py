@@ -825,6 +825,18 @@ class TestLogregNewtonStack:
         for x_ours, x_theirs in zip(ours, theirs, strict=True):
             assert np.array_equal(x_ours, x_theirs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_iterate_is_named(self, logreg_stack, bad):
+        problem, budget, _, _ = logreg_stack
+        x = np.zeros(5)
+        x[2] = bad
+        with pytest.raises(ValueError,
+                           match="^x contains non-finite entries$"):
+            make_logistic_prompt(problem, x)
+        with pytest.raises(ValueError,
+                           match="^x contains non-finite entries$"):
+            run_constructed_newton(problem, [bad] * 5, budget, 1)
+
     def test_requires_enough_samples(self):
         problem = make_logreg_problem(3, n=4, d=5)
         budget = width_depth_budget(1e-2, 0.1, d=5)

@@ -530,6 +530,20 @@ class TestLogregRunner:
         for a, b in zip(exact, ours):
             assert abs(a - b) <= 1e-2
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fine_eps_run_tracks_exact_newton(self, seed, tmp_path):
+        # the flags of the logreg_fine benchmark workload
+        eps = 5e-3
+        cfg = ExperimentConfig(task="logreg", d=5, n=26, mu=0.1, eps=eps,
+                               t_max=15, seed=seed, out_dir=str(tmp_path))
+        rows = read_rows(run_logreg_experiment(cfg)[0])
+        exact, ours = ([r for r in rows if r["method"] == method]
+                       for method in ("exact_newton", "constructed"))
+        assert len(ours) == len(exact) == 16
+        for ref, row in zip(exact, ours):
+            assert abs(float(row["f"]) - float(ref["f"])) <= eps
+        assert float(ours[-1]["g_suboptimality"]) <= 1e-10
+
     def test_layers_per_step_column(self, logreg_table):
         for rows in logreg_table.values():
             assert all(int(r["layers_per_step"]) == 14 for r in rows)
@@ -752,6 +766,17 @@ class TestCli:
         assert err.startswith("error: eps=") and err.count("\n") == 1
         assert "is too large for mu=" in err
         assert "domain" not in err
+
+    def test_overflowing_normal_equations_name_noise_std(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # the labels stay finite at 1e307; A^T y sums n of them past
+        # float64's range
+        monkeypatch.chdir(tmp_path)
+        assert main(["linreg", "--noise-std", "1e307"]) == 1
+        assert capsys.readouterr().err == (
+            "error: noise_std=1e+307 overflows float64: the labels are "
+            "finite, but A^T y exceeds its range\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["invert", "linreg", "logreg"])
     def test_negative_seed_exits_one(self, command, tmp_path, monkeypatch,
