@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import re
@@ -619,24 +620,24 @@ class TestLogregNewtonStack:
         xs = run_constructed_newton(problem, x_star, budget, 1)
         assert np.linalg.norm(xs[1] - x_star) <= 2e-2
 
-    @pytest.mark.parametrize("eps", [1e-2, 5e-3])
-    @pytest.mark.parametrize("mu", [0.1, 0.3, 1.0])
-    def test_stream_after_each_step_is_the_next_prompt(self, eps, mu):
-        # the last layer restores every bookkeeping block exactly, so a
-        # chained step leaves the next iterate's prompt bit for bit
-        problems = [gen_logreg_data(ExperimentConfig(
-            task="logreg", d=5, n=26, mu=mu, seed=seed))[0]
-            for seed in range(5)]
-        layers, layout = build_logreg_newton_step(
-            problems[0], width_depth_budget(eps, mu, d=5)
-        )
-        h = np.stack([make_logistic_prompt(p, np.zeros(5)) for p in problems])
-        for _ in range(15):
-            h = model_forward(layers, h)
-            for p, stream in zip(problems, h, strict=True):
-                x_next = read_logistic_iterate(stream, layout)
-                assert np.array_equal(stream,
-                                      make_logistic_prompt(p, x_next))
+    def test_bookkeeping_restored_after_step(self):
+        # the last layer restores every bookkeeping block exactly, so
+        # each chained step leaves the next iterate's prompt bit for bit
+        for eps, mu in itertools.product((1e-2, 5e-3), (0.1, 0.3, 1.0)):
+            problems = [gen_logreg_data(ExperimentConfig(
+                task="logreg", d=5, n=26, mu=mu, seed=seed))[0]
+                for seed in range(5)]
+            layers, layout = build_logreg_newton_step(
+                problems[0], width_depth_budget(eps, mu, d=5)
+            )
+            h = np.stack([make_logistic_prompt(p, np.zeros(5))
+                          for p in problems])
+            for _ in range(15):
+                h = model_forward(layers, h)
+                for p, stream in zip(problems, h, strict=True):
+                    x_next = read_logistic_iterate(stream, layout)
+                    assert np.array_equal(stream,
+                                          make_logistic_prompt(p, x_next))
 
     def test_one_forward_pass_per_step(self, logreg_stack, monkeypatch):
         problem, budget, layers, _ = logreg_stack
