@@ -59,7 +59,7 @@ class BudgetReport:
 
     ``widths`` maps each scalar approximator to its piece count
     (u1_pieces, u2_pieces, u3_pieces, eps4_pieces) plus the inversion
-    step count ``k``; ``depth`` = 7 + k, the layers of one constructed
+    step count ``k``; ``depth`` = 6 + k, the layers of one constructed
     step, is derived from it, and ``kappa_f``, ``norm_bound`` and
     ``z_max`` from mu alone.  A step restores its stream exactly, so
     t chained steps take t * depth layers.
@@ -72,7 +72,7 @@ class BudgetReport:
 
     @property
     def depth(self):
-        return 7 + self.widths["k"]
+        return 6 + self.widths["k"]
 
     @property
     def kappa_f(self):
@@ -509,7 +509,7 @@ def _sigmoid_derivative(t):
 def build_logreg_newton_step(problem, budget):
     """Full stack computing one damped Newton step in-context.
 
-    The stack (depth 7 + k) reads the label-signed rows y_i a_i of
+    The stack (depth 6 + k) reads the label-signed rows y_i a_i of
     :func:`make_logistic_prompt`.  Its first layer computes the margins
     z_i = y_i a_i . x once and reads them through two PWL tables: the
     per-sample Hessian weights sigma'(z_i) into the accumulator and the
@@ -519,9 +519,9 @@ def build_logreg_newton_step(problem, budget):
     B = (1/n) A^T D A + mu I next to the seed alpha*I and, beside them,
     the gradient as a row of the accumulator.  k Newton-Schulz layers
     (the one-layer step of the least-squares stack) follow, then the
-    direction, the decrement with the damped step size, the scaled
-    direction, and the iterate update, which restores every bookkeeping
-    block exactly: after a step the stream equals
+    direction, the decrement with the damped step size, and the iterate
+    update, which reads the direction straight from x_slot and restores
+    every bookkeeping block exactly: after a step the stream equals
     ``make_logistic_prompt(problem, x_next)`` bit for bit, so the stack
     can be chained.  A layer's head updates land in head order, so a
     head that clears a band comes before the heads that write it.
@@ -670,23 +670,15 @@ def build_logreg_newton_step(problem, budget):
         )
     )
 
-    # scaled direction spread across the accumulator row
+    # iterate update and exact restore.  The accumulator holds
+    # (t, 1, ..., 1), since the step-size table is exactly 1 at 0, and
+    # x_slot holds X g in its first column and zeros past it, so the
+    # update head's x_slot acc^T is exactly t X g.  x_slot and b_slot
+    # are cleared (x - x = 0) before I is written
     layers.append(
         TransformerLayer(
             heads=(
-                clear(acc_row),
-                AttentionHead(dim, [(acc_row, acc_row, 1.0)],
-                              key=(x_slot, 1.0), query=(ident, 1.0)),
-            ),
-        )
-    )
-
-    # iterate update and exact restore: x_slot and b_slot are cleared
-    # (x - x = 0) before I is written
-    layers.append(
-        TransformerLayer(
-            heads=(
-                AttentionHead(dim, [(iterate, ident, -1.0)],
+                AttentionHead(dim, [(iterate, x_slot, -1.0)],
                               key=(acc_row, 1.0), query=(ones_row, 1.0)),
                 clear(acc_row),
                 AttentionHead(dim, [(x_slot, x_slot, -1.0),

@@ -261,7 +261,7 @@ def run_logreg_experiment(cfg):
     """Loss traces for exact, error-injected, and constructed Newton.
 
     All three traces run exactly t_max steps from x0 = 0; the CSV
-    carries a layers_per_step column (the constructed depth 7 + k)
+    carries a layers_per_step column (the constructed depth 6 + k)
     so loss-versus-layers plots can be drawn externally.  The
     constructed trace chains one forward pass of the stack per step;
     each pass leaves the next iterate's prompt exactly.  The exact and

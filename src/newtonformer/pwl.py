@@ -37,10 +37,10 @@ class PwlApprox:
             raise ValueError("need at least two knots")
         if values.shape != knots.shape:
             raise ValueError("knots and values must have matching length")
-        if not np.all(np.diff(knots) > 0):
-            raise ValueError("knots must be strictly increasing")
         if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
             raise ValueError("knots and values must be finite")
+        if not np.all(np.diff(knots) > 0):
+            raise ValueError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 

@@ -4,13 +4,13 @@ Layers use attention without softmax: each head contributes
 (W_V H) (W_K H).T (W_Q H) additively to the residual stream, and an
 optional position-wise feed-forward block adds W_2 relu(W_1 H).
 The constructed heads are block selectors, and a head is held in
-that form: value entries that add c times one band of stream rows to
-another, and one band each for the key and the query, where a scale c
-stands for c I.  The forward pass reads those bands as views and, with
-no softmax in between, groups the product as
-((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows| matrix in
-place of the n x n score matrix.  The dense projections are derived
-from the bands on demand.
+that form: value entries that each add c times one band of stream rows
+to another, one entry per out band, and one band each for the key and
+the query, where a scale c stands for c I.  The forward pass reads
+those bands as views and, with no softmax in between, groups the
+product as ((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows|
+matrix in place of the n x n score matrix.  The dense projections are
+derived from the bands on demand.
 Feed-forward blocks keep their piecewise-linear gadgets whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
@@ -39,7 +39,6 @@ __all__ = [
     "AttentionHead",
     "Ffn",
     "TransformerLayer",
-    "assemble_blocks",
     "attention_forward",
     "ffn_forward",
     "model_forward",
@@ -80,11 +79,12 @@ class AttentionHead:
     index.  A scale c is a finite, nonzero float standing for c I on
     its band.  *value* holds ``(out_rows, src_rows, c)`` entries, each
     adding c times the stream rows *src_rows* to the rows *out_rows*;
-    entries on one out band sum, and distinct out bands must not
-    overlap.  *key* and *query* are one ``(src_rows, c)`` band each, of
+    no two entries' out bands may overlap, so each out band has one
+    source.  *key* and *query* are one ``(src_rows, c)`` band each, of
     one size: the head's inner dimension.  A head without value entries
-    adds nothing.  A band outside ``0 .. dim``, sizes that disagree and
-    a zero or non-finite scale raise ``ValueError`` naming the entry.
+    adds nothing.  A band outside ``0 .. dim``, sizes that disagree, a
+    zero or non-finite scale and overlapping out bands raise
+    ``ValueError`` naming the entry or the bands.
 
     The dense projections ``w_v``, ``w_k`` and ``w_q`` are derived on
     first use, read-only, with the key and query bands on the inner
@@ -97,24 +97,22 @@ class AttentionHead:
     query: tuple
 
     def __post_init__(self):
-        value, bands = [], {}
+        value = []
         for i, (out, src, c) in enumerate(self.value):
             out = _band(self.dim, f"value {i} out", out)
             src = _band(self.dim, f"value {i} src", src)
             _same_size(f"value {i} out and src", out, src)
-            c = _scale(f"value {i}", c)
-            value.append((out, src, c))
-            bands.setdefault((out.start, out.stop), []).append((src, c))
+            value.append((out, src, _scale(f"value {i}", c)))
         # V stacks the out bands in ascending row order; *at* is each
         # band's rows within V
         v_bands, at = [], 0
-        for (start, stop), terms in sorted(bands.items()):
-            if v_bands and start < v_bands[-1][0].stop:
+        for out, src, c in sorted(value,
+                                  key=lambda e: (e[0].start, e[0].stop)):
+            if v_bands and out.start < v_bands[-1][0].stop:
                 raise ValueError(f"value out bands {v_bands[-1][0]} and "
-                                 f"{slice(start, stop)} overlap")
-            v_bands.append((slice(start, stop), slice(at, at + stop - start),
-                            tuple(terms)))
-            at += stop - start
+                                 f"{out} overlap")
+            v_bands.append((out, slice(at, at + _size(out)), src, c))
+            at += _size(out)
         key, query = ((_band(self.dim, name, rows), _scale(name, c))
                       for name, (rows, c) in (("key", self.key),
                                               ("query", self.query)))
@@ -167,11 +165,18 @@ def _scale(name, c):
     return c
 
 
+def _check_row(dim, name, row):
+    if not (isinstance(row, (int, np.integer)) and 0 <= row < dim):
+        raise ValueError(f"{name} {row!r} is not a row inside "
+                         f"0 .. {dim - 1}")
+
+
 def _dense(dim, entries):
     """The read-only dim x dim matrix holding c I on each entry's
-    (out rows, src rows) block."""
-    m = assemble_blocks(dim, [(out, src, c * np.eye(_size(out)))
-                              for out, src, c in entries])
+    (out rows, src rows) block; the entries' out rows are disjoint."""
+    m = np.zeros((dim, dim))
+    for out, src, c in entries:
+        m[out, src] = c * np.eye(_size(out))
     m.flags.writeable = False
     return m
 
@@ -183,7 +188,10 @@ class Ffn:
     one.  Each :class:`~.pwl.PwlGadget` in ``gadgets`` stands for
     ``pieces + 2`` neurons and is evaluated by interpolation, which
     needs the prompt's ``ones_row`` to hold exactly 1.  Biases go
-    through that ones row rather than being stored separately.
+    through that ones row rather than being stored separately.  A
+    gadget whose ``arg`` is not of shape ``(dim,)`` or whose
+    ``out_row`` lies outside ``0 .. dim - 1``, and such a ``ones_row``,
+    raise ``ValueError`` naming it.
 
     The dense pair over all ``width`` neurons, in the order they were
     added, is the paper's object: ``w1, w2 = ffn`` derives it on first
@@ -208,6 +216,13 @@ class Ffn:
         self.ones_row = ones_row
         if self.gadgets and ones_row is None:
             raise ValueError("ffn gadgets need a ones row")
+        if ones_row is not None:
+            _check_row(self.dim, "ffn ones_row", ones_row)
+        for i, g in enumerate(self.gadgets):
+            if np.shape(g.arg) != (self.dim,):
+                raise ValueError(f"ffn gadget {i} arg has shape "
+                                 f"{np.shape(g.arg)}, expected ({self.dim},)")
+            _check_row(self.dim, f"ffn gadget {i} out_row", g.out_row)
         self._gadget_rows = np.array(
             [g.arg for g in self.gadgets]
         ).reshape(-1, self.dim)
@@ -278,18 +293,6 @@ class TransformerLayer:
         return self.heads[0].dim
 
 
-def assemble_blocks(dim, entries):
-    """Build a dense dim x dim weight matrix from sparse block triples.
-
-    Each entry is (rows, cols, content) with slice or integer indices;
-    scalar content broadcasts, and overlapping entries accumulate.
-    """
-    m = np.zeros((dim, dim))
-    for rows, cols, content in entries:
-        m[rows, cols] += content
-    return m
-
-
 def _check_stream(h, dim):
     h = as_stack(h, "h")
     if h.shape[-2] != dim:
@@ -317,14 +320,9 @@ def _read(h, rows, c):
 
 
 def _values(head, h):
-    """The head's V = W_V h on its out bands, stacked in ascending row
-    order; each band is the sum of its entries' c h[src] terms."""
-    bands = []
-    for _, _, terms in head._v_bands:
-        band = _read(h, *terms[0])
-        for src, c in terms[1:]:
-            band = band + _read(h, src, c)
-        bands.append(band)
+    """The head's V = W_V h: each out band's c h[src], stacked in
+    ascending row order."""
+    bands = [_read(h, src, c) for _, _, src, c in head._v_bands]
     return bands[0] if len(bands) == 1 else np.concatenate(bands, axis=-2)
 
 
@@ -333,9 +331,9 @@ def attention_forward(layer, h, *, out=None):
     contributions.  The layer's ffn, if any, is NOT applied here.
 
     Each head adds ((V K.T) Q) to its out bands.  V stacks the out
-    bands in ascending row order, each the sum of its entries'
-    c h[src rows] terms; K = c h[key rows] and Q = c h[query rows].  A
-    term with c = 1 is a view of the stream rows, with no product.
+    bands in ascending row order, each its one entry's c h[src rows];
+    K = c h[key rows] and Q = c h[query rows].  A band with c = 1 is a
+    view of the stream rows, with no product.
     Without a softmax this equals the dense
     (W_V h) ((W_K h).T (W_Q h)) up to rounding, forms no n x n score
     matrix and leaves out only zero terms, so each element lies within
@@ -358,7 +356,7 @@ def attention_forward(layer, h, *, out=None):
             ) @ _read(h, *head.query)))
     out = _target(h, out)
     for v_bands, update in updates:
-        for rows, at, _ in v_bands:
+        for rows, at, _, _ in v_bands:
             out[..., rows, :] += update[..., at, :]
     return out
 

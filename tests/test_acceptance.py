@@ -246,7 +246,7 @@ def test_08_constructed_logistic_step():
             worst = max(worst, float(np.linalg.norm(xs[1] - oracle)))
         elapsed = time.perf_counter() - t0
         ok = (worst <= 1e-2
-              and budget.depth == 7 + budget.widths["k"]
+              and budget.depth == 6 + budget.widths["k"]
               and elapsed < 60.0)
     finally:
         _report(8, "network-step-tracks-damped-newton", ok)

@@ -73,7 +73,7 @@ class TestWidthDepthBudget:
         assert report.widths == {"u1_pieces": 2000, "u2_pieces": 2000,
                                  "u3_pieces": 2000, "eps4_pieces": 4000,
                                  "k": 7}
-        assert report.depth == 14
+        assert report.depth == 13
 
     def test_inversion_count_formula(self):
         for eps, mu in ((1e-2, 0.1), (1e-3, 0.2), (5e-2, 0.5), (0.5, 3.0)):
@@ -88,7 +88,7 @@ class TestWidthDepthBudget:
                 math.log2(math.log(inner) / -math.log(r0))
             ))
             assert report.widths["k"] == expected
-            assert report.depth == 7 + expected
+            assert report.depth == 6 + expected
 
     def test_halving_eps_at_least_quadruples_u2(self):
         base = width_depth_budget(1e-2, 0.1, d=5)
@@ -194,7 +194,7 @@ class TestWidthDepthBudget:
     def test_to_text_is_json(self):
         report = width_depth_budget(1e-2, 0.1, d=5)
         payload = json.loads(report.to_text())
-        assert payload["depth"] == 14
+        assert payload["depth"] == 13
         assert payload["widths"]["k"] == 7
         assert payload["target_eps"] == 1e-2
 
@@ -204,8 +204,8 @@ class TestWidthDepthBudget:
             target_eps=report.target_eps, mu=report.mu, d=report.d,
             widths={**report.widths, "k": 3},
         )
-        assert fewer.depth == 10
-        assert json.loads(fewer.to_text())["depth"] == 10
+        assert fewer.depth == 9
+        assert json.loads(fewer.to_text())["depth"] == 9
 
     @pytest.mark.parametrize("mu", [1e-3, 0.1, 0.37, 1.0, 50.0])
     def test_derived_fields_follow_mu(self, mu):
@@ -592,7 +592,7 @@ def logreg_stack():
 class TestLogregNewtonStack:
     def test_depth_matches_budget(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
-        assert len(layers) == budget.depth == 7 + budget.widths["k"]
+        assert len(layers) == budget.depth == 6 + budget.widths["k"]
         assert max(len(layer.heads) for layer in layers) <= 6
         assert layout.n_rows == 5 * problem.dim + 4
         assert all(layer.dim == layout.n_rows for layer in layers)

@@ -6,6 +6,8 @@ check that the interpolating forward pass agrees with the dense one on
 the logistic stack over random streams.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,44 @@ class TestOnesRow:
         layer = with_ffn(3, fb.build())
         h = np.vstack([np.arange(4.0), np.zeros(4), np.zeros(4)])
         np.testing.assert_array_equal(ffn_forward(layer, h)[2], h[0])
+
+
+class TestGadgetChecks:
+    """An Ffn names a gadget or ones row that does not fit its
+    dimension when it is made, not in the forward pass."""
+
+    @staticmethod
+    def ffn(arg=np.ones(3), out_row=2, ones_row=1):
+        gadget = PwlGadget(THREE_PIECES, arg, 1.0, out_row, 1)
+        return Ffn(np.zeros((1, 3)), np.zeros((3, 1)), [gadget], ones_row)
+
+    def test_fitting_gadget_is_accepted(self):
+        assert self.ffn(out_row=np.int64(0)).width == 6
+
+    @pytest.mark.parametrize("arg", [np.ones(6), np.ones(2),
+                                     np.ones((1, 3))])
+    def test_arg_shape_is_named(self, arg):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"ffn gadget 0 arg has shape "
+                                           f"{arg.shape}, expected (3,)")):
+            self.ffn(arg=arg)
+
+    @pytest.mark.parametrize("out_row", [3, 7, -1, 1.0])
+    def test_out_row_is_named(self, out_row):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"ffn gadget 0 out_row "
+                                           f"{out_row!r} is not a row inside "
+                                           f"0 .. 2")):
+            self.ffn(out_row=out_row)
+
+    @pytest.mark.parametrize("ones_row", [3, -1])
+    def test_ones_row_is_named(self, ones_row):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"ffn ones_row {ones_row} is not "
+                                           f"a row inside 0 .. 2")):
+            self.ffn(ones_row=ones_row)
+        with pytest.raises(ValueError, match="ffn ones_row"):
+            Ffn(np.zeros((1, 3)), np.zeros((3, 1)), ones_row=ones_row)
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,16 @@ class TestPwlApprox:
         with pytest.raises(ValueError):
             PwlApprox(np.array([0.0, 0.0, 1.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("knots, values", [
+        ([0.0, math.nan, 1.0], [0.0, 0.0, 0.0]),
+        ([0.0, 1.0, math.inf], [0.0, 0.0, 0.0]),
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 0.0]),
+    ])
+    def test_non_finite_entries_are_named(self, knots, values):
+        with pytest.raises(ValueError,
+                           match="^knots and values must be finite$"):
+            PwlApprox(np.array(knots), np.array(values))
+
     def test_requires_matching_lengths(self):
         with pytest.raises(ValueError):
             PwlApprox(np.array([0.0, 1.0]), np.zeros(3))

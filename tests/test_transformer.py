@@ -28,7 +28,6 @@ from newtonformer.transformer import (
     Ffn,
     PromptLayout,
     TransformerLayer,
-    assemble_blocks,
     attention_forward,
     ffn_forward,
     model_forward,
@@ -46,14 +45,14 @@ def random_scale(rng):
 
 def random_head(rng, dim):
     """A head on random bands with random scales: the rows split into
-    runs, most runs an out band of one or two value entries, and key
-    and query bands of one random size."""
+    runs, most runs the out band of one value entry, and key and query
+    bands of one random size."""
     cuts = np.flatnonzero(rng.random(dim - 1) < 0.4) + 1
     runs = [run for run in np.split(np.arange(dim), cuts)
             if rng.random() < 0.7] or [np.arange(dim)]
     value = [(slice(int(run[0]), int(run[-1]) + 1),
               random_band(rng, dim, run.size), random_scale(rng))
-             for run in runs for _ in range(int(rng.integers(1, 3)))]
+             for run in runs]
     size = int(rng.integers(1, dim + 1))
     return AttentionHead(dim, value,
                          key=(random_band(rng, dim, size), random_scale(rng)),
@@ -155,22 +154,6 @@ class TestPromptLayout:
     def test_numpy_integer_size(self):
         layout = PromptLayout((("a", np.int64(2)), ("b", 1)))
         assert layout.rows_of("a") == slice(0, 2) and layout.n_rows == 3
-
-
-class TestAssembleBlocks:
-    def test_scalar_broadcast_and_accumulation(self):
-        m = assemble_blocks(
-            4,
-            [
-                (slice(0, 2), slice(0, 2), np.eye(2)),
-                (slice(0, 2), slice(0, 2), np.eye(2)),
-                (3, 0, 5.0),
-            ],
-        )
-        expected = np.zeros((4, 4))
-        expected[:2, :2] = 2.0 * np.eye(2)
-        expected[3, 0] = 5.0
-        np.testing.assert_array_equal(m, expected)
 
 
 class TestAttentionForward:
@@ -290,8 +273,9 @@ class TestCompactedHeads:
         for _ in range(data.draw(st.integers(1, 2))):
             value = []
             for start, stop in draw_runs(data, dim):
-                # 0: a run the head leaves alone; 2: a repeated out band
-                for _ in range(data.draw(st.integers(0, 2))):
+                # 0: a run the head leaves alone; 1: one value entry's
+                # out band
+                for _ in range(data.draw(st.integers(0, 1))):
                     value.append((slice(start, stop), band(stop - start),
                                   data.draw(scales)))
             size = data.draw(st.integers(1, dim))
@@ -370,6 +354,9 @@ class TestCompactedHeads:
         ([(slice(0, 2), slice(2, 4), 1.0), (slice(1, 3), slice(0, 2), 1.0)],
          (0, 1.0), (0, 1.0),
          "value out bands slice(0, 2, None) and slice(1, 3, None) overlap"),
+        ([(slice(0, 2), slice(2, 4), 0.5), (slice(0, 2), slice(1, 3), -2.0)],
+         (0, 1.0), (0, 1.0),
+         "value out bands slice(0, 2, None) and slice(0, 2, None) overlap"),
     ])
     def test_band_errors_are_named(self, value, key, query, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -388,17 +375,6 @@ class TestCompactedHeads:
                           key=(2, scales["key"]),
                           query=(2, scales["query"]))
 
-    def test_repeated_out_band_sums_its_entries(self):
-        rng = np.random.default_rng(19)
-        h = rng.standard_normal((2, 5, 4))
-        twice = AttentionHead(5, [(slice(0, 2), slice(3, 5), 0.5),
-                                  (slice(0, 2), slice(1, 3), -2.0)],
-                              key=(slice(2, 4), 1.0), query=(slice(3, 5), 1.0))
-        v = 0.5 * h[..., 3:5, :] + -2.0 * h[..., 1:3, :]
-        want = h.copy()
-        want[..., 0:2, :] += (v @ h[..., 2:4, :].mT) @ h[..., 3:5, :]
-        got = attention_forward(TransformerLayer(heads=(twice,)), h)
-        assert got.tobytes() == want.tobytes()
 
 
 class TestFfnForward:
