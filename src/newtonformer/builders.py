@@ -27,6 +27,7 @@ from .transformer import (
     Ffn,
     PromptLayout,
     TransformerLayer,
+    _check_row,
     model_forward,
 )
 
@@ -175,7 +176,8 @@ class FfnBuilder:
     Each neuron reads an affine combination of prompt rows (biases go
     through the ones row) and adds a weighted ReLU output to a single
     destination row.  A PWL gadget is recorded whole and counts as the
-    ``pieces + 2`` neurons of its ReLU form.
+    ``pieces + 2`` neurons of its ReLU form.  A row outside
+    ``0 .. dim - 1``, read or written, raises ``ValueError`` naming it.
     """
 
     def __init__(self, dim, ones_row=None):
@@ -192,10 +194,12 @@ class FfnBuilder:
     def _row(self, coeffs):
         arg = np.zeros(self.dim)
         for row, coeff in coeffs.items():
+            _check_row(self.dim, "ffn arg row", row)
             arg[row] += coeff
         return arg
 
     def add_neuron(self, coeffs, out_row, weight):
+        _check_row(self.dim, "ffn neuron out_row", out_row)
         self._args.append(self._row(coeffs))
         self._outs.append((out_row, float(weight)))
 
@@ -286,7 +290,9 @@ def make_inversion_prompt(a, x0):
 
 
 def read_inversion_iterate(h, layout):
-    return np.ascontiguousarray(h[layout.rows_of("iterate")])
+    """The iterate block, as a new array: a later in-place pass on *h*
+    leaves it as read."""
+    return h[layout.rows_of("iterate")].copy()
 
 
 def build_inversion_block(d):
@@ -402,7 +408,10 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
     One init layer forms (alpha*B; B) for B = A^T A + ridge_mu*I, each
     of *t_steps* layers advances X <- X(2I - BX) (one layer suffices
     because B is symmetric), and two output layers contract
-    y^T A X_T against a_test into the output row's first column.
+    y^T A X_T against a_test into the output row's first column.  The
+    output layers overwrite that row, whatever it held, and write no
+    other row, so a stream can run the Newton layer and then the output
+    layers once per depth, in place.
     The caller supplies *alpha* in (0, 2/sigma_max(B)^2).  The weights
     do not depend on n; :func:`make_linreg_prompt` checks n >= d.
     Only the init layer reads alpha and ridge_mu: the Newton, contract
@@ -428,8 +437,12 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
         for name in ("test_point", "labels", "output")
     )
 
+    # the clear head first zeroes the output row exactly, (-e1^T e1)
+    # times it, so the output layers overwrite whatever it held
     contract = TransformerLayer(
         heads=(
+            AttentionHead(dim, [(out_row, ident.start, -1.0)],
+                          key=(ident.start, 1.0), query=(out_row, 1.0)),
             AttentionHead(dim, [(out_row, label_row, 1.0)],
                           key=(data, 1.0), query=(x_slot, 1.0)),
         ),
@@ -498,7 +511,9 @@ def make_logistic_prompt(problem, x):
 
 
 def read_logistic_iterate(h, layout):
-    return np.ascontiguousarray(h[layout.rows_of("iterate"), 0])
+    """The iterate column, as a new array: a later in-place pass on *h*
+    leaves it as read."""
+    return h[layout.rows_of("iterate"), 0].copy()
 
 
 def _sigmoid_derivative(t):
@@ -698,9 +713,9 @@ def build_logreg_newton_step(problem, budget):
 def run_constructed_newton(problem, x0, budget, n_steps):
     """Apply the constructed step *n_steps* times; returns the iterates.
 
-    Each step is one forward pass of the whole stack, which leaves the
-    stream equal to the next iterate's prompt.  A negative or
-    non-integer *n_steps* raises ``ValueError``.
+    Each step is one in-place forward pass of the whole stack on one
+    stream, which leaves it equal to the next iterate's prompt.  A
+    negative or non-integer *n_steps* raises ``ValueError``.
     """
     if not n_steps >= 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -710,6 +725,6 @@ def run_constructed_newton(problem, x0, budget, n_steps):
     h = make_logistic_prompt(problem, np.asarray(x0, dtype=np.float64))
     xs = [read_logistic_iterate(h, layout)]
     for _ in range(int(n_steps)):
-        h = model_forward(layers, h)
+        model_forward(layers, h, out=h)
         xs.append(read_logistic_iterate(h, layout))
     return xs

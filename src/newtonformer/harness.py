@@ -176,11 +176,14 @@ def run_linreg_experiment(cfg):
     alone, so the stack is built once per run, with the first prompt's
     init layer.  Each other prompt gets only its own init layer, the
     one layer that reads alpha and ridge mu.  Each init layer writes
-    its prompt's slice.  One Newton call per depth advances the whole
-    stack, and the contract and readout layers run on it for that
-    depth's predictions: ``batch + 3 t_max`` attention calls in all.
-    Every slice sees the input it would see alone in the full depth-t
-    stack.  Each depth's oracle predictions are one stacked product
+    its prompt's slice.  Per depth, one in-place ``model_forward``
+    call runs the Newton, contract and readout layers on that one
+    stream, and the depth's predictions are read from it: ``batch +
+    t_max`` forward calls and ``batch + 3 t_max`` attention calls in
+    all.  The output layers overwrite the output row and write no
+    other, and the Newton layer does not read it, so every slice sees
+    the Newton input it would see alone in the full depth-t stack.
+    Each depth's oracle predictions are one stacked product
     a_test^T X A^T y over the prompts.
 
     The mse values are means over one ``(rows, batch)`` prediction
@@ -219,7 +222,7 @@ def run_linreg_experiment(cfg):
 
     ls_preds = a_tests[:, None, :] @ solve_spd(grams, atys)
     (ls_mse,) = mse(ls_preds[None, :, 0, 0])
-    (init, newton, *output), layout = builders.build_linreg_transformer(
+    (init, *per_depth), layout = builders.build_linreg_transformer(
         cfg.d, 1, float(alphas[0]), ridge_mu=cfg.mu
     )
     # made one at a time, so only one prompt's init layer is alive
@@ -236,10 +239,8 @@ def run_linreg_experiment(cfg):
     # per depth: the constructed row, then one row per order
     preds = np.empty((cfg.t_max, 1 + len(cfg.orders), cfg.batch))
     for t in range(cfg.t_max):
-        stream = model_forward([newton], stream)
-        preds[t, 0] = builders.read_linreg_prediction(
-            model_forward(output, stream), layout
-        )
+        model_forward(per_depth, stream, out=stream)
+        preds[t, 0] = builders.read_linreg_prediction(stream, layout)
         for j, order in enumerate(cfg.orders, 1):
             x = oracle_x[order] = inversion.hyperpower_step(
                 oracle_x[order], grams, order

@@ -20,9 +20,11 @@ band's rows and the model dimension are derived.
 The forward functions take one stream ``(dim, n)`` or a stack of
 streams ``(..., dim, n)`` and run every slice through the same
 weights; each slice of the result is bit-identical to the call on that
-slice alone.  ``model_forward`` copies its input once and runs every
-layer in place on that one working stream, through the layer
-functions' ``out=`` keyword; called alone, they return a new array.
+slice alone.  ``model_forward`` runs every layer in place on one
+working stream, through the layer functions' ``out=`` keyword: a copy
+of its input, or with ``out=h`` the input itself, so a caller that
+chains passes can keep one stream.  Called alone, the layer functions
+and ``model_forward`` return a new array.
 """
 
 import math
@@ -399,22 +401,34 @@ def ffn_forward(layer, h, *, out=None):
     return out
 
 
-def model_forward(layers, h):
+def model_forward(layers, h, *, out=None):
     """Run the stream through each layer: attention, then its ffn.
 
-    *h* is copied once, and every layer updates that one working
-    stream in place (through ``out=``); *h* itself is never written.
-    Each layer checks its input; the last layer's output is checked
-    here, so a stream that overflows raises ``ValueError`` instead of
-    coming back non-finite.  An empty layer list returns a copy of the
-    prompt.  *h* may be a stack of streams, as for
+    Every layer updates one working stream in place (through ``out=``).
+    With *out* None that stream is a copy of *h*, returned new, and *h*
+    is never written.  With *out* *h* itself, *h* is the working stream
+    and is returned: it must then be a writeable float64 C-contiguous
+    ndarray, or ``ValueError`` is raised before any layer runs.  Any
+    other *out* raises ``ValueError``.  The bits do not depend on
+    *out*.  Each layer checks its input; the last layer's output is
+    checked here, so a stream that overflows raises ``ValueError``
+    instead of coming back non-finite (with ``out=h``, *h* then holds
+    it).  An empty layer list returns the checked prompt: a copy, or
+    *h* with ``out=h``.  *h* may be a stack of streams, as for
     :func:`attention_forward`.
     """
     layers = tuple(layers)
-    stream = np.array(h, dtype=np.float64, order="C")
+    if out is None:
+        h = np.array(h, dtype=np.float64, order="C")
+    elif out is not h:
+        raise ValueError("out must be None or the stream h itself")
+    elif not (isinstance(h, np.ndarray) and h.dtype == np.float64
+              and h.flags.c_contiguous and h.flags.writeable):
+        raise ValueError("out=h needs h to be a writeable float64 "
+                         "C-contiguous ndarray")
     for layer in layers:
-        attention_forward(layer, stream, out=stream)
+        attention_forward(layer, h, out=h)
         if layer.ffn is not None:
-            ffn_forward(layer, stream, out=stream)
+            ffn_forward(layer, h, out=h)
     # with no layer, nothing has checked the prompt yet
-    return as_stack(stream, "model output" if layers else "h")
+    return as_stack(h, "model output" if layers else "h")

@@ -12,6 +12,7 @@ from newtonformer import builders
 from newtonformer.builders import (
     BudgetReport,
     FfnBuilder,
+    _logistic_layout,
     build_inversion_block,
     build_linreg_transformer,
     build_logreg_newton_step,
@@ -313,6 +314,24 @@ class TestFfnBuilder:
         with pytest.raises(ValueError):
             FfnBuilder(2).build()
 
+    @pytest.mark.parametrize("row", [-1, 3, 7, 1.0])
+    def test_rows_outside_the_stream_are_named(self, row):
+        # row -1 would write the last row, and row 7 would raise
+        # numpy's IndexError
+        fb = FfnBuilder(3, ones_row=2)
+        arg = re.escape(f"ffn arg row {row!r} is not a row inside 0 .. 2")
+        out = re.escape(f"ffn neuron out_row {row!r} is not a row inside "
+                        f"0 .. 2")
+        with pytest.raises(ValueError, match=arg):
+            fb.add_neuron({0: 1.0, row: 1.0}, 1, 1.0)
+        with pytest.raises(ValueError, match=out):
+            fb.add_neuron({0: 1.0}, row, 1.0)
+        with pytest.raises(ValueError, match=arg):
+            fb.add_identity(row, 1)
+        with pytest.raises(ValueError, match=arg):
+            fb.add_pwl(build_pwl(np.abs, -1.0, 1.0, 4), {row: 1.0}, 1)
+        assert fb.width == 0
+
 
 class TestInversionBlock:
     def test_identity_example(self):
@@ -379,6 +398,16 @@ class TestInversionBlock:
     def test_prompt_validation(self):
         with pytest.raises(ValueError):
             make_inversion_prompt(np.eye(2), np.eye(3))
+
+    def test_reader_returns_a_new_array(self):
+        # the iterate block is contiguous rows, so a view of it would
+        # change under the next in-place pass
+        block, layout = build_inversion_block(2)
+        h = make_inversion_prompt(np.eye(2), 0.5 * np.eye(2))
+        x = read_inversion_iterate(h, layout)
+        assert not np.shares_memory(x, h)
+        model_forward(block, h, out=h)
+        np.testing.assert_array_equal(x, 0.5 * np.eye(2))
 
 
 class TestLinregTransformer:
@@ -504,6 +533,30 @@ class TestLinregTransformer:
         _, layout = build_linreg_transformer(3, 1, alpha=0.1)
         h[14, 0] = 2.5
         assert read_linreg_prediction(h, layout) == 2.5
+
+    def test_output_layers_overwrite_the_output_row(self):
+        # the contract layer's clear head zeroes the output row exactly,
+        # so whatever a previous depth left there changes no bit
+        rng = np.random.default_rng(12)
+        d, n = 3, 8
+        layers, layout = build_linreg_transformer(d, 2, alpha=0.05)
+        h = model_forward(layers[:-2], np.stack([
+            make_linreg_prompt(rng.standard_normal((n, d)),
+                               rng.standard_normal(n),
+                               rng.standard_normal(d))
+            for _ in range(4)]))
+        out_row = layout.rows_of("output").start
+        assert not h[:, out_row].any()
+        want = model_forward(layers[-2:], h)
+        for fill in (rng.standard_normal((4, n)), 1e3 * rng.standard_normal(
+                (4, n)), np.full((4, n), -0.0), np.full((4, n), -1e300),
+                want[:, out_row]):
+            dirty = h.copy()
+            dirty[:, out_row] = fill
+            got = model_forward(layers[-2:], dirty)
+            assert got.tobytes() == want.tobytes()
+            assert (read_linreg_prediction(got, layout).tobytes()
+                    == read_linreg_prediction(want, layout).tobytes())
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_only_init_layer_reads_alpha_and_ridge_mu(self, d):
@@ -643,12 +696,36 @@ class TestLogregNewtonStack:
         problem, budget, layers, _ = logreg_stack
         calls = []
 
-        def counting(layers, h):
+        def counting(layers, h, *, out=None):
             calls.append(len(layers))
-            return model_forward(layers, h)
+            return model_forward(layers, h, out=out)
         monkeypatch.setattr(builders, "model_forward", counting)
         run_constructed_newton(problem, np.zeros(5), budget, 3)
         assert calls == [len(layers)] * 3
+
+    @pytest.mark.parametrize("n", [1, 26])
+    def test_reader_returns_a_new_array(self, n):
+        # at n = 1 the iterate column is contiguous, so a view of it
+        # would change under the next in-place pass
+        problem = make_logreg_problem(0, n=n, d=1)
+        h = make_logistic_prompt(problem, np.full(1, 0.5))
+        x = read_logistic_iterate(h, _logistic_layout(1))
+        assert not np.shares_memory(x, h)
+
+    def test_in_place_chain_equals_fresh_steps_at_one_column(self):
+        # d = n = 1: the chain reuses one stream, and every iterate it
+        # returns must be the one that step left, not the last
+        problem = make_logreg_problem(0, n=1, d=1)
+        budget = width_depth_budget(1e-2, 0.1, d=1)
+        layers, layout = build_logreg_newton_step(problem, budget)
+        xs = run_constructed_newton(problem, np.zeros(1), budget, 4)
+        h = make_logistic_prompt(problem, np.zeros(1))
+        want = [read_logistic_iterate(h, layout)]
+        for _ in range(4):
+            h = model_forward(layers, h)
+            want.append(read_logistic_iterate(h, layout))
+        assert len({x.tobytes() for x in want}) == 5
+        assert [x.tobytes() for x in xs] == [x.tobytes() for x in want]
 
     def test_step_count_must_not_be_negative(self, logreg_stack):
         problem, budget, _, _ = logreg_stack

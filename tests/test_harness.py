@@ -448,10 +448,12 @@ class TestLinregLinearInDepth:
 
     def test_one_build_and_one_newton_prefix_per_prompt(self, tmp_path,
                                                         monkeypatch):
-        counts = {"attention": 0, "build": 0, "init": 0}
+        counts = {"attention": 0, "build": 0, "forward": 0, "init": 0}
         monkeypatch.setattr(transformer, "attention_forward",
                             counting(counts, "attention",
                                      transformer.attention_forward))
+        monkeypatch.setattr(harness, "model_forward",
+                            counting(counts, "forward", model_forward))
         monkeypatch.setattr(builders, "build_linreg_transformer",
                             counting(counts, "build",
                                      builders.build_linreg_transformer))
@@ -461,10 +463,11 @@ class TestLinregLinearInDepth:
         cfg = small_linreg_cfg(tmp_path, 0.0)
         run_linreg_experiment(cfg)
         # one build per run and one init layer per prompt, then one
-        # Newton, contract and readout layer per depth on the whole
-        # prompt stack
+        # forward call per depth running the Newton, contract and
+        # readout layer in place on the whole prompt stack
         assert counts == {"attention": cfg.batch + 3 * cfg.t_max,
-                          "build": 1, "init": cfg.batch}
+                          "build": 1, "forward": cfg.batch + cfg.t_max,
+                          "init": cfg.batch}
 
     def test_peak_traced_memory_is_small(self, tmp_path):
         # linreg_depth's call allocates under 1 MB at its peak; holding

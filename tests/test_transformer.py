@@ -722,6 +722,51 @@ class TestOneWorkingStream:
                                    match="out must be None or the stream h"):
                     fn(layers[0], h, out=out)
 
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("case", ["inversion", "linreg", "logistic"])
+    def test_model_forward_out_h_equals_fresh_call(self, constructions,
+                                                   case, batch):
+        layers, make_prompt = constructions[case]
+        rng = np.random.default_rng(29)
+        h = np.stack([make_prompt(rng) for _ in range(math.prod(batch))])
+        h = h.reshape(batch + h.shape[1:])
+        before = h.copy()
+        fresh = model_forward(layers, h)
+        assert h.tobytes() == before.tobytes()
+        assert model_forward(layers, h, out=h) is h
+        assert h.tobytes() == fresh.tobytes()
+
+    def test_model_forward_out_must_be_none_or_h(self, constructions):
+        layers, make_prompt = constructions["linreg"]
+        h = make_prompt(np.random.default_rng(30))
+        before = h.copy()
+        for out in (h.copy(), np.zeros_like(h), h[None], h[:],
+                    np.zeros(h.shape, dtype=np.float32), h.tolist()):
+            with pytest.raises(ValueError,
+                               match="out must be None or the stream h"):
+                model_forward(layers, h, out=out)
+        assert h.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_model_forward_out_h_needs_a_writeable_float64_c_stream(
+            self, constructions, empty):
+        # checked before any layer runs, so a rejected stream is not
+        # written; with no layers the check still holds
+        layers, make_prompt = constructions["linreg"]
+        layers = [] if empty else layers
+        h = make_prompt(np.random.default_rng(31))
+        wide = np.repeat(h, 2, axis=-1)
+        read_only = h.copy()
+        read_only.flags.writeable = False
+        for bad in (h.astype(np.float32), np.asfortranarray(h),
+                    wide[:, ::2], read_only, h.tolist()):
+            before = np.array(bad)
+            with pytest.raises(ValueError, match="out=h needs h to be a "
+                               "writeable float64 C-contiguous ndarray"):
+                model_forward(layers, bad, out=bad)
+            assert np.array(bad).tobytes() == before.tobytes()
+        assert model_forward(layers, h, out=h) is h
+
     # derandomized so every run draws the same 200 heads
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(dim=st.integers(1, 9), n=st.integers(1, 12),
