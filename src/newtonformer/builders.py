@@ -8,9 +8,11 @@ rows it expects.  Each stack declares its row bands once, in its layout
 function; the builder, the prompt maker and the reader take every row
 from that layout, and the layers' dimension is its ``n_rows``.  Heads
 are written as band entries, each adding c I times one band of prompt
-rows to another, so the selector structure stays auditable;
-feed-forward blocks are assembled from exact ReLU neurons and scalar
-piecewise-linear gadgets by :class:`FfnBuilder`.
+rows to another, so the selector structure stays auditable.
+Feed-forward blocks hold only scalar piecewise-linear gadgets, each
+approximating a function the step needs (sigma', the products of the
+Hessian, the damped step size); a row a block reads or writes is
+cleared by a head, never by a ReLU neuron.
 """
 
 import math
@@ -34,7 +36,6 @@ from .transformer import (
 __all__ = [
     "BudgetReport",
     "width_depth_budget",
-    "FfnBuilder",
     "build_inversion_block",
     "make_inversion_prompt",
     "read_inversion_iterate",
@@ -170,76 +171,28 @@ def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
     return BudgetReport(float(eps), float(mu), int(d), widths)
 
 
-class FfnBuilder:
-    """Accumulates ReLU neurons and PWL gadgets into one :class:`Ffn`.
+def _gadget(dim, approx, coeffs, out_row, scale=1.0):
+    """A gadget adding scale * approx(arg . h) to *out_row*, its
+    argument given as ``{row: coeff}``.  A row outside ``0 .. dim - 1``
+    raises ``ValueError`` naming it."""
+    arg = np.zeros(dim)
+    for row, coeff in coeffs.items():
+        _check_row(dim, "ffn arg row", row)
+        arg[row] += coeff
+    return PwlGadget(approx, arg, float(scale), out_row)
 
-    Each neuron reads an affine combination of prompt rows (biases go
-    through the ones row) and adds a weighted ReLU output to a single
-    destination row.  A PWL gadget is recorded whole and counts as the
-    ``pieces + 2`` neurons of its ReLU form.  A row outside
-    ``0 .. dim - 1``, read or written, raises ``ValueError`` naming it.
+
+def _product(dim, x_row, y_row, out_row, tables):
+    """The two gadgets adding x * y to *out_row* by the quarter-square
+    decomposition.
+
+    *tables* is the ``(sq_sum, sq_dif)`` pair of PWL squares that
+    :func:`~.pwl.pwl_product` builds for the factors' ranges, so the
+    gadgets compute the same approximation.
     """
-
-    def __init__(self, dim, ones_row=None):
-        self.dim = dim
-        self.ones_row = ones_row
-        self._args = []
-        self._outs = []
-        self._gadgets = []
-
-    @property
-    def width(self):
-        return len(self._args) + sum(g.width for g in self._gadgets)
-
-    def _row(self, coeffs):
-        arg = np.zeros(self.dim)
-        for row, coeff in coeffs.items():
-            _check_row(self.dim, "ffn arg row", row)
-            arg[row] += coeff
-        return arg
-
-    def add_neuron(self, coeffs, out_row, weight):
-        _check_row(self.dim, "ffn neuron out_row", out_row)
-        self._args.append(self._row(coeffs))
-        self._outs.append((out_row, float(weight)))
-
-    def add_identity(self, src_row, out_row, weight=1.0):
-        """Add weight*x of the source row, exact for every input."""
-        self.add_neuron({src_row: 1.0}, out_row, weight)
-        self.add_neuron({src_row: -1.0}, out_row, -weight)
-
-    def add_pwl(self, approx, coeffs, out_row, scale=1.0):
-        """Add a clamped PwlApprox of the linear argument *coeffs*.
-
-        Its constant neuron and knot offsets read the ones row, so a
-        builder without one raises ``ValueError``.
-        """
-        if self.ones_row is None:
-            raise ValueError("a PWL gadget needs a ones row in the prompt")
-        self._gadgets.append(
-            PwlGadget(approx, self._row(coeffs), float(scale), out_row,
-                      self.width)
-        )
-
-    def add_product(self, x_row, y_row, out_row, tables):
-        """Add x * y via the quarter-square decomposition.
-
-        *tables* is the ``(sq_sum, sq_dif)`` pair of PWL squares that
-        :func:`~.pwl.pwl_product` builds for the factors' ranges, so
-        the compiled gadget computes the same approximation.
-        """
-        sq_sum, sq_dif = tables
-        self.add_pwl(sq_sum, {x_row: 1.0, y_row: 1.0}, out_row, 0.25)
-        self.add_pwl(sq_dif, {x_row: 1.0, y_row: -1.0}, out_row, -0.25)
-
-    def build(self):
-        if not self.width:
-            raise ValueError("no neurons added")
-        w1 = np.array(self._args).reshape(-1, self.dim)
-        w2 = np.zeros((self.dim, len(self._args)))
-        for idx, (row, weight) in enumerate(self._outs):
-            w2[row, idx] += weight
-        return Ffn(w1, w2, self._gadgets, self.ones_row)
+    sq_sum, sq_dif = tables
+    return [_gadget(dim, sq_sum, {x_row: 1.0, y_row: 1.0}, out_row, 0.25),
+            _gadget(dim, sq_dif, {x_row: 1.0, y_row: -1.0}, out_row, -0.25)]
 
 
 def _nonzero(entries):
@@ -476,6 +429,7 @@ def _logistic_layout(d):
             ("mean_picker", 1),
             ("accumulator", 1),
             ("prob", 1),
+            ("margins", 1),
             ("ones", 1),
         )
     )
@@ -526,20 +480,24 @@ def build_logreg_newton_step(problem, budget):
 
     The stack (depth 6 + k) reads the label-signed rows y_i a_i of
     :func:`make_logistic_prompt`.  Its first layer computes the margins
-    z_i = y_i a_i . x once and reads them through two PWL tables: the
-    per-sample Hessian weights sigma'(z_i) into the accumulator and the
-    probabilities sigma(-z_i) into the prob row.  The second scales
-    both rows by 1/n through the mean picker and forms the weight-scaled
-    data rows via quarter-square products.  The third assembles
+    z_i = y_i a_i . x once, into the margins row, and reads them through
+    two PWL tables: the per-sample Hessian weights sigma'(z_i) into the
+    accumulator and the probabilities sigma(-z_i) into the prob row.
+    The second clears the margins, scales both rows by 1/n through the
+    mean picker and forms the weight-scaled data rows via quarter-square
+    products.  The third clears the accumulator and assembles
     B = (1/n) A^T D A + mu I next to the seed alpha*I and, beside them,
     the gradient as a row of the accumulator.  k Newton-Schulz layers
     (the one-layer step of the least-squares stack) follow, then the
-    direction, the decrement with the damped step size, and the iterate
-    update, which reads the direction straight from x_slot and restores
-    every bookkeeping block exactly: after a step the stream equals
+    direction, the decrement (into the prob row) with the damped step
+    size (into the accumulator), and the iterate update, which reads
+    the direction straight from x_slot and restores every bookkeeping
+    block exactly: after a step the stream equals
     ``make_logistic_prompt(problem, x_next)`` bit for bit, so the stack
-    can be chained.  A layer's head updates land in head order, so a
-    head that clears a band comes before the heads that write it.
+    can be chained.  The feed-forward blocks hold only the PWL gadgets;
+    every row one of them reads or writes is cleared by a head.  A
+    layer's head updates land in head order, so a head that clears a
+    band comes before the heads that write it.
 
     The Newton-Schulz layers converge to (B^T)^-1.  B differs from the
     symmetric Hessian H only by its product tables' error, so
@@ -565,9 +523,9 @@ def build_logreg_newton_step(problem, budget):
     x_slot, b_slot, ident, data, iterate = map(
         layout.rows_of, ("x_slot", "b_slot", "identity", "data", "iterate")
     )
-    picker_row, acc_row, prob_row, ones_row = (
+    picker_row, acc_row, prob_row, margin_row, ones_row = (
         layout.rows_of(name).start
-        for name in ("mean_picker", "accumulator", "prob", "ones")
+        for name in ("mean_picker", "accumulator", "prob", "margins", "ones")
     )
     e1_row = ident.start  # first identity row holds e1^T
 
@@ -587,53 +545,57 @@ def build_logreg_newton_step(problem, budget):
 
     layers = []
 
-    # margins z^T into the accumulator, from the iterate broadcast in
-    # its block; the ffn reads them once, writing sigma'(z) over them
-    # and sigma(-z) into the prob row
-    fb = FfnBuilder(dim, ones_row)
-    for fn, out_row, pieces in (
-        (_sigmoid_derivative, acc_row, "u1_pieces"),
-        (lambda t: sigmoid(-t), prob_row, "u3_pieces"),
-    ):
-        table = build_pwl(fn, -SIGMOID_RANGE, SIGMOID_RANGE,
-                          budget.widths[pieces])
-        fb.add_pwl(table, {acc_row: 1.0}, out_row)
-    fb.add_identity(acc_row, acc_row, -1.0)
+    # margins z^T into their row, from the iterate broadcast in its
+    # block; the ffn reads them once, writing sigma'(z) into the
+    # accumulator and sigma(-z) into the prob row
+    gadgets = [
+        _gadget(dim, build_pwl(fn, -SIGMOID_RANGE, SIGMOID_RANGE,
+                               budget.widths[pieces]),
+                {margin_row: 1.0}, out_row)
+        for fn, out_row, pieces in (
+            (_sigmoid_derivative, acc_row, "u1_pieces"),
+            (lambda t: sigmoid(-t), prob_row, "u3_pieces"),
+        )
+    ]
     layers.append(
         TransformerLayer(
-            heads=(AttentionHead(dim, [(acc_row, e1_row, 1.0)],
+            heads=(AttentionHead(dim, [(margin_row, e1_row, 1.0)],
                                  key=(iterate, 1.0), query=(data, 1.0)),),
-            ffn=fb.build(),
+            ffn=Ffn(dim, gadgets, ones_row),
         )
     )
 
-    # both rows -> 1/n times themselves; then the weight-scaled data
-    # rows replace the top identity block and the accumulator clears
-    fb = FfnBuilder(dim, ones_row)
+    # both rows -> 1/n times themselves and the margins clear; the top
+    # identity block clears (-I I^T I), and the ffn writes the
+    # weight-scaled data rows there.
     # weights lie in [0, 1/4] and features in [-1, 1]; x + y and x - y
     # share one range, so all d products share one square table
     squares = _square_tables(
         (0.0, 0.25), (-1.0, 1.0), budget.widths["u2_pieces"]
     )
-    for j in range(d):
-        fb.add_product(acc_row, data.start + j, x_slot.start + j, squares)
-        fb.add_identity(ident.start + j, x_slot.start + j, -1.0)
-    fb.add_identity(acc_row, acc_row, -1.0)
+    gadgets = [
+        g for j in range(d)
+        for g in _product(dim, acc_row, data.start + j, x_slot.start + j,
+                          squares)
+    ]
     layers.append(
         TransformerLayer(
-            heads=(clear(acc_row), clear(prob_row),
-                   over_n(acc_row), over_n(prob_row)),
-            ffn=fb.build(),
+            heads=(clear(margin_row), clear(acc_row), clear(prob_row),
+                   over_n(acc_row), over_n(prob_row),
+                   AttentionHead(dim, [(x_slot, ident, -1.0)],
+                                 key=(ident, 1.0), query=(ident, 1.0))),
+            ffn=Ffn(dim, gadgets, ones_row),
         )
     )
 
     # Hessian assembly: b_slot <- B; the scaled data in x_slot is
     # cleared before the seed is written, so x_slot <- alpha*I exactly.
-    # The accumulator takes the gradient row
+    # The accumulator clears and takes the gradient row
     # -(1/n) sum_i sigma(-z_i) y_i a_i^T + mu x^T, and prob clears
     layers.append(
         TransformerLayer(
             heads=(
+                clear(acc_row),
                 AttentionHead(dim, [(b_slot, data, 1.0)],
                               key=(x_slot, 1.0), query=(ident, 1.0)),
                 AttentionHead(dim, [(x_slot, ident, 1.0)],
@@ -665,23 +627,21 @@ def build_logreg_newton_step(problem, budget):
         )
     )
 
-    # squared decrement g . X g over the gradient row, then the damped
-    # step size via PWL
-    fb = FfnBuilder(dim, ones_row)
+    # squared decrement g . X g over the gradient row into prob, then
+    # the damped step size via PWL into the cleared accumulator
     step_size = build_pwl(
         lambda z: damping(mu, np.sqrt(z)),
         0.0, budget.z_max, budget.widths["eps4_pieces"],
     )
-    fb.add_pwl(step_size, {acc_row: 1.0}, acc_row)
-    fb.add_identity(acc_row, acc_row, -1.0)
     layers.append(
         TransformerLayer(
             heads=(
                 clear(acc_row),
-                AttentionHead(dim, [(acc_row, acc_row, 1.0)],
+                AttentionHead(dim, [(prob_row, acc_row, 1.0)],
                               key=(ident, 1.0), query=(x_slot, 1.0)),
             ),
-            ffn=fb.build(),
+            ffn=Ffn(dim, [_gadget(dim, step_size, {prob_row: 1.0}, acc_row)],
+                    ones_row),
         )
     )
 
@@ -696,6 +656,7 @@ def build_logreg_newton_step(problem, budget):
                 AttentionHead(dim, [(iterate, x_slot, -1.0)],
                               key=(acc_row, 1.0), query=(ones_row, 1.0)),
                 clear(acc_row),
+                clear(prob_row),
                 AttentionHead(dim, [(x_slot, x_slot, -1.0),
                                     (b_slot, b_slot, -1.0)],
                               key=(ident, 1.0), query=(ident, 1.0)),

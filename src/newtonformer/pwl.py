@@ -1,9 +1,10 @@
 """Piecewise-linear scalar approximators and their feed-forward gadgets.
 
 These are the function-approximation primitives that the transformer
-weight builders compile into feed-forward ReLU layers: uniform-knot
-interpolants for smooth curves and a quarter-square product
-approximator built from two squared-argument interpolants.
+weight builders compile into feed-forward ReLU layers, which hold
+nothing else: uniform-knot interpolants for smooth curves and a
+quarter-square product approximator built from two squared-argument
+interpolants.
 """
 
 from dataclasses import dataclass
@@ -83,16 +84,15 @@ class PwlGadget:
     the stream's ``out_row``.
 
     ``arg`` holds the argument's coefficients over the stream rows.  In
-    ReLU form the gadget is ``pieces + 2`` neurons starting at neuron
-    ``start`` of its block; the first reads the ones row and carries
-    ``values[0]``.
+    ReLU form the gadget is ``pieces + 2`` neurons, placed in its block
+    after those of the gadgets before it; the first reads the ones row
+    and carries ``values[0]``.
     """
 
     approx: PwlApprox
     arg: np.ndarray
     scale: float
     out_row: int
-    start: int
 
     @property
     def width(self):

@@ -2,7 +2,8 @@
 
 Layers use attention without softmax: each head contributes
 (W_V H) (W_K H).T (W_Q H) additively to the residual stream, and an
-optional position-wise feed-forward block adds W_2 relu(W_1 H).
+optional position-wise feed-forward block adds W_2 relu(W_1 H), whose
+ReLU neurons all belong to piecewise-linear gadgets.
 The constructed heads are block selectors, and a head is held in
 that form: value entries that each add c times one band of stream rows
 to another, one entry per out band, and one band each for the key and
@@ -11,7 +12,7 @@ those bands as views and, with no softmax in between, groups the
 product as ((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows|
 matrix in place of the n x n score matrix.  The dense projections are
 derived from the bands on demand.
-Feed-forward blocks keep their piecewise-linear gadgets whole and
+Feed-forward blocks hold only those gadgets, keep them whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
 Prompts are matrices with one column per token.  Their rows follow a
@@ -33,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, as_stack
+from .linalg import as_stack
 from .pwl import eval_pwl
 
 __all__ = [
@@ -184,78 +185,54 @@ def _dense(dim, entries):
 
 
 class Ffn:
-    """A position-wise ReLU block: exact neurons plus PWL gadgets.
+    """A position-wise ReLU block made of PWL gadgets.
 
-    ``w1`` (k, dim) and ``w2`` (dim, k) hold the neurons stored one by
-    one.  Each :class:`~.pwl.PwlGadget` in ``gadgets`` stands for
-    ``pieces + 2`` neurons and is evaluated by interpolation, which
-    needs the prompt's ``ones_row`` to hold exactly 1.  Biases go
-    through that ones row rather than being stored separately.  A
-    gadget whose ``arg`` is not of shape ``(dim,)`` or whose
-    ``out_row`` lies outside ``0 .. dim - 1``, and such a ``ones_row``,
-    raise ``ValueError`` naming it.
+    Each :class:`~.pwl.PwlGadget` in *gadgets* stands for its
+    ``pieces + 2`` ReLU neurons and is evaluated by interpolation, which
+    needs the prompt's ``ones_row`` to hold exactly 1: biases go through
+    that row rather than being stored separately.  An empty *gadgets*,
+    a *ones_row* that is not a row inside ``0 .. dim - 1`` (None
+    included), a gadget whose ``arg`` is not of shape ``(dim,)`` and one
+    whose ``out_row`` lies outside ``0 .. dim - 1`` raise ``ValueError``
+    naming it.
 
-    The dense pair over all ``width`` neurons, in the order they were
-    added, is the paper's object: ``w1, w2 = ffn`` derives it on first
-    use, gadgets expanded in place, and caches it.
+    The dense pair over all ``width`` neurons is the paper's object:
+    ``w1, w2 = ffn`` derives it on first use, each gadget's neurons
+    after those of the gadgets before it, and caches it.
     """
 
-    def __init__(self, w1, w2, gadgets=(), ones_row=None):
-        w1 = as_matrix(w1, "ffn w1")
-        w2 = as_matrix(w2, "ffn w2")
-        if w2.shape[1] != w1.shape[0]:
-            raise ValueError(
-                f"ffn hidden sizes disagree: w1 has {w1.shape[0]} "
-                f"rows, w2 has {w2.shape[1]} columns"
-            )
-        if w1.shape[1] != w2.shape[0]:
-            raise ValueError(
-                f"ffn shapes {w1.shape}, {w2.shape} disagree on the "
-                f"model dimension"
-            )
-        self.w1, self.w2 = w1, w2
+    def __init__(self, dim, gadgets, ones_row):
+        self.dim = dim
         self.gadgets = tuple(gadgets)
         self.ones_row = ones_row
-        if self.gadgets and ones_row is None:
-            raise ValueError("ffn gadgets need a ones row")
-        if ones_row is not None:
-            _check_row(self.dim, "ffn ones_row", ones_row)
+        if not self.gadgets:
+            raise ValueError("an ffn needs at least one gadget")
+        _check_row(dim, "ffn ones_row", ones_row)
         for i, g in enumerate(self.gadgets):
-            if np.shape(g.arg) != (self.dim,):
+            if np.shape(g.arg) != (dim,):
                 raise ValueError(f"ffn gadget {i} arg has shape "
-                                 f"{np.shape(g.arg)}, expected ({self.dim},)")
-            _check_row(self.dim, f"ffn gadget {i} out_row", g.out_row)
-        self._gadget_rows = np.array(
-            [g.arg for g in self.gadgets]
-        ).reshape(-1, self.dim)
-        self._dense = None
-
-    @property
-    def dim(self):
-        return self.w1.shape[1]
+                                 f"{np.shape(g.arg)}, expected ({dim},)")
+            _check_row(dim, f"ffn gadget {i} out_row", g.out_row)
+        self._gadget_rows = np.array([g.arg for g in self.gadgets])
 
     @property
     def width(self):
-        return self.w1.shape[0] + sum(g.width for g in self.gadgets)
+        return sum(g.width for g in self.gadgets)
 
     def __iter__(self):
         """Yield the dense w1, then w2, over every neuron."""
-        if self._dense is None:
-            if not self.gadgets:
-                self._dense = (self.w1, self.w2)
-            else:
-                w1 = np.empty((self.width, self.dim))
-                w2 = np.zeros((self.dim, self.width))
-                exact = np.ones(self.width, dtype=bool)
-                for g in self.gadgets:
-                    cols = slice(g.start, g.start + g.width)
-                    exact[cols] = False
-                    w1[cols], weights = g.to_dense(self.ones_row)
-                    w2[g.out_row, cols] += weights
-                w1[exact] = self.w1
-                w2[:, exact] = self.w2
-                self._dense = (w1, w2)
         return iter(self._dense)
+
+    @cached_property
+    def _dense(self):
+        w1 = np.empty((self.width, self.dim))
+        w2 = np.zeros((self.dim, self.width))
+        start = 0
+        for g in self.gadgets:
+            cols = slice(start, start + g.width)
+            w1[cols], w2[g.out_row, cols] = g.to_dense(self.ones_row)
+            start = cols.stop
+        return w1, w2
 
 
 @dataclass(frozen=True)
@@ -366,34 +343,30 @@ def attention_forward(layer, h, *, out=None):
 def ffn_forward(layer, h, *, out=None):
     """Residual feed-forward update: h + w2 relu(w1 h).
 
-    The exact neurons run as that product.  Each PWL gadget's argument
-    comes from one shared matmul; the gadget is evaluated by
-    interpolation and added to its output row, which equals its ReLU
-    neurons wherever the ones row holds 1.  Any other ones-row value
-    raises ``ValueError`` naming the first offending column (and, for a
-    stack, its slice).  A layer without an ffn passes h through
-    unchanged.  The result is a new array unless *out* is *h*, as for
-    :func:`attention_forward`: the update and the gadget arguments
+    Each PWL gadget's argument comes from one shared matmul; the gadget
+    is evaluated by interpolation and added to its output row, in gadget
+    order, which equals its ReLU neurons wherever the ones row holds 1.
+    Any other ones-row value raises ``ValueError`` naming the first
+    offending column (and, for a stack, its slice).  A layer without an
+    ffn passes h through unchanged.  The result is a new array unless
+    *out* is *h*, as for :func:`attention_forward`: the gadget arguments
     are computed from h before anything is written.
     """
     h = _check_stream(h, layer.dim)
     ffn = layer.ffn
     if ffn is None:
         return _target(h, out)
-    delta = ffn.w2 @ np.maximum(ffn.w1 @ h, 0.0)
-    if ffn.gadgets:
-        ones = h[..., ffn.ones_row, :]
-        bad = ones != 1.0
-        if bad.any():
-            first = tuple(np.argwhere(bad)[0].tolist())
-            where = f" of slice {first[:-1]}" if first[:-1] else ""
-            raise ValueError(
-                f"ffn gadgets need ones row {ffn.ones_row} to hold 1.0; "
-                f"column {first[-1]}{where} holds {float(ones[first])!r}"
-            )
-        pre = ffn._gadget_rows @ h
+    ones = h[..., ffn.ones_row, :]
+    bad = ones != 1.0
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0].tolist())
+        where = f" of slice {first[:-1]}" if first[:-1] else ""
+        raise ValueError(
+            f"ffn gadgets need ones row {ffn.ones_row} to hold 1.0; "
+            f"column {first[-1]}{where} holds {float(ones[first])!r}"
+        )
+    pre = ffn._gadget_rows @ h
     out = _target(h, out)
-    out += delta
     for i, g in enumerate(ffn.gadgets):
         out[..., g.out_row, :] += g.scale * eval_pwl(
             g.approx, pre[..., i, :]

@@ -11,8 +11,9 @@ import pytest
 from newtonformer import builders
 from newtonformer.builders import (
     BudgetReport,
-    FfnBuilder,
+    _gadget,
     _logistic_layout,
+    _product,
     build_inversion_block,
     build_linreg_transformer,
     build_logreg_newton_step,
@@ -51,6 +52,7 @@ from newtonformer.pwl import (
 )
 from newtonformer.transformer import (
     AttentionHead,
+    Ffn,
     TransformerLayer,
     ffn_forward,
     model_forward,
@@ -263,74 +265,62 @@ class TestWidthDepthBudget:
             width_depth_budget(1e-5, 0.1, d=5, piece_ceiling=ceiling)
 
 
-def apply_ffn(builder, h):
+def apply_ffn(gadgets, ones_row, h):
     # a head without value entries adds nothing
-    silent = AttentionHead(builder.dim, (), key=(0, 1.0), query=(0, 1.0))
+    dim = h.shape[0]
+    silent = AttentionHead(dim, (), key=(0, 1.0), query=(0, 1.0))
     layer = TransformerLayer(heads=(silent,),
-                             ffn=builder.build())
+                             ffn=Ffn(dim, gadgets, ones_row))
     return ffn_forward(layer, h)
 
 
 class TestFfnBuilder:
-    def test_identity_is_exact(self):
-        rng = np.random.default_rng(0)
-        fb = FfnBuilder(3)
-        fb.add_identity(0, 2, weight=-1.5)
-        h = np.vstack([rng.standard_normal(20), np.zeros(20), np.zeros(20)])
-        out = apply_ffn(fb, h)
-        np.testing.assert_array_equal(out[2], -1.5 * h[0])
-        np.testing.assert_array_equal(out[:2], h[:2])
+    """The private helpers that assemble the stacks' feed-forward
+    blocks: ``_gadget`` from a ``{row: coeff}`` argument, ``_product``
+    as the two quarter-square gadgets, and the ``Ffn`` that holds them."""
 
     def test_pwl_compilation_matches_interpolant(self):
         approx = build_pwl(np.sin, -2.0, 3.0, 40)
-        fb = FfnBuilder(3, ones_row=1)
-        fb.add_pwl(approx, {0: 1.0}, 2)
         xs = np.linspace(-4.0, 5.0, 400)
         h = np.vstack([xs, np.ones_like(xs), np.zeros_like(xs)])
-        out = apply_ffn(fb, h)
+        out = apply_ffn([_gadget(3, approx, {0: 1.0}, 2)], 1, h)
         np.testing.assert_allclose(out[2], eval_pwl(approx, xs),
                                    rtol=0, atol=1e-12)
 
     def test_product_matches_quarter_square(self):
         rng = np.random.default_rng(2)
-        fb = FfnBuilder(4, ones_row=3)
         squares = _square_tables((-1.0, 1.0), (-1.0, 1.0), 200)
-        fb.add_product(0, 1, 2, squares)
         xs = rng.uniform(-1.0, 1.0, 32)
         ys = rng.uniform(-1.0, 1.0, 32)
         h = np.vstack([xs, ys, np.zeros(32), np.ones(32)])
-        out = apply_ffn(fb, h)
+        out = apply_ffn(_product(4, 0, 1, 2, squares), 3, h)
         expected = [pwl_product(float(x), float(y), (-1.0, 1.0), (-1.0, 1.0),
                                 200) for x, y in zip(xs, ys)]
         np.testing.assert_allclose(out[2], expected, rtol=0, atol=1e-12)
 
     def test_bias_requires_ones_row(self):
         # an ungated PWL routes its constant term through the ones row
-        fb = FfnBuilder(2)
-        with pytest.raises(ValueError, match="ones row"):
-            fb.add_pwl(build_pwl(np.abs, -1.0, 1.0, 4), {0: 1.0}, 1)
+        gadget = _gadget(2, build_pwl(np.abs, -1.0, 1.0, 4), {0: 1.0}, 1)
+        with pytest.raises(ValueError,
+                           match=re.escape("ffn ones_row None is not a row "
+                                           "inside 0 .. 1")):
+            Ffn(2, [gadget], None)
 
     def test_empty_builder_rejected(self):
-        with pytest.raises(ValueError):
-            FfnBuilder(2).build()
+        with pytest.raises(ValueError,
+                           match="^an ffn needs at least one gadget$"):
+            Ffn(2, [], 1)
 
     @pytest.mark.parametrize("row", [-1, 3, 7, 1.0])
     def test_rows_outside_the_stream_are_named(self, row):
-        # row -1 would write the last row, and row 7 would raise
+        # row -1 would read the last row, and row 7 would raise
         # numpy's IndexError
-        fb = FfnBuilder(3, ones_row=2)
         arg = re.escape(f"ffn arg row {row!r} is not a row inside 0 .. 2")
-        out = re.escape(f"ffn neuron out_row {row!r} is not a row inside "
-                        f"0 .. 2")
+        table = build_pwl(np.abs, -1.0, 1.0, 4)
         with pytest.raises(ValueError, match=arg):
-            fb.add_neuron({0: 1.0, row: 1.0}, 1, 1.0)
-        with pytest.raises(ValueError, match=out):
-            fb.add_neuron({0: 1.0}, row, 1.0)
+            _gadget(3, table, {0: 1.0, row: 1.0}, 1)
         with pytest.raises(ValueError, match=arg):
-            fb.add_identity(row, 1)
-        with pytest.raises(ValueError, match=arg):
-            fb.add_pwl(build_pwl(np.abs, -1.0, 1.0, 4), {row: 1.0}, 1)
-        assert fb.width == 0
+            _product(3, 0, row, 1, (table, table))
 
 
 class TestInversionBlock:
@@ -646,8 +636,8 @@ class TestLogregNewtonStack:
     def test_depth_matches_budget(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
         assert len(layers) == budget.depth == 6 + budget.widths["k"]
-        assert max(len(layer.heads) for layer in layers) <= 6
-        assert layout.n_rows == 5 * problem.dim + 4
+        assert max(len(layer.heads) for layer in layers) <= 7
+        assert layout.n_rows == 5 * problem.dim + 5
         assert all(layer.dim == layout.n_rows for layer in layers)
 
     def test_single_step_tracks_damped_newton(self, logreg_stack):
@@ -866,7 +856,7 @@ class TestLogregNewtonStack:
         problem = make_logreg_problem(0, mu=1.0)
         budget = width_depth_budget(1e-2, 1.0, d=5)
         layers, layout = build_logreg_newton_step(problem, budget)
-        seed = layers[2].heads[2]
+        seed = layers[2].heads[3]
         x_slot, ident = layout.rows_of("x_slot"), layout.rows_of("identity")
         assert seed.value == ((x_slot, ident, spd_initial_scale(2.0)),)
         xs = run_constructed_newton(problem, np.zeros(5), budget, 3)
@@ -876,14 +866,14 @@ class TestLogregNewtonStack:
         problem, _, _, layout = logreg_stack
         x = np.arange(5.0)
         h = make_logistic_prompt(problem, x)
-        assert h.shape == (29, 26)
+        assert h.shape == (30, 26)
         np.testing.assert_array_equal(read_logistic_iterate(h, layout), x)
         np.testing.assert_array_equal(
             h[15:20], (problem.features * problem.labels[:, None]).T
         )
         assert h[25, 0] == pytest.approx(1.0 / 26)
-        np.testing.assert_array_equal(h[27], np.zeros(26))
-        np.testing.assert_array_equal(h[28], np.ones(26))
+        np.testing.assert_array_equal(h[27:29], np.zeros((2, 26)))
+        np.testing.assert_array_equal(h[29], np.ones(26))
 
     def test_reads_each_example_only_through_signed_features(
         self, logreg_stack

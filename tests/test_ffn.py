@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from newtonformer.builders import (
-    FfnBuilder,
+    _gadget,
     build_logreg_newton_step,
     make_logistic_prompt,
     read_logistic_iterate,
@@ -29,8 +29,8 @@ from newtonformer.transformer import (
     AttentionHead,
     Ffn,
     TransformerLayer,
+    attention_forward,
     ffn_forward,
-    model_forward,
 )
 
 # knots 0..3 with slopes 2, 1, -0.5
@@ -52,9 +52,14 @@ def with_ffn(dim, ffn):
     return TransformerLayer(heads=(silent,), ffn=ffn)
 
 
-def dense_copy(layer):
-    ffn = None if layer.ffn is None else Ffn(*layer.ffn)
-    return TransformerLayer(heads=layer.heads, ffn=ffn)
+def dense_forward(layers, h):
+    """The stack run with each ffn as its dense w2 relu(w1 h)."""
+    for layer in layers:
+        h = attention_forward(layer, h)
+        if layer.ffn is not None:
+            w1, w2 = layer.ffn
+            h = h + w2 @ np.maximum(w1 @ h, 0.0)
+    return h
 
 
 def extended_dense(layer):
@@ -81,9 +86,8 @@ def no_dense_view(monkeypatch):
 class TestDenseView:
     def test_ungated_three_piece_gadget(self):
         # rows: 0 argument, 1 ones, 2 output
-        fb = FfnBuilder(3, ones_row=1)
-        fb.add_pwl(THREE_PIECES, {0: 1.0}, 2, scale=2.0)
-        w1, w2 = fb.build()
+        ffn = Ffn(3, [_gadget(3, THREE_PIECES, {0: 1.0}, 2, scale=2.0)], 1)
+        w1, w2 = ffn
         np.testing.assert_array_equal(w1, [
             [0.0, 1.0, 0.0],
             [1.0, 0.0, 0.0],
@@ -96,32 +100,36 @@ class TestDenseView:
         np.testing.assert_array_equal(w2, expected_w2)
 
     def test_gated_gadget_keeps_neuron_order(self):
-        # a gadget between exact neurons keeps its place in the dense
-        # view; rows: 0 argument, 1 other input, 2 ones, 3 output
-        fb = FfnBuilder(4, ones_row=2)
-        fb.add_identity(0, 3, weight=0.5)
-        fb.add_pwl(THREE_PIECES, {0: 1.0}, 3)
-        fb.add_neuron({1: 1.0}, 0, -1.0)
-        w1, w2 = fb.build()
-        np.testing.assert_array_equal(w1, [
-            [1.0, 0.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0, 0.0],
+        # each gadget's neurons follow those of the gadgets before it;
+        # rows: 0 and 1 arguments, 2 ones, 3 and 0 outputs
+        two_pieces = PwlApprox(np.array([0.0, 1.0, 2.0]),
+                               np.array([0.0, 1.0, 0.0]))
+        gadgets = [_gadget(4, THREE_PIECES, {0: 1.0}, 3),
+                   _gadget(4, two_pieces, {1: 1.0}, 0, scale=-1.0),
+                   _gadget(4, THREE_PIECES, {0: 1.0, 1: 1.0}, 3,
+                           scale=0.5)]
+        w1, w2 = Ffn(4, gadgets, 2)
+        assert w1.shape == (14, 4) and w2.shape == (4, 14)
+        start = 0
+        for g in gadgets:
+            rows, weights = g.to_dense(2)
+            cols = slice(start, start + g.width)
+            np.testing.assert_array_equal(w1[cols], rows)
+            expected_w2 = np.zeros((4, g.width))
+            expected_w2[g.out_row] = weights
+            np.testing.assert_array_equal(w2[:, cols], expected_w2)
+            start = cols.stop
+        np.testing.assert_array_equal(w1[5:9], [
             [0.0, 0.0, 1.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [1.0, 0.0, -1.0, 0.0],
-            [1.0, 0.0, -2.0, 0.0],
-            [1.0, 0.0, -3.0, 0.0],
             [0.0, 1.0, 0.0, 0.0],
+            [0.0, 1.0, -1.0, 0.0],
+            [0.0, 1.0, -2.0, 0.0],
         ])
-        expected_w2 = np.zeros((4, 8))
-        expected_w2[3] = [0.5, -0.5, 1.0, 2.0, -1.0, -1.5, 0.5, 0.0]
-        expected_w2[0, 7] = -1.0
-        np.testing.assert_array_equal(w2, expected_w2)
+        np.testing.assert_array_equal(w2[0, 5:9], [-0.0, -1.0, 2.0, -1.0])
+        assert start == 14
 
     def test_view_is_cached(self):
-        fb = FfnBuilder(3, ones_row=1)
-        fb.add_pwl(THREE_PIECES, {0: 1.0}, 2)
-        ffn = fb.build()
+        ffn = Ffn(3, [_gadget(3, THREE_PIECES, {0: 1.0}, 2)], 1)
         first, second = tuple(ffn), tuple(ffn)
         assert first[0] is second[0] and first[1] is second[1]
 
@@ -130,45 +138,33 @@ class TestDenseView:
         w1, w2 = rng.standard_normal((5, 3)), rng.standard_normal((3, 5))
         with pytest.raises(TypeError, match="None or an Ffn, got tuple"):
             with_ffn(3, (w1, w2))
-        ffn = Ffn(w1, w2)
+        ffn = Ffn(3, [_gadget(3, THREE_PIECES, {0: 1.0}, 2)], 1)
+        with pytest.raises(TypeError, match="None or an Ffn, got tuple"):
+            with_ffn(3, tuple(ffn))
         assert with_ffn(3, ffn).ffn is ffn and ffn.width == 5
-        u1, u2 = ffn
-        np.testing.assert_array_equal(u1, w1)
-        np.testing.assert_array_equal(u2, w2)
 
 
 class TestWidth:
     def test_gadget_counts_pieces_plus_two(self, no_dense_view):
-        fb = FfnBuilder(4, ones_row=2)
-        fb.add_identity(0, 3)
-        assert fb.width == 2
-        fb.add_pwl(THREE_PIECES, {0: 1.0}, 3)
-        fb.add_pwl(THREE_PIECES, {1: 1.0}, 3, scale=-0.5)
-        assert fb.width == 12
-        assert fb.build().width == 12
+        gadgets = [_gadget(4, THREE_PIECES, {0: 1.0}, 3),
+                   _gadget(4, THREE_PIECES, {1: 1.0}, 3, scale=-0.5)]
+        assert [g.width for g in gadgets] == [5, 5]
+        assert Ffn(4, gadgets, 2).width == 10
 
     def test_product_layer_at_fine_eps(self, no_dense_view):
         budget = width_depth_budget(5e-3, 0.1, d=5)
         layers, _ = build_logreg_newton_step(logreg_problem(0), budget)
-        assert layers[1].ffn.width == 320_032
+        assert layers[1].ffn.width == 320_020
 
 
 class TestOnesRow:
     def test_broken_ones_row_is_named(self):
-        fb = FfnBuilder(3, ones_row=1)
-        fb.add_pwl(THREE_PIECES, {0: 1.0}, 2)
-        layer = with_ffn(3, fb.build())
+        ffn = Ffn(3, [_gadget(3, THREE_PIECES, {0: 1.0}, 2)], 1)
+        layer = with_ffn(3, ffn)
         h = np.vstack([np.linspace(0.0, 3.0, 4), np.ones(4), np.zeros(4)])
         h[1, 2] = 0.5
         with pytest.raises(ValueError, match="ones row 1.*column 2"):
             ffn_forward(layer, h)
-
-    def test_gadget_free_ffn_ignores_ones_row(self):
-        fb = FfnBuilder(3, ones_row=1)
-        fb.add_identity(0, 2)
-        layer = with_ffn(3, fb.build())
-        h = np.vstack([np.arange(4.0), np.zeros(4), np.zeros(4)])
-        np.testing.assert_array_equal(ffn_forward(layer, h)[2], h[0])
 
 
 class TestGadgetChecks:
@@ -177,11 +173,11 @@ class TestGadgetChecks:
 
     @staticmethod
     def ffn(arg=np.ones(3), out_row=2, ones_row=1):
-        gadget = PwlGadget(THREE_PIECES, arg, 1.0, out_row, 1)
-        return Ffn(np.zeros((1, 3)), np.zeros((3, 1)), [gadget], ones_row)
+        gadget = PwlGadget(THREE_PIECES, arg, 1.0, out_row)
+        return Ffn(3, [gadget], ones_row)
 
     def test_fitting_gadget_is_accepted(self):
-        assert self.ffn(out_row=np.int64(0)).width == 6
+        assert self.ffn(out_row=np.int64(0)).width == 5
 
     @pytest.mark.parametrize("arg", [np.ones(6), np.ones(2),
                                      np.ones((1, 3))])
@@ -199,14 +195,12 @@ class TestGadgetChecks:
                                            f"0 .. 2")):
             self.ffn(out_row=out_row)
 
-    @pytest.mark.parametrize("ones_row", [3, -1])
+    @pytest.mark.parametrize("ones_row", [3, -1, None, 1.0])
     def test_ones_row_is_named(self, ones_row):
         with pytest.raises(ValueError,
                            match=re.escape(f"ffn ones_row {ones_row} is not "
                                            f"a row inside 0 .. 2")):
             self.ffn(ones_row=ones_row)
-        with pytest.raises(ValueError, match="ffn ones_row"):
-            Ffn(np.zeros((1, 3)), np.zeros((3, 1)), ones_row=ones_row)
 
 
 @pytest.fixture(scope="module")
@@ -246,9 +240,8 @@ class TestDenseParity:
         problem, budget, layers, layout, _ = stack
         x0 = np.full(5, 0.3)
         xs = run_constructed_newton(problem, x0, budget, 3)
-        dense = [dense_copy(layer) for layer in layers]
         h = make_logistic_prompt(problem, x0)
         for x in xs[1:]:
-            h = model_forward(dense, h)
+            h = dense_forward(layers, h)
             np.testing.assert_allclose(x, read_logistic_iterate(h, layout),
                                        rtol=0, atol=1e-12)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from newtonformer import inversion
 from newtonformer.errors import ShapeMismatchError
 from newtonformer.builders import (
-    FfnBuilder,
     build_inversion_block,
     build_linreg_transformer,
     build_logreg_newton_step,
@@ -80,6 +79,28 @@ def identity_head(dim):
                          query=(rows, 1.0))
 
 
+def gadget_ffn(dim, gadgets, ones_row):
+    """An Ffn of ``(approx, arg, out_row, scale)`` gadgets."""
+    return Ffn(dim, [PwlGadget(approx, np.asarray(arg, dtype=float),
+                               scale, out_row)
+                     for approx, arg, out_row, scale in gadgets], ones_row)
+
+
+def random_gadget_layer(rng, dim):
+    """Two random heads and a random gadget ffn on ``dim`` rows plus a
+    last ones row, which neither writes."""
+    heads = tuple(AttentionHead(dim + 1, head.value, head.key, head.query)
+                  for head in (random_head(rng, dim) for _ in range(2)))
+    gadgets = []
+    for _ in range(3):
+        knots = np.sort(rng.uniform(-3.0, 3.0, 5))
+        arg = np.append(rng.standard_normal(dim), rng.standard_normal())
+        gadgets.append((PwlApprox(knots, rng.standard_normal(5)), arg,
+                        int(rng.integers(dim)), float(rng.uniform(-1, 1))))
+    return TransformerLayer(heads=heads,
+                            ffn=gadget_ffn(dim + 1, gadgets, dim))
+
+
 def assert_within_bound(layer, h):
     """attention_forward(layer, h) lies within the stated bound of the
     exact result; the dense formula in extended precision stands in for
@@ -110,7 +131,7 @@ def _array_dataclasses():
     return {
         "AttentionHead": lambda: identity_head(2),
         "PwlApprox": lambda: PwlApprox(knots, knots),
-        "PwlGadget": lambda: PwlGadget(approx, np.ones(2), 1.0, 0, 0),
+        "PwlGadget": lambda: PwlGadget(approx, np.ones(2), 1.0, 0),
         "LogisticProblem": lambda: LogisticProblem(np.eye(2), np.ones(2),
                                                    0.1),
         "NewtonState": lambda: NewtonState(np.zeros(2), 1.0, 0.5, 0.8),
@@ -378,21 +399,33 @@ class TestCompactedHeads:
 
 
 class TestFfnForward:
+    # a relu-like table: 0 up to knot 0, then the identity up to knot 1
+    RAMP = PwlApprox(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
     def test_zero_second_matrix_is_identity(self):
+        # a table of zeros gives its neurons zero output weights
         rng = np.random.default_rng(4)
         h = rng.standard_normal((3, 5))
+        h[2] = 1.0
+        zeros = PwlApprox(np.arange(4.0), np.zeros(4))
         layer = TransformerLayer(
             heads=(silent_head(3),),
-            ffn=Ffn(rng.standard_normal((6, 3)), np.zeros((3, 6))),
+            ffn=gadget_ffn(3, [(zeros, rng.standard_normal(3), 0, 1.0),
+                               (zeros, rng.standard_normal(3), 1, -2.0)], 2),
         )
+        np.testing.assert_array_equal(tuple(layer.ffn)[1], np.zeros((3, 10)))
         np.testing.assert_array_equal(ffn_forward(layer, h), h)
 
     def test_all_negative_preactivations_pass_through(self):
-        h = np.ones((2, 3))
+        h = np.vstack([-np.ones(3), np.ones(3)])
         layer = TransformerLayer(
             heads=(silent_head(2),),
-            ffn=Ffn(-np.ones((4, 2)), np.ones((2, 4))),
+            ffn=gadget_ffn(2, [(self.RAMP, [1.0, 0.0], 0, 1.0),
+                               (self.RAMP, [2.0, -0.5], 0, 3.0)], 1),
         )
+        w1, _ = layer.ffn
+        knot_neurons = np.delete(w1 @ h, [0, 3], axis=0)
+        assert (knot_neurons < 0.0).all()
         np.testing.assert_array_equal(ffn_forward(layer, h), h)
 
     def test_missing_ffn_is_a_copy(self):
@@ -406,15 +439,14 @@ class TestFfnForward:
 
     def test_ffn_shape_validation(self):
         head = identity_head(2)
-        with pytest.raises(ValueError):
-            TransformerLayer(heads=(head,), ffn=Ffn(np.ones((3, 2)),
-                                                    np.ones((2, 4))))
-        with pytest.raises(ValueError):
-            TransformerLayer(heads=(head,), ffn=Ffn(np.ones((3, 5)),
-                                                    np.ones((2, 3))))
+        with pytest.raises(ValueError, match="arg has shape"):
+            gadget_ffn(2, [(self.RAMP, np.ones(3), 0, 1.0)], 1)
+        with pytest.raises(ValueError, match="out_row 2"):
+            gadget_ffn(2, [(self.RAMP, np.ones(2), 2, 1.0)], 1)
         with pytest.raises(ValueError, match="ffn dimension 3"):
-            TransformerLayer(heads=(head,), ffn=Ffn(np.ones((4, 3)),
-                                                    np.ones((3, 4))))
+            TransformerLayer(heads=(head,),
+                             ffn=gadget_ffn(3, [(self.RAMP, np.ones(3), 0,
+                                                 1.0)], 2))
 
 
 class TestModelForward:
@@ -426,15 +458,9 @@ class TestModelForward:
 
     def test_composition_matches_stepwise_application(self):
         rng = np.random.default_rng(6)
-        h = rng.standard_normal((4, 5))
-        layers = []
-        for _ in range(3):
-            ffn = Ffn(0.1 * rng.standard_normal((7, 4)),
-                      0.1 * rng.standard_normal((4, 7)))
-            layers.append(TransformerLayer(
-                heads=tuple(random_head(rng, 4) for _ in range(2)),
-                ffn=ffn,
-            ))
+        h = rng.standard_normal((5, 5))
+        h[4] = 1.0
+        layers = [random_gadget_layer(rng, 4) for _ in range(3)]
         manual = h
         for layer in layers:
             manual = ffn_forward(layer, attention_forward(layer, manual))
@@ -690,17 +716,15 @@ class TestOneWorkingStream:
         assert hazards > 0
 
     def test_ffn_reads_its_input_before_writing(self):
-        # the exact neurons write the row gadget 1 reads, and gadget 1
-        # writes the rows that gadget 2 and the neurons read
+        # gadget 0 writes the row gadget 1 reads, and gadget 1 writes
+        # the row that gadgets 2 and 3 read
         approx = PwlApprox(np.linspace(-3.0, 3.0, 7),
                            np.sin(np.linspace(-3.0, 3.0, 7)))
-        fb = FfnBuilder(4, ones_row=3)
-        fb.add_neuron({1: 0.7, 2: -0.4}, 0, 1.3)
-        fb.add_identity(1, 0, 0.5)
-        fb.add_pwl(approx, {0: 0.9}, 1, scale=2.0)
-        fb.add_pwl(approx, {1: -1.1, 2: 0.3}, 2)
-        fb.add_pwl(approx, {1: 0.6}, 1)
-        layer = TransformerLayer(heads=(silent_head(4),), ffn=fb.build())
+        ffn = gadget_ffn(4, [(approx, [0.0, 0.7, -0.4, 0.0], 0, 1.3),
+                             (approx, [0.9, 0.0, 0.0, 0.0], 1, 2.0),
+                             (approx, [0.0, -1.1, 0.3, 0.0], 2, 1.0),
+                             (approx, [0.0, 0.6, 0.0, 0.0], 1, 1.0)], 3)
+        layer = TransformerLayer(heads=(silent_head(4),), ffn=ffn)
         rng = np.random.default_rng(27)
         h = rng.uniform(-2.0, 2.0, (2, 4, 6))
         h[..., 3, :] = 1.0
