@@ -4,15 +4,18 @@ on the regularized logistic loss.
 
 Every builder returns immutable layers for the linear-attention
 forward pass plus the :class:`~.transformer.PromptLayout` of the prompt
-rows it expects.  Each stack declares its row bands once, in its layout
-function; the builder, the prompt maker and the reader take every row
-from that layout, and the layers' dimension is its ``n_rows``.  Heads
-are written as band entries, each adding c I times one band of prompt
-rows to another, so the selector structure stays auditable.
-Feed-forward blocks hold only scalar piecewise-linear gadgets, each
-approximating a function the step needs (sigma', the products of the
-Hessian, the damped step size); a row a block reads or writes is
-cleared by a head, never by a ReLU neuron.
+rows it expects.  No builder reads a prompt's data: the weights depend
+on the task's d, its regularization and, for the logistic step, its
+width budget, and the data reach them only through the prompt.  Each
+stack declares its row bands once, in its layout function; the
+builder, the prompt maker and the reader take every row from that
+layout, and the layers' dimension is its ``n_rows``.  Heads are
+written as band entries, each adding c I times one band of prompt rows
+to another, so the selector structure stays auditable.  Feed-forward
+blocks hold only scalar piecewise-linear gadgets, each approximating a
+function a stack needs (sigma', the products of the Hessian, the
+damped step size, the reciprocal of tr B); a row a block reads or
+writes is cleared by a head, never by a ReLU neuron.
 """
 
 import math
@@ -21,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .inversion import spd_initial_scale
+from .inversion import TRACE_RECIPROCAL, spd_initial_scale
 from .logistic import damping, iterate_norm_bound, sigmoid
 from .pwl import PwlGadget, _square_tables, build_pwl
 from .transformer import (
@@ -201,6 +204,13 @@ def _nonzero(entries):
     return [entry for entry in entries if entry[2] != 0.0]
 
 
+def _clear(dim, row, e1_row):
+    """The head adding exactly -row: (-e1^T e1) times the row, for the
+    first identity row *e1_row* holding e1^T."""
+    return AttentionHead(dim, [(row, e1_row, -1.0)],
+                         key=(e1_row, 1.0), query=(row, 1.0))
+
+
 def _newton_layer(dim, x_rows, m_rows, ident_rows):
     """One layer taking X to X(2I - M^T X): Newton-Schulz for M^T.
 
@@ -294,27 +304,38 @@ def _linreg_layout(d):
             ("test_point", 1),
             ("labels", 1),
             ("output", 1),
+            ("accumulator", 1),
+            ("ones", 1),
         )
     )
 
 
 def make_linreg_prompt(a, y, a_test):
-    """Prompt (I; I; I; A^T; a_test^T; y^T; 0) with d-wide identities."""
+    """Prompt (I; I; I; A^T; a_test^T; y^T; 0; 0; 1) with d-wide
+    identities and a ones row.
+
+    A stack of designs ``(..., n, d)`` with labels ``(..., n)`` and test
+    points ``(..., d)`` gives the stack of their prompts
+    ``(..., dim, n)``, each slice equal to its own prompt.
+    """
     a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     a_test = np.asarray(a_test, dtype=np.float64)
-    n, d = a.shape
+    if a.ndim < 2:
+        raise ValueError(f"a must be at least 2-D, got shape {a.shape}")
+    *lead, n, d = a.shape
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
-    if y.shape != (n,) or a_test.shape != (d,):
+    if y.shape != (*lead, n) or a_test.shape != (*lead, d):
         raise ValueError("y must be length n and a_test length d")
     layout = _linreg_layout(d)
-    h = np.zeros((layout.n_rows, n))
+    h = np.zeros((*lead, layout.n_rows, n))
     for pad in ("x_slot", "b_slot", "identity"):
-        h[layout.rows_of(pad), :d] = np.eye(d)
-    h[layout.rows_of("data")] = a.T
-    h[layout.rows_of("test_point"), :d] = a_test
-    h[layout.rows_of("labels")] = y
+        h[..., layout.rows_of(pad), :d] = np.eye(d)
+    h[..., layout.rows_of("data"), :] = a.mT
+    h[..., layout.rows_of("test_point").start, :d] = a_test
+    h[..., layout.rows_of("labels").start, :] = y
+    h[..., layout.rows_of("ones").start, :] = 1.0
     return h
 
 
@@ -326,52 +347,35 @@ def read_linreg_prediction(h, layout):
     return float(pred) if np.ndim(h) == 2 else pred.copy()
 
 
-def _linreg_init_layer(layout, alpha, ridge_mu):
-    """The least-squares stack's init layer, the one layer that reads
-    alpha and ridge_mu: it writes alpha*B into x_slot and B into
-    b_slot, for B = A^T A + ridge_mu*I."""
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if not 0.0 <= ridge_mu < math.inf:
-        raise ValueError(f"ridge_mu must be finite and >= 0, got {ridge_mu}")
-    if not float(alpha) * float(ridge_mu) < math.inf:
-        raise ValueError(
-            f"alpha * ridge_mu must be finite, got alpha={alpha} and "
-            f"ridge_mu={ridge_mu}"
-        )
-    dim = layout.n_rows
-    x_slot, b_slot, ident, data = map(
-        layout.rows_of, ("x_slot", "b_slot", "identity", "data")
-    )
-    return TransformerLayer(
-        heads=(
-            AttentionHead(dim, [(x_slot, data, alpha), (b_slot, data, 1.0)],
-                          key=(data, 1.0), query=(x_slot, 1.0)),
-            AttentionHead(dim, _nonzero([
-                (x_slot, ident, alpha * ridge_mu - 1.0),
-                (b_slot, ident, ridge_mu - 1.0),
-            ]), key=(ident, 1.0), query=(ident, 1.0)),
-        ),
-    )
+def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
+    """Attention pipeline predicting a_test^T (A^T A + ridge_mu I)^-1 A^T y
+    in context: its weights depend on d and ridge_mu alone, never on a
+    prompt, so one stack runs a whole stack of prompts.
 
-
-def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
-    """Attention-only pipeline predicting a_test^T (A^T A)^-1 A^T y.
-
-    One init layer forms (alpha*B; B) for B = A^T A + ridge_mu*I, each
-    of *t_steps* layers advances X <- X(2I - BX) (one layer suffices
-    because B is symmetric), and two output layers contract
+    The first init layer clears b_slot's I, then writes
+    B = A^T A + ridge_mu*I there, and sums tr B into the accumulator
+    row, from d one-row heads (value, key: data row j; query: the ones
+    row) and, for ridge_mu > 0, one ridge_mu*d head.  Its ffn, one
+    reciprocal gadget with knots at consecutive powers of two
+    (``inversion.TRACE_RECIPROCAL``), writes alpha' = recip(tr B) into
+    the output row.  The second clears x_slot's I, writes
+    X_0 = alpha' I with d one-row heads (value: the output row; key:
+    the e1 row; query: identity row j) and clears the accumulator and
+    output rows.  alpha' lambda_max(B) <= 1.125, so the residual
+    I - X B starts with spectral radius below 1, and each of the
+    *t_steps* Newton layers X <- X(2I - BX) squares it (one layer
+    suffices because B is symmetric).  Two output layers contract
     y^T A X_T against a_test into the output row's first column.  The
     output layers overwrite that row, whatever it held, and write no
-    other row, so a stream can run the Newton layer and then the output
+    other, so a stream can run the Newton layer and then the output
     layers once per depth, in place.
-    The caller supplies *alpha* in (0, 2/sigma_max(B)^2).  The weights
-    do not depend on n; :func:`make_linreg_prompt` checks n >= d.
-    Only the init layer reads alpha and ridge_mu: the Newton, contract
-    and readout layers depend on d alone, so stacks built for different
-    prompts share them.  A negative or non-integer *t_steps*, an
-    *alpha* that is not finite and positive, and an overflowing
-    alpha * ridge_mu raise ``ValueError``.
+
+    The weights do not depend on n; :func:`make_linreg_prompt` checks
+    n >= d.  A trace outside the gadget's knot span is clamped to the
+    span's end; ``inversion.trace_initial_scale`` names such a trace.
+    A negative or non-integer *t_steps*, a *ridge_mu* that is not
+    finite and >= 0, and an overflowing ridge_mu * d raise
+    ``ValueError``.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -379,23 +383,70 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
         raise ValueError(f"t_steps must be >= 0, got {t_steps}")
     if not float(t_steps).is_integer():
         raise ValueError(f"t_steps must be an integer, got {t_steps}")
+    if not 0.0 <= ridge_mu < math.inf:
+        raise ValueError(f"ridge_mu must be finite and >= 0, got {ridge_mu}")
     layout = _linreg_layout(d)
-    init = _linreg_init_layer(layout, alpha, ridge_mu)
+    ridge_mu = float(ridge_mu)
+    if not ridge_mu * d < math.inf:
+        raise ValueError(
+            f"ridge_mu * d must be finite, got ridge_mu={ridge_mu} and d={d}"
+        )
     dim = layout.n_rows
     x_slot, b_slot, ident, data = map(
         layout.rows_of, ("x_slot", "b_slot", "identity", "data")
     )
-    test_row, label_row, out_row = (
+    test_row, label_row, out_row, acc_row, ones_row = (
         layout.rows_of(name).start
-        for name in ("test_point", "labels", "output")
+        for name in ("test_point", "labels", "output", "accumulator", "ones")
+    )
+    e1_row = ident.start  # first identity row holds e1^T
+
+    # b_slot's I clears (-I I^T I) before A^T A and then mu I land, so
+    # each entry of B rounds once, at any scale of A; tr B goes into
+    # every column of the accumulator, and the ffn reads it into alpha'
+    # in the output row
+    trace_heads = [
+        AttentionHead(dim, [(acc_row, data.start + j, 1.0)],
+                      key=(data.start + j, 1.0), query=(ones_row, 1.0))
+        for j in range(d)
+    ]
+    if ridge_mu > 0.0:
+        trace_heads.append(
+            AttentionHead(dim, [(acc_row, e1_row, ridge_mu * d)],
+                          key=(e1_row, 1.0), query=(ones_row, 1.0))
+        )
+    gram = TransformerLayer(
+        heads=(
+            AttentionHead(dim, [(b_slot, ident, -1.0)],
+                          key=(ident, 1.0), query=(ident, 1.0)),
+            AttentionHead(dim, [(b_slot, data, 1.0)],
+                          key=(data, 1.0), query=(x_slot, 1.0)),
+            AttentionHead(dim, _nonzero([(b_slot, ident, ridge_mu)]),
+                          key=(ident, 1.0), query=(ident, 1.0)),
+            *trace_heads,
+        ),
+        ffn=Ffn(dim, [_gadget(dim, TRACE_RECIPROCAL, {acc_row: 1.0},
+                              out_row)], ones_row),
+    )
+    # x_slot's I clears (-I I^T I) before alpha' e_j^T lands in each row
+    # j, so x_slot <- alpha' I exactly; then both scratch rows clear
+    start = TransformerLayer(
+        heads=(
+            AttentionHead(dim, [(x_slot, ident, -1.0)],
+                          key=(ident, 1.0), query=(ident, 1.0)),
+            *(AttentionHead(dim, [(x_slot.start + j, out_row, 1.0)],
+                            key=(e1_row, 1.0), query=(ident.start + j, 1.0))
+              for j in range(d)),
+            _clear(dim, acc_row, e1_row),
+            _clear(dim, out_row, e1_row),
+        ),
     )
 
-    # the clear head first zeroes the output row exactly, (-e1^T e1)
-    # times it, so the output layers overwrite whatever it held
+    # the clear head first zeroes the output row exactly, so the output
+    # layers overwrite whatever it held
     contract = TransformerLayer(
         heads=(
-            AttentionHead(dim, [(out_row, ident.start, -1.0)],
-                          key=(ident.start, 1.0), query=(out_row, 1.0)),
+            _clear(dim, out_row, e1_row),
             AttentionHead(dim, [(out_row, label_row, 1.0)],
                           key=(data, 1.0), query=(x_slot, 1.0)),
         ),
@@ -403,14 +454,14 @@ def build_linreg_transformer(d, t_steps, alpha, ridge_mu=0.0):
     readout = TransformerLayer(
         heads=(
             AttentionHead(dim, [(out_row, out_row, 1.0)],
-                          key=(test_row, 1.0), query=(ident.start, 1.0)),
+                          key=(test_row, 1.0), query=(e1_row, 1.0)),
             AttentionHead(dim, [(out_row, out_row, -1.0)],
                           key=(ident, 1.0), query=(ident, 1.0)),
         ),
     )
 
     newton = _newton_layer(dim, x_slot, b_slot, ident)
-    layers = [init] + [newton] * int(t_steps) + [contract, readout]
+    layers = [gram, start] + [newton] * int(t_steps) + [contract, readout]
     return layers, layout
 
 
@@ -475,14 +526,17 @@ def _sigmoid_derivative(t):
     return s * (1.0 - s)
 
 
-def build_logreg_newton_step(problem, budget):
+def build_logreg_newton_step(budget):
     """Full stack computing one damped Newton step in-context.
 
-    The stack (depth 6 + k) reads the label-signed rows y_i a_i of
-    :func:`make_logistic_prompt`.  Its first layer computes the margins
-    z_i = y_i a_i . x once, into the margins row, and reads them through
-    two PWL tables: the per-sample Hessian weights sigma'(z_i) into the
-    accumulator and the probabilities sigma(-z_i) into the prob row.
+    Its weights read d and mu from *budget* and nothing from any
+    problem: the data, n included (through the mean picker), reach it
+    only through the prompt.  The stack (depth 6 + k) reads the
+    label-signed rows y_i a_i of :func:`make_logistic_prompt`.  Its
+    first layer computes the margins z_i = y_i a_i . x once, into the
+    margins row, and reads them through two PWL tables: the per-sample
+    Hessian weights sigma'(z_i) into the accumulator and the
+    probabilities sigma(-z_i) into the prob row.
     The second clears the margins, scales both rows by 1/n through the
     mean picker and forms the weight-scaled data rows via quarter-square
     products.  The third clears the accumulator and assembles
@@ -504,20 +558,7 @@ def build_logreg_newton_step(problem, budget):
     |B - B^T| <= 2 max|B - H|: inverting B^T adds no error beyond what
     B carries.
     """
-    d, n = problem.dim, problem.n_samples
-    if n < d:
-        raise ValueError(f"need n >= d, got n={n}, d={d}")
-    if budget.d != d:
-        raise BudgetError(
-            f"budget built for d={budget.d}, problem has d={d}", bound="d"
-        )
-    if abs(budget.mu - problem.mu) > 1e-12 * max(1.0, problem.mu):
-        raise BudgetError(
-            f"budget built for mu={budget.mu}, problem has mu={problem.mu}",
-            bound="mu",
-        )
-
-    mu = problem.mu
+    d, mu = budget.d, budget.mu
     layout = _logistic_layout(d)
     dim = layout.n_rows
     x_slot, b_slot, ident, data, iterate = map(
@@ -534,9 +575,7 @@ def build_logreg_newton_step(problem, budget):
     alpha = spd_initial_scale(1.0 + mu)
 
     def clear(row):
-        # adds exactly -row: (-e1^T e1) times the row
-        return AttentionHead(dim, [(row, e1_row, -1.0)],
-                             key=(e1_row, 1.0), query=(row, 1.0))
+        return _clear(dim, row, e1_row)
 
     def over_n(row):
         # adds row/n: (picker^T e1) times the row
@@ -676,13 +715,26 @@ def run_constructed_newton(problem, x0, budget, n_steps):
 
     Each step is one in-place forward pass of the whole stack on one
     stream, which leaves it equal to the next iterate's prompt.  A
-    negative or non-integer *n_steps* raises ``ValueError``.
+    negative or non-integer *n_steps* raises ``ValueError``, and a
+    *budget* built for another d or mu than *problem*'s raises
+    ``BudgetError`` with ``bound`` "d" or "mu", before anything is
+    built.
     """
     if not n_steps >= 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if not float(n_steps).is_integer():
         raise ValueError(f"n_steps must be an integer, got {n_steps}")
-    layers, layout = build_logreg_newton_step(problem, budget)
+    if budget.d != problem.dim:
+        raise BudgetError(
+            f"budget built for d={budget.d}, problem has d={problem.dim}",
+            bound="d",
+        )
+    if abs(budget.mu - problem.mu) > 1e-12 * max(1.0, problem.mu):
+        raise BudgetError(
+            f"budget built for mu={budget.mu}, problem has mu={problem.mu}",
+            bound="mu",
+        )
+    layers, layout = build_logreg_newton_step(budget)
     h = make_logistic_prompt(problem, np.asarray(x0, dtype=np.float64))
     xs = [read_logistic_iterate(h, layout)]
     for _ in range(int(n_steps)):

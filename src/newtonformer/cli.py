@@ -88,8 +88,13 @@ def _add_flag(sub, name, default=argparse.SUPPRESS, **kwargs):
                      default=default, **kwargs)
 
 
-def _build_parser():
+def _build_parser(command=None):
     """The top-level parser and the subcommand parsers by name.
+
+    Every subcommand is listed, but only *command*'s parser gets its
+    flags, or every parser when *command* is None: a call parses one
+    subcommand's flags, so it builds only those.  The help text of
+    the top level and of *command* is the same either way.
 
     Flags without a default are left out of the parsed namespace, so
     only the values a user set reach the library, which fills in the
@@ -100,6 +105,8 @@ def _build_parser():
                                  parser_class=_Parser)
     for task, defaults in TASK_DEFAULTS.items():
         sub = subs.add_parser(task, help=f"run the {task} experiment")
+        if command not in (None, task):
+            continue
         _add_flag(sub, "config", help="flat key=value config file")
         for name, default in defaults.items():
             if isinstance(default, tuple):
@@ -110,16 +117,18 @@ def _build_parser():
     # The budget defaults to the logreg experiment's eps, mu and d; the
     # piece ceiling keeps width_depth_budget's own default.
     budget = subs.add_parser("budget", help="print a width/depth budget")
-    _add_flag(budget, "config", help="flat key=value config file")
-    for name in ("eps", "mu", "d"):
-        default = TASK_DEFAULTS["logreg"][name]
-        _add_flag(budget, name, default, type=type(default),
-                  help=f"default {default}")
-    _add_flag(budget, "piece_ceiling", type=int)
+    if command in (None, "budget"):
+        _add_flag(budget, "config", help="flat key=value config file")
+        for name in ("eps", "mu", "d"):
+            default = TASK_DEFAULTS["logreg"][name]
+            _add_flag(budget, name, default, type=type(default),
+                      help=f"default {default}")
+        _add_flag(budget, "piece_ceiling", type=int)
     scan = subs.add_parser("scan-decrease",
                            help="grid-certify the constant decrease")
-    _add_flag(scan, "grid_x", type=int)
-    _add_flag(scan, "grid_c", type=int)
+    if command in (None, "scan-decrease"):
+        _add_flag(scan, "grid_x", type=int)
+        _add_flag(scan, "grid_c", type=int)
     return parser, subs.choices
 
 
@@ -139,7 +148,8 @@ def _dispatch(flags):
 
 
 def main(argv=None):
-    parser, subparsers = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = _build_parser(argv[0] if argv else "")
     args = parser.parse_args(argv)
     try:
         if "config" in args:

@@ -8,7 +8,6 @@ Newton-Schulz oracle alone.  Re-running with the same config yields
 byte-identical files.
 """
 
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import builders, datagen, inversion, logistic
 from .inversion import MAX_ORDER
-from .linalg import solve_spd, spectral_norm
+from .linalg import solve_spd
 from .transformer import model_forward
 
 __all__ = [
@@ -159,7 +158,7 @@ def run_invert_experiment(cfg):
 
 def run_linreg_experiment(cfg):
     """Prediction MSE versus depth for the constructed least-squares
-    transformer, hyperpower oracles sharing its initialization, and the
+    transformer, hyperpower oracles sharing its start, and the
     closed-form solver, over a batch of fresh prompts.
 
     The squared error is measured against the clean target
@@ -167,24 +166,25 @@ def run_linreg_experiment(cfg):
 
     Every per-prompt step is one stacked call: ``gen_linreg_data``
     draws the prompts, and on their ``(batch, d, d)`` stack of Gram
-    matrices ``spectral_norm`` gives every exact sigma_max and so every
-    alpha, ``solve_spd`` the closed-form predictions, and one
-    ``hyperpower_step`` per depth and order the oracles' iterates.
+    matrices B ``trace_initial_scale`` gives every oracle's start
+    alpha' I from tr B, ``solve_spd`` the closed-form predictions, and
+    one ``hyperpower_step`` per depth and order the oracles' iterates.
+    A trace outside the start's knot span raises its ``ValueError``
+    before any layer runs.
 
-    The constructed transformer runs on one ``(batch, dim, n)`` stack
-    of prompts.  Its Newton, contract and readout layers depend on d
-    alone, so the stack is built once per run, with the first prompt's
-    init layer.  Each other prompt gets only its own init layer, the
-    one layer that reads alpha and ridge mu.  Each init layer writes
-    its prompt's slice.  Per depth, one in-place ``model_forward``
-    call runs the Newton, contract and readout layers on that one
-    stream, and the depth's predictions are read from it: ``batch +
-    t_max`` forward calls and ``batch + 3 t_max`` attention calls in
-    all.  The output layers overwrite the output row and write no
-    other, and the Newton layer does not read it, so every slice sees
-    the Newton input it would see alone in the full depth-t stack.
-    Each depth's oracle predictions are one stacked product
-    a_test^T X A^T y over the prompts.
+    The constructed transformer depends on d and ridge mu alone, so it
+    is built once per run and runs on one ``(batch, dim, n)`` stack of
+    prompts, made by one ``make_linreg_prompt`` call.  Its two init
+    layers find each prompt's own start alpha' I in context, from the
+    same reciprocal table the oracles read, in one in-place
+    ``model_forward`` call.  Per depth, one more in-place call runs the
+    Newton, contract and readout layers on that stream, and the depth's
+    predictions are read from it: ``1 + t_max`` forward calls and
+    ``2 + 3 t_max`` attention calls in all.  The output layers
+    overwrite the output row and write no other, and the Newton layer
+    does not read it, so every slice sees the Newton input it would see
+    alone in the full depth-t stack.  Each depth's oracle predictions
+    are one stacked product a_test^T X A^T y over the prompts.
 
     The mse values are means over one ``(rows, batch)`` prediction
     array; the closed-form one is taken before the depth loop, so its
@@ -205,7 +205,9 @@ def run_linreg_experiment(cfg):
         )
     targets = (a_tests[:, None, :] @ w_star[:, :, None])[:, 0, 0]
     grams = a.mT @ a + cfg.mu * np.eye(cfg.d)
-    alphas = inversion.initial_scale(spectral_norm(grams))
+    starts = inversion.trace_initial_scale(
+        np.trace(grams, axis1=-2, axis2=-1)
+    )
 
     def mse(preds):
         # err * err is the correctly rounded square; Python's ** goes
@@ -222,19 +224,13 @@ def run_linreg_experiment(cfg):
 
     ls_preds = a_tests[:, None, :] @ solve_spd(grams, atys)
     (ls_mse,) = mse(ls_preds[None, :, 0, 0])
-    (init, *per_depth), layout = builders.build_linreg_transformer(
-        cfg.d, 1, float(alphas[0]), ridge_mu=cfg.mu
+    layers, layout = builders.build_linreg_transformer(
+        cfg.d, 1, ridge_mu=cfg.mu
     )
-    # made one at a time, so only one prompt's init layer is alive
-    inits = itertools.chain([init], (
-        builders._linreg_init_layer(layout, alpha, cfg.mu)
-        for alpha in alphas[1:].tolist()
-    ))
-    stream = np.stack([
-        model_forward([layer], builders.make_linreg_prompt(*prompt))
-        for layer, *prompt in zip(inits, a, y, a_tests)
-    ])
-    oracle_x = {order: alphas[:, None, None] * grams
+    stream = builders.make_linreg_prompt(a, y, a_tests)
+    model_forward(layers[:2], stream, out=stream)
+    per_depth = layers[2:]
+    oracle_x = {order: starts[:, None, None] * np.eye(cfg.d)
                 for order in cfg.orders}
     # per depth: the constructed row, then one row per order
     preds = np.empty((cfg.t_max, 1 + len(cfg.orders), cfg.batch))

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ShapeMismatchError
 from .linalg import as_matrix, as_stack, spectral_norm
+from .pwl import PwlApprox, eval_pwl
 
 __all__ = [
     "MAX_ORDER",
@@ -20,6 +21,7 @@ __all__ = [
     "predicted_steps",
     "initial_scale",
     "spd_initial_scale",
+    "trace_initial_scale",
     "run_inverse",
     "InverseRun",
     "fitted_order",
@@ -30,6 +32,12 @@ INIT_SAFETY = 0.9
 FIT_LO = 1e-12
 FIT_HI = 0.5
 FIT_MAX_PAIRS = 3
+
+# 1/t with knots at consecutive powers of two, 2**-64 .. 2**64.  The
+# chord of the convex 1/t over [a, 2a] lies above it by at most 9/8.
+_RECIP_EXPONENTS = np.arange(-64, 65)
+TRACE_RECIPROCAL = PwlApprox(np.ldexp(1.0, _RECIP_EXPONENTS),
+                             np.ldexp(1.0, -_RECIP_EXPONENTS))
 
 
 def _check_square_pair(x, a):
@@ -142,6 +150,31 @@ def spd_initial_scale(lam):
     *lam* on the largest eigenvalue.
     """
     return 2.0 * INIT_SAFETY / lam
+
+
+def trace_initial_scale(trace):
+    """Start scale ``alpha' = TRACE_RECIPROCAL(tr B)`` for ``alpha' * I``.
+
+    For SPD B, tr B >= lambda_max and the table lies above 1/t by at
+    most 9/8, so ``alpha' * lambda_max <= 1.125 < 2``: the iteration
+    from ``alpha' * I`` converges, and its start needs no eigenvalue.
+    The least-squares stack evaluates the same table on the trace it
+    sums in context, so this is also its start.  *trace* may be an
+    array, one trace per prompt.  A trace outside the table's knot span
+    (NaN included) raises ``ValueError`` naming its prompt, the trace
+    and the span: there the table clamps, and above the span its value
+    is no longer below 2/lambda_max.
+    """
+    trace = np.asarray(trace, dtype=np.float64)
+    lo, hi = TRACE_RECIPROCAL.knots[[0, -1]]
+    bad = ~((trace >= lo) & (trace <= hi))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"prompt {i} has tr B = {trace.flat[i]:g}, outside the start "
+            f"reciprocal's knot span [{lo:g}, {hi:g}]"
+        )
+    return eval_pwl(TRACE_RECIPROCAL, trace)
 
 
 @dataclass

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from start_steps import alpha_prime_steps
 
 from newtonformer import (
     bounded_error_source,
@@ -22,13 +23,11 @@ from newtonformer import (
     damped_step,
     eval_pwl,
     fitted_order,
-    initial_scale,
     loss_grad_hess,
     make_inversion_prompt,
     make_linreg_prompt,
     model_forward,
     newton_step,
-    predicted_steps,
     pwl_product,
     read_inversion_iterate,
     read_linreg_prediction,
@@ -38,7 +37,6 @@ from newtonformer import (
     scaled_decrement,
     scan_constant_decrease,
     solve_spd,
-    spectral_norm,
     width_depth_budget,
 )
 from newtonformer.datagen import gen_linreg_data, gen_logreg_data, make_covariance
@@ -124,9 +122,9 @@ def test_04_linreg_transformer_end_to_end():
                                noise_std=0.0, seed=0, batch=50)
         for a, y, a_test, _ in zip(*gen_linreg_data(cfg)):
             gram = a.T @ a
-            alpha = initial_scale(spectral_norm(gram))
-            t = predicted_steps(np.linalg.cond(gram), 1e-10, 2)
-            layers, layout = build_linreg_transformer(10, t, alpha)
+            # steps to ||I - X B||_2 <= 1e-10 from the alpha' I start
+            t = alpha_prime_steps(gram, 1e-10)
+            layers, layout = build_linreg_transformer(10, t)
             pred = read_linreg_prediction(
                 model_forward(layers, make_linreg_prompt(a, y, a_test)),
                 layout)

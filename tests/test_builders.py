@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from start_steps import alpha_prime_steps
 
 from newtonformer import builders
 from newtonformer.builders import (
@@ -30,10 +31,11 @@ from newtonformer.datagen import gen_logreg_data, make_covariance
 from newtonformer.errors import BudgetError
 from newtonformer.harness import ExperimentConfig
 from newtonformer.inversion import (
+    TRACE_RECIPROCAL,
     initial_scale,
     newton_step,
-    predicted_steps,
     spd_initial_scale,
+    trace_initial_scale,
 )
 from newtonformer.linalg import solve_spd, spectral_norm
 from newtonformer.logistic import (
@@ -116,7 +118,7 @@ class TestWidthDepthBudget:
                 except BudgetError:
                     continue
                 checked += 1
-                layers, layout = build_logreg_newton_step(problems[0], budget)
+                layers, layout = build_logreg_newton_step(budget)
                 x_slot, b_slot = map(layout.rows_of, ("x_slot", "b_slot"))
                 h = np.stack([make_logistic_prompt(p, x) for p, x in starts])
                 h = model_forward(layers[:3 + budget.widths["k"]], h)
@@ -402,7 +404,7 @@ class TestInversionBlock:
 
 class TestLinregTransformer:
     def test_identity_design_recovers_label(self):
-        layers, layout = build_linreg_transformer(2, 40, alpha=1.8)
+        layers, layout = build_linreg_transformer(2, 40)
         a = np.eye(2)
         h = model_forward(layers, make_linreg_prompt(a, np.array([1.0, 0.0]),
                                                      np.array([1.0, 0.0])))
@@ -417,26 +419,48 @@ class TestLinregTransformer:
             y = rng.standard_normal(16)
             a_test = rng.standard_normal(4)
             gram = a.T @ a
-            alpha = initial_scale(spectral_norm(gram))
-            kappa = np.linalg.cond(gram)
-            t = predicted_steps(kappa, 1e-10, 2)
-            layers, layout = build_linreg_transformer(4, t, alpha)
+            t = alpha_prime_steps(gram, 1e-10)
+            layers, layout = build_linreg_transformer(4, t)
             h = model_forward(layers, make_linreg_prompt(a, y, a_test))
             pred = read_linreg_prediction(h, layout)
             oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
             assert abs(pred - oracle) <= 1e-6 * (1.0 + abs(oracle))
 
     def test_zero_steps_applies_initializer_only(self):
+        # X_0 = alpha' I, alpha' read from the trace summed in context
         rng = np.random.default_rng(5)
         a = rng.standard_normal((8, 3))
         y = rng.standard_normal(8)
         a_test = rng.standard_normal(3)
-        alpha = 0.01
-        layers, layout = build_linreg_transformer(3, 0, alpha)
+        alpha = trace_initial_scale(np.trace(a.T @ a))
+        layers, layout = build_linreg_transformer(3, 0)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         pred = read_linreg_prediction(h, layout)
-        expected = float(a_test @ (alpha * (a.T @ a)) @ (a.T @ y))
+        expected = float(alpha * a_test @ (a.T @ y))
         assert pred == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 4, 10])
+    @pytest.mark.parametrize("mu", [0.0, 0.37])
+    def test_init_layers_write_alpha_prime_identity(self, d, mu):
+        # integer-valued data scaled by powers of two sum their trace
+        # exactly, so tr B is known bit for bit and spans many knots
+        rng = np.random.default_rng(17 * d + int(100 * mu))
+        layers, layout = build_linreg_transformer(d, 0, ridge_mu=mu)
+        x_slot = layout.rows_of("x_slot")
+        scratch = [layout.rows_of(name).start
+                   for name in ("accumulator", "output")]
+        n = d + 3
+        for _ in range(20):
+            a = rng.integers(-9, 10, size=(n, d)).astype(float)
+            a[0, 0] = 1.0  # a nonzero trace
+            a = np.ldexp(a, int(rng.integers(-20, 21)))
+            trace = float(np.sum(a * a)) + mu * d
+            want = np.zeros((d, n))
+            want[:, :d] = trace_initial_scale(trace) * np.eye(d)
+            h = model_forward(layers[:2], make_linreg_prompt(
+                a, rng.standard_normal(n), rng.standard_normal(d)))
+            assert h[x_slot].tobytes() == want.tobytes()
+            assert h[scratch].tobytes() == np.zeros((2, n)).tobytes()
 
     def test_ridge_variant(self):
         rng = np.random.default_rng(6)
@@ -445,45 +469,61 @@ class TestLinregTransformer:
         a_test = rng.standard_normal(3)
         mu = 0.5
         gram = a.T @ a + mu * np.eye(3)
-        alpha = initial_scale(spectral_norm(gram))
-        layers, layout = build_linreg_transformer(3, 30, alpha,
-                                                  ridge_mu=mu)
+        layers, layout = build_linreg_transformer(3, 30, ridge_mu=mu)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
         assert read_linreg_prediction(h, layout) == pytest.approx(oracle,
                                                                   abs=1e-9)
 
-    @pytest.mark.parametrize("t_steps, alpha, message", [
+    @pytest.mark.parametrize("t_steps, ridge_mu, message", [
         (2.5, 0.1, "t_steps must be an integer, got 2.5"),
         (math.inf, 0.1, "t_steps must be an integer, got inf"),
         (-1, 0.1, "t_steps must be >= 0, got -1"),
-        (2, math.inf, "alpha must be finite and positive, got inf"),
-        (2, math.nan, "alpha must be finite and positive, got nan"),
-        (2, 0.0, "alpha must be finite and positive, got 0.0"),
+        (2, math.inf, "ridge_mu must be finite and >= 0, got inf"),
+        (2, math.nan, "ridge_mu must be finite and >= 0, got nan"),
+        (2, -1.0, "ridge_mu must be finite and >= 0, got -1.0"),
+        (2, 1e308,
+         "ridge_mu * d must be finite, got ridge_mu=1e+308 and d=3"),
     ])
-    def test_input_errors_are_named(self, t_steps, alpha, message):
+    def test_input_errors_are_named(self, t_steps, ridge_mu, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build_linreg_transformer(3, t_steps, alpha)
+            build_linreg_transformer(3, t_steps, ridge_mu)
 
     def test_integral_float_steps_build_that_many_layers(self):
-        layers, _ = build_linreg_transformer(3, 2.0, 0.1)
-        assert len(layers) == 5
+        layers, _ = build_linreg_transformer(3, 2.0)
+        assert len(layers) == 6
 
-    @pytest.mark.parametrize("alpha, mu", [(0.05, 1.0), (0.5, 2.0),
-                                           (1.0, 1.0)])
-    def test_zero_init_scales_are_left_out(self, alpha, mu):
-        # alpha*mu - 1 or mu - 1 is zero: the init head holds no value
-        # entry for that band, and its dense view is zero there
-        (init, *_), layout = build_linreg_transformer(2, 1, alpha,
-                                                      ridge_mu=mu)
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 2.0])
+    def test_zero_init_scales_are_left_out(self, mu):
+        # mu I and mu * d are zero at mu = 0: the init layer holds no
+        # value entry, and no trace head, for a zero scale
+        (gram, *_), layout = build_linreg_transformer(2, 1, ridge_mu=mu)
         ident = layout.rows_of("identity")
-        head = init.heads[1]
-        scales = [alpha * mu - 1.0, mu - 1.0]
-        assert [c for _, _, c in head.value] == [c for c in scales if c]
-        for rows, c in zip(map(layout.rows_of, ("x_slot", "b_slot")),
-                           scales):
-            np.testing.assert_array_equal(head.w_v[rows, ident],
-                                          c * np.eye(2))
+        b_slot = layout.rows_of("b_slot")
+        acc = layout.rows_of("accumulator").start
+        head = gram.heads[2]
+        assert [c for _, _, c in head.value] == [c for c in [mu] if c]
+        np.testing.assert_array_equal(head.w_v[b_slot, ident],
+                                      mu * np.eye(2))
+        e1 = slice(ident.start, ident.start + 1)
+        ridge = [h.value for h in gram.heads[3:] if h.key[0] == e1]
+        want = ((slice(acc, acc + 1), e1, 2 * mu),)
+        assert ridge == ([want] if mu else [])
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e8])
+    def test_matches_closed_form_at_any_scale(self, scale):
+        # b_slot's I clears before A^T A lands, so a tiny Gram matrix
+        # is not lost to 1 + G - 1 rounding
+        rng = np.random.default_rng(13)
+        a = scale * rng.standard_normal((50, 10))
+        y = rng.standard_normal(50)
+        a_test = rng.standard_normal(10)
+        gram = a.T @ a
+        layers, layout = build_linreg_transformer(10, 30)
+        h = model_forward(layers, make_linreg_prompt(a, y, a_test))
+        oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
+        assert read_linreg_prediction(h, layout) == pytest.approx(oracle,
+                                                                  rel=1e-12)
 
     def test_unit_ridge_matches_closed_form(self):
         rng = np.random.default_rng(7)
@@ -491,8 +531,7 @@ class TestLinregTransformer:
         y = rng.standard_normal(12)
         a_test = rng.standard_normal(3)
         gram = a.T @ a + np.eye(3)
-        alpha = initial_scale(spectral_norm(gram))
-        layers, layout = build_linreg_transformer(3, 30, alpha, ridge_mu=1.0)
+        layers, layout = build_linreg_transformer(3, 30, ridge_mu=1.0)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
         assert read_linreg_prediction(h, layout) == pytest.approx(oracle,
@@ -500,11 +539,16 @@ class TestLinregTransformer:
 
     def test_depth_and_head_budget(self):
         for t in (0, 1, 7):
-            layers, layout = build_linreg_transformer(3, t, alpha=0.1)
-            assert len(layers) == 3 + t
-            assert all(layer.dim == layout.n_rows == 15 for layer in layers)
-            assert max(len(layer.heads) for layer in layers) <= 3
-            assert all(layer.ffn is None for layer in layers)
+            layers, layout = build_linreg_transformer(3, t, ridge_mu=0.1)
+            assert len(layers) == 4 + t
+            assert all(layer.dim == layout.n_rows == 17 for layer in layers)
+            # the init layers hold d one-row heads each, for the trace
+            # and for alpha' I
+            assert [len(layer.heads) for layer in layers[:2]] == [7, 6]
+            assert max(len(layer.heads) for layer in layers[2:]) <= 2
+            assert [layer.ffn is not None for layer in layers] == (
+                [True] + [False] * (3 + t))
+            assert layers[0].ffn.gadgets[0].approx is TRACE_RECIPROCAL
 
     def test_prompt_rows_and_readout(self):
         rng = np.random.default_rng(9)
@@ -512,24 +556,40 @@ class TestLinregTransformer:
         y = rng.standard_normal(8)
         a_test = rng.standard_normal(3)
         h = make_linreg_prompt(a, y, a_test)
-        assert h.shape == (15, 8)
+        assert h.shape == (17, 8)
         pad = np.zeros((3, 8))
         pad[:, :3] = np.eye(3)
         np.testing.assert_array_equal(h[0:9], np.vstack([pad] * 3))
         np.testing.assert_array_equal(h[9:12], a.T)
         np.testing.assert_array_equal(h[12], np.r_[a_test, np.zeros(5)])
         np.testing.assert_array_equal(h[13], y)
-        np.testing.assert_array_equal(h[14], np.zeros(8))
-        _, layout = build_linreg_transformer(3, 1, alpha=0.1)
+        np.testing.assert_array_equal(h[14:16], np.zeros((2, 8)))
+        np.testing.assert_array_equal(h[16], np.ones(8))
+        _, layout = build_linreg_transformer(3, 1)
         h[14, 0] = 2.5
         assert read_linreg_prediction(h, layout) == 2.5
+
+    def test_stacked_prompt_equals_each_prompt(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((2, 3, 8, 3))
+        y = rng.standard_normal((2, 3, 8))
+        a_test = rng.standard_normal((2, 3, 3))
+        h = make_linreg_prompt(a, y, a_test)
+        assert h.shape == (2, 3, 17, 8)
+        for i, j in itertools.product(range(2), range(3)):
+            assert h[i, j].tobytes() == make_linreg_prompt(
+                a[i, j], y[i, j], a_test[i, j]).tobytes()
+        with pytest.raises(ValueError, match="^y must be length n"):
+            make_linreg_prompt(a, y[0], a_test)
+        with pytest.raises(ValueError, match="^a must be at least 2-D"):
+            make_linreg_prompt(np.ones(3), np.ones(3), np.ones(1))
 
     def test_output_layers_overwrite_the_output_row(self):
         # the contract layer's clear head zeroes the output row exactly,
         # so whatever a previous depth left there changes no bit
         rng = np.random.default_rng(12)
         d, n = 3, 8
-        layers, layout = build_linreg_transformer(d, 2, alpha=0.05)
+        layers, layout = build_linreg_transformer(d, 2)
         h = model_forward(layers[:-2], np.stack([
             make_linreg_prompt(rng.standard_normal((n, d)),
                                rng.standard_normal(n),
@@ -549,14 +609,13 @@ class TestLinregTransformer:
                     == read_linreg_prediction(want, layout).tobytes())
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_only_init_layer_reads_alpha_and_ridge_mu(self, d):
-        """Only the init layer reads alpha and ridge_mu, so the Newton,
-        contract and readout layers of two prompts' stacks hold equal
-        weights and one copy can run a stack of prompts."""
-        first, _ = build_linreg_transformer(d, 1, alpha=0.3, ridge_mu=0.0)
-        second, _ = build_linreg_transformer(d, 1, alpha=1e-3, ridge_mu=2.5)
-        assert not np.array_equal(first[0].heads[0].w_v,
-                                  second[0].heads[0].w_v)
+    def test_only_the_gram_layer_reads_ridge_mu(self, d):
+        """Only the first init layer reads ridge_mu, so every other
+        layer of two ridge weights' stacks holds equal weights."""
+        first, _ = build_linreg_transformer(d, 1, ridge_mu=0.0)
+        second, _ = build_linreg_transformer(d, 1, ridge_mu=2.5)
+        assert not np.array_equal(first[0].heads[2].w_v,
+                                  second[0].heads[2].w_v)
         for ours, theirs in zip(first[1:], second[1:]):
             assert len(ours.heads) == len(theirs.heads)
             for a, b in zip(ours.heads, theirs.heads):
@@ -564,7 +623,7 @@ class TestLinregTransformer:
                     assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_stacked_readout_gives_one_prediction_per_slice(self):
-        _, layout = build_linreg_transformer(2, 1, alpha=0.1)
+        _, layout = build_linreg_transformer(2, 1)
         want = np.arange(6.0).reshape(2, 3)
         h = np.zeros((2, 3, layout.n_rows, 4))
         h[..., layout.rows_of("output").start, 0] = want
@@ -577,7 +636,7 @@ class TestLinregTransformer:
     def test_stacked_readout_owns_its_data(self):
         # a view would keep the whole output stack alive for as long as
         # the predictions are held
-        _, layout = build_linreg_transformer(2, 1, alpha=0.1)
+        _, layout = build_linreg_transformer(2, 1)
         h = np.ones((3, layout.n_rows, 4))
         preds = read_linreg_prediction(h, layout)
         assert preds.base is None
@@ -585,29 +644,15 @@ class TestLinregTransformer:
         h[...] = 7.0
         np.testing.assert_array_equal(preds, [1.0, 1.0, 1.0])
 
-    @pytest.mark.parametrize("alpha, mu", [(10.0, 1e308), (1e300, 1e10)])
-    def test_overflowing_alpha_times_ridge_mu_is_named(self, alpha, mu):
-        # each factor is finite, but the init head's scale alpha*mu - 1
-        # is not
-        message = (f"alpha * ridge_mu must be finite, got alpha={alpha} "
-                   f"and ridge_mu={mu}")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build_linreg_transformer(3, 1, alpha, ridge_mu=mu)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build_linreg_transformer(3, 1, np.float64(alpha),
-                                     ridge_mu=np.float64(mu))
-
     def test_validation(self):
         with pytest.raises(ValueError, match="d must be >= 1"):
-            build_linreg_transformer(0, 1, alpha=0.1)
+            build_linreg_transformer(0, 1)
         with pytest.raises(ValueError):
-            build_linreg_transformer(3, -1, alpha=0.1)
-        with pytest.raises(ValueError):
-            build_linreg_transformer(3, 1, alpha=0.0)
+            build_linreg_transformer(3, -1)
         with pytest.raises(ValueError, match="got nan"):
-            build_linreg_transformer(3, 1, alpha=0.1, ridge_mu=float("nan"))
+            build_linreg_transformer(3, 1, ridge_mu=float("nan"))
         with pytest.raises(ValueError, match="ridge_mu must be finite"):
-            build_linreg_transformer(3, 1, alpha=0.1, ridge_mu=float("inf"))
+            build_linreg_transformer(3, 1, ridge_mu=float("inf"))
         with pytest.raises(ValueError):
             make_linreg_prompt(np.ones((8, 3)), np.ones(7), np.ones(3))
         with pytest.raises(ValueError, match="need n >= d, got n=3, d=4"):
@@ -616,7 +661,7 @@ class TestLinregTransformer:
 
 @pytest.mark.parametrize("build, band", [
     (build_inversion_block, "iterate"),
-    (lambda d: build_linreg_transformer(d, 1, alpha=0.1), "x_slot"),
+    (lambda d: build_linreg_transformer(d, 1), "x_slot"),
 ])
 def test_non_integer_d_names_its_band(build, band):
     message = f"band '{band}' needs an integer size >= 1, got 2.5"
@@ -628,7 +673,7 @@ def test_non_integer_d_names_its_band(build, band):
 def logreg_stack():
     problem = make_logreg_problem(0)
     budget = width_depth_budget(1e-2, 0.1, d=5)
-    layers, layout = build_logreg_newton_step(problem, budget)
+    layers, layout = build_logreg_newton_step(budget)
     return problem, budget, layers, layout
 
 
@@ -671,7 +716,7 @@ class TestLogregNewtonStack:
                 task="logreg", d=5, n=26, mu=mu, seed=seed))[0]
                 for seed in range(5)]
             layers, layout = build_logreg_newton_step(
-                problems[0], width_depth_budget(eps, mu, d=5)
+                width_depth_budget(eps, mu, d=5)
             )
             h = np.stack([make_logistic_prompt(p, np.zeros(5))
                           for p in problems])
@@ -707,7 +752,7 @@ class TestLogregNewtonStack:
         # returns must be the one that step left, not the last
         problem = make_logreg_problem(0, n=1, d=1)
         budget = width_depth_budget(1e-2, 0.1, d=1)
-        layers, layout = build_logreg_newton_step(problem, budget)
+        layers, layout = build_logreg_newton_step(budget)
         xs = run_constructed_newton(problem, np.zeros(1), budget, 4)
         h = make_logistic_prompt(problem, np.zeros(1))
         want = [read_logistic_iterate(h, layout)]
@@ -820,7 +865,7 @@ class TestLogregNewtonStack:
         # the d quarter-square products read one table, owned by the
         # stack: nothing outside it keeps the table alive
         layers, _ = build_logreg_newton_step(
-            make_logreg_problem(0), width_depth_budget(1e-2, 0.1, d=5)
+            width_depth_budget(1e-2, 0.1, d=5)
         )
         gadgets = layers[1].ffn.gadgets
         assert len(gadgets) == 2 * 5
@@ -830,15 +875,22 @@ class TestLogregNewtonStack:
         gc.collect()
         assert table() is None
 
-    def test_budget_mismatch_rejected(self, logreg_stack):
-        problem, budget, _, _ = logreg_stack
+    def test_budget_mismatch_rejected(self, logreg_stack, monkeypatch):
+        # the builder reads no problem, so the run that meets one with a
+        # stack checks them, before it builds anything
+        problem, _, _, _ = logreg_stack
+        monkeypatch.setattr(builders, "build_logreg_newton_step", None)
         wrong_d = width_depth_budget(1e-2, 0.1, d=4)
-        with pytest.raises(BudgetError) as info:
-            build_logreg_newton_step(problem, wrong_d)
+        with pytest.raises(BudgetError,
+                           match="^budget built for d=4, problem has d=5$"
+                           ) as info:
+            run_constructed_newton(problem, np.zeros(5), wrong_d, 1)
         assert info.value.bound == "d"
         wrong_mu = width_depth_budget(1e-2, 0.2, d=5)
-        with pytest.raises(BudgetError) as info:
-            build_logreg_newton_step(problem, wrong_mu)
+        with pytest.raises(BudgetError,
+                           match=r"^budget built for mu=0\.2, problem has "
+                                 r"mu=0\.1$") as info:
+            run_constructed_newton(problem, np.zeros(5), wrong_mu, 1)
         assert info.value.bound == "mu"
 
     @pytest.mark.parametrize("n_steps", [2.5, math.inf])
@@ -855,7 +907,7 @@ class TestLogregNewtonStack:
         # mu - 1 = 0: the seed head writes only alpha' I into x_slot
         problem = make_logreg_problem(0, mu=1.0)
         budget = width_depth_budget(1e-2, 1.0, d=5)
-        layers, layout = build_logreg_newton_step(problem, budget)
+        layers, layout = build_logreg_newton_step(budget)
         seed = layers[2].heads[3]
         x_slot, ident = layout.rows_of("x_slot"), layout.rows_of("identity")
         assert seed.value == ((x_slot, ident, spd_initial_scale(2.0)),)
@@ -908,5 +960,5 @@ class TestLogregNewtonStack:
     def test_requires_enough_samples(self):
         problem = make_logreg_problem(3, n=4, d=5)
         budget = width_depth_budget(1e-2, 0.1, d=5)
-        with pytest.raises(ValueError):
-            build_logreg_newton_step(problem, budget)
+        with pytest.raises(ValueError, match="^need n >= d, got n=4, d=5$"):
+            run_constructed_newton(problem, np.zeros(5), budget, 1)

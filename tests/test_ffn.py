@@ -153,7 +153,7 @@ class TestWidth:
 
     def test_product_layer_at_fine_eps(self, no_dense_view):
         budget = width_depth_budget(5e-3, 0.1, d=5)
-        layers, _ = build_logreg_newton_step(logreg_problem(0), budget)
+        layers, _ = build_logreg_newton_step(budget)
         assert layers[1].ffn.width == 320_020
 
 
@@ -207,7 +207,7 @@ class TestGadgetChecks:
 def stack():
     problem = logreg_problem(0)
     budget = width_depth_budget(1e-2, 0.1, d=5)
-    layers, layout = build_logreg_newton_step(problem, budget)
+    layers, layout = build_logreg_newton_step(budget)
     ffn_layers = [(layer, extended_dense(layer))
                   for layer in layers if layer.ffn is not None]
     return problem, budget, layers, layout, ffn_layers

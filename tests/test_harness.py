@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from per_seed_draw import per_seed_linreg_data
 
-from newtonformer import (builders, datagen, harness, inversion, logistic,
-                          transformer)
+from newtonformer import (builders, cli, datagen, harness, inversion,
+                          logistic, transformer)
 from newtonformer.builders import make_linreg_prompt, read_linreg_prediction
 from newtonformer.cli import main
 from newtonformer.datagen import gen_linreg_data, gen_logreg_data, make_covariance
@@ -22,7 +22,6 @@ from newtonformer.harness import (
     run_linreg_experiment,
     run_logreg_experiment,
 )
-from newtonformer.linalg import spectral_norm
 from newtonformer.transformer import model_forward
 
 
@@ -320,29 +319,34 @@ class TestLinregRunner:
         assert np.all(np.abs(ours - oracle) <= 1e-8 * oracle + 1e-11)
 
     @pytest.mark.parametrize("seed", [0, 33, 119])
-    def test_rows_barely_move_with_sigma(self, seed, tmp_path, monkeypatch):
-        # alpha is the one input sigma_max feeds.  A sigma_max 7e-14
-        # relative below the exact one, the largest gap a 200-step power
-        # iteration left on these Gram matrices, moves every row above
-        # 1e-6 by at most 1e-9 relative (5.2e-10 on seed 33, the worst
-        # of seeds 0-59 and 100-119) and leaves the least-squares rows
-        # as they are
+    def test_rows_barely_move_with_the_oracle_start(self, seed, tmp_path,
+                                                    monkeypatch):
+        # the oracles' alpha' is the one input the harness's traces
+        # feed; the stack sums its own trace in context.  An oracle
+        # start 7e-14 relative low leaves the constructed and
+        # least-squares rows as they are and moves every oracle row
+        # above 1e-6 by at most 1e-9 relative
         cfg = replace(LINREG_DEPTH, seed=seed)
         exact = csv_lines(run_linreg_experiment(
             replace(cfg, out_dir=str(tmp_path / "exact")))[0])
-        monkeypatch.setattr(harness, "spectral_norm",
-                            lambda a: spectral_norm(a) * (1.0 - 7e-14))
+        start = inversion.trace_initial_scale
+        monkeypatch.setattr(inversion, "trace_initial_scale",
+                            lambda t: start(t) * (1.0 - 7e-14))
         low = csv_lines(run_linreg_experiment(
             replace(cfg, out_dir=str(tmp_path / "low")))[0])
         assert len(low) == len(exact) and low[0] == exact[0]
+        moved = 0
         for line, ref in zip(low[1:], exact[1:]):
             *key, value = line.split(",")
             *ref_key, want = ref.split(",")
             assert key == ref_key
-            if key[0] == "least_squares":
+            if key[0] in ("constructed", "least_squares"):
                 assert value == want
-            elif float(want) > 1e-6:
-                assert abs(float(value) / float(want) - 1.0) <= 1e-9
+            else:
+                moved += value != want
+                if float(want) > 1e-6:
+                    assert abs(float(value) / float(want) - 1.0) <= 1e-9
+        assert moved > 0
 
     def test_higher_order_reaches_tolerance_sooner(self, linreg_table):
         floor = np.asarray(linreg_table["least_squares"])[-1]
@@ -361,13 +365,14 @@ class TestLinregRunner:
 
 
 def per_prompt_problems(cfg):
-    """Each prompt's data, Gram matrix and alpha, one 2-D call apiece."""
+    """Each prompt's data, Gram matrix and start alpha', one 2-D call
+    apiece."""
     problems = []
     for item in range(cfg.batch):
         a, y, a_test, w_star = per_seed_linreg_data(cfg, cfg.seed + item)
         gram = a.T @ a + cfg.mu * np.eye(cfg.d)
-        alpha = inversion.initial_scale(spectral_norm(gram))
-        problems.append((a, y, a_test, gram, alpha, float(a_test @ w_star)))
+        start = inversion.trace_initial_scale(np.trace(gram))
+        problems.append((a, y, a_test, gram, start, float(a_test @ w_star)))
     return problems
 
 
@@ -377,9 +382,9 @@ def replayed_constructed_mse(cfg):
     mses = []
     for t in range(1, cfg.t_max + 1):
         errs = []
-        for a, y, a_test, _, alpha, target in problems:
+        for a, y, a_test, _, _, target in problems:
             layers, layout = builders.build_linreg_transformer(
-                cfg.d, t, alpha, ridge_mu=cfg.mu
+                cfg.d, t, ridge_mu=cfg.mu
             )
             prompt = make_linreg_prompt(a, y, a_test)
             pred = read_linreg_prediction(model_forward(layers, prompt), layout)
@@ -392,7 +397,7 @@ def per_prompt_oracle_mse(cfg, order):
     """The newton_order_<order> rows with one 2-D hyperpower step per
     prompt and depth, each error squared correctly rounded."""
     problems = per_prompt_problems(cfg)
-    xs = [alpha * gram for _, _, _, gram, alpha, _ in problems]
+    xs = [start * np.eye(cfg.d) for _, _, _, _, start, _ in problems]
     mses = []
     for _ in range(cfg.t_max):
         errs = []
@@ -448,7 +453,7 @@ class TestLinregLinearInDepth:
 
     def test_one_build_and_one_newton_prefix_per_prompt(self, tmp_path,
                                                         monkeypatch):
-        counts = {"attention": 0, "build": 0, "forward": 0, "init": 0}
+        counts = {"attention": 0, "build": 0, "forward": 0}
         monkeypatch.setattr(transformer, "attention_forward",
                             counting(counts, "attention",
                                      transformer.attention_forward))
@@ -457,17 +462,49 @@ class TestLinregLinearInDepth:
         monkeypatch.setattr(builders, "build_linreg_transformer",
                             counting(counts, "build",
                                      builders.build_linreg_transformer))
-        monkeypatch.setattr(builders, "_linreg_init_layer",
-                            counting(counts, "init",
-                                     builders._linreg_init_layer))
         cfg = small_linreg_cfg(tmp_path, 0.0)
         run_linreg_experiment(cfg)
-        # one build per run and one init layer per prompt, then one
-        # forward call per depth running the Newton, contract and
-        # readout layer in place on the whole prompt stack
-        assert counts == {"attention": cfg.batch + 3 * cfg.t_max,
-                          "build": 1, "forward": cfg.batch + cfg.t_max,
-                          "init": cfg.batch}
+        # one build per run and one forward call running both init
+        # layers on the whole prompt stack, then one per depth running
+        # the Newton, contract and readout layer in place on it
+        assert counts == {"attention": 2 + 3 * cfg.t_max,
+                          "build": 1, "forward": 1 + cfg.t_max}
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_every_prompt_runs_the_same_weights(self, tmp_path, monkeypatch,
+                                                mu):
+        # the layers each prompt's slice runs through, in order: every
+        # head band, every scale and every gadget table are equal for
+        # two prompts of one task, so nothing in them is per prompt
+        calls = []
+
+        def recording(layers, h, **kwargs):
+            calls.append((list(layers), np.ndim(h)))
+            return model_forward(layers, h, **kwargs)
+
+        monkeypatch.setattr(harness, "model_forward", recording)
+        cfg = replace(small_linreg_cfg(tmp_path, mu), batch=2)
+        run_linreg_experiment(cfg)
+        single = [layers for layers, ndim in calls if ndim == 2]
+        shared = [layer for layers, ndim in calls if ndim == 3
+                  for layer in layers]
+        per_prompt = [layers + shared for layers in single] or [shared] * 2
+        assert len(per_prompt) == cfg.batch
+        first, second = per_prompt
+        assert len(first) == len(second)
+        for ours, theirs in zip(first, second):
+            assert len(ours.heads) == len(theirs.heads)
+            for a, b in zip(ours.heads, theirs.heads):
+                assert (a.value, a.key, a.query) == (b.value, b.key, b.query)
+            assert (ours.ffn is None) == (theirs.ffn is None)
+            if ours.ffn is not None:
+                assert ours.ffn.ones_row == theirs.ffn.ones_row
+                for g, k in zip(ours.ffn.gadgets, theirs.ffn.gadgets,
+                                strict=True):
+                    assert (g.scale, g.out_row) == (k.scale, k.out_row)
+                    assert np.array_equal(g.arg, k.arg)
+                    assert np.array_equal(g.approx.knots, k.approx.knots)
+                    assert np.array_equal(g.approx.values, k.approx.values)
 
     def test_peak_traced_memory_is_small(self, tmp_path):
         # linreg_depth's call allocates under 1 MB at its peak; holding
@@ -484,16 +521,20 @@ class TestLinregLinearInDepth:
 
     def test_one_alpha_call_and_one_oracle_step_per_depth_and_order(
             self, tmp_path, monkeypatch):
-        counts = {"alpha": 0, "oracle": 0}
-        monkeypatch.setattr(harness, "spectral_norm",
-                            counting(counts, "alpha", spectral_norm))
+        # one call gives every oracle's start alpha', and no SVD runs
+        counts = {"alpha": 0, "oracle": 0, "svd": 0}
+        monkeypatch.setattr(inversion, "trace_initial_scale",
+                            counting(counts, "alpha",
+                                     inversion.trace_initial_scale))
         monkeypatch.setattr(inversion, "hyperpower_step",
                             counting(counts, "oracle",
                                      inversion.hyperpower_step))
+        monkeypatch.setattr(np.linalg, "svd",
+                            counting(counts, "svd", np.linalg.svd))
         cfg = small_linreg_cfg(tmp_path, 0.0)
         run_linreg_experiment(cfg)
         assert counts == {"alpha": 1,
-                          "oracle": cfg.t_max * len(cfg.orders)}
+                          "oracle": cfg.t_max * len(cfg.orders), "svd": 0}
 
 
 @pytest.fixture(scope="module")
@@ -660,7 +701,7 @@ class TestCompactedAttentionTolerance:
         cfg = ExperimentConfig(task="linreg", **overrides)
         ours, ref, calls = shipped_and_dense_lines(
             run_linreg_experiment, cfg, tmp_path, monkeypatch)
-        assert calls == cfg.batch + 3 * cfg.t_max
+        assert calls == 2 + 3 * cfg.t_max
         assert len(ours) == len(ref)
         for line, ref_line in zip(ours, ref):
             *key, mse = line.split(",")
@@ -853,14 +894,15 @@ class TestCli:
             "A w_star + noise_std * noise exceed its range\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_alpha_overflow_exits_one(self, tmp_path, monkeypatch, capsys):
+    def test_trace_outside_the_reciprocal_span_exits_one(
+            self, tmp_path, monkeypatch, capsys):
         # a numpy RuntimeWarning would fail this test: pytest turns it
         # into an error
         monkeypatch.chdir(tmp_path)
         assert main(["linreg", "--mu", "1e300"]) == 1
         assert capsys.readouterr().err == (
-            "error: initial_scale overflows float64: sigma**2 for "
-            "sigma=1e+300 is outside its range\n")
+            "error: prompt 0 has tr B = 1e+301, outside the start "
+            "reciprocal's knot span [5.42101e-20, 1.84467e+19]\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_invert_alpha_overflow_exits_one(self, tmp_path, monkeypatch,
@@ -875,6 +917,28 @@ class TestCli:
                               "sigma**2 for sigma=")
         assert err.endswith(" is outside its range\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["invert", "--help"], ["linreg", "--help"],
+        ["logreg", "--help"], ["budget", "--help"],
+        ["scan-decrease", "--help"],
+    ])
+    def test_help_text_matches_the_full_parser(self, argv, capsys):
+        # a call builds only its subcommand's flags; what it prints is
+        # what the parser with every flag prints
+        full, subs = cli._build_parser()
+        want = (full if argv[0] == "--help" else subs[argv[0]]).format_help()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out == want
+        lazy, lazy_subs = cli._build_parser(argv[0])
+        assert lazy.format_help() == full.format_help()
+        for name, sub in subs.items():
+            flags = len(lazy_subs[name]._actions) > 1
+            assert flags == (name == argv[0])
+            if flags:
+                assert lazy_subs[name].format_help() == sub.format_help()
 
     def test_covariance_not_definite_in_float64_exits_one(
             self, tmp_path, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from newtonformer.inversion import (
     predicted_steps,
     run_inverse,
     spd_initial_scale,
+    trace_initial_scale,
 )
 
 
@@ -203,6 +204,48 @@ class TestInitialScale:
                 rf"^initial_scale overflows float64: sigma\*\*2 for "
                 rf"sigma={re.escape(shown)} is outside its range$")):
             initial_scale(sigma)
+
+
+class TestTraceInitialScale:
+    def test_knots_give_exact_reciprocals(self):
+        powers = np.ldexp(1.0, np.arange(-64, 65))
+        assert np.array_equal(trace_initial_scale(powers), 1.0 / powers)
+        assert trace_initial_scale(4.0) == 0.25
+        assert type(trace_initial_scale(4.0)) is float
+
+    def test_start_contracts_for_any_spd_matrix(self):
+        # 1/tr B <= alpha' <= 1.125/tr B, and tr B >= lambda_max, so
+        # alpha' lambda_max <= 1.125: the alpha' I start converges
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            d = int(rng.integers(1, 9))
+            lam = np.ldexp(rng.uniform(0.1, 1.0, d),
+                           int(rng.integers(-40, 40)))
+            trace = float(np.sum(lam))
+            alpha = trace_initial_scale(trace)
+            assert 1.0 / trace <= alpha * (1.0 + 1e-15)
+            assert alpha * trace <= 1.125 * (1.0 + 1e-15)
+            assert alpha * lam.max() < 2.0
+
+    def test_stack_gives_each_prompt_its_own_start(self):
+        traces = np.array([3.0, 1e-3, 7e5, 2.0**40])
+        got = trace_initial_scale(traces)
+        assert got.shape == traces.shape
+        assert np.array_equal(got, [trace_initial_scale(t)
+                                    for t in traces.tolist()])
+
+    @pytest.mark.parametrize("trace, prompt, shown", [
+        (1e301, 0, "1e+301"), (0.0, 0, "0"), (float("nan"), 0, "nan"),
+        (np.ldexp(1.0, -65), 0, "2.71051e-20"), (np.inf, 0, "inf"),
+        (np.array([1.0, 2.0, 1e30]), 2, "1e+30"),
+    ])
+    def test_trace_outside_the_knot_span_is_named(self, trace, prompt,
+                                                   shown):
+        with pytest.raises(ValueError, match=(
+                rf"^prompt {prompt} has tr B = {re.escape(shown)}, outside "
+                r"the start reciprocal's knot span "
+                r"\[5\.42101e-20, 1\.84467e\+19\]$")):
+            trace_initial_scale(trace)
 
 
 class TestRunInverse:

@@ -238,9 +238,7 @@ class TestCompactedHeads:
         d, n = 4, 12
         a = rng.standard_normal((n, d))
         y = a @ rng.standard_normal(d)
-        gram = a.T @ a + 0.1 * np.eye(d)
-        alpha = inversion.initial_scale(spectral_norm(gram))
-        layers, _ = build_linreg_transformer(d, 3, alpha, ridge_mu=0.1)
+        layers, _ = build_linreg_transformer(d, 3, ridge_mu=0.1)
         h = make_linreg_prompt(a, y, rng.standard_normal(d))
         assert_every_head_within_bound(layers, h)
 
@@ -251,7 +249,7 @@ class TestCompactedHeads:
         labels = np.where(a @ rng.standard_normal(5) < 0.0, -1.0, 1.0)
         problem = LogisticProblem(a, labels, 0.1)
         layers, _ = build_logreg_newton_step(
-            problem, width_depth_budget(1e-2, 0.1, d=5)
+            width_depth_budget(1e-2, 0.1, d=5)
         )
         h = make_logistic_prompt(problem, np.full(5, 0.3))
         assert_every_head_within_bound(layers, h)
@@ -315,8 +313,8 @@ class TestCompactedHeads:
 
     def test_linreg_newton_heads_read_d_columns(self):
         d = 4
-        layers, _ = build_linreg_transformer(d, 1, 0.01)
-        newton = layers[1]
+        layers, _ = build_linreg_transformer(d, 1)
+        newton = layers[2]
         assert newton.dim > d
         for head in newton.heads:
             (out, src, c), = head.value
@@ -517,10 +515,10 @@ def constructions():
         return make_logistic_prompt(problem, rng.uniform(-1.0, 1.0, 5))
 
     logistic_layers, _ = build_logreg_newton_step(
-        problem, width_depth_budget(1e-2, 0.1, d=5))
+        width_depth_budget(1e-2, 0.1, d=5))
     return {
         "inversion": (build_inversion_block(d)[0], inversion_prompt),
-        "linreg": (build_linreg_transformer(d, 2, 0.02, ridge_mu=0.1)[0],
+        "linreg": (build_linreg_transformer(d, 2, ridge_mu=0.1)[0],
                    linreg_prompt),
         "logistic": (logistic_layers, logistic_prompt),
     }
@@ -832,14 +830,15 @@ class TestOneWorkingStream:
 
     def test_linreg_forward_peaks_below_two_streams(self):
         # the linreg_depth shape: d=10, n=50, 16 prompts
-        (init, *layers), _ = build_linreg_transformer(10, 1, 0.01)
+        layers, _ = build_linreg_transformer(10, 1)
+        init, layers = layers[:2], layers[2:]
         rng = np.random.default_rng(28)
-        h = model_forward([init], np.stack([
+        h = model_forward(init, np.stack([
             make_linreg_prompt(rng.standard_normal((50, 10)),
                                rng.standard_normal(50),
                                rng.standard_normal(10))
             for _ in range(16)]))
-        assert h.shape == (16, 43, 50)
+        assert h.shape == (16, 45, 50)
         model_forward(layers, h)  # warm up
         tracemalloc.start()
         try:
