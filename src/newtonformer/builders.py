@@ -10,12 +10,14 @@ width budget, and the data reach them only through the prompt.  Each
 stack declares its row bands once, in its layout function; the
 builder, the prompt maker and the reader take every row from that
 layout, and the layers' dimension is its ``n_rows``.  Heads are
-written as band entries, each adding c I times one band of prompt rows
-to another, so the selector structure stays auditable.  Feed-forward
-blocks hold only scalar piecewise-linear gadgets, each approximating a
-function a stack needs (sigma', the products of the Hessian, the
-damped step size, the reciprocal of tr B); a row a block reads or
-writes is cleared by a head, never by a ReLU neuron.
+written as band entries: value entries each adding c I times one band
+of prompt rows to another, and a plain row band each for the key and
+the query, so the selector structure stays auditable and every scale
+and sign sits on a value entry.  Feed-forward blocks hold only scalar
+piecewise-linear gadgets, each approximating a function a stack needs
+(sigma', the products of the Hessian, the damped step size, the
+reciprocal of tr B); a row a block reads or writes is cleared by a
+head, never by a ReLU neuron.
 """
 
 import math
@@ -207,8 +209,7 @@ def _nonzero(entries):
 def _clear(dim, row, e1_row):
     """The head adding exactly -row: (-e1^T e1) times the row, for the
     first identity row *e1_row* holding e1^T."""
-    return AttentionHead(dim, [(row, e1_row, -1.0)],
-                         key=(e1_row, 1.0), query=(row, 1.0))
+    return AttentionHead(dim, [(row, e1_row, -1.0)], key=e1_row, query=row)
 
 
 def _newton_layer(dim, x_rows, m_rows, ident_rows):
@@ -220,9 +221,9 @@ def _newton_layer(dim, x_rows, m_rows, ident_rows):
     return TransformerLayer(
         heads=(
             AttentionHead(dim, [(x_rows, x_rows, -1.0)],
-                          key=(m_rows, 1.0), query=(x_rows, 1.0)),
+                          key=m_rows, query=x_rows),
             AttentionHead(dim, [(x_rows, x_rows, 1.0)],
-                          key=(ident_rows, 1.0), query=(ident_rows, 1.0)),
+                          key=ident_rows, query=ident_rows),
         ),
     )
 
@@ -275,16 +276,15 @@ def build_inversion_block(d):
     )
     first = TransformerLayer(
         heads=(
-            AttentionHead(dim, [(work, a_rows, 1.0)],
-                          key=(ident, 1.0), query=(x_rows, 1.0)),
+            AttentionHead(dim, [(work, a_rows, 1.0)], key=ident, query=x_rows),
         ),
     )
     second = TransformerLayer(
         heads=(
-            AttentionHead(dim, [(x_rows, x_rows, 1.0)],
-                          key=(ident, 1.0), query=(work, -1.0)),
+            AttentionHead(dim, [(x_rows, x_rows, -1.0)],
+                          key=ident, query=work),
             AttentionHead(dim, [(x_rows, x_rows, 1.0), (work, work, -1.0)],
-                          key=(ident, 1.0), query=(ident, 1.0)),
+                          key=ident, query=ident),
         ),
     )
     return [first, second], layout
@@ -352,10 +352,12 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     in context: its weights depend on d and ridge_mu alone, never on a
     prompt, so one stack runs a whole stack of prompts.
 
-    The first init layer clears b_slot's I, then writes
-    B = A^T A + ridge_mu*I there, and sums tr B into the accumulator
-    row, from d one-row heads (value, key: data row j; query: the ones
-    row) and, for ridge_mu > 0, one ridge_mu*d head.  Its ffn, one
+    The first init layer clears b_slot's I, then writes A^T A there
+    and sums tr A^T A into the accumulator row, from d one-row heads
+    (value, key: data row j; query: the ones row).  For ridge_mu > 0 it
+    holds two more heads, ridge_mu I into b_slot and ridge_mu*d into
+    the accumulator, so that b_slot holds B = A^T A + ridge_mu I and the
+    accumulator tr B; at ridge_mu = 0 it has neither.  Its ffn, one
     reciprocal gadget with knots at consecutive powers of two
     (``inversion.TRACE_RECIPROCAL``), writes alpha' = recip(tr B) into
     the output row.  The second clears x_slot's I, writes
@@ -405,26 +407,22 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     # each entry of B rounds once, at any scale of A; tr B goes into
     # every column of the accumulator, and the ffn reads it into alpha'
     # in the output row
-    trace_heads = [
-        AttentionHead(dim, [(acc_row, data.start + j, 1.0)],
-                      key=(data.start + j, 1.0), query=(ones_row, 1.0))
-        for j in range(d)
+    gram_heads = [
+        AttentionHead(dim, [(b_slot, ident, -1.0)], key=ident, query=ident),
+        AttentionHead(dim, [(b_slot, data, 1.0)], key=data, query=x_slot),
+        *(AttentionHead(dim, [(acc_row, data.start + j, 1.0)],
+                        key=data.start + j, query=ones_row)
+          for j in range(d)),
     ]
     if ridge_mu > 0.0:
-        trace_heads.append(
+        gram_heads += [
+            AttentionHead(dim, [(b_slot, ident, ridge_mu)],
+                          key=ident, query=ident),
             AttentionHead(dim, [(acc_row, e1_row, ridge_mu * d)],
-                          key=(e1_row, 1.0), query=(ones_row, 1.0))
-        )
+                          key=e1_row, query=ones_row),
+        ]
     gram = TransformerLayer(
-        heads=(
-            AttentionHead(dim, [(b_slot, ident, -1.0)],
-                          key=(ident, 1.0), query=(ident, 1.0)),
-            AttentionHead(dim, [(b_slot, data, 1.0)],
-                          key=(data, 1.0), query=(x_slot, 1.0)),
-            AttentionHead(dim, _nonzero([(b_slot, ident, ridge_mu)]),
-                          key=(ident, 1.0), query=(ident, 1.0)),
-            *trace_heads,
-        ),
+        heads=gram_heads,
         ffn=Ffn(dim, [_gadget(dim, TRACE_RECIPROCAL, {acc_row: 1.0},
                               out_row)], ones_row),
     )
@@ -433,9 +431,9 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     start = TransformerLayer(
         heads=(
             AttentionHead(dim, [(x_slot, ident, -1.0)],
-                          key=(ident, 1.0), query=(ident, 1.0)),
+                          key=ident, query=ident),
             *(AttentionHead(dim, [(x_slot.start + j, out_row, 1.0)],
-                            key=(e1_row, 1.0), query=(ident.start + j, 1.0))
+                            key=e1_row, query=ident.start + j)
               for j in range(d)),
             _clear(dim, acc_row, e1_row),
             _clear(dim, out_row, e1_row),
@@ -448,15 +446,15 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
         heads=(
             _clear(dim, out_row, e1_row),
             AttentionHead(dim, [(out_row, label_row, 1.0)],
-                          key=(data, 1.0), query=(x_slot, 1.0)),
+                          key=data, query=x_slot),
         ),
     )
     readout = TransformerLayer(
         heads=(
             AttentionHead(dim, [(out_row, out_row, 1.0)],
-                          key=(test_row, 1.0), query=(e1_row, 1.0)),
+                          key=test_row, query=e1_row),
             AttentionHead(dim, [(out_row, out_row, -1.0)],
-                          key=(ident, 1.0), query=(ident, 1.0)),
+                          key=ident, query=ident),
         ),
     )
 
@@ -580,7 +578,7 @@ def build_logreg_newton_step(budget):
     def over_n(row):
         # adds row/n: (picker^T e1) times the row
         return AttentionHead(dim, [(row, picker_row, 1.0)],
-                             key=(e1_row, 1.0), query=(row, 1.0))
+                             key=e1_row, query=row)
 
     layers = []
 
@@ -599,7 +597,7 @@ def build_logreg_newton_step(budget):
     layers.append(
         TransformerLayer(
             heads=(AttentionHead(dim, [(margin_row, e1_row, 1.0)],
-                                 key=(iterate, 1.0), query=(data, 1.0)),),
+                                 key=iterate, query=data),),
             ffn=Ffn(dim, gadgets, ones_row),
         )
     )
@@ -622,7 +620,7 @@ def build_logreg_newton_step(budget):
             heads=(clear(margin_row), clear(acc_row), clear(prob_row),
                    over_n(acc_row), over_n(prob_row),
                    AttentionHead(dim, [(x_slot, ident, -1.0)],
-                                 key=(ident, 1.0), query=(ident, 1.0))),
+                                 key=ident, query=ident)),
             ffn=Ffn(dim, gadgets, ones_row),
         )
     )
@@ -636,16 +634,16 @@ def build_logreg_newton_step(budget):
             heads=(
                 clear(acc_row),
                 AttentionHead(dim, [(b_slot, data, 1.0)],
-                              key=(x_slot, 1.0), query=(ident, 1.0)),
-                AttentionHead(dim, [(x_slot, ident, 1.0)],
-                              key=(ident, 1.0), query=(x_slot, -1.0)),
+                              key=x_slot, query=ident),
+                AttentionHead(dim, [(x_slot, ident, -1.0)],
+                              key=ident, query=x_slot),
                 AttentionHead(dim, _nonzero([(x_slot, ident, alpha),
                                              (b_slot, ident, mu - 1.0)]),
-                              key=(ident, 1.0), query=(ident, 1.0)),
+                              key=ident, query=ident),
                 AttentionHead(dim, [(acc_row, prob_row, -1.0)],
-                              key=(data, 1.0), query=(ident, 1.0)),
+                              key=data, query=ident),
                 AttentionHead(dim, [(acc_row, e1_row, mu)],
-                              key=(iterate, 1.0), query=(ident, 1.0)),
+                              key=iterate, query=ident),
                 clear(prob_row),
             ),
         )
@@ -659,9 +657,9 @@ def build_logreg_newton_step(budget):
         TransformerLayer(
             heads=(
                 AttentionHead(dim, [(x_slot, x_slot, -1.0)],
-                              key=(ident, 1.0), query=(ident, 1.0)),
+                              key=ident, query=ident),
                 AttentionHead(dim, [(x_slot, x_slot, 1.0)],
-                              key=(acc_row, 1.0), query=(e1_row, 1.0)),
+                              key=acc_row, query=e1_row),
             ),
         )
     )
@@ -677,7 +675,7 @@ def build_logreg_newton_step(budget):
             heads=(
                 clear(acc_row),
                 AttentionHead(dim, [(prob_row, acc_row, 1.0)],
-                              key=(ident, 1.0), query=(x_slot, 1.0)),
+                              key=ident, query=x_slot),
             ),
             ffn=Ffn(dim, [_gadget(dim, step_size, {prob_row: 1.0}, acc_row)],
                     ones_row),
@@ -693,15 +691,15 @@ def build_logreg_newton_step(budget):
         TransformerLayer(
             heads=(
                 AttentionHead(dim, [(iterate, x_slot, -1.0)],
-                              key=(acc_row, 1.0), query=(ones_row, 1.0)),
+                              key=acc_row, query=ones_row),
                 clear(acc_row),
                 clear(prob_row),
                 AttentionHead(dim, [(x_slot, x_slot, -1.0),
                                     (b_slot, b_slot, -1.0)],
-                              key=(ident, 1.0), query=(ident, 1.0)),
+                              key=ident, query=ident),
                 AttentionHead(dim, [(x_slot, ident, 1.0),
                                     (b_slot, ident, 1.0)],
-                              key=(ident, 1.0), query=(ident, 1.0)),
+                              key=ident, query=ident),
             ),
         )
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ShapeMismatchError
-from .linalg import as_matrix, as_stack, spectral_norm
+from .linalg import as_matrix, as_stack
 from .pwl import PwlApprox, eval_pwl
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "newton_step",
     "hyperpower_step",
     "predicted_steps",
-    "initial_scale",
     "spd_initial_scale",
     "trace_initial_scale",
     "run_inverse",
@@ -114,34 +113,6 @@ def predicted_steps(kappa, eps, order=2):
     return warmup + sharpen + 2
 
 
-def initial_scale(sigma):
-    """Start scale ``alpha = 2 * INIT_SAFETY / sigma**2`` for ``alpha * A^T``.
-
-    The iteration from ``alpha * A^T`` converges for alpha in
-    ``(0, 2 / sigma_max**2)``, which this alpha meets for any upper
-    bound *sigma* on the spectral norm, the exact one included.  Since
-    ``X_0 A = alpha * A^T A``, this is :func:`spd_initial_scale` for the
-    SPD matrix ``A^T A``.  *sigma* may be an array.  Raises
-    ``ValueError`` for a sigma that is not positive or whose alpha
-    leaves float64's range, as when ``sigma**2`` overflows.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    bad = ~(sigma > 0.0)
-    if bad.any():
-        raise ValueError(
-            f"initial_scale needs a positive sigma, got {sigma[bad].flat[0]:g}"
-        )
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        alpha = spd_initial_scale(sigma * sigma)
-    bad = ~((alpha > 0.0) & (alpha < math.inf))
-    if bad.any():
-        raise ValueError(
-            f"initial_scale overflows float64: sigma**2 for "
-            f"sigma={sigma[bad].flat[0]:g} is outside its range"
-        )
-    return float(alpha) if alpha.ndim == 0 else alpha
-
-
 def spd_initial_scale(lam):
     """Start scale ``alpha = 2 * INIT_SAFETY / lam`` for ``alpha * I``.
 
@@ -203,21 +174,28 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100):
     """Iterate the hyperpower update on *a* until the residual meets *tol*.
 
     The start iterate is ``alpha * a.T`` with
-    ``alpha = initial_scale(sigma)``, where ``sigma`` is the exact
-    spectral norm of *a* from :func:`~.linalg.spectral_norm`.
+    ``alpha = spd_initial_scale(sigma**2)``, where ``sigma`` is the
+    exact spectral norm of *a*: ``X_0 a = alpha * a^T a``, whose largest
+    eigenvalue is sigma**2.
 
     Raises ``ConvergenceError`` (with the partial run attached) if the
-    residual is still above *tol* after *max_iters* steps.
+    residual is still above *tol* after *max_iters* steps, and
+    ``ValueError`` for the zero matrix and for a sigma whose square,
+    and so alpha, falls outside float64's range.
     """
     a = as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"a must be square, got {a.shape}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sigma = spectral_norm(a)
+    sigma = np.linalg.norm(a, 2)
     if sigma == 0.0:
         raise ValueError("cannot invert the zero matrix")
-    alpha = initial_scale(sigma)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        alpha = float(spd_initial_scale(sigma * sigma))
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"run_inverse start scale overflows float64: "
+                         f"sigma**2 for sigma={sigma:g} is outside its range")
     d = a.shape[0]
     eye = np.eye(d)
     x = alpha * a.T

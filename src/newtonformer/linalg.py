@@ -13,7 +13,6 @@ from .errors import DefinitenessError, ShapeMismatchError, SymmetryError
 __all__ = [
     "as_matrix",
     "as_stack",
-    "spectral_norm",
     "solve_spd",
 ]
 
@@ -51,19 +50,6 @@ def _check_result_finite(a, op):
     if not np.isfinite(a).all():
         raise ValueError(f"{op} produced non-finite entries")
     return a
-
-
-def spectral_norm(a):
-    """The largest singular value of *a*, from one LAPACK SVD call.
-
-    An m x n matrix gives a float.  A stack ``(..., m, n)`` gives an
-    array of shape ``...`` holding one value per matrix, each
-    bit-identical to the value for that matrix alone.  A zero matrix
-    gives 0.0.
-    """
-    a = as_stack(a)
-    sigma = np.linalg.svd(a, compute_uv=False)[..., 0]
-    return float(sigma) if a.ndim == 2 else sigma
 
 
 def solve_spd(a, b):

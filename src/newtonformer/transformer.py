@@ -6,12 +6,13 @@ optional position-wise feed-forward block adds W_2 relu(W_1 H), whose
 ReLU neurons all belong to piecewise-linear gadgets.
 The constructed heads are block selectors, and a head is held in
 that form: value entries that each add c times one band of stream rows
-to another, one entry per out band, and one band each for the key and
-the query, where a scale c stands for c I.  The forward pass reads
-those bands as views and, with no softmax in between, groups the
-product as ((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows|
-matrix in place of the n x n score matrix.  The dense projections are
-derived from the bands on demand.
+to another, one entry per out band, and one plain band of rows each
+for the key and the query.  Every scale and sign sits on a value
+entry, where a scale c stands for c I.  The forward pass reads the
+bands as views and, with no softmax in between, groups the product as
+((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows| matrix in
+place of the n x n score matrix.  The dense projections are derived
+from the bands on demand.
 Feed-forward blocks hold only those gadgets, keep them whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
@@ -29,6 +30,7 @@ and ``model_forward`` return a new array.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,25 +81,27 @@ class AttentionHead:
     """One linear-attention head, held as the bands its builder writes.
 
     A band is a run of stream rows: a slice with step 1, or one row
-    index.  A scale c is a finite, nonzero float standing for c I on
-    its band.  *value* holds ``(out_rows, src_rows, c)`` entries, each
-    adding c times the stream rows *src_rows* to the rows *out_rows*;
-    no two entries' out bands may overlap, so each out band has one
-    source.  *key* and *query* are one ``(src_rows, c)`` band each, of
-    one size: the head's inner dimension.  A head without value entries
-    adds nothing.  A band outside ``0 .. dim``, sizes that disagree, a
-    zero or non-finite scale and overlapping out bands raise
-    ``ValueError`` naming the entry or the bands.
+    index.  *value* holds one or more ``(out_rows, src_rows, c)``
+    entries, each adding c times the stream rows *src_rows* to the rows
+    *out_rows*, where the scale c is a finite, nonzero float standing
+    for c I on its band; no two entries' out bands may overlap, so each
+    out band has one source.  *key* and *query* are one plain band each,
+    of one size: the head's inner dimension.  Every scale and sign sits
+    on the value entries.  An empty *value*, a band that is not a run
+    of rows inside ``0 .. dim`` (a ``(rows, c)`` pair included), sizes
+    that disagree, a zero or non-finite scale and overlapping out bands
+    raise ``ValueError`` naming the entry or the bands.
 
     The dense projections ``w_v``, ``w_k`` and ``w_q`` are derived on
-    first use, read-only, with the key and query bands on the inner
-    rows ``0 .. size``.  Heads compare and hash by identity.
+    first use, read-only; ``w_k`` and ``w_q`` are selectors that put the
+    key and query bands on the inner rows ``0 .. size``.  Heads compare
+    and hash by identity.
     """
 
     dim: int
     value: tuple
-    key: tuple
-    query: tuple
+    key: slice | int
+    query: slice | int
 
     def __post_init__(self):
         value = []
@@ -106,6 +110,8 @@ class AttentionHead:
             src = _band(self.dim, f"value {i} src", src)
             _same_size(f"value {i} out and src", out, src)
             value.append((out, src, _scale(f"value {i}", c)))
+        if not value:
+            raise ValueError("a head needs at least one value entry")
         # V stacks the out bands in ascending row order; *at* is each
         # band's rows within V
         v_bands, at = [], 0
@@ -116,10 +122,9 @@ class AttentionHead:
                                  f"{out} overlap")
             v_bands.append((out, slice(at, at + _size(out)), src, c))
             at += _size(out)
-        key, query = ((_band(self.dim, name, rows), _scale(name, c))
-                      for name, (rows, c) in (("key", self.key),
-                                              ("query", self.query)))
-        _same_size("key and query", key[0], query[0])
+        key = _band(self.dim, "key", self.key)
+        query = _band(self.dim, "query", self.query)
+        _same_size("key and query", key, query)
         for name, given in (("value", tuple(value)), ("key", key),
                             ("query", query), ("_v_bands", tuple(v_bands))):
             object.__setattr__(self, name, given)
@@ -130,12 +135,12 @@ class AttentionHead:
 
     @cached_property
     def w_k(self):
-        return _dense(self.dim, [(slice(0, _size(self.key[0])), *self.key)])
+        return _dense(self.dim, [(slice(0, _size(self.key)), self.key, 1.0)])
 
     @cached_property
     def w_q(self):
         return _dense(self.dim,
-                      [(slice(0, _size(self.query[0])), *self.query)])
+                      [(slice(0, _size(self.query)), self.query, 1.0)])
 
 
 def _size(rows):
@@ -144,13 +149,13 @@ def _size(rows):
 
 def _band(dim, name, rows):
     """*rows* as a slice inside ``0 .. dim``; one index is a one-row
-    band."""
-    band = rows if isinstance(rows, slice) else slice(rows, rows + 1)
-    ends = (band.start, band.stop)
-    if (band.step not in (None, 1)
-            or not all(isinstance(i, (int, np.integer)) for i in ends)
-            or not 0 <= band.start < band.stop <= dim):
-        raise ValueError(f"{name} band {band} is not a run of rows inside "
+    band, and anything but a slice or an index is no band."""
+    band = slice(rows, rows + 1) if isinstance(rows, numbers.Real) else rows
+    if not (isinstance(band, slice) and band.step in (None, 1)
+            and all(isinstance(i, (int, np.integer))
+                    for i in (band.start, band.stop))
+            and 0 <= band.start < band.stop <= dim):
+        raise ValueError(f"{name} band {band!r} is not a run of rows inside "
                          f"0 .. {dim}")
     return slice(int(band.start), int(band.stop))
 
@@ -291,17 +296,12 @@ def _target(h, out):
     return out
 
 
-def _read(h, rows, c):
-    """c times the stream rows *rows*: the rows themselves, a view, for
-    c = 1."""
-    band = h[..., rows, :]
-    return band if c == 1.0 else c * band
-
-
 def _values(head, h):
     """The head's V = W_V h: each out band's c h[src], stacked in
-    ascending row order."""
-    bands = [_read(h, src, c) for _, _, src, c in head._v_bands]
+    ascending row order; a band with c = 1 is a view of the stream
+    rows."""
+    bands = [h[..., src, :] if c == 1.0 else c * h[..., src, :]
+             for _, _, src, c in head._v_bands]
     return bands[0] if len(bands) == 1 else np.concatenate(bands, axis=-2)
 
 
@@ -310,9 +310,9 @@ def attention_forward(layer, h, *, out=None):
     contributions.  The layer's ffn, if any, is NOT applied here.
 
     Each head adds ((V K.T) Q) to its out bands.  V stacks the out
-    bands in ascending row order, each its one entry's c h[src rows];
-    K = c h[key rows] and Q = c h[query rows].  A band with c = 1 is a
-    view of the stream rows, with no product.
+    bands in ascending row order, each its one entry's c h[src rows]
+    (a view of the stream rows for c = 1); K = h[key rows] and
+    Q = h[query rows] are views, with no product.
     Without a softmax this equals the dense
     (W_V h) ((W_K h).T (W_Q h)) up to rounding, forms no n x n score
     matrix and leaves out only zero terms, so each element lies within
@@ -327,12 +327,10 @@ def attention_forward(layer, h, *, out=None):
     do not depend on *out*.
     """
     h = _check_stream(h, layer.dim)
-    updates = []
-    for head in layer.heads:
-        if head._v_bands:
-            updates.append((head._v_bands, (
-                _values(head, h) @ _read(h, *head.key).mT
-            ) @ _read(h, *head.query)))
+    updates = [(head._v_bands,
+                (_values(head, h) @ h[..., head.key, :].mT)
+                @ h[..., head.query, :])
+               for head in layer.heads]
     out = _target(h, out)
     for v_bands, update in updates:
         for rows, at, _, _ in v_bands:

@@ -32,12 +32,11 @@ from newtonformer.errors import BudgetError
 from newtonformer.harness import ExperimentConfig
 from newtonformer.inversion import (
     TRACE_RECIPROCAL,
-    initial_scale,
     newton_step,
     spd_initial_scale,
     trace_initial_scale,
 )
-from newtonformer.linalg import solve_spd, spectral_norm
+from newtonformer.linalg import solve_spd
 from newtonformer.logistic import (
     LogisticProblem,
     damped_step,
@@ -268,11 +267,10 @@ class TestWidthDepthBudget:
 
 
 def apply_ffn(gadgets, ones_row, h):
-    # a head without value entries adds nothing
+    # ffn_forward runs only the ffn, so the layer's head is any head
     dim = h.shape[0]
-    silent = AttentionHead(dim, (), key=(0, 1.0), query=(0, 1.0))
-    layer = TransformerLayer(heads=(silent,),
-                             ffn=Ffn(dim, gadgets, ones_row))
+    head = AttentionHead(dim, [(0, 0, 1.0)], key=0, query=0)
+    layer = TransformerLayer(heads=(head,), ffn=Ffn(dim, gadgets, ones_row))
     return ffn_forward(layer, h)
 
 
@@ -350,8 +348,8 @@ class TestInversionBlock:
     def test_chaining_two_blocks(self):
         rng = np.random.default_rng(3)
         a = make_covariance(4, 8.0, rng)
-        alpha = initial_scale(spectral_norm(a))
-        x0 = alpha * a.T
+        sigma = np.linalg.norm(a, 2)
+        x0 = spd_initial_scale(sigma * sigma) * a.T
         block, layout = build_inversion_block(4)
         out = model_forward(block + block, make_inversion_prompt(a, x0))
         expected = newton_step(newton_step(x0, a), a)
@@ -495,20 +493,20 @@ class TestLinregTransformer:
 
     @pytest.mark.parametrize("mu", [0.0, 1.0, 2.0])
     def test_zero_init_scales_are_left_out(self, mu):
-        # mu I and mu * d are zero at mu = 0: the init layer holds no
-        # value entry, and no trace head, for a zero scale
+        # mu I and mu * d are zero at mu = 0: the gram layer then holds
+        # neither ridge head.  Both follow the b_slot clear, the A^T A
+        # head and the d = 2 trace heads
         (gram, *_), layout = build_linreg_transformer(2, 1, ridge_mu=mu)
         ident = layout.rows_of("identity")
         b_slot = layout.rows_of("b_slot")
         acc = layout.rows_of("accumulator").start
-        head = gram.heads[2]
-        assert [c for _, _, c in head.value] == [c for c in [mu] if c]
-        np.testing.assert_array_equal(head.w_v[b_slot, ident],
-                                      mu * np.eye(2))
         e1 = slice(ident.start, ident.start + 1)
-        ridge = [h.value for h in gram.heads[3:] if h.key[0] == e1]
-        want = ((slice(acc, acc + 1), e1, 2 * mu),)
-        assert ridge == ([want] if mu else [])
+        ridge = gram.heads[4:]
+        want = [((b_slot, ident, mu),), ((slice(acc, acc + 1), e1, 2 * mu),)]
+        assert [head.value for head in ridge] == (want if mu else [])
+        for head in ridge[:1]:
+            np.testing.assert_array_equal(head.w_v[b_slot, ident],
+                                          mu * np.eye(2))
 
     @pytest.mark.parametrize("scale", [1e-9, 1e8])
     def test_matches_closed_form_at_any_scale(self, scale):
@@ -614,8 +612,8 @@ class TestLinregTransformer:
         layer of two ridge weights' stacks holds equal weights."""
         first, _ = build_linreg_transformer(d, 1, ridge_mu=0.0)
         second, _ = build_linreg_transformer(d, 1, ridge_mu=2.5)
-        assert not np.array_equal(first[0].heads[2].w_v,
-                                  second[0].heads[2].w_v)
+        # at ridge_mu = 0 the gram layer holds neither ridge head
+        assert len(first[0].heads) + 2 == len(second[0].heads) == d + 4
         for ours, theirs in zip(first[1:], second[1:]):
             assert len(ours.heads) == len(theirs.heads)
             for a, b in zip(ours.heads, theirs.heads):

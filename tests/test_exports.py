@@ -94,3 +94,15 @@ def test_readme_cli_table_lists_each_flag():
         for name, sub in subparsers.items()
     }
     assert documented == defined
+
+
+def test_readme_python_example_runs():
+    """Every ``python`` block in the README runs as written, so an API
+    change that breaks the documented example fails here."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        readme.read_text(encoding="utf-8"),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

@@ -47,9 +47,9 @@ def logreg_problem(seed, n=26, d=5, mu=0.1):
 
 
 def with_ffn(dim, ffn):
-    # a head without value entries adds nothing
-    silent = AttentionHead(dim, (), key=(0, 1.0), query=(0, 1.0))
-    return TransformerLayer(heads=(silent,), ffn=ffn)
+    # ffn_forward runs only the ffn, so the layer's head is any head
+    head = AttentionHead(dim, [(0, 0, 1.0)], key=0, query=0)
+    return TransformerLayer(heads=(head,), ffn=ffn)
 
 
 def dense_forward(layers, h):

@@ -913,8 +913,8 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["invert"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: initial_scale overflows float64: "
-                              "sigma**2 for sigma=")
+        assert err.startswith("error: run_inverse start scale overflows "
+                              "float64: sigma**2 for sigma=")
         assert err.endswith(" is outside its range\n")
         assert list(tmp_path.iterdir()) == []
 

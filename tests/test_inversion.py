@@ -11,7 +11,6 @@ from newtonformer.inversion import (
     InverseRun,
     fitted_order,
     hyperpower_step,
-    initial_scale,
     newton_step,
     predicted_steps,
     run_inverse,
@@ -55,7 +54,8 @@ class TestHyperpowerStep:
     def test_residual_power_law(self, order):
         rng = np.random.default_rng(2)
         a = make_covariance(4, 5.0, rng)
-        x = initial_scale(np.linalg.eigvalsh(a).max()) * a.T
+        lam = np.linalg.eigvalsh(a).max()
+        x = spd_initial_scale(lam * lam) * a.T
         eye = np.eye(4)
         before = eye - x @ a
         after = eye - hyperpower_step(x, a, order) @ a
@@ -174,38 +174,6 @@ class TestPredictedSteps:
         assert str(predicted.value) == str(step.value)
 
 
-class TestInitialScale:
-    def test_is_spd_initial_scale_of_the_square(self):
-        assert initial_scale(3.0) == spd_initial_scale(9.0)
-        assert type(initial_scale(3.0)) is float
-        sigma = np.array([[0.5, 3.0], [1e-3, 1e150]])
-        got = initial_scale(sigma)
-        assert got.shape == sigma.shape
-        assert np.array_equal(got, [[initial_scale(s) for s in row]
-                                    for row in sigma.tolist()])
-
-    @pytest.mark.parametrize("sigma, shown", [
-        (0.0, "0"), (-2.0, "-2"), (float("nan"), "nan"),
-        (np.array([1.0, -0.5]), "-0.5"),
-    ])
-    def test_non_positive_sigma_is_named(self, sigma, shown):
-        with pytest.raises(ValueError, match=(
-                f"^initial_scale needs a positive sigma, got {shown}$")):
-            initial_scale(sigma)
-
-    @pytest.mark.parametrize("sigma, shown", [
-        (1e155, "1e+155"), (float("inf"), "inf"), (1e-170, "1e-170"),
-        (np.array([2.0, 1e200]), "1e+200"),
-    ])
-    def test_out_of_range_square_is_named(self, sigma, shown):
-        # pytest turns numpy's RuntimeWarning into an error, so this
-        # also checks that nothing warns
-        with pytest.raises(ValueError, match=(
-                rf"^initial_scale overflows float64: sigma\*\*2 for "
-                rf"sigma={re.escape(shown)} is outside its range$")):
-            initial_scale(sigma)
-
-
 class TestTraceInitialScale:
     def test_knots_give_exact_reciprocals(self):
         powers = np.ldexp(1.0, np.arange(-64, 65))
@@ -303,11 +271,30 @@ class TestRunInverse:
         with pytest.raises(ShapeMismatchError):
             run_inverse(np.ones((2, 3)))
 
+    def test_start_scale_is_spd_initial_scale_of_sigma_squared(self):
+        # X_0 a = alpha a^T a, whose largest eigenvalue is sigma**2
+        rng = np.random.default_rng(8)
+        for a in (make_covariance(5, 30.0, rng),
+                  rng.standard_normal((4, 4)), 1e150 * np.eye(2)):
+            sigma = np.linalg.norm(a, 2)
+            alpha = run_inverse(a).alpha
+            assert type(alpha) is float
+            assert alpha == spd_initial_scale(sigma * sigma)
+        assert run_inverse(1e150 * np.eye(2)).alpha == 1.8e-300
+
     def test_sigma_whose_square_overflows_is_named(self):
         with pytest.raises(ValueError, match=(
-                r"^initial_scale overflows float64: sigma\*\*2 for "
-                r"sigma=1e\+200 is outside its range$")):
+                r"^run_inverse start scale overflows float64: sigma\*\*2 "
+                r"for sigma=1e\+200 is outside its range$")):
             run_inverse(1e200 * np.eye(3))
+
+    def test_sigma_whose_square_underflows_is_named(self):
+        # pytest turns numpy's RuntimeWarning into an error, so this
+        # also checks that nothing warns
+        with pytest.raises(ValueError, match=(
+                r"^run_inverse start scale overflows float64: sigma\*\*2 "
+                r"for sigma=1e-170 is outside its range$")):
+            run_inverse(1e-170 * np.eye(2))
 
     def test_rejects_nan_tol(self):
         with pytest.raises(ValueError, match="got nan"):

@@ -7,12 +7,10 @@ from newtonformer.errors import (
     ShapeMismatchError,
     SymmetryError,
 )
-from newtonformer.inversion import initial_scale
 from newtonformer.linalg import (
     as_matrix,
     as_stack,
     solve_spd,
-    spectral_norm,
 )
 
 
@@ -40,55 +38,6 @@ class TestAsMatrix:
             as_matrix([[np.inf, 0.0]])
 
 
-class TestSpectralNormEst:
-    """``spectral_norm`` on single matrices."""
-
-    def test_diagonal_gap(self):
-        assert spectral_norm(np.diag([3.0, 1.0])) == 3.0
-
-    def test_identity_exact(self):
-        assert spectral_norm(np.eye(4)) == 1.0
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((3, 3))) == 0.0
-        assert spectral_norm(np.zeros((2, 5))) == 0.0
-
-    def test_random_spd_matches_eigh(self):
-        rng = np.random.default_rng(3)
-        sigma = make_covariance(8, 20.0, rng)
-        true = np.linalg.eigvalsh(sigma).max()
-        assert abs(spectral_norm(sigma) - true) <= 1e-14 * true
-
-    def test_never_overestimates(self):
-        rng = np.random.default_rng(4)
-        for _ in range(25):
-            a = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 9)))
-            est = spectral_norm(a)
-            assert est == np.linalg.norm(a, 2)
-            assert est <= np.linalg.norm(a) * (1.0 + 1e-12)
-
-    @pytest.mark.parametrize("a", [
-        1e300 * np.eye(3),
-        np.full((2, 4), 1e160),
-        np.stack([np.eye(3), 1e200 * np.eye(3)]),
-    ])
-    def test_overflow_is_named(self, a):
-        # sigma itself fits in float64 and is exact; the start scale's
-        # sigma**2 does not, and initial_scale names that.  pytest turns
-        # numpy's RuntimeWarning into an error, so this also checks that
-        # neither call warns.
-        sigma = spectral_norm(a)
-        assert np.array_equal(sigma, np.linalg.norm(a, 2, axis=(-2, -1)))
-        with pytest.raises(ValueError,
-                           match=r"^initial_scale overflows float64: "
-                                 r"sigma\*\*2 for sigma=\S+ is outside"):
-            initial_scale(sigma)
-
-    def test_entries_whose_square_fits_do_not_overflow(self):
-        assert spectral_norm(1e150 * np.eye(2)) == 1e150
-        assert initial_scale(spectral_norm(1e150 * np.eye(2))) == 1.8e-300
-
-
 class TestAsStack:
     def test_matrix_and_stack_become_contiguous_float64(self):
         for shape in ((2, 3), (4, 2, 3), (2, 1, 3, 3)):
@@ -107,64 +56,6 @@ class TestAsStack:
         s[2, 1, 0] = np.inf
         with pytest.raises(ValueError, match="^x contains non-finite"):
             as_stack(s, "x")
-
-
-def _random_stack(rng):
-    """A (batch, m, n) stack, m != n, batch 1-5, entries spread over six
-    decades, holding a zero matrix one time in four."""
-    m = int(rng.integers(1, 41))
-    n = int(rng.choice([k for k in range(1, 41) if k != m]))
-    batch = int(rng.integers(1, 6))
-    a = rng.standard_normal((batch, m, n)) * 10.0 ** rng.uniform(-3, 3)
-    if rng.random() < 0.25:
-        a[rng.integers(batch)] = 0.0
-    return a
-
-
-class TestSpectralNormEstStack:
-    """``spectral_norm`` on stacks: each slice's value is
-    ``np.linalg.norm(slice, 2)``, bit for bit."""
-
-    def test_stack_equals_per_matrix_loop(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            a = _random_stack(rng)
-            got = spectral_norm(a)
-            assert got.shape == (a.shape[0],)
-            assert np.array_equal(got, [np.linalg.norm(s, 2) for s in a])
-
-    def test_matrix_equals_per_matrix_loop_and_is_a_float(self):
-        rng = np.random.default_rng(22)
-        for _ in range(50):
-            a = _random_stack(rng)[0]
-            est = spectral_norm(a)
-            assert type(est) is float
-            assert est == np.linalg.norm(a, 2)
-
-    def test_leading_dims_keep_their_shape(self):
-        rng = np.random.default_rng(23)
-        a = rng.standard_normal((2, 3, 5, 4))
-        got = spectral_norm(a)
-        assert got.shape == (2, 3)
-        want = [[np.linalg.norm(s, 2) for s in row] for row in a]
-        assert np.array_equal(got, want)
-
-    def test_zero_slice_estimates_zero(self):
-        rng = np.random.default_rng(24)
-        a = rng.standard_normal((3, 4, 6))
-        a[1] = 0.0
-        got = spectral_norm(a)
-        assert got[1] == 0.0
-        assert np.array_equal(got, [np.linalg.norm(s, 2) for s in a])
-        assert np.array_equal(spectral_norm(np.zeros((2, 3, 3))), [0.0, 0.0])
-
-    def test_rejects_vector_and_non_finite_slice(self):
-        with pytest.raises(ShapeMismatchError):
-            spectral_norm(np.ones(3))
-        a = np.ones((2, 3, 3))
-        a[1, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="^stack contains non-finite"):
-            spectral_norm(a)
 
 
 def _long_double_solve(a, b):

@@ -19,7 +19,6 @@ from newtonformer.builders import (
     make_logistic_prompt,
     width_depth_budget,
 )
-from newtonformer.linalg import spectral_norm
 from newtonformer.logistic import LogisticProblem, NewtonState
 from newtonformer.pwl import PwlApprox, PwlGadget
 from newtonformer.transformer import (
@@ -43,9 +42,9 @@ def random_scale(rng):
 
 
 def random_head(rng, dim):
-    """A head on random bands with random scales: the rows split into
-    runs, most runs the out band of one value entry, and key and query
-    bands of one random size."""
+    """A head on random bands with random value scales: the rows split
+    into runs, most runs the out band of one value entry, and key and
+    query bands of one random size."""
     cuts = np.flatnonzero(rng.random(dim - 1) < 0.4) + 1
     runs = [run for run in np.split(np.arange(dim), cuts)
             if rng.random() < 0.7] or [np.arange(dim)]
@@ -53,10 +52,8 @@ def random_head(rng, dim):
               random_band(rng, dim, run.size), random_scale(rng))
              for run in runs]
     size = int(rng.integers(1, dim + 1))
-    return AttentionHead(dim, value,
-                         key=(random_band(rng, dim, size), random_scale(rng)),
-                         query=(random_band(rng, dim, size),
-                                random_scale(rng)))
+    return AttentionHead(dim, value, key=random_band(rng, dim, size),
+                         query=random_band(rng, dim, size))
 
 
 def draw_runs(data, dim):
@@ -67,16 +64,10 @@ def draw_runs(data, dim):
     return list(zip(starts, starts[1:] + [dim]))
 
 
-def silent_head(dim):
-    """A head without value entries: it adds nothing."""
-    return AttentionHead(dim, (), key=(0, 1.0), query=(0, 1.0))
-
-
 def identity_head(dim):
     """V, K and Q all the whole stream: the head adds h h.T h."""
     rows = slice(0, dim)
-    return AttentionHead(dim, [(rows, rows, 1.0)], key=(rows, 1.0),
-                         query=(rows, 1.0))
+    return AttentionHead(dim, [(rows, rows, 1.0)], key=rows, query=rows)
 
 
 def gadget_ffn(dim, gadgets, ones_row):
@@ -123,6 +114,13 @@ def assert_every_head_within_bound(layers, h):
 def spd(rng, d):
     m = rng.standard_normal((d, d))
     return m @ m.T + d * np.eye(d)
+
+
+def scaled_start(a):
+    """run_inverse's start alpha a^T for the symmetric *a*, whose
+    alpha is spd_initial_scale(sigma**2)."""
+    sigma = np.linalg.norm(a, 2)
+    return inversion.spd_initial_scale(sigma * sigma) * a
 
 
 def _array_dataclasses():
@@ -178,13 +176,6 @@ class TestPromptLayout:
 
 
 class TestAttentionForward:
-    def test_zero_weights_are_identity(self):
-        rng = np.random.default_rng(0)
-        h = rng.standard_normal((4, 6))
-        layer = TransformerLayer(heads=(silent_head(4),))
-        np.testing.assert_array_equal(attention_forward(layer, h), h)
-        assert_within_bound(layer, h)
-
     def test_matches_explicit_formula(self):
         rng = np.random.default_rng(1)
         h = rng.standard_normal((5, 7))
@@ -229,9 +220,9 @@ class TestCompactedHeads:
     def test_inversion_stack_heads(self):
         rng = np.random.default_rng(10)
         a = spd(rng, 4)
-        x0 = inversion.initial_scale(spectral_norm(a)) * a
         layers, _ = build_inversion_block(4)
-        assert_every_head_within_bound(layers, make_inversion_prompt(a, x0))
+        assert_every_head_within_bound(
+            layers, make_inversion_prompt(a, scaled_start(a)))
 
     def test_linreg_stack_heads(self):
         rng = np.random.default_rng(11)
@@ -257,8 +248,7 @@ class TestCompactedHeads:
     def test_non_contiguous_value_rows(self):
         rng = np.random.default_rng(15)
         head = AttentionHead(7, [(0, 3, 0.8), (2, 6, -1.0), (5, 1, 1.0)],
-                             key=(slice(1, 4), 1.0),
-                             query=(slice(4, 7), -0.5))
+                             key=slice(1, 4), query=slice(4, 7))
         layer = TransformerLayer(heads=(head,))
         h = rng.standard_normal((7, 4))
         out = attention_forward(layer, h)
@@ -297,11 +287,12 @@ class TestCompactedHeads:
                 for _ in range(data.draw(st.integers(0, 1))):
                     value.append((slice(start, stop), band(stop - start),
                                   data.draw(scales)))
+            if not value:  # a head needs a value entry
+                value.append((slice(0, dim), band(dim), data.draw(scales)))
             size = data.draw(st.integers(1, dim))
             heads.append(AttentionHead(
                 dim, data.draw(st.permutations(value)),
-                key=(band(size), data.draw(scales)),
-                query=(band(size), data.draw(scales))))
+                key=band(size), query=band(size)))
         layer = TransformerLayer(heads=tuple(heads))
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((dim, n))
@@ -318,17 +309,16 @@ class TestCompactedHeads:
         assert newton.dim > d
         for head in newton.heads:
             (out, src, c), = head.value
-            bands = (out, src, head.key[0], head.query[0])
+            bands = (out, src, head.key, head.query)
             assert [rows.stop - rows.start for rows in bands] == [d] * 4
-            # each block is +-I, kept as a scalar: no projection matrix
-            scales = (c, head.key[1], head.query[1])
-            assert [abs(c) for c in scales] == [1.0] * 3
-            assert [type(c) for c in scales] == [float] * 3
+            # each value block is +-I, kept as a scalar: no projection
+            # matrix
+            assert abs(c) == 1.0 and type(c) is float
 
     def test_projections_are_read_only_copies(self):
         rows = slice(0, 3)
         caller = [(rows, rows, 1.0)]
-        head = AttentionHead(3, caller, key=(rows, 1.0), query=(rows, 1.0))
+        head = AttentionHead(3, caller, key=rows, query=rows)
         caller[0] = (rows, rows, 2.0)
         assert head.value == ((rows, rows, 1.0),)
         for name in ("w_v", "w_k", "w_q"):
@@ -342,58 +332,82 @@ class TestCompactedHeads:
         np.testing.assert_array_equal(attention_forward(layer, h), 7.0 * h)
 
     def test_key_and_query_sit_on_the_leading_inner_rows(self):
-        head = AttentionHead(6, [(4, 5, 2.0)], key=(3, -1.0),
-                             query=(1, 0.5))
+        head = AttentionHead(6, [(4, 5, 2.0)], key=3, query=1)
         want_v, want_k, want_q = np.zeros((3, 6, 6))
-        want_v[4, 5], want_k[0, 3], want_q[0, 1] = 2.0, -1.0, 0.5
+        want_v[4, 5], want_k[0, 3], want_q[0, 1] = 2.0, 1.0, 1.0
         for view, want in zip((head.w_v, head.w_k, head.w_q),
                               (want_v, want_k, want_q)):
             np.testing.assert_array_equal(view, want)
 
     @pytest.mark.parametrize("value, key, query, message", [
-        ([(slice(2, 5), slice(0, 3), 1.0)], (0, 1.0), (0, 1.0),
+        ([(slice(2, 5), slice(0, 3), 1.0)], slice(0, 1), slice(0, 1),
          "value 0 out band slice(2, 5, None) is not a run of rows "
          "inside 0 .. 4"),
-        ([(0, 4, 1.0)], (0, 1.0), (0, 1.0),
+        ([(0, 4, 1.0)], slice(0, 1), slice(0, 1),
          "value 0 src band slice(4, 5, None) is not"),
-        ([(0, 1, 1.0)], (slice(3, 6), 1.0), (slice(0, 3), 1.0),
+        ([(0, 1, 1.0)], slice(3, 6), slice(0, 3),
          "key band slice(3, 6, None) is not"),
-        ([(0, 1, 1.0)], (0, 1.0), (slice(0, 4, 2), 1.0),
+        ([(0, 1, 1.0)], slice(0, 1), slice(0, 4, 2),
          "query band slice(0, 4, 2) is not"),
-        ([(1.5, 0, 1.0)], (0, 1.0), (0, 1.0),
+        ([(1.5, 0, 1.0)], slice(0, 1), slice(0, 1),
          "value 0 out band slice(1.5, 2.5, None) is not"),
-        ([(0, 1, 1.0)], (slice(None, 2), 1.0), (slice(0, 2), 1.0),
+        ([(0, 1, 1.0)], slice(None, 2), slice(0, 2),
          "key band slice(None, 2, None) is not"),
-        ([(0, 1, 1.0)], (slice(0, 2), 1.0), (slice(1, 2), 1.0),
+        ([(0, 1, 1.0)], slice(0, 2), slice(1, 2),
          "key and query bands hold 2 and 1 rows; their sizes must agree"),
-        ([(0, 1, 1.0), (slice(1, 3), slice(0, 3), 1.0)], (0, 1.0),
-         (0, 1.0),
+        ([(0, 1, 1.0), (slice(1, 3), slice(0, 3), 1.0)], slice(0, 1),
+         slice(0, 1),
          "value 1 out and src bands hold 2 and 3 rows; their sizes must "
          "agree"),
         ([(slice(0, 2), slice(2, 4), 1.0), (slice(1, 3), slice(0, 2), 1.0)],
-         (0, 1.0), (0, 1.0),
+         slice(0, 1), slice(0, 1),
          "value out bands slice(0, 2, None) and slice(1, 3, None) overlap"),
         ([(slice(0, 2), slice(2, 4), 0.5), (slice(0, 2), slice(1, 3), -2.0)],
-         (0, 1.0), (0, 1.0),
+         slice(0, 1), slice(0, 1),
          "value out bands slice(0, 2, None) and slice(0, 2, None) overlap"),
     ])
     def test_band_errors_are_named(self, value, key, query, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             AttentionHead(4, value, key=key, query=query)
 
-    @pytest.mark.parametrize("where", ["value", "key", "query"])
+    @pytest.mark.parametrize("where, bad", [
+        ("value 0 out", None), ("value 0 out", (0, 1)), ("value 0 src", "0"),
+        ("value 0 src", [0]), ("key", None), ("key", (2, 1.0)),
+        ("query", (2, -1.0)), ("query", np.array([0])),
+    ], ids=["out-None", "out-tuple", "src-str", "src-list", "key-None",
+            "key-pair", "query-pair", "query-array"])
+    def test_malformed_bands_are_named(self, where, bad):
+        # anything but a slice or a row index is no band, and gets the
+        # band error rather than whatever reading it as one would raise;
+        # scales sit on the value entries, so a (rows, c) key or query
+        # is no band either
+        bands = {"value 0 out": 0, "value 0 src": 1, "key": 2, "query": 2,
+                 where: bad}
+        with pytest.raises(ValueError,
+                           match=f"^{where} band .* is not a run of rows "
+                                 f"inside 0 .. 3$"):
+            AttentionHead(3, [(bands["value 0 out"], bands["value 0 src"],
+                               1.0)],
+                          key=bands["key"], query=bands["query"])
+
+    def test_head_needs_a_value_entry(self):
+        with pytest.raises(ValueError,
+                           match="^a head needs at least one value entry$"):
+            AttentionHead(3, [], key=0, query=0)
+
+    # "value" puts the bad scale on the first entry, "later value" on
+    # the second, and the error names that entry
+    @pytest.mark.parametrize("where", ["value", "later value"])
     @pytest.mark.parametrize("c", [0.0, -0.0, math.inf, -math.inf,
                                    math.nan])
     def test_scale_must_be_finite_and_nonzero(self, where, c):
-        scales = {"value": 1.0, "key": 1.0, "query": 1.0, where: c}
-        name = "value 0" if where == "value" else where
+        scales = [c, 1.0] if where == "value" else [1.0, c]
+        name = "value 0" if where == "value" else "value 1"
         with pytest.raises(ValueError,
                            match=f"^{name} scale must be finite and "
                                  f"nonzero, got {c}$"):
-            AttentionHead(3, [(0, 1, scales["value"])],
-                          key=(2, scales["key"]),
-                          query=(2, scales["query"]))
-
+            AttentionHead(3, [(0, 1, scales[0]), (1, 2, scales[1])],
+                          key=2, query=2)
 
 
 class TestFfnForward:
@@ -407,7 +421,7 @@ class TestFfnForward:
         h[2] = 1.0
         zeros = PwlApprox(np.arange(4.0), np.zeros(4))
         layer = TransformerLayer(
-            heads=(silent_head(3),),
+            heads=(identity_head(3),),
             ffn=gadget_ffn(3, [(zeros, rng.standard_normal(3), 0, 1.0),
                                (zeros, rng.standard_normal(3), 1, -2.0)], 2),
         )
@@ -417,7 +431,7 @@ class TestFfnForward:
     def test_all_negative_preactivations_pass_through(self):
         h = np.vstack([-np.ones(3), np.ones(3)])
         layer = TransformerLayer(
-            heads=(silent_head(2),),
+            heads=(identity_head(2),),
             ffn=gadget_ffn(2, [(self.RAMP, [1.0, 0.0], 0, 1.0),
                                (self.RAMP, [2.0, -0.5], 0, 3.0)], 1),
         )
@@ -429,7 +443,7 @@ class TestFfnForward:
     def test_missing_ffn_is_a_copy(self):
         h = np.ones((2, 3))
         layer = TransformerLayer(
-            heads=(silent_head(2),),
+            heads=(identity_head(2),),
         )
         out = ffn_forward(layer, h)
         np.testing.assert_array_equal(out, h)
@@ -498,8 +512,7 @@ def constructions():
 
     def inversion_prompt(rng):
         a = spd(rng, d)
-        return make_inversion_prompt(
-            a, inversion.initial_scale(spectral_norm(a)) * a)
+        return make_inversion_prompt(a, scaled_start(a))
 
     def linreg_prompt(rng):
         return make_linreg_prompt(rng.standard_normal((n, d)),
@@ -541,10 +554,9 @@ def full_width_attention_forward(layer, h):
     for head in layer.heads:
         v_rows = np.flatnonzero(head.w_v.any(axis=1))
         kq_rows = np.flatnonzero(head.w_k.any(axis=1) & head.w_q.any(axis=1))
-        if v_rows.size and kq_rows.size:
-            out[..., v_rows, :] += (
-                (head.w_v[v_rows] @ h) @ (head.w_k[kq_rows] @ h).mT
-            ) @ (head.w_q[kq_rows] @ h)
+        out[..., v_rows, :] += (
+            (head.w_v[v_rows] @ h) @ (head.w_k[kq_rows] @ h).mT
+        ) @ (head.w_q[kq_rows] @ h)
     return out
 
 
@@ -640,8 +652,6 @@ def matrix_block_attention_forward(layer, h):
     for head in layer.heads:
         v_rows = np.flatnonzero(head.w_v.any(axis=1))
         kq_rows = np.flatnonzero(head.w_k.any(axis=1) & head.w_q.any(axis=1))
-        if not (v_rows.size and kq_rows.size):
-            continue
 
         def read(w, rows):
             w = w[rows]
@@ -722,7 +732,7 @@ class TestOneWorkingStream:
                              (approx, [0.9, 0.0, 0.0, 0.0], 1, 2.0),
                              (approx, [0.0, -1.1, 0.3, 0.0], 2, 1.0),
                              (approx, [0.0, 0.6, 0.0, 0.0], 1, 1.0)], 3)
-        layer = TransformerLayer(heads=(silent_head(4),), ffn=ffn)
+        layer = TransformerLayer(heads=(identity_head(4),), ffn=ffn)
         rng = np.random.default_rng(27)
         h = rng.uniform(-2.0, 2.0, (2, 4, 6))
         h[..., 3, :] = 1.0
@@ -794,10 +804,11 @@ class TestOneWorkingStream:
     @given(dim=st.integers(1, 9), n=st.integers(1, 12),
            seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_identity_blocks_are_scalars(self, dim, n, seed, data):
-        # a band's scale c stands for c I: the dense views hold c I on
-        # the band, and the forward pass, which multiplies by no block,
-        # has the bits of one that multiplies every c I as a matrix;
-        # both run one ((V K.T) Q) chain over all the value bands
+        # a value band's scale c stands for c I and key and query are
+        # plain bands: the dense views hold c I and I on them, and the
+        # forward pass, which multiplies by no block, has the bits of
+        # one that multiplies every block as a matrix; both run one
+        # ((V K.T) Q) chain over all the value bands
         scales = st.sampled_from([1.0, -1.0, 0.37])
 
         def band(size):
@@ -806,13 +817,14 @@ class TestOneWorkingStream:
         value = [(slice(start, stop), band(stop - start), data.draw(scales))
                  for start, stop in draw_runs(data, dim)
                  if data.draw(st.booleans())]
+        if not value:  # a head needs a value entry
+            value.append((slice(0, dim), band(dim), data.draw(scales)))
         size = data.draw(st.integers(1, dim))
-        head = AttentionHead(dim, value, key=(band(size), data.draw(scales)),
-                             query=(band(size), data.draw(scales)))
+        head = AttentionHead(dim, value, key=band(size), query=band(size))
         inner = slice(0, size)
         for view, entries in ((head.w_v, value),
-                              (head.w_k, [(inner, *head.key)]),
-                              (head.w_q, [(inner, *head.query)])):
+                              (head.w_k, [(inner, head.key, 1.0)]),
+                              (head.w_q, [(inner, head.query, 1.0)])):
             want = np.zeros((dim, dim))
             for rows, cols, c in entries:
                 want[rows, cols] = c * np.eye(rows.stop - rows.start)
