@@ -10,14 +10,15 @@ width budget, and the data reach them only through the prompt.  Each
 stack declares its row bands once, in its layout function; the
 builder, the prompt maker and the reader take every row from that
 layout, and the layers' dimension is its ``n_rows``.  Heads are
-written as band entries: value entries each adding c I times one band
-of prompt rows to another, and a plain row band each for the key and
-the query, so the selector structure stays auditable and every scale
-and sign sits on a value entry.  Feed-forward blocks hold only scalar
-piecewise-linear gadgets, each approximating a function a stack needs
-(sigma', the products of the Hessian, the damped step size, the
-reciprocal of tr B); a row a block reads or writes is cleared by a
-head, never by a ReLU neuron.
+written as bands: one value entry adding c I times one band of prompt
+rows to another, and a plain row band each for the key and the query,
+so the selector structure stays auditable and every scale and sign
+sits on the value entry.  A layer that adds to several bands holds one
+head per band, and its heads' updates land in head order.
+Feed-forward blocks hold only scalar piecewise-linear gadgets, each
+approximating a function a stack needs (sigma', the products of the
+Hessian, the damped step size, the reciprocal of tr B); a row a block
+reads or writes is cleared by a head, never by a ReLU neuron.
 """
 
 import math
@@ -200,16 +201,10 @@ def _product(dim, x_row, y_row, out_row, tables):
             _gadget(dim, sq_dif, {x_row: 1.0, y_row: -1.0}, out_row, -0.25)]
 
 
-def _nonzero(entries):
-    """The value entries whose scale is not zero; a zero scale adds
-    nothing, and a head holds only nonzero ones."""
-    return [entry for entry in entries if entry[2] != 0.0]
-
-
 def _clear(dim, row, e1_row):
     """The head adding exactly -row: (-e1^T e1) times the row, for the
     first identity row *e1_row* holding e1^T."""
-    return AttentionHead(dim, [(row, e1_row, -1.0)], key=e1_row, query=row)
+    return AttentionHead(dim, (row, e1_row, -1.0), key=e1_row, query=row)
 
 
 def _newton_layer(dim, x_rows, m_rows, ident_rows):
@@ -220,9 +215,9 @@ def _newton_layer(dim, x_rows, m_rows, ident_rows):
     """
     return TransformerLayer(
         heads=(
-            AttentionHead(dim, [(x_rows, x_rows, -1.0)],
+            AttentionHead(dim, (x_rows, x_rows, -1.0),
                           key=m_rows, query=x_rows),
-            AttentionHead(dim, [(x_rows, x_rows, 1.0)],
+            AttentionHead(dim, (x_rows, x_rows, 1.0),
                           key=ident_rows, query=ident_rows),
         ),
     )
@@ -242,9 +237,10 @@ def make_inversion_prompt(a, x0):
     """Stack (X0; A; 0; I) for the two-layer inversion block."""
     a = np.asarray(a, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
-    d = a.shape[0]
-    if a.shape != (d, d) or x0.shape != (d, d):
+    if not (a.ndim == 2 and a.shape[0] == a.shape[1]
+            and x0.shape == a.shape):
         raise ValueError("a and x0 must be square with matching shape")
+    d = a.shape[0]
     layout = _inversion_layout(d)
     h = np.zeros((layout.n_rows, d))
     h[layout.rows_of("iterate")] = x0
@@ -276,15 +272,15 @@ def build_inversion_block(d):
     )
     first = TransformerLayer(
         heads=(
-            AttentionHead(dim, [(work, a_rows, 1.0)], key=ident, query=x_rows),
+            AttentionHead(dim, (work, a_rows, 1.0), key=ident, query=x_rows),
         ),
     )
     second = TransformerLayer(
         heads=(
-            AttentionHead(dim, [(x_rows, x_rows, -1.0)],
+            AttentionHead(dim, (x_rows, x_rows, -1.0),
                           key=ident, query=work),
-            AttentionHead(dim, [(x_rows, x_rows, 1.0), (work, work, -1.0)],
-                          key=ident, query=ident),
+            AttentionHead(dim, (x_rows, x_rows, 1.0), key=ident, query=ident),
+            AttentionHead(dim, (work, work, -1.0), key=ident, query=ident),
         ),
     )
     return [first, second], layout
@@ -408,17 +404,17 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     # every column of the accumulator, and the ffn reads it into alpha'
     # in the output row
     gram_heads = [
-        AttentionHead(dim, [(b_slot, ident, -1.0)], key=ident, query=ident),
-        AttentionHead(dim, [(b_slot, data, 1.0)], key=data, query=x_slot),
-        *(AttentionHead(dim, [(acc_row, data.start + j, 1.0)],
+        AttentionHead(dim, (b_slot, ident, -1.0), key=ident, query=ident),
+        AttentionHead(dim, (b_slot, data, 1.0), key=data, query=x_slot),
+        *(AttentionHead(dim, (acc_row, data.start + j, 1.0),
                         key=data.start + j, query=ones_row)
           for j in range(d)),
     ]
     if ridge_mu > 0.0:
         gram_heads += [
-            AttentionHead(dim, [(b_slot, ident, ridge_mu)],
+            AttentionHead(dim, (b_slot, ident, ridge_mu),
                           key=ident, query=ident),
-            AttentionHead(dim, [(acc_row, e1_row, ridge_mu * d)],
+            AttentionHead(dim, (acc_row, e1_row, ridge_mu * d),
                           key=e1_row, query=ones_row),
         ]
     gram = TransformerLayer(
@@ -430,9 +426,9 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     # j, so x_slot <- alpha' I exactly; then both scratch rows clear
     start = TransformerLayer(
         heads=(
-            AttentionHead(dim, [(x_slot, ident, -1.0)],
+            AttentionHead(dim, (x_slot, ident, -1.0),
                           key=ident, query=ident),
-            *(AttentionHead(dim, [(x_slot.start + j, out_row, 1.0)],
+            *(AttentionHead(dim, (x_slot.start + j, out_row, 1.0),
                             key=e1_row, query=ident.start + j)
               for j in range(d)),
             _clear(dim, acc_row, e1_row),
@@ -445,15 +441,15 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     contract = TransformerLayer(
         heads=(
             _clear(dim, out_row, e1_row),
-            AttentionHead(dim, [(out_row, label_row, 1.0)],
+            AttentionHead(dim, (out_row, label_row, 1.0),
                           key=data, query=x_slot),
         ),
     )
     readout = TransformerLayer(
         heads=(
-            AttentionHead(dim, [(out_row, out_row, 1.0)],
+            AttentionHead(dim, (out_row, out_row, 1.0),
                           key=test_row, query=e1_row),
-            AttentionHead(dim, [(out_row, out_row, -1.0)],
+            AttentionHead(dim, (out_row, out_row, -1.0),
                           key=ident, query=ident),
         ),
     )
@@ -577,7 +573,7 @@ def build_logreg_newton_step(budget):
 
     def over_n(row):
         # adds row/n: (picker^T e1) times the row
-        return AttentionHead(dim, [(row, picker_row, 1.0)],
+        return AttentionHead(dim, (row, picker_row, 1.0),
                              key=e1_row, query=row)
 
     layers = []
@@ -596,7 +592,7 @@ def build_logreg_newton_step(budget):
     ]
     layers.append(
         TransformerLayer(
-            heads=(AttentionHead(dim, [(margin_row, e1_row, 1.0)],
+            heads=(AttentionHead(dim, (margin_row, e1_row, 1.0),
                                  key=iterate, query=data),),
             ffn=Ffn(dim, gadgets, ones_row),
         )
@@ -619,35 +615,32 @@ def build_logreg_newton_step(budget):
         TransformerLayer(
             heads=(clear(margin_row), clear(acc_row), clear(prob_row),
                    over_n(acc_row), over_n(prob_row),
-                   AttentionHead(dim, [(x_slot, ident, -1.0)],
+                   AttentionHead(dim, (x_slot, ident, -1.0),
                                  key=ident, query=ident)),
             ffn=Ffn(dim, gadgets, ones_row),
         )
     )
 
-    # Hessian assembly: b_slot <- B; the scaled data in x_slot is
-    # cleared before the seed is written, so x_slot <- alpha*I exactly.
-    # The accumulator clears and takes the gradient row
+    # Hessian assembly: b_slot <- B, its I turned into mu I by a
+    # (mu - 1) I head that mu = 1 does without; the scaled data in
+    # x_slot is cleared before the seed is written, so x_slot <- alpha*I
+    # exactly.  The accumulator clears and takes the gradient row
     # -(1/n) sum_i sigma(-z_i) y_i a_i^T + mu x^T, and prob clears
-    layers.append(
-        TransformerLayer(
-            heads=(
-                clear(acc_row),
-                AttentionHead(dim, [(b_slot, data, 1.0)],
-                              key=x_slot, query=ident),
-                AttentionHead(dim, [(x_slot, ident, -1.0)],
-                              key=ident, query=x_slot),
-                AttentionHead(dim, _nonzero([(x_slot, ident, alpha),
-                                             (b_slot, ident, mu - 1.0)]),
-                              key=ident, query=ident),
-                AttentionHead(dim, [(acc_row, prob_row, -1.0)],
-                              key=data, query=ident),
-                AttentionHead(dim, [(acc_row, e1_row, mu)],
-                              key=iterate, query=ident),
-                clear(prob_row),
-            ),
-        )
-    )
+    heads = [
+        clear(acc_row),
+        AttentionHead(dim, (b_slot, data, 1.0), key=x_slot, query=ident),
+        AttentionHead(dim, (x_slot, ident, -1.0), key=ident, query=x_slot),
+        AttentionHead(dim, (x_slot, ident, alpha), key=ident, query=ident),
+    ]
+    if mu != 1.0:
+        heads.append(AttentionHead(dim, (b_slot, ident, mu - 1.0),
+                                   key=ident, query=ident))
+    heads += [
+        AttentionHead(dim, (acc_row, prob_row, -1.0), key=data, query=ident),
+        AttentionHead(dim, (acc_row, e1_row, mu), key=iterate, query=ident),
+        clear(prob_row),
+    ]
+    layers.append(TransformerLayer(heads=heads))
 
     # k Newton-Schulz iterations, one layer each
     layers += [_newton_layer(dim, x_slot, b_slot, ident)] * budget.widths["k"]
@@ -656,9 +649,9 @@ def build_logreg_newton_step(budget):
     layers.append(
         TransformerLayer(
             heads=(
-                AttentionHead(dim, [(x_slot, x_slot, -1.0)],
+                AttentionHead(dim, (x_slot, x_slot, -1.0),
                               key=ident, query=ident),
-                AttentionHead(dim, [(x_slot, x_slot, 1.0)],
+                AttentionHead(dim, (x_slot, x_slot, 1.0),
                               key=acc_row, query=e1_row),
             ),
         )
@@ -674,7 +667,7 @@ def build_logreg_newton_step(budget):
         TransformerLayer(
             heads=(
                 clear(acc_row),
-                AttentionHead(dim, [(prob_row, acc_row, 1.0)],
+                AttentionHead(dim, (prob_row, acc_row, 1.0),
                               key=ident, query=x_slot),
             ),
             ffn=Ffn(dim, [_gadget(dim, step_size, {prob_row: 1.0}, acc_row)],
@@ -690,15 +683,17 @@ def build_logreg_newton_step(budget):
     layers.append(
         TransformerLayer(
             heads=(
-                AttentionHead(dim, [(iterate, x_slot, -1.0)],
+                AttentionHead(dim, (iterate, x_slot, -1.0),
                               key=acc_row, query=ones_row),
                 clear(acc_row),
                 clear(prob_row),
-                AttentionHead(dim, [(x_slot, x_slot, -1.0),
-                                    (b_slot, b_slot, -1.0)],
+                AttentionHead(dim, (x_slot, x_slot, -1.0),
                               key=ident, query=ident),
-                AttentionHead(dim, [(x_slot, ident, 1.0),
-                                    (b_slot, ident, 1.0)],
+                AttentionHead(dim, (b_slot, b_slot, -1.0),
+                              key=ident, query=ident),
+                AttentionHead(dim, (x_slot, ident, 1.0),
+                              key=ident, query=ident),
+                AttentionHead(dim, (b_slot, ident, 1.0),
                               key=ident, query=ident),
             ),
         )

@@ -180,14 +180,23 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100):
 
     Raises ``ConvergenceError`` (with the partial run attached) if the
     residual is still above *tol* after *max_iters* steps, and
-    ``ValueError`` for the zero matrix and for a sigma whose square,
-    and so alpha, falls outside float64's range.
+    ``ValueError`` for the zero matrix, for a sigma whose square, and
+    so alpha, falls outside float64's range, for an *order* that
+    :func:`hyperpower_step` rejects and for a *max_iters* that is not
+    an integer >= 0 (an integral float counts as one), the last two
+    before any residual.
     """
     a = as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"a must be square, got {a.shape}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _check_order(order)
+    if not max_iters >= 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not float(max_iters).is_integer():
+        raise ValueError(f"max_iters must be an integer, got {max_iters}")
+    max_iters = int(max_iters)
     sigma = np.linalg.norm(a, 2)
     if sigma == 0.0:
         raise ValueError("cannot invert the zero matrix")

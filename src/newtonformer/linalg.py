@@ -19,15 +19,24 @@ __all__ = [
 SYM_TOL = 1e-12
 
 
+def _real(obj, name):
+    """*obj* as an array, which must not be complex: converting one to
+    float64 would drop its imaginary part.  Only the dtype is read."""
+    a = np.asarray(obj)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {a.dtype}")
+    return a
+
+
 def as_stack(obj, name="stack"):
     """Validate *obj* as a finite float64 matrix or stack of matrices
     ``(..., m, n)`` and return it, C-contiguous.
 
     Accepts anything ``np.asarray`` does.  Raises ``ShapeMismatchError``
     for input with fewer than two dimensions and ``ValueError`` for
-    NaN/Inf entries.
+    complex input and for NaN/Inf entries.
     """
-    a = np.ascontiguousarray(obj, dtype=np.float64)
+    a = np.ascontiguousarray(_real(obj, name), dtype=np.float64)
     if a.ndim < 2:
         raise ShapeMismatchError(
             f"{name} must be at least 2-D, got shape {a.shape}"

@@ -5,14 +5,13 @@ Layers use attention without softmax: each head contributes
 optional position-wise feed-forward block adds W_2 relu(W_1 H), whose
 ReLU neurons all belong to piecewise-linear gadgets.
 The constructed heads are block selectors, and a head is held in
-that form: value entries that each add c times one band of stream rows
-to another, one entry per out band, and one plain band of rows each
-for the key and the query.  Every scale and sign sits on a value
-entry, where a scale c stands for c I.  The forward pass reads the
-bands as views and, with no softmax in between, groups the product as
-((W_V H) (W_K H).T) (W_Q H): a |value rows| x |key rows| matrix in
-place of the n x n score matrix.  The dense projections are derived
-from the bands on demand.
+that form: one value entry adding c times one band of stream rows to
+another, and one plain band of rows each for the key and the query.
+The scale c, which stands for c I, carries every scale and sign.  The
+forward pass reads the bands as views and, with no softmax in between,
+groups the product as ((W_V H) (W_K H).T) (W_Q H): a |value rows| x
+|key rows| matrix in place of the n x n score matrix.  The dense
+projections are derived from the bands on demand.
 Feed-forward blocks hold only those gadgets, keep them whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
@@ -36,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_stack
+from .linalg import _real, as_stack
 from .pwl import eval_pwl
 
 __all__ = [
@@ -81,16 +80,14 @@ class AttentionHead:
     """One linear-attention head, held as the bands its builder writes.
 
     A band is a run of stream rows: a slice with step 1, or one row
-    index.  *value* holds one or more ``(out_rows, src_rows, c)``
-    entries, each adding c times the stream rows *src_rows* to the rows
-    *out_rows*, where the scale c is a finite, nonzero float standing
-    for c I on its band; no two entries' out bands may overlap, so each
-    out band has one source.  *key* and *query* are one plain band each,
-    of one size: the head's inner dimension.  Every scale and sign sits
-    on the value entries.  An empty *value*, a band that is not a run
-    of rows inside ``0 .. dim`` (a ``(rows, c)`` pair included), sizes
-    that disagree, a zero or non-finite scale and overlapping out bands
-    raise ``ValueError`` naming the entry or the bands.
+    index.  *value* is one ``(out_rows, src_rows, c)`` triple: the head
+    adds c (h[src_rows] h[key].T) h[query] to the rows *out_rows*, where
+    the scale c is a finite, nonzero float standing for c I on its band.
+    *key* and *query* are one plain band each, of one size: the head's
+    inner dimension.  A *value* that is not one triple (a list of
+    entries included), a band that is not a run of rows inside
+    ``0 .. dim`` (a ``(rows, c)`` pair included), sizes that disagree
+    and a zero or non-finite scale raise ``ValueError`` naming the part.
 
     The dense projections ``w_v``, ``w_k`` and ``w_q`` are derived on
     first use, read-only; ``w_k`` and ``w_q`` are selectors that put the
@@ -104,43 +101,31 @@ class AttentionHead:
     query: slice | int
 
     def __post_init__(self):
-        value = []
-        for i, (out, src, c) in enumerate(self.value):
-            out = _band(self.dim, f"value {i} out", out)
-            src = _band(self.dim, f"value {i} src", src)
-            _same_size(f"value {i} out and src", out, src)
-            value.append((out, src, _scale(f"value {i}", c)))
-        if not value:
-            raise ValueError("a head needs at least one value entry")
-        # V stacks the out bands in ascending row order; *at* is each
-        # band's rows within V
-        v_bands, at = [], 0
-        for out, src, c in sorted(value,
-                                  key=lambda e: (e[0].start, e[0].stop)):
-            if v_bands and out.start < v_bands[-1][0].stop:
-                raise ValueError(f"value out bands {v_bands[-1][0]} and "
-                                 f"{out} overlap")
-            v_bands.append((out, slice(at, at + _size(out)), src, c))
-            at += _size(out)
+        if not (isinstance(self.value, tuple) and len(self.value) == 3):
+            raise ValueError(f"a head's value must be one (out_rows, "
+                             f"src_rows, c) triple, got {self.value!r}")
+        out, src, c = self.value
+        out = _band(self.dim, "value out", out)
+        src = _band(self.dim, "value src", src)
+        _same_size("value out and src", out, src)
         key = _band(self.dim, "key", self.key)
         query = _band(self.dim, "query", self.query)
         _same_size("key and query", key, query)
-        for name, given in (("value", tuple(value)), ("key", key),
-                            ("query", query), ("_v_bands", tuple(v_bands))):
+        for name, given in (("value", (out, src, _scale("value", c))),
+                            ("key", key), ("query", query)):
             object.__setattr__(self, name, given)
 
     @cached_property
     def w_v(self):
-        return _dense(self.dim, self.value)
+        return _dense(self.dim, *self.value)
 
     @cached_property
     def w_k(self):
-        return _dense(self.dim, [(slice(0, _size(self.key)), self.key, 1.0)])
+        return _dense(self.dim, slice(0, _size(self.key)), self.key, 1.0)
 
     @cached_property
     def w_q(self):
-        return _dense(self.dim,
-                      [(slice(0, _size(self.query)), self.query, 1.0)])
+        return _dense(self.dim, slice(0, _size(self.query)), self.query, 1.0)
 
 
 def _size(rows):
@@ -179,12 +164,11 @@ def _check_row(dim, name, row):
                          f"0 .. {dim - 1}")
 
 
-def _dense(dim, entries):
-    """The read-only dim x dim matrix holding c I on each entry's
-    (out rows, src rows) block; the entries' out rows are disjoint."""
+def _dense(dim, out, src, c):
+    """The read-only dim x dim matrix holding c I on its (out rows,
+    src rows) block and zeros elsewhere."""
     m = np.zeros((dim, dim))
-    for out, src, c in entries:
-        m[out, src] = c * np.eye(_size(out))
+    m[out, src] = c * np.eye(_size(out))
     m.flags.writeable = False
     return m
 
@@ -296,29 +280,18 @@ def _target(h, out):
     return out
 
 
-def _values(head, h):
-    """The head's V = W_V h: each out band's c h[src], stacked in
-    ascending row order; a band with c = 1 is a view of the stream
-    rows."""
-    bands = [h[..., src, :] if c == 1.0 else c * h[..., src, :]
-             for _, _, src, c in head._v_bands]
-    return bands[0] if len(bands) == 1 else np.concatenate(bands, axis=-2)
-
-
 def attention_forward(layer, h, *, out=None):
     """Residual attention update: h + the sum of the layer's head
     contributions.  The layer's ffn, if any, is NOT applied here.
 
-    Each head adds ((V K.T) Q) to its out bands.  V stacks the out
-    bands in ascending row order, each its one entry's c h[src rows]
-    (a view of the stream rows for c = 1); K = h[key rows] and
-    Q = h[query rows] are views, with no product.
+    Each head adds ((V K.T) Q) to its out band, with V = c h[src rows]
+    (a view of the stream rows for c = 1), K = h[key rows] and
+    Q = h[query rows] (views, with no product).
     Without a softmax this equals the dense
     (W_V h) ((W_K h).T (W_Q h)) up to rounding, forms no n x n score
     matrix and leaves out only zero terms, so each element lies within
     4 (dim + n) u sum_heads (|W_V| |h|) (|W_K| |h|).T (|W_Q| |h|) + u |r|
-    of the exact dense result r, with u = 2**-53.  V is one chain per
-    head: split by rows, (V K.T) Q changes bits on some BLAS builds.
+    of the exact dense result r, with u = 2**-53.
 
     *h* is one stream ``(dim, n)`` or a stack ``(..., dim, n)``; the
     stack shares only the matmul dispatch.  The result is a new array,
@@ -327,14 +300,15 @@ def attention_forward(layer, h, *, out=None):
     do not depend on *out*.
     """
     h = _check_stream(h, layer.dim)
-    updates = [(head._v_bands,
-                (_values(head, h) @ h[..., head.key, :].mT)
-                @ h[..., head.query, :])
-               for head in layer.heads]
+    updates = []
+    for head in layer.heads:
+        rows, src, c = head.value
+        v = h[..., src, :] if c == 1.0 else c * h[..., src, :]
+        updates.append((rows, (v @ h[..., head.key, :].mT)
+                        @ h[..., head.query, :]))
     out = _target(h, out)
-    for v_bands, update in updates:
-        for rows, at, _, _ in v_bands:
-            out[..., rows, :] += update[..., at, :]
+    for rows, update in updates:
+        out[..., rows, :] += update
     return out
 
 
@@ -380,9 +354,9 @@ def model_forward(layers, h, *, out=None):
     is never written.  With *out* *h* itself, *h* is the working stream
     and is returned: it must then be a writeable float64 C-contiguous
     ndarray, or ``ValueError`` is raised before any layer runs.  Any
-    other *out* raises ``ValueError``.  The bits do not depend on
-    *out*.  Each layer checks its input; the last layer's output is
-    checked here, so a stream that overflows raises ``ValueError``
+    other *out*, and a complex *h*, raise ``ValueError``.  The bits do
+    not depend on *out*.  Each layer checks its input; the last layer's
+    output is checked here, so a stream that overflows raises ``ValueError``
     instead of coming back non-finite (with ``out=h``, *h* then holds
     it).  An empty layer list returns the checked prompt: a copy, or
     *h* with ``out=h``.  *h* may be a stack of streams, as for
@@ -390,7 +364,7 @@ def model_forward(layers, h, *, out=None):
     """
     layers = tuple(layers)
     if out is None:
-        h = np.array(h, dtype=np.float64, order="C")
+        h = np.array(_real(h, "h"), dtype=np.float64, order="C")
     elif out is not h:
         raise ValueError("out must be None or the stream h itself")
     elif not (isinstance(h, np.ndarray) and h.dtype == np.float64

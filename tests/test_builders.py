@@ -269,7 +269,7 @@ class TestWidthDepthBudget:
 def apply_ffn(gadgets, ones_row, h):
     # ffn_forward runs only the ffn, so the layer's head is any head
     dim = h.shape[0]
-    head = AttentionHead(dim, [(0, 0, 1.0)], key=0, query=0)
+    head = AttentionHead(dim, (0, 0, 1.0), key=0, query=0)
     layer = TransformerLayer(heads=(head,), ffn=Ffn(dim, gadgets, ones_row))
     return ffn_forward(layer, h)
 
@@ -363,7 +363,7 @@ class TestInversionBlock:
     def test_block_is_attention_only(self):
         block, _ = build_inversion_block(3)
         assert len(block) == 2
-        assert [len(layer.heads) for layer in block] == [1, 2]
+        assert [len(layer.heads) for layer in block] == [1, 3]
         assert all(layer.ffn is None for layer in block)
 
     def test_layout_shape(self):
@@ -386,8 +386,13 @@ class TestInversionBlock:
         np.testing.assert_array_equal(read_inversion_iterate(h, layout), x0)
 
     def test_prompt_validation(self):
-        with pytest.raises(ValueError):
-            make_inversion_prompt(np.eye(2), np.eye(3))
+        # a 0-d a is named too, not read as a shape
+        for a, x0 in ((np.eye(2), np.eye(3)), (3.0, 1.0),
+                      (np.ones(2), np.ones(2)),
+                      (np.ones((2, 3)), np.ones((2, 3))), (np.eye(2), 1.0)):
+            with pytest.raises(ValueError, match="^a and x0 must be square "
+                                                 "with matching shape$"):
+                make_inversion_prompt(a, x0)
 
     def test_reader_returns_a_new_array(self):
         # the iterate block is contiguous rows, so a view of it would
@@ -502,7 +507,7 @@ class TestLinregTransformer:
         acc = layout.rows_of("accumulator").start
         e1 = slice(ident.start, ident.start + 1)
         ridge = gram.heads[4:]
-        want = [((b_slot, ident, mu),), ((slice(acc, acc + 1), e1, 2 * mu),)]
+        want = [(b_slot, ident, mu), (slice(acc, acc + 1), e1, 2 * mu)]
         assert [head.value for head in ridge] == (want if mu else [])
         for head in ridge[:1]:
             np.testing.assert_array_equal(head.w_v[b_slot, ident],
@@ -679,7 +684,7 @@ class TestLogregNewtonStack:
     def test_depth_matches_budget(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
         assert len(layers) == budget.depth == 6 + budget.widths["k"]
-        assert max(len(layer.heads) for layer in layers) <= 7
+        assert max(len(layer.heads) for layer in layers) <= 8
         assert layout.n_rows == 5 * problem.dim + 5
         assert all(layer.dim == layout.n_rows for layer in layers)
 
@@ -902,13 +907,18 @@ class TestLogregNewtonStack:
         assert len(xs) == 2
 
     def test_unit_mu_seed_head_leaves_b_slot_alone(self):
-        # mu - 1 = 0: the seed head writes only alpha' I into x_slot
+        # mu - 1 = 0: the seed head writes only alpha' I into x_slot,
+        # and no (mu - 1) I head follows it
         problem = make_logreg_problem(0, mu=1.0)
         budget = width_depth_budget(1e-2, 1.0, d=5)
         layers, layout = build_logreg_newton_step(budget)
         seed = layers[2].heads[3]
         x_slot, ident = layout.rows_of("x_slot"), layout.rows_of("identity")
-        assert seed.value == ((x_slot, ident, spd_initial_scale(2.0)),)
+        assert seed.value == (x_slot, ident, spd_initial_scale(2.0))
+        ridge = (layout.rows_of("b_slot"), ident)
+        other, _ = build_logreg_newton_step(width_depth_budget(1e-2, 0.5, 5))
+        assert ridge in [head.value[:2] for head in other[2].heads]
+        assert ridge not in [head.value[:2] for head in layers[2].heads]
         xs = run_constructed_newton(problem, np.zeros(5), budget, 3)
         assert all(np.isfinite(x).all() for x in xs)
 

@@ -1,5 +1,7 @@
+import argparse
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -11,6 +13,9 @@ import pytest
 
 import newtonformer
 from newtonformer import cli
+from newtonformer.builders import width_depth_budget
+from newtonformer.harness import TASK_DEFAULTS
+from newtonformer.logistic import scan_constant_decrease
 
 # __main__ runs the CLI on import.
 _MODULES = sorted(
@@ -78,22 +83,42 @@ def test_cli_calls_load_no_json(tmp_path):
 def test_readme_cli_table_lists_each_flag():
     """The README's CLI table names exactly the flags each subcommand's
     parser defines (``-h`` and ``--config`` aside), so a flag added or
-    removed in the parser must be added or removed in the docs too."""
+    removed in the parser must be added or removed in the docs too.
+    Each ``(default)`` it prints, read with the flag's own type, is the
+    value a call without the flag uses: the parser's default where it
+    sets one, else ``TASK_DEFAULTS`` for an experiment and the library
+    function's own default for ``budget`` and ``scan-decrease``."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     documented = {}
     for line in readme.read_text(encoding="utf-8").splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         if len(cells) == 2 and re.fullmatch(r"`[a-z-]+`", cells[0]):
-            documented[cells[0].strip("`")] = set(
-                re.findall(r"`(--[a-z-]+)`", cells[1])
+            documented[cells[0].strip("`")] = dict(
+                re.findall(r"`(--[a-z-]+)` \(([^)]*)\)", cells[1])
             )
     _, subparsers = cli._build_parser()
-    defined = {
-        name: {opt for action in sub._actions for opt in action.option_strings
-               if opt.startswith("--")} - {"--help", "--config"}
+    flags = {
+        name: {opt: action for action in sub._actions
+               for opt in action.option_strings
+               if opt.startswith("--") and opt not in ("--help", "--config")}
         for name, sub in subparsers.items()
     }
-    assert documented == defined
+    assert {name: set(shown) for name, shown in documented.items()} == {
+        name: set(actions) for name, actions in flags.items()}
+
+    def own_defaults(fn):
+        return {name: p.default
+                for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not p.empty}
+    library = {**TASK_DEFAULTS,
+               "budget": own_defaults(width_depth_budget),
+               "scan-decrease": own_defaults(scan_constant_decrease)}
+    for name, actions in flags.items():
+        for opt, action in actions.items():
+            want = (library[name][action.dest]
+                    if action.default is argparse.SUPPRESS
+                    else action.default)
+            assert action.type(documented[name][opt]) == want, (name, opt)
 
 
 def test_readme_python_example_runs():

@@ -48,7 +48,7 @@ def logreg_problem(seed, n=26, d=5, mu=0.1):
 
 def with_ffn(dim, ffn):
     # ffn_forward runs only the ffn, so the layer's head is any head
-    head = AttentionHead(dim, [(0, 0, 1.0)], key=0, query=0)
+    head = AttentionHead(dim, (0, 0, 1.0), key=0, query=0)
     return TransformerLayer(heads=(head,), ffn=ffn)
 
 

@@ -300,6 +300,42 @@ class TestRunInverse:
         with pytest.raises(ValueError, match="got nan"):
             run_inverse(np.eye(2), tol=float("nan"))
 
+    @pytest.mark.parametrize("order, message", [
+        (99, "order must be in [2, 8], got 99"),
+        (1, "order must be in [2, 8], got 1"),
+        (2.5, "order must be an integer"),
+        (2.0, "order must be an integer"),
+    ])
+    def test_order_checked_before_the_first_residual(self, order, message):
+        # diag(3, 1) meets tol=10 at its start, so no step would run
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_inverse(np.diag([3.0, 1.0]), order=order, tol=10.0)
+
+    @pytest.mark.parametrize("max_iters, message", [
+        (-1, "max_iters must be >= 0, got -1"),
+        (2.5, "max_iters must be an integer, got 2.5"),
+        (float("nan"), "max_iters must be >= 0, got nan"),
+        (float("inf"), "max_iters must be an integer, got inf"),
+    ])
+    def test_max_iters_must_be_a_count(self, max_iters, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_inverse(np.diag([3.0, 1.0]), max_iters=max_iters)
+
+    def test_integral_float_max_iters_is_that_many_steps(self):
+        rng = np.random.default_rng(7)
+        a = make_covariance(6, 1000.0, rng)
+        with pytest.raises(ConvergenceError, match="after 3 steps$") as info:
+            run_inverse(a, tol=1e-12, max_iters=3.0)
+        assert info.value.trace.steps == 3
+        # a start that meets tol needs no step
+        run = run_inverse(np.diag([3.0, 1.0]), tol=10.0, max_iters=0)
+        assert run.converged and run.steps == 0
+
+    def test_complex_matrix_rejected(self):
+        # not inverted for its real part
+        with pytest.raises(ValueError, match="^a must be real"):
+            run_inverse(np.diag([2.0, 3.0]) + 5j * np.eye(2))
+
 
 class TestFittedOrder:
     def test_exact_quadratic_sequence(self):

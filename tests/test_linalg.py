@@ -57,6 +57,20 @@ class TestAsStack:
         with pytest.raises(ValueError, match="^x contains non-finite"):
             as_stack(s, "x")
 
+    @pytest.mark.parametrize("obj", [
+        np.eye(2) + 0j, np.ones((2, 2, 2), dtype=np.complex64),
+        [[1.0, 2j], [0.0, 1.0]],
+    ], ids=["complex128", "complex64-stack", "list"])
+    def test_rejects_complex(self, obj):
+        # a float64 copy would drop the imaginary part
+        with pytest.raises(ValueError, match="^x must be real, got dtype "
+                                             "complex"):
+            as_stack(obj, "x")
+
+    def test_float64_input_is_returned_as_is(self):
+        s = np.ones((3, 2, 2))
+        assert as_stack(s) is s
+
 
 def _long_double_solve(a, b):
     """Gauss-Jordan elimination with partial pivoting in long double."""
@@ -101,6 +115,13 @@ class TestSolveSpd:
         with pytest.raises(DefinitenessError) as info:
             solve_spd(a, np.eye(2))
         assert str(info.value) == "matrix is not positive definite"
+
+    def test_complex_matrix_rejected(self):
+        # not solved for its real part
+        with pytest.raises(ValueError, match="^a must be real"):
+            solve_spd(np.diag([2.0, 3.0]) + 5j * np.eye(2), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="^b must be real"):
+            solve_spd(np.eye(2), np.ones((2, 1)) * 1j)
 
     def test_requires_2d_rhs(self):
         with pytest.raises(ShapeMismatchError):

@@ -41,19 +41,20 @@ def random_scale(rng):
     return float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.5))
 
 
-def random_head(rng, dim):
-    """A head on random bands with random value scales: the rows split
-    into runs, most runs the out band of one value entry, and key and
-    query bands of one random size."""
+def random_heads(rng, dim):
+    """Heads on random bands with random value scales: the rows split
+    into runs, most runs the out band of one head, and all of them
+    share key and query bands of one random size."""
     cuts = np.flatnonzero(rng.random(dim - 1) < 0.4) + 1
     runs = [run for run in np.split(np.arange(dim), cuts)
             if rng.random() < 0.7] or [np.arange(dim)]
-    value = [(slice(int(run[0]), int(run[-1]) + 1),
-              random_band(rng, dim, run.size), random_scale(rng))
-             for run in runs]
     size = int(rng.integers(1, dim + 1))
-    return AttentionHead(dim, value, key=random_band(rng, dim, size),
-                         query=random_band(rng, dim, size))
+    key, query = random_band(rng, dim, size), random_band(rng, dim, size)
+    return tuple(AttentionHead(dim, (slice(int(run[0]), int(run[-1]) + 1),
+                                     random_band(rng, dim, run.size),
+                                     random_scale(rng)),
+                               key=key, query=query)
+                 for run in runs)
 
 
 def draw_runs(data, dim):
@@ -67,7 +68,7 @@ def draw_runs(data, dim):
 def identity_head(dim):
     """V, K and Q all the whole stream: the head adds h h.T h."""
     rows = slice(0, dim)
-    return AttentionHead(dim, [(rows, rows, 1.0)], key=rows, query=rows)
+    return AttentionHead(dim, (rows, rows, 1.0), key=rows, query=rows)
 
 
 def gadget_ffn(dim, gadgets, ones_row):
@@ -78,10 +79,10 @@ def gadget_ffn(dim, gadgets, ones_row):
 
 
 def random_gadget_layer(rng, dim):
-    """Two random heads and a random gadget ffn on ``dim`` rows plus a
-    last ones row, which neither writes."""
+    """Two draws of random heads and a random gadget ffn on ``dim`` rows
+    plus a last ones row, which no head writes."""
     heads = tuple(AttentionHead(dim + 1, head.value, head.key, head.query)
-                  for head in (random_head(rng, dim) for _ in range(2)))
+                  for _ in range(2) for head in random_heads(rng, dim))
     gadgets = []
     for _ in range(3):
         knots = np.sort(rng.uniform(-3.0, 3.0, 5))
@@ -179,7 +180,7 @@ class TestAttentionForward:
     def test_matches_explicit_formula(self):
         rng = np.random.default_rng(1)
         h = rng.standard_normal((5, 7))
-        heads = [random_head(rng, 5) for _ in range(2)]
+        heads = random_heads(rng, 5) + random_heads(rng, 5)
         expected = h.copy()
         for head in heads:
             expected = expected + (head.w_v @ h) @ (
@@ -193,7 +194,7 @@ class TestAttentionForward:
         rng = np.random.default_rng(2)
         h = rng.standard_normal((4, 5))
         padded = np.hstack([h, np.zeros((4, 3))])
-        layer = TransformerLayer(heads=(random_head(rng, 4),))
+        layer = TransformerLayer(heads=random_heads(rng, 4))
         out = attention_forward(layer, padded)
         np.testing.assert_allclose(out[:, :5], attention_forward(layer, h),
                                    rtol=1e-14, atol=1e-15)
@@ -203,8 +204,8 @@ class TestAttentionForward:
         rng = np.random.default_rng(3)
         h = rng.standard_normal((4, 6))
         perm = rng.permutation(6)
-        layer = TransformerLayer(heads=tuple(random_head(rng, 4)
-                                             for _ in range(2)))
+        layer = TransformerLayer(heads=random_heads(rng, 4)
+                                 + random_heads(rng, 4))
         out = attention_forward(layer, h)
         out_perm = attention_forward(layer, h[:, perm])
         np.testing.assert_allclose(out_perm, out[:, perm],
@@ -247,9 +248,9 @@ class TestCompactedHeads:
 
     def test_non_contiguous_value_rows(self):
         rng = np.random.default_rng(15)
-        head = AttentionHead(7, [(0, 3, 0.8), (2, 6, -1.0), (5, 1, 1.0)],
-                             key=slice(1, 4), query=slice(4, 7))
-        layer = TransformerLayer(heads=(head,))
+        layer = TransformerLayer(heads=tuple(
+            AttentionHead(7, value, key=slice(1, 4), query=slice(4, 7))
+            for value in ((0, 3, 0.8), (2, 6, -1.0), (5, 1, 1.0))))
         h = rng.standard_normal((7, 4))
         out = attention_forward(layer, h)
         untouched = [1, 3, 4, 6]
@@ -259,8 +260,8 @@ class TestCompactedHeads:
     @pytest.mark.parametrize("n", [1, 3])
     def test_narrow_streams(self, n):
         rng = np.random.default_rng(16 + n)
-        layer = TransformerLayer(heads=(random_head(rng, 8),
-                                        random_head(rng, 8)))
+        layer = TransformerLayer(heads=random_heads(rng, 8)
+                                 + random_heads(rng, 8))
         assert_within_bound(layer, rng.standard_normal((8, n)))
 
     # derandomized so every run draws the same 200 layers
@@ -280,19 +281,19 @@ class TestCompactedHeads:
 
         heads = []
         for _ in range(data.draw(st.integers(1, 2))):
-            value = []
-            for start, stop in draw_runs(data, dim):
-                # 0: a run the head leaves alone; 1: one value entry's
-                # out band
-                for _ in range(data.draw(st.integers(0, 1))):
-                    value.append((slice(start, stop), band(stop - start),
-                                  data.draw(scales)))
-            if not value:  # a head needs a value entry
-                value.append((slice(0, dim), band(dim), data.draw(scales)))
+            # one group of heads on shared key and query bands
             size = data.draw(st.integers(1, dim))
-            heads.append(AttentionHead(
-                dim, data.draw(st.permutations(value)),
-                key=band(size), query=band(size)))
+            key, query = band(size), band(size)
+            values = []
+            for start, stop in draw_runs(data, dim):
+                # 0: a run the group leaves alone; 1: one head's out band
+                for _ in range(data.draw(st.integers(0, 1))):
+                    values.append((slice(start, stop), band(stop - start),
+                                   data.draw(scales)))
+            if not values:  # a group holds at least one head
+                values.append((slice(0, dim), band(dim), data.draw(scales)))
+            heads += [AttentionHead(dim, value, key=key, query=query)
+                      for value in data.draw(st.permutations(values))]
         layer = TransformerLayer(heads=tuple(heads))
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((dim, n))
@@ -308,7 +309,7 @@ class TestCompactedHeads:
         newton = layers[2]
         assert newton.dim > d
         for head in newton.heads:
-            (out, src, c), = head.value
+            out, src, c = head.value
             bands = (out, src, head.key, head.query)
             assert [rows.stop - rows.start for rows in bands] == [d] * 4
             # each value block is +-I, kept as a scalar: no projection
@@ -317,10 +318,8 @@ class TestCompactedHeads:
 
     def test_projections_are_read_only_copies(self):
         rows = slice(0, 3)
-        caller = [(rows, rows, 1.0)]
-        head = AttentionHead(3, caller, key=rows, query=rows)
-        caller[0] = (rows, rows, 2.0)
-        assert head.value == ((rows, rows, 1.0),)
+        head = AttentionHead(3, (rows, rows, 1.0), key=rows, query=rows)
+        assert head.value == (rows, rows, 1.0)
         for name in ("w_v", "w_k", "w_q"):
             view = getattr(head, name)
             assert getattr(head, name) is view  # derived once
@@ -332,7 +331,7 @@ class TestCompactedHeads:
         np.testing.assert_array_equal(attention_forward(layer, h), 7.0 * h)
 
     def test_key_and_query_sit_on_the_leading_inner_rows(self):
-        head = AttentionHead(6, [(4, 5, 2.0)], key=3, query=1)
+        head = AttentionHead(6, (4, 5, 2.0), key=3, query=1)
         want_v, want_k, want_q = np.zeros((3, 6, 6))
         want_v[4, 5], want_k[0, 3], want_q[0, 1] = 2.0, 1.0, 1.0
         for view, want in zip((head.w_v, head.w_k, head.w_q),
@@ -340,74 +339,82 @@ class TestCompactedHeads:
             np.testing.assert_array_equal(view, want)
 
     @pytest.mark.parametrize("value, key, query, message", [
-        ([(slice(2, 5), slice(0, 3), 1.0)], slice(0, 1), slice(0, 1),
-         "value 0 out band slice(2, 5, None) is not a run of rows "
+        ((slice(2, 5), slice(0, 3), 1.0), slice(0, 1), slice(0, 1),
+         "value out band slice(2, 5, None) is not a run of rows "
          "inside 0 .. 4"),
-        ([(0, 4, 1.0)], slice(0, 1), slice(0, 1),
-         "value 0 src band slice(4, 5, None) is not"),
-        ([(0, 1, 1.0)], slice(3, 6), slice(0, 3),
+        ((0, 4, 1.0), slice(0, 1), slice(0, 1),
+         "value src band slice(4, 5, None) is not"),
+        ((0, 1, 1.0), slice(3, 6), slice(0, 3),
          "key band slice(3, 6, None) is not"),
-        ([(0, 1, 1.0)], slice(0, 1), slice(0, 4, 2),
+        ((0, 1, 1.0), slice(0, 1), slice(0, 4, 2),
          "query band slice(0, 4, 2) is not"),
-        ([(1.5, 0, 1.0)], slice(0, 1), slice(0, 1),
-         "value 0 out band slice(1.5, 2.5, None) is not"),
-        ([(0, 1, 1.0)], slice(None, 2), slice(0, 2),
+        ((1.5, 0, 1.0), slice(0, 1), slice(0, 1),
+         "value out band slice(1.5, 2.5, None) is not"),
+        ((0, 1, 1.0), slice(None, 2), slice(0, 2),
          "key band slice(None, 2, None) is not"),
-        ([(0, 1, 1.0)], slice(0, 2), slice(1, 2),
+        ((0, 1, 1.0), slice(0, 2), slice(1, 2),
          "key and query bands hold 2 and 1 rows; their sizes must agree"),
-        ([(0, 1, 1.0), (slice(1, 3), slice(0, 3), 1.0)], slice(0, 1),
-         slice(0, 1),
-         "value 1 out and src bands hold 2 and 3 rows; their sizes must "
+        ((slice(1, 3), slice(0, 3), 1.0), slice(0, 1), slice(0, 1),
+         "value out and src bands hold 2 and 3 rows; their sizes must "
          "agree"),
-        ([(slice(0, 2), slice(2, 4), 1.0), (slice(1, 3), slice(0, 2), 1.0)],
-         slice(0, 1), slice(0, 1),
-         "value out bands slice(0, 2, None) and slice(1, 3, None) overlap"),
-        ([(slice(0, 2), slice(2, 4), 0.5), (slice(0, 2), slice(1, 3), -2.0)],
-         slice(0, 1), slice(0, 1),
-         "value out bands slice(0, 2, None) and slice(0, 2, None) overlap"),
     ])
     def test_band_errors_are_named(self, value, key, query, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             AttentionHead(4, value, key=key, query=query)
 
     @pytest.mark.parametrize("where, bad", [
-        ("value 0 out", None), ("value 0 out", (0, 1)), ("value 0 src", "0"),
-        ("value 0 src", [0]), ("key", None), ("key", (2, 1.0)),
+        ("value out", None), ("value out", (0, 1)), ("value src", "0"),
+        ("value src", [0]), ("key", None), ("key", (2, 1.0)),
         ("query", (2, -1.0)), ("query", np.array([0])),
     ], ids=["out-None", "out-tuple", "src-str", "src-list", "key-None",
             "key-pair", "query-pair", "query-array"])
     def test_malformed_bands_are_named(self, where, bad):
         # anything but a slice or a row index is no band, and gets the
         # band error rather than whatever reading it as one would raise;
-        # scales sit on the value entries, so a (rows, c) key or query
+        # scales sit on the value entry, so a (rows, c) key or query
         # is no band either
-        bands = {"value 0 out": 0, "value 0 src": 1, "key": 2, "query": 2,
+        bands = {"value out": 0, "value src": 1, "key": 2, "query": 2,
                  where: bad}
         with pytest.raises(ValueError,
                            match=f"^{where} band .* is not a run of rows "
                                  f"inside 0 .. 3$"):
-            AttentionHead(3, [(bands["value 0 out"], bands["value 0 src"],
-                               1.0)],
+            AttentionHead(3, (bands["value out"], bands["value src"], 1.0),
                           key=bands["key"], query=bands["query"])
 
     def test_head_needs_a_value_entry(self):
-        with pytest.raises(ValueError,
-                           match="^a head needs at least one value entry$"):
-            AttentionHead(3, [], key=0, query=0)
+        for empty in ((), []):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    "a head's value must be one (out_rows, src_rows, c) "
+                    "triple, got")):
+                AttentionHead(3, empty, key=0, query=0)
 
-    # "value" puts the bad scale on the first entry, "later value" on
-    # the second, and the error names that entry
-    @pytest.mark.parametrize("where", ["value", "later value"])
+    @pytest.mark.parametrize("value", [
+        [(0, 1, 1.0)],
+        [(0, 1, 1.0), (1, 2, -1.0)],
+        ((0, 1, 1.0),),
+        ((0, 1, 1.0), (1, 2, -1.0)),
+        [0, 1, 1.0],
+        (0, 1),
+    ], ids=["one-entry-list", "two-entry-list", "one-entry-tuple",
+            "two-entry-tuple", "list-triple", "pair"])
+    def test_value_is_one_triple(self, value):
+        # a head moves one band: a list of entries, even of one, is no
+        # value entry, and gets the named error
+        with pytest.raises(ValueError,
+                           match=re.escape("a head's value must be one "
+                                           "(out_rows, src_rows, c) triple, "
+                                           f"got {value!r}")):
+            AttentionHead(3, value, key=2, query=2)
+
+    # the error names the part that holds the bad scale
+    @pytest.mark.parametrize("where", ["value"])
     @pytest.mark.parametrize("c", [0.0, -0.0, math.inf, -math.inf,
                                    math.nan])
     def test_scale_must_be_finite_and_nonzero(self, where, c):
-        scales = [c, 1.0] if where == "value" else [1.0, c]
-        name = "value 0" if where == "value" else "value 1"
         with pytest.raises(ValueError,
-                           match=f"^{name} scale must be finite and "
+                           match=f"^{where} scale must be finite and "
                                  f"nonzero, got {c}$"):
-            AttentionHead(3, [(0, 1, scales[0]), (1, 2, scales[1])],
-                          key=2, query=2)
+            AttentionHead(3, (0, 1, c), key=2, query=2)
 
 
 class TestFfnForward:
@@ -481,7 +488,7 @@ class TestModelForward:
     def test_prefix_then_suffix_equals_whole(self):
         rng = np.random.default_rng(7)
         h = rng.standard_normal((3, 4))
-        layers = [TransformerLayer(heads=(random_head(rng, 3),))
+        layers = [TransformerLayer(heads=random_heads(rng, 3))
                   for _ in range(4)]
         whole = model_forward(layers, h)
         split = model_forward(layers[2:], model_forward(layers[:2], h))
@@ -498,7 +505,7 @@ class TestModelForward:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         h = rng.standard_normal((3, 4))
-        layer = TransformerLayer(heads=(random_head(rng, 3),))
+        layer = TransformerLayer(heads=random_heads(rng, 3))
         np.testing.assert_array_equal(model_forward([layer], h),
                                       model_forward([layer], h))
 
@@ -624,6 +631,19 @@ class TestStackedStreams:
         h[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="^h contains non-finite"):
             fn(layer, h)
+
+    @pytest.mark.parametrize("fn", [
+        attention_forward, ffn_forward,
+        lambda layer, h: model_forward([layer], h)],
+        ids=["attention", "ffn", "model"])
+    def test_complex_stream_rejected(self, constructions, fn):
+        # a float64 copy would drop the imaginary part
+        layers, make_prompt = constructions["linreg"]
+        h = make_prompt(np.random.default_rng(3)) + 0j
+        for stream in (h, np.stack([h, h]), h.tolist()):
+            with pytest.raises(ValueError,
+                               match="^h must be real, got dtype complex"):
+                fn(layers[0], stream)
 
     @pytest.mark.parametrize("slice_index", [(0,), (2,), (1, 0)])
     def test_ones_row_violation_names_its_slice(self, constructions,
@@ -807,29 +827,31 @@ class TestOneWorkingStream:
         # a value band's scale c stands for c I and key and query are
         # plain bands: the dense views hold c I and I on them, and the
         # forward pass, which multiplies by no block, has the bits of
-        # one that multiplies every block as a matrix; both run one
-        # ((V K.T) Q) chain over all the value bands
+        # one that multiplies every block as a matrix; the heads share
+        # key and query bands and each writes its own run of rows
         scales = st.sampled_from([1.0, -1.0, 0.37])
 
         def band(size):
             start = data.draw(st.integers(0, dim - size))
             return slice(start, start + size)
-        value = [(slice(start, stop), band(stop - start), data.draw(scales))
-                 for start, stop in draw_runs(data, dim)
-                 if data.draw(st.booleans())]
-        if not value:  # a head needs a value entry
-            value.append((slice(0, dim), band(dim), data.draw(scales)))
+        values = [(slice(start, stop), band(stop - start), data.draw(scales))
+                  for start, stop in draw_runs(data, dim)
+                  if data.draw(st.booleans())]
+        if not values:  # a layer needs a head
+            values.append((slice(0, dim), band(dim), data.draw(scales)))
         size = data.draw(st.integers(1, dim))
-        head = AttentionHead(dim, value, key=band(size), query=band(size))
+        key, query = band(size), band(size)
+        heads = tuple(AttentionHead(dim, value, key=key, query=query)
+                      for value in values)
         inner = slice(0, size)
-        for view, entries in ((head.w_v, value),
-                              (head.w_k, [(inner, head.key, 1.0)]),
-                              (head.w_q, [(inner, head.query, 1.0)])):
-            want = np.zeros((dim, dim))
-            for rows, cols, c in entries:
+        for head, value in zip(heads, values):
+            for view, (rows, cols, c) in ((head.w_v, value),
+                                          (head.w_k, (inner, key, 1.0)),
+                                          (head.w_q, (inner, query, 1.0))):
+                want = np.zeros((dim, dim))
                 want[rows, cols] = c * np.eye(rows.stop - rows.start)
-            np.testing.assert_array_equal(view, want)
-        layer = TransformerLayer(heads=(head,))
+                np.testing.assert_array_equal(view, want)
+        layer = TransformerLayer(heads=heads)
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((dim, n))
         assert_within_bound(layer, h)
