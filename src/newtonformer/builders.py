@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .inversion import TRACE_RECIPROCAL, spd_initial_scale
+from .linalg import _count, _finite
 from .logistic import damping, iterate_norm_bound, sigmoid
 from .pwl import PwlGadget, _square_tables, build_pwl
 from .transformer import (
@@ -119,7 +120,7 @@ def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
 
     Any piece count above *piece_ceiling*, or too large for a float,
     raises ``BudgetError`` naming the overflowing family.  A d that is
-    not an integer, or a *piece_ceiling* that is NaN or below 1, raises
+    not a count >= 1, or a *piece_ceiling* that is NaN or below 1, raises
     ``ValueError``.  The inversion count needs its inner ratio above 1,
     i.e. eps < (1+mu)^1.5/mu; a larger eps raises ``ValueError``.
     """
@@ -127,10 +128,7 @@ def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be finite and positive, got {mu}")
-    if not d >= 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not float(d).is_integer():
-        raise ValueError(f"d must be an integer, got {d}")
+    d = _count(d, "d", 1)
     if not piece_ceiling >= 1:
         raise ValueError(f"piece_ceiling must be >= 1, got {piece_ceiling}")
 
@@ -174,7 +172,7 @@ def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
     # -ln r0; log1p keeps 1 - alpha*mu from rounding to 1 at tiny mu
     rate = -math.log(high) if 1.0 - low <= high else -math.log1p(-low)
     widths["k"] = max(1, math.ceil(math.log2(math.log(inner) / rate)))
-    return BudgetReport(float(eps), float(mu), int(d), widths)
+    return BudgetReport(float(eps), float(mu), d, widths)
 
 
 def _gadget(dim, approx, coeffs, out_row, scale=1.0):
@@ -234,9 +232,10 @@ def _inversion_layout(d):
 
 
 def make_inversion_prompt(a, x0):
-    """Stack (X0; A; 0; I) for the two-layer inversion block."""
-    a = np.asarray(a, dtype=np.float64)
-    x0 = np.asarray(x0, dtype=np.float64)
+    """Stack (X0; A; 0; I) for the two-layer inversion block.  *a* and
+    *x0* go through ``linalg._finite`` and must be square, of one shape."""
+    a = _finite(a, "a")
+    x0 = _finite(x0, "x0")
     if not (a.ndim == 2 and a.shape[0] == a.shape[1]
             and x0.shape == a.shape):
         raise ValueError("a and x0 must be square with matching shape")
@@ -262,9 +261,9 @@ def build_inversion_block(d):
     block and the second forms X(2I - AX) in the top block while
     clearing the work block, so the block can be chained.  A need not be
     symmetric, and one layer, X(2I - A^T X), would invert A^T instead.
+    A d that is not a count >= 1 raises ``ValueError``.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _count(d, "d", 1)
     layout = _inversion_layout(d)
     dim = layout.n_rows
     x_rows, a_rows, work, ident = map(
@@ -312,11 +311,12 @@ def make_linreg_prompt(a, y, a_test):
 
     A stack of designs ``(..., n, d)`` with labels ``(..., n)`` and test
     points ``(..., d)`` gives the stack of their prompts
-    ``(..., dim, n)``, each slice equal to its own prompt.
+    ``(..., dim, n)``, each slice equal to its own prompt.  Each input
+    goes through ``linalg._finite``; wrong shapes raise ``ValueError``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    a_test = np.asarray(a_test, dtype=np.float64)
+    a = _finite(a, "a")
+    y = _finite(y, "y")
+    a_test = _finite(a_test, "a_test")
     if a.ndim < 2:
         raise ValueError(f"a must be at least 2-D, got shape {a.shape}")
     *lead, n, d = a.shape
@@ -371,16 +371,12 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     The weights do not depend on n; :func:`make_linreg_prompt` checks
     n >= d.  A trace outside the gadget's knot span is clamped to the
     span's end; ``inversion.trace_initial_scale`` names such a trace.
-    A negative or non-integer *t_steps*, a *ridge_mu* that is not
-    finite and >= 0, and an overflowing ridge_mu * d raise
-    ``ValueError``.
+    A d that is not a count >= 1, a *t_steps* that is not a count
+    >= 0, a *ridge_mu* that is not finite and >= 0, and an overflowing
+    ridge_mu * d raise ``ValueError``.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not t_steps >= 0:
-        raise ValueError(f"t_steps must be >= 0, got {t_steps}")
-    if not float(t_steps).is_integer():
-        raise ValueError(f"t_steps must be an integer, got {t_steps}")
+    d = _count(d, "d", 1)
+    t_steps = _count(t_steps, "t_steps", 0)
     if not 0.0 <= ridge_mu < math.inf:
         raise ValueError(f"ridge_mu must be finite and >= 0, got {ridge_mu}")
     layout = _linreg_layout(d)
@@ -455,7 +451,7 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     )
 
     newton = _newton_layer(dim, x_slot, b_slot, ident)
-    layers = [gram, start] + [newton] * int(t_steps) + [contract, readout]
+    layers = [gram, start] + [newton] * t_steps + [contract, readout]
     return layers, layout
 
 
@@ -487,17 +483,15 @@ def make_logistic_prompt(problem, x):
 
     The loss reads example i only through y_i a_i, so the prompt has no
     labels band; (y_i a_i)(y_i a_i)^T = a_i a_i^T leaves the Hessian as
-    it is.  An *x* of the wrong shape or with a NaN or infinite entry
-    raises ``ValueError`` naming it.
+    it is.  *x* goes through ``linalg._finite``, and one of the wrong
+    shape raises ``ValueError`` naming it.
     """
     d, n = problem.dim, problem.n_samples
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(x, "x")
     if x.shape != (d,):
         raise ValueError(f"x must have shape ({d},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("x contains non-finite entries")
     layout = _logistic_layout(d)
     h = np.zeros((layout.n_rows, n))
     for pad in ("x_slot", "b_slot", "identity"):
@@ -707,16 +701,13 @@ def run_constructed_newton(problem, x0, budget, n_steps):
     """Apply the constructed step *n_steps* times; returns the iterates.
 
     Each step is one in-place forward pass of the whole stack on one
-    stream, which leaves it equal to the next iterate's prompt.  A
-    negative or non-integer *n_steps* raises ``ValueError``, and a
-    *budget* built for another d or mu than *problem*'s raises
-    ``BudgetError`` with ``bound`` "d" or "mu", before anything is
-    built.
+    stream, which leaves it equal to the next iterate's prompt.
+    *n_steps* and *x0* go through the ``linalg`` guards, and a *budget*
+    built for another d or mu than *problem*'s raises ``BudgetError``
+    with ``bound`` "d" or "mu", before anything is built.
     """
-    if not n_steps >= 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if not float(n_steps).is_integer():
-        raise ValueError(f"n_steps must be an integer, got {n_steps}")
+    n_steps = _count(n_steps, "n_steps", 0)
+    x0 = _finite(x0, "x0")
     if budget.d != problem.dim:
         raise BudgetError(
             f"budget built for d={budget.d}, problem has d={problem.dim}",
@@ -728,9 +719,9 @@ def run_constructed_newton(problem, x0, budget, n_steps):
             bound="mu",
         )
     layers, layout = build_logreg_newton_step(budget)
-    h = make_logistic_prompt(problem, np.asarray(x0, dtype=np.float64))
+    h = make_logistic_prompt(problem, x0)
     xs = [read_logistic_iterate(h, layout)]
-    for _ in range(int(n_steps)):
+    for _ in range(n_steps):
         model_forward(layers, h, out=h)
         xs.append(read_logistic_iterate(h, layout))
     return xs

@@ -9,6 +9,7 @@ slice bit-identical to the same product on that problem alone.
 
 import numpy as np
 
+from .linalg import _count
 from .logistic import LogisticProblem
 
 __all__ = ["make_covariance", "gen_linreg_data", "gen_logreg_data"]
@@ -22,11 +23,7 @@ def _gaussian(rngs, shape):
 def _covariances(d, kappa, rngs):
     """One covariance per generator in *rngs*, as a ``(len(rngs), d, d)``
     stack; see :func:`make_covariance`."""
-    if not (isinstance(d, (int, np.integer)) or float(d).is_integer()):
-        raise ValueError(f"d must be an integer, got {d}")
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _count(d, "d", 1)
     if not 1.0 <= kappa < np.inf:
         raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     if d == 1 and kappa != 1.0:
@@ -51,8 +48,7 @@ def make_covariance(d, kappa, rng):
     The largest eigenvalue is uniform on [1, 100], the smallest is
     pinned to lambda_max/kappa, interior eigenvalues are uniform in
     between, and the eigenbasis is a Haar-ish orthogonal factor from a
-    Gaussian QR decomposition.  *d* must be integral; an integral
-    float is taken as an int.
+    Gaussian QR decomposition.  *d* must be a count >= 1.
     """
     return _covariances(d, kappa, [rng])[0]
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import builders, datagen, inversion, logistic
-from .inversion import MAX_ORDER
-from .linalg import solve_spd
+from .linalg import _count, solve_spd
 from .transformer import model_forward
 
 __all__ = [
@@ -44,8 +43,8 @@ class ExperimentConfig:
 
     A field left unset takes its task's default from ``TASK_DEFAULTS``;
     a field the task's runner does not read stays None.  The count
-    fields d, n, t_max, seed and batch must be integral; an integral
-    float is stored as an int.
+    fields d, n, t_max, seed and batch, and each order (in
+    [2, MAX_ORDER]), go through ``linalg._count`` and are stored as ints.
     """
 
     task: str
@@ -69,18 +68,11 @@ class ExperimentConfig:
         for key, value in TASK_DEFAULTS[self.task].items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
-        for key in ("d", "n", "t_max", "seed", "batch"):
+        for key, low in (("d", 1), ("n", 1), ("t_max", 1), ("seed", 0),
+                         ("batch", 1)):
             value = getattr(self, key)
-            if value is None:
-                continue
-            if not (isinstance(value, (int, np.integer))
-                    or float(value).is_integer()):
-                raise ValueError(f"{key} must be an integer, got {value}")
-            object.__setattr__(self, key, int(value))
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            if value is not None:
+                object.__setattr__(self, key, _count(value, key, low))
         if not 1.0 <= self.kappa < np.inf:
             raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
         if self.noise_std is not None and not 0.0 <= self.noise_std < np.inf:
@@ -89,19 +81,11 @@ class ExperimentConfig:
             )
         if self.eps is not None and not 0.0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.orders is not None:
-            orders = tuple(int(o) for o in self.orders)
+            orders = tuple(inversion._check_order(o) for o in self.orders)
             if not orders:
                 raise ValueError("orders must be nonempty")
             for i, o in enumerate(orders):
-                if not 2 <= o <= MAX_ORDER:
-                    raise ValueError(
-                        f"orders must lie in [2, {MAX_ORDER}], got {o}"
-                    )
                 if o in orders[:i]:
                     raise ValueError(f"orders must not repeat, got {o} twice")
             object.__setattr__(self, "orders", orders)

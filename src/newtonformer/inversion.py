@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ShapeMismatchError
-from .linalg import as_matrix, as_stack
+from .linalg import _count, _real, as_matrix, as_stack
 from .pwl import PwlApprox, eval_pwl
 
 __all__ = [
@@ -61,10 +61,8 @@ def newton_step(x, a):
 
 
 def _check_order(order):
-    if not isinstance(order, (int, np.integer)):
-        raise ValueError("order must be an integer")
-    if order < 2 or order > MAX_ORDER:
-        raise ValueError(f"order must be in [2, {MAX_ORDER}], got {order}")
+    """*order* as a count in [2, MAX_ORDER]."""
+    return _count(order, "order", 2, MAX_ORDER)
 
 
 def hyperpower_step(x, a, order):
@@ -78,7 +76,7 @@ def hyperpower_step(x, a, order):
     :func:`newton_step` updates them: one call per stack, each slice
     bit-identical to its own 2-D update.
     """
-    _check_order(order)
+    order = _check_order(order)
     if order == 2:
         return newton_step(x, a)
     x, a = _check_square_pair(x, a)
@@ -100,14 +98,13 @@ def predicted_steps(kappa, eps, order=2):
     of 2 absorbs rounding.  Each logarithmic term is clamped at zero so
     trivially easy inputs (kappa near 1, loose eps) cannot push the
     envelope below the slack.  *order* must be one that
-    :func:`hyperpower_step` runs: an integer in [2, MAX_ORDER].
+    :func:`hyperpower_step` runs: a count in [2, MAX_ORDER].
     """
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    _check_order(order)
-    log_ord = math.log(order)
+    log_ord = math.log(_check_order(order))
     warmup = max(0, math.ceil(2.0 * math.log(kappa) / log_ord))
     sharpen = max(0, math.ceil(math.log(math.log2(1.0 / eps)) / log_ord))
     return warmup + sharpen + 2
@@ -134,9 +131,9 @@ def trace_initial_scale(trace):
     array, one trace per prompt.  A trace outside the table's knot span
     (NaN included) raises ``ValueError`` naming its prompt, the trace
     and the span: there the table clamps, and above the span its value
-    is no longer below 2/lambda_max.
+    is no longer below 2/lambda_max.  Complex input raises one too.
     """
-    trace = np.asarray(trace, dtype=np.float64)
+    trace = _real(trace, "trace")
     lo, hi = TRACE_RECIPROCAL.knots[[0, -1]]
     bad = ~((trace >= lo) & (trace <= hi))
     if bad.any():
@@ -181,22 +178,17 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100):
     Raises ``ConvergenceError`` (with the partial run attached) if the
     residual is still above *tol* after *max_iters* steps, and
     ``ValueError`` for the zero matrix, for a sigma whose square, and
-    so alpha, falls outside float64's range, for an *order* that
-    :func:`hyperpower_step` rejects and for a *max_iters* that is not
-    an integer >= 0 (an integral float counts as one), the last two
-    before any residual.
+    so alpha, falls outside float64's range, and, before any residual,
+    for an *order* that :func:`hyperpower_step` rejects and a
+    *max_iters* that is not a count >= 0.
     """
     a = as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"a must be square, got {a.shape}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    _check_order(order)
-    if not max_iters >= 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if not float(max_iters).is_integer():
-        raise ValueError(f"max_iters must be an integer, got {max_iters}")
-    max_iters = int(max_iters)
+    order = _check_order(order)
+    max_iters = _count(max_iters, "max_iters", 0)
     sigma = np.linalg.norm(a, 2)
     if sigma == 0.0:
         raise ValueError("cannot invert the zero matrix")
@@ -208,7 +200,7 @@ def run_inverse(a, order=2, tol=1e-10, max_iters=100):
     d = a.shape[0]
     eye = np.eye(d)
     x = alpha * a.T
-    run = InverseRun(alpha=alpha, order=int(order))
+    run = InverseRun(alpha=alpha, order=order)
     while True:
         run.iterates.append(x)
         run.residuals.append(float(np.linalg.norm(eye - x @ a)))
@@ -233,15 +225,15 @@ def fitted_order(residuals):
     floor).  Under the residual law ``r_{t+1} = r_t**q`` the slope is
     exactly q.
 
-    Requires at least two usable pairs.
+    Requires a real history with at least two usable pairs.
     """
-    r = np.asarray(residuals, dtype=np.float64)
+    r = _real(residuals, "residuals")
     if r.ndim != 1 or r.size < 3:
         raise ValueError("need a residual history of length >= 3")
     mask = (r[:-1] <= FIT_HI) & (r[1:] >= FIT_LO) & (r[:-1] > r[1:])
     idx = np.nonzero(mask)[0][-FIT_MAX_PAIRS:]
     if idx.size < 2:
         raise ValueError("fewer than two residual pairs in the fit window")
-    lx = np.log(r[idx])
-    ly = np.log(r[idx + 1])
+    lx = np.log(r[idx], dtype=np.float64)
+    ly = np.log(r[idx + 1], dtype=np.float64)
     return float(np.polyfit(lx, ly, 1)[0])

@@ -3,8 +3,12 @@
 Matrices are plain 2-D float64 numpy arrays in row-major (C) order,
 validated at the public entry points; a stack ``(..., m, n)`` holds
 several matrices of one shape.  numpy supplies the raw arithmetic; the
-guards and the SPD solver are defined here.
+guards and the SPD solver are defined here: every public entry point
+admits a count through :func:`_count` and an array of reals through
+:func:`_finite` or :func:`as_stack`, so each input policy lives here.
 """
+
+import math
 
 import numpy as np
 
@@ -28,21 +32,45 @@ def _real(obj, name):
     return a
 
 
+def _count(value, name, low, high=math.inf):
+    """*value* as an int in [*low*, *high*]; an integral float counts as
+    that int.  NaN, a value out of range and anything else that is not
+    an integral int or float (infinity included) raise ``ValueError``
+    naming *name*."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if real and not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    if not (isinstance(value, (int, np.integer))
+            or real and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def _finite(obj, name):
+    """*obj* as a finite float64 C-contiguous array of any shape, in one
+    conversion (none for such an array) and one ``isfinite`` pass.
+    Complex input (by dtype, see :func:`_real`) and NaN/Inf entries
+    raise ``ValueError`` naming *name*."""
+    a = np.asarray(_real(obj, name), dtype=np.float64, order="C")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
 def as_stack(obj, name="stack"):
     """Validate *obj* as a finite float64 matrix or stack of matrices
     ``(..., m, n)`` and return it, C-contiguous.
 
-    Accepts anything ``np.asarray`` does.  Raises ``ShapeMismatchError``
-    for input with fewer than two dimensions and ``ValueError`` for
-    complex input and for NaN/Inf entries.
+    :func:`_finite` plus an ndim rule: raises ``ValueError`` for complex
+    input and for NaN/Inf entries and ``ShapeMismatchError`` for input
+    with fewer than two dimensions.
     """
-    a = np.ascontiguousarray(_real(obj, name), dtype=np.float64)
+    a = _finite(obj, name)
     if a.ndim < 2:
         raise ShapeMismatchError(
             f"{name} must be at least 2-D, got shape {a.shape}"
         )
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
     return a
 
 

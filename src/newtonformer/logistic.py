@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ScanAnomalyError
-from .linalg import solve_spd
+from .linalg import _count, _finite, solve_spd
 
 __all__ = [
     "LogisticProblem",
@@ -62,7 +62,7 @@ class LogisticProblem:
     """A dataset (features, labels) with ridge weight mu.
 
     Feature rows must have 2-norm at most 1 and labels must be +-1;
-    both are validated on construction.
+    both go through ``linalg._finite`` and are validated on construction.
     """
 
     features: np.ndarray
@@ -70,16 +70,14 @@ class LogisticProblem:
     mu: float
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.features, dtype=np.float64)
-        y = np.ascontiguousarray(self.labels, dtype=np.float64)
+        a = _finite(self.features, "features")
+        y = _finite(self.labels, "labels")
         if a.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {a.shape}")
         if y.shape != (a.shape[0],):
             raise ValueError(
                 f"labels must have shape ({a.shape[0]},), got {y.shape}"
             )
-        if not np.all(np.isfinite(a)):
-            raise ValueError("features contain non-finite entries")
         norms = np.linalg.norm(a, axis=1)
         if np.any(norms > 1.0 + 1e-12):
             raise ValueError(
@@ -102,14 +100,12 @@ class LogisticProblem:
 
 
 def _check_point(problem, x):
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = _finite(x, "x")
     if x.ndim not in (1, 2) or x.shape[-1] != problem.dim:
         raise ValueError(
             f"x must have shape ({problem.dim},) or (k, {problem.dim}), "
             f"got {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x contains non-finite entries")
     return x
 
 
@@ -223,7 +219,7 @@ def damped_step(problem, x):
     alone.
     """
     f, grad, hess = loss_grad_hess(problem, x)
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(x, "x")  # admitted there; this takes its float64 array
     direction = solve_spd(hess, grad[..., None])[..., 0]
     lam = _scalar_for_a_point(
         x, np.sqrt(np.maximum(_row_dot(grad, direction), 0.0))
@@ -267,13 +263,12 @@ def bounded_error_source(eps, dim, seed=0):
 
     Draws an isotropic direction per step from a dedicated generator,
     so a run with the same seed replays identical errors.  *dim* must
-    be an integer >= 1.
+    be a count >= 1 and *seed* a count >= 0.
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
+    dim = _count(dim, "dim", 1)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
 
     def source(_step):
         v = rng.standard_normal(dim)
@@ -307,13 +302,15 @@ def run_inexact_newton(
     used for the suboptimality column; by default it is computed here
     with an exact high-precision run.  Exhausting *max_iters* without
     reaching the threshold raises ``ConvergenceError`` with the trace
-    attached.
+    attached.  *max_iters* and each error vector go through the
+    ``linalg`` guards; an error of the wrong shape raises ``ValueError``.
     """
     x = _check_point(problem, x0)
     if x.ndim != 1:
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
+    max_iters = _count(max_iters, "max_iters", 0)
     if reference is None:
         reference = optimum(problem)
     g_star = reference[1]
@@ -347,7 +344,7 @@ def run_inexact_newton(
         error = None if error_source is None else error_source(step)
         err_norm = 0.0
         if error is not None:
-            error = np.ascontiguousarray(error, dtype=np.float64)
+            error = _finite(error, f"error_source output at step {step}")
             if error.shape != x.shape:
                 raise ValueError(
                     f"error_source produced shape {error.shape}, expected "
@@ -483,10 +480,11 @@ def scan_constant_decrease(grid_x=500, grid_c=500):
     this maximum to be at most -0.01.
 
     Raises ``ScanAnomalyError`` if delta leaves [0, 1) at a realizable
-    grid point, which would put the formula outside its domain.
+    grid point, which would put the formula outside its domain.  The
+    grid sizes are counts >= 100.
     """
-    if grid_x < 100 or grid_c < 100:
-        raise ValueError("grid must be at least 100x100")
+    grid_x = _count(grid_x, "grid_x", 100)
+    grid_c = _count(grid_c, "grid_c", 100)
     xs = np.linspace(QUADRATIC_PHASE_THRESHOLD, 1.0, grid_x)
     cs = np.linspace(-0.06, 0.06, grid_c)
     x, c = np.meshgrid(xs, cs, indexing="ij")

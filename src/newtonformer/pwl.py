@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _count, _finite
+
 __all__ = [
     "PwlApprox",
     "PwlGadget",
@@ -25,21 +27,20 @@ class PwlApprox:
     """A piecewise-linear function on [knots[0], knots[-1]].
 
     Outside the knot range the function clamps to the endpoint values,
-    as its ReLU form in a feed-forward block does.
+    as its ReLU form in a feed-forward block does.  *knots* and
+    *values* go through ``linalg._finite``.
     """
 
     knots: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
+        knots = _finite(self.knots, "knots")
+        values = _finite(self.values, "values")
         if knots.ndim != 1 or knots.size < 2:
             raise ValueError("need at least two knots")
         if values.shape != knots.shape:
             raise ValueError("knots and values must have matching length")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
-            raise ValueError("knots and values must be finite")
         if not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
@@ -59,17 +60,14 @@ def build_pwl(f, lo, hi, pieces):
     The sup-norm error of the interpolant is at most
     ``L * (hi - lo) / pieces`` for L-Lipschitz f (and order
     ``(hi - lo)**2 / pieces**2`` for twice-differentiable f).  A
-    non-finite *lo* or *hi*, or a *pieces* that is not an integer >= 1,
+    non-finite *lo* or *hi*, or a *pieces* that is not a count >= 1,
     raises ``ValueError``.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"lo and hi must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not isinstance(pieces, (int, np.integer)):
-        raise ValueError(f"pieces must be an integer, got {pieces}")
-    if pieces < 1:
-        raise ValueError(f"pieces must be >= 1, got {pieces}")
+    pieces = _count(pieces, "pieces", 1)
     knots = np.linspace(lo, hi, pieces + 1)
     values = np.broadcast_to(f(knots), knots.shape).astype(np.float64)
     if not np.all(np.isfinite(values)):

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _real, as_stack
+from .linalg import _count, _real, as_stack
 from .pwl import eval_pwl
 
 __all__ = [
@@ -54,7 +54,7 @@ class PromptLayout:
     *bands* is a sequence of ``(name, size)`` pairs.  Each band starts
     where the one before it stops, so together they tile rows
     ``0 .. n_rows``; ``rows_of(name)`` gives a band's rows as a slice.
-    Duplicate names and sizes that are not integers >= 1 raise ``ValueError``.
+    Duplicate names and sizes that are not counts >= 1 raise ``ValueError``.
     """
 
     def __init__(self, bands):
@@ -63,10 +63,7 @@ class PromptLayout:
         for name, size in bands:
             if name in self._rows:
                 raise ValueError(f"duplicate band name {name!r}")
-            if not isinstance(size, (int, np.integer)) or size < 1:
-                raise ValueError(
-                    f"band {name!r} needs an integer size >= 1, got {size}"
-                )
+            size = _count(size, f"band {name!r} size", 1)
             self._rows[name] = slice(start, start + size)
             start += size
         self.n_rows = start

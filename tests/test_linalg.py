@@ -1,17 +1,52 @@
+import math
+import pickle
+import re
+
 import numpy as np
 import pytest
 
+from newtonformer.builders import (
+    build_inversion_block,
+    build_linreg_transformer,
+    make_inversion_prompt,
+    make_linreg_prompt,
+    make_logistic_prompt,
+    run_constructed_newton,
+    width_depth_budget,
+)
 from newtonformer.datagen import make_covariance
 from newtonformer.errors import (
     DefinitenessError,
     ShapeMismatchError,
     SymmetryError,
 )
+from newtonformer.harness import ExperimentConfig
+from newtonformer.inversion import (
+    fitted_order,
+    hyperpower_step,
+    predicted_steps,
+    run_inverse,
+    trace_initial_scale,
+)
 from newtonformer.linalg import (
     as_matrix,
     as_stack,
     solve_spd,
 )
+from newtonformer.logistic import (
+    LogisticProblem,
+    bounded_error_source,
+    objective,
+    run_inexact_newton,
+    scan_constant_decrease,
+)
+from newtonformer.pwl import PwlApprox, build_pwl
+from newtonformer.transformer import PromptLayout
+
+_PROBLEM = LogisticProblem(np.eye(2) / 2, np.ones(2), 0.1)
+_BUDGET = width_depth_budget(0.2, 0.1, 2)
+_Z = 1j * np.eye(2)  # complex, with a nonzero imaginary part
+_R = np.eye(2)
 
 
 class TestAsMatrix:
@@ -188,3 +223,110 @@ class TestSolveSpd:
                 backward = np.linalg.norm(residual[:, col].astype(float))
                 x_norm = np.linalg.norm(x[:, col])
                 assert backward <= 4 * d * u * a_norm * x_norm
+
+
+# Every public entry point admits its arrays and counts through the two
+# guards in linalg: a table over each argument that goes through one.
+
+_COMPLEX_ARGUMENTS = {
+    "make_inversion_prompt.a": (lambda: make_inversion_prompt(_Z, _R), "a"),
+    "make_inversion_prompt.x0": (lambda: make_inversion_prompt(_R, _Z),
+                                 "x0"),
+    "make_linreg_prompt.a": (
+        lambda: make_linreg_prompt(_Z, np.ones(2), np.ones(2)), "a"),
+    "make_linreg_prompt.y": (
+        lambda: make_linreg_prompt(_R, _Z[0], np.ones(2)), "y"),
+    "make_linreg_prompt.a_test": (
+        lambda: make_linreg_prompt(_R, np.ones(2), _Z[0]), "a_test"),
+    "make_logistic_prompt.x": (
+        lambda: make_logistic_prompt(_PROBLEM, _Z[0]), "x"),
+    "run_constructed_newton.x0": (
+        lambda: run_constructed_newton(_PROBLEM, _Z[0], _BUDGET, 1), "x0"),
+    "LogisticProblem.features": (
+        lambda: LogisticProblem(_Z / 2, np.ones(2), 0.1), "features"),
+    "LogisticProblem.labels": (
+        lambda: LogisticProblem(_R / 2, 1 + _Z[0], 0.1), "labels"),
+    "objective.x": (lambda: objective(_PROBLEM, _Z[0]), "x"),
+    "run_inexact_newton.error": (
+        lambda: run_inexact_newton(_PROBLEM, np.zeros(2), 1e-6,
+                                   error_source=lambda step: 1e-9 * _Z[0]),
+        "error_source output at step 0"),
+    "PwlApprox.knots": (lambda: PwlApprox(_Z[0] + [0, 1], _R[0]), "knots"),
+    "PwlApprox.values": (lambda: PwlApprox([0, 1], _Z[0]), "values"),
+    "trace_initial_scale.trace": (lambda: trace_initial_scale(_Z[0] + 1),
+                                  "trace"),
+    "fitted_order.residuals": (
+        lambda: fitted_order([0.1, 0.01 + 1e-3j, 1e-4, 1e-8]), "residuals"),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMPLEX_ARGUMENTS))
+def test_complex_array_argument_is_named(case):
+    # a float64 copy would drop the imaginary part with only a warning
+    call, name = _COMPLEX_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "
+                                         f"real, got dtype complex"):
+        call()
+
+
+# case: (call taking the count, the name it is checked under, its
+# lowest value, a value it accepts)
+_COUNT_ARGUMENTS = {
+    "width_depth_budget.d": (
+        lambda v: width_depth_budget(1e-2, 0.1, v), "d", 1, 5),
+    "build_inversion_block.d": (build_inversion_block, "d", 1, 2),
+    "build_linreg_transformer.d": (
+        lambda v: build_linreg_transformer(v, 1), "d", 1, 2),
+    "build_linreg_transformer.t_steps": (
+        lambda v: build_linreg_transformer(2, v), "t_steps", 0, 2),
+    "make_covariance.d": (
+        lambda v: make_covariance(v, 10.0, np.random.default_rng(0)),
+        "d", 1, 3),
+    "run_constructed_newton.n_steps": (
+        lambda v: run_constructed_newton(_PROBLEM, np.zeros(2), _BUDGET, v),
+        "n_steps", 0, 2),
+    "PromptLayout.size": (
+        lambda v: PromptLayout((("a", 2), ("b", v))), "band 'b' size", 1, 3),
+    **{f"ExperimentConfig.{key}": (
+        lambda v, key=key: ExperimentConfig(task="linreg", **{key: v}),
+        key, low, good)
+       for key, low, good in (("d", 1, 10), ("n", 1, 50), ("t_max", 1, 30),
+                              ("seed", 0, 0), ("batch", 1, 16))},
+    "ExperimentConfig.orders": (  # 3.5 is not truncated to order 3
+        lambda v: ExperimentConfig(task="linreg", orders=(2, v)),
+        "order", 2, 3),
+    "hyperpower_step.order": (
+        lambda v: hyperpower_step(_R / 2, _R, v), "order", 2, 3),
+    "predicted_steps.order": (
+        lambda v: predicted_steps(10.0, 1e-10, v), "order", 2, 3),
+    "run_inverse.order": (
+        lambda v: run_inverse(_R * 2, order=v), "order", 2, 3),
+    "run_inverse.max_iters": (
+        lambda v: run_inverse(_R * 2, max_iters=v), "max_iters", 0, 10),
+    "run_inexact_newton.max_iters": (
+        lambda v: run_inexact_newton(_PROBLEM, np.zeros(2), 1e-6,
+                                     max_iters=v), "max_iters", 0, 20),
+    "build_pwl.pieces": (
+        lambda v: build_pwl(np.sin, 0.0, 1.0, v), "pieces", 1, 4),
+    "bounded_error_source.dim": (
+        lambda v: bounded_error_source(1e-3, v)(0), "dim", 1, 3),
+    "bounded_error_source.seed": (
+        lambda v: bounded_error_source(1e-3, 3, v)(0), "seed", 0, 5),
+    "scan_constant_decrease.grid_x": (
+        lambda v: scan_constant_decrease(grid_x=v, grid_c=100),
+        "grid_x", 100, 100),
+    "scan_constant_decrease.grid_c": (
+        lambda v: scan_constant_decrease(grid_x=100, grid_c=v),
+        "grid_c", 100, 101),
+}
+
+
+@pytest.mark.parametrize("case", list(_COUNT_ARGUMENTS))
+def test_count_argument_is_admitted_by_the_guard(case):
+    call, name, low, good = _COUNT_ARGUMENTS[case]
+    # an integral float is that int, all the way through
+    assert pickle.dumps(call(float(good))) == pickle.dumps(call(good))
+    for bad in (good + 0.5, math.nan, low - 1):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "
+                                             f".*, got {bad}$"):
+            call(bad)

@@ -337,6 +337,13 @@ class TestOptimum:
 
 
 class TestRunInexactNewton:
+    def test_integral_float_max_iters_is_that_many_steps(self):
+        # a threshold of 1e-150 is out of reach, so every step runs
+        with pytest.raises(ConvergenceError, match="after 3 steps$") as info:
+            run_inexact_newton(make_problem(44), np.zeros(5), eps=1e-300,
+                               max_iters=3.0)
+        assert info.value.trace.steps == 3
+
     def test_quadratic_phase_contraction_exact(self):
         for seed in range(5):
             p = make_problem(400 + seed)
@@ -553,8 +560,9 @@ class TestErrorSource:
 
     @pytest.mark.parametrize("dim", [0, 2.5])
     def test_rejects_bad_dimension(self, dim):
+        rule = ">= 1" if dim < 1 else "an integer"
         with pytest.raises(ValueError,
-                           match=f"dim must be an integer >= 1, got {dim}"):
+                           match=f"^dim must be {rule}, got {dim}$"):
             bounded_error_source(1e-3, dim)
 
 

@@ -165,10 +165,9 @@ class TestPromptLayout:
             with pytest.raises(ValueError, match="size"):
                 PromptLayout((("a", 2), ("b", size)))
 
-    @pytest.mark.parametrize("size", [2.5, 2.0, float("nan"), "3"])
+    @pytest.mark.parametrize("size", [2.5, float("nan"), "3"])
     def test_rejects_non_integer_sizes(self, size):
-        with pytest.raises(ValueError,
-                           match="band 'b' needs an integer size >= 1, got"):
+        with pytest.raises(ValueError, match="^band 'b' size must be "):
             PromptLayout((("a", 2), ("b", size)))
 
     def test_numpy_integer_size(self):
