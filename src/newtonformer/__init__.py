@@ -7,8 +7,8 @@ realize them as linear-attention layers with ReLU feed-forward blocks,
 and a reproducible experiment harness.
 
 Each library module's ``__all__`` is the one declaration of its public
-names; the package re-exports all of them.  ``cli`` stays out, so that
-``import newtonformer`` does not load argparse.
+names; the package re-exports all of them.  ``cli``, the command-line
+front end, stays out.
 """
 
 from . import (builders, datagen, errors, harness, inversion, linalg,

@@ -3,25 +3,20 @@
 Five subcommands: ``invert``, ``linreg``, ``logreg`` run the CSV
 experiment harness, ``budget`` prints a width/depth allocation, and
 ``scan-decrease`` evaluates the constant-decrease certificate grid.
-Each experiment subcommand takes one flag per field its runner reads,
-with the defaults of ``harness.TASK_DEFAULTS``.  ``--config`` reads the
-same keys from a flat key=value file; an explicit flag wins over the
-file.  Exit codes: 0 on success, 2 on budget or convergence failure, 1
-on usage errors.
+One table, ``_FLAGS``, holds each one's flags and defaults and makes
+the ``-h`` text.  A flag is ``--name value`` or ``--name=value``, the
+last one given wins, and ``--config FILE`` reads the same keys from
+key=value lines, under any explicit flag.  Exit codes: 0 on success, 2
+on budget or convergence failure, 1 on usage errors.
 """
 
-import argparse
+import re
 import sys
 
 from .builders import width_depth_budget
 from .errors import BudgetError, ConvergenceError, ScanAnomalyError
-from .harness import (
-    TASK_DEFAULTS,
-    ExperimentConfig,
-    run_invert_experiment,
-    run_linreg_experiment,
-    run_logreg_experiment,
-)
+from .harness import (TASK_DEFAULTS, ExperimentConfig, run_invert_experiment,
+                      run_linreg_experiment, run_logreg_experiment)
 from .logistic import scan_constant_decrease
 
 __all__ = ["main"]
@@ -33,129 +28,134 @@ _RUNNERS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with status 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-    def read_config(self, path, command):
-        """Set the key=value pairs of *path* as this parser's defaults.
-
-        The values stay strings, so the next parse converts each with
-        its flag's own type, and a flag given explicitly still wins.
-        """
-        flags = {action.dest for action in self._actions
-                 if action.option_strings} - {"help", "config"}
-        values = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, value = key.strip().replace("-", "_"), value.strip()
-                if key == "task":
-                    if value != command:
-                        raise ValueError(
-                            f"{path}:{lineno}: config task {value!r} "
-                            f"conflicts with subcommand {command!r}"
-                        )
-                elif key in flags:
-                    values[key] = value
-                else:
-                    raise ValueError(
-                        f"{path}:{lineno}: config key {key!r} does not "
-                        f"apply to {command!r}"
-                    )
-        self.set_defaults(**values)
+def _own_defaults(fn):
+    """The defaults of *fn*'s keyword parameters, by name."""
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+    return dict(zip(names[-len(fn.__defaults__):], fn.__defaults__))
 
 
-def _parse_orders(text):
+# Each subcommand's flags and the value a call without the flag uses:
+# budget's eps, mu and d are the logreg experiment's.
+_FLAGS = {
+    **TASK_DEFAULTS,
+    "budget": {**{name: TASK_DEFAULTS["logreg"][name]
+                  for name in ("eps", "mu", "d")},
+               **_own_defaults(width_depth_budget)},
+    "scan-decrease": _own_defaults(scan_constant_decrease),
+}
+# As in argparse, a value that begins with "-" is a plain negative number.
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _usage(command):
+    command = command or "{" + ",".join(_FLAGS) + "}"
+    return f"usage: newtonformer {command} [-h] [--name value ...]"
+
+
+def _show_help(command):
+    """Print the ``-h`` text of *command*, or of the top level for ""."""
+    lines = [_usage(command), "", __doc__ if not command else "options:",
+             "  -h, --help       show this help message and exit"]
+    if command not in ("", "scan-decrease"):
+        lines.append("  --config FILE    flat key=value config file")
+    for name, default in _FLAGS.get(command, {}).items():
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        lines.append(f"  {_flag(name):17}default {default}")
+    print("\n".join(lines))
+    raise SystemExit(0)
+
+
+def _fail(command, message):
+    """Print *command*'s usage line and *message*; exit with status 1."""
+    prog = f"newtonformer {command}".rstrip()
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _read_config(path, command):
+    """The key=value pairs of *path*, as strings, by flag name."""
+    values = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key == "task" and value != command:
+                raise ValueError(f"{path}:{lineno}: config task {value!r} "
+                                 f"conflicts with subcommand {command!r}")
+            if key not in ("task", *_FLAGS[command]):
+                raise ValueError(f"{path}:{lineno}: config key {key!r} does "
+                                 f"not apply to {command!r}")
+            values[key] = value
+    values.pop("task", None)
+    return values
+
+
+def _convert(command, name, text):
+    """*text* read with the type of *name*'s default."""
+    kind = type(_FLAGS[command][name])
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        if kind is tuple:
+            return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return kind(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        _fail(command, f"argument {_flag(name)}: " + (
             f"orders must be comma-separated integers, got {text!r}"
-        ) from None
+            if kind is tuple else f"invalid {kind.__name__} value: {text!r}"))
 
 
-def _add_flag(sub, name, default=argparse.SUPPRESS, **kwargs):
-    sub.add_argument("--" + name.replace("_", "-"), dest=name,
-                     default=default, **kwargs)
-
-
-def _build_parser(command=None):
-    """The top-level parser and the subcommand parsers by name.
-
-    Every subcommand is listed, but only *command*'s parser gets its
-    flags, or every parser when *command* is None: a call parses one
-    subcommand's flags, so it builds only those.  The help text of
-    the top level and of *command* is the same either way.
-
-    Flags without a default are left out of the parsed namespace, so
-    only the values a user set reach the library, which fills in the
-    rest.
-    """
-    parser = _Parser(prog="newtonformer", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=_Parser)
-    for task, defaults in TASK_DEFAULTS.items():
-        sub = subs.add_parser(task, help=f"run the {task} experiment")
-        if command not in (None, task):
-            continue
-        _add_flag(sub, "config", help="flat key=value config file")
-        for name, default in defaults.items():
-            if isinstance(default, tuple):
-                kind, shown = _parse_orders, ",".join(map(str, default))
-            else:
-                kind, shown = type(default), default
-            _add_flag(sub, name, type=kind, help=f"default {shown}")
-    # The budget defaults to the logreg experiment's eps, mu and d; the
-    # piece ceiling keeps width_depth_budget's own default.
-    budget = subs.add_parser("budget", help="print a width/depth budget")
-    if command in (None, "budget"):
-        _add_flag(budget, "config", help="flat key=value config file")
-        for name in ("eps", "mu", "d"):
-            default = TASK_DEFAULTS["logreg"][name]
-            _add_flag(budget, name, default, type=type(default),
-                      help=f"default {default}")
-        _add_flag(budget, "piece_ceiling", type=int)
-    scan = subs.add_parser("scan-decrease",
-                           help="grid-certify the constant decrease")
-    if command in (None, "scan-decrease"):
-        _add_flag(scan, "grid_x", type=int)
-        _add_flag(scan, "grid_c", type=int)
-    return parser, subs.choices
-
-
-def _dispatch(flags):
-    command = flags.pop("command")
-    flags.pop("config", None)
-    if command in _RUNNERS:
-        for path in _RUNNERS[command](ExperimentConfig(task=command, **flags)):
-            print(f"wrote {path}")
-        return 0
-    if command == "budget":
-        print(width_depth_budget(**flags).to_text())
-        return 0
-    maximum = scan_constant_decrease(**flags)
-    print(f"max_decrease_bound {maximum:.17g}")
-    return 0 if maximum <= -0.01 else 2
+def _parse(argv):
+    """The subcommand of *argv* and the keyword arguments of its call."""
+    command, *tokens = argv or [""]
+    if command in ("-h", "--help"):
+        _show_help("")
+    if command not in _FLAGS:
+        _fail("", f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, _FLAGS))})")
+    names = {_flag(name): name for name in _FLAGS[command]}
+    if command != "scan-decrease":
+        names["--config"] = "config"
+    given, tokens = {}, iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _show_help(command)
+        flag, sep, value = token.partition("=")
+        if flag not in names:
+            _fail(command, f"unrecognized arguments: {token}")
+        if not sep:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-")
+                                 and not _NEGATIVE.fullmatch(value)):
+                _fail(command, f"argument {flag}: expected one argument")
+        given[names[flag]] = value
+    if "config" in given:  # an explicit flag wins over the file
+        given = {**_read_config(given.pop("config"), command), **given}
+    return command, {**_FLAGS[command], **{
+        name: _convert(command, name, text) for name, text in given.items()}}
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser, subparsers = _build_parser(argv[0] if argv else "")
-    args = parser.parse_args(argv)
     try:
-        if "config" in args:
-            subparsers[args.command].read_config(args.config, args.command)
-            args = parser.parse_args(argv)
-        return _dispatch(vars(args))
+        command, kwargs = _parse(sys.argv[1:] if argv is None else list(argv))
+        if command in _RUNNERS:
+            for path in _RUNNERS[command](ExperimentConfig(command, **kwargs)):
+                print(f"wrote {path}")
+        elif command == "budget":
+            print(width_depth_budget(**kwargs).to_text())
+        else:
+            maximum = scan_constant_decrease(**kwargs)
+            print(f"max_decrease_bound {maximum:.17g}")
+            return 0 if maximum <= -0.01 else 2
+        return 0
     except (BudgetError, ConvergenceError, ScanAnomalyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -61,7 +61,8 @@ def build_pwl(f, lo, hi, pieces):
     ``L * (hi - lo) / pieces`` for L-Lipschitz f (and order
     ``(hi - lo)**2 / pieces**2`` for twice-differentiable f).  A
     non-finite *lo* or *hi*, or a *pieces* that is not a count >= 1,
-    raises ``ValueError``.
+    raises ``ValueError``; so does a complex or non-finite value of *f*,
+    which :class:`PwlApprox`'s guard names as "values".
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"lo and hi must be finite, got [{lo}, {hi}]")
@@ -69,10 +70,7 @@ def build_pwl(f, lo, hi, pieces):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     pieces = _count(pieces, "pieces", 1)
     knots = np.linspace(lo, hi, pieces + 1)
-    values = np.broadcast_to(f(knots), knots.shape).astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("target function is non-finite at a knot")
-    return PwlApprox(knots, values)
+    return PwlApprox(knots, np.broadcast_to(f(knots), knots.shape))
 
 
 @dataclass(frozen=True, eq=False)

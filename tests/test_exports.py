@@ -1,4 +1,3 @@
-import argparse
 import ast
 import importlib
 import inspect
@@ -50,13 +49,12 @@ def test_package_reexports_each_library_module():
     assert len(set(newtonformer.__all__)) == len(newtonformer.__all__)
 
 
-def _top_level_modules_after(calls, out_dir):
+def _top_level_modules_after(calls):
     """Top-level names of the modules a fresh interpreter holds after
     importing the CLI and making each call in *calls*."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys\nfrom newtonformer import cli\n" + "".join(
-        f"assert cli.main({[*argv, '--out-dir', str(out_dir)]!r}) == 0\n"
-        for argv in calls
+        f"assert cli.main({argv!r}) == 0\n" for argv in calls
     ) + "print(sorted({m.split('.')[0] for m in sys.modules}))\n"
     env = dict(os.environ, PYTHONPATH=str(src))
     res = subprocess.run([sys.executable, "-c", code], env=env,
@@ -68,7 +66,7 @@ def _top_level_modules_after(calls, out_dir):
 def test_cli_call_loads_no_scipy(tmp_path):
     """The package runs on numpy alone: importing the CLI and making a
     call loads no scipy module."""
-    loaded = _top_level_modules_after([["logreg"]], tmp_path)
+    loaded = _top_level_modules_after([["logreg", "--out-dir", str(tmp_path)]])
     assert [m for m in loaded if m.startswith("scipy")] == []
 
 
@@ -77,48 +75,55 @@ def test_cli_calls_load_no_json(tmp_path):
     and making a linreg and a logreg call loads no json module."""
     calls = [["linreg", "--t-max", "2", "--batch", "2"],
              ["logreg", "--t-max", "2"]]
-    assert "json" not in _top_level_modules_after(calls, tmp_path)
+    calls = [[*argv, "--out-dir", str(tmp_path)] for argv in calls]
+    assert "json" not in _top_level_modules_after(calls)
+
+
+def test_cli_calls_load_no_argparse(tmp_path):
+    """The CLI parses argv from its own flag table: a fresh interpreter
+    that makes a budget call and a one-step linreg call loads neither
+    argparse nor the gettext and locale modules its first parse
+    imports (ROADMAP, Settled, has the measured cost)."""
+    calls = [["budget"],
+             ["linreg", "--t-max", "1", "--out-dir", str(tmp_path)]]
+    loaded = _top_level_modules_after(calls)
+    assert {"argparse", "gettext", "locale"}.isdisjoint(loaded)
 
 
 def test_readme_cli_table_lists_each_flag():
-    """The README's CLI table names exactly the flags each subcommand's
-    parser defines (``-h`` and ``--config`` aside), so a flag added or
-    removed in the parser must be added or removed in the docs too.
-    Each ``(default)`` it prints, read with the flag's own type, is the
-    value a call without the flag uses: the parser's default where it
-    sets one, else ``TASK_DEFAULTS`` for an experiment and the library
-    function's own default for ``budget`` and ``scan-decrease``."""
+    """The README's CLI table names exactly each subcommand's flags
+    (``-h`` and ``--config`` aside), so a flag added or removed in the
+    CLI must be added or removed in the docs too.  Each ``(default)`` it
+    prints, read with the flag's own type, is the value a call without
+    the flag uses: ``TASK_DEFAULTS`` for an experiment, the logreg
+    experiment's for budget's eps, mu and d, and the library function's
+    own default for the rest."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     documented = {}
     for line in readme.read_text(encoding="utf-8").splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         if len(cells) == 2 and re.fullmatch(r"`[a-z-]+`", cells[0]):
             documented[cells[0].strip("`")] = dict(
-                re.findall(r"`(--[a-z-]+)` \(([^)]*)\)", cells[1])
+                re.findall(r"`--([a-z-]+)` \(([^)]*)\)", cells[1])
             )
-    _, subparsers = cli._build_parser()
-    flags = {
-        name: {opt: action for action in sub._actions
-               for opt in action.option_strings
-               if opt.startswith("--") and opt not in ("--help", "--config")}
-        for name, sub in subparsers.items()
-    }
-    assert {name: set(shown) for name, shown in documented.items()} == {
-        name: set(actions) for name, actions in flags.items()}
 
     def own_defaults(fn):
         return {name: p.default
                 for name, p in inspect.signature(fn).parameters.items()
                 if p.default is not p.empty}
+    budget = {name: TASK_DEFAULTS["logreg"][name]
+              for name in ("eps", "mu", "d")}
     library = {**TASK_DEFAULTS,
-               "budget": own_defaults(width_depth_budget),
+               "budget": {**budget, **own_defaults(width_depth_budget)},
                "scan-decrease": own_defaults(scan_constant_decrease)}
-    for name, actions in flags.items():
-        for opt, action in actions.items():
-            want = (library[name][action.dest]
-                    if action.default is argparse.SUPPRESS
-                    else action.default)
-            assert action.type(documented[name][opt]) == want, (name, opt)
+    assert cli._FLAGS == library
+    assert {command: set(shown) for command, shown in documented.items()} == {
+        command: {name.replace("_", "-") for name in defaults}
+        for command, defaults in library.items()}
+    for command, defaults in library.items():
+        for name, want in defaults.items():
+            text = documented[command][name.replace("_", "-")]
+            assert cli._convert(command, name, text) == want, (command, name)
 
 
 def test_readme_python_example_runs():

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -923,22 +924,25 @@ class TestCli:
         ["logreg", "--help"], ["budget", "--help"],
         ["scan-decrease", "--help"],
     ])
-    def test_help_text_matches_the_full_parser(self, argv, capsys):
-        # a call builds only its subcommand's flags; what it prints is
-        # what the parser with every flag prints
-        full, subs = cli._build_parser()
-        want = (full if argv[0] == "--help" else subs[argv[0]]).format_help()
+    def test_help_lists_each_subcommand_and_flag(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 0
-        assert capsys.readouterr().out == want
-        lazy, lazy_subs = cli._build_parser(argv[0])
-        assert lazy.format_help() == full.format_help()
-        for name, sub in subs.items():
-            flags = len(lazy_subs[name]._actions) > 1
-            assert flags == (name == argv[0])
-            if flags:
-                assert lazy_subs[name].format_help() == sub.format_help()
+        out = capsys.readouterr().out
+        if argv[0] == "--help":
+            for command in ("invert", "linreg", "logreg", "budget",
+                            "scan-decrease"):
+                assert command in out
+            return
+        # each flag's line shows the value a call without it uses
+        listed = dict(re.findall(r"^  (--[a-z-]+) +default (\S+)$", out,
+                                 flags=re.MULTILINE))
+        want = {f"--{name.replace('_', '-')}":
+                ",".join(map(str, value)) if isinstance(value, tuple)
+                else str(value)
+                for name, value in cli._FLAGS[argv[0]].items()}
+        assert listed == want
+        assert ("--config FILE" in out) == (argv[0] != "scan-decrease")
 
     def test_covariance_not_definite_in_float64_exits_one(
             self, tmp_path, monkeypatch, capsys):
@@ -972,6 +976,53 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             main(["invert", "--d", "many"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("argv, want", [
+        # accepted: the values the library call gets besides the defaults
+        (["budget", "--eps", "5e-3", "--mu=0.2"], dict(eps=5e-3, mu=0.2)),
+        (["budget", "--d", "3", "--d=4"], dict(d=4)),
+        (["linreg", "--orders", "2,3,4"], dict(orders=(2, 3, 4))),
+        (["invert", "--config", "CFG", "--seed", "7"], dict(seed=7, d=5)),
+        (["invert", "--seed=7", "--config=CFG"], dict(seed=7, d=5)),
+        (["scan-decrease", "--grid-x=200", "--grid-c", "150"],
+         dict(grid_x=200, grid_c=150)),
+        # otherwise: the exit status and a line of stderr
+        (["logreg", "--seed", "-1"], (1, "error: seed must be >= 0, got -1")),
+        (["linreg", "--d", "3", "-h"], (0, "")),
+        (["budget", "--eps"], (1, "argument --eps: expected one argument")),
+        (["budget", "--ep", "5e-3"], (1, "unrecognized arguments: --ep")),
+        (["budget", "--n", "5"], (1, "unrecognized arguments: --n")),
+        (["scan-decrease", "--config", "CFG"],
+         (1, "unrecognized arguments: --config")),
+        (["invert", "--out-dir", "--d", "5"],
+         (1, "argument --out-dir: expected one argument")),
+    ])
+    def test_argv_forms(self, argv, want, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 3\nd = 5\n")
+        argv = [token.replace("CFG", str(config)) for token in argv]
+        calls = []
+        for command in cli._RUNNERS:
+            monkeypatch.setitem(cli._RUNNERS, command,
+                                lambda cfg: calls.append(cfg) or [])
+        budget = cli.width_depth_budget
+        monkeypatch.setattr(cli, "width_depth_budget",
+                            lambda **kw: calls.append(kw) or budget(**kw))
+        monkeypatch.setattr(cli, "scan_constant_decrease",
+                            lambda **kw: calls.append(kw) or -1.0)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        if isinstance(want, dict):
+            command = argv[0]
+            assert code == 0
+            assert calls == [
+                ExperimentConfig(command, **want) if command in cli._RUNNERS
+                else {**cli._FLAGS[command], **want}]
+        else:
+            assert (code, calls) == (want[0], [])
+            assert want[1] in capsys.readouterr().err
 
     def test_config_file_roundtrip(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -100,8 +100,15 @@ class TestBuildPwl:
             build_pwl(np.sin, 1.0, 1.0, 4)
         with pytest.raises(ValueError):
             build_pwl(np.sin, 0.0, 1.0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^values contains non-finite entries$"):
             build_pwl(lambda t: float("nan"), 0.0, 1.0, 2)
+
+    def test_rejects_complex_values(self):
+        # a cast to float64 would keep only the real parts [0, 0.5, 1]
+        with pytest.raises(ValueError,
+                           match="^values must be real, got dtype complex128$"):
+            build_pwl(lambda t: t + 1j, 0.0, 1.0, 2)
 
     def test_rejects_non_integer_pieces(self):
         with pytest.raises(ValueError, match="pieces must be an integer"):
