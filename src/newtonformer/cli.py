@@ -10,6 +10,7 @@ key=value lines, under any explicit flag.  Exit codes: 0 on success, 2
 on budget or convergence failure, 1 on usage errors.
 """
 
+import gc
 import re
 import sys
 
@@ -144,6 +145,25 @@ def _parse(argv):
 
 
 def main(argv=None):
+    """Run one CLI call on *argv* (default ``sys.argv[1:]``); return its
+    exit code.
+
+    Unless the caller has frozen objects itself, the heap is frozen
+    (``gc.freeze``) for the call and unfrozen on every way out.  The
+    call's collections then scan only its own objects, and still find
+    the cycles it makes; the caller's freeze count and enabled state
+    are left as they were.
+    """
+    if gc.get_freeze_count():  # the caller manages its own frozen heap
+        return _run(argv)
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _run(argv):
     try:
         command, kwargs = _parse(sys.argv[1:] if argv is None else list(argv))
         if command in _RUNNERS:

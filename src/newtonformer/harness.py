@@ -104,13 +104,19 @@ class ExperimentConfig:
 
 def _write_csv(out_dir, name, header, rows):
     """Write *rows* under *header* to out_dir/name; returns ``[path]``,
-    the runners' list of files written."""
+    the runners' list of files written.
+
+    The whole text, "\\n"-terminated lines, is encoded as ASCII and then
+    written in one binary write: a non-ASCII value raises
+    ``UnicodeEncodeError`` (a ``ValueError``) before the file is opened,
+    and no text codec is imported."""
+    text = header + "\n" + "".join(
+        ",".join(map(_fmt, row)) + "\n" for row in rows)
+    data = text.encode("ascii")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(data)
     return [path]
 
 

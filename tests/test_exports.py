@@ -49,13 +49,10 @@ def test_package_reexports_each_library_module():
     assert len(set(newtonformer.__all__)) == len(newtonformer.__all__)
 
 
-def _top_level_modules_after(calls):
-    """Top-level names of the modules a fresh interpreter holds after
-    importing the CLI and making each call in *calls*."""
+def _fresh_interpreter(code):
+    """The value of the last stdout line of *code*, run in a fresh
+    interpreter that imports the package from this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys\nfrom newtonformer import cli\n" + "".join(
-        f"assert cli.main({argv!r}) == 0\n" for argv in calls
-    ) + "print(sorted({m.split('.')[0] for m in sys.modules}))\n"
     env = dict(os.environ, PYTHONPATH=str(src))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
@@ -63,10 +60,19 @@ def _top_level_modules_after(calls):
     return ast.literal_eval(res.stdout.splitlines()[-1])
 
 
+def _modules_after(calls):
+    """Full names of the modules a fresh interpreter holds after
+    importing the CLI and making each call in *calls*."""
+    return _fresh_interpreter(
+        "import sys\nfrom newtonformer import cli\n" + "".join(
+            f"assert cli.main({argv!r}) == 0\n" for argv in calls
+        ) + "print(sorted(sys.modules))\n")
+
+
 def test_cli_call_loads_no_scipy(tmp_path):
     """The package runs on numpy alone: importing the CLI and making a
     call loads no scipy module."""
-    loaded = _top_level_modules_after([["logreg", "--out-dir", str(tmp_path)]])
+    loaded = _modules_after([["logreg", "--out-dir", str(tmp_path)]])
     assert [m for m in loaded if m.startswith("scipy")] == []
 
 
@@ -76,7 +82,7 @@ def test_cli_calls_load_no_json(tmp_path):
     calls = [["linreg", "--t-max", "2", "--batch", "2"],
              ["logreg", "--t-max", "2"]]
     calls = [[*argv, "--out-dir", str(tmp_path)] for argv in calls]
-    assert "json" not in _top_level_modules_after(calls)
+    assert "json" not in _modules_after(calls)
 
 
 def test_cli_calls_load_no_argparse(tmp_path):
@@ -86,8 +92,78 @@ def test_cli_calls_load_no_argparse(tmp_path):
     imports (ROADMAP, Settled, has the measured cost)."""
     calls = [["budget"],
              ["linreg", "--t-max", "1", "--out-dir", str(tmp_path)]]
-    loaded = _top_level_modules_after(calls)
+    loaded = _modules_after(calls)
     assert {"argparse", "gettext", "locale"}.isdisjoint(loaded)
+
+
+def test_cli_calls_load_no_ascii_codec(tmp_path):
+    """Each CSV is encoded as ASCII in memory and written as bytes, so a
+    linreg and a logreg call import no ``encodings.ascii`` codec, as a
+    file opened with ``encoding="ascii"`` would."""
+    calls = [["linreg", "--t-max", "2", "--batch", "2"],
+             ["logreg", "--t-max", "2"]]
+    calls = [[*argv, "--out-dir", str(tmp_path)] for argv in calls]
+    assert "encodings.ascii" not in _modules_after(calls)
+
+
+_GC_PROBE = """
+import gc, sys
+from newtonformer import cli
+
+def state():
+    return gc.get_freeze_count(), gc.isenabled()
+
+def run(argv):
+    before = state()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, before, state()
+
+# Objects that exist before the call, held so that their ids stay theirs.
+pre = gc.get_objects()
+pre_ids = {id(obj) for obj in pre}
+def young_pre():
+    return sum(id(obj) in pre_ids
+               for gen in range(3) for obj in gc.get_objects(gen))
+seen = []
+def hook(phase, info):
+    if phase == "start":
+        seen.append(young_pre())
+
+linreg = ["linreg", "--t-max", "2", "--batch", "2", "--out-dir", OUT]
+gc.set_threshold(50, 2, 2)
+gc.callbacks.append(hook)
+runs = [run(linreg)]
+gc.callbacks.remove(hook)
+runs += [run(argv) for argv in (["linreg", "--d", "x"],
+                                 ["linreg", "--d", "0"], ["linreg", "-h"])]
+gc.disable()
+runs.append(run(linreg))
+gc.enable()
+gc.freeze()
+runs.append(run(linreg))
+print((seen, runs, young_pre()))
+"""
+
+
+def test_cli_call_collects_only_its_own_objects(tmp_path):
+    """``cli.main`` freezes the heap for the call: with thresholds low
+    enough that the call collects, no collection finds an object that
+    existed before the call outside the frozen set.  Every way out
+    (success, a usage error, a library error, ``-h``) leaves the freeze
+    count and the enabled state as they were, with the collector on or
+    off, and objects the caller froze first stay frozen."""
+    seen, runs, young_after = _fresh_interpreter(
+        _GC_PROBE.replace("OUT", repr(str(tmp_path))))
+    assert len(seen) >= 3
+    assert seen == [0] * len(seen)
+    assert [code for code, _, _ in runs] == [0, 1, 1, 0, 0, 0]
+    assert [before[1] for _, before, _ in runs] == [True] * 4 + [False, True]
+    for _, before, after in runs:
+        assert after == before
+    assert runs[-1][1][0] > 0 and young_after == 0
 
 
 def test_readme_cli_table_lists_each_flag():

@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,9 +258,9 @@ class TestInvertRunner:
         cfg = ExperimentConfig(task="invert", d=5, kappa=8.0, eps=1e-8,
                                t_max=40, out_dir=str(tmp_path))
         path = run_invert_experiment(cfg)[0]
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         run_invert_experiment(cfg)
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
 
 # The benchmark's linreg_depth call: the CLI defaults.
