@@ -72,9 +72,12 @@ def hyperpower_step(x, a, order):
     by Horner evaluation.  Binomial coefficients are exact integers;
     orders above 8 are rejected so they stay exactly representable in
     float64 products.  Order 2 takes the identical code path as
-    :func:`newton_step`.  Stacks ``(..., d, d)`` are updated as
-    :func:`newton_step` updates them: one call per stack, each slice
-    bit-identical to its own 2-D update.
+    :func:`newton_step`.  Above order 2, Horner starts at
+    ``C(order, order-1) (-1)^order I + (-1)^(order-1) AX``: one step from
+    ``(-1)^(order-1) I`` without its product by that identity, which
+    changes no bit but the sign of an exact zero.  Stacks
+    ``(..., d, d)`` are updated as :func:`newton_step` updates them: one
+    call per stack, each slice bit-identical to its own 2-D update.
     """
     order = _check_order(order)
     if order == 2:
@@ -83,8 +86,9 @@ def hyperpower_step(x, a, order):
     eye = np.eye(a.shape[-1])
     m = a @ x
     # Horner from the highest power: coefficients (-1)^j C(order, j+1)
-    poly = float((-1) ** (order - 1) * math.comb(order, order)) * eye
-    for j in range(order - 2, -1, -1):
+    top = float((-1) ** order * math.comb(order, order - 1)) * eye
+    poly = top - m if order % 2 == 0 else top + m
+    for j in range(order - 3, -1, -1):
         poly = float((-1) ** j * math.comb(order, j + 1)) * eye + m @ poly
     return x @ poly
 

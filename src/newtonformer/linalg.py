@@ -49,10 +49,16 @@ def _count(value, name, low, high=math.inf):
 
 def _finite(obj, name):
     """*obj* as a finite float64 C-contiguous array of any shape, in one
-    conversion (none for such an array) and one ``isfinite`` pass.
-    Complex input (by dtype, see :func:`_real`) and NaN/Inf entries
-    raise ``ValueError`` naming *name*."""
-    a = np.asarray(_real(obj, name), dtype=np.float64, order="C")
+    conversion and one ``isfinite`` pass.  An ndarray (not a subclass)
+    that already is float64 and C-contiguous is used as given, with no
+    conversion: ``np.asarray`` would return it unchanged.  Complex input
+    (by dtype, see :func:`_real`) and NaN/Inf entries raise
+    ``ValueError`` naming *name*."""
+    if (type(obj) is np.ndarray and obj.dtype == np.float64
+            and obj.flags.c_contiguous):
+        a = obj
+    else:
+        a = np.asarray(_real(obj, name), dtype=np.float64, order="C")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a

@@ -28,15 +28,17 @@ class PwlApprox:
 
     Outside the knot range the function clamps to the endpoint values,
     as its ReLU form in a feed-forward block does.  *knots* and
-    *values* go through ``linalg._finite``.
+    *values* go through ``linalg._finite`` and are held writeable: a
+    read-only input (a broadcast view, say) is copied once here, since
+    ``np.interp`` copies a read-only table on every call.
     """
 
     knots: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        knots = _finite(self.knots, "knots")
-        values = _finite(self.values, "values")
+        knots = _writeable(_finite(self.knots, "knots"))
+        values = _writeable(_finite(self.values, "values"))
         if knots.ndim != 1 or knots.size < 2:
             raise ValueError("need at least two knots")
         if values.shape != knots.shape:
@@ -51,6 +53,10 @@ class PwlApprox:
         return self.knots.size - 1
 
 
+def _writeable(a):
+    return a if a.flags.writeable else a.copy()
+
+
 def build_pwl(f, lo, hi, pieces):
     """Interpolate scalar function *f* on *pieces* uniform segments,
     clamped to the end values outside [lo, hi].
@@ -62,7 +68,9 @@ def build_pwl(f, lo, hi, pieces):
     ``(hi - lo)**2 / pieces**2`` for twice-differentiable f).  A
     non-finite *lo* or *hi*, or a *pieces* that is not a count >= 1,
     raises ``ValueError``; so does a complex or non-finite value of *f*,
-    which :class:`PwlApprox`'s guard names as "values".
+    which :class:`PwlApprox`'s guard names as "values".  The values
+    reach :class:`PwlApprox` as a read-only broadcast view, which it
+    copies once into the writeable table ``np.interp`` reads in place.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"lo and hi must be finite, got [{lo}, {hi}]")

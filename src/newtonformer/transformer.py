@@ -281,9 +281,15 @@ def attention_forward(layer, h, *, out=None):
     """Residual attention update: h + the sum of the layer's head
     contributions.  The layer's ffn, if any, is NOT applied here.
 
-    Each head adds ((V K.T) Q) to its out band, with V = c h[src rows]
-    (a view of the stream rows for c = 1), K = h[key rows] and
-    Q = h[query rows] (views, with no product).
+    Each head adds ((V K.T) Q) to its out band, with V = c h[src rows],
+    K = h[key rows] and Q = h[query rows] (views, with no product).
+    For c = 1, V is a view of the stream rows too.  For c = -1 the head
+    subtracts the product with that view from its out band, which gives
+    the bits of adding ((-V) K.T) Q up to the sign of an exact zero,
+    since negation commutes with every rounding; except when src and
+    key are one band, where V K.T of two views of one buffer goes to
+    BLAS syrk, which rounds unlike the gemm that a new -V gets, so
+    there -V is still made.
     Without a softmax this equals the dense
     (W_V h) ((W_K h).T (W_Q h)) up to rounding, forms no n x n score
     matrix and leaves out only zero terms, so each element lies within
@@ -300,12 +306,14 @@ def attention_forward(layer, h, *, out=None):
     updates = []
     for head in layer.heads:
         rows, src, c = head.value
-        v = h[..., src, :] if c == 1.0 else c * h[..., src, :]
-        updates.append((rows, (v @ h[..., head.key, :].mT)
-                        @ h[..., head.query, :]))
+        subtract = c == -1.0 and src != head.key
+        v = h[..., src, :] if c == 1.0 or subtract else c * h[..., src, :]
+        updates.append((rows, np.subtract if subtract else np.add,
+                         (v @ h[..., head.key, :].mT) @ h[..., head.query, :]))
     out = _target(h, out)
-    for rows, update in updates:
-        out[..., rows, :] += update
+    for rows, op, update in updates:
+        band = out[..., rows, :]
+        op(band, update, out=band)
     return out
 
 

@@ -62,6 +62,19 @@ class TestHyperpowerStep:
         expected = np.linalg.matrix_power(before, order)
         assert np.linalg.norm(after - expected) <= 1e-10
 
+    @pytest.mark.parametrize("order", range(3, MAX_ORDER + 1))
+    def test_horner_start_skips_the_identity_product(self, order):
+        # the reference starts Horner at (-1)^(order-1) I and multiplies
+        # it by AX; the step starts one term later, at the same bits
+        rng = np.random.default_rng(40 + order)
+        x, a = _stack_pair(rng, (6, 5, 5))
+        eye = np.eye(5)
+        m = a @ x
+        poly = float((-1) ** (order - 1)) * eye
+        for j in range(order - 2, -1, -1):
+            poly = float((-1) ** j * math.comb(order, j + 1)) * eye + m @ poly
+        assert np.array_equal(hyperpower_step(x, a, order), x @ poly)
+
     @pytest.mark.parametrize("order", [1, 0, -3, MAX_ORDER + 1, 2.5])
     def test_rejects_bad_order(self, order):
         with pytest.raises(ValueError):

@@ -106,6 +106,20 @@ class TestAsStack:
         s = np.ones((3, 2, 2))
         assert as_stack(s) is s
 
+    @pytest.mark.parametrize("obj", [
+        np.ones((3, 2, 2)).view(np.ma.MaskedArray),
+        np.ones((3, 2, 2), dtype=">f8"),
+        np.ones((3, 2, 2))[:, :, ::-1],
+    ], ids=["subclass", "byte-swapped", "strided"])
+    def test_other_arrays_become_plain_float64_copies(self, obj):
+        # only a plain, native float64 C-contiguous ndarray is used as given
+        m = as_stack(obj)
+        assert type(m) is np.ndarray and m.dtype == np.float64
+        assert m.flags.c_contiguous and np.array_equal(m, obj)
+        obj.flat[3] = np.nan
+        with pytest.raises(ValueError, match="^stack contains non-finite"):
+            as_stack(obj)
+
 
 def _long_double_solve(a, b):
     """Gauss-Jordan elimination with partial pivoting in long double."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,43 @@ class TestEvalPwl:
         assert isinstance(eval_pwl(p, 0.3), float)
         out = eval_pwl(p, np.array([0.1, 0.2]))
         assert out.shape == (2,)
+
+
+def eval_peak_bytes(p, x):
+    """tracemalloc's peak over one eval_pwl(p, x) call, after a warm-up
+    call; it sees numpy's buffers."""
+    eval_pwl(p, x)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eval_pwl(p, x)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTablesReadInPlace:
+    """np.interp copies a read-only table on every call, so a
+    PwlApprox holds writeable arrays: each call then allocates only its
+    output."""
+
+    def test_built_table_is_not_copied_per_call(self):
+        # a read-only 32,001-knot table made each call copy 256 KB
+        p = build_pwl(lambda t: t * t, -1.0, 1.0, 32000)
+        assert p.knots.flags.writeable and p.values.flags.writeable
+        assert eval_peak_bytes(p, np.linspace(-1.0, 1.0, 26)) < 1024
+
+    def test_read_only_input_is_copied_once(self):
+        knots = np.linspace(-1.0, 1.0, 32001)
+        values = knots * knots
+        knots.flags.writeable = values.flags.writeable = False
+        p = PwlApprox(knots, values)
+        for held, given in ((p.knots, knots), (p.values, values)):
+            assert held.flags.writeable and held.flags.c_contiguous
+            assert held.dtype == np.float64
+            assert held is not given and np.array_equal(held, given)
+        assert not (knots.flags.writeable or values.flags.writeable)
+        assert eval_peak_bytes(p, np.linspace(-1.0, 1.0, 26)) < 1024
 
 
 class TestPwlProduct:

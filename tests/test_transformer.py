@@ -881,3 +881,97 @@ class TestOneWorkingStream:
         finally:
             tracemalloc.stop()
         assert peak < 2 * h.nbytes
+
+
+def materialized_negation_attention_forward(layer, h):
+    """attention_forward with V = c h[src rows] made as a new array
+    for every c other than 1: the bits a c = -1 head's subtraction must
+    keep."""
+    out = h.copy()
+    for head in layer.heads:
+        rows, src, c = head.value
+        v = h[..., src, :] if c == 1.0 else c * h[..., src, :]
+        out[..., rows, :] += ((v @ h[..., head.key, :].mT)
+                              @ h[..., head.query, :])
+    return out
+
+
+@pytest.mark.parametrize("case", ["inversion", "linreg", "logistic"])
+def test_minus_one_heads_subtract_with_the_bits_of_adding_minus_v(
+        constructions, case):
+    # negation commutes with every rounding, and h - u is the IEEE
+    # operation h + (-u), so only an exact zero's sign could move
+    layers, make_prompt = constructions[case]
+    assert any(head.value[2] == -1.0
+               for layer in layers for head in layer.heads)
+    rng = np.random.default_rng(29)
+    stack = np.stack([make_prompt(rng) for _ in range(3)])
+    for h in (make_prompt(rng), stack):
+        for layer in layers:
+            got = attention_forward(layer, h)
+            assert np.array_equal(got,
+                                  materialized_negation_attention_forward(
+                                      layer, h))
+            h = ffn_forward(layer, got)
+
+
+def test_minus_one_heads_keep_their_bits_on_any_stream():
+    # random bands and streams, so products round; V K.T of one band
+    # read twice goes to syrk, whose bits differ from gemm's on many
+    # shapes (every n >= 50 tried), so that head still makes -V
+    rng = np.random.default_rng(31)
+    shared = 0
+    for _ in range(300):
+        dim, n = int(rng.integers(2, 25)), int(rng.integers(1, 81))
+        size = int(rng.integers(1, dim + 1))
+        src = random_band(rng, dim, size)
+        key = src if rng.random() < 0.5 else random_band(rng, dim, size)
+        shared += key == src
+        head = AttentionHead(dim, (random_band(rng, dim, size), src, -1.0),
+                             key=key, query=random_band(rng, dim, size))
+        layer = TransformerLayer(heads=(head,))
+        for h in (rng.standard_normal((dim, n)),
+                  rng.standard_normal((3, dim, n))):
+            assert np.array_equal(attention_forward(layer, h),
+                                  materialized_negation_attention_forward(
+                                      layer, h))
+    assert shared > 100
+
+
+@pytest.fixture(scope="module")
+def fine_logistic_step():
+    """The logreg_fine stack (eps 5e-3, mu 0.1, d 5) and a prompt for
+    it on 26 samples."""
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((26, 5))
+    a /= np.max(np.linalg.norm(a, axis=1))
+    labels = np.where(a @ rng.standard_normal(5) < 0.0, -1.0, 1.0)
+    layers, _ = build_logreg_newton_step(width_depth_budget(5e-3, 0.1, d=5))
+    return layers, make_logistic_prompt(LogisticProblem(a, labels, 0.1),
+                                        np.zeros(5))
+
+
+def test_in_place_logistic_step_copies_no_table(fine_logistic_step):
+    # a step evaluates 13 tables of 8,000-32,000 pieces; read-only
+    # tables made np.interp copy each one per call (a 259 KB peak)
+    layers, h = fine_logistic_step
+    h = h.copy()
+    model_forward(layers, h, out=h)  # warm up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model_forward(layers, h, out=h)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+
+
+def test_every_stack_table_is_writeable(constructions, fine_logistic_step):
+    stacks = [layers for layers, _ in constructions.values()]
+    stacks.append(fine_logistic_step[0])
+    tables = [g.approx for layers in stacks for layer in layers
+              if layer.ffn is not None for g in layer.ffn.gadgets]
+    assert len(tables) > 10
+    for table in tables:
+        assert table.knots.flags.writeable and table.values.flags.writeable
