@@ -205,19 +205,16 @@ def _clear(dim, row, e1_row):
     return AttentionHead(dim, (row, e1_row, -1.0), key=e1_row, query=row)
 
 
-def _newton_layer(dim, x_rows, m_rows, ident_rows):
-    """One layer taking X to X(2I - M^T X): Newton-Schulz for M^T.
+def _newton_heads(dim, x_rows, m_rows, ident_rows):
+    """The two heads taking X to X(2I - M^T X): Newton-Schulz for M^T.
 
-    Needs I_d in the leading columns of the identity band and zeros past
-    column d in it and in X; leaves every band but X as it found it.
+    Need I_d in the leading columns of the identity band and zeros past
+    column d in it and in X; write no band but X.
     """
-    return TransformerLayer(
-        heads=(
-            AttentionHead(dim, (x_rows, x_rows, -1.0),
-                          key=m_rows, query=x_rows),
-            AttentionHead(dim, (x_rows, x_rows, 1.0),
-                          key=ident_rows, query=ident_rows),
-        ),
+    return (
+        AttentionHead(dim, (x_rows, x_rows, -1.0), key=m_rows, query=x_rows),
+        AttentionHead(dim, (x_rows, x_rows, 1.0),
+                      key=ident_rows, query=ident_rows),
     )
 
 
@@ -360,13 +357,22 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     X_0 = alpha' I with d one-row heads (value: the output row; key:
     the e1 row; query: identity row j) and clears the accumulator and
     output rows.  alpha' lambda_max(B) <= 1.125, so the residual
-    I - X B starts with spectral radius below 1, and each of the
-    *t_steps* Newton layers X <- X(2I - BX) squares it (one layer
-    suffices because B is symmetric).  Two output layers contract
-    y^T A X_T against a_test into the output row's first column.  The
-    output layers overwrite that row, whatever it held, and write no
-    other, so a stream can run the Newton layer and then the output
-    layers once per depth, in place.
+    I - X B starts with spectral radius below 1.
+
+    The rest of the stack is one weight-tied layer, ``step``, run
+    ``t_steps + 2`` times.  Its six heads all read the pass's input:
+    two Newton-Schulz heads take X to X(2I - BX), which squares the
+    residual (one layer suffices because B is symmetric); a clear head
+    and a contract head (value: labels; key: data; query: x_slot)
+    overwrite the accumulator with w = y^T A X; a clear head and a
+    readout head (value: the accumulator; key: test_point; query: e1)
+    overwrite the output row with w . a_test in its first column, from
+    the w of the pass before.  The prediction thus lags X by two
+    passes: after pass k the output row holds a_test^T X_{k-2} A^T y,
+    and the full stack of ``t_steps + 4`` layers predicts from
+    X_{t_steps}.  The step overwrites the accumulator and output rows,
+    whatever they held, and the Newton heads read neither, so a stream
+    can run the step once per depth, in place.
 
     The weights do not depend on n; :func:`make_linreg_prompt` checks
     n >= d.  A trace outside the gadget's knot span is clamped to the
@@ -432,26 +438,21 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
         ),
     )
 
-    # the clear head first zeroes the output row exactly, so the output
-    # layers overwrite whatever it held
-    contract = TransformerLayer(
+    # every head reads the pass's input: the accumulator takes w of
+    # this X and the output row w . a_test of the w the pass before
+    # left, so the output lags X by two passes
+    step = TransformerLayer(
         heads=(
-            _clear(dim, out_row, e1_row),
-            AttentionHead(dim, (out_row, label_row, 1.0),
+            *_newton_heads(dim, x_slot, b_slot, ident),
+            _clear(dim, acc_row, e1_row),
+            AttentionHead(dim, (acc_row, label_row, 1.0),
                           key=data, query=x_slot),
-        ),
-    )
-    readout = TransformerLayer(
-        heads=(
-            AttentionHead(dim, (out_row, out_row, 1.0),
+            _clear(dim, out_row, e1_row),
+            AttentionHead(dim, (out_row, acc_row, 1.0),
                           key=test_row, query=e1_row),
-            AttentionHead(dim, (out_row, out_row, -1.0),
-                          key=ident, query=ident),
         ),
     )
-
-    newton = _newton_layer(dim, x_slot, b_slot, ident)
-    layers = [gram, start] + [newton] * t_steps + [contract, readout]
+    layers = [gram, start] + [step] * (t_steps + 2)
     return layers, layout
 
 
@@ -637,7 +638,8 @@ def build_logreg_newton_step(budget):
     layers.append(TransformerLayer(heads=heads))
 
     # k Newton-Schulz iterations, one layer each
-    layers += [_newton_layer(dim, x_slot, b_slot, ident)] * budget.widths["k"]
+    newton = TransformerLayer(heads=_newton_heads(dim, x_slot, b_slot, ident))
+    layers += [newton] * budget.widths["k"]
 
     # Newton direction X g into x_slot's first column
     layers.append(

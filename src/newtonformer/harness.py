@@ -102,30 +102,24 @@ class ExperimentConfig:
                 )
 
 
-def _write_csv(out_dir, name, header, rows):
+def _write_csv(out_dir, name, header, fmt, rows):
     """Write *rows* under *header* to out_dir/name; returns ``[path]``,
     the runners' list of files written.
 
-    The whole text, "\\n"-terminated lines, is encoded as ASCII and then
-    written in one binary write: a non-ASCII value raises
+    Each row is one ``fmt % row`` line: ``%s`` for a method name, ``%d``
+    for a count and ``%.17g`` for a float, which reads back as the same
+    double.  The whole text, "\\n"-terminated lines, is encoded as ASCII
+    and then written in one binary write: a non-ASCII value raises
     ``UnicodeEncodeError`` (a ``ValueError``) before the file is opened,
     and no text codec is imported."""
-    text = header + "\n" + "".join(
-        ",".join(map(_fmt, row)) + "\n" for row in rows)
+    line = fmt + "\n"
+    text = header + "\n" + "".join([line % row for row in rows])
     data = text.encode("ascii")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "wb") as fh:
         fh.write(data)
     return [path]
-
-
-def _fmt(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
 
 
 def run_invert_experiment(cfg):
@@ -142,7 +136,8 @@ def run_invert_experiment(cfg):
         for step, residual in enumerate(run.residuals):
             rows.append((order, step, residual))
     return _write_csv(
-        cfg.out_dir, "invert.csv", "order,step,residual_frobenius", rows
+        cfg.out_dir, "invert.csv", "order,step,residual_frobenius",
+        "%d,%d,%.17g", rows,
     )
 
 
@@ -164,16 +159,16 @@ def run_linreg_experiment(cfg):
 
     The constructed transformer depends on d and ridge mu alone, so it
     is built once per run and runs on one ``(batch, dim, n)`` stack of
-    prompts, made by one ``make_linreg_prompt`` call.  Its two init
-    layers find each prompt's own start alpha' I in context, from the
-    same reciprocal table the oracles read, in one in-place
-    ``model_forward`` call.  Per depth, one more in-place call runs the
-    Newton, contract and readout layers on that stream, and the depth's
-    predictions are read from it: ``1 + t_max`` forward calls and
-    ``2 + 3 t_max`` attention calls in all.  The output layers
-    overwrite the output row and write no other, and the Newton layer
-    does not read it, so every slice sees the Newton input it would see
-    alone in the full depth-t stack.  Each depth's oracle predictions
+    prompts, made by one ``make_linreg_prompt`` call.  One in-place
+    ``model_forward`` call runs its depth-0 stack: the two init layers,
+    which find each prompt's own start alpha' I in context from the
+    same reciprocal table the oracles read, and two passes of the
+    weight-tied step, which fill its two-pass lag.  Per depth t, one
+    more in-place call runs the step once, and the output row then
+    holds the depth-t predictions: ``1 + t_max`` forward calls and
+    ``t_max + 4`` attention calls in all.  The stream after pass
+    t + 2 is the full depth-t stack's output, so every row equals a
+    rebuild and replay at that depth.  Each depth's oracle predictions
     are one stacked product a_test^T X A^T y over the prompts.
 
     The mse values are means over one ``(rows, batch)`` prediction
@@ -214,18 +209,19 @@ def run_linreg_experiment(cfg):
 
     ls_preds = a_tests[:, None, :] @ solve_spd(grams, atys)
     (ls_mse,) = mse(ls_preds[None, :, 0, 0])
+    # the depth-0 stack: the init layers and two passes of the step
     layers, layout = builders.build_linreg_transformer(
-        cfg.d, 1, ridge_mu=cfg.mu
+        cfg.d, 0, ridge_mu=cfg.mu
     )
     stream = builders.make_linreg_prompt(a, y, a_tests)
-    model_forward(layers[:2], stream, out=stream)
-    per_depth = layers[2:]
+    model_forward(layers, stream, out=stream)
+    step = layers[-1:]
     oracle_x = {order: starts[:, None, None] * np.eye(cfg.d)
                 for order in cfg.orders}
     # per depth: the constructed row, then one row per order
     preds = np.empty((cfg.t_max, 1 + len(cfg.orders), cfg.batch))
     for t in range(cfg.t_max):
-        model_forward(per_depth, stream, out=stream)
+        model_forward(step, stream, out=stream)
         preds[t, 0] = builders.read_linreg_prediction(stream, layout)
         for j, order in enumerate(cfg.orders, 1):
             x = oracle_x[order] = inversion.hyperpower_step(
@@ -240,7 +236,8 @@ def run_linreg_experiment(cfg):
             rows.append((f"newton_order_{order}", order, t, next(mses)))
         rows.append(("least_squares", 0, t, ls_mse))
     return _write_csv(
-        cfg.out_dir, "linreg.csv", "method,order,steps,mse", rows
+        cfg.out_dir, "linreg.csv", "method,order,steps,mse",
+        "%s,%d,%d,%.17g", rows,
     )
 
 
@@ -295,5 +292,6 @@ def run_logreg_experiment(cfg):
             rows.append((method, step, budget.depth, f_val, g_sub))
     return _write_csv(
         cfg.out_dir, "logreg.csv",
-        "method,step,layers_per_step,f,g_suboptimality", rows,
+        "method,step,layers_per_step,f,g_suboptimality",
+        "%s,%d,%d,%.17g,%.17g", rows,
     )

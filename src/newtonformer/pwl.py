@@ -43,7 +43,7 @@ class PwlApprox:
             raise ValueError("need at least two knots")
         if values.shape != knots.shape:
             raise ValueError("knots and values must have matching length")
-        if not np.all(np.diff(knots) > 0):
+        if not np.all(knots[1:] > knots[:-1]):
             raise ValueError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
@@ -68,9 +68,12 @@ def build_pwl(f, lo, hi, pieces):
     ``(hi - lo)**2 / pieces**2`` for twice-differentiable f).  A
     non-finite *lo* or *hi*, or a *pieces* that is not a count >= 1,
     raises ``ValueError``; so does a complex or non-finite value of *f*,
-    which :class:`PwlApprox`'s guard names as "values".  The values
-    reach :class:`PwlApprox` as a read-only broadcast view, which it
-    copies once into the writeable table ``np.interp`` reads in place.
+    which :class:`PwlApprox`'s guard names as "values".  A result of
+    the knots' shape reaches :class:`PwlApprox` as it is, so a float64
+    C-contiguous writeable one becomes the table with no copy; only a
+    scalar or shorter result is broadcast, as a read-only view that
+    :class:`PwlApprox` copies once into the writeable table
+    ``np.interp`` reads in place.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"lo and hi must be finite, got [{lo}, {hi}]")
@@ -78,7 +81,10 @@ def build_pwl(f, lo, hi, pieces):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     pieces = _count(pieces, "pieces", 1)
     knots = np.linspace(lo, hi, pieces + 1)
-    return PwlApprox(knots, np.broadcast_to(f(knots), knots.shape))
+    values = f(knots)
+    if np.shape(values) != knots.shape:
+        values = np.broadcast_to(values, knots.shape)
+    return PwlApprox(knots, values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -405,6 +405,30 @@ class TestInversionBlock:
         np.testing.assert_array_equal(x, 0.5 * np.eye(2))
 
 
+def two_layer_readout(layout):
+    """The contract and readout layers that once ended the linreg stack:
+    the first overwrites the output row with w = y^T A X, the second
+    adds (w . a_test) e1 to it and subtracts w again."""
+    dim = layout.n_rows
+    x_slot, ident, data = map(layout.rows_of, ("x_slot", "identity", "data"))
+    test_row, label_row, out_row = (layout.rows_of(name).start for name in
+                                    ("test_point", "labels", "output"))
+    e1_row = ident.start
+    contract = TransformerLayer(heads=(
+        AttentionHead(dim, (out_row, e1_row, -1.0), key=e1_row,
+                      query=out_row),
+        AttentionHead(dim, (out_row, label_row, 1.0), key=data,
+                      query=x_slot),
+    ))
+    readout = TransformerLayer(heads=(
+        AttentionHead(dim, (out_row, out_row, 1.0), key=test_row,
+                      query=e1_row),
+        AttentionHead(dim, (out_row, out_row, -1.0), key=ident,
+                      query=ident),
+    ))
+    return contract, readout
+
+
 class TestLinregTransformer:
     def test_identity_design_recovers_label(self):
         layers, layout = build_linreg_transformer(2, 40)
@@ -548,7 +572,10 @@ class TestLinregTransformer:
             # the init layers hold d one-row heads each, for the trace
             # and for alpha' I
             assert [len(layer.heads) for layer in layers[:2]] == [7, 6]
-            assert max(len(layer.heads) for layer in layers[2:]) <= 2
+            # then t + 2 passes of one weight-tied six-head step
+            step = layers[2]
+            assert all(layer is step for layer in layers[2:])
+            assert len(step.heads) == 6
             assert [layer.ffn is not None for layer in layers] == (
                 [True] + [False] * (3 + t))
             assert layers[0].ffn.gadgets[0].approx is TRACE_RECIPROCAL
@@ -588,28 +615,70 @@ class TestLinregTransformer:
             make_linreg_prompt(np.ones(3), np.ones(3), np.ones(1))
 
     def test_output_layers_overwrite_the_output_row(self):
-        # the contract layer's clear head zeroes the output row exactly,
-        # so whatever a previous depth left there changes no bit
+        # the step's clear heads zero the output row and the accumulator
+        # exactly: a dirty output row changes no bit of the next pass,
+        # and a dirty accumulator, which that pass reads out, none of
+        # the pass after it
         rng = np.random.default_rng(12)
         d, n = 3, 8
         layers, layout = build_linreg_transformer(d, 2)
-        h = model_forward(layers[:-2], np.stack([
+        *prefix, step = layers
+        h = model_forward(prefix, np.stack([
             make_linreg_prompt(rng.standard_normal((n, d)),
                                rng.standard_normal(n),
                                rng.standard_normal(d))
             for _ in range(4)]))
-        out_row = layout.rows_of("output").start
-        assert not h[:, out_row].any()
-        want = model_forward(layers[-2:], h)
+        out_row, acc_row = (layout.rows_of(name).start
+                            for name in ("output", "accumulator"))
+        assert h[:, out_row].any() and h[:, acc_row].any()
+        want = model_forward([step], h)
+        want_two = model_forward([step, step], h)
         for fill in (rng.standard_normal((4, n)), 1e3 * rng.standard_normal(
                 (4, n)), np.full((4, n), -0.0), np.full((4, n), -1e300),
                 want[:, out_row]):
             dirty = h.copy()
             dirty[:, out_row] = fill
-            got = model_forward(layers[-2:], dirty)
+            got = model_forward([step], dirty)
             assert got.tobytes() == want.tobytes()
             assert (read_linreg_prediction(got, layout).tobytes()
                     == read_linreg_prediction(want, layout).tobytes())
+            dirty[:, acc_row] = fill[::-1]
+            got = model_forward([step, step], dirty)
+            assert got.tobytes() == want_two.tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_step_reads_out_the_product_the_readout_layer_formed(
+            self, d, mu, stacked):
+        # the step's prediction s is the readout head's product
+        # (w @ a_test^T) @ e1 bit for bit.  The two output layers
+        # rounded w_0 + s to a and then took w_0 away again; both
+        # roundings move it by at most |a - (w_0 + s)| <= ulp(a) / 2,
+        # as s is a double, so the old value lies within one ulp of a
+        # (a bound of one ulp of w_0 fails once |s| > |w_0|)
+        rng = np.random.default_rng(40 + 10 * d + int(100 * mu))
+        n = d + 5
+        lead = (4,) if stacked else ()
+        prompt = make_linreg_prompt(rng.standard_normal((*lead, n, d)),
+                                    rng.standard_normal((*lead, n)),
+                                    rng.standard_normal((*lead, d)))
+        layers, layout = build_linreg_transformer(d, 0, ridge_mu=mu)
+        contract, readout = two_layer_readout(layout)
+        newton = TransformerLayer(heads=layers[2].heads[:2])
+        rows = [layout.rows_of(name).start
+                for name in ("output", "test_point", "identity")]
+        for t in range(6):
+            layers, _ = build_linreg_transformer(d, t, ridge_mu=mu)
+            got = read_linreg_prediction(model_forward(layers, prompt),
+                                         layout)
+            h = model_forward(layers[:2] + [newton] * t + [contract], prompt)
+            w, a_test, e1 = (h[..., row:row + 1, :] for row in rows)
+            want = ((w @ a_test.mT) @ e1)[..., 0, 0]
+            assert np.asarray(got).tobytes() == want.tobytes()
+            old = read_linreg_prediction(model_forward([readout], h), layout)
+            a = w[..., 0, 0] + got
+            assert np.all(np.abs(got - old) <= np.spacing(np.abs(a)))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_only_the_gram_layer_reads_ridge_mu(self, d):

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import re
 import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import cli_outputs
 import numpy as np
 import pytest
 from dense_attention import dense_attention_forward
@@ -466,10 +468,11 @@ class TestLinregLinearInDepth:
                                      builders.build_linreg_transformer))
         cfg = small_linreg_cfg(tmp_path, 0.0)
         run_linreg_experiment(cfg)
-        # one build per run and one forward call running both init
-        # layers on the whole prompt stack, then one per depth running
-        # the Newton, contract and readout layer in place on it
-        assert counts == {"attention": 2 + 3 * cfg.t_max,
+        # one build per run and one forward call running the depth-0
+        # stack (both init layers and two passes of the step) on the
+        # whole prompt stack, then one per depth running the step once
+        # in place on it
+        assert counts == {"attention": cfg.t_max + 4,
                           "build": 1, "forward": 1 + cfg.t_max}
 
     @pytest.mark.parametrize("mu", [0.0, 0.1])
@@ -669,6 +672,31 @@ class TestLogregRunner:
                           + [(cfg.d,)] * (optimum_steps if short else 0))
 
 
+# Doubles at the edges of %.17g: signed zeros, subnormals, the normal
+# range's ends, halfway-looking decimals, integers past 2**53 and the
+# non-finite values.
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 0.1, 1 / 3, 0.5, 1e16, 1e17,
+                 9007199254740993.0, 123456789.125, 1e-5, 1e21, 1e22,
+                 math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize("value", _EDGE_DOUBLES, ids=repr)
+def test_percent_17g_is_format_17g(value, kind):
+    # the runners write each float with "%.17g" % v, once format(v,
+    # ".17g"); the rows carry Python floats and numpy float64 scalars
+    assert "%.17g" % kind(value) == format(float(value), ".17g")
+
+
+def test_percent_17g_is_format_17g_on_random_bit_patterns():
+    bits = np.random.default_rng(35).integers(
+        0, 2**64, size=20_000, dtype=np.uint64)
+    for value in bits.view(np.float64).tolist():
+        assert "%.17g" % value == format(value, ".17g")
+
+
 def csv_lines(path):
     with open(path, encoding="ascii", newline="") as fh:
         return fh.read().splitlines()
@@ -703,7 +731,7 @@ class TestCompactedAttentionTolerance:
         cfg = ExperimentConfig(task="linreg", **overrides)
         ours, ref, calls = shipped_and_dense_lines(
             run_linreg_experiment, cfg, tmp_path, monkeypatch)
-        assert calls == 2 + 3 * cfg.t_max
+        assert calls == cfg.t_max + 4
         assert len(ours) == len(ref)
         for line, ref_line in zip(ours, ref):
             *key, mse = line.split(",")
@@ -749,6 +777,25 @@ _UNREAD_FLAGS = [
     # the budget derives kappa_f = (1+mu)/mu from mu
     ("budget", "kappa_f"),
 ]
+
+
+def test_cli_outputs_records_each_argv(tmp_path):
+    # each argv runs in a fresh process from its own directory, so the
+    # CSV lands beside its stdout, stderr and exit code
+    argvs = (("invert",), ("linreg", "--orders", "2,9"))
+    ran, refused = cli_outputs.record(tmp_path / "cli", argvs)
+    assert (ran.name, refused.name) == ("00_invert", "01_linreg_--orders_2,9")
+    assert (ran / "exit_code").read_text() == "0\n"
+    assert (ran / "stdout").read_bytes() == b"wrote ./invert.csv\n"
+    assert (ran / "stderr").read_bytes() == b""
+    (want,) = run_invert_experiment(ExperimentConfig(
+        task="invert", out_dir=str(tmp_path / "in_process")))
+    assert (ran / "invert.csv").read_bytes() == Path(want).read_bytes()
+    assert (refused / "exit_code").read_text() == "1\n"
+    assert (refused / "stderr").read_bytes() == (
+        b"error: order must be in [2, 8], got 9\n")
+    assert sorted(path.name for path in refused.iterdir()) == [
+        "exit_code", "stderr", "stdout"]
 
 
 class TestCli:

@@ -170,6 +170,21 @@ class TestTablesReadInPlace:
         assert p.knots.flags.writeable and p.values.flags.writeable
         assert eval_peak_bytes(p, np.linspace(-1.0, 1.0, 26)) < 1024
 
+    def test_built_table_holds_the_values_f_returned(self):
+        # a full-size result is the table itself; only a scalar result
+        # is broadcast and copied
+        returned = []
+
+        def square(t):
+            returned.append(t * t)
+            return returned[-1]
+
+        p = build_pwl(square, -1.0, 1.0, 32000)
+        assert np.shares_memory(p.values, returned[0])
+        constant = build_pwl(lambda t: 2.5, -1.0, 1.0, 4)
+        assert constant.values.flags.writeable
+        np.testing.assert_array_equal(constant.values, np.full(5, 2.5))
+
     def test_read_only_input_is_copied_once(self):
         knots = np.linspace(-1.0, 1.0, 32001)
         values = knots * knots
