@@ -2,9 +2,9 @@
 matrix inversion, in-context least squares, and one damped Newton step
 on the regularized logistic loss.
 
-Every builder returns immutable layers for the linear-attention
-forward pass plus the :class:`~.transformer.PromptLayout` of the prompt
-rows it expects.  No builder reads a prompt's data: the weights depend
+Every builder returns a :class:`~.transformer.Looped` stack plus the
+:class:`~.transformer.PromptLayout` of the prompt rows it expects.
+No builder reads a prompt's data: the weights depend
 on the task's d, its regularization and, for the logistic step, its
 width budget, and the data reach them only through the prompt.  Each
 stack declares its row bands once, in its layout function; the
@@ -34,10 +34,10 @@ from .pwl import PwlGadget, _square_tables, build_pwl
 from .transformer import (
     AttentionHead,
     Ffn,
+    Looped,
     PromptLayout,
     TransformerLayer,
     _check_row,
-    model_forward,
 )
 
 __all__ = [
@@ -68,10 +68,10 @@ class BudgetReport:
 
     ``widths`` maps each scalar approximator to its piece count
     (u1_pieces, u2_pieces, u3_pieces, eps4_pieces) plus the inversion
-    step count ``k``; ``depth`` = 6 + k, the layers of one constructed
-    step, is derived from it, and ``kappa_f``, ``norm_bound`` and
-    ``z_max`` from mu alone.  A step restores its stream exactly, so
-    t chained steps take t * depth layers.
+    step count ``k``; ``depth`` = 6 + k, the layers of the constructed
+    step's body, is derived from it, and ``kappa_f``, ``norm_bound`` and
+    ``z_max`` from mu alone.  The stack has no prefix, so t steps take
+    ``len(prefix) + t * len(body)`` = t * depth layers.
     """
 
     target_eps: float
@@ -256,8 +256,9 @@ def build_inversion_block(d):
 
     On a prompt (X; A; 0; I) the first layer writes AX into the work
     block and the second forms X(2I - AX) in the top block while
-    clearing the work block, so the block can be chained.  A need not be
-    symmetric, and one layer, X(2I - A^T X), would invert A^T instead.
+    clearing the work block, so they are the body of a stack with no
+    prefix, one iteration per pass.  A need not be symmetric, and one
+    layer, X(2I - A^T X), would invert A^T instead.
     A d that is not a count >= 1 raises ``ValueError``.
     """
     d = _count(d, "d", 1)
@@ -279,7 +280,7 @@ def build_inversion_block(d):
             AttentionHead(dim, (work, work, -1.0), key=ident, query=ident),
         ),
     )
-    return [first, second], layout
+    return Looped((), (first, second)), layout
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +341,10 @@ def read_linreg_prediction(h, layout):
     return float(pred) if np.ndim(h) == 2 else pred.copy()
 
 
-def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
+def build_linreg_transformer(d, ridge_mu=0.0):
     """Attention pipeline predicting a_test^T (A^T A + ridge_mu I)^-1 A^T y
     in context: its weights depend on d and ridge_mu alone, never on a
-    prompt, so one stack runs a whole stack of prompts.
+    prompt, so one stack runs a whole stack of prompts to any depth.
 
     The first init layer clears b_slot's I, then writes A^T A there
     and sums tr A^T A into the accumulator row, from d one-row heads
@@ -359,8 +360,8 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     output rows.  alpha' lambda_max(B) <= 1.125, so the residual
     I - X B starts with spectral radius below 1.
 
-    The rest of the stack is one weight-tied layer, ``step``, run
-    ``t_steps + 2`` times.  Its six heads all read the pass's input:
+    The rest of the stack is one weight-tied layer, ``step``.  Its six
+    heads all read the pass's input:
     two Newton-Schulz heads take X to X(2I - BX), which squares the
     residual (one layer suffices because B is symmetric); a clear head
     and a contract head (value: labels; key: data; query: x_slot)
@@ -368,21 +369,21 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
     readout head (value: the accumulator; key: test_point; query: e1)
     overwrite the output row with w . a_test in its first column, from
     the w of the pass before.  The prediction thus lags X by two
-    passes: after pass k the output row holds a_test^T X_{k-2} A^T y,
-    and the full stack of ``t_steps + 4`` layers predicts from
-    X_{t_steps}.  The step overwrites the accumulator and output rows,
-    whatever they held, and the Newton heads read neither, so a stream
-    can run the step once per depth, in place.
+    passes of the step, which the prefix ``(gram, start, step, step)``
+    fills; the body is ``(step,)``.  After pass t of the body the
+    output row holds the depth-t prediction a_test^T X_t A^T y, the
+    output of the ``len(prefix) + t * len(body)`` = 4 + t layers of
+    ``prefix + body * t``.  The step overwrites the accumulator and
+    output rows, whatever they held, and the Newton heads read neither,
+    so the body runs once per depth, in place.
 
     The weights do not depend on n; :func:`make_linreg_prompt` checks
     n >= d.  A trace outside the gadget's knot span is clamped to the
     span's end; ``inversion.trace_initial_scale`` names such a trace.
-    A d that is not a count >= 1, a *t_steps* that is not a count
-    >= 0, a *ridge_mu* that is not finite and >= 0, and an overflowing
-    ridge_mu * d raise ``ValueError``.
+    A d that is not a count >= 1, a *ridge_mu* that is not finite and
+    >= 0, and an overflowing ridge_mu * d raise ``ValueError``.
     """
     d = _count(d, "d", 1)
-    t_steps = _count(t_steps, "t_steps", 0)
     if not 0.0 <= ridge_mu < math.inf:
         raise ValueError(f"ridge_mu must be finite and >= 0, got {ridge_mu}")
     layout = _linreg_layout(d)
@@ -452,8 +453,7 @@ def build_linreg_transformer(d, t_steps, ridge_mu=0.0):
                           key=test_row, query=e1_row),
         ),
     )
-    layers = [gram, start] + [step] * (t_steps + 2)
-    return layers, layout
+    return Looped((gram, start, step, step), (step,)), layout
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +516,11 @@ def _sigmoid_derivative(t):
 
 
 def build_logreg_newton_step(budget):
-    """Full stack computing one damped Newton step in-context.
+    """Stack with no prefix and a body computing one damped Newton step.
 
     Its weights read d and mu from *budget* and nothing from any
     problem: the data, n included (through the mean picker), reach it
-    only through the prompt.  The stack (depth 6 + k) reads the
+    only through the prompt.  The body (depth 6 + k) reads the
     label-signed rows y_i a_i of :func:`make_logistic_prompt`.  Its
     first layer computes the margins z_i = y_i a_i . x once, into the
     margins row, and reads them through two PWL tables: the per-sample
@@ -536,11 +536,11 @@ def build_logreg_newton_step(budget):
     size (into the accumulator), and the iterate update, which reads
     the direction straight from x_slot and restores every bookkeeping
     block exactly: after a step the stream equals
-    ``make_logistic_prompt(problem, x_next)`` bit for bit, so the stack
-    can be chained.  The feed-forward blocks hold only the PWL gadgets;
-    every row one of them reads or writes is cleared by a head.  A
-    layer's head updates land in head order, so a head that clears a
-    band comes before the heads that write it.
+    ``make_logistic_prompt(problem, x_next)`` bit for bit, so the body
+    runs once per step on one stream.  The feed-forward blocks hold only
+    the PWL gadgets; every row one of them reads or writes is cleared by
+    a head.  A layer's head updates land in head order, so a head that
+    clears a band comes before the heads that write it.
 
     The Newton-Schulz layers converge to (B^T)^-1.  B differs from the
     symmetric Hessian H only by its product tables' error, so
@@ -696,14 +696,14 @@ def build_logreg_newton_step(budget):
     )
 
     assert len(layers) == budget.depth
-    return layers, layout
+    return Looped((), layers), layout
 
 
 def run_constructed_newton(problem, x0, budget, n_steps):
     """Apply the constructed step *n_steps* times; returns the iterates.
 
-    Each step is one in-place forward pass of the whole stack on one
-    stream, which leaves it equal to the next iterate's prompt.
+    Each step is one pass of the stack's body (``Looped.run``), in
+    place on one stream, which leaves it the next iterate's prompt.
     *n_steps* and *x0* go through the ``linalg`` guards, and a *budget*
     built for another d or mu than *problem*'s raises ``BudgetError``
     with ``bound`` "d" or "mu", before anything is built.
@@ -723,7 +723,6 @@ def run_constructed_newton(problem, x0, budget, n_steps):
     layers, layout = build_logreg_newton_step(budget)
     h = make_logistic_prompt(problem, x0)
     xs = [read_logistic_iterate(h, layout)]
-    for _ in range(n_steps):
-        model_forward(layers, h, out=h)
-        xs.append(read_logistic_iterate(h, layout))
+    for stream in layers.run(h, n_steps):
+        xs.append(read_logistic_iterate(stream, layout))
     return xs

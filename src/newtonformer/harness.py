@@ -15,7 +15,6 @@ import numpy as np
 
 from . import builders, datagen, inversion, logistic
 from .linalg import _count, solve_spd
-from .transformer import model_forward
 
 __all__ = [
     "TASK_DEFAULTS",
@@ -159,17 +158,14 @@ def run_linreg_experiment(cfg):
 
     The constructed transformer depends on d and ridge mu alone, so it
     is built once per run and runs on one ``(batch, dim, n)`` stack of
-    prompts, made by one ``make_linreg_prompt`` call.  One in-place
-    ``model_forward`` call runs its depth-0 stack: the two init layers,
-    which find each prompt's own start alpha' I in context from the
-    same reciprocal table the oracles read, and two passes of the
-    weight-tied step, which fill its two-pass lag.  Per depth t, one
-    more in-place call runs the step once, and the output row then
-    holds the depth-t predictions: ``1 + t_max`` forward calls and
-    ``t_max + 4`` attention calls in all.  The stream after pass
-    t + 2 is the full depth-t stack's output, so every row equals a
-    rebuild and replay at that depth.  Each depth's oracle predictions
-    are one stacked product a_test^T X A^T y over the prompts.
+    prompts, made by one ``make_linreg_prompt`` call.  Its init layers
+    find each prompt's own start alpha' I in context from the same
+    reciprocal table the oracles read.  ``Looped.run`` takes the stream
+    through ``len(prefix) + t * len(body)`` layers by depth t, in place,
+    and the depth-t predictions are read after pass t: ``1 + t_max``
+    forward calls and ``t_max + 4`` attention calls in all.  Each
+    depth's oracle predictions are one stacked product
+    a_test^T X A^T y over the prompts.
 
     The mse values are means over one ``(rows, batch)`` prediction
     array; the closed-form one is taken before the depth loop, so its
@@ -209,19 +205,13 @@ def run_linreg_experiment(cfg):
 
     ls_preds = a_tests[:, None, :] @ solve_spd(grams, atys)
     (ls_mse,) = mse(ls_preds[None, :, 0, 0])
-    # the depth-0 stack: the init layers and two passes of the step
-    layers, layout = builders.build_linreg_transformer(
-        cfg.d, 0, ridge_mu=cfg.mu
-    )
-    stream = builders.make_linreg_prompt(a, y, a_tests)
-    model_forward(layers, stream, out=stream)
-    step = layers[-1:]
+    layers, layout = builders.build_linreg_transformer(cfg.d, ridge_mu=cfg.mu)
+    prompts = builders.make_linreg_prompt(a, y, a_tests)
     oracle_x = {order: starts[:, None, None] * np.eye(cfg.d)
                 for order in cfg.orders}
     # per depth: the constructed row, then one row per order
     preds = np.empty((cfg.t_max, 1 + len(cfg.orders), cfg.batch))
-    for t in range(cfg.t_max):
-        model_forward(step, stream, out=stream)
+    for t, stream in enumerate(layers.run(prompts, cfg.t_max)):
         preds[t, 0] = builders.read_linreg_prediction(stream, layout)
         for j, order in enumerate(cfg.orders, 1):
             x = oracle_x[order] = inversion.hyperpower_step(
@@ -245,10 +235,11 @@ def run_logreg_experiment(cfg):
     """Loss traces for exact, error-injected, and constructed Newton.
 
     All three traces run exactly t_max steps from x0 = 0; the CSV
-    carries a layers_per_step column (the constructed depth 6 + k)
-    so loss-versus-layers plots can be drawn externally.  The
-    constructed trace chains one forward pass of the stack per step;
-    each pass leaves the next iterate's prompt exactly.  The exact and
+    carries a layers_per_step column, ``budget.depth``: the constructed
+    stack has no prefix, so ``len(prefix) + t * len(body)`` is t times
+    it, and loss-versus-layers plots can be drawn externally.  The
+    constructed trace runs one pass of the body per step; each pass
+    leaves the next iterate's prompt exactly.  The exact and
     inexact traces advance together as one ``(2, d)`` stack, one
     :func:`~.logistic.damped_step` call per step, and an exact or
     inexact row takes f from the ``NewtonState`` of the step that left

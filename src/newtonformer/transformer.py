@@ -25,7 +25,9 @@ slice alone.  ``model_forward`` runs every layer in place on one
 working stream, through the layer functions' ``out=`` keyword: a copy
 of its input, or with ``out=h`` the input itself, so a caller that
 chains passes can keep one stream.  Called alone, the layer functions
-and ``model_forward`` return a new array.
+and ``model_forward`` return a new array.  A builder's stack is a
+:class:`Looped`: a prefix that runs once, then a weight-tied body that
+runs once per pass, on one stream.
 """
 
 import math
@@ -256,6 +258,45 @@ class TransformerLayer:
     @property
     def dim(self):
         return self.heads[0].dim
+
+
+class Looped(tuple):
+    """A looped stack: the layers of its first pass, *prefix* then
+    *body*, as one tuple, which also holds ``n_prefix``.
+
+    The prefix runs once and the body once per pass, so t passes run
+    the ``len(prefix) + t * len(body)`` layers of ``prefix + body * t``.
+    """
+
+    def __new__(cls, prefix, body):
+        self = super().__new__(cls, (*prefix, *body))
+        self.n_prefix = len(prefix)
+        return self
+
+    def __getnewargs__(self):
+        return self.prefix, self.body
+
+    @property
+    def prefix(self):
+        return self[:self.n_prefix]
+
+    @property
+    def body(self):
+        return self[self.n_prefix:]
+
+    def run(self, h, passes):
+        """Run the prefix once on *h*, then the body *passes* times,
+        each in place (``model_forward(..., out=h)``), and yield *h*
+        after each pass of the body.  *passes* goes through
+        ``linalg._count``; a stack with no prefix makes no call for it.
+        """
+        passes = _count(passes, "passes", 0)
+        if self.n_prefix:
+            model_forward(self.prefix, h, out=h)
+        body = self.body
+        for _ in range(passes):
+            model_forward(body, h, out=h)
+            yield h
 
 
 def _check_stream(h, dim):

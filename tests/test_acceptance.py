@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 from start_steps import alpha_prime_steps
+from unrolled import linreg_stack
 
 from newtonformer import (
     bounded_error_source,
     build_inversion_block,
-    build_linreg_transformer,
     build_pwl,
     damped_step,
     eval_pwl,
@@ -124,7 +124,7 @@ def test_04_linreg_transformer_end_to_end():
             gram = a.T @ a
             # steps to ||I - X B||_2 <= 1e-10 from the alpha' I start
             t = alpha_prime_steps(gram, 1e-10)
-            layers, layout = build_linreg_transformer(10, t)
+            layers, layout = linreg_stack(10, t)
             pred = read_linreg_prediction(
                 model_forward(layers, make_linreg_prompt(a, y, a_test)),
                 layout)

@@ -8,8 +8,9 @@ import weakref
 import numpy as np
 import pytest
 from start_steps import alpha_prime_steps
+from unrolled import linreg_stack
 
-from newtonformer import builders
+from newtonformer import builders, transformer
 from newtonformer.builders import (
     BudgetReport,
     _gadget,
@@ -339,26 +340,15 @@ class TestInversionBlock:
             a = rng.standard_normal((d, d))
             x = 0.1 * rng.standard_normal((d, d))
             block, layout = build_inversion_block(d)
-            out = model_forward(block, make_inversion_prompt(a, x))
+            h = make_inversion_prompt(a, x)
+            out = model_forward(block, h)
             expected = newton_step(x, a)
             err = np.linalg.norm(read_inversion_iterate(out, layout)
                                  - expected)
             assert err <= 1e-12 * max(np.linalg.norm(expected), 1.0)
-
-    def test_chaining_two_blocks(self):
-        rng = np.random.default_rng(3)
-        a = make_covariance(4, 8.0, rng)
-        sigma = np.linalg.norm(a, 2)
-        x0 = spd_initial_scale(sigma * sigma) * a.T
-        block, layout = build_inversion_block(4)
-        out = model_forward(block + block, make_inversion_prompt(a, x0))
-        expected = newton_step(newton_step(x0, a), a)
-        np.testing.assert_allclose(read_inversion_iterate(out, layout),
-                                   expected,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(out[4:8], a)
-        np.testing.assert_array_equal(out[8:12], np.zeros((4, 4)))
-        np.testing.assert_array_equal(out[12:16], np.eye(4))
+            # A, the cleared work block and I come back exactly, so
+            # each pass of the block starts from a prompt
+            assert out[d:].tobytes() == h[d:].tobytes()
 
     def test_block_is_attention_only(self):
         block, _ = build_inversion_block(3)
@@ -431,7 +421,7 @@ def two_layer_readout(layout):
 
 class TestLinregTransformer:
     def test_identity_design_recovers_label(self):
-        layers, layout = build_linreg_transformer(2, 40)
+        layers, layout = linreg_stack(2, 40)
         a = np.eye(2)
         h = model_forward(layers, make_linreg_prompt(a, np.array([1.0, 0.0]),
                                                      np.array([1.0, 0.0])))
@@ -447,7 +437,7 @@ class TestLinregTransformer:
             a_test = rng.standard_normal(4)
             gram = a.T @ a
             t = alpha_prime_steps(gram, 1e-10)
-            layers, layout = build_linreg_transformer(4, t)
+            layers, layout = linreg_stack(4, t)
             h = model_forward(layers, make_linreg_prompt(a, y, a_test))
             pred = read_linreg_prediction(h, layout)
             oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
@@ -460,7 +450,7 @@ class TestLinregTransformer:
         y = rng.standard_normal(8)
         a_test = rng.standard_normal(3)
         alpha = trace_initial_scale(np.trace(a.T @ a))
-        layers, layout = build_linreg_transformer(3, 0)
+        layers, layout = linreg_stack(3, 0)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         pred = read_linreg_prediction(h, layout)
         expected = float(alpha * a_test @ (a.T @ y))
@@ -472,7 +462,7 @@ class TestLinregTransformer:
         # integer-valued data scaled by powers of two sum their trace
         # exactly, so tr B is known bit for bit and spans many knots
         rng = np.random.default_rng(17 * d + int(100 * mu))
-        layers, layout = build_linreg_transformer(d, 0, ridge_mu=mu)
+        layers, layout = build_linreg_transformer(d, ridge_mu=mu)
         x_slot = layout.rows_of("x_slot")
         scratch = [layout.rows_of(name).start
                    for name in ("accumulator", "output")]
@@ -496,36 +486,28 @@ class TestLinregTransformer:
         a_test = rng.standard_normal(3)
         mu = 0.5
         gram = a.T @ a + mu * np.eye(3)
-        layers, layout = build_linreg_transformer(3, 30, ridge_mu=mu)
+        layers, layout = linreg_stack(3, 30, ridge_mu=mu)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
         assert read_linreg_prediction(h, layout) == pytest.approx(oracle,
                                                                   abs=1e-9)
 
-    @pytest.mark.parametrize("t_steps, ridge_mu, message", [
-        (2.5, 0.1, "t_steps must be an integer, got 2.5"),
-        (math.inf, 0.1, "t_steps must be an integer, got inf"),
-        (-1, 0.1, "t_steps must be >= 0, got -1"),
-        (2, math.inf, "ridge_mu must be finite and >= 0, got inf"),
-        (2, math.nan, "ridge_mu must be finite and >= 0, got nan"),
-        (2, -1.0, "ridge_mu must be finite and >= 0, got -1.0"),
-        (2, 1e308,
-         "ridge_mu * d must be finite, got ridge_mu=1e+308 and d=3"),
+    @pytest.mark.parametrize("ridge_mu, message", [
+        (math.inf, "ridge_mu must be finite and >= 0, got inf"),
+        (math.nan, "ridge_mu must be finite and >= 0, got nan"),
+        (-1.0, "ridge_mu must be finite and >= 0, got -1.0"),
+        (1e308, "ridge_mu * d must be finite, got ridge_mu=1e+308 and d=3"),
     ])
-    def test_input_errors_are_named(self, t_steps, ridge_mu, message):
+    def test_input_errors_are_named(self, ridge_mu, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build_linreg_transformer(3, t_steps, ridge_mu)
-
-    def test_integral_float_steps_build_that_many_layers(self):
-        layers, _ = build_linreg_transformer(3, 2.0)
-        assert len(layers) == 6
+            build_linreg_transformer(3, ridge_mu)
 
     @pytest.mark.parametrize("mu", [0.0, 1.0, 2.0])
     def test_zero_init_scales_are_left_out(self, mu):
         # mu I and mu * d are zero at mu = 0: the gram layer then holds
         # neither ridge head.  Both follow the b_slot clear, the A^T A
         # head and the d = 2 trace heads
-        (gram, *_), layout = build_linreg_transformer(2, 1, ridge_mu=mu)
+        (gram, *_), layout = build_linreg_transformer(2, ridge_mu=mu)
         ident = layout.rows_of("identity")
         b_slot = layout.rows_of("b_slot")
         acc = layout.rows_of("accumulator").start
@@ -546,7 +528,7 @@ class TestLinregTransformer:
         y = rng.standard_normal(50)
         a_test = rng.standard_normal(10)
         gram = a.T @ a
-        layers, layout = build_linreg_transformer(10, 30)
+        layers, layout = linreg_stack(10, 30)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
         assert read_linreg_prediction(h, layout) == pytest.approx(oracle,
@@ -558,27 +540,28 @@ class TestLinregTransformer:
         y = rng.standard_normal(12)
         a_test = rng.standard_normal(3)
         gram = a.T @ a + np.eye(3)
-        layers, layout = build_linreg_transformer(3, 30, ridge_mu=1.0)
+        layers, layout = linreg_stack(3, 30, ridge_mu=1.0)
         h = model_forward(layers, make_linreg_prompt(a, y, a_test))
         oracle = float(a_test @ solve_spd(gram, (a.T @ y)[:, None])[:, 0])
         assert read_linreg_prediction(h, layout) == pytest.approx(oracle,
                                                                   abs=1e-9)
 
     def test_depth_and_head_budget(self):
-        for t in (0, 1, 7):
-            layers, layout = build_linreg_transformer(3, t, ridge_mu=0.1)
-            assert len(layers) == 4 + t
-            assert all(layer.dim == layout.n_rows == 17 for layer in layers)
-            # the init layers hold d one-row heads each, for the trace
-            # and for alpha' I
-            assert [len(layer.heads) for layer in layers[:2]] == [7, 6]
-            # then t + 2 passes of one weight-tied six-head step
-            step = layers[2]
-            assert all(layer is step for layer in layers[2:])
-            assert len(step.heads) == 6
-            assert [layer.ffn is not None for layer in layers] == (
-                [True] + [False] * (3 + t))
-            assert layers[0].ffn.gadgets[0].approx is TRACE_RECIPROCAL
+        layers, layout = build_linreg_transformer(3, ridge_mu=0.1)
+        gram, start, step = layers[:3]
+        # the prefix: both init layers, then the two passes of the
+        # weight-tied step that fill its lag; the body: the step
+        assert layers.prefix == (gram, start, step, step)
+        assert layers.body == (step,)
+        assert all(layer is step for layer in layers[2:])
+        assert all(layer.dim == layout.n_rows == 17 for layer in layers)
+        # the init layers hold d one-row heads each, for the trace and
+        # for alpha' I
+        assert [len(layer.heads) for layer in (gram, start, step)] == [
+            7, 6, 6]
+        assert [layer.ffn is not None for layer in layers] == (
+            [True] + [False] * 4)
+        assert gram.ffn.gadgets[0].approx is TRACE_RECIPROCAL
 
     def test_prompt_rows_and_readout(self):
         rng = np.random.default_rng(9)
@@ -595,7 +578,7 @@ class TestLinregTransformer:
         np.testing.assert_array_equal(h[13], y)
         np.testing.assert_array_equal(h[14:16], np.zeros((2, 8)))
         np.testing.assert_array_equal(h[16], np.ones(8))
-        _, layout = build_linreg_transformer(3, 1)
+        _, layout = build_linreg_transformer(3)
         h[14, 0] = 2.5
         assert read_linreg_prediction(h, layout) == 2.5
 
@@ -621,7 +604,7 @@ class TestLinregTransformer:
         # the pass after it
         rng = np.random.default_rng(12)
         d, n = 3, 8
-        layers, layout = build_linreg_transformer(d, 2)
+        layers, layout = linreg_stack(d, 2)
         *prefix, step = layers
         h = model_forward(prefix, np.stack([
             make_linreg_prompt(rng.standard_normal((n, d)),
@@ -663,16 +646,17 @@ class TestLinregTransformer:
         prompt = make_linreg_prompt(rng.standard_normal((*lead, n, d)),
                                     rng.standard_normal((*lead, n)),
                                     rng.standard_normal((*lead, d)))
-        layers, layout = build_linreg_transformer(d, 0, ridge_mu=mu)
+        layers, layout = build_linreg_transformer(d, ridge_mu=mu)
         contract, readout = two_layer_readout(layout)
-        newton = TransformerLayer(heads=layers[2].heads[:2])
+        init = list(layers[:2])
+        newton = TransformerLayer(heads=layers.body[0].heads[:2])
         rows = [layout.rows_of(name).start
                 for name in ("output", "test_point", "identity")]
         for t in range(6):
-            layers, _ = build_linreg_transformer(d, t, ridge_mu=mu)
-            got = read_linreg_prediction(model_forward(layers, prompt),
-                                         layout)
-            h = model_forward(layers[:2] + [newton] * t + [contract], prompt)
+            got = read_linreg_prediction(
+                model_forward(layers.prefix + layers.body * t, prompt),
+                layout)
+            h = model_forward(init + [newton] * t + [contract], prompt)
             w, a_test, e1 = (h[..., row:row + 1, :] for row in rows)
             want = ((w @ a_test.mT) @ e1)[..., 0, 0]
             assert np.asarray(got).tobytes() == want.tobytes()
@@ -684,8 +668,8 @@ class TestLinregTransformer:
     def test_only_the_gram_layer_reads_ridge_mu(self, d):
         """Only the first init layer reads ridge_mu, so every other
         layer of two ridge weights' stacks holds equal weights."""
-        first, _ = build_linreg_transformer(d, 1, ridge_mu=0.0)
-        second, _ = build_linreg_transformer(d, 1, ridge_mu=2.5)
+        first, _ = build_linreg_transformer(d, ridge_mu=0.0)
+        second, _ = build_linreg_transformer(d, ridge_mu=2.5)
         # at ridge_mu = 0 the gram layer holds neither ridge head
         assert len(first[0].heads) + 2 == len(second[0].heads) == d + 4
         for ours, theirs in zip(first[1:], second[1:]):
@@ -695,7 +679,7 @@ class TestLinregTransformer:
                     assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_stacked_readout_gives_one_prediction_per_slice(self):
-        _, layout = build_linreg_transformer(2, 1)
+        _, layout = build_linreg_transformer(2)
         want = np.arange(6.0).reshape(2, 3)
         h = np.zeros((2, 3, layout.n_rows, 4))
         h[..., layout.rows_of("output").start, 0] = want
@@ -708,7 +692,7 @@ class TestLinregTransformer:
     def test_stacked_readout_owns_its_data(self):
         # a view would keep the whole output stack alive for as long as
         # the predictions are held
-        _, layout = build_linreg_transformer(2, 1)
+        _, layout = build_linreg_transformer(2)
         h = np.ones((3, layout.n_rows, 4))
         preds = read_linreg_prediction(h, layout)
         assert preds.base is None
@@ -718,13 +702,11 @@ class TestLinregTransformer:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="d must be >= 1"):
-            build_linreg_transformer(0, 1)
-        with pytest.raises(ValueError):
-            build_linreg_transformer(3, -1)
+            build_linreg_transformer(0)
         with pytest.raises(ValueError, match="got nan"):
-            build_linreg_transformer(3, 1, ridge_mu=float("nan"))
+            build_linreg_transformer(3, ridge_mu=float("nan"))
         with pytest.raises(ValueError, match="ridge_mu must be finite"):
-            build_linreg_transformer(3, 1, ridge_mu=float("inf"))
+            build_linreg_transformer(3, ridge_mu=float("inf"))
         with pytest.raises(ValueError):
             make_linreg_prompt(np.ones((8, 3)), np.ones(7), np.ones(3))
         with pytest.raises(ValueError, match="need n >= d, got n=3, d=4"):
@@ -742,7 +724,9 @@ def logreg_stack():
 class TestLogregNewtonStack:
     def test_depth_matches_budget(self, logreg_stack):
         problem, budget, layers, layout = logreg_stack
-        assert len(layers) == budget.depth == 6 + budget.widths["k"]
+        # no prefix: every layer is the body one step runs
+        assert layers.prefix == ()
+        assert len(layers.body) == budget.depth == 6 + budget.widths["k"]
         assert max(len(layer.heads) for layer in layers) <= 8
         assert layout.n_rows == 5 * problem.dim + 5
         assert all(layer.dim == layout.n_rows for layer in layers)
@@ -796,9 +780,9 @@ class TestLogregNewtonStack:
         def counting(layers, h, *, out=None):
             calls.append(len(layers))
             return model_forward(layers, h, out=out)
-        monkeypatch.setattr(builders, "model_forward", counting)
+        monkeypatch.setattr(transformer, "model_forward", counting)
         run_constructed_newton(problem, np.zeros(5), budget, 3)
-        assert calls == [len(layers)] * 3
+        assert calls == [len(layers.body)] * 3
 
     @pytest.mark.parametrize("n", [1, 26])
     def test_reader_returns_a_new_array(self, n):
@@ -808,21 +792,6 @@ class TestLogregNewtonStack:
         h = make_logistic_prompt(problem, np.full(1, 0.5))
         x = read_logistic_iterate(h, _logistic_layout(1))
         assert not np.shares_memory(x, h)
-
-    def test_in_place_chain_equals_fresh_steps_at_one_column(self):
-        # d = n = 1: the chain reuses one stream, and every iterate it
-        # returns must be the one that step left, not the last
-        problem = make_logreg_problem(0, n=1, d=1)
-        budget = width_depth_budget(1e-2, 0.1, d=1)
-        layers, layout = build_logreg_newton_step(budget)
-        xs = run_constructed_newton(problem, np.zeros(1), budget, 4)
-        h = make_logistic_prompt(problem, np.zeros(1))
-        want = [read_logistic_iterate(h, layout)]
-        for _ in range(4):
-            h = model_forward(layers, h)
-            want.append(read_logistic_iterate(h, layout))
-        assert len({x.tobytes() for x in want}) == 5
-        assert [x.tobytes() for x in xs] == [x.tobytes() for x in want]
 
     def test_step_count_must_not_be_negative(self, logreg_stack):
         problem, budget, _, _ = logreg_stack
@@ -1029,3 +998,60 @@ class TestLogregNewtonStack:
         budget = width_depth_budget(1e-2, 0.1, d=5)
         with pytest.raises(ValueError, match="^need n >= d, got n=4, d=5$"):
             run_constructed_newton(problem, np.zeros(5), budget, 1)
+
+
+def inversion_case(d):
+    rng = np.random.default_rng(3)
+    a = make_covariance(d, 8.0, rng)
+    sigma = np.linalg.norm(a, 2)
+    x0 = spd_initial_scale(sigma * sigma) * a.T
+    return build_inversion_block(d)[0], make_inversion_prompt(a, x0)
+
+
+def linreg_case(mu):
+    rng = np.random.default_rng(21)
+    batch, d, n = 4, 3, 8
+    prompts = make_linreg_prompt(rng.standard_normal((batch, n, d)),
+                                 rng.standard_normal((batch, n)),
+                                 rng.standard_normal((batch, d)))
+    return build_linreg_transformer(d, ridge_mu=mu)[0], prompts
+
+
+def logistic_case(d, n, mu):
+    budget = width_depth_budget(1e-2, mu, d=d)
+    problem = make_logreg_problem(0, n=n, d=d, mu=mu)
+    return (build_logreg_newton_step(budget)[0],
+            make_logistic_prompt(problem, np.zeros(d)))
+
+
+# case: a built looped stack and one prompt for it
+LOOPED_CASES = {
+    "inversion-d2": lambda: inversion_case(2),
+    "inversion-d4": lambda: inversion_case(4),
+    "linreg-mu0": lambda: linreg_case(0.0),
+    "linreg-mu0.1": lambda: linreg_case(0.1),
+    "logistic": lambda: logistic_case(5, 26, 0.1),
+    "logistic-mu1": lambda: logistic_case(5, 26, 1.0),
+    # d = n = 1: a one-column stream, the narrowest a prompt can be
+    "logistic-one-column": lambda: logistic_case(1, 1, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOPED_CASES))
+def test_run_equals_the_unrolled_stack(case):
+    # pass t of run leaves, in the prompt itself, the bits of a fresh
+    # forward pass of prefix + body * t; 0 passes leave the prefix's
+    layers, prompt = LOOPED_CASES[case]()
+    outs = [model_forward(layers.prefix + layers.body * t, prompt)
+            for t in range(7)]
+    # every pass moves the stream, so no pass can be skipped unseen
+    assert len({out.tobytes() for out in outs}) == 7
+    h = prompt.copy()
+    assert list(layers.run(h, 0)) == []
+    assert h.tobytes() == outs[0].tobytes()
+    h = prompt.copy()
+    passes = 0
+    for passes, stream in enumerate(layers.run(h, 6), 1):
+        assert stream is h
+        assert stream.tobytes() == outs[passes].tobytes()
+    assert passes == 6

@@ -14,9 +14,10 @@ from dense_attention import dense_attention_forward
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from per_seed_draw import per_seed_linreg_data
+from unrolled import linreg_stack
 
-from newtonformer import (builders, cli, datagen, harness, inversion,
-                          logistic, transformer)
+from newtonformer import (builders, cli, datagen, inversion, logistic,
+                          transformer)
 from newtonformer.builders import make_linreg_prompt, read_linreg_prediction
 from newtonformer.cli import main
 from newtonformer.datagen import gen_linreg_data, gen_logreg_data, make_covariance
@@ -387,9 +388,7 @@ def replayed_constructed_mse(cfg):
     for t in range(1, cfg.t_max + 1):
         errs = []
         for a, y, a_test, _, _, target in problems:
-            layers, layout = builders.build_linreg_transformer(
-                cfg.d, t, ridge_mu=cfg.mu
-            )
+            layers, layout = linreg_stack(cfg.d, t, ridge_mu=cfg.mu)
             prompt = make_linreg_prompt(a, y, a_test)
             pred = read_linreg_prediction(model_forward(layers, prompt), layout)
             errs.append((pred - target) * (pred - target))
@@ -461,17 +460,16 @@ class TestLinregLinearInDepth:
         monkeypatch.setattr(transformer, "attention_forward",
                             counting(counts, "attention",
                                      transformer.attention_forward))
-        monkeypatch.setattr(harness, "model_forward",
+        monkeypatch.setattr(transformer, "model_forward",
                             counting(counts, "forward", model_forward))
         monkeypatch.setattr(builders, "build_linreg_transformer",
                             counting(counts, "build",
                                      builders.build_linreg_transformer))
         cfg = small_linreg_cfg(tmp_path, 0.0)
         run_linreg_experiment(cfg)
-        # one build per run and one forward call running the depth-0
-        # stack (both init layers and two passes of the step) on the
-        # whole prompt stack, then one per depth running the step once
-        # in place on it
+        # one build per run, one forward call running the prefix (both
+        # init layers and two passes of the step) on the whole prompt
+        # stack, then one per depth running the one-layer body in place
         assert counts == {"attention": cfg.t_max + 4,
                           "build": 1, "forward": 1 + cfg.t_max}
 
@@ -487,7 +485,7 @@ class TestLinregLinearInDepth:
             calls.append((list(layers), np.ndim(h)))
             return model_forward(layers, h, **kwargs)
 
-        monkeypatch.setattr(harness, "model_forward", recording)
+        monkeypatch.setattr(transformer, "model_forward", recording)
         cfg = replace(small_linreg_cfg(tmp_path, mu), batch=2)
         run_linreg_experiment(cfg)
         single = [layers for layers, ndim in calls if ndim == 2]

@@ -289,10 +289,10 @@ _COUNT_ARGUMENTS = {
     "width_depth_budget.d": (
         lambda v: width_depth_budget(1e-2, 0.1, v), "d", 1, 5),
     "build_inversion_block.d": (build_inversion_block, "d", 1, 2),
-    "build_linreg_transformer.d": (
-        lambda v: build_linreg_transformer(v, 1), "d", 1, 2),
-    "build_linreg_transformer.t_steps": (
-        lambda v: build_linreg_transformer(2, v), "t_steps", 0, 2),
+    "build_linreg_transformer.d": (build_linreg_transformer, "d", 1, 2),
+    "Looped.run.passes": (  # the stream after each pass
+        lambda v: [h.copy() for h in build_inversion_block(2)[0].run(
+            make_inversion_prompt(_R * 2, _R / 4), v)], "passes", 0, 2),
     "make_covariance.d": (
         lambda v: make_covariance(v, 10.0, np.random.default_rng(0)),
         "d", 1, 3),

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from dense_attention import attention_error_bound, dense_attention_forward
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from unrolled import linreg_stack
 
 from newtonformer import inversion
 from newtonformer.errors import ShapeMismatchError
@@ -24,6 +26,7 @@ from newtonformer.pwl import PwlApprox, PwlGadget
 from newtonformer.transformer import (
     AttentionHead,
     Ffn,
+    Looped,
     PromptLayout,
     TransformerLayer,
     attention_forward,
@@ -229,7 +232,7 @@ class TestCompactedHeads:
         d, n = 4, 12
         a = rng.standard_normal((n, d))
         y = a @ rng.standard_normal(d)
-        layers, _ = build_linreg_transformer(d, 3, ridge_mu=0.1)
+        layers, _ = linreg_stack(d, 3, ridge_mu=0.1)
         h = make_linreg_prompt(a, y, rng.standard_normal(d))
         assert_every_head_within_bound(layers, h)
 
@@ -304,8 +307,8 @@ class TestCompactedHeads:
 
     def test_linreg_newton_heads_read_d_columns(self):
         d = 4
-        layers, _ = build_linreg_transformer(d, 1)
-        step = layers[2]
+        layers, _ = build_linreg_transformer(d)
+        (step,) = layers.body
         assert step.dim > d
         for head in step.heads[:2]:
             out, src, c = head.value
@@ -484,6 +487,13 @@ class TestModelForward:
             manual = ffn_forward(layer, attention_forward(layer, manual))
         np.testing.assert_array_equal(model_forward(layers, h), manual)
 
+    def test_looped_stack_round_trips_through_pickle(self):
+        # unpickling rebuilds a Looped from its prefix and body
+        layers, _ = build_linreg_transformer(2)
+        back = pickle.loads(pickle.dumps(layers))
+        assert type(back) is Looped
+        assert (back.n_prefix, len(back.prefix), len(back.body)) == (4, 4, 1)
+
     def test_prefix_then_suffix_equals_whole(self):
         rng = np.random.default_rng(7)
         h = rng.standard_normal((3, 4))
@@ -537,8 +547,7 @@ def constructions():
         width_depth_budget(1e-2, 0.1, d=5))
     return {
         "inversion": (build_inversion_block(d)[0], inversion_prompt),
-        "linreg": (build_linreg_transformer(d, 2, ridge_mu=0.1)[0],
-                   linreg_prompt),
+        "linreg": (linreg_stack(d, 2, ridge_mu=0.1)[0], linreg_prompt),
         "logistic": (logistic_layers, logistic_prompt),
     }
 
@@ -863,7 +872,7 @@ class TestOneWorkingStream:
 
     def test_linreg_forward_peaks_below_two_streams(self):
         # the linreg_depth shape: d=10, n=50, 16 prompts
-        layers, _ = build_linreg_transformer(10, 1)
+        layers, _ = linreg_stack(10, 1)
         init, layers = layers[:2], layers[2:]
         rng = np.random.default_rng(28)
         h = model_forward(init, np.stack([
