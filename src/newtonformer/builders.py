@@ -19,6 +19,13 @@ Feed-forward blocks hold only scalar piecewise-linear gadgets, each
 approximating a function a stack needs (sigma', the products of the
 Hessian, the damped step size, the reciprocal of tr B); a row a block
 reads or writes is cleared by a head, never by a ReLU neuron.
+
+In every prompt ``identity`` is the only band that holds a constant
+I_d, in its leading d columns, and every scratch band (``x_slot``,
+``b_slot``, ``accumulator``, ``prob``, ``margins`` and ``work``) is
+zero.  The inversion and logistic bodies leave them zero after every
+pass; the linreg stack carries its state, X, B and w, in ``x_slot``,
+``b_slot`` and the accumulator from pass to pass.
 """
 
 import math
@@ -304,8 +311,8 @@ def _linreg_layout(d):
 
 
 def make_linreg_prompt(a, y, a_test):
-    """Prompt (I; I; I; A^T; a_test^T; y^T; 0; 0; 1) with d-wide
-    identities and a ones row.
+    """Prompt (0; 0; I; A^T; a_test^T; y^T; 0; 0; 1) with a d-wide
+    identity and a ones row.
 
     A stack of designs ``(..., n, d)`` with labels ``(..., n)`` and test
     points ``(..., d)`` gives the stack of their prompts
@@ -324,8 +331,7 @@ def make_linreg_prompt(a, y, a_test):
         raise ValueError("y must be length n and a_test length d")
     layout = _linreg_layout(d)
     h = np.zeros((*lead, layout.n_rows, n))
-    for pad in ("x_slot", "b_slot", "identity"):
-        h[..., layout.rows_of(pad), :d] = np.eye(d)
+    h[..., layout.rows_of("identity"), :d] = np.eye(d)
     h[..., layout.rows_of("data"), :] = a.mT
     h[..., layout.rows_of("test_point").start, :d] = a_test
     h[..., layout.rows_of("labels").start, :] = y
@@ -346,19 +352,19 @@ def build_linreg_transformer(d, ridge_mu=0.0):
     in context: its weights depend on d and ridge_mu alone, never on a
     prompt, so one stack runs a whole stack of prompts to any depth.
 
-    The first init layer clears b_slot's I, then writes A^T A there
-    and sums tr A^T A into the accumulator row, from d one-row heads
-    (value, key: data row j; query: the ones row).  For ridge_mu > 0 it
-    holds two more heads, ridge_mu I into b_slot and ridge_mu*d into
-    the accumulator, so that b_slot holds B = A^T A + ridge_mu I and the
-    accumulator tr B; at ridge_mu = 0 it has neither.  Its ffn, one
-    reciprocal gadget with knots at consecutive powers of two
+    The first init layer writes A^T A into b_slot and sums tr A^T A
+    into the accumulator row, from d one-row heads (value, key: data
+    row j; query: the ones row).  For ridge_mu > 0 it holds two more
+    heads, ridge_mu I into b_slot and ridge_mu*d into the accumulator,
+    so that b_slot holds B = A^T A + ridge_mu I and the accumulator
+    tr B; at ridge_mu = 0 it has neither.  Its ffn, one reciprocal
+    gadget with knots at consecutive powers of two
     (``inversion.TRACE_RECIPROCAL``), writes alpha' = recip(tr B) into
-    the output row.  The second clears x_slot's I, writes
-    X_0 = alpha' I with d one-row heads (value: the output row; key:
-    the e1 row; query: identity row j) and clears the accumulator and
-    output rows.  alpha' lambda_max(B) <= 1.125, so the residual
-    I - X B starts with spectral radius below 1.
+    the output row.  The second writes X_0 = alpha' I into x_slot with
+    d one-row heads (value: the output row; key: the e1 row; query:
+    identity row j) and clears the accumulator and output rows.
+    alpha' lambda_max(B) <= 1.125, so the residual I - X B starts with
+    spectral radius below 1.
 
     The rest of the stack is one weight-tied layer, ``step``.  Its six
     heads all read the pass's input:
@@ -402,13 +408,11 @@ def build_linreg_transformer(d, ridge_mu=0.0):
     )
     e1_row = ident.start  # first identity row holds e1^T
 
-    # b_slot's I clears (-I I^T I) before A^T A and then mu I land, so
-    # each entry of B rounds once, at any scale of A; tr B goes into
-    # every column of the accumulator, and the ffn reads it into alpha'
-    # in the output row
+    # A^T A and then mu I land on b_slot's zeros, so each entry of B
+    # rounds once, at any scale of A; tr B goes into every column of the
+    # accumulator, and the ffn reads it into alpha' in the output row
     gram_heads = [
-        AttentionHead(dim, (b_slot, ident, -1.0), key=ident, query=ident),
-        AttentionHead(dim, (b_slot, data, 1.0), key=data, query=x_slot),
+        AttentionHead(dim, (b_slot, data, 1.0), key=data, query=ident),
         *(AttentionHead(dim, (acc_row, data.start + j, 1.0),
                         key=data.start + j, query=ones_row)
           for j in range(d)),
@@ -425,12 +429,10 @@ def build_linreg_transformer(d, ridge_mu=0.0):
         ffn=Ffn(dim, [_gadget(dim, TRACE_RECIPROCAL, {acc_row: 1.0},
                               out_row)], ones_row),
     )
-    # x_slot's I clears (-I I^T I) before alpha' e_j^T lands in each row
-    # j, so x_slot <- alpha' I exactly; then both scratch rows clear
+    # alpha' e_j^T lands on x_slot's zeros in each row j, so
+    # x_slot <- alpha' I exactly; then both scratch rows clear
     start = TransformerLayer(
         heads=(
-            AttentionHead(dim, (x_slot, ident, -1.0),
-                          key=ident, query=ident),
             *(AttentionHead(dim, (x_slot.start + j, out_row, 1.0),
                             key=e1_row, query=ident.start + j)
               for j in range(d)),
@@ -495,8 +497,7 @@ def make_logistic_prompt(problem, x):
         raise ValueError(f"x must have shape ({d},), got {x.shape}")
     layout = _logistic_layout(d)
     h = np.zeros((layout.n_rows, n))
-    for pad in ("x_slot", "b_slot", "identity"):
-        h[layout.rows_of(pad), :d] = np.eye(d)
+    h[layout.rows_of("identity"), :d] = np.eye(d)
     h[layout.rows_of("data")] = (problem.features * problem.labels[:, None]).T
     h[layout.rows_of("iterate")] = x[:, None]
     h[layout.rows_of("mean_picker"), 0] = 1.0 / n
@@ -534,8 +535,8 @@ def build_logreg_newton_step(budget):
     (the one-layer step of the least-squares stack) follow, then the
     direction, the decrement (into the prob row) with the damped step
     size (into the accumulator), and the iterate update, which reads
-    the direction straight from x_slot and restores every bookkeeping
-    block exactly: after a step the stream equals
+    the direction straight from x_slot and clears every scratch band
+    exactly: after a step the stream equals
     ``make_logistic_prompt(problem, x_next)`` bit for bit, so the body
     runs once per step on one stream.  The feed-forward blocks hold only
     the PWL gadgets; every row one of them reads or writes is cleared by
@@ -593,9 +594,8 @@ def build_logreg_newton_step(budget):
         )
     )
 
-    # both rows -> 1/n times themselves and the margins clear; the top
-    # identity block clears (-I I^T I), and the ffn writes the
-    # weight-scaled data rows there.
+    # both rows -> 1/n times themselves and the margins clear, and the
+    # ffn writes the weight-scaled data rows into x_slot's zeros.
     # weights lie in [0, 1/4] and features in [-1, 1]; x + y and x - y
     # share one range, so all d products share one square table
     squares = _square_tables(
@@ -609,21 +609,21 @@ def build_logreg_newton_step(budget):
     layers.append(
         TransformerLayer(
             heads=(clear(margin_row), clear(acc_row), clear(prob_row),
-                   over_n(acc_row), over_n(prob_row),
-                   AttentionHead(dim, (x_slot, ident, -1.0),
-                                 key=ident, query=ident)),
+                   over_n(acc_row), over_n(prob_row)),
             ffn=Ffn(dim, gadgets, ones_row),
         )
     )
 
-    # Hessian assembly: b_slot <- B, its I turned into mu I by a
-    # (mu - 1) I head that mu = 1 does without; the scaled data in
-    # x_slot is cleared before the seed is written, so x_slot <- alpha*I
-    # exactly.  The accumulator clears and takes the gradient row
+    # Hessian assembly: b_slot <- B, its products S, then I, then a
+    # (mu - 1) I head that mu = 1 does without, so B's diagonal rounds
+    # as (1 + S_ii) + (mu - 1); the scaled data in x_slot is cleared
+    # before the seed is written, so x_slot <- alpha*I exactly.  The
+    # accumulator clears and takes the gradient row
     # -(1/n) sum_i sigma(-z_i) y_i a_i^T + mu x^T, and prob clears
     heads = [
         clear(acc_row),
         AttentionHead(dim, (b_slot, data, 1.0), key=x_slot, query=ident),
+        AttentionHead(dim, (b_slot, ident, 1.0), key=ident, query=ident),
         AttentionHead(dim, (x_slot, ident, -1.0), key=ident, query=x_slot),
         AttentionHead(dim, (x_slot, ident, alpha), key=ident, query=ident),
     ]
@@ -671,11 +671,11 @@ def build_logreg_newton_step(budget):
         )
     )
 
-    # iterate update and exact restore.  The accumulator holds
+    # iterate update and exact clear.  The accumulator holds
     # (t, 1, ..., 1), since the step-size table is exactly 1 at 0, and
     # x_slot holds X g in its first column and zeros past it, so the
-    # update head's x_slot acc^T is exactly t X g.  x_slot and b_slot
-    # are cleared (x - x = 0) before I is written
+    # update head's x_slot acc^T is exactly t X g.  Every scratch band
+    # ends cleared (x - x = 0), as in the prompt
     layers.append(
         TransformerLayer(
             heads=(
@@ -686,10 +686,6 @@ def build_logreg_newton_step(budget):
                 AttentionHead(dim, (x_slot, x_slot, -1.0),
                               key=ident, query=ident),
                 AttentionHead(dim, (b_slot, b_slot, -1.0),
-                              key=ident, query=ident),
-                AttentionHead(dim, (x_slot, ident, 1.0),
-                              key=ident, query=ident),
-                AttentionHead(dim, (b_slot, ident, 1.0),
                               key=ident, query=ident),
             ),
         )

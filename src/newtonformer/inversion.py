@@ -54,10 +54,10 @@ def newton_step(x, a):
 
     *x* and *a* are d x d matrices, or stacks ``(..., d, d)`` of one
     shape that are updated matrix by matrix; each updated slice is
-    bit-identical to the update of that slice alone.
+    bit-identical to the update of that slice alone.  It is the
+    order-2 :func:`hyperpower_step`.
     """
-    x, a = _check_square_pair(x, a)
-    return x @ (2.0 * np.eye(a.shape[-1]) - a @ x)
+    return hyperpower_step(x, a, 2)
 
 
 def _check_order(order):
@@ -71,17 +71,15 @@ def hyperpower_step(x, a, order):
     Computes ``X @ sum_{m=0}^{order-1} (-1)^m C(order, m+1) (AX)^m``
     by Horner evaluation.  Binomial coefficients are exact integers;
     orders above 8 are rejected so they stay exactly representable in
-    float64 products.  Order 2 takes the identical code path as
-    :func:`newton_step`.  Above order 2, Horner starts at
+    float64 products.  Horner starts at
     ``C(order, order-1) (-1)^order I + (-1)^(order-1) AX``: one step from
     ``(-1)^(order-1) I`` without its product by that identity, which
-    changes no bit but the sign of an exact zero.  Stacks
-    ``(..., d, d)`` are updated as :func:`newton_step` updates them: one
-    call per stack, each slice bit-identical to its own 2-D update.
+    changes no bit but the sign of an exact zero; at order 2 that start,
+    2I - AX, is the whole polynomial.  Stacks ``(..., d, d)`` are
+    updated matrix by matrix: one call per stack, each slice
+    bit-identical to its own 2-D update.
     """
     order = _check_order(order)
-    if order == 2:
-        return newton_step(x, a)
     x, a = _check_square_pair(x, a)
     eye = np.eye(a.shape[-1])
     m = a @ x
@@ -110,7 +108,8 @@ def predicted_steps(kappa, eps, order=2):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     log_ord = math.log(_check_order(order))
     warmup = max(0, math.ceil(2.0 * math.log(kappa) / log_ord))
-    sharpen = max(0, math.ceil(math.log(math.log2(1.0 / eps)) / log_ord))
+    # -log2(eps), not log2(1/eps): 1/eps overflows for a subnormal eps
+    sharpen = max(0, math.ceil(math.log(-math.log2(eps)) / log_ord))
     return warmup + sharpen + 2
 
 

@@ -505,14 +505,14 @@ class TestLinregTransformer:
     @pytest.mark.parametrize("mu", [0.0, 1.0, 2.0])
     def test_zero_init_scales_are_left_out(self, mu):
         # mu I and mu * d are zero at mu = 0: the gram layer then holds
-        # neither ridge head.  Both follow the b_slot clear, the A^T A
-        # head and the d = 2 trace heads
+        # neither ridge head.  Both follow the A^T A head and the d = 2
+        # trace heads
         (gram, *_), layout = build_linreg_transformer(2, ridge_mu=mu)
         ident = layout.rows_of("identity")
         b_slot = layout.rows_of("b_slot")
         acc = layout.rows_of("accumulator").start
         e1 = slice(ident.start, ident.start + 1)
-        ridge = gram.heads[4:]
+        ridge = gram.heads[3:]
         want = [(b_slot, ident, mu), (slice(acc, acc + 1), e1, 2 * mu)]
         assert [head.value for head in ridge] == (want if mu else [])
         for head in ridge[:1]:
@@ -521,8 +521,8 @@ class TestLinregTransformer:
 
     @pytest.mark.parametrize("scale", [1e-9, 1e8])
     def test_matches_closed_form_at_any_scale(self, scale):
-        # b_slot's I clears before A^T A lands, so a tiny Gram matrix
-        # is not lost to 1 + G - 1 rounding
+        # A^T A lands on b_slot's zeros, so a tiny Gram matrix is not
+        # lost to 1 + G - 1 rounding
         rng = np.random.default_rng(13)
         a = scale * rng.standard_normal((50, 10))
         y = rng.standard_normal(50)
@@ -558,7 +558,7 @@ class TestLinregTransformer:
         # the init layers hold d one-row heads each, for the trace and
         # for alpha' I
         assert [len(layer.heads) for layer in (gram, start, step)] == [
-            7, 6, 6]
+            6, 5, 6]
         assert [layer.ffn is not None for layer in layers] == (
             [True] + [False] * 4)
         assert gram.ffn.gadgets[0].approx is TRACE_RECIPROCAL
@@ -570,9 +570,10 @@ class TestLinregTransformer:
         a_test = rng.standard_normal(3)
         h = make_linreg_prompt(a, y, a_test)
         assert h.shape == (17, 8)
-        pad = np.zeros((3, 8))
-        pad[:, :3] = np.eye(3)
-        np.testing.assert_array_equal(h[0:9], np.vstack([pad] * 3))
+        # x_slot and b_slot are zeros; only the identity band holds I
+        np.testing.assert_array_equal(h[0:6], np.zeros((6, 8)))
+        np.testing.assert_array_equal(h[6:9, :3], np.eye(3))
+        np.testing.assert_array_equal(h[6:9, 3:], np.zeros((3, 5)))
         np.testing.assert_array_equal(h[9:12], a.T)
         np.testing.assert_array_equal(h[12], np.r_[a_test, np.zeros(5)])
         np.testing.assert_array_equal(h[13], y)
@@ -671,7 +672,7 @@ class TestLinregTransformer:
         first, _ = build_linreg_transformer(d, ridge_mu=0.0)
         second, _ = build_linreg_transformer(d, ridge_mu=2.5)
         # at ridge_mu = 0 the gram layer holds neither ridge head
-        assert len(first[0].heads) + 2 == len(second[0].heads) == d + 4
+        assert len(first[0].heads) + 2 == len(second[0].heads) == d + 3
         for ours, theirs in zip(first[1:], second[1:]):
             assert len(ours.heads) == len(theirs.heads)
             for a, b in zip(ours.heads, theirs.heads):
@@ -727,7 +728,7 @@ class TestLogregNewtonStack:
         # no prefix: every layer is the body one step runs
         assert layers.prefix == ()
         assert len(layers.body) == budget.depth == 6 + budget.widths["k"]
-        assert max(len(layer.heads) for layer in layers) <= 8
+        assert max(len(layer.heads) for layer in layers) <= 9
         assert layout.n_rows == 5 * problem.dim + 5
         assert all(layer.dim == layout.n_rows for layer in layers)
 
@@ -936,17 +937,21 @@ class TestLogregNewtonStack:
 
     def test_unit_mu_seed_head_leaves_b_slot_alone(self):
         # mu - 1 = 0: the seed head writes only alpha' I into x_slot,
-        # and no (mu - 1) I head follows it
+        # and no (mu - 1) I head follows the I head that every mu builds
         problem = make_logreg_problem(0, mu=1.0)
         budget = width_depth_budget(1e-2, 1.0, d=5)
         layers, layout = build_logreg_newton_step(budget)
-        seed = layers[2].heads[3]
+        seed = layers[2].heads[4]
         x_slot, ident = layout.rows_of("x_slot"), layout.rows_of("identity")
         assert seed.value == (x_slot, ident, spd_initial_scale(2.0))
-        ridge = (layout.rows_of("b_slot"), ident)
+        b_slot = layout.rows_of("b_slot")
+
+        def identity_scales(layer):
+            return [head.value[2] for head in layer.heads
+                    if head.value[:2] == (b_slot, ident)]
         other, _ = build_logreg_newton_step(width_depth_budget(1e-2, 0.5, 5))
-        assert ridge in [head.value[:2] for head in other[2].heads]
-        assert ridge not in [head.value[:2] for head in layers[2].heads]
+        assert identity_scales(other[2]) == [1.0, -0.5]
+        assert identity_scales(layers[2]) == [1.0]
         xs = run_constructed_newton(problem, np.zeros(5), budget, 3)
         assert all(np.isfinite(x).all() for x in xs)
 
@@ -1005,7 +1010,7 @@ def inversion_case(d):
     a = make_covariance(d, 8.0, rng)
     sigma = np.linalg.norm(a, 2)
     x0 = spd_initial_scale(sigma * sigma) * a.T
-    return build_inversion_block(d)[0], make_inversion_prompt(a, x0)
+    return build_inversion_block(d), make_inversion_prompt(a, x0)
 
 
 def linreg_case(mu):
@@ -1014,17 +1019,17 @@ def linreg_case(mu):
     prompts = make_linreg_prompt(rng.standard_normal((batch, n, d)),
                                  rng.standard_normal((batch, n)),
                                  rng.standard_normal((batch, d)))
-    return build_linreg_transformer(d, ridge_mu=mu)[0], prompts
+    return build_linreg_transformer(d, ridge_mu=mu), prompts
 
 
 def logistic_case(d, n, mu):
     budget = width_depth_budget(1e-2, mu, d=d)
     problem = make_logreg_problem(0, n=n, d=d, mu=mu)
-    return (build_logreg_newton_step(budget)[0],
+    return (build_logreg_newton_step(budget),
             make_logistic_prompt(problem, np.zeros(d)))
 
 
-# case: a built looped stack and one prompt for it
+# case: a built looped stack with its layout, and one prompt for it
 LOOPED_CASES = {
     "inversion-d2": lambda: inversion_case(2),
     "inversion-d4": lambda: inversion_case(4),
@@ -1041,7 +1046,7 @@ LOOPED_CASES = {
 def test_run_equals_the_unrolled_stack(case):
     # pass t of run leaves, in the prompt itself, the bits of a fresh
     # forward pass of prefix + body * t; 0 passes leave the prefix's
-    layers, prompt = LOOPED_CASES[case]()
+    (layers, _), prompt = LOOPED_CASES[case]()
     outs = [model_forward(layers.prefix + layers.body * t, prompt)
             for t in range(7)]
     # every pass moves the stream, so no pass can be skipped unseen
@@ -1055,3 +1060,50 @@ def test_run_equals_the_unrolled_stack(case):
         assert stream is h
         assert stream.tobytes() == outs[passes].tobytes()
     assert passes == 6
+
+
+
+# per kind of stack: the bands its prompt fills besides identity, its
+# scratch bands, zero in the prompt, the bands that every pass of the
+# body leaves as the prompt had them, and whether it clears the scratch
+RESTING_BANDS = {
+    "inversion": (("iterate", "data"), ("work",), ("identity", "data"),
+                  True),
+    "linreg": (("data", "test_point", "labels", "ones"),
+               ("x_slot", "b_slot", "output", "accumulator"),
+               ("identity", "data", "test_point", "labels", "ones"), False),
+    "logistic": (("data", "iterate", "mean_picker", "ones"),
+                 ("x_slot", "b_slot", "accumulator", "prob", "margins"),
+                 ("identity", "data", "mean_picker", "ones"), True),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOPED_CASES))
+def test_scratch_bands_rest_at_zero(case):
+    # identity is the one band of a prompt that holds a constant I_d;
+    # every scratch band starts at zero, and the inversion and logistic
+    # bodies leave it so.  The linreg stack keeps its B in b_slot as
+    # the prefix left it
+    (layers, layout), prompt = LOOPED_CASES[case]()
+    filled, scratch, kept, clears = RESTING_BANDS[case.split("-")[0]]
+    named = ("identity", *filled, *scratch)
+    rows = {name: layout.rows_of(name) for name in named}
+    assert len(rows) == len(named)
+    assert sum(r.stop - r.start for r in rows.values()) == layout.n_rows
+    d = rows["identity"].stop - rows["identity"].start
+    want = np.zeros(prompt[..., rows["identity"], :].shape)
+    want[..., :d] = np.eye(d)
+    assert np.array_equal(prompt[..., rows["identity"], :], want), "identity"
+    for name in scratch:
+        assert not prompt[..., rows[name], :].any(), name
+    b_slot = (model_forward(layers.prefix, prompt)[..., rows["b_slot"], :]
+              if "b_slot" in rows else None)
+    for stream in layers.run(prompt.copy(), 4):
+        for name in kept:
+            assert np.array_equal(stream[..., rows[name], :],
+                                  prompt[..., rows[name], :]), name
+        for name in scratch if clears else ():
+            assert not stream[..., rows[name], :].any(), name
+        if b_slot is not None:
+            assert np.array_equal(stream[..., rows["b_slot"], :],
+                                  b_slot), "b_slot"

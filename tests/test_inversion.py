@@ -41,10 +41,15 @@ class TestNewtonStep:
 
 class TestHyperpowerStep:
     def test_order_two_identical_to_newton_step(self):
+        # newton_step is the order-2 step, and both give the bits of
+        # X(2I - AX) written out, on one matrix and on a stack
         rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, 5))
-        x = 0.01 * a.T
-        np.testing.assert_array_equal(hyperpower_step(x, a, 2), newton_step(x, a))
+        for shape in ((5, 5), (3, 2, 5, 5)):
+            a = rng.standard_normal(shape)
+            x = 0.01 * a.mT
+            want = x @ (2.0 * np.eye(5) - a @ x)
+            for got in (hyperpower_step(x, a, 2), newton_step(x, a)):
+                assert got.tobytes() == want.tobytes()
 
     def test_order_three_scalar(self):
         out = hyperpower_step([[0.5]], [[1.0]], 3)
@@ -154,6 +159,11 @@ class TestPredictedSteps:
 
     def test_reference_point(self):
         assert predicted_steps(100.0, 1e-10, 2) == 22
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-320])
+    def test_subnormal_eps(self, eps):
+        # 1/eps overflows to inf for these eps; log2(eps) does not
+        assert predicted_steps(10.0, eps) == 20
 
     def test_infinite_kappa_rejected(self):
         with pytest.raises(ValueError, match="kappa must be finite"):
