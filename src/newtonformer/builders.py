@@ -7,9 +7,9 @@ Every builder returns a :class:`~.transformer.Looped` stack plus the
 No builder reads a prompt's data: the weights depend
 on the task's d, its regularization and, for the logistic step, its
 width budget, and the data reach them only through the prompt.  Each
-stack declares its row bands once, in its layout function; the
-builder, the prompt maker and the reader take every row from that
-layout, and the layers' dimension is its ``n_rows``.  Heads are
+stack declares its row bands and their roles once, in its layout
+function; the builder, the prompt maker and the reader take every row,
+a prompt's constant part and the layers' dimension from it.  Heads are
 written as bands: one value entry adding c I times one band of prompt
 rows to another, and a plain row band each for the key and the query,
 so the selector structure stays auditable and every scale and sign
@@ -19,13 +19,6 @@ Feed-forward blocks hold only scalar piecewise-linear gadgets, each
 approximating a function a stack needs (sigma', the products of the
 Hessian, the damped step size, the reciprocal of tr B); a row a block
 reads or writes is cleared by a head, never by a ReLU neuron.
-
-In every prompt ``identity`` is the only band that holds a constant
-I_d, in its leading d columns, and every scratch band (``x_slot``,
-``b_slot``, ``accumulator``, ``prob``, ``margins`` and ``work``) is
-zero.  The inversion and logistic bodies leave them zero after every
-pass; the linreg stack carries its state, X, B and w, in ``x_slot``,
-``b_slot`` and the accumulator from pass to pass.
 """
 
 import math
@@ -230,25 +223,27 @@ def _newton_heads(dim, x_rows, m_rows, ident_rows):
 
 
 def _inversion_layout(d):
-    return PromptLayout(
-        (("iterate", d), ("data", d), ("work", d), ("identity", d))
-    )
+    return PromptLayout((
+        ("iterate", d, "input", "updated"),
+        ("data", d, "input", "kept"),
+        ("work", d, "zero", "cleared"),
+        ("identity", d, "eye", "kept"),
+    ))
 
 
 def make_inversion_prompt(a, x0):
-    """Stack (X0; A; 0; I) for the two-layer inversion block.  *a* and
-    *x0* go through ``linalg._finite`` and must be square, of one shape."""
+    """Stack (X0; A; 0; I) for the two-layer inversion block: X0 and A
+    fill its ``input`` bands, ``layout.prompt`` the rest.  *a* and *x0*
+    go through ``linalg._finite`` and must be square, of one shape."""
     a = _finite(a, "a")
     x0 = _finite(x0, "x0")
     if not (a.ndim == 2 and a.shape[0] == a.shape[1]
             and x0.shape == a.shape):
         raise ValueError("a and x0 must be square with matching shape")
-    d = a.shape[0]
-    layout = _inversion_layout(d)
-    h = np.zeros((layout.n_rows, d))
+    layout = _inversion_layout(a.shape[0])
+    h = layout.prompt(a.shape[0])
     h[layout.rows_of("iterate")] = x0
     h[layout.rows_of("data")] = a
-    h[layout.rows_of("identity")] = np.eye(d)
     return h
 
 
@@ -295,24 +290,23 @@ def build_inversion_block(d):
 
 
 def _linreg_layout(d):
-    return PromptLayout(
-        (
-            ("x_slot", d),
-            ("b_slot", d),
-            ("identity", d),
-            ("data", d),
-            ("test_point", 1),
-            ("labels", 1),
-            ("output", 1),
-            ("accumulator", 1),
-            ("ones", 1),
-        )
-    )
+    return PromptLayout((
+        ("x_slot", d, "zero", "updated"),
+        ("b_slot", d, "zero", "kept"),
+        ("identity", d, "eye", "kept"),
+        ("data", d, "input", "kept"),
+        ("test_point", 1, "input", "kept"),
+        ("labels", 1, "input", "kept"),
+        ("output", 1, "zero", "updated"),
+        ("accumulator", 1, "zero", "updated"),
+        ("ones", 1, "ones", "kept"),
+    ))
 
 
 def make_linreg_prompt(a, y, a_test):
     """Prompt (0; 0; I; A^T; a_test^T; y^T; 0; 0; 1) with a d-wide
-    identity and a ones row.
+    identity and a ones row, which ``layout.prompt`` fills: the maker
+    writes only the ``input`` bands.
 
     A stack of designs ``(..., n, d)`` with labels ``(..., n)`` and test
     points ``(..., d)`` gives the stack of their prompts
@@ -330,12 +324,10 @@ def make_linreg_prompt(a, y, a_test):
     if y.shape != (*lead, n) or a_test.shape != (*lead, d):
         raise ValueError("y must be length n and a_test length d")
     layout = _linreg_layout(d)
-    h = np.zeros((*lead, layout.n_rows, n))
-    h[..., layout.rows_of("identity"), :d] = np.eye(d)
+    h = layout.prompt(n, lead)
     h[..., layout.rows_of("data"), :] = a.mT
     h[..., layout.rows_of("test_point").start, :d] = a_test
     h[..., layout.rows_of("labels").start, :] = y
-    h[..., layout.rows_of("ones").start, :] = 1.0
     return h
 
 
@@ -463,26 +455,25 @@ def build_linreg_transformer(d, ridge_mu=0.0):
 
 
 def _logistic_layout(d):
-    return PromptLayout(
-        (
-            ("x_slot", d),
-            ("b_slot", d),
-            ("identity", d),
-            ("data", d),
-            ("iterate", d),
-            ("mean_picker", 1),
-            ("accumulator", 1),
-            ("prob", 1),
-            ("margins", 1),
-            ("ones", 1),
-        )
-    )
+    return PromptLayout((
+        ("x_slot", d, "zero", "cleared"),
+        ("b_slot", d, "zero", "cleared"),
+        ("identity", d, "eye", "kept"),
+        ("data", d, "input", "kept"),
+        ("iterate", d, "input", "updated"),
+        ("mean_picker", 1, "input", "kept"),
+        ("accumulator", 1, "zero", "cleared"),
+        ("prob", 1, "zero", "cleared"),
+        ("margins", 1, "zero", "cleared"),
+        ("ones", 1, "ones", "kept"),
+    ))
 
 
 def make_logistic_prompt(problem, x):
     """Prompt carrying the label-signed features (y_i a_i)^T in its data
-    band, the current iterate broadcast over all columns, a first-column
-    mean picker e1^T/n, and a ones row.
+    band, the current iterate broadcast over all columns and a
+    first-column mean picker e1^T/n (its ``input`` bands), where
+    ``layout.prompt`` fills an identity and a ones row.
 
     The loss reads example i only through y_i a_i, so the prompt has no
     labels band; (y_i a_i)(y_i a_i)^T = a_i a_i^T leaves the Hessian as
@@ -496,12 +487,10 @@ def make_logistic_prompt(problem, x):
     if x.shape != (d,):
         raise ValueError(f"x must have shape ({d},), got {x.shape}")
     layout = _logistic_layout(d)
-    h = np.zeros((layout.n_rows, n))
-    h[layout.rows_of("identity"), :d] = np.eye(d)
+    h = layout.prompt(n)
     h[layout.rows_of("data")] = (problem.features * problem.labels[:, None]).T
     h[layout.rows_of("iterate")] = x[:, None]
     h[layout.rows_of("mean_picker"), 0] = 1.0 / n
-    h[layout.rows_of("ones")] = 1.0
     return h
 
 

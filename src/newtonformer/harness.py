@@ -179,16 +179,15 @@ def run_linreg_experiment(cfg):
     a, y, a_tests, w_star = datagen.gen_linreg_data(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         atys = a.mT @ y[:, :, None]
+        grams = a.mT @ a + cfg.mu * np.eye(cfg.d)
+        traces = np.trace(grams, axis1=-2, axis2=-1)  # inf is named below
     if not np.isfinite(atys).all():
         raise ValueError(
             f"noise_std={cfg.noise_std:g} overflows float64: the labels "
             "are finite, but A^T y exceeds its range"
         )
     targets = (a_tests[:, None, :] @ w_star[:, :, None])[:, 0, 0]
-    grams = a.mT @ a + cfg.mu * np.eye(cfg.d)
-    starts = inversion.trace_initial_scale(
-        np.trace(grams, axis1=-2, axis2=-1)
-    )
+    starts = inversion.trace_initial_scale(traces)
 
     def mse(preds):
         # err * err is the correctly rounded square; Python's ** goes

@@ -16,8 +16,8 @@ Feed-forward blocks hold only those gadgets, keep them whole and
 evaluate them by interpolation; the dense (W_1, W_2) pair is derived
 from them on demand.
 Prompts are matrices with one column per token.  Their rows follow a
-``PromptLayout``: named bands declared once, in order, from which each
-band's rows and the model dimension are derived.
+``PromptLayout``: named bands with their roles, declared once, in order,
+from which rows, a prompt's constant part and the model dimension derive.
 The forward functions take one stream ``(dim, n)`` or a stack of
 streams ``(..., dim, n)`` and run every slice through the same
 weights; each slice of the result is bit-identical to the call on that
@@ -53,25 +53,47 @@ __all__ = [
 class PromptLayout:
     """Row layout of a prompt matrix: named bands of rows, in order.
 
-    *bands* is a sequence of ``(name, size)`` pairs.  Each band starts
-    where the one before it stops, so together they tile rows
-    ``0 .. n_rows``; ``rows_of(name)`` gives a band's rows as a slice.
-    Duplicate names and sizes that are not counts >= 1 raise ``ValueError``.
+    *bands* holds ``(name, size, fill, after)`` tuples tiling rows
+    ``0 .. n_rows`` in order.  ``rows_of(name)`` is a band's rows as a
+    slice and ``roles[name]`` its (fill, after): what a prompt holds
+    there (``eye``: I in its leading columns, ``ones``, ``zero`` or
+    ``input``) and what each pass of a stack's body leaves there
+    (``kept``: the bits it found, ``cleared`` or ``updated``).  Any other
+    band, a duplicate name and a size that is not a count >= 1 raise
+    ``ValueError``.
     """
 
     def __init__(self, bands):
         self._rows = {}
+        self.roles = {}
         start = 0
-        for name, size in bands:
+        for band in bands:
+            if (not isinstance(band, tuple) or len(band) != 4
+                    or band[2] not in ("eye", "ones", "zero", "input")
+                    or band[3] not in ("kept", "cleared", "updated")):
+                raise ValueError(f"band {band!r} is not (name, size, fill, "
+                                 "after) with known roles")
+            name, size, fill, after = band
             if name in self._rows:
                 raise ValueError(f"duplicate band name {name!r}")
             size = _count(size, f"band {name!r} size", 1)
             self._rows[name] = slice(start, start + size)
+            self.roles[name] = fill, after
             start += size
         self.n_rows = start
 
     def rows_of(self, name):
         return self._rows[name]
+
+    def prompt(self, n, lead=()):
+        """New ``(*lead, n_rows, n)`` zeros, each eye and ones band filled."""
+        h = np.zeros((*lead, self.n_rows, n))
+        for rows, (fill, _) in zip(self._rows.values(), self.roles.values()):
+            if fill == "eye":
+                h[..., rows, :] = np.eye(_size(rows), n)
+            elif fill == "ones":
+                h[..., rows, :] = 1.0
+        return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,18 +307,18 @@ class Looped(tuple):
         return self[self.n_prefix:]
 
     def run(self, h, passes):
-        """Run the prefix once on *h*, then the body *passes* times,
-        each in place (``model_forward(..., out=h)``), and yield *h*
-        after each pass of the body.  *passes* goes through
-        ``linalg._count``; a stack with no prefix makes no call for it.
-        """
+        """Yield *h* after each of *passes* in-place runs of the body
+        (``model_forward(..., out=h)``); a prefix runs once, at the first
+        ``next()``.  *passes* goes through ``linalg._count`` at the call."""
         passes = _count(passes, "passes", 0)
-        if self.n_prefix:
-            model_forward(self.prefix, h, out=h)
-        body = self.body
-        for _ in range(passes):
-            model_forward(body, h, out=h)
-            yield h
+        def chain():
+            if self.n_prefix:
+                model_forward(self.prefix, h, out=h)
+            body = self.body
+            for _ in range(passes):
+                model_forward(body, h, out=h)
+                yield h
+        return chain()
 
 
 def _check_stream(h, dim):

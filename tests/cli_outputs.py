@@ -43,6 +43,7 @@ ARGVS = (
     ("budget", "--eps", "5e-3"),
     ("scan-decrease",),
     ("scan-decrease", "--grid-x", "50"),
+    ("linreg", "--mu", "1e308"),  # a named error: exit code 1
 )
 
 

@@ -367,11 +367,8 @@ class TestInversionBlock:
         a = rng.standard_normal((3, 3))
         x0 = rng.standard_normal((3, 3))
         h = make_inversion_prompt(a, x0)
-        assert h.shape == (12, 3)
-        np.testing.assert_array_equal(h[0:3], x0)
-        np.testing.assert_array_equal(h[3:6], a)
-        np.testing.assert_array_equal(h[6:9], np.zeros((3, 3)))
-        np.testing.assert_array_equal(h[9:12], np.eye(3))
+        np.testing.assert_array_equal(
+            h, np.r_[x0, a, np.zeros((3, 3)), np.eye(3)])
         _, layout = build_inversion_block(3)
         np.testing.assert_array_equal(read_inversion_iterate(h, layout), x0)
 
@@ -569,16 +566,10 @@ class TestLinregTransformer:
         y = rng.standard_normal(8)
         a_test = rng.standard_normal(3)
         h = make_linreg_prompt(a, y, a_test)
-        assert h.shape == (17, 8)
-        # x_slot and b_slot are zeros; only the identity band holds I
-        np.testing.assert_array_equal(h[0:6], np.zeros((6, 8)))
-        np.testing.assert_array_equal(h[6:9, :3], np.eye(3))
-        np.testing.assert_array_equal(h[6:9, 3:], np.zeros((3, 5)))
-        np.testing.assert_array_equal(h[9:12], a.T)
-        np.testing.assert_array_equal(h[12], np.r_[a_test, np.zeros(5)])
-        np.testing.assert_array_equal(h[13], y)
-        np.testing.assert_array_equal(h[14:16], np.zeros((2, 8)))
-        np.testing.assert_array_equal(h[16], np.ones(8))
+        want = np.zeros((17, 8))  # x_slot, b_slot, output, accumulator
+        want[6:9, :3], want[9:12], want[12, :3], want[13], want[16] = (
+            np.eye(3), a.T, a_test, y, 1.0)
+        np.testing.assert_array_equal(h, want)
         _, layout = build_linreg_transformer(3)
         h[14, 0] = 2.5
         assert read_linreg_prediction(h, layout) == 2.5
@@ -959,14 +950,12 @@ class TestLogregNewtonStack:
         problem, _, _, layout = logreg_stack
         x = np.arange(5.0)
         h = make_logistic_prompt(problem, x)
-        assert h.shape == (30, 26)
+        want = np.zeros((30, 26))  # x_slot, b_slot and rows 26-28
+        want[10:15, :5], want[20:25], want[25, 0], want[29] = (
+            np.eye(5), x[:, None], 1.0 / 26, 1.0)
+        want[15:20] = (problem.features * problem.labels[:, None]).T
+        np.testing.assert_array_equal(h, want)
         np.testing.assert_array_equal(read_logistic_iterate(h, layout), x)
-        np.testing.assert_array_equal(
-            h[15:20], (problem.features * problem.labels[:, None]).T
-        )
-        assert h[25, 0] == pytest.approx(1.0 / 26)
-        np.testing.assert_array_equal(h[27:29], np.zeros((2, 26)))
-        np.testing.assert_array_equal(h[29], np.ones(26))
 
     def test_reads_each_example_only_through_signed_features(
         self, logreg_stack
@@ -1052,6 +1041,8 @@ def test_run_equals_the_unrolled_stack(case):
     # every pass moves the stream, so no pass can be skipped unseen
     assert len({out.tobytes() for out in outs}) == 7
     h = prompt.copy()
+    with pytest.raises(ValueError, match="^passes must be >= 0, got -1$"):
+        layers.run(h, -1)  # at the call, not at the first next()
     assert list(layers.run(h, 0)) == []
     assert h.tobytes() == outs[0].tobytes()
     h = prompt.copy()
@@ -1062,48 +1053,28 @@ def test_run_equals_the_unrolled_stack(case):
     assert passes == 6
 
 
-
-# per kind of stack: the bands its prompt fills besides identity, its
-# scratch bands, zero in the prompt, the bands that every pass of the
-# body leaves as the prompt had them, and whether it clears the scratch
-RESTING_BANDS = {
-    "inversion": (("iterate", "data"), ("work",), ("identity", "data"),
-                  True),
-    "linreg": (("data", "test_point", "labels", "ones"),
-               ("x_slot", "b_slot", "output", "accumulator"),
-               ("identity", "data", "test_point", "labels", "ones"), False),
-    "logistic": (("data", "iterate", "mean_picker", "ones"),
-                 ("x_slot", "b_slot", "accumulator", "prob", "margins"),
-                 ("identity", "data", "mean_picker", "ones"), True),
-}
-
-
 @pytest.mark.parametrize("case", list(LOOPED_CASES))
-def test_scratch_bands_rest_at_zero(case):
-    # identity is the one band of a prompt that holds a constant I_d;
-    # every scratch band starts at zero, and the inversion and logistic
-    # bodies leave it so.  The linreg stack keeps its B in b_slot as
-    # the prefix left it
+def test_bands_hold_their_roles(case):
+    # a fresh prompt holds each band's fill; after the prefix, each of 4
+    # body passes keeps, clears or updates each band as its after says,
+    # against the stream before that pass, and an updated band moves
     (layers, layout), prompt = LOOPED_CASES[case]()
-    filled, scratch, kept, clears = RESTING_BANDS[case.split("-")[0]]
-    named = ("identity", *filled, *scratch)
-    rows = {name: layout.rows_of(name) for name in named}
-    assert len(rows) == len(named)
-    assert sum(r.stop - r.start for r in rows.values()) == layout.n_rows
-    d = rows["identity"].stop - rows["identity"].start
-    want = np.zeros(prompt[..., rows["identity"], :].shape)
-    want[..., :d] = np.eye(d)
-    assert np.array_equal(prompt[..., rows["identity"], :], want), "identity"
-    for name in scratch:
-        assert not prompt[..., rows[name], :].any(), name
-    b_slot = (model_forward(layers.prefix, prompt)[..., rows["b_slot"], :]
-              if "b_slot" in rows else None)
+    for name, (fill, _) in layout.roles.items():
+        band = prompt[..., layout.rows_of(name), :]
+        want = {"eye": np.eye(*band.shape[-2:]), "ones": 1.0, "zero": 0.0}
+        assert fill == "input" or (band == want[fill]).all(), (
+            f"band {name!r} does not hold its fill {fill!r}")
+    before, moved = model_forward(layers.prefix, prompt), set()
     for stream in layers.run(prompt.copy(), 4):
-        for name in kept:
-            assert np.array_equal(stream[..., rows[name], :],
-                                  prompt[..., rows[name], :]), name
-        for name in scratch if clears else ():
-            assert not stream[..., rows[name], :].any(), name
-        if b_slot is not None:
-            assert np.array_equal(stream[..., rows["b_slot"], :],
-                                  b_slot), "b_slot"
+        for name, (_, after) in layout.roles.items():
+            band, was = (h[..., layout.rows_of(name), :]
+                         for h in (stream, before))
+            if not np.array_equal(band, was):
+                moved.add(name)
+            assert {"kept": np.array_equal(band, was),
+                    "cleared": not band.any(),
+                    "updated": True}[after], f"band {name!r} is not {after}"
+        before = stream.copy()
+    still = {name for name, (_, after) in layout.roles.items()
+             if after == "updated"} - moved
+    assert not still, f"bands {sorted(still)} are updated but never move"

@@ -941,14 +941,16 @@ class TestCli:
             "A w_star + noise_std * noise exceed its range\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mu, trace", [("1e300", "1e+301"),
+                                           ("1e308", "inf")])
     def test_trace_outside_the_reciprocal_span_exits_one(
-            self, tmp_path, monkeypatch, capsys):
+            self, mu, trace, tmp_path, monkeypatch, capsys):
         # a numpy RuntimeWarning would fail this test: pytest turns it
-        # into an error
+        # into an error.  At 1e308 the trace overflows to inf
         monkeypatch.chdir(tmp_path)
-        assert main(["linreg", "--mu", "1e300"]) == 1
+        assert main(["linreg", "--mu", mu]) == 1
         assert capsys.readouterr().err == (
-            "error: prompt 0 has tr B = 1e+301, outside the start "
+            f"error: prompt 0 has tr B = {trace}, outside the start "
             "reciprocal's knot span [5.42101e-20, 1.84467e+19]\n")
         assert list(tmp_path.iterdir()) == []
 

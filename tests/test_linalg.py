@@ -300,7 +300,9 @@ _COUNT_ARGUMENTS = {
         lambda v: run_constructed_newton(_PROBLEM, np.zeros(2), _BUDGET, v),
         "n_steps", 0, 2),
     "PromptLayout.size": (
-        lambda v: PromptLayout((("a", 2), ("b", v))), "band 'b' size", 1, 3),
+        lambda v: PromptLayout((("a", 2, "zero", "kept"),
+                                ("b", v, "zero", "kept"))),
+        "band 'b' size", 1, 3),
     **{f"ExperimentConfig.{key}": (
         lambda v, key=key: ExperimentConfig(task="linreg", **{key: v}),
         key, low, good)

@@ -149,32 +149,45 @@ def test_array_dataclasses_compare_and_hash_by_identity(name):
     assert len({first, twin, first}) == 2
 
 
+ZERO = ("zero", "cleared")  # the roles of a band these tests do not read
+
+
 class TestPromptLayout:
     def test_bands_tile_rows_in_order(self):
-        layout = PromptLayout((("top", 2), ("ones", 1), ("rest", 3)))
+        layout = PromptLayout((("top", 2, "eye", "kept"),
+                               ("ones", 1, "ones", "kept"),
+                               ("rest", 3, *ZERO)))
         assert layout.n_rows == 6
         assert layout.rows_of("top") == slice(0, 2)
         assert layout.rows_of("ones") == slice(2, 3)
         assert layout.rows_of("rest") == slice(3, 6)
+        assert list(layout.roles.values()) == [("eye", "kept"),
+                                               ("ones", "kept"), ZERO]
         with pytest.raises(KeyError):
             layout.rows_of("missing")
 
-    def test_rejects_duplicate_names(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            PromptLayout((("a", 2), ("b", 1), ("a", 1)))
-
-    def test_rejects_sizes_below_one(self):
-        for size in (0, -1):
-            with pytest.raises(ValueError, match="size"):
-                PromptLayout((("a", 2), ("b", size)))
-
-    @pytest.mark.parametrize("size", [2.5, float("nan"), "3"])
-    def test_rejects_non_integer_sizes(self, size):
-        with pytest.raises(ValueError, match="^band 'b' size must be "):
-            PromptLayout((("a", 2), ("b", size)))
+    @pytest.mark.parametrize("band, message", [
+        (("a", 1, *ZERO), "duplicate band name 'a'"),
+        (("b", 0, *ZERO), "band 'b' size must be >= 1, got 0"),
+        (("b", -1, *ZERO), "band 'b' size must be >= 1, got -1"),
+        (("b", 2.5, *ZERO), "band 'b' size must be an integer, got 2.5"),
+        (("b", math.nan, *ZERO), "band 'b' size must be >= 1, got nan"),
+        (("b", "3", *ZERO), "band 'b' size must be an integer, got 3"),
+        (("b", 1, "eye", "gone"), "band ('b', 1, 'eye', 'gone') is not"),
+        (("b", 1, "full", "kept"), "band ('b', 1, 'full', 'kept') is not"),
+        (("b", 1, "kept", "eye"), "band ('b', 1, 'kept', 'eye') is not"),
+        (("b", 1), "band ('b', 1) is not"),
+        ("abcd", "band 'abcd' is not"),
+        (5, "band 5 is not"),
+    ])
+    def test_rejects_a_bad_band(self, band, message):
+        if message.endswith(" is not"):
+            message += " (name, size, fill, after) with known roles"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PromptLayout((("a", 2, *ZERO), band))
 
     def test_numpy_integer_size(self):
-        layout = PromptLayout((("a", np.int64(2)), ("b", 1)))
+        layout = PromptLayout((("a", np.int64(2), *ZERO), ("b", 1, *ZERO)))
         assert layout.rows_of("a") == slice(0, 2) and layout.n_rows == 3
 
 
