@@ -37,7 +37,6 @@ from .transformer import (
     Looped,
     PromptLayout,
     TransformerLayer,
-    _check_row,
 )
 
 __all__ = [
@@ -175,28 +174,17 @@ def width_depth_budget(eps, mu, d, piece_ceiling=5_000_000):
     return BudgetReport(float(eps), float(mu), d, widths)
 
 
-def _gadget(dim, approx, coeffs, out_row, scale=1.0):
-    """A gadget adding scale * approx(arg . h) to *out_row*, its
-    argument given as ``{row: coeff}``.  A row outside ``0 .. dim - 1``
-    raises ``ValueError`` naming it."""
-    arg = np.zeros(dim)
-    for row, coeff in coeffs.items():
-        _check_row(dim, "ffn arg row", row)
-        arg[row] += coeff
-    return PwlGadget(approx, arg, float(scale), out_row)
-
-
-def _product(dim, x_row, y_row, out_row, tables):
+def _product(x_row, y_row, out_row, tables):
     """The two gadgets adding x * y to *out_row* by the quarter-square
-    decomposition.
+    decomposition, 0.25 sq_sum(x + y) - 0.25 sq_dif(x - y).
 
     *tables* is the ``(sq_sum, sq_dif)`` pair of PWL squares that
     :func:`~.pwl.pwl_product` builds for the factors' ranges, so the
-    gadgets compute the same approximation.
+    gadgets compute the same approximation, x * x when *y_row* is *x_row*.
     """
     sq_sum, sq_dif = tables
-    return [_gadget(dim, sq_sum, {x_row: 1.0, y_row: 1.0}, out_row, 0.25),
-            _gadget(dim, sq_dif, {x_row: 1.0, y_row: -1.0}, out_row, -0.25)]
+    return [PwlGadget(sq_sum, ((x_row, 1.0), (y_row, 1.0)), 0.25, out_row),
+            PwlGadget(sq_dif, ((x_row, 1.0), (y_row, -1.0)), -0.25, out_row)]
 
 
 def _clear(dim, row, e1_row):
@@ -418,8 +406,8 @@ def build_linreg_transformer(d, ridge_mu=0.0):
         ]
     gram = TransformerLayer(
         heads=gram_heads,
-        ffn=Ffn(dim, [_gadget(dim, TRACE_RECIPROCAL, {acc_row: 1.0},
-                              out_row)], ones_row),
+        ffn=Ffn(dim, [PwlGadget(TRACE_RECIPROCAL, ((acc_row, 1.0),), 1.0,
+                                out_row)], ones_row),
     )
     # alpha' e_j^T lands on x_slot's zeros in each row j, so
     # x_slot <- alpha' I exactly; then both scratch rows clear
@@ -567,9 +555,9 @@ def build_logreg_newton_step(budget):
     # block; the ffn reads them once, writing sigma'(z) into the
     # accumulator and sigma(-z) into the prob row
     gadgets = [
-        _gadget(dim, build_pwl(fn, -SIGMOID_RANGE, SIGMOID_RANGE,
-                               budget.widths[pieces]),
-                {margin_row: 1.0}, out_row)
+        PwlGadget(build_pwl(fn, -SIGMOID_RANGE, SIGMOID_RANGE,
+                            budget.widths[pieces]),
+                  ((margin_row, 1.0),), 1.0, out_row)
         for fn, out_row, pieces in (
             (_sigmoid_derivative, acc_row, "u1_pieces"),
             (lambda t: sigmoid(-t), prob_row, "u3_pieces"),
@@ -592,8 +580,7 @@ def build_logreg_newton_step(budget):
     )
     gadgets = [
         g for j in range(d)
-        for g in _product(dim, acc_row, data.start + j, x_slot.start + j,
-                          squares)
+        for g in _product(acc_row, data.start + j, x_slot.start + j, squares)
     ]
     layers.append(
         TransformerLayer(
@@ -655,8 +642,8 @@ def build_logreg_newton_step(budget):
                 AttentionHead(dim, (prob_row, acc_row, 1.0),
                               key=ident, query=x_slot),
             ),
-            ffn=Ffn(dim, [_gadget(dim, step_size, {prob_row: 1.0}, acc_row)],
-                    ones_row),
+            ffn=Ffn(dim, [PwlGadget(step_size, ((prob_row, 1.0),), 1.0,
+                                    acc_row)], ones_row),
         )
     )
 

@@ -41,8 +41,8 @@ class ExperimentConfig:
     """Validated bundle of experiment knobs.
 
     A field left unset takes its task's default from ``TASK_DEFAULTS``;
-    a field the task's runner does not read stays None.  The count
-    fields d, n, t_max, seed and batch, and each order (in
+    one its runner does not read stays None, or raises ``ValueError``.
+    The count fields d, n, t_max, seed and batch, and each order (in
     [2, MAX_ORDER]), go through ``linalg._count`` and are stored as ints.
     """
 
@@ -64,9 +64,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"task must be one of {tuple(TASK_DEFAULTS)}, got {self.task!r}"
             )
-        for key, value in TASK_DEFAULTS[self.task].items():
-            if getattr(self, key) is None:
-                object.__setattr__(self, key, value)
+        defaults = TASK_DEFAULTS[self.task]
+        for key, value in vars(self).copy().items():
+            if key in defaults and value is None:
+                object.__setattr__(self, key, defaults[key])
+            elif key not in (*defaults, "task") and value is not None:
+                raise ValueError(f"{key} does not apply to {self.task!r}")
         for key, low in (("d", 1), ("n", 1), ("t_max", 1), ("seed", 0),
                          ("batch", 1)):
             value = getattr(self, key)

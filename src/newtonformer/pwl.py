@@ -93,39 +93,23 @@ class PwlGadget:
     into a feed-forward block: ``scale * approx(arg . h)`` is added to
     the stream's ``out_row``.
 
-    ``arg`` holds the argument's coefficients over the stream rows.  In
+    ``arg`` holds the argument as the ``(row, coeff)`` pairs a builder
+    writes, for example ``((acc_row, 1.0), (data_j, -1.0))``; the
+    :class:`~.transformer.Ffn` that holds the gadget admits them.  In
     ReLU form the gadget is ``pieces + 2`` neurons, placed in its block
     after those of the gadgets before it; the first reads the ones row
-    and carries ``values[0]``.
+    and carries ``values[0]``, and one per knot reads ``arg . h - knot``
+    and carries the slope change there.
     """
 
     approx: PwlApprox
-    arg: np.ndarray
+    arg: tuple
     scale: float
     out_row: int
 
     @property
     def width(self):
         return self.approx.pieces + 2
-
-    def to_dense(self, ones_row):
-        """Input rows (width, dim) and output weights (width,) of the
-        ReLU form: the constant neuron, then one neuron per knot whose
-        weight is the slope change there.  Knot offsets go through
-        *ones_row*, so the sum equals the gadget where that row is 1.
-        """
-        knots, values = self.approx.knots, self.approx.values
-        slopes = np.diff(values) / np.diff(knots)
-        rows = np.empty((self.width, self.arg.size))
-        rows[0] = 0.0
-        rows[0, ones_row] = 1.0
-        rows[1:] = self.arg
-        rows[1:, ones_row] -= knots
-        weights = np.empty(self.width)
-        weights[0] = self.scale * values[0]
-        weights[1:-1] = self.scale * np.diff(slopes, prepend=0.0)
-        weights[-1] = -self.scale * slopes[-1]
-        return rows, weights
 
 
 def eval_pwl(p, x):

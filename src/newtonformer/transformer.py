@@ -87,7 +87,8 @@ class PromptLayout:
 
     def prompt(self, n, lead=()):
         """New ``(*lead, n_rows, n)`` zeros, each eye and ones band filled."""
-        h = np.zeros((*lead, self.n_rows, n))
+        n = _count(n, "n", 1)
+        h = np.zeros((*(_count(m, "lead", 0) for m in lead), self.n_rows, n))
         for rows, (fill, _) in zip(self._rows.values(), self.roles.values()):
             if fill == "eye":
                 h[..., rows, :] = np.eye(_size(rows), n)
@@ -103,7 +104,7 @@ class AttentionHead:
     A band is a run of stream rows: a slice with step 1, or one row
     index.  *value* is one ``(out_rows, src_rows, c)`` triple: the head
     adds c (h[src_rows] h[key].T) h[query] to the rows *out_rows*, where
-    the scale c is a finite, nonzero float standing for c I on its band.
+    the scale c is a finite, nonzero real standing for c I on its band.
     *key* and *query* are one plain band each, of one size: the head's
     inner dimension.  A *value* that is not one triple (a list of
     entries included), a band that is not a run of rows inside
@@ -132,7 +133,7 @@ class AttentionHead:
         key = _band(self.dim, "key", self.key)
         query = _band(self.dim, "query", self.query)
         _same_size("key and query", key, query)
-        for name, given in (("value", (out, src, _scale("value", c))),
+        for name, given in (("value", (out, src, _scale("value scale", c))),
                             ("key", key), ("query", query)):
             object.__setattr__(self, name, given)
 
@@ -173,10 +174,9 @@ def _same_size(name, a, b):
 
 
 def _scale(name, c):
-    c = float(c)
-    if not (math.isfinite(c) and c != 0.0):
-        raise ValueError(f"{name} scale must be finite and nonzero, got {c}")
-    return c
+    if not (isinstance(c, numbers.Real) and math.isfinite(c) and c != 0.0):
+        raise ValueError(f"{name} must be finite and nonzero, got {c!r}")
+    return float(c)
 
 
 def _check_row(dim, name, row):
@@ -200,15 +200,18 @@ class Ffn:
     Each :class:`~.pwl.PwlGadget` in *gadgets* stands for its
     ``pieces + 2`` ReLU neurons and is evaluated by interpolation, which
     needs the prompt's ``ones_row`` to hold exactly 1: biases go through
-    that row rather than being stored separately.  An empty *gadgets*,
-    a *ones_row* that is not a row inside ``0 .. dim - 1`` (None
-    included), a gadget whose ``arg`` is not of shape ``(dim,)`` and one
-    whose ``out_row`` lies outside ``0 .. dim - 1`` raise ``ValueError``
-    naming it.
+    that row rather than being stored separately.  Gadgets are admitted
+    here, as a head admits its bands: an arg that is not a tuple of
+    ``(row, coeff)`` pairs, a row, ``out_row`` or *ones_row* outside
+    ``0 .. dim - 1`` (None included), a coeff or scale that is not a
+    finite, nonzero real and an empty *gadgets* raise ``ValueError``
+    naming the part.
 
-    The dense pair over all ``width`` neurons is the paper's object:
-    ``w1, w2 = ffn`` derives it on first use, each gadget's neurons
-    after those of the gadgets before it, and caches it.
+    The pairs give the argument matrix, one row per gadget, in which a
+    repeated row adds its coefficients.  ``w1, w2 = ffn`` derives the
+    dense pair over all ``width`` neurons, the paper's object, from it
+    on first use, each gadget's neurons after those of the gadgets
+    before it, and caches it.
     """
 
     def __init__(self, dim, gadgets, ones_row):
@@ -218,12 +221,18 @@ class Ffn:
         if not self.gadgets:
             raise ValueError("an ffn needs at least one gadget")
         _check_row(dim, "ffn ones_row", ones_row)
+        self._gadget_rows = np.zeros((len(self.gadgets), dim))
         for i, g in enumerate(self.gadgets):
-            if np.shape(g.arg) != (dim,):
-                raise ValueError(f"ffn gadget {i} arg has shape "
-                                 f"{np.shape(g.arg)}, expected ({dim},)")
-            _check_row(dim, f"ffn gadget {i} out_row", g.out_row)
-        self._gadget_rows = np.array([g.arg for g in self.gadgets])
+            name = f"ffn gadget {i}"
+            if not (isinstance(g.arg, tuple) and all(
+                    isinstance(p, tuple) and len(p) == 2 for p in g.arg)):
+                raise ValueError(f"{name} arg {g.arg!r} is not (row, coeff) "
+                                 "pairs")
+            for row, coeff in g.arg:
+                _check_row(dim, f"{name} arg row", row)
+                self._gadget_rows[i, row] += _scale(f"{name} arg coeff", coeff)
+            _scale(f"{name} scale", g.scale)
+            _check_row(dim, f"{name} out_row", g.out_row)
 
     @property
     def width(self):
@@ -235,12 +244,19 @@ class Ffn:
 
     @cached_property
     def _dense(self):
-        w1 = np.empty((self.width, self.dim))
+        w1 = np.zeros((self.width, self.dim))
         w2 = np.zeros((self.dim, self.width))
         start = 0
-        for g in self.gadgets:
-            cols = slice(start, start + g.width)
-            w1[cols], w2[g.out_row, cols] = g.to_dense(self.ones_row)
+        for g, arg in zip(self.gadgets, self._gadget_rows):
+            knots, values = g.approx.knots, g.approx.values
+            slopes = np.diff(values) / np.diff(knots)
+            cols = slice(start + 1, start + g.width)
+            w1[start, self.ones_row] = 1.0
+            w1[cols] = arg
+            w1[cols, self.ones_row] -= knots
+            w2[g.out_row, start] = g.scale * values[0]
+            w2[g.out_row, cols] = g.scale * np.append(
+                np.diff(slopes, prepend=0.0), -slopes[-1])
             start = cols.stop
         return w1, w2
 
@@ -383,9 +399,10 @@ def attention_forward(layer, h, *, out=None):
 def ffn_forward(layer, h, *, out=None):
     """Residual feed-forward update: h + w2 relu(w1 h).
 
-    Each PWL gadget's argument comes from one shared matmul; the gadget
-    is evaluated by interpolation and added to its output row, in gadget
-    order, which equals its ReLU neurons wherever the ones row holds 1.
+    Every gadget's argument comes from one shared matmul, the ffn's
+    argument matrix times h; the gadget is evaluated by interpolation
+    and added to its output row, in gadget order, which equals its ReLU
+    neurons wherever the ones row holds 1.
     Any other ones-row value raises ``ValueError`` naming the first
     offending column (and, for a stack, its slice).  A layer without an
     ffn passes h through unchanged.  The result is a new array unless

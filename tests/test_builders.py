@@ -13,7 +13,6 @@ from unrolled import linreg_stack
 from newtonformer import builders, transformer
 from newtonformer.builders import (
     BudgetReport,
-    _gadget,
     _logistic_layout,
     _product,
     build_inversion_block,
@@ -47,6 +46,7 @@ from newtonformer.logistic import (
     sigmoid,
 )
 from newtonformer.pwl import (
+    PwlGadget,
     _square_tables,
     build_pwl,
     eval_pwl,
@@ -276,15 +276,15 @@ def apply_ffn(gadgets, ones_row, h):
 
 
 class TestFfnBuilder:
-    """The private helpers that assemble the stacks' feed-forward
-    blocks: ``_gadget`` from a ``{row: coeff}`` argument, ``_product``
-    as the two quarter-square gadgets, and the ``Ffn`` that holds them."""
+    """What assembles the stacks' feed-forward blocks: a gadget of
+    ``(row, coeff)`` pairs, ``_product`` as the two quarter-square
+    gadgets, and the ``Ffn`` that holds them."""
 
     def test_pwl_compilation_matches_interpolant(self):
         approx = build_pwl(np.sin, -2.0, 3.0, 40)
         xs = np.linspace(-4.0, 5.0, 400)
         h = np.vstack([xs, np.ones_like(xs), np.zeros_like(xs)])
-        out = apply_ffn([_gadget(3, approx, {0: 1.0}, 2)], 1, h)
+        out = apply_ffn([PwlGadget(approx, ((0, 1.0),), 1.0, 2)], 1, h)
         np.testing.assert_allclose(out[2], eval_pwl(approx, xs),
                                    rtol=0, atol=1e-12)
 
@@ -294,14 +294,26 @@ class TestFfnBuilder:
         xs = rng.uniform(-1.0, 1.0, 32)
         ys = rng.uniform(-1.0, 1.0, 32)
         h = np.vstack([xs, ys, np.zeros(32), np.ones(32)])
-        out = apply_ffn(_product(4, 0, 1, 2, squares), 3, h)
+        out = apply_ffn(_product(0, 1, 2, squares), 3, h)
         expected = [pwl_product(float(x), float(y), (-1.0, 1.0), (-1.0, 1.0),
                                 200) for x, y in zip(xs, ys)]
         np.testing.assert_allclose(out[2], expected, rtol=0, atol=1e-12)
 
+    def test_product_of_a_row_with_itself_is_its_square(self):
+        # the difference's two coefficients of row 0 add to 0, so its
+        # table reads 0 and the sum's reads 2x
+        squares = _square_tables((-1.0, 1.0), (-1.0, 1.0), 200)
+        xs = np.linspace(-1.0, 1.0, 41)
+        h = np.vstack([xs, np.zeros_like(xs), np.ones_like(xs)])
+        out = apply_ffn(_product(0, 0, 1, squares), 2, h)
+        # each table is within spacing**2 / 4 of t * t, and is quartered
+        spacing = squares[0].knots[1] - squares[0].knots[0]
+        assert np.all(np.abs(out[1] - xs * xs) <= spacing ** 2 / 8)
+
     def test_bias_requires_ones_row(self):
         # an ungated PWL routes its constant term through the ones row
-        gadget = _gadget(2, build_pwl(np.abs, -1.0, 1.0, 4), {0: 1.0}, 1)
+        gadget = PwlGadget(build_pwl(np.abs, -1.0, 1.0, 4), ((0, 1.0),), 1.0,
+                           1)
         with pytest.raises(ValueError,
                            match=re.escape("ffn ones_row None is not a row "
                                            "inside 0 .. 1")):
@@ -316,12 +328,10 @@ class TestFfnBuilder:
     def test_rows_outside_the_stream_are_named(self, row):
         # row -1 would read the last row, and row 7 would raise
         # numpy's IndexError
-        arg = re.escape(f"ffn arg row {row!r} is not a row inside 0 .. 2")
         table = build_pwl(np.abs, -1.0, 1.0, 4)
-        with pytest.raises(ValueError, match=arg):
-            _gadget(3, table, {0: 1.0, row: 1.0}, 1)
-        with pytest.raises(ValueError, match=arg):
-            _product(3, 0, row, 1, (table, table))
+        with pytest.raises(ValueError, match=re.escape(
+                f"ffn gadget 0 arg row {row!r} is not a row inside 0 .. 2")):
+            Ffn(3, _product(0, row, 1, (table, table)), 2)
 
 
 class TestInversionBlock:

@@ -60,50 +60,48 @@ def _fresh_interpreter(code):
     return ast.literal_eval(res.stdout.splitlines()[-1])
 
 
-def _modules_after(calls):
-    """Full names of the modules a fresh interpreter holds after
-    importing the CLI and making each call in *calls*."""
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """Full names of the modules one fresh interpreter holds after
+    importing the CLI and making a default logreg call, a two-step
+    linreg call and a two-step logreg call; then those it holds after
+    a budget call too."""
+    out = str(tmp_path_factory.mktemp("calls"))
+    calls = [[*argv, "--out-dir", out] for argv in (
+        ["logreg"], ["linreg", "--t-max", "2", "--batch", "2"],
+        ["logreg", "--t-max", "2"])]
     return _fresh_interpreter(
-        "import sys\nfrom newtonformer import cli\n" + "".join(
-            f"assert cli.main({argv!r}) == 0\n" for argv in calls
-        ) + "print(sorted(sys.modules))\n")
+        f"import sys\nfrom newtonformer import cli\nfor argv in {calls!r}:\n"
+        "    assert cli.main(argv) == 0\nfirst = sorted(sys.modules)\n"
+        "assert cli.main(['budget']) == 0\n"
+        "print((first, sorted(sys.modules)))\n")
 
 
-def test_cli_call_loads_no_scipy(tmp_path):
+def test_cli_call_loads_no_scipy(loaded):
     """The package runs on numpy alone: importing the CLI and making a
     call loads no scipy module."""
-    loaded = _modules_after([["logreg", "--out-dir", str(tmp_path)]])
-    assert [m for m in loaded if m.startswith("scipy")] == []
+    assert [m for m in loaded[0] if m.startswith("scipy")] == []
 
 
-def test_cli_calls_load_no_json(tmp_path):
+def test_cli_calls_load_no_json(loaded):
     """Only the ``budget`` command prints json, so importing the package
     and making a linreg and a logreg call loads no json module."""
-    calls = [["linreg", "--t-max", "2", "--batch", "2"],
-             ["logreg", "--t-max", "2"]]
-    calls = [[*argv, "--out-dir", str(tmp_path)] for argv in calls]
-    assert "json" not in _modules_after(calls)
+    assert "json" not in loaded[0]
 
 
-def test_cli_calls_load_no_argparse(tmp_path):
+def test_cli_calls_load_no_argparse(loaded):
     """The CLI parses argv from its own flag table: a fresh interpreter
-    that makes a budget call and a one-step linreg call loads neither
-    argparse nor the gettext and locale modules its first parse
-    imports (ROADMAP, Settled, has the measured cost)."""
-    calls = [["budget"],
-             ["linreg", "--t-max", "1", "--out-dir", str(tmp_path)]]
-    loaded = _modules_after(calls)
-    assert {"argparse", "gettext", "locale"}.isdisjoint(loaded)
+    that makes linreg, logreg and budget calls loads neither argparse
+    nor the gettext and locale modules its first parse imports
+    (ROADMAP, Settled, has the measured cost)."""
+    assert {"argparse", "gettext", "locale"}.isdisjoint(loaded[1])
 
 
-def test_cli_calls_load_no_ascii_codec(tmp_path):
+def test_cli_calls_load_no_ascii_codec(loaded):
     """Each CSV is encoded as ASCII in memory and written as bytes, so a
     linreg and a logreg call import no ``encodings.ascii`` codec, as a
     file opened with ``encoding="ascii"`` would."""
-    calls = [["linreg", "--t-max", "2", "--batch", "2"],
-             ["logreg", "--t-max", "2"]]
-    calls = [[*argv, "--out-dir", str(tmp_path)] for argv in calls]
-    assert "encodings.ascii" not in _modules_after(calls)
+    assert "encodings.ascii" not in loaded[0]
 
 
 _GC_PROBE = """

@@ -6,6 +6,7 @@ check that the interpolating forward pass agrees with the dense one on
 the logistic stack over random streams.
 """
 
+import math
 import re
 
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from newtonformer.builders import (
-    _gadget,
     build_logreg_newton_step,
     make_logistic_prompt,
     read_logistic_iterate,
@@ -77,16 +77,16 @@ def extended_dense(layer):
 
 @pytest.fixture
 def no_dense_view(monkeypatch):
-    def refuse(self, ones_row):
+    def refuse(self):
         raise AssertionError("dense view materialized")
 
-    monkeypatch.setattr(PwlGadget, "to_dense", refuse)
+    monkeypatch.setattr(Ffn, "_dense", property(refuse))
 
 
 class TestDenseView:
     def test_ungated_three_piece_gadget(self):
         # rows: 0 argument, 1 ones, 2 output
-        ffn = Ffn(3, [_gadget(3, THREE_PIECES, {0: 1.0}, 2, scale=2.0)], 1)
+        ffn = Ffn(3, [PwlGadget(THREE_PIECES, ((0, 1.0),), 2.0, 2)], 1)
         w1, w2 = ffn
         np.testing.assert_array_equal(w1, [
             [0.0, 1.0, 0.0],
@@ -104,20 +104,17 @@ class TestDenseView:
         # rows: 0 and 1 arguments, 2 ones, 3 and 0 outputs
         two_pieces = PwlApprox(np.array([0.0, 1.0, 2.0]),
                                np.array([0.0, 1.0, 0.0]))
-        gadgets = [_gadget(4, THREE_PIECES, {0: 1.0}, 3),
-                   _gadget(4, two_pieces, {1: 1.0}, 0, scale=-1.0),
-                   _gadget(4, THREE_PIECES, {0: 1.0, 1: 1.0}, 3,
-                           scale=0.5)]
+        gadgets = [PwlGadget(THREE_PIECES, ((0, 1.0),), 1.0, 3),
+                   PwlGadget(two_pieces, ((1, 1.0),), -1.0, 0),
+                   PwlGadget(THREE_PIECES, ((0, 1.0), (1, 1.0)), 0.5, 3)]
         w1, w2 = Ffn(4, gadgets, 2)
         assert w1.shape == (14, 4) and w2.shape == (4, 14)
         start = 0
         for g in gadgets:
-            rows, weights = g.to_dense(2)
+            alone_w1, alone_w2 = Ffn(4, [g], 2)
             cols = slice(start, start + g.width)
-            np.testing.assert_array_equal(w1[cols], rows)
-            expected_w2 = np.zeros((4, g.width))
-            expected_w2[g.out_row] = weights
-            np.testing.assert_array_equal(w2[:, cols], expected_w2)
+            np.testing.assert_array_equal(w1[cols], alone_w1)
+            np.testing.assert_array_equal(w2[:, cols], alone_w2)
             start = cols.stop
         np.testing.assert_array_equal(w1[5:9], [
             [0.0, 0.0, 1.0, 0.0],
@@ -129,7 +126,7 @@ class TestDenseView:
         assert start == 14
 
     def test_view_is_cached(self):
-        ffn = Ffn(3, [_gadget(3, THREE_PIECES, {0: 1.0}, 2)], 1)
+        ffn = Ffn(3, [PwlGadget(THREE_PIECES, ((0, 1.0),), 1.0, 2)], 1)
         first, second = tuple(ffn), tuple(ffn)
         assert first[0] is second[0] and first[1] is second[1]
 
@@ -138,7 +135,7 @@ class TestDenseView:
         w1, w2 = rng.standard_normal((5, 3)), rng.standard_normal((3, 5))
         with pytest.raises(TypeError, match="None or an Ffn, got tuple"):
             with_ffn(3, (w1, w2))
-        ffn = Ffn(3, [_gadget(3, THREE_PIECES, {0: 1.0}, 2)], 1)
+        ffn = Ffn(3, [PwlGadget(THREE_PIECES, ((0, 1.0),), 1.0, 2)], 1)
         with pytest.raises(TypeError, match="None or an Ffn, got tuple"):
             with_ffn(3, tuple(ffn))
         assert with_ffn(3, ffn).ffn is ffn and ffn.width == 5
@@ -146,8 +143,8 @@ class TestDenseView:
 
 class TestWidth:
     def test_gadget_counts_pieces_plus_two(self, no_dense_view):
-        gadgets = [_gadget(4, THREE_PIECES, {0: 1.0}, 3),
-                   _gadget(4, THREE_PIECES, {1: 1.0}, 3, scale=-0.5)]
+        gadgets = [PwlGadget(THREE_PIECES, ((0, 1.0),), 1.0, 3),
+                   PwlGadget(THREE_PIECES, ((1, 1.0),), -0.5, 3)]
         assert [g.width for g in gadgets] == [5, 5]
         assert Ffn(4, gadgets, 2).width == 10
 
@@ -159,7 +156,7 @@ class TestWidth:
 
 class TestOnesRow:
     def test_broken_ones_row_is_named(self):
-        ffn = Ffn(3, [_gadget(3, THREE_PIECES, {0: 1.0}, 2)], 1)
+        ffn = Ffn(3, [PwlGadget(THREE_PIECES, ((0, 1.0),), 1.0, 2)], 1)
         layer = with_ffn(3, ffn)
         h = np.vstack([np.linspace(0.0, 3.0, 4), np.ones(4), np.zeros(4)])
         h[1, 2] = 0.5
@@ -168,24 +165,51 @@ class TestOnesRow:
 
 
 class TestGadgetChecks:
-    """An Ffn names a gadget or ones row that does not fit its
-    dimension when it is made, not in the forward pass."""
+    """An Ffn admits each gadget when it is made, not in the forward
+    pass: it names a gadget or ones row that does not fit its
+    dimension, and a gadget part that is no (row, coeff) pair, row or
+    finite, nonzero real."""
 
     @staticmethod
-    def ffn(arg=np.ones(3), out_row=2, ones_row=1):
+    def ffn(arg=((0, 1.0), (1, 1.0), (2, 1.0)), out_row=2, ones_row=1):
         gadget = PwlGadget(THREE_PIECES, arg, 1.0, out_row)
         return Ffn(3, [gadget], ones_row)
 
     def test_fitting_gadget_is_accepted(self):
         assert self.ffn(out_row=np.int64(0)).width == 5
 
-    @pytest.mark.parametrize("arg", [np.ones(6), np.ones(2),
-                                     np.ones((1, 3))])
-    def test_arg_shape_is_named(self, arg):
+    def test_repeated_row_adds_its_coefficients(self):
+        ffn = self.ffn(arg=((0, 1.0), (2, 0.5), (0, -3.0)))
+        np.testing.assert_array_equal(ffn._gadget_rows, [[-2.0, 0.0, 0.5]])
+
+    FITTING = dict(approx=THREE_PIECES, arg=((0, 1.0),), scale=1.0,
+                   out_row=2)
+    # each bad part given to gadget 1, after a fitting gadget 0, and the
+    # part the error names
+    BAD_PARTS = {
+        **{f"coeff {c!r}": (dict(arg=((0, c),)), "arg coeff must be finite "
+                            f"and nonzero, got {c!r}")
+           for c in (math.nan, math.inf, 0.0, 1j, "1.0")},
+        **{f"scale {c!r}": (dict(scale=c), "scale must be finite and "
+                            f"nonzero, got {c!r}")
+           for c in (math.nan, math.inf, 0.0, "1.0")},
+        **{f"row {row!r}": (dict(arg=((row, 1.0),)), f"arg row {row!r} is "
+                            "not a row inside 0 .. 2")
+           for row in (-1, 3, 1.0)},
+        **{name: (dict(arg=arg), f"arg {arg!r} is not (row, coeff) pairs")
+           for name, arg in (("dense vector", np.ones(3)),
+                             ("dict", {0: 1.0}))},
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_PARTS))
+    def test_bad_part_is_named(self, case):
+        given, message = self.BAD_PARTS[case]
+        gadgets = [PwlGadget(**self.FITTING),
+                   PwlGadget(**{**self.FITTING, **given})]
         with pytest.raises(ValueError,
-                           match=re.escape(f"ffn gadget 0 arg has shape "
-                                           f"{arg.shape}, expected (3,)")):
-            self.ffn(arg=arg)
+                           match="^" + re.escape(f"ffn gadget 1 {message}")
+                                 + "$"):
+            Ffn(3, gadgets, 1)
 
     @pytest.mark.parametrize("out_row", [3, 7, -1, 1.0])
     def test_out_row_is_named(self, out_row):

@@ -199,7 +199,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(task="logreg", mu=0.0)
         with pytest.raises(ValueError):
-            ExperimentConfig(task="invert", batch=0)
+            ExperimentConfig(task="linreg", batch=0)
         for task in ("invert", "linreg", "logreg"):
             with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
                 ExperimentConfig(task=task, seed=-1)
@@ -505,7 +505,7 @@ class TestLinregLinearInDepth:
                 for g, k in zip(ours.ffn.gadgets, theirs.ffn.gadgets,
                                 strict=True):
                     assert (g.scale, g.out_row) == (k.scale, k.out_row)
-                    assert np.array_equal(g.arg, k.arg)
+                    assert g.arg == k.arg
                     assert np.array_equal(g.approx.knots, k.approx.knots)
                     assert np.array_equal(g.approx.values, k.approx.values)
 
@@ -544,7 +544,7 @@ class TestLinregLinearInDepth:
 def logreg_table(tmp_path_factory):
     out = tmp_path_factory.mktemp("logreg")
     cfg = ExperimentConfig(task="logreg", d=5, n=26, kappa=10.0,
-                           mu=0.1, eps=1e-2, orders=(2,), t_max=6,
+                           mu=0.1, eps=1e-2, t_max=6,
                            seed=0, out_dir=str(out))
     path = run_logreg_experiment(cfg)[0]
     rows = read_rows(path)
@@ -775,6 +775,15 @@ _UNREAD_FLAGS = [
     # the budget derives kappa_f = (1+mu)/mu from mu
     ("budget", "kappa_f"),
 ]
+
+
+@pytest.mark.parametrize("task, field", [
+    (task, field) for task, field in _UNREAD_FLAGS if task != "budget"])
+def test_config_rejects_a_field_its_runner_ignores(task, field):
+    # stored, the field would read as set while the runner ignores it
+    with pytest.raises(ValueError,
+                       match=f"^{field} does not apply to '{task}'$"):
+        ExperimentConfig(task=task, **{field: 1})
 
 
 def test_cli_outputs_records_each_argv(tmp_path):

@@ -303,6 +303,9 @@ _COUNT_ARGUMENTS = {
         lambda v: PromptLayout((("a", 2, "zero", "kept"),
                                 ("b", v, "zero", "kept"))),
         "band 'b' size", 1, 3),
+    "PromptLayout.prompt.n": (
+        lambda v: PromptLayout((("a", 2, "eye", "kept"),)).prompt(v),
+        "n", 1, 3),
     **{f"ExperimentConfig.{key}": (
         lambda v, key=key: ExperimentConfig(task="linreg", **{key: v}),
         key, low, good)

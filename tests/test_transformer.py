@@ -75,8 +75,10 @@ def identity_head(dim):
 
 
 def gadget_ffn(dim, gadgets, ones_row):
-    """An Ffn of ``(approx, arg, out_row, scale)`` gadgets."""
-    return Ffn(dim, [PwlGadget(approx, np.asarray(arg, dtype=float),
+    """An Ffn of ``(approx, arg, out_row, scale)`` gadgets, each dense
+    *arg* given to its gadget as pairs over its nonzero rows."""
+    return Ffn(dim, [PwlGadget(approx, tuple((row, coeff) for row, coeff
+                                             in enumerate(arg) if coeff),
                                scale, out_row)
                      for approx, arg, out_row, scale in gadgets], ones_row)
 
@@ -133,7 +135,7 @@ def _array_dataclasses():
     return {
         "AttentionHead": lambda: identity_head(2),
         "PwlApprox": lambda: PwlApprox(knots, knots),
-        "PwlGadget": lambda: PwlGadget(approx, np.ones(2), 1.0, 0),
+        "PwlGadget": lambda: PwlGadget(approx, ((0, 1.0),), 1.0, 0),
         "LogisticProblem": lambda: LogisticProblem(np.eye(2), np.ones(2),
                                                    0.1),
         "NewtonState": lambda: NewtonState(np.zeros(2), 1.0, 0.5, 0.8),
@@ -424,11 +426,11 @@ class TestCompactedHeads:
     # the error names the part that holds the bad scale
     @pytest.mark.parametrize("where", ["value"])
     @pytest.mark.parametrize("c", [0.0, -0.0, math.inf, -math.inf,
-                                   math.nan])
+                                   math.nan, 1j, "1.0"])
     def test_scale_must_be_finite_and_nonzero(self, where, c):
         with pytest.raises(ValueError,
                            match=f"^{where} scale must be finite and "
-                                 f"nonzero, got {c}$"):
+                                 f"nonzero, got {c!r}$"):
             AttentionHead(3, (0, 1, c), key=2, query=2)
 
 
@@ -473,8 +475,6 @@ class TestFfnForward:
 
     def test_ffn_shape_validation(self):
         head = identity_head(2)
-        with pytest.raises(ValueError, match="arg has shape"):
-            gadget_ffn(2, [(self.RAMP, np.ones(3), 0, 1.0)], 1)
         with pytest.raises(ValueError, match="out_row 2"):
             gadget_ffn(2, [(self.RAMP, np.ones(2), 2, 1.0)], 1)
         with pytest.raises(ValueError, match="ffn dimension 3"):
