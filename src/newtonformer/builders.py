@@ -179,8 +179,8 @@ def _product(x_row, y_row, out_row, tables):
     decomposition, 0.25 sq_sum(x + y) - 0.25 sq_dif(x - y).
 
     *tables* is the ``(sq_sum, sq_dif)`` pair of PWL squares that
-    :func:`~.pwl.pwl_product` builds for the factors' ranges, so the
-    gadgets compute the same approximation, x * x when *y_row* is *x_row*.
+    :func:`~.pwl._square_tables` builds for the factors' ranges; the
+    gadgets compute x * x when *y_row* is *x_row*.
     """
     sq_sum, sq_dif = tables
     return [PwlGadget(sq_sum, ((x_row, 1.0), (y_row, 1.0)), 0.25, out_row),

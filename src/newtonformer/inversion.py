@@ -1,6 +1,7 @@
 """Newton-Schulz matrix inversion and its higher-order hyperpower family.
 
-The order-2 step is X(2I - AX); the order-n step multiplies X by a
+The order-2 step is the Newton-Schulz step X(2I - AX), the paper's
+"single step of Newton's iteration"; the order-n step multiplies X by a
 degree-(n-1) binomial polynomial in AX and contracts the residual
 I - XA to its n-th power each iteration.
 """
@@ -16,7 +17,6 @@ from .pwl import PwlApprox, eval_pwl
 
 __all__ = [
     "MAX_ORDER",
-    "newton_step",
     "hyperpower_step",
     "predicted_steps",
     "spd_initial_scale",
@@ -39,27 +39,6 @@ TRACE_RECIPROCAL = PwlApprox(np.ldexp(1.0, _RECIP_EXPONENTS),
                              np.ldexp(1.0, -_RECIP_EXPONENTS))
 
 
-def _check_square_pair(x, a):
-    x = as_stack(x, "x")
-    a = as_stack(a, "a")
-    if a.shape[-1] != a.shape[-2]:
-        raise ShapeMismatchError(f"a must be square, got {a.shape}")
-    if x.shape != a.shape:
-        raise ShapeMismatchError(f"x must have shape {a.shape}, got {x.shape}")
-    return x, a
-
-
-def newton_step(x, a):
-    """One Newton-Schulz update X(2I - AX).
-
-    *x* and *a* are d x d matrices, or stacks ``(..., d, d)`` of one
-    shape that are updated matrix by matrix; each updated slice is
-    bit-identical to the update of that slice alone.  It is the
-    order-2 :func:`hyperpower_step`.
-    """
-    return hyperpower_step(x, a, 2)
-
-
 def _check_order(order):
     """*order* as a count in [2, MAX_ORDER]."""
     return _count(order, "order", 2, MAX_ORDER)
@@ -68,7 +47,9 @@ def _check_order(order):
 def hyperpower_step(x, a, order):
     """One hyperpower update of the given order.
 
-    Computes ``X @ sum_{m=0}^{order-1} (-1)^m C(order, m+1) (AX)^m``
+    Order 2 is the Newton-Schulz step X(2I - AX), the paper's "single
+    step of Newton's iteration".  Computes
+    ``X @ sum_{m=0}^{order-1} (-1)^m C(order, m+1) (AX)^m``
     by Horner evaluation.  Binomial coefficients are exact integers;
     orders above 8 are rejected so they stay exactly representable in
     float64 products.  Horner starts at
@@ -80,7 +61,12 @@ def hyperpower_step(x, a, order):
     bit-identical to its own 2-D update.
     """
     order = _check_order(order)
-    x, a = _check_square_pair(x, a)
+    x = as_stack(x, "x")
+    a = as_stack(a, "a")
+    if a.shape[-1] != a.shape[-2]:
+        raise ShapeMismatchError(f"a must be square, got {a.shape}")
+    if x.shape != a.shape:
+        raise ShapeMismatchError(f"x must have shape {a.shape}, got {x.shape}")
     eye = np.eye(a.shape[-1])
     m = a @ x
     # Horner from the highest power: coefficients (-1)^j C(order, j+1)

@@ -34,7 +34,6 @@ __all__ = [
     "optimum_reached",
     "optimum",
     "bounded_error_source",
-    "omega",
     "omega_star",
     "suboptimality_bound",
     "quadratic_phase_epsilon",
@@ -47,6 +46,8 @@ EXP_CLAMP = 40.0
 # squared local norms of the injected error that the decrease scan covers
 C_PRIME_VALUES = (0.0, 5e-5, 1e-4)
 QUADRATIC_PHASE_THRESHOLD = 1.0 / 6.0
+# a radicand of decrease_bound this far below 0 is rounding, read as 0
+RADICAND_TOL = 1e-15
 OPTIMUM_TOL = 1e-12
 OPTIMUM_MAX_ITERS = 500
 
@@ -386,17 +387,8 @@ def optimum(problem):
     raise AssertionError("unreachable")
 
 
-def omega(t):
-    """omega(t) = t - log(1 + t), the self-concordant decrease function."""
-    if not t >= 0.0:
-        raise ValueError(f"omega requires t >= 0, got {t}")
-    if t == math.inf:
-        raise ValueError(f"omega's t must be finite, got {t}")
-    return float(t - np.log1p(t))
-
-
 def omega_star(t):
-    """omega*(t) = -t - log(1 - t), conjugate to omega; needs t < 1."""
+    """omega*(t) = -t - log(1 - t), for 0 <= t < 1."""
     if not 0.0 <= t < 1.0:
         raise ValueError(f"omega_star requires 0 <= t < 1, got {t}")
     return float(-t - np.log1p(-t))
@@ -405,9 +397,11 @@ def omega_star(t):
 def suboptimality_bound(lambda_g):
     """Upper bound on g(x) - g* from the scaled decrement.
 
-    Returns omega*(lambda_g), valid for lambda_g < 1; for
-    lambda_g <= 1/6 this is further bounded by (3/5) lambda_g**2.
+    Returns omega*(lambda_g), valid for 0 <= lambda_g < 1, else
+    ``ValueError``; for lambda_g <= 1/6 it is at most (3/5) lambda_g**2.
     """
+    if not 0.0 <= lambda_g < 1.0:
+        raise ValueError(f"lambda_g must be in [0, 1), got {lambda_g}")
     return omega_star(lambda_g)
 
 
@@ -449,12 +443,30 @@ def decrease_bound(x, c, c_prime):
 
     where x is the scaled decrement at the current iterate, c the
     inner product of the injected error with the scaled gradient, and
-    c_prime its squared local-norm.  Vectorized over numpy inputs; the
-    caller is responsible for delta staying inside [0, 1).
+    c_prime its squared local-norm.  Vectorized over numpy inputs; a
+    radicand within ``RADICAND_TOL`` below 0 counts as 0, as in the
+    scan.  The first point, in broadcast order, with an entry not
+    finite, x < 0, c_prime < 0, a radicand below -RADICAND_TOL or
+    delta >= 1 raises ``ValueError`` naming it and that condition.
     """
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    h = _decrease(x, c, np.sqrt(_radicand(x, c, c_prime)))
+    x, c, c_prime = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (x, c, c_prime)))
+    with np.errstate(all="ignore"):
+        radicand = _radicand(x, c, c_prime)
+        delta = np.sqrt(np.maximum(radicand, 0.0))
+    failed = {
+        "an entry is not finite":
+            ~(np.isfinite(x) & np.isfinite(c) & np.isfinite(c_prime)),
+        "x < 0": x < 0.0, "c_prime < 0": c_prime < 0.0,
+        f"radicand < -{RADICAND_TOL:g}": radicand < -RADICAND_TOL,
+        "delta >= 1": ~(delta < 1.0)}
+    bad = np.flatnonzero(np.logical_or.reduce(list(failed.values())))
+    if bad.size:
+        j = bad[0]
+        condition = next(k for k, mask in failed.items() if mask.flat[j])
+        raise ValueError(f"decrease_bound at (x, c, c_prime) = ({x.flat[j]:g}"
+                         f", {c.flat[j]:g}, {c_prime.flat[j]:g}): {condition}")
+    h = _decrease(x, c, delta)
     return float(h) if h.ndim == 0 else h
 
 
@@ -494,7 +506,7 @@ def scan_constant_decrease(grid_x=500, grid_c=500):
         if not np.any(feasible):
             continue
         radicand = _radicand(x, c, c_prime)
-        bad = feasible & (radicand < -1e-15)
+        bad = feasible & (radicand < -RADICAND_TOL)
         if np.any(bad):
             i = tuple(np.argwhere(bad)[0])
             raise ScanAnomalyError(

@@ -2,9 +2,9 @@
 
 These are the function-approximation primitives that the transformer
 weight builders compile into feed-forward ReLU layers, which hold
-nothing else: uniform-knot interpolants for smooth curves and a
-quarter-square product approximator built from two squared-argument
-interpolants.
+nothing else: uniform-knot interpolants for smooth curves, and the
+pair of squared-argument interpolants from which two gadgets form a
+quarter-square product.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ __all__ = [
     "PwlGadget",
     "build_pwl",
     "eval_pwl",
-    "pwl_product",
 ]
 
 
@@ -140,20 +139,3 @@ def _square_tables(range_x, range_y, pieces):
         return sq_sum, sq_sum
     return sq_sum, build_pwl(lambda t: t * t, *dif_range, pieces)
 
-
-def pwl_product(x, y, range_x, range_y, pieces):
-    """Approximate x*y by the quarter-square identity on PWL squares.
-
-    Uses ((x+y)^2 - (x-y)^2) / 4 with both squares replaced by
-    uniform-knot interpolants over the ranges implied by *range_x* and
-    *range_y*.  The absolute error is bounded by half the squared knot
-    spacing and therefore falls quadratically in *pieces*.
-    """
-    xlo, xhi = map(float, range_x)
-    ylo, yhi = map(float, range_y)
-    if not (xlo <= x <= xhi):
-        raise ValueError(f"x={x} outside range [{xlo}, {xhi}]")
-    if not (ylo <= y <= yhi):
-        raise ValueError(f"y={y} outside range [{ylo}, {yhi}]")
-    sq_sum, sq_dif = _square_tables(range_x, range_y, pieces)
-    return 0.25 * (eval_pwl(sq_sum, x + y) - eval_pwl(sq_dif, x - y))

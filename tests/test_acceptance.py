@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from quarter_square import pwl_product
 from start_steps import alpha_prime_steps
 from unrolled import linreg_stack
 
@@ -23,12 +24,11 @@ from newtonformer import (
     damped_step,
     eval_pwl,
     fitted_order,
+    hyperpower_step,
     loss_grad_hess,
     make_inversion_prompt,
     make_linreg_prompt,
     model_forward,
-    newton_step,
-    pwl_product,
     read_inversion_iterate,
     read_linreg_prediction,
     run_constructed_newton,
@@ -67,7 +67,7 @@ def test_01_inversion_block_matches_direct_step():
             layers, layout = build_inversion_block(d)
             h = model_forward(layers, make_inversion_prompt(a, x))
             got = read_inversion_iterate(h, layout)
-            want = newton_step(x, a)
+            want = hyperpower_step(x, a, 2)
             worst = max(worst, np.linalg.norm(got - want)
                         / max(np.linalg.norm(want), 1e-300))
         elapsed = time.perf_counter() - t0

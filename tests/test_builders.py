@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from quarter_square import pwl_product
 from start_steps import alpha_prime_steps
 from unrolled import linreg_stack
 
@@ -32,7 +33,7 @@ from newtonformer.errors import BudgetError
 from newtonformer.harness import ExperimentConfig
 from newtonformer.inversion import (
     TRACE_RECIPROCAL,
-    newton_step,
+    hyperpower_step,
     spd_initial_scale,
     trace_initial_scale,
 )
@@ -50,7 +51,6 @@ from newtonformer.pwl import (
     _square_tables,
     build_pwl,
     eval_pwl,
-    pwl_product,
 )
 from newtonformer.transformer import (
     AttentionHead,
@@ -352,7 +352,7 @@ class TestInversionBlock:
             block, layout = build_inversion_block(d)
             h = make_inversion_prompt(a, x)
             out = model_forward(block, h)
-            expected = newton_step(x, a)
+            expected = hyperpower_step(x, a, 2)
             err = np.linalg.norm(read_inversion_iterate(out, layout)
                                  - expected)
             assert err <= 1e-12 * max(np.linalg.norm(expected), 1.0)
@@ -822,7 +822,7 @@ class TestLogregNewtonStack:
         for layer in layers[3:3 + k]:
             assert len(layer.heads) == 2 and layer.ffn is None
             out = model_forward([layer], h)
-            expected = newton_step(h[x_slot, :d], m.T)
+            expected = hyperpower_step(h[x_slot, :d], m.T, 2)
             err = np.linalg.norm(out[x_slot, :d] - expected)
             assert err <= 1e-12 * np.linalg.norm(expected)
             np.testing.assert_array_equal(out[x_slot, d:], 0.0)

@@ -49,6 +49,56 @@ def test_package_reexports_each_library_module():
     assert len(set(newtonformer.__all__)) == len(newtonformer.__all__)
 
 
+# Public names that nothing in src/ calls yet, each with the reason it
+# stays.  An entry must still lack a caller: the item that gives a name
+# its caller deletes the name's entry.
+_NO_SRC_CALLER = {
+    "build_inversion_block": "ROADMAP item 8: the constructed invert trace",
+    "make_inversion_prompt": "ROADMAP item 8: the constructed invert trace",
+    "read_inversion_iterate": "ROADMAP item 8: the constructed invert trace",
+    "predicted_steps": "ROADMAP item 8: the invert run reports it, or "
+                       "it moves into tests",
+    "fitted_order": "ROADMAP item 8: the invert run reports it, or it "
+                    "moves into tests",
+    "suboptimality_bound": "ROADMAP item 6: the layers-versus-eps runner "
+                           "compares step counts against it",
+    "quadratic_phase_epsilon": "ROADMAP item 6: the layers-versus-eps "
+                               "runner compares step counts against it",
+    "decrease_bound": "ROADMAP item 6: the layers-versus-eps runner "
+                      "compares step counts against it",
+    "run_inexact_newton": "ROADMAP Settled: it stays beside the harness "
+                          "loop",
+}
+
+
+def _src_references():
+    """Every name that code under src/ loads, as a bare name or as an
+    attribute.  Definitions, imports, docstrings and ``__all__``
+    strings load no name, so they are not references."""
+    package = Path(newtonformer.__file__).parent
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_has_a_src_caller():
+    """Each exported name has a caller in src/ (the CLI included), or an
+    allowlist entry that says why it has none yet; an entry whose name
+    has since gained a caller is stale and fails too."""
+    used = _src_references()
+    exports = set(newtonformer.__all__)
+    assert set(_NO_SRC_CALLER) <= exports
+    unused = sorted(exports - used - set(_NO_SRC_CALLER))
+    assert unused == [], "exported, but no caller in src/ and no entry"
+    stale = sorted(set(_NO_SRC_CALLER) & used)
+    assert stale == [], "allowlisted, but src/ calls it"
+
+
 def _fresh_interpreter(code):
     """The value of the last stdout line of *code*, run in a fresh
     interpreter that imports the package from this checkout."""

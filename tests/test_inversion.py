@@ -11,7 +11,6 @@ from newtonformer.inversion import (
     InverseRun,
     fitted_order,
     hyperpower_step,
-    newton_step,
     predicted_steps,
     run_inverse,
     spd_initial_scale,
@@ -24,32 +23,32 @@ class TestNewtonStep:
         rng = np.random.default_rng(0)
         a = make_covariance(4, 10.0, rng)
         x = np.linalg.inv(a)
-        np.testing.assert_allclose(newton_step(x, a), x, rtol=1e-12)
+        np.testing.assert_allclose(hyperpower_step(x, a, 2), x, rtol=1e-12)
 
     def test_half_identity(self):
-        out = newton_step(0.5 * np.eye(3), np.eye(3))
+        out = hyperpower_step(0.5 * np.eye(3), np.eye(3), 2)
         np.testing.assert_array_equal(out, 0.75 * np.eye(3))
 
     def test_diagonal_example(self):
-        out = newton_step(0.3 * np.diag([1.0, 2.0]), np.diag([1.0, 2.0]))
+        out = hyperpower_step(0.3 * np.diag([1.0, 2.0]), np.diag([1.0, 2.0]),
+                              2)
         np.testing.assert_allclose(out, np.diag([0.51, 0.48]), rtol=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            newton_step(np.eye(3), np.eye(2))
+            hyperpower_step(np.eye(3), np.eye(2), 2)
 
 
 class TestHyperpowerStep:
     def test_order_two_identical_to_newton_step(self):
-        # newton_step is the order-2 step, and both give the bits of
-        # X(2I - AX) written out, on one matrix and on a stack
+        # the order-2 step gives the bits of X(2I - AX) written out, on
+        # one matrix and on a stack
         rng = np.random.default_rng(1)
         for shape in ((5, 5), (3, 2, 5, 5)):
             a = rng.standard_normal(shape)
             x = 0.01 * a.mT
             want = x @ (2.0 * np.eye(5) - a @ x)
-            for got in (hyperpower_step(x, a, 2), newton_step(x, a)):
-                assert got.tobytes() == want.tobytes()
+            assert hyperpower_step(x, a, 2).tobytes() == want.tobytes()
 
     def test_order_three_scalar(self):
         out = hyperpower_step([[0.5]], [[1.0]], 3)
@@ -110,10 +109,10 @@ class TestStackedSteps:
 
     def test_newton_step_stack_equals_per_slice_steps(self):
         x, a = _stack_pair(np.random.default_rng(9), (4, 6, 6))
-        want = [newton_step(xi, ai) for xi, ai in zip(x, a)]
-        assert np.array_equal(newton_step(x, a), want)
+        want = [hyperpower_step(xi, ai, 2) for xi, ai in zip(x, a)]
+        assert np.array_equal(hyperpower_step(x, a, 2), want)
 
-    @pytest.mark.parametrize("step", [newton_step,
+    @pytest.mark.parametrize("step", [lambda x, a: hyperpower_step(x, a, 2),
                                       lambda x, a: hyperpower_step(x, a, 3)])
     def test_shape_errors(self, step):
         eye = np.eye(3)
@@ -131,7 +130,7 @@ class TestStackedSteps:
         with pytest.raises(ShapeMismatchError, match="x must have shape"):
             step(stack, eye)
 
-    @pytest.mark.parametrize("step", [newton_step,
+    @pytest.mark.parametrize("step", [lambda x, a: hyperpower_step(x, a, 2),
                                       lambda x, a: hyperpower_step(x, a, 3)])
     def test_non_finite_entries_name_their_argument(self, step):
         good = np.stack([np.eye(2)] * 2)
@@ -146,7 +145,7 @@ class TestStackedSteps:
 
     def test_matrix_error_messages(self):
         with pytest.raises(ShapeMismatchError) as info:
-            newton_step(np.ones((3, 2)), np.ones((2, 3)))
+            hyperpower_step(np.ones((3, 2)), np.ones((2, 3)), 2)
         assert str(info.value) == "a must be square, got (2, 3)"
         with pytest.raises(ShapeMismatchError) as info:
             hyperpower_step(np.eye(2), np.eye(3), 4)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from newtonformer.logistic import (
     iterate_norm_bound,
     loss_grad_hess,
     objective,
-    omega,
     omega_star,
     optimum,
     optimum_reached,
@@ -571,13 +571,7 @@ class TestDecreaseFunctions:
         assert omega_star(0.0) == 0.0
         assert omega_star(0.1) == pytest.approx(0.0053605, abs=1e-7)
 
-    def test_omega_values(self):
-        assert omega(0.0) == 0.0
-        assert omega(1.0) == pytest.approx(1.0 - np.log(2.0), rel=1e-14)
-
     def test_domains(self):
-        with pytest.raises(ValueError):
-            omega(-0.1)
         with pytest.raises(ValueError):
             omega_star(1.0)
         with pytest.raises(ValueError):
@@ -585,14 +579,11 @@ class TestDecreaseFunctions:
         with pytest.raises(ValueError):
             suboptimality_bound(1.5)
 
-    def test_omega_rejects_nan(self):
-        with pytest.raises(ValueError, match="got nan"):
-            omega(float("nan"))
-
-    def test_omega_rejects_inf(self):
-        # inf - log1p(inf) would be nan
-        with pytest.raises(ValueError, match="t must be finite, got inf"):
-            omega(math.inf)
+    @pytest.mark.parametrize("lambda_g", [1.0, 1.5, -0.1, math.nan])
+    def test_suboptimality_bound_names_lambda_g(self, lambda_g):
+        with pytest.raises(ValueError,
+                           match=r"^lambda_g must be in \[0, 1\), got "):
+            suboptimality_bound(lambda_g)
 
     def test_infinite_mu_rejected(self):
         # inf would give a norm bound of 1.0 and a nan slack
@@ -663,6 +654,30 @@ class TestConstantDecreaseScan:
         expected = -1.0 / 42.0 - np.log(1.0 - 1.0 / 7.0) - 1.0 / 7.0
         assert value == pytest.approx(expected, rel=1e-14)
         assert value == pytest.approx(-0.012515986839408355, abs=1e-15)
+
+    @pytest.mark.parametrize("point, named, condition", [
+        ((0.1, 0.5, 0.0), "(0.1, 0.5, 0)", "radicand < -1e-15"),
+        ((1.0, -2.0, 0.0), "(1, -2, 0)", "delta >= 1"),
+        ((-0.5, 0.0, 0.0), "(-0.5, 0, 0)", "x < 0"),
+        ((math.nan, 0.0, 0.0), "(nan, 0, 0)", "an entry is not finite"),
+        ((0.5, math.inf, 0.0), "(0.5, inf, 0)", "an entry is not finite"),
+        ((0.5, 0.0, -1e-3), "(0.5, 0, -0.001)", "c_prime < 0"),
+        # the first point that fails, not the first condition that does
+        (([0.2, 0.3, -1.0], [0.0, 0.5, 0.0], 0.0), "(0.3, 0.5, 0)",
+         "radicand < -1e-15"),
+    ])
+    def test_out_of_domain_point_is_named(self, point, named, condition):
+        message = f"decrease_bound at (x, c, c_prime) = {named}: {condition}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decrease_bound(*point)
+
+    def test_radicand_within_tolerance_reads_as_zero(self):
+        # x**2 / (1 + x)**2 == 2 c / (1 + x) but for rounding, which
+        # leaves the radicand just below 0: delta is 0, as in the scan
+        x = 1.0 / 6.0
+        c = x**2 / (2.0 * (1.0 + x))
+        assert -logistic.RADICAND_TOL < logistic._radicand(x, c, 0.0) < 0.0
+        assert decrease_bound(x, c, 0.0) == -(x**2) / (1.0 + x) + c
 
     def test_bound_decreases_along_error_free_slice(self):
         xs = np.linspace(1.0 / 6.0, 1.0, 300)

@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from quarter_square import pwl_product
 
 from newtonformer.pwl import (
     PwlApprox,
     build_pwl,
     eval_pwl,
-    pwl_product,
 )
 
 
